@@ -12,6 +12,9 @@ every set-membership answer near a threshold is three-valued
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DepthError, InsufficientDataError, MeasureError
 from .space import (
@@ -20,7 +23,10 @@ from .space import (
     PlanePoint,
     Ray,
     TreePoint,
+    _lcp,
+    _row_lcp,
     _tree_separation,
+    _word_rows,
     busemann,
     distance,
     geodesic_point,
@@ -29,7 +35,7 @@ from .space import (
     ray_point,
     tree_depth,
 )
-from .words import compose_words, invert_word, word_key
+from .words import _ORDER, compose_words, invert_word, word_key
 
 
 @dataclass(frozen=True)
@@ -61,14 +67,6 @@ def plane_boundary(coord, word="", depth=8.0):
     return BoundaryApprox(PLANE, word, depth, coord)
 
 
-def _lcp_len(u, v):
-    n = min(len(u), len(v))
-    i = 0
-    while i < n and u[i] == v[i]:
-        i += 1
-    return i
-
-
 def boundary_ray(action, z):
     """Ray from the basepoint toward the boundary approximant."""
     if action.space.kind == TREE:
@@ -88,7 +86,7 @@ def boundary_gromov_product(action, z, zp):
     """
     space = action.space
     if space.kind == TREE:
-        k = _lcp_len(z.word, zp.word)
+        k = _lcp(z.word, zp.word)
         if k >= min(z.depth, zp.depth):
             raise DepthError(
                 "common prefix reaches truncation depth %d; deepen the approximants"
@@ -155,7 +153,7 @@ def generalized_ball_contains(action, z, rho, zp):
         raise ValueError("radius must be in (0, 1]")
     thr = math.log(1.0 / rho)
     if action.space.kind == TREE:
-        k = _lcp_len(z.word, zp.word)
+        k = _lcp(z.word, zp.word)
         L = float(action.space.edge_length)
         if k * L > thr:
             return True  # certified even at truncation: product >= k*L
@@ -348,9 +346,9 @@ def limit_set_sample(action, ball, min_displacement):
         raise InsufficientDataError("ball shallower than min_displacement")
     out = []
     if action.space.kind == TREE:
-        for e in ball.entries:
-            if e.word and float(e.displacement) >= float(min_displacement):
-                out.append(tree_boundary(e.word))
+        for k, level in enumerate(ball.levels):
+            if k and float(k * ball.edge_length) >= float(min_displacement):
+                out.extend(tree_boundary(w) for w in level)
         if not out:
             raise InsufficientDataError("no entries deep enough")
         return out
@@ -423,6 +421,39 @@ class AtomicMeasure:
     def boundary_atoms(self):
         return [a for a in self.atoms if a.boundary is not None]
 
+    @cached_property
+    def _tree_atoms(self):
+        """Boundary atoms of a tree measure as arrays, in atom order."""
+        return _TreeAtoms(self.boundary_atoms)
+
+
+class _TreeAtoms:
+    """Letter rows, word lengths, depths and weights of tree boundary atoms.
+
+    total is the left-to-right float sum of the weights, the order in
+    which the scalar loops add them.
+    """
+
+    def __init__(self, atoms):
+        words = [a.boundary.word for a in atoms]
+        self.lengths = np.array([len(w) for w in words], dtype=np.int64)
+        self.width = int(self.lengths.max()) + 1 if words else 1
+        self.rows = _word_rows(words, self.width)
+        self.depth = np.array([a.boundary.depth for a in atoms])
+        self.weight = np.array([a.weight for a in atoms], dtype=float)
+        self.total = _ordered_sum(self.weight)
+
+    def lcp(self, word):
+        """Common-prefix length of `word` with every atom word."""
+        row = _word_rows([word], self.width)
+        row[0, len(word):] = -2  # padding of `word` matches nothing
+        return _row_lcp(self.rows, row)
+
+
+def _ordered_sum(values):
+    """values[0] + values[1] + ... added left to right (0.0 when empty)."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
 
 def patterson_sullivan_atoms(action, ball, s):
     """Normalized e^{-s d(x, gx)}-weighted orbit Dirac masses.
@@ -480,14 +511,13 @@ def ball_mass(action, measure, z, rho):
     (mass, decided_fraction) or (None, 0.0) when nothing is decidable.
     """
     thr = math.log(1.0 / rho)
-    scale = (
-        float(action.space.edge_length) if action.space.kind == TREE else 1.0
-    )
+    if action.space.kind == TREE:
+        return _tree_ball_mass(action, measure._tree_atoms, z, rho, thr)
     num = den = 0.0
     total = 0.0
     for a in measure.boundary_atoms:
         total += a.weight
-        if a.boundary.depth * scale < thr - 1e-12:
+        if a.boundary.depth < thr - 1e-12:
             continue
         try:
             m = generalized_ball_contains(action, z, rho, a.boundary)
@@ -503,8 +533,28 @@ def ball_mass(action, measure, z, rho):
     return num / den, den / total if total else 0.0
 
 
+def _tree_ball_mass(action, atoms, z, rho, thr):
+    """ball_mass on tree atom arrays: generalized_ball_contains' rules
+    (True above the threshold, False below it short of truncation, else
+    undecidable) with the same left-to-right weight sums."""
+    if not (0 < rho <= 1):
+        raise ValueError("radius must be in (0, 1]")
+    L = float(action.space.edge_length)
+    k = atoms.lcp(z.word)
+    resolved = atoms.depth * L >= thr - 1e-12
+    inside = k * L > thr
+    decided = resolved & (inside | (k < np.minimum(z.depth, atoms.depth)))
+    den = _ordered_sum(atoms.weight[decided])
+    if den == 0.0:
+        return None, 0.0
+    num = _ordered_sum(atoms.weight[decided & inside])
+    return num / den, den / atoms.total if atoms.total else 0.0
+
+
 def shadow_mass(action, measure, y, r):
     """Boundary mass of the shadow of B(y, r) seen from the basepoint."""
+    if action.space.kind == TREE:
+        return _tree_shadow_mass(action, measure._tree_atoms, y, r)
     num = den = 0.0
     for a in measure.boundary_atoms:
         try:
@@ -517,6 +567,39 @@ def shadow_mass(action, measure, y, r):
     if den == 0.0:
         return None
     return num / den
+
+
+def _tree_shadow_mass(action, atoms, y, r):
+    """shadow_mass on tree atom arrays.
+
+    Against the proxy vertex of an atom word of length lq, the separation
+    from y is k * L plus y's offset when y's edge leads into the word
+    (k = lcp, y.word a proper prefix). shadow_contains' exact rules are
+    evaluated once per distinct (k, edge bonus, lq).
+    """
+    if r <= 0:
+        raise ValueError("shadow radius must be positive")
+    space = action.space
+    L = space.edge_length
+    ly = len(y.word)
+    k = atoms.lcp(y.word)
+    bonus = np.zeros(len(k), dtype=bool)
+    if y.direction is not None and ly < atoms.width:
+        bonus = (k == ly) & (atoms.lengths > ly) & (atoms.rows[:, ly] == _ORDER[y.direction])
+    keys = np.stack([k, bonus, atoms.lengths], axis=1)
+    distinct, which = np.unique(keys, axis=0, return_inverse=True)
+    dy = tree_depth(space, y)
+    undecidable = np.zeros(len(distinct), dtype=bool)
+    inside = np.zeros(len(distinct), dtype=bool)
+    for i, (kk, b, lq) in enumerate(distinct.tolist()):
+        sep = kk * L + (y.offset if b else 0)
+        undecidable[i] = sep >= lq * L and dy > sep
+        inside[i] = float(dy - sep) < r
+    undecidable, inside = undecidable[which.ravel()], inside[which.ravel()]
+    den = _ordered_sum(atoms.weight[~undecidable])
+    if den == 0.0:
+        return None
+    return _ordered_sum(atoms.weight[~undecidable & inside]) / den
 
 
 # ---------------------------------------------------------------------------

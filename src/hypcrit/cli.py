@@ -187,7 +187,7 @@ def _seed(scenario, args):
 def cmd_entropy(scenario, args, outdir):
     block = _block(scenario, "entropy")
     action = build_action(scenario["action"])
-    ball = enumerate_orbit_ball(action, _radius(action, block["T"]), workers=args.threads)
+    ball = enumerate_orbit_ball(action, _radius(action, block["T"]))
     counts = _member_counts(action, ball)
     window = tuple(float(v) for v in block["window"])
     est = estimate_critical_exponent(counts, window, block.get("method", "regression"))
@@ -243,7 +243,7 @@ def cmd_entropy(scenario, args, outdir):
         cov = block["covering"]
         cest = covering_entropy_estimate(
             action,
-            [e.point for e in ball.entries],
+            ball.points(),
             float(cov["r"]),
             tuple(float(v) for v in cov["window"]),
         )
@@ -272,7 +272,7 @@ def _dirac_measure(measure):
 def cmd_boundary(scenario, args, outdir):
     block = _block(scenario, "boundary")
     action = build_action(scenario["action"])
-    ball = enumerate_orbit_ball(action, _radius(action, block["T"]), workers=args.threads)
+    ball = enumerate_orbit_ball(action, _radius(action, block["T"]))
     measure = patterson_sullivan_atoms(action, ball, float(block["s"]))
     if block.get("dirac_control"):
         measure = _dirac_measure(measure)
@@ -424,7 +424,7 @@ def cmd_verify(scenario, args, outdir):
     def ball(T):
         R = _radius(action, T)
         if R not in balls:
-            balls[R] = enumerate_orbit_ball(action, R, workers=args.threads)
+            balls[R] = enumerate_orbit_ball(action, R)
         return balls[R]
 
     audits = {"name": scenario.get("name", ""), "delta": delta, "seed": seed}
@@ -499,7 +499,7 @@ def cmd_verify(scenario, args, outdir):
             ok = ok and rep.passed
         elif check == "packing_chain":
             pc = block["packing_chain"]
-            pts = [e.point for e in ball(pc["T"]).entries][: int(pc.get("max_points", 20))]
+            pts = ball(pc["T"]).points()[: int(pc.get("max_points", 20))]
             chain_ok, nums = check_packing_chain(action.space, pts, float(pc["r"]))
             audits["packing_chain"] = {
                 "passed": chain_ok,
@@ -547,7 +547,6 @@ def build_parser():
         q.add_argument("--scenario", required=True, help="scenario file or bundled name")
         q.add_argument("--out", required=True, help="report directory")
         q.add_argument("--seed", type=int, default=None)
-        q.add_argument("--threads", type=int, default=1)
         q.add_argument("--emit-witnesses", action="store_true")
     return parser
 

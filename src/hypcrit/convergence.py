@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import InsufficientDataError, MalformedWitnessError
 from .isometries import apply_isometry
-from .space import TREE, TreePoint, distance, pairwise_distances, tree_depth
-from .words import compose_words, letters, reduced_words_upto
+from .space import TREE, TreePoint, distance, pairwise_distances
+from .words import _ORDER, compose_words, letters, reduced_words_upto
 
 #: eps rungs tried by the continuity experiment, largest first; the last
 #: rung is the floor imposed by the resolution <= eps/4 precondition
@@ -64,32 +64,88 @@ class TripleSnapshot:
         return self._dist
 
 
-def _tree_net(space, R, res_frac):
-    """All offset-grid points of the closed R-ball of the tree.
+def _tree_snapshot(space, levels, R, res_frac):
+    """Net, element list and action table of a tree snapshot.
 
-    Grid spacing is edge_length * res_frac along every edge; vertices are
-    included. Exact rational arithmetic throughout.
+    The net holds every offset-grid point (spacing edge_length * res_frac,
+    vertices included) of the closed ball of radius Rg * res, where Rg is
+    the largest grid multiple not exceeding R; its order is canonical
+    vertex order, each vertex followed by its edges in letter order, each
+    edge by step. The elements are the words of the ball `levels` displaced
+    by strictly less than R.
+
+    The table is index arithmetic, exact because every point is (vertex
+    id, direction, grid step). Vertices up to one level past the net are
+    numbered in canonical order with left-multiplication tables; each
+    element's letters are applied right to left to every net point's
+    vertex at once. A point on an edge whose image vertex u ends in the
+    inverse of the edge's direction lands on the edge above u, at the
+    complementary step.
     """
     L = space.edge_length
+    steps = res_frac.denominator
     res = L * res_frac
-    steps = int(1 / res_frac)
-    R = Fraction(R) if not isinstance(R, Fraction) else R
-    rank = space.rank
-    alpha = letters(rank)
-    max_depth = int(R / L)
-    pts = []
-    for w in reduced_words_upto(rank, max_depth):
-        depth = len(w) * L
-        pts.append(TreePoint(w))
-        for d in alpha:
+    Rg = int(Fraction(R) / res)
+    depth = Rg // steps
+    alpha = letters(space.rank)
+    nl = len(alpha)
+    words = reduced_words_upto(space.rank, depth + 1)
+    vid = {w: i for i, w in enumerate(words)}
+    V = len(words)  # also the id of "deeper than depth + 1"
+    # lmul[c, v]: id of letter c times vertex v; row nl is the identity
+    lmul = np.full((nl + 1, V + 1), V, dtype=np.int64)
+    lmul[nl] = np.arange(V + 1)
+    parent = np.full(V + 1, V, dtype=np.int64)
+    last = np.full(V + 1, nl, dtype=np.int64)  # nl: no last letter
+    for v, w in enumerate(words):
+        for ci, c in enumerate(alpha):
+            lmul[ci, v] = vid.get(compose_words(c, w), V)
+        if w:
+            parent[v] = vid[w[:-1]]
+            last[v] = _ORDER[w[-1]]
+
+    pv, pd, ps = [], [], []
+    for v, w in enumerate(words):
+        if len(w) > depth:
+            break
+        pv.append(v)
+        pd.append(0)
+        ps.append(0)
+        room = min(steps - 1, Rg - len(w) * steps)
+        for di, d in enumerate(alpha):
             if w and d == w[-1].swapcase():
                 continue
-            for k in range(1, steps):
-                off = k * res
-                if depth + off > R:
-                    break
-                pts.append(TreePoint(w, off, d))
-    return pts, res
+            pv.extend([v] * room)
+            pd.extend([di] * room)
+            ps.extend(range(1, room + 1))
+    pv, pd, ps = np.array(pv), np.array(pd), np.array(ps)
+    # pid[v, d, s]: net index of the point s steps from v toward d; a
+    # vertex sits at s = 0 under every d
+    pid = np.full((V + 1, nl + 1, steps + 1), -1, dtype=np.int64)
+    pid[pv, pd, ps] = np.arange(len(pv))
+    vertex = ps == 0
+    pid[pv[vertex], :, 0] = np.nonzero(vertex)[0][:, None]
+    points = [
+        TreePoint(words[v]) if s == 0 else TreePoint(words[v], s * res, alpha[d])
+        for v, d, s in zip(pv.tolist(), pd.tolist(), ps.tolist())
+    ]
+
+    elements = []
+    for k, level in enumerate(levels):
+        disp = float(k * L)
+        if disp < R - 1e-12:
+            elements.extend(SnapElement(w, disp) for w in level)
+    width = max((len(el.word) for el in elements), default=0)
+    # letters right-aligned, padded on the left with the identity row
+    code = np.full((len(elements), width), nl, dtype=np.int64)
+    for gi, el in enumerate(elements):
+        code[gi, width - len(el.word) :] = [_ORDER[c] for c in el.word]
+    u = np.broadcast_to(pv, (len(elements), len(pv)))
+    for j in range(width - 1, -1, -1):
+        u = lmul[code[:, j, None], u]
+    up = (last[u] == (pd ^ 1)) & (ps > 0)
+    table = np.where(up, pid[parent[u], last[u], steps - ps], pid[u, pd, ps])
+    return points, elements, table
 
 
 def snapshot(action, ball, epsilon, resolution=None):
@@ -97,7 +153,9 @@ def snapshot(action, ball, epsilon, resolution=None):
 
     resolution defaults to edge/16 on trees with edge <= 1 and edge/24
     otherwise; it must satisfy resolution <= eps/4 so the discretization
-    error stays subordinate to eps. The ball must reach radius 1/eps.
+    error stays subordinate to eps, and on trees it must be edge/m for an
+    integer m, so that the net is closed under the action. The ball must
+    reach radius 1/eps.
     """
     R = 1.0 / float(epsilon)
     if float(ball.radius) < R - 1e-12:
@@ -114,24 +172,11 @@ def snapshot(action, ball, epsilon, resolution=None):
         res = L * res_frac
         if float(res) > float(epsilon) / 4.0 + 1e-12:
             raise ValueError("resolution %s too coarse for eps=%s" % (res, epsilon))
-        Rfrac = _max_grid_radius(R, res)
-        points, res = _tree_net(space, Rfrac, res_frac)
-        index = {(p.word, p.offset, p.direction): i for i, p in enumerate(points)}
+        if res_frac.numerator != 1:
+            raise ValueError("resolution %s does not divide the edge length %s" % (res, L))
+        points, elements, table = _tree_snapshot(space, ball.levels, R, res_frac)
         cov = float(res) / 2.0
-        elements = [
-            SnapElement(e.word, float(e.displacement))
-            for e in ball.entries
-            if float(e.displacement) < R - 1e-12
-        ]
-        table = np.full((len(elements), len(points)), -1, dtype=np.int64)
-        for gi, el in enumerate(elements):
-            iso = action.isometry(el.word)
-            for pi, p in enumerate(points):
-                q = apply_isometry(space, iso, p)
-                if tree_depth(space, q) > Rfrac:
-                    continue
-                table[gi, pi] = index[(q.word, q.offset, q.direction)]
-        base_index = index[("", Fraction(0), None)]
+        base_index = 0
     else:
         if resolution is None:
             resolution = float(epsilon) / 4.0
@@ -161,13 +206,6 @@ def snapshot(action, ball, epsilon, resolution=None):
             point_words=tuple(e.word for e in sel),
         )
     return TripleSnapshot(action, epsilon, res, cov, points, elements, table, base_index)
-
-
-def _max_grid_radius(R, res):
-    """Largest grid multiple of res not exceeding R (keeps the net closed
-    under the exact tree arithmetic)."""
-    k = int(Fraction(R) / res)
-    return res * k
 
 
 @dataclass(frozen=True)

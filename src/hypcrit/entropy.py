@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import distances_to_point, pairwise_distances
+from .errors import InsufficientDataError
+from .space import _TreePaths, distances_to_point, pairwise_distances
 
 EXACT_LIMIT = 24
 
@@ -190,10 +191,10 @@ def covering_entropy_estimate(action, hull_samples, r, window, grid_step=None, m
         if sel:
             counts.append((t, greedy_covering_count(action.space, sel, r)))
         t += grid_step
-    if len(counts) < 3:
-        raise ValueError("window shorter than 3 grid points")
-    if len(counts) == 3:
-        counts = [(counts[0][0] - grid_step, max(counts[0][1] - 1, 1))] + counts
+    if len(counts) < 4:
+        raise InsufficientDataError(
+            "window yields %d covering counts; the estimate needs 4" % len(counts)
+        )
     return estimate_critical_exponent(counts, (counts[0][0], counts[-1][0]), method)
 
 
@@ -215,31 +216,10 @@ def greedy_covering_count(space, points, r):
             )
 
     else:
-        from .words import _ORDER
-
-        L = float(space.edge_length)
-        wl = np.array([len(p.word) for p in points], dtype=np.int64)
-        off = np.array([float(p.offset) for p in points])
-        maxlen = int(wl.max()) + 1
-        path = -np.ones((n, maxlen), dtype=np.int16)
-        for i, p in enumerate(points):
-            for j, c in enumerate(p.word):
-                path[i, j] = _ORDER[c]
-            if p.direction is not None:
-                path[i, len(p.word)] = _ORDER[p.direction]
-        depth = wl * L + off
+        paths = _TreePaths(space, points)
 
         def dist_from(i):
-            neq = path != path[i]
-            has = neq.any(axis=1)
-            first = np.where(has, neq.argmax(axis=1), maxlen)
-            wmin = np.minimum(wl, wl[i])
-            sep = np.minimum(first, wmin) * L
-            same_v = (wl == wl[i]) & (first > wl) & (off > 0)
-            sep = sep + np.where(same_v, np.minimum(off, off[i]), 0.0)
-            sep = sep + np.where((wl < wl[i]) & (first > wl), off, 0.0)
-            sep = sep + np.where((wl[i] < wl) & (first > wl[i]), off[i], 0.0)
-            return np.maximum(depth + depth[i] - 2.0 * sep, 0.0)
+            return paths.distances(np.array([i]))[0]
 
     mind = dist_from(0)
     count = 1

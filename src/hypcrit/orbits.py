@@ -3,13 +3,12 @@
 The enumeration core: given an action with a certified linear lower bound
 d(x, gx) >= c*|g| - c' on displacements, enumerate all distinct orbit
 points within radius T, deduplicated, with deterministic output order
-(canonical word order) regardless of the worker count.
+(canonical word order).
 """
 
+import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -114,20 +113,53 @@ class OrbitEntry:
     displacement: object  # Fraction on trees, float on the plane
 
 
-@dataclass(frozen=True)
 class OrbitBall:
-    radius: object
-    entries: tuple  # sorted by canonical word order
-    count_by_shell: tuple  # ((t, N(t)), ...) nondecreasing
-    merge_radius: float
-    merged_words: tuple = ()
+    """All distinct orbit points within displacement `radius`, in canonical
+    word order.
+
+    A tree ball is stored as `levels`: level k lists the words of length k
+    in canonical order, each displaced by k * edge_length. Its OrbitEntry
+    objects are built on the first read of `entries`. A plane ball stores
+    its entries (and `levels` is None); a tree ball passes entries=None.
+    """
+
+    def __init__(self, radius, entries, count_by_shell, merge_radius, merged_words=(),
+                 levels=None, edge_length=None):
+        self.radius = radius
+        self.count_by_shell = count_by_shell
+        self.merge_radius = merge_radius
+        self.merged_words = merged_words
+        self.levels = levels
+        self.edge_length = edge_length
+        self._entries = entries
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            L = self.edge_length
+            self._entries = tuple(
+                OrbitEntry(w, TreePoint(w), k * L)
+                for k, words in enumerate(self.levels)
+                for w in words
+            )
+        return self._entries
 
     @property
     def count(self):
-        return len(self.entries)
+        if self.levels is not None:
+            return sum(len(words) for words in self.levels)
+        return len(self._entries)
 
     def words(self):
-        return [e.word for e in self.entries]
+        if self.levels is not None:
+            return [w for words in self.levels for w in words]
+        return [e.word for e in self._entries]
+
+    def points(self):
+        """Orbit points in entry order (a tree ball builds no entries)."""
+        if self._entries is None:
+            return [TreePoint(w) for w in self.words()]
+        return [e.point for e in self._entries]
 
 
 def default_prune(action):
@@ -144,15 +176,16 @@ def default_merge_radius(action):
     return min(1e-6, action.certificate.systole_bound / 10.0)
 
 
-def enumerate_orbit_ball(action, T, merge_radius=None, prune=None, workers=1, shell_step=None):
+def enumerate_orbit_ball(action, T, merge_radius=None, prune=None, shell_step=None):
     """All distinct orbit points within displacement T of the basepoint.
 
     Breadth-first over reduced words with the linear prune bound capping
     word length at (T + c')/c; deduplication is exact on trees and spatial-
     hash based (cell size merge_radius/sqrt(2), exact pairwise
-    confirmation) on the plane. Output order is canonical word order, and
-    is identical for every worker count: the frontier is expanded in sorted
-    chunks whose results are concatenated in chunk order.
+    confirmation) on the plane. Output order is canonical word order: each
+    level expands a canonically ordered frontier letter by letter. The
+    ELEMENT_CAP check runs before a level is built, on the number of words
+    the level would build.
     """
     if T < 0:
         raise ValueError("ball radius must be nonnegative")
@@ -171,114 +204,93 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None, workers=1, sh
     tree = action.space.kind == TREE
     alph = action.alphabet
     max_len = int(math.floor((float(T) + prune.c_prime) / prune.c + 1e-12))
+    # letters that may follow a word, keyed by its last letter ("" if none)
+    follow = {c: [d for d in alph if d != c.swapcase()] for c in alph}
+    follow[""] = alph
 
-    entries = []
-    merged_words = []
+    def check_cap(built, k):
+        # level k builds every reduced word of length k (the plane frontier
+        # keeps all children, inside the ball or not)
+        if built + len(alph) * (len(alph) - 1) ** (k - 1) > ELEMENT_CAP:
+            raise CertificationError("element cap hit; action looks non-discrete")
+
     if tree:
         L = action.space.edge_length
-        entries.append(OrbitEntry("", TreePoint(""), Fraction(0)))
-        frontier = [""]
-
-        def expand_words(chunk):
-            out = []
-            for w in chunk:
-                last = w[-1] if w else None
-                for c in alph:
-                    if last is None or c != last.swapcase():
-                        out.append(w + c)
-            return out
-
+        levels = [[""]]
+        count = 1
         for k in range(1, max_len + 1):
             if k * L > T:
                 break
-            if workers > 1 and len(frontier) > 4 * workers:
-                size = (len(frontier) + workers - 1) // workers
-                chunks = [frontier[i : i + size] for i in range(0, len(frontier), size)]
-                with ThreadPoolExecutor(max_workers=workers) as ex:
-                    parts = list(ex.map(expand_words, chunks))
-                children = [w for part in parts for w in part]
-            else:
-                children = expand_words(frontier)
-            disp = k * L
-            entries.extend(OrbitEntry(w, TreePoint(w), disp) for w in children)
-            frontier = children
-            if len(entries) > ELEMENT_CAP:
-                raise CertificationError("element cap hit; action looks non-discrete")
-    else:
-        base = action.basepoint
-        entries.append(OrbitEntry("", base, 0.0))
-        cell = merge_radius / math.sqrt(2.0) if merge_radius > 0 else None
-        grid = {}
-        if cell:
-            grid[(round(base.z.real / cell), round(base.z.imag / cell))] = [0]
-        frontier = [("", IDENTITY_PLANE)]
+            check_cap(count, k)
+            level = [w + c for w in levels[-1] for c in follow[w[-1:]]]
+            levels.append(level)
+            count += len(level)
+        disps = [(float(k * L), len(level)) for k, level in enumerate(levels)]
+        shells = _count_by_shell(
+            lambda t: sum(n for d, n in disps if d <= t),
+            T, float(L) if shell_step is None else shell_step, count,
+        )
+        return OrbitBall(T, None, shells, merge_radius, levels=tuple(levels), edge_length=L)
 
-        def expand_mats(chunk):
-            out = []
-            for w, g in chunk:
-                last = w[-1] if w else None
-                for c in alph:
-                    if last is None or c != last.swapcase():
-                        out.append((w + c, compose(g, action.gen_map[c])))
-            return out
-
-        for k in range(1, max_len + 1):
-            if workers > 1 and len(frontier) > 4 * workers:
-                size = (len(frontier) + workers - 1) // workers
-                chunks = [frontier[i : i + size] for i in range(0, len(frontier), size)]
-                with ThreadPoolExecutor(max_workers=workers) as ex:
-                    parts = list(ex.map(expand_mats, chunks))
-                children = [wg for part in parts for wg in part]
-            else:
-                children = expand_mats(frontier)
-            next_frontier = []
-            for w, g in children:
-                p = apply_isometry(action.space, g, base)
-                d = plane_distance(base.z, p.z)
-                next_frontier.append((w, g))
-                if d > float(T) + 1e-9:  # closed ball at the declared tolerance
-                    continue
-                merged = False
-                if cell:
-                    ci, cj = round(p.z.real / cell), round(p.z.imag / cell)
-                    for key in (
-                        (ci + di, cj + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                    ):
-                        for idx in grid.get(key, ()):
-                            if plane_distance(entries[idx].point.z, p.z) < merge_radius:
-                                merged = True
-                                merged_words.append((w, entries[idx].word))
-                                break
-                        if merged:
+    entries = []
+    merged_words = []
+    base = action.basepoint
+    entries.append(OrbitEntry("", base, 0.0))
+    cell = merge_radius / math.sqrt(2.0) if merge_radius > 0 else None
+    grid = {}
+    if cell:
+        grid[(round(base.z.real / cell), round(base.z.imag / cell))] = [0]
+    frontier = [("", IDENTITY_PLANE)]
+    for k in range(1, max_len + 1):
+        check_cap(len(entries), k)
+        frontier = [
+            (w + c, compose(g, action.gen_map[c])) for w, g in frontier for c in follow[w[-1:]]
+        ]
+        for w, g in frontier:
+            p = apply_isometry(action.space, g, base)
+            d = plane_distance(base.z, p.z)
+            if d > float(T) + 1e-9:  # closed ball at the declared tolerance
+                continue
+            merged = False
+            if cell:
+                ci, cj = round(p.z.real / cell), round(p.z.imag / cell)
+                for key in (
+                    (ci + di, cj + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                ):
+                    for idx in grid.get(key, ()):
+                        if plane_distance(entries[idx].point.z, p.z) < merge_radius:
+                            merged = True
+                            merged_words.append((w, entries[idx].word))
                             break
-                    if not merged:
-                        grid.setdefault((ci, cj), []).append(len(entries))
+                    if merged:
+                        break
                 if not merged:
-                    entries.append(OrbitEntry(w, p, d))
-            frontier = next_frontier
-            if len(entries) > ELEMENT_CAP:
-                raise CertificationError("element cap hit; action looks non-discrete")
+                    grid.setdefault((ci, cj), []).append(len(entries))
+            if not merged:
+                entries.append(OrbitEntry(w, p, d))
 
     entries.sort(key=lambda e: word_key(e.word))
-    if shell_step is None:
-        shell_step = float(action.space.edge_length) if tree else 1.0
-    disps = sorted(float(e.displacement) for e in entries)
+    disps = sorted(e.displacement for e in entries)
+    shells = _count_by_shell(
+        lambda t: bisect.bisect_right(disps, t),
+        T, 1.0 if shell_step is None else shell_step, len(entries),
+    )
+    return OrbitBall(T, tuple(entries), shells, merge_radius, tuple(merged_words))
+
+
+def _count_by_shell(count_le, T, shell_step, total):
+    """((t, N(t)), ...) on the grid 0, shell_step, ... up to T, closed by
+    (T, total) when T is off the grid; count_le(t) counts displacements
+    <= t."""
     shells = []
     t = 0.0
     Tf = float(T)
     while t <= Tf + 1e-12:
-        n = _count_le(disps, t + 1e-12)
-        shells.append((t, n))
+        shells.append((t, count_le(t + 1e-12)))
         t += shell_step
     if not shells or abs(shells[-1][0] - Tf) > 1e-12:
-        shells.append((Tf, len(entries)))
-    return OrbitBall(T, tuple(entries), tuple(shells), merge_radius, tuple(merged_words))
-
-
-def _count_le(sorted_vals, t):
-    import bisect
-
-    return bisect.bisect_right(sorted_vals, t)
+        shells.append((Tf, total))
+    return tuple(shells)
 
 
 def export_entries(ball):
@@ -326,6 +338,11 @@ class SystoleReport:
 
 
 def measure_systole(action, ball):
+    if ball.levels is not None:
+        # every tree word of length 1 is displaced by exactly one edge
+        if len(ball.levels) < 2:
+            raise InsufficientDataError("ball has no nonidentity entries")
+        return SystoleReport(ball.edge_length, ball.levels[1][0], ball.count)
     nonid = [e for e in ball.entries if e.word]
     if not nonid:
         raise InsufficientDataError("ball has no nonidentity entries")
@@ -343,7 +360,7 @@ def measure_codiameter(action, ball, hull_samples):
         raise ValueError("need at least one hull sample")
     from .space import distances_to_point
 
-    pts = [e.point for e in ball.entries]
+    pts = ball.points()
     worst = 0.0
     for q in hull_samples:
         d = distances_to_point(action.space, pts, q).min()

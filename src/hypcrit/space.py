@@ -7,10 +7,8 @@ plane arithmetic is float64 with a declared metric tolerance of 1e-9.
 The tree of valence 2k is realized as the Cayley tree of the free group F_k:
 vertices are reduced words, edges have length `edge_length`, and a point in
 the interior of an edge is stored as (shallow vertex word, offset, letter of
-the deeper endpoint). Odd valences are supported for bare geometry by
-allowing words over an asymmetric alphabet is NOT done here; instead odd
-valence is accepted only in the sense that geometry functions never need the
-group structure. In practice every scenario uses even valence.
+the deeper endpoint). Group actions need even valence; the geometry
+functions themselves never use the group structure.
 
 Plane geodesics are handled through a single code path: conjugate the
 geodesic to the positive imaginary axis by a Mobius map and move along it by
@@ -437,11 +435,95 @@ def tree_dist_to_word_line(space, x, wu, wv):
 
 
 # ---------------------------------------------------------------------------
-# vectorized pairwise distances
+# vectorized distances
+
+#: byte -> canonical letter rank; every non-letter byte maps to the padding
+#: digit -1
+_DIGIT = np.full(256, -1, dtype=np.int8)
+for _c, _r in _ORDER.items():
+    _DIGIT[ord(_c)] = _r
+
+#: rows per block when a dense tree distance table is filled
+_BLOCK = 64
+
+
+def _word_rows(words, width):
+    """Letter ranks of each word as an int8 row of `width` digits.
+
+    Shorter words are padded with -1, longer ones truncated.
+    """
+    if not words:
+        return np.zeros((0, width), dtype=np.int8)
+    buf = "".join(w[:width].ljust(width, "\0") for w in words).encode("ascii")
+    return _DIGIT[np.frombuffer(buf, dtype=np.uint8)].reshape(len(words), width)
+
+
+def _row_lcp(a, b):
+    """Common-prefix length of digit rows a and b (broadcast row-wise); the
+    full width where they agree everywhere."""
+    neq = a != b
+    return np.where(neq.any(axis=-1), neq.argmax(axis=-1), neq.shape[-1])
+
+
+class _TreePaths:
+    """Root paths of a list of tree points, the one tree-distance kernel.
+
+    Row i holds the letters of points[i].word followed by its direction
+    letter, padded to one more digit than the longest word. The rows are
+    sorted once; the common-prefix length of sorted rows a < b is then the
+    minimum of the adjacent common-prefix lengths between them, so one
+    point's prefix lengths against all others cost O(n) and no
+    n x n x depth comparison is ever built. Distances use the float64
+    formula depth_i + depth_j - 2 sep_ij with sep_ij from `_tree_separation`.
+    """
+
+    def __init__(self, space, points):
+        n = len(points)
+        self.L = float(space.edge_length)
+        self.wl = np.array([len(p.word) for p in points], dtype=np.int64)
+        self.off = np.array([float(p.offset) for p in points])
+        self.depth = self.wl * self.L + self.off
+        # order by (word length, offset): of two points whose root paths
+        # agree past the shorter word, the earlier one lies on the shared
+        # edge, so its offset is the partial-edge part of the separation
+        self.shallow_rank = np.empty(n, dtype=np.int64)
+        self.shallow_rank[np.lexsort((self.off, self.wl))] = np.arange(n)
+        self.width = int(self.wl.max()) + 1 if n else 1
+        rows = _word_rows([p.word + (p.direction or "") for p in points], self.width)
+        order = np.lexsort(rows.T[::-1])
+        srt = rows[order]
+        self.adjacent = _row_lcp(srt[1:], srt[:-1])
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[order] = np.arange(n)
+
+    def _prefix_lengths(self, i, out):
+        """Write point i's common-prefix length with every point into out."""
+        p = self.rank[i]
+        srt = np.empty(len(self.rank), dtype=np.int64)
+        srt[p] = self.width
+        srt[p + 1 :] = np.minimum.accumulate(self.adjacent[p:])
+        srt[:p] = np.minimum.accumulate(self.adjacent[:p][::-1])[::-1]
+        out[:] = srt[self.rank]
+
+    def distances(self, rows):
+        """(len(rows), n) distances from the points at indices `rows`."""
+        lcp = np.empty((len(rows), len(self.rank)), dtype=np.int64)
+        for r, i in enumerate(rows):
+            self._prefix_lengths(i, lcp[r])
+        shorter = np.minimum(self.wl, self.wl[rows, None])
+        bonus = np.where(
+            self.shallow_rank < self.shallow_rank[rows, None], self.off, self.off[rows, None]
+        )
+        sep = np.where(lcp > shorter, shorter * self.L + bonus, lcp * self.L)
+        return np.maximum(self.depth + self.depth[rows, None] - 2.0 * sep, 0.0)
 
 
 def pairwise_distances(space, points):
-    """Dense float64 distance matrix over a list of model points."""
+    """Dense float64 distance matrix over a list of model points.
+
+    Tree tables are filled a block of rows at a time, so the memory used
+    beyond the n x n output grows with n, not with n^2 * depth.
+    """
     n = len(points)
     if space.kind == PLANE:
         z = np.array([p.z for p in points], dtype=complex)
@@ -449,36 +531,12 @@ def pairwise_distances(space, points):
         num = np.abs(z[:, None] - z[None, :])
         den = 2.0 * np.sqrt(y[:, None] * y[None, :])
         return 2.0 * np.arcsinh(num / den)
-    L = float(space.edge_length)
-    wl = np.array([len(p.word) for p in points], dtype=np.int64)
-    off = np.array([float(p.offset) for p in points])
-    maxlen = int(wl.max()) + 1 if n else 1
-    path = -np.ones((n, maxlen), dtype=np.int16)
-    for i, p in enumerate(points):
-        for j, c in enumerate(p.word):
-            path[i, j] = _ORDER[c]
-        if p.direction is not None:
-            path[i, len(p.word)] = _ORDER[p.direction]
-    depth = wl * L + off
-    # lcp of the full root paths, pairwise
-    eq = path[:, None, :] == path[None, :, :]
-    # also treat shared -1 padding as unequal-beyond-path; a -1 only matches
-    # a -1, which can only extend the lcp past both paths where it is harmless
-    neq = ~eq
-    has_diff = neq.any(axis=2)
-    first_diff = np.where(has_diff, neq.argmax(axis=2), maxlen)
-    wmin = np.minimum(wl[:, None], wl[None, :])
-    sep = np.minimum(first_diff, wmin) * L
-    # partial-edge bonuses
-    li, lj = wl[:, None], wl[None, :]
-    oi, oj = off[:, None], off[None, :]
-    same_vertex_same_dir = (li == lj) & (first_diff > li) & (oi > 0)
-    sep = sep + np.where(same_vertex_same_dir, np.minimum(oi, oj), 0.0)
-    sep = sep + np.where((li < lj) & (first_diff > li), oi, 0.0)
-    sep = sep + np.where((lj < li) & (first_diff > lj), oj, 0.0)
-    d = depth[:, None] + depth[None, :] - 2.0 * sep
+    paths = _TreePaths(space, points)
+    d = np.empty((n, n))
+    for start in range(0, n, _BLOCK):
+        d[start : start + _BLOCK] = paths.distances(np.arange(start, min(start + _BLOCK, n)))
     np.fill_diagonal(d, 0.0)
-    return np.maximum(d, 0.0)
+    return d
 
 
 def distances_to_point(space, points, q):
@@ -486,4 +544,5 @@ def distances_to_point(space, points, q):
     if space.kind == PLANE:
         z = np.array([p.z for p in points], dtype=complex)
         return 2.0 * np.arcsinh(np.abs(z - q.z) / (2.0 * np.sqrt(z.imag * q.z.imag)))
-    return np.array([float(distance(space, p, q)) for p in points])
+    paths = _TreePaths(space, list(points) + [q])
+    return paths.distances(np.array([len(points)]))[0, :-1]

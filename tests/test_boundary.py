@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +27,7 @@ from hypcrit.errors import DepthError, InsufficientDataError, MeasureError
 from hypcrit.isometries import certify_ping_pong, schottky_pair
 from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
 from hypcrit.space import TreePoint
+from hypcrit.words import reduced_words_upto
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +197,64 @@ def test_shadow_mass_positive_on_attained_shadows(f2, f2_measure):
     deep = [a for a in f2_measure.boundary_atoms if a.word][0]
     m = shadow_mass(f2, f2_measure, deep.point, 2.0)
     assert m is not None and m > 0
+
+
+def scalar_ball_mass(action, measure, z, rho):
+    """Reference: ball_mass as one generalized_ball_contains call per atom."""
+    thr = math.log(1.0 / rho)
+    scale = float(action.space.edge_length)
+    num = den = total = 0.0
+    for a in measure.boundary_atoms:
+        total += a.weight
+        if a.boundary.depth * scale < thr - 1e-12:
+            continue
+        try:
+            m = generalized_ball_contains(action, z, rho, a.boundary)
+        except DepthError:
+            continue
+        den += a.weight
+        if m:
+            num += a.weight
+    if den == 0.0:
+        return None, 0.0
+    return num / den, den / total
+
+
+def scalar_shadow_mass(action, measure, y, r):
+    """Reference: shadow_mass as one shadow_contains call per atom."""
+    num = den = 0.0
+    for a in measure.boundary_atoms:
+        try:
+            m = shadow_contains(action, y, r, a.boundary)
+        except DepthError:
+            continue
+        den += a.weight
+        if m:
+            num += a.weight
+    return num / den if den else None
+
+
+@pytest.mark.parametrize("ell", [Fraction(1), Fraction(9, 8)], ids=["L=1", "L=9/8"])
+def test_tree_masses_match_scalar_rules(ell):
+    act = tree_action(edge_length=ell)
+    measure = patterson_sullivan_atoms(act, enumerate_orbit_ball(act, 6 * ell), 1.3)
+    res = ell / 24
+    rng = random.Random(3)
+    undecided = 0
+    # centers up to twice the atom depth, so truncation is hit both ways
+    words = reduced_words_upto(2, 3) + [a.word + "ab"[rng.randrange(2)] * 4 for a in measure.boundary_atoms[::97]]
+    for w in words[1::3]:
+        z = tree_boundary(w)
+        for rho in [cylinder_scale(act, n) for n in range(1, 9)] + [0.9, 0.3, 0.011]:
+            got = ball_mass(act, measure, z, rho)
+            assert got == scalar_ball_mass(act, measure, z, rho)
+            undecided += got[1] < 1.0
+    assert undecided
+    for w in words[:53:6] + words[53::3]:
+        d = rng.choice([c for c in "aAbB" if not w or c != w[-1].swapcase()])
+        for y in (TreePoint(w), TreePoint(w, res, d), TreePoint(w, 23 * res, d)):
+            for r in (0.25, 2.5, 7.0):
+                assert shadow_mass(act, measure, y, r) == scalar_shadow_mass(act, measure, y, r)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypcrit.convergence import (
@@ -15,9 +16,10 @@ from hypcrit.convergence import (
     verify_witness,
 )
 from hypcrit.errors import InsufficientDataError, MalformedWitnessError
-from hypcrit.isometries import certify_ping_pong, schottky_pair
+from hypcrit.isometries import apply_isometry, certify_ping_pong, schottky_pair
 from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
-from hypcrit.space import ModelSpace
+from hypcrit.space import ModelSpace, TreePoint, tree_depth
+from hypcrit.words import letters, reduced_words_upto
 
 PLANE = ModelSpace.plane()
 
@@ -76,6 +78,47 @@ def test_snapshot_action_table_is_exact(snap, f2):
             if j < 0:
                 continue
             assert apply_isometry(f2.space, iso, snap.points[pi]) == snap.points[j]
+
+
+def grid_net(space, radius, res):
+    """Every offset-grid point of the closed tree ball, by brute force."""
+    pts = []
+    for w in reduced_words_upto(space.rank, int(radius / space.edge_length)):
+        pts.append(TreePoint(w))
+        for d in letters(space.rank):
+            if w and d == w[-1].swapcase():
+                continue
+            off = res
+            while off < space.edge_length and len(w) * space.edge_length + off <= radius:
+                pts.append(TreePoint(w, off, d))
+                off += res
+    return pts
+
+
+@pytest.mark.parametrize("ell", [Fraction(1), Fraction(9, 8)], ids=["L=1", "L=9/8"])
+def test_snapshot_table_matches_apply_isometry(ell):
+    act = tree_action(edge_length=ell)
+    eps, R = 0.4, Fraction(5, 2)
+    ball = enumerate_orbit_ball(act, 3 * ell)
+    res = ell / 24
+    snap = snapshot(act, ball, eps, resolution=res)
+    radius = res * int(R / res)
+    assert set(snap.points) == set(grid_net(act.space, radius, res))
+    assert len(snap.points) == len(set(snap.points))
+    assert snap.points[snap.base_index] == act.basepoint
+    assert [el.word for el in snap.elements] == [
+        e.word for e in ball.entries if float(e.displacement) < float(R) - 1e-12
+    ]
+    index = {p: i for i, p in enumerate(snap.points)}
+    expected = np.full(snap.action_table.shape, -1)
+    for gi, el in enumerate(snap.elements):
+        iso = act.isometry(el.word)
+        for pi, p in enumerate(snap.points):
+            q = apply_isometry(act.space, iso, p)
+            if tree_depth(act.space, q) <= radius:
+                expected[gi, pi] = index[q]
+    assert (expected >= 0).any() and (expected < 0).any()
+    assert np.array_equal(snap.action_table, expected)
 
 
 def test_snapshot_refuses_coarse_resolution(f2, f2_ball):

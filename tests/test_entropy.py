@@ -17,6 +17,7 @@ from hypcrit.entropy import (
     poincare_partial,
     recheck_equidistribution,
 )
+from hypcrit.errors import InsufficientDataError
 from hypcrit.geometry_checks import _rand_plane_point, _rand_tree_point
 from hypcrit.orbits import enumerate_orbit_ball, tree_action
 from hypcrit.space import ModelSpace
@@ -173,6 +174,13 @@ def test_covering_entropy_on_the_tree():
     ball = enumerate_orbit_ball(act, 7)
     est = covering_entropy_estimate(act, [e.point for e in ball.entries], 0.5, (3, 7))
     assert est.h_hat == pytest.approx(math.log(3.0), abs=0.05)
+
+
+def test_covering_entropy_refuses_a_three_count_window():
+    act = tree_action()
+    ball = enumerate_orbit_ball(act, 5)
+    with pytest.raises(InsufficientDataError):
+        covering_entropy_estimate(act, [e.point for e in ball.entries], 0.5, (3, 5))
 
 
 def test_packing_growth_bound_on_tree():

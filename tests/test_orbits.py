@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from hypcrit.errors import InsufficientDataError
+from hypcrit.errors import CertificationError, InsufficientDataError
 from hypcrit.isometries import certify_ping_pong, schottky_pair
 from hypcrit.orbits import (
+    PruneParams,
     check_generating,
     check_word_metric_comparison,
     enumerate_orbit_ball,
@@ -58,10 +59,18 @@ def test_tree_displacements_are_word_lengths(f2_ball6):
         assert e.displacement == len(e.word)
 
 
-def test_worker_counts_are_byte_identical(f2):
-    base = export_entries(enumerate_orbit_ball(f2, 5, workers=1))
-    for workers in (2, 4):
-        assert export_entries(enumerate_orbit_ball(f2, 5, workers=workers)) == base
+def test_element_cap_trips_before_a_level_is_built(monkeypatch, f2, schottky):
+    from hypcrit import orbits
+
+    monkeypatch.setattr(orbits, "ELEMENT_CAP", 161)
+    assert enumerate_orbit_ball(f2, 4).count == 161
+    with pytest.raises(CertificationError):
+        enumerate_orbit_ball(f2, 5)  # level 5 would build 324 more words
+    # the plane frontier keeps children outside the ball, so the cap must
+    # bound the words each level builds, not only the entries it keeps
+    monkeypatch.setattr(orbits, "ELEMENT_CAP", 1000)
+    with pytest.raises(CertificationError):
+        enumerate_orbit_ball(schottky, 4.0, prune=PruneParams(0.5))
 
 
 def test_rescaled_tree_ball(f2_ball6):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -193,6 +194,66 @@ def test_vectorized_distances_agree_pointwise(space):
             assert D[i, j] == pytest.approx(float(distance(space, pts[i], pts[j])), abs=1e-9)
     col = distances_to_point(space, pts, pts[0])
     assert np.allclose(col, D[:, 0], atol=1e-9)
+
+
+def grid_tree_points(seed, space, n, depth=5):
+    """Random tree points on the edge_length/24 offset grid, with repeats
+    and every relative position of two root paths well represented."""
+    rng = random.Random(seed)
+    alpha = "aAbB"
+    res = space.edge_length / 24
+    pts = []
+    for _ in range(n):
+        if pts and rng.random() < 0.3:
+            # extend or truncate an earlier point so that prefixes abound
+            w = rng.choice(pts).word[: rng.randrange(0, depth + 1)]
+        else:
+            w = ""
+        while len(w) < rng.randrange(0, depth + 1):
+            c = rng.choice(alpha)
+            if not w or c != w[-1].swapcase():
+                w += c
+        k = rng.randrange(0, 24)
+        if k == 0:
+            pts.append(TreePoint(w))
+            continue
+        d = rng.choice([c for c in alpha if not w or c != w[-1].swapcase()])
+        pts.append(TreePoint(w, k * res, d))
+    return pts + pts[:5]
+
+
+#: float64 error allowed against exact distances of points at depth <= 7
+KERNEL_ATOL = 64 * np.finfo(float).eps * 14
+
+
+@pytest.mark.parametrize("ell", [Fraction(1), Fraction(9, 8)], ids=["L=1", "L=9/8"])
+def test_tree_distance_kernel_matches_exact_distance(ell):
+    space = ModelSpace.tree(4, ell)
+    pts = grid_tree_points(7, space, 150)
+    exact = np.array([[float(distance(space, p, q)) for q in pts] for p in pts])
+    D = pairwise_distances(space, pts)
+    assert np.array_equal(D, D.T)
+    assert np.all(np.diag(D) == 0.0)
+    np.testing.assert_allclose(D, exact, rtol=0, atol=KERNEL_ATOL)
+    for q in pts[::7] + [TreePoint("abababa"), TreePoint("B", ell / 24, "a")]:
+        exact_q = [float(distance(space, p, q)) for p in pts]
+        np.testing.assert_allclose(distances_to_point(space, pts, q), exact_q, rtol=0, atol=KERNEL_ATOL)
+
+
+def test_tree_pairwise_memory_is_linear_beyond_the_output():
+    from hypcrit.convergence import snapshot
+    from hypcrit.orbits import enumerate_orbit_ball, tree_action
+
+    act = tree_action()
+    net = snapshot(act, enumerate_orbit_ball(act, 4), 0.25, resolution=Fraction(1, 24)).points
+    assert len(net) == 3841
+    tracemalloc.start()
+    try:
+        D = pairwise_distances(act.space, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * D.nbytes
 
 
 def test_tree_point_validation():
