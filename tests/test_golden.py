@@ -1,11 +1,14 @@
-"""Golden sha256 digests of the bundled tree scenarios' report files.
+"""Golden sha256 digests of the bundled scenarios' report files.
 
 The CLI promises byte-identical reports for the same scenario, seed and
-version, so a refactor of the tree code must leave every digest in
-``golden/tree_reports.json`` unchanged. A change that alters report bytes
+version, so a refactor must leave every digest in ``golden/reports.json``
+unchanged, on the tree and on the plane. A change that alters report bytes
 on purpose re-records the file and names the changed fields:
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+Recording prints every run and report file whose digest it adds, changes
+or removes.
 """
 
 import hashlib
@@ -18,7 +21,7 @@ import pytest
 
 from hypcrit import cli
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "tree_reports.json"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.json"
 SEED = 0
 #: (subcommand, bundled scenario) pairs whose reports are pinned
 RUNS = (
@@ -26,6 +29,14 @@ RUNS = (
     ("boundary", "f2_tree"),
     ("verify", "f2_tree"),
     ("converge", "tree_rescale_family"),
+    ("entropy", "schottky_L4"),
+    ("boundary", "schottky_L4"),
+    ("verify", "schottky_L4"),
+    ("converge", "schottky_family"),
+    ("verify", "plane_delta0_negative"),
+    ("entropy", "counterexample_elliptic"),
+    ("entropy", "counterexample_schottky_small"),
+    ("entropy", "counterexample_translation"),
 )
 
 
@@ -46,11 +57,35 @@ def _key(command, scenario):
 
 
 @pytest.mark.parametrize("command,scenario", RUNS, ids=[_key(*r) for r in RUNS])
-def test_tree_reports_match_golden_digests(command, scenario, tmp_path):
+def test_reports_match_golden_digests(command, scenario, tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[_key(command, scenario)]
     code, digests = report_digests(command, scenario, tmp_path)
     assert code == golden["exit_code"]
     assert digests == golden["reports"]
+
+
+def _flatten(golden):
+    """{"run exit_code" or "run/report file": value} of a golden document."""
+    flat = {}
+    for run, rec in golden.items():
+        flat[run + " exit_code"] = rec["exit_code"]
+        for name, digest in rec["reports"].items():
+            flat[run + "/" + name] = digest
+    return flat
+
+
+def describe_changes(old, new):
+    """Lines naming each entry that `new` adds, changes or removes from `old`."""
+    old, new = _flatten(old), _flatten(new)
+    lines = []
+    for key in sorted(set(old) | set(new)):
+        if key not in old:
+            lines.append("added   %s = %s" % (key, new[key]))
+        elif key not in new:
+            lines.append("removed %s (was %s)" % (key, old[key]))
+        elif old[key] != new[key]:
+            lines.append("changed %s: %s -> %s" % (key, old[key], new[key]))
+    return lines
 
 
 def record():
@@ -59,6 +94,9 @@ def record():
         for command, scenario in RUNS:
             code, digests = report_digests(command, scenario, Path(tmp) / _key(command, scenario))
             out[_key(command, scenario)] = {"exit_code": code, "reports": digests}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for line in describe_changes(old, out) or ["no digest changed"]:
+        print(line)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
