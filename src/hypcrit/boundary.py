@@ -11,7 +11,7 @@ every set-membership answer near a threshold is three-valued
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -31,11 +31,12 @@ from .space import (
     distance,
     geodesic_point,
     gromov_product,
+    plane_dist_to_ray,
     plane_line_point,
     ray_point,
     tree_depth,
 )
-from .words import _ORDER, compose_words, invert_word, word_key
+from .words import _ORDER, compose_words, invert_word
 
 
 @dataclass(frozen=True)
@@ -183,27 +184,7 @@ def shadow_contains(action, y, r, z):
         if sep >= tree_depth(space, proxy) and tree_depth(space, y) > sep:
             raise DepthError("shadow test needs a deeper boundary word")
         return float(tree_depth(space, y) - sep) < r
-    # conjugate the full line through basepoint and endpoint to the axis;
-    # the ray is the upper half starting at the basepoint image
-    from .space import _mobius_apply, _mobius_to_axis, plane_distance
-
-    base = action.basepoint.z
-    e = z.coord
-    if e == math.inf:
-        u = base.real
-    elif abs(base.real - e) <= 1e-14 * (1.0 + abs(e)):
-        u = math.inf
-    else:
-        c = (abs(base) ** 2 - e * e) / (2.0 * (base.real - e))
-        u = 2.0 * c - e
-    M = _mobius_to_axis(u, e)
-    ym = _mobius_apply(M, y.z)
-    a0 = abs(_mobius_apply(M, base))
-    if abs(ym) >= a0:
-        dmin = math.asinh(abs(ym.real) / ym.imag)
-    else:
-        dmin = plane_distance(ym, complex(0.0, a0))
-    return dmin < r
+    return plane_dist_to_ray(y, action.basepoint, z.coord) < r
 
 
 @dataclass(frozen=True)
@@ -741,24 +722,15 @@ def rho_pullback(action, z, zpull, rho):
 
 
 def _plane_pullback_mass(action, measure, g_word, z, rho):
-    """mu(g^{-1} B(z, rho)) on the plane: push each atom by g and test."""
+    """mu(g^{-1} B(z, rho)) on the plane: the ball_mass of B(z, rho) under
+    the measure whose boundary atoms are pushed by g."""
     iso = action.isometry(g_word)
-    num = den = 0.0
-    for a in measure.boundary_atoms:
-        b = a.boundary
-        pushed = plane_boundary(iso.boundary_apply(b.coord), b.word, b.depth)
-        try:
-            m = generalized_ball_contains(action, z, rho, pushed)
-        except DepthError:
-            m = None
-        if m is None:
-            continue
-        den += a.weight
-        if m:
-            num += a.weight
-    if den == 0.0:
-        return None
-    return num / den
+
+    def push(b):
+        return plane_boundary(iso.boundary_apply(b.coord), b.word, b.depth)
+
+    atoms = tuple(replace(a, boundary=push(a.boundary)) for a in measure.boundary_atoms)
+    return ball_mass(action, AtomicMeasure(atoms, measure.s, measure.truncation_T), z, rho)[0]
 
 
 def tree_cylinder_cells(action, depth, tiny=1e-9):

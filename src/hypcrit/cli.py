@@ -28,7 +28,7 @@ from .boundary import (
     tree_boundary,
     tree_cylinder_cells,
 )
-from .convergence import ContinuityConfig, _member_counts, run_continuity_experiment
+from .convergence import ContinuityConfig, _exact_T, _member_counts, run_continuity_experiment
 from .entropy import (
     check_entropy_lower_bound,
     check_packing_chain,
@@ -44,9 +44,11 @@ from .geometry_checks import SamplingPlan, check_geodesic_lemmas
 from .isometries import (
     PingPongFailure,
     PlaneIsometry,
+    SchottkyDescription,
+    apply_isometry,
     certify_ping_pong,
-    schottky_pair,
     compose,
+    schottky_pair,
     translation_length,
 )
 from .orbits import (
@@ -57,7 +59,6 @@ from .orbits import (
     schottky_action,
     tree_action,
 )
-from .isometries import apply_isometry
 from .space import TREE, ModelSpace, PLANE_TOL, distance
 
 SCHEMA = 1
@@ -127,18 +128,16 @@ def build_action(spec):
     threshold = float(spec.get("min_systole", DEFAULT_MIN_SYSTOLE))
     if kind == "schottky":
         desc = schottky_pair(float(spec.get("L", 4.0)))
+        screen_plane_systole(desc.generators, threshold)
     elif kind == "plane":
         gens = [
             PlaneIsometry.from_matrix(*(float(v) for v in row))
             for row in spec["generators"]
         ]
-        from .isometries import SchottkyDescription
-
         screen_plane_systole(gens, threshold)
         desc = SchottkyDescription.with_standard_disks(gens)
     else:
         raise ValueError("unknown action kind %r" % kind)
-    screen_plane_systole(desc.generators, threshold)
     cert = certify_ping_pong(desc)
     if isinstance(cert, PingPongFailure):
         raise CertificationError("ping-pong certification failed: %s" % (cert,))
@@ -187,7 +186,7 @@ def _seed(scenario, args):
 def cmd_entropy(scenario, args, outdir):
     block = _block(scenario, "entropy")
     action = build_action(scenario["action"])
-    ball = enumerate_orbit_ball(action, _radius(action, block["T"]))
+    ball = enumerate_orbit_ball(action, _exact_T(action, block["T"]))
     counts = _member_counts(action, ball)
     window = tuple(float(v) for v in block["window"])
     est = estimate_critical_exponent(counts, window, block.get("method", "regression"))
@@ -255,13 +254,6 @@ def cmd_entropy(scenario, args, outdir):
     return passed
 
 
-def _radius(action, T):
-    if action.space.kind == TREE:
-        L = action.space.edge_length
-        return L * int(Fraction(str(T)) / L)
-    return float(T)
-
-
 def _dirac_measure(measure):
     """Single-atom replacement of a boundary measure (negative control)."""
     deep = max(measure.boundary_atoms, key=lambda a: a.displacement)
@@ -272,7 +264,7 @@ def _dirac_measure(measure):
 def cmd_boundary(scenario, args, outdir):
     block = _block(scenario, "boundary")
     action = build_action(scenario["action"])
-    ball = enumerate_orbit_ball(action, _radius(action, block["T"]))
+    ball = enumerate_orbit_ball(action, _exact_T(action, block["T"]))
     measure = patterson_sullivan_atoms(action, ball, float(block["s"]))
     if block.get("dirac_control"):
         measure = _dirac_measure(measure)
@@ -335,18 +327,6 @@ def cmd_boundary(scenario, args, outdir):
     return passed
 
 
-def _schottky_member(min_systole):
-    def member(L):
-        desc = schottky_pair(float(L))
-        screen_plane_systole(desc.generators, min_systole)
-        cert = certify_ping_pong(desc)
-        if isinstance(cert, PingPongFailure):
-            raise CertificationError("ping-pong certification failed: %s" % (cert,))
-        return schottky_action(desc, cert)
-
-    return member
-
-
 def cmd_converge(scenario, args, outdir):
     block = _block(scenario, "converge")
     family = block["family"]
@@ -373,9 +353,7 @@ def cmd_converge(scenario, args, outdir):
     elif family == "schottky-length":
         schedule = [float(v) for v in block["schedule"]]
         limit = float(block["limit"])
-        make_member = _schottky_member(
-            float(scenario["action"].get("min_systole", DEFAULT_MIN_SYSTOLE))
-        )
+        make_member = lambda L: build_action({**scenario["action"], "L": L})
         kw.setdefault("param_scale", lambda L: L / 4.0)
     else:
         raise ValueError("unknown family %r" % family)
@@ -422,7 +400,7 @@ def cmd_verify(scenario, args, outdir):
     balls = {}
 
     def ball(T):
-        R = _radius(action, T)
+        R = _exact_T(action, T)
         if R not in balls:
             balls[R] = enumerate_orbit_ball(action, R)
         return balls[R]

@@ -1,9 +1,10 @@
 """Critical-exponent and covering-entropy estimation with explicit audits.
 
 Estimates are never bare numbers: every estimate carries its window,
-method and residual. Packing/covering numbers have an exact branch-and-
-bound mode for small instances (<= 24 points) and deterministic greedy
-modes for larger ones, with the direction of the greedy bound labeled.
+method and residual. Covering numbers are exact by branch and bound for
+small instances (<= 24 points); `greedy_covering_count`, the deterministic
+farthest-point upper bound, serves larger sets and seeds that search.
+Packing numbers have an exact mode and a greedy lower-bound mode.
 """
 
 import math
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
-from .space import _TreePaths, distances_to_point, pairwise_distances
+from .space import _distance_rows, distances_to_point, pairwise_distances
 
 EXACT_LIMIT = 24
 
@@ -82,48 +83,36 @@ def _close_matrix(space, points, r):
     return D <= r + 1e-12
 
 
-def covering_number(space, points, r, mode="exact"):
+def covering_number(space, points, r):
     """Smallest number of points of the set whose r-balls cover the set.
 
-    exact: optimal by branch and bound (<= 24 points); greedy: farthest-
-    point traversal starting from the first point (deterministic); the
-    greedy count is an upper bound for the optimum.
+    Optimal by branch and bound (<= 24 points), starting from the greedy
+    upper bound of `greedy_covering_count`.
     """
     n = len(points)
     if n == 0:
         return 0
-    if mode == "exact":
-        if n > EXACT_LIMIT:
-            raise ValueError("exact mode limited to %d points" % EXACT_LIMIT)
-        close = _close_matrix(space, points, r)
-        masks = [sum(1 << j for j in range(n) if close[i, j]) for i in range(n)]
-        full = (1 << n) - 1
-        best = [covering_number(space, points, r, "greedy")]
+    if n > EXACT_LIMIT:
+        raise ValueError("exact covering limited to %d points" % EXACT_LIMIT)
+    close = _close_matrix(space, points, r)
+    masks = [sum(1 << j for j in range(n) if close[i, j]) for i in range(n)]
+    full = (1 << n) - 1
+    best = [greedy_covering_count(space, points, r)]
 
-        def search(covered, used):
-            if used >= best[0]:
-                return
-            if covered == full:
-                best[0] = used
-                return
-            low = (~covered) & full
-            i = (low & -low).bit_length() - 1  # lowest uncovered point
-            for j in range(n):
-                if close[i, j]:
-                    search(covered | masks[j], used + 1)
+    def search(covered, used):
+        if used >= best[0]:
+            return
+        if covered == full:
+            best[0] = used
+            return
+        low = (~covered) & full
+        i = (low & -low).bit_length() - 1  # lowest uncovered point
+        for j in range(n):
+            if close[i, j]:
+                search(covered | masks[j], used + 1)
 
-        search(0, 0)
-        return best[0]
-    if mode == "greedy":
-        D = pairwise_distances(space, points)
-        centers = [0]
-        mind = D[0].copy()
-        while mind.max() > r + 1e-12:
-            nxt = int(np.argmax(mind))
-            centers.append(nxt)
-            mind = np.minimum(mind, D[nxt])
-        return len(centers)
-    raise ValueError("unknown mode %r" % mode)
+    search(0, 0)
+    return best[0]
 
 
 def packing_number(space, points, r, mode="exact"):
@@ -199,33 +188,21 @@ def covering_entropy_estimate(action, hull_samples, r, window, grid_step=None, m
 
 
 def greedy_covering_count(space, points, r):
-    """Farthest-point greedy covering with O(n) vector work per center.
+    """Farthest-point greedy covering number, an upper bound for the optimum.
 
-    Equivalent to covering_number(..., mode="greedy") but avoids the dense
-    n x n matrix, so it scales to ~1e5 points.
+    Centers are chosen deterministically from the first point on, with one
+    distance row per center and no dense n x n matrix, so it scales to
+    ~1e5 points.
     """
     n = len(points)
     if n == 0:
         return 0
-    if space.kind == "plane":
-        z = np.array([p.z for p in points], dtype=complex)
-
-        def dist_from(i):
-            return 2.0 * np.arcsinh(
-                np.abs(z - z[i]) / (2.0 * np.sqrt(z.imag * z[i].imag))
-            )
-
-    else:
-        paths = _TreePaths(space, points)
-
-        def dist_from(i):
-            return paths.distances(np.array([i]))[0]
-
-    mind = dist_from(0)
+    rows = _distance_rows(space, points)
+    mind = rows(np.array([0]))[0]
     count = 1
     while mind.max() > r + 1e-12:
         nxt = int(np.argmax(mind))
-        mind = np.minimum(mind, dist_from(nxt))
+        mind = np.minimum(mind, rows(np.array([nxt]))[0])
         count += 1
     return count
 
@@ -233,7 +210,7 @@ def greedy_covering_count(space, points, r):
 def check_packing_chain(space, points, r):
     """Exact-mode chain Pack(Y,2r) <= Cov(Y,2r) <= Pack(Y,r)."""
     p2 = packing_number(space, points, 2 * r, "exact")
-    c2 = covering_number(space, points, 2 * r, "exact")
+    c2 = covering_number(space, points, 2 * r)
     p1 = packing_number(space, points, r, "exact")
     return p2 <= c2 <= p1, (p2, c2, p1)
 

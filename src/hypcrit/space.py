@@ -10,12 +10,15 @@ the interior of an edge is stored as (shallow vertex word, offset, letter of
 the deeper endpoint). Group actions need even valence; the geometry
 functions themselves never use the group structure.
 
-Plane geodesics are handled through a single code path: conjugate the
-geodesic to the positive imaginary axis by a Mobius map and move along it by
-multiplying the imaginary part by e^t.
+Each model has one kernel per job. On the plane every line point comes
+from `plane_line_point`: conjugate the line to the positive imaginary axis
+by a Mobius map and move along it by multiplying the imaginary part by e^t.
+Distances to segments, rays and ideal lines are distances to an arc of that
+axis (`_dist_to_axis_arc`). Vectorized distance rows come from
+`_distance_rows`: sorted root paths on trees, the arcsinh formula on the
+plane.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DepthError, KindMismatchError
-from .words import is_reduced, word_key, _ORDER
+from .words import is_reduced, _ORDER
 
 TREE = "tree"
 PLANE = "plane"
@@ -266,10 +269,7 @@ def _plane_geodesic_point(space, p, q, t):
     if d == 0.0:
         return p
     u, v = plane_geodesic_endpoints(p.z, q.z)
-    M = _mobius_to_axis(u, v)
-    a = _mobius_apply(M, p.z)
-    w = _mobius_apply(_mobius_inverse(M), complex(0.0, abs(a) * math.exp(t)))
-    return PlanePoint(complex(w.real, max(w.imag, 1e-300)))
+    return plane_line_point(u, v, p, t)
 
 
 def geodesic_point(space, p, q, t):
@@ -309,19 +309,19 @@ def ray_point(space, ray, t):
                 "ray proxy too shallow: t=%s beyond proxy distance %s" % (t, d)
             )
         return _tree_geodesic_point(space, ray.origin, proxy, t)
-    e = ray.target
-    p = ray.origin.z
+    u, e = _ray_line(ray.origin.z, ray.target)
+    return plane_line_point(u, e, ray.origin, t)
+
+
+def _ray_line(p, e):
+    """Ideal endpoints (u, e) of the plane line through p and the ideal
+    point e, so that the ray from p toward e heads toward e on it."""
     if e == math.inf:
-        return PlanePoint(complex(p.real, p.imag * math.exp(t)))
+        return p.real, e
     if abs(p.real - e) <= 1e-14 * (1.0 + abs(e)):
-        # vertical ray going down toward e
-        return PlanePoint(complex(p.real, p.imag * math.exp(-t)))
+        return math.inf, e  # vertical line down to e
     c = (abs(p) ** 2 - e * e) / (2.0 * (p.real - e))
-    u = 2.0 * c - e
-    M = _mobius_to_axis(u, e)  # u -> 0, e -> infinity
-    a = _mobius_apply(M, p)
-    w = _mobius_apply(_mobius_inverse(M), complex(0.0, abs(a) * math.exp(t)))
-    return PlanePoint(complex(w.real, max(w.imag, 1e-300)))
+    return 2.0 * c - e, e
 
 
 def busemann(space, ray, y, horizon):
@@ -397,29 +397,38 @@ def dist_to_segment(space, x, p, q):
         return plane_distance(x.z, p.z)
     u, v = plane_geodesic_endpoints(p.z, q.z)
     M = _mobius_to_axis(u, v)
-    xm = _mobius_apply(M, x.z)
     a = abs(_mobius_apply(M, p.z))
     b = abs(_mobius_apply(M, q.z))
-    if a > b:
-        a, b = b, a
-    rho = abs(xm)
-    if a <= rho <= b:
-        return math.asinh(abs(xm.real) / xm.imag)
-    if rho < a:
-        return plane_distance(xm, complex(0.0, a))
-    return plane_distance(xm, complex(0.0, b))
+    return _dist_to_axis_arc(_mobius_apply(M, x.z), min(a, b), max(a, b))
 
 
 def plane_dist_to_ideal_line(x, u, v):
     """d(x, line(u, v)) for ideal endpoints u != v on the boundary."""
-    M = _mobius_to_axis(u, v)
-    xm = _mobius_apply(M, x.z)
-    return math.asinh(abs(xm.real) / xm.imag)
+    return _dist_to_axis_arc(_mobius_apply(_mobius_to_axis(u, v), x.z), 0.0, math.inf)
+
+
+def plane_dist_to_ray(x, p, e):
+    """d(x, ray from p toward the ideal point e)."""
+    u, e = _ray_line(p.z, e)
+    M = _mobius_to_axis(u, e)
+    return _dist_to_axis_arc(_mobius_apply(M, x.z), abs(_mobius_apply(M, p.z)), math.inf)
+
+
+def _dist_to_axis_arc(xm, a, b):
+    """Distance from xm to the arc {iy : a <= y <= b} of the imaginary axis."""
+    rho = abs(xm)
+    if a <= rho <= b:
+        return math.asinh(abs(xm.real) / xm.imag)
+    return plane_distance(xm, complex(0.0, a if rho < a else b))
 
 
 def plane_line_point(u, v, xref, t):
     """Point on the ideal line (u,v) at signed arclength t from the
     projection of xref onto the line (positive direction toward v)."""
+    if u == math.inf:
+        # vertical line down to v, in closed form: the Mobius round trip
+        # loses the real part's precision as the point nears the boundary
+        return PlanePoint(complex(v, max(abs(xref.z - v) * math.exp(-t), 1e-300)))
     M = _mobius_to_axis(u, v)
     xm = _mobius_apply(M, xref.z)
     w = _mobius_apply(_mobius_inverse(M), complex(0.0, abs(xm) * math.exp(t)))
@@ -443,7 +452,7 @@ _DIGIT = np.full(256, -1, dtype=np.int8)
 for _c, _r in _ORDER.items():
     _DIGIT[ord(_c)] = _r
 
-#: rows per block when a dense tree distance table is filled
+#: rows per block when a dense distance table is filled
 _BLOCK = 64
 
 
@@ -518,31 +527,37 @@ class _TreePaths:
         return np.maximum(self.depth + self.depth[rows, None] - 2.0 * sep, 0.0)
 
 
+def _distance_rows(space, points):
+    """The one vectorized distance kernel of each model: a function taking
+    an index array `rows` to the (len(rows), n) float64 distances from those
+    points to all of `points`."""
+    if space.kind == TREE:
+        return _TreePaths(space, points).distances
+    z = np.array([p.z for p in points], dtype=complex)
+
+    def rows_of(rows):
+        num = np.abs(z[rows, None] - z)
+        return 2.0 * np.arcsinh(num / (2.0 * np.sqrt(z.imag[rows, None] * z.imag)))
+
+    return rows_of
+
+
 def pairwise_distances(space, points):
     """Dense float64 distance matrix over a list of model points.
 
-    Tree tables are filled a block of rows at a time, so the memory used
+    The table is filled a block of rows at a time, so the memory used
     beyond the n x n output grows with n, not with n^2 * depth.
     """
     n = len(points)
-    if space.kind == PLANE:
-        z = np.array([p.z for p in points], dtype=complex)
-        y = z.imag
-        num = np.abs(z[:, None] - z[None, :])
-        den = 2.0 * np.sqrt(y[:, None] * y[None, :])
-        return 2.0 * np.arcsinh(num / den)
-    paths = _TreePaths(space, points)
+    rows = _distance_rows(space, points)
     d = np.empty((n, n))
     for start in range(0, n, _BLOCK):
-        d[start : start + _BLOCK] = paths.distances(np.arange(start, min(start + _BLOCK, n)))
+        d[start : start + _BLOCK] = rows(np.arange(start, min(start + _BLOCK, n)))
     np.fill_diagonal(d, 0.0)
     return d
 
 
 def distances_to_point(space, points, q):
     """Vector of distances from each point in `points` to q."""
-    if space.kind == PLANE:
-        z = np.array([p.z for p in points], dtype=complex)
-        return 2.0 * np.arcsinh(np.abs(z - q.z) / (2.0 * np.sqrt(z.imag * q.z.imag)))
-    paths = _TreePaths(space, list(points) + [q])
-    return paths.distances(np.array([len(points)]))[0, :-1]
+    points = list(points)
+    return _distance_rows(space, points + [q])(np.array([len(points)]))[0, :-1]

@@ -6,6 +6,7 @@ import pytest
 
 from hypcrit.boundary import (
     VisualParams,
+    _plane_pullback_mass,
     ball_mass,
     boundary_gromov_product,
     check_ahlfors_regularity,
@@ -296,6 +297,19 @@ def test_quasiconformality_plane_reports_finite_q(schottky):
     cells = [(z, 0.05) for z in lim[:20]]
     rep = check_quasiconformality(schottky, measure, 0.2767, "a", cells)
     assert math.isfinite(rep.Q) and rep.Q >= 1.0
+
+
+def test_plane_pullback_mass_keeps_the_depth_filter(schottky):
+    # the identity pullback of a ball is the ball itself, so its mass must
+    # come from the same resolved atom population as ball_mass; at radius
+    # e^-18 atoms shallower than depth 18 are left out of both
+    ball = enumerate_orbit_ball(schottky, 23.0)
+    measure = patterson_sullivan_atoms(schottky, ball, 0.35)
+    centers = [a.boundary for a in measure.boundary_atoms if a.boundary.depth > 21][:20]
+    rho = math.exp(-18.0)
+    assert len(centers) == 20
+    for z in centers:
+        assert _plane_pullback_mass(schottky, measure, "", z, rho) == ball_mass(schottky, measure, z, rho)[0]
 
 
 def test_shadow_ball_lemma_both_models(f2, schottky, schottky_ball):

@@ -131,7 +131,7 @@ def test_exact_modes_match_brute_force(space):
         else:
             pts = [_rand_plane_point(rng, 4.0) for _ in range(n)]
         r = rng.uniform(0.3, 1.5)
-        assert covering_number(space, pts, r, "exact") == brute_force_covering(space, pts, r)
+        assert covering_number(space, pts, r) == brute_force_covering(space, pts, r)
         assert packing_number(space, pts, r, "exact") == brute_force_packing(space, pts, r)
 
 
@@ -144,16 +144,15 @@ def test_greedy_modes_bound_the_optimum(space):
         else:
             pts = [_rand_plane_point(rng, 5.0) for _ in range(14)]
         r = rng.uniform(0.3, 1.5)
-        assert covering_number(space, pts, r, "greedy") >= covering_number(space, pts, r, "exact")
+        assert greedy_covering_count(space, pts, r) >= covering_number(space, pts, r)
         assert packing_number(space, pts, r, "greedy") <= packing_number(space, pts, r, "exact")
-        assert greedy_covering_count(space, pts, r) == covering_number(space, pts, r, "greedy")
 
 
 def test_exact_mode_size_limit():
     rng = random.Random(47)
     pts = [_rand_tree_point(rng, TREE, 5.0) for _ in range(30)]
     with pytest.raises(ValueError):
-        covering_number(TREE, pts, 1.0, "exact")
+        covering_number(TREE, pts, 1.0)
 
 
 @pytest.mark.parametrize("space", [TREE, PLANE], ids=["tree", "plane"])

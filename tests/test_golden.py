@@ -24,11 +24,13 @@ from hypcrit import cli
 GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.json"
 SEED = 0
 #: (subcommand, bundled scenario) pairs whose reports are pinned
-RUNS = (
+TREE_RUNS = (
     ("entropy", "f2_tree"),
     ("boundary", "f2_tree"),
     ("verify", "f2_tree"),
     ("converge", "tree_rescale_family"),
+)
+PLANE_RUNS = (
     ("entropy", "schottky_L4"),
     ("boundary", "schottky_L4"),
     ("verify", "schottky_L4"),
@@ -38,6 +40,7 @@ RUNS = (
     ("entropy", "counterexample_schottky_small"),
     ("entropy", "counterexample_translation"),
 )
+RUNS = TREE_RUNS + PLANE_RUNS
 
 
 def report_digests(command, scenario, outdir):
@@ -56,12 +59,21 @@ def _key(command, scenario):
     return "%s-%s" % (command, scenario)
 
 
-@pytest.mark.parametrize("command,scenario", RUNS, ids=[_key(*r) for r in RUNS])
-def test_reports_match_golden_digests(command, scenario, tmp_path):
+def _check_golden(command, scenario, outdir):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[_key(command, scenario)]
-    code, digests = report_digests(command, scenario, tmp_path)
+    code, digests = report_digests(command, scenario, outdir)
     assert code == golden["exit_code"]
     assert digests == golden["reports"]
+
+
+@pytest.mark.parametrize("command,scenario", TREE_RUNS, ids=[_key(*r) for r in TREE_RUNS])
+def test_tree_reports_match_golden_digests(command, scenario, tmp_path):
+    _check_golden(command, scenario, tmp_path)
+
+
+@pytest.mark.parametrize("command,scenario", PLANE_RUNS, ids=[_key(*r) for r in PLANE_RUNS])
+def test_plane_reports_match_golden_digests(command, scenario, tmp_path):
+    _check_golden(command, scenario, tmp_path)
 
 
 def _flatten(golden):
@@ -86,6 +98,21 @@ def describe_changes(old, new):
         elif old[key] != new[key]:
             lines.append("changed %s: %s -> %s" % (key, old[key], new[key]))
     return lines
+
+
+def test_describe_changes_names_every_moved_entry():
+    old = {"a": {"exit_code": 0, "reports": {"x.json": "1", "y.csv": "2"}},
+           "b": {"exit_code": 0, "reports": {}}}
+    new = {"a": {"exit_code": 1, "reports": {"x.json": "1", "z.csv": "3"}},
+           "c": {"exit_code": 2, "reports": {}}}
+    assert describe_changes(old, new) == [
+        "changed a exit_code: 0 -> 1",
+        "removed a/y.csv (was 2)",
+        "added   a/z.csv = 3",
+        "removed b exit_code (was 0)",
+        "added   c exit_code = 2",
+    ]
+    assert describe_changes(new, new) == []
 
 
 def record():

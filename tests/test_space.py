@@ -19,6 +19,7 @@ from hypcrit.space import (
     geodesic_point,
     gromov_product,
     pairwise_distances,
+    plane_dist_to_ray,
     plane_distance,
     ray_point,
 )
@@ -182,6 +183,18 @@ def test_dist_to_segment_matches_grid_minimum(space):
         got = float(dist_to_segment(space, x, p, q))
         assert got <= min(grid) + 1e-9
         assert got >= min(grid) - 0.05  # grid is only 1/64-dense
+
+
+def test_plane_dist_to_ray_matches_grid_minimum():
+    pts = rand_points(37, PLANE, 12)
+    # ideal targets: a finite point, infinity, and straight below the origin
+    for x, p, e in zip(pts[:6], pts[6:], [0.7, math.inf, None, -2.5, math.inf, None]):
+        if e is None:
+            e = p.z.real
+        grid = [plane_distance(x.z, ray_point(PLANE, Ray(p, e), 12.0 * i / 512).z) for i in range(513)]
+        got = plane_dist_to_ray(x, p, e)
+        assert got <= min(grid) + 1e-9
+        assert got >= min(grid) - 0.02  # grid is only 12/512-dense
 
 
 @pytest.mark.parametrize("space", [TREE, PLANE], ids=["tree", "plane"])
