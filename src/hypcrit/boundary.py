@@ -7,6 +7,13 @@ depths) and comparisons below the recorded truncation depth are refused,
 never guessed; plane boundary products carry explicit error brackets and
 every set-membership answer near a threshold is three-valued
 (True / False / None for "unknown").
+
+Measures cache their boundary atoms as arrays, in atom order:
+`AtomicMeasure._tree_atoms` (letter rows, word lengths, depths, weights)
+and `AtomicMeasure._plane_atoms` (endpoint coordinates, depths, weights).
+`ball_mass` and `shadow_mass` apply the scalar membership rules of
+`generalized_ball_contains` and `shadow_contains` to every atom at once,
+and the scalar functions remain the reference they are tested against.
 """
 
 import math
@@ -24,6 +31,7 @@ from .space import (
     Ray,
     TreePoint,
     _lcp,
+    _ray_line,
     _row_lcp,
     _tree_separation,
     _word_rows,
@@ -32,7 +40,10 @@ from .space import (
     geodesic_point,
     gromov_product,
     plane_dist_to_ray,
+    plane_distances,
+    plane_dists_to_rays,
     plane_line_point,
+    plane_ray_points,
     ray_point,
     tree_depth,
 )
@@ -98,11 +109,11 @@ def boundary_gromov_product(action, z, zp):
         raise DepthError("identical plane endpoints: product is unbounded")
     t = max(min(z.depth, zp.depth), 4.0)
     base = action.basepoint
-    r1, r2 = boundary_ray(action, z), boundary_ray(action, zp)
+    line1, line2 = _ray_line(base.z, z.coord), _ray_line(base.z, zp.coord)
 
     def product_at(tt):
-        p1 = ray_point(space, r1, tt)
-        p2 = ray_point(space, r2, tt)
+        p1 = plane_line_point(*line1, base, tt)
+        p2 = plane_line_point(*line2, base, tt)
         return float(gromov_product(space, base, p1, p2))
 
     value = product_at(t)
@@ -407,6 +418,11 @@ class AtomicMeasure:
         """Boundary atoms of a tree measure as arrays, in atom order."""
         return _TreeAtoms(self.boundary_atoms)
 
+    @cached_property
+    def _plane_atoms(self):
+        """Boundary atoms of a plane measure as arrays, in atom order."""
+        return _PlaneAtoms(self.boundary_atoms)
+
 
 class _TreeAtoms:
     """Letter rows, word lengths, depths and weights of tree boundary atoms.
@@ -429,6 +445,17 @@ class _TreeAtoms:
         row = _word_rows([word], self.width)
         row[0, len(word):] = -2  # padding of `word` matches nothing
         return _row_lcp(self.rows, row)
+
+
+class _PlaneAtoms:
+    """Endpoint coordinates (math.inf allowed), depths and weights of plane
+    boundary atoms; total as in _TreeAtoms."""
+
+    def __init__(self, atoms):
+        self.coord = np.array([a.boundary.coord for a in atoms], dtype=float)
+        self.depth = np.array([a.boundary.depth for a in atoms], dtype=float)
+        self.weight = np.array([a.weight for a in atoms], dtype=float)
+        self.total = _ordered_sum(self.weight)
 
 
 def _ordered_sum(values):
@@ -490,76 +517,87 @@ def ball_mass(action, measure, z, rho):
     depth >= log(1/rho) and renormalized there; remaining per-ball
     undecidable memberships are also dropped from the denominator. Returns
     (mass, decided_fraction) or (None, 0.0) when nothing is decidable.
+
+    Membership follows generalized_ball_contains on every atom at once:
+    inside above the threshold, known below it unless the tree word is
+    truncated there, the plane bracket straddles it or the plane endpoints
+    coincide.
     """
-    thr = math.log(1.0 / rho)
-    if action.space.kind == TREE:
-        return _tree_ball_mass(action, measure._tree_atoms, z, rho, thr)
-    num = den = 0.0
-    total = 0.0
-    for a in measure.boundary_atoms:
-        total += a.weight
-        if a.boundary.depth < thr - 1e-12:
-            continue
-        try:
-            m = generalized_ball_contains(action, z, rho, a.boundary)
-        except DepthError:
-            m = None
-        if m is None:
-            continue
-        den += a.weight
-        if m:
-            num += a.weight
-    if den == 0.0:
-        return None, 0.0
-    return num / den, den / total if total else 0.0
-
-
-def _tree_ball_mass(action, atoms, z, rho, thr):
-    """ball_mass on tree atom arrays: generalized_ball_contains' rules
-    (True above the threshold, False below it short of truncation, else
-    undecidable) with the same left-to-right weight sums."""
     if not (0 < rho <= 1):
         raise ValueError("radius must be in (0, 1]")
-    L = float(action.space.edge_length)
-    k = atoms.lcp(z.word)
-    resolved = atoms.depth * L >= thr - 1e-12
-    inside = k * L > thr
-    decided = resolved & (inside | (k < np.minimum(z.depth, atoms.depth)))
+    thr = math.log(1.0 / rho)
+    if action.space.kind == TREE:
+        atoms = measure._tree_atoms
+        L = float(action.space.edge_length)
+        k = atoms.lcp(z.word)
+        inside = k * L > thr
+        known = inside | (k < np.minimum(z.depth, atoms.depth))
+        resolved = atoms.depth * L >= thr - 1e-12
+    else:
+        atoms = measure._plane_atoms
+        value, err, known = _plane_products(action, atoms, z)
+        inside = value - err > thr
+        known &= inside | (value + err <= thr)
+        resolved = atoms.depth >= thr - 1e-12
+    mass, den = _decided_mass(atoms, resolved & known, inside)
+    if mass is None:
+        return None, 0.0
+    return mass, den / atoms.total if atoms.total else 0.0
+
+
+def _plane_products(action, atoms, z):
+    """boundary_gromov_product(action, z, a) against every plane atom a at
+    once: the value and error arrays, evaluated at the depths t and
+    max(t - 2, 1) as in the scalar function, and a mask that is False where
+    the atom's endpoint equals z's (the scalar DepthError)."""
+    base = action.basepoint
+    t = np.maximum(np.minimum(z.depth, atoms.depth), 4.0)
+
+    def product_at(tt):
+        p1 = plane_ray_points(base, z.coord, tt)
+        p2 = plane_ray_points(base, atoms.coord, tt)
+        d1, d2 = plane_distances(base.z, p1), plane_distances(base.z, p2)
+        return (d1 + d2 - plane_distances(p1, p2)) / 2
+
+    value = product_at(t)
+    gap = np.abs(value - product_at(np.maximum(t - 2.0, 1.0)))
+    delta = action.declared_delta
+    err = np.minimum(delta if delta > 0 else math.inf, gap + 1e-6)
+    return value, err, atoms.coord != z.coord
+
+
+def _decided_mass(atoms, decided, inside):
+    """(mass of the decided atoms inside, decided mass), both summed left
+    to right as the scalar loops add them; the mass is None when no atom is
+    decided."""
     den = _ordered_sum(atoms.weight[decided])
     if den == 0.0:
-        return None, 0.0
-    num = _ordered_sum(atoms.weight[decided & inside])
-    return num / den, den / atoms.total if atoms.total else 0.0
+        return None, den
+    return _ordered_sum(atoms.weight[decided & inside]) / den, den
 
 
 def shadow_mass(action, measure, y, r):
     """Boundary mass of the shadow of B(y, r) seen from the basepoint."""
+    if r <= 0:
+        raise ValueError("shadow radius must be positive")
     if action.space.kind == TREE:
-        return _tree_shadow_mass(action, measure._tree_atoms, y, r)
-    num = den = 0.0
-    for a in measure.boundary_atoms:
-        try:
-            m = shadow_contains(action, y, r, a.boundary)
-        except DepthError:
-            continue
-        den += a.weight
-        if m:
-            num += a.weight
-    if den == 0.0:
-        return None
-    return num / den
+        atoms = measure._tree_atoms
+        decided, inside = _tree_shadow_rules(action, atoms, y, r)
+    else:
+        atoms = measure._plane_atoms
+        inside = plane_dists_to_rays(y, action.basepoint, atoms.coord) < r
+        decided = np.ones(len(inside), dtype=bool)
+    return _decided_mass(atoms, decided, inside)[0]
 
 
-def _tree_shadow_mass(action, atoms, y, r):
-    """shadow_mass on tree atom arrays.
+def _tree_shadow_rules(action, atoms, y, r):
+    """shadow_contains on tree atom arrays: the (decided, inside) masks.
 
     Against the proxy vertex of an atom word of length lq, the separation
     from y is k * L plus y's offset when y's edge leads into the word
     (k = lcp, y.word a proper prefix). shadow_contains' exact rules are
     evaluated once per distinct (k, edge bonus, lq).
     """
-    if r <= 0:
-        raise ValueError("shadow radius must be positive")
     space = action.space
     L = space.edge_length
     ly = len(y.word)
@@ -576,11 +614,7 @@ def _tree_shadow_mass(action, atoms, y, r):
         sep = kk * L + (y.offset if b else 0)
         undecidable[i] = sep >= lq * L and dy > sep
         inside[i] = float(dy - sep) < r
-    undecidable, inside = undecidable[which.ravel()], inside[which.ravel()]
-    den = _ordered_sum(atoms.weight[~undecidable])
-    if den == 0.0:
-        return None
-    return _ordered_sum(atoms.weight[~undecidable & inside]) / den
+    return ~undecidable[which.ravel()], inside[which.ravel()]
 
 
 # ---------------------------------------------------------------------------
@@ -672,10 +706,13 @@ def check_quasiconformality(action, measure, h, g_word, cells):
     e^{h (B_z(x,x) - B_z(x,gx))} = e^{-h B_z(x, gx)}; the smallest Q
     covering all decidable nonzero cells is returned (Q is an output of the
     audit, never an assumed theoretical value). Zero-mass or undecidable
-    cells are skipped and counted.
+    cells are skipped and counted. On the plane mu(g^{-1} C) is the
+    ball_mass of C under the measure pushed by g, built once per audit.
     """
     space = action.space
     gx = action.orbit_point(g_word)
+    if space.kind == PLANE:
+        pushed = _pushed_measure(action, measure, g_word)
     Q = 1.0
     used = skipped = 0
     for z, rho in cells:
@@ -688,7 +725,7 @@ def check_quasiconformality(action, measure, h, g_word, cells):
                 continue
             mpull, _ = ball_mass(action, measure, zpull, rho_pullback(action, z, zpull, rho))
         else:
-            mpull = _plane_pullback_mass(action, measure, g_word, z, rho)
+            mpull, _ = ball_mass(action, pushed, z, rho)
         if not m or not mpull:
             skipped += 1
             continue
@@ -721,16 +758,17 @@ def rho_pullback(action, z, zpull, rho):
     return min(rho * math.exp(-shift), 1.0)
 
 
-def _plane_pullback_mass(action, measure, g_word, z, rho):
-    """mu(g^{-1} B(z, rho)) on the plane: the ball_mass of B(z, rho) under
-    the measure whose boundary atoms are pushed by g."""
+def _pushed_measure(action, measure, g_word):
+    """The plane measure whose boundary atoms are pushed by g: its
+    ball_mass of B(z, rho) is mu(g^{-1} B(z, rho)), under the same depth
+    filter as mu(B(z, rho))."""
     iso = action.isometry(g_word)
 
     def push(b):
         return plane_boundary(iso.boundary_apply(b.coord), b.word, b.depth)
 
     atoms = tuple(replace(a, boundary=push(a.boundary)) for a in measure.boundary_atoms)
-    return ball_mass(action, AtomicMeasure(atoms, measure.s, measure.truncation_T), z, rho)[0]
+    return AtomicMeasure(atoms, measure.s, measure.truncation_T)
 
 
 def tree_cylinder_cells(action, depth, tiny=1e-9):

@@ -15,8 +15,11 @@ from `plane_line_point`: conjugate the line to the positive imaginary axis
 by a Mobius map and move along it by multiplying the imaginary part by e^t.
 Distances to segments, rays and ideal lines are distances to an arc of that
 axis (`_dist_to_axis_arc`). Vectorized distance rows come from
-`_distance_rows`: sorted root paths on trees, the arcsinh formula on the
-plane.
+`_distance_rows`: sorted root paths on trees, the arcsinh formula
+(`plane_distances`) on the plane. `plane_ray_points` and
+`plane_dists_to_rays` take `ray_point` and `plane_dist_to_ray` over arrays
+of ideal endpoints with the same branches; they agree with the scalar
+functions to rounding, and the scalar functions are their reference.
 """
 
 import math
@@ -77,6 +80,10 @@ class PlanePoint:
             raise ValueError("plane point must have positive imaginary part")
 
 
+#: the basepoint of each model kind, one shared frozen point
+_BASEPOINTS = {TREE: TreePoint(""), PLANE: PlanePoint(1j)}
+
+
 @dataclass(frozen=True)
 class ModelSpace:
     kind: str
@@ -95,9 +102,7 @@ class ModelSpace:
 
     @property
     def basepoint(self):
-        if self.kind == TREE:
-            return TreePoint("")
-        return PlanePoint(1j)
+        return _BASEPOINTS[self.kind]
 
     @property
     def rank(self):
@@ -534,12 +539,12 @@ def _distance_rows(space, points):
     if space.kind == TREE:
         return _TreePaths(space, points).distances
     z = np.array([p.z for p in points], dtype=complex)
+    return lambda rows: plane_distances(z[rows, None], z)
 
-    def rows_of(rows):
-        num = np.abs(z[rows, None] - z)
-        return 2.0 * np.arcsinh(num / (2.0 * np.sqrt(z.imag[rows, None] * z.imag)))
 
-    return rows_of
+def plane_distances(z1, z2):
+    """`plane_distance` over broadcast arrays of complex coordinates."""
+    return 2.0 * np.arcsinh(np.abs(z1 - z2) / (2.0 * np.sqrt(z1.imag * z2.imag)))
 
 
 def pairwise_distances(space, points):
@@ -561,3 +566,64 @@ def distances_to_point(space, points, q):
     """Vector of distances from each point in `points` to q."""
     points = list(points)
     return _distance_rows(space, points + [q])(np.array([len(points)]))[0, :-1]
+
+
+# ---------------------------------------------------------------------------
+# vectorized plane rays: `_ray_line`, `_mobius_to_axis`, `plane_line_point`
+# and `plane_dist_to_ray` over arrays of ideal endpoints, branch for branch
+
+
+def _ray_axis_maps(p, e):
+    """Lines of the rays from the point p toward the ideal points e.
+
+    Returns u (each line's other endpoint as `_ray_line` gives it: p.real
+    for an upward ray, math.inf for a vertical line down) and the
+    coefficient arrays (a, b, c, d) of each line's `_mobius_to_axis` map.
+    """
+    up = e == math.inf
+    down = ~up & (np.abs(p.real - e) <= 1e-14 * (1.0 + np.abs(e)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (abs(p) ** 2 - e * e) / (2.0 * (p.real - e))
+    u = np.where(up, p.real, np.where(down, math.inf, 2.0 * c - e))
+    branch = [down, up, u > e]
+    maps = (
+        np.where(down, 0.0, 1.0),
+        np.where(down, 1.0, -u),
+        np.select(branch, [-1.0, 0.0, 1.0], -1.0),
+        np.select(branch, [e, 1.0, -e], e),
+    )
+    return u, maps
+
+
+def _apply_maps(maps, z):
+    a, b, c, d = maps
+    return (a * z + b) / (c * z + d)
+
+
+def plane_ray_points(p, e, t):
+    """Complex coordinates of `ray_point` on the rays from the plane point p
+    toward the ideal points e (an array, math.inf allowed) at arclengths t
+    (a scalar or an array broadcast against e)."""
+    e, t = np.broadcast_arrays(np.asarray(e, dtype=float), np.asarray(t, dtype=float))
+    u, maps = _ray_axis_maps(p.z, e)
+    a, b, c, d = maps
+    y = 1j * (np.abs(_apply_maps(maps, p.z)) * np.exp(t))
+    w = _apply_maps((d, -b, -c, a), y)
+    down = u == math.inf
+    # vertical lines down keep plane_line_point's closed form
+    real = np.where(down, e, w.real)
+    imag = np.where(down, np.abs(p.z - e) * np.exp(-t), w.imag)
+    return real + 1j * np.maximum(imag, 1e-300)
+
+
+def plane_dists_to_rays(x, p, e):
+    """`plane_dist_to_ray(x, p, e)` over an array of ideal points e."""
+    _, maps = _ray_axis_maps(p.z, np.asarray(e, dtype=float))
+    xm = _apply_maps(maps, x.z)
+    lo = np.abs(_apply_maps(maps, p.z))
+    # _dist_to_axis_arc with the arc [lo, inf)
+    return np.where(
+        lo <= np.abs(xm),
+        np.arcsinh(np.abs(xm.real) / xm.imag),
+        plane_distances(xm, 1j * lo),
+    )

@@ -1,12 +1,13 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hypcrit.boundary import (
     VisualParams,
-    _plane_pullback_mass,
+    _pushed_measure,
     ball_mass,
     boundary_gromov_product,
     check_ahlfors_regularity,
@@ -25,7 +26,7 @@ from hypcrit.boundary import (
     visual_distance,
 )
 from hypcrit.errors import DepthError, InsufficientDataError, MeasureError
-from hypcrit.isometries import certify_ping_pong, schottky_pair
+from hypcrit.isometries import PlaneIsometry, certify_ping_pong, schottky_pair
 from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
 from hypcrit.space import TreePoint
 from hypcrit.words import reduced_words_upto
@@ -55,6 +56,17 @@ def schottky():
 @pytest.fixture(scope="module")
 def schottky_ball(schottky):
     return enumerate_orbit_ball(schottky, 14.0)
+
+
+@pytest.fixture(scope="module")
+def l4_ball(schottky):
+    """The orbit ball of the schottky_L4 boundary audit."""
+    return enumerate_orbit_ball(schottky, 23.0)
+
+
+@pytest.fixture(scope="module")
+def l4_measure(schottky, l4_ball):
+    return patterson_sullivan_atoms(schottky, l4_ball, 0.35)
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +212,29 @@ def test_shadow_mass_positive_on_attained_shadows(f2, f2_measure):
     assert m is not None and m > 0
 
 
-def scalar_ball_mass(action, measure, z, rho):
-    """Reference: ball_mass as one generalized_ball_contains call per atom."""
+def scalar_ball_mass(action, measure, z, rho, seen=None):
+    """Reference: ball_mass as one generalized_ball_contains call per atom.
+
+    `seen`, when given, counts the atoms left out by the depth filter
+    ("filtered"), by a DepthError ("depth_error") and by an undecided
+    answer ("undecided").
+    """
     thr = math.log(1.0 / rho)
     scale = float(action.space.edge_length)
+    seen = Counter() if seen is None else seen
     num = den = total = 0.0
     for a in measure.boundary_atoms:
         total += a.weight
         if a.boundary.depth * scale < thr - 1e-12:
+            seen["filtered"] += 1
             continue
         try:
             m = generalized_ball_contains(action, z, rho, a.boundary)
         except DepthError:
+            seen["depth_error"] += 1
+            continue
+        if m is None:
+            seen["undecided"] += 1
             continue
         den += a.weight
         if m:
@@ -258,6 +281,31 @@ def test_tree_masses_match_scalar_rules(ell):
                 assert shadow_mass(act, measure, y, r) == scalar_shadow_mass(act, measure, y, r)
 
 
+def test_plane_masses_match_scalar_rules(schottky, l4_ball, l4_measure):
+    # the schottky_L4 boundary audit's scales and qc_scale 0.05, plus e^-18,
+    # where atoms shallower than depth 18 are filtered; deep atoms as
+    # centers meet their own endpoint among the atoms
+    lim = limit_set_sample(schottky, l4_ball, 12.0)
+    deep = [a.boundary for a in l4_measure.boundary_atoms if a.boundary.depth > 21]
+    centers = lim[:30:6] + deep[:50:10]
+    pushed = _pushed_measure(schottky, l4_measure, "a")
+    seen = Counter()
+    for z in centers:
+        for rho in (0.1, 0.05, 0.02, math.exp(-18.0)):
+            got = ball_mass(schottky, l4_measure, z, rho)
+            assert got == scalar_ball_mass(schottky, l4_measure, z, rho, seen)
+        # the quasiconformality audit's pullback mass at qc_scale
+        got = ball_mass(schottky, pushed, z, 0.05)
+        assert got == scalar_ball_mass(schottky, pushed, z, 0.05, seen)
+    assert seen["filtered"] and seen["depth_error"] and seen["undecided"]
+    masses = []
+    for a in l4_measure.boundary_atoms[::150]:
+        for r in (1.0, 5.0, 12.0):
+            masses.append(shadow_mass(schottky, l4_measure, a.point, r))
+            assert masses[-1] == scalar_shadow_mass(schottky, l4_measure, a.point, r)
+    assert 0.0 in masses and 0.0 < max(masses) < 1.0
+
+
 # ---------------------------------------------------------------------------
 # audits
 
@@ -299,17 +347,28 @@ def test_quasiconformality_plane_reports_finite_q(schottky):
     assert math.isfinite(rep.Q) and rep.Q >= 1.0
 
 
-def test_plane_pullback_mass_keeps_the_depth_filter(schottky):
+def test_plane_pullback_mass_keeps_the_depth_filter(schottky, l4_measure):
     # the identity pullback of a ball is the ball itself, so its mass must
     # come from the same resolved atom population as ball_mass; at radius
     # e^-18 atoms shallower than depth 18 are left out of both
-    ball = enumerate_orbit_ball(schottky, 23.0)
-    measure = patterson_sullivan_atoms(schottky, ball, 0.35)
+    measure = l4_measure
+    identity = _pushed_measure(schottky, measure, "")
     centers = [a.boundary for a in measure.boundary_atoms if a.boundary.depth > 21][:20]
     rho = math.exp(-18.0)
     assert len(centers) == 20
     for z in centers:
-        assert _plane_pullback_mass(schottky, measure, "", z, rho) == ball_mass(schottky, measure, z, rho)[0]
+        assert ball_mass(schottky, identity, z, rho) == ball_mass(schottky, measure, z, rho)
+
+
+def test_plane_quasiconformality_pushes_each_atom_once(schottky, l4_ball, l4_measure, monkeypatch):
+    cells = [(z, 0.05) for z in limit_set_sample(schottky, l4_ball, 12.0)[:30]]
+    assert len(cells) == 30
+    pushes = []
+    apply = PlaneIsometry.boundary_apply
+    monkeypatch.setattr(PlaneIsometry, "boundary_apply", lambda g, x: pushes.append(x) or apply(g, x))
+    rep = check_quasiconformality(schottky, l4_measure, 0.2767, "a", cells)
+    assert rep.cells_used > 0
+    assert len(pushes) == len(l4_measure.boundary_atoms)
 
 
 def test_shadow_ball_lemma_both_models(f2, schottky, schottky_ball):

@@ -21,6 +21,8 @@ from hypcrit.space import (
     pairwise_distances,
     plane_dist_to_ray,
     plane_distance,
+    plane_dists_to_rays,
+    plane_ray_points,
     ray_point,
 )
 from hypcrit.geometry_checks import _rand_plane_point, _rand_tree_point
@@ -195,6 +197,36 @@ def test_plane_dist_to_ray_matches_grid_minimum():
         got = plane_dist_to_ray(x, p, e)
         assert got <= min(grid) + 1e-9
         assert got >= min(grid) - 0.02  # grid is only 12/512-dense
+
+
+def test_plane_ray_arrays_match_scalar_kernels():
+    rng = random.Random(41)
+    for p in (PLANE.basepoint, PlanePoint(-1.7 + 0.4j)):
+        # upward, vertical down (exactly and within 1e-14), and generic
+        # endpoints on both sides of p and of 0
+        ends = [math.inf, p.z.real, p.z.real + 1e-15, 0.3, -0.3, 4.0, -4.0]
+        ends += [rng.uniform(-6.0, 6.0) for _ in range(40)]
+        for t in (1.0, 4.0, 12.0, 23.0):
+            got = plane_ray_points(p, np.array(ends), t)
+            for e, w in zip(ends, got):
+                want = ray_point(PLANE, Ray(p, e), t).z
+                assert abs(w.real - want.real) <= 1e-12 * abs(want)
+                assert abs(w.imag - want.imag) <= 1e-12 * want.imag
+        # one arclength per endpoint, as the boundary products use it
+        ts = np.array([rng.choice((1.0, 4.0, 12.0, 23.0)) for _ in ends])
+        got = plane_ray_points(p, np.array(ends), ts)
+        for e, t, w in zip(ends, ts, got):
+            assert abs(w - ray_point(PLANE, Ray(p, e), t).z) <= 1e-12 * abs(w)
+        for x in rand_points(43, PLANE, 5):
+            dists = plane_dists_to_rays(x, p, np.array(ends))
+            for e, d in zip(ends, dists):
+                assert d == pytest.approx(plane_dist_to_ray(x, p, e), rel=1e-12, abs=1e-12)
+
+
+def test_basepoint_is_one_shared_point():
+    assert PLANE.basepoint is ModelSpace.plane().basepoint
+    assert TREE.basepoint is TREE.basepoint
+    assert PLANE.basepoint == PlanePoint(1j) and TREE.basepoint == TreePoint("")
 
 
 @pytest.mark.parametrize("space", [TREE, PLANE], ids=["tree", "plane"])
