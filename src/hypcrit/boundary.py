@@ -8,6 +8,13 @@ never guessed; plane boundary products carry explicit error brackets and
 every set-membership answer near a threshold is three-valued
 (True / False / None for "unknown").
 
+Plane boundary points are seen from the basepoint i, where the Gromov
+product of two ray points at depth t and the distance from a point to a
+ray have closed forms (`space.plane_ray_product`,
+`space.plane_ray_distance` and their array forms); no ray point is built
+for a product or a shadow test, and `ray_point`/`plane_dist_to_ray` are
+the reference they are tested against.
+
 Measures cache their boundary atoms as arrays, in atom order:
 `AtomicMeasure._tree_atoms` (letter rows, word lengths, depths, weights)
 and `AtomicMeasure._plane_atoms` (endpoint coordinates, depths, weights).
@@ -24,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DepthError, InsufficientDataError, MeasureError
+from .isometries import fixed_points
 from .space import (
     PLANE,
     TREE,
@@ -31,19 +39,17 @@ from .space import (
     Ray,
     TreePoint,
     _lcp,
-    _ray_line,
     _row_lcp,
     _tree_separation,
     _word_rows,
     busemann,
     distance,
     geodesic_point,
-    gromov_product,
-    plane_dist_to_ray,
-    plane_distances,
-    plane_dists_to_rays,
     plane_line_point,
-    plane_ray_points,
+    plane_ray_distance,
+    plane_ray_distances,
+    plane_ray_product,
+    plane_ray_products,
     ray_point,
     tree_depth,
 )
@@ -92,9 +98,10 @@ def boundary_gromov_product(action, z, zp):
     Tree: exact common-prefix length times the edge length, error 0;
     refused when the prefix runs into a truncation (the true product could
     then exceed what the approximants can certify). Plane: Gromov product
-    of deep proxy points on the rays toward the two endpoints; the error
-    bound is the hyperbolicity constant capped by the measured two-depth
-    stability gap (brackets therefore shrink as approximants deepen).
+    of the points at depth t on the rays toward the two endpoints, in
+    closed form (`plane_ray_product`); the error bound is the hyperbolicity
+    constant capped by the measured gap to depth t - 2 (brackets therefore
+    shrink as approximants deepen).
     """
     space = action.space
     if space.kind == TREE:
@@ -108,16 +115,8 @@ def boundary_gromov_product(action, z, zp):
     if z.coord == zp.coord:
         raise DepthError("identical plane endpoints: product is unbounded")
     t = max(min(z.depth, zp.depth), 4.0)
-    base = action.basepoint
-    line1, line2 = _ray_line(base.z, z.coord), _ray_line(base.z, zp.coord)
-
-    def product_at(tt):
-        p1 = plane_line_point(*line1, base, tt)
-        p2 = plane_line_point(*line2, base, tt)
-        return float(gromov_product(space, base, p1, p2))
-
-    value = product_at(t)
-    gap = abs(value - product_at(max(t - 2.0, 1.0)))
+    value = plane_ray_product(z.coord, zp.coord, t)
+    gap = abs(value - plane_ray_product(z.coord, zp.coord, max(t - 2.0, 1.0)))
     err = min(action.declared_delta if action.declared_delta > 0 else math.inf,
               gap + 1e-6)
     return value, err
@@ -184,7 +183,7 @@ def shadow_contains(action, y, r, z):
     """Whether the ray from the basepoint toward z meets the open ball B(y, r).
 
     Rays are unique in both models; the minimum ray-to-point distance is
-    computed in closed form.
+    computed in closed form (`plane_ray_distance` on the plane).
     """
     if r <= 0:
         raise ValueError("shadow radius must be positive")
@@ -195,7 +194,7 @@ def shadow_contains(action, y, r, z):
         if sep >= tree_depth(space, proxy) and tree_depth(space, y) > sep:
             raise DepthError("shadow test needs a deeper boundary word")
         return float(tree_depth(space, y) - sep) < r
-    return plane_dist_to_ray(y, action.basepoint, z.coord) < r
+    return plane_ray_distance(y.z, z.coord) < r
 
 
 @dataclass(frozen=True)
@@ -344,24 +343,32 @@ def limit_set_sample(action, ball, min_displacement):
         if not out:
             raise InsufficientDataError("no entries deep enough")
         return out
-    from .isometries import _fixed_points
-
     seen = set()
     for e in ball.entries:
         if not e.word or float(e.displacement) < float(min_displacement):
             continue
-        iso = action.isometry(e.word)
-        if abs(iso.trace) <= 2.0 + 1e-12:
-            continue  # not hyperbolic; cannot contribute a fixed direction
-        _, att = _fixed_points(iso)
-        key = "inf" if att == math.inf else round(att / 1e-9)
+        b = _plane_entry_boundary(action, e)
+        if b is None:
+            continue
+        key = "inf" if b.coord == math.inf else round(b.coord / 1e-9)
         if key in seen:
             continue
         seen.add(key)
-        out.append(plane_boundary(att, e.word, float(e.displacement)))
+        out.append(b)
     if not out:
         raise InsufficientDataError("no entries deep enough")
     return out
+
+
+def _plane_entry_boundary(action, entry):
+    """The attracting fixed point of a plane orbit entry's isometry as a
+    boundary approximant, or None when the isometry is not hyperbolic (it
+    then fixes no boundary direction)."""
+    iso = action.isometry(entry.word)
+    if abs(iso.trace) <= 2.0 + 1e-12:
+        return None
+    _, att = fixed_points(iso)
+    return plane_boundary(att, entry.word, float(entry.displacement))
 
 
 def qc_hull_sample(action, limit_samples, pair_count, seed=0, points_per_pair=8, max_radius=10.0):
@@ -490,20 +497,11 @@ def patterson_sullivan_atoms(action, ball, s):
     thresh = 2.0 * float(ball.radius) / 3.0
     atoms = []
     tree = action.space.kind == TREE
-    if not tree:
-        from .isometries import _fixed_points
-
     for e in ball.entries:
         w = math.exp(-s * float(e.displacement)) / total
         b = None
         if e.word and float(e.displacement) >= thresh - 1e-12:
-            if tree:
-                b = tree_boundary(e.word)
-            else:
-                iso = action.isometry(e.word)
-                if abs(iso.trace) > 2.0 + 1e-12:
-                    _, att = _fixed_points(iso)
-                    b = plane_boundary(att, e.word, float(e.displacement))
+            b = tree_boundary(e.word) if tree else _plane_entry_boundary(action, e)
         atoms.append(Atom(e.word, e.point, float(e.displacement), w, b))
     return AtomicMeasure(tuple(atoms), s, float(ball.radius))
 
@@ -550,17 +548,9 @@ def _plane_products(action, atoms, z):
     once: the value and error arrays, evaluated at the depths t and
     max(t - 2, 1) as in the scalar function, and a mask that is False where
     the atom's endpoint equals z's (the scalar DepthError)."""
-    base = action.basepoint
     t = np.maximum(np.minimum(z.depth, atoms.depth), 4.0)
-
-    def product_at(tt):
-        p1 = plane_ray_points(base, z.coord, tt)
-        p2 = plane_ray_points(base, atoms.coord, tt)
-        d1, d2 = plane_distances(base.z, p1), plane_distances(base.z, p2)
-        return (d1 + d2 - plane_distances(p1, p2)) / 2
-
-    value = product_at(t)
-    gap = np.abs(value - product_at(np.maximum(t - 2.0, 1.0)))
+    value = plane_ray_products(z.coord, atoms.coord, t)
+    gap = np.abs(value - plane_ray_products(z.coord, atoms.coord, np.maximum(t - 2.0, 1.0)))
     delta = action.declared_delta
     err = np.minimum(delta if delta > 0 else math.inf, gap + 1e-6)
     return value, err, atoms.coord != z.coord
@@ -585,7 +575,7 @@ def shadow_mass(action, measure, y, r):
         decided, inside = _tree_shadow_rules(action, atoms, y, r)
     else:
         atoms = measure._plane_atoms
-        inside = plane_dists_to_rays(y, action.basepoint, atoms.coord) < r
+        inside = plane_ray_distances(y.z, atoms.coord) < r
         decided = np.ones(len(inside), dtype=bool)
     return _decided_mass(atoms, decided, inside)[0]
 

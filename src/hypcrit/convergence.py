@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InsufficientDataError, MalformedWitnessError
+from .errors import InsufficientDataError, KindMismatchError, MalformedWitnessError
 from .isometries import apply_isometry
 from .space import TREE, TreePoint, distance, pairwise_distances
 from .words import _ORDER, compose_words, letters, reduced_words_upto
@@ -325,40 +325,29 @@ def _match_element(word, index):
     return index[w]
 
 
-def search_witness(A, B, epsilon, hints="auto"):
+def search_witness(A, B, epsilon):
     """Build a candidate witness, verify it, and return it only if valid.
 
-    For snapshots sharing word labels (tree vs rescaled tree, or members
-    of a parametric family) the tables are built word-wise: f maps each
+    The snapshots must be of the same model kind (KindMismatchError
+    otherwise); they share word labels (tree vs rescaled tree, or members
+    of a parametric family), so the tables are built word-wise: f maps each
     point to the same-word point with the offset carried over on the
     offset grid, and phi/psi match element words (falling back to the
-    longest available prefix for shell-straddling elements). Otherwise a
-    greedy nearest-displacement matching is attempted. Failures return a
-    SearchFailure carrying the best defect vector found.
+    longest available prefix for shell-straddling elements). Failures
+    return a SearchFailure carrying the best defect vector found.
     """
-    if hints not in ("auto", "words", "greedy"):
-        raise ValueError("unknown hint channel %r" % hints)
-    same_kind = A.space.kind == B.space.kind
-    use_words = hints == "words" or (hints == "auto" and same_kind)
-    if use_words and A.space.kind == TREE:
-        f = _tree_wordwise_points(A, B)
-    elif use_words:
-        f = _plane_wordwise_points(A, B)
-    else:
-        f = _greedy_points(A, B)
-    if f is None:
-        return SearchFailure(
-            "no point correspondence found",
-            WitnessDefects(math.inf, math.inf, math.inf, math.inf, math.inf, 0.0),
+    if A.space.kind != B.space.kind:
+        raise KindMismatchError(
+            "no word-wise witness between %s and %s snapshots" % (A.space.kind, B.space.kind)
         )
+    if A.space.kind == TREE:
+        f = _tree_wordwise_points(A, B)
+    else:
+        f = _plane_wordwise_points(A, B)
     bw = _word_index(B)
     aw = _word_index(A)
-    if use_words:
-        phi = tuple(_match_element(el.word, bw) for el in A.elements)
-        psi = tuple(_match_element(el.word, aw) for el in B.elements)
-    else:
-        phi = _greedy_elements(A, B)
-        psi = _greedy_elements(B, A)
+    phi = tuple(_match_element(el.word, bw) for el in A.elements)
+    psi = tuple(_match_element(el.word, aw) for el in B.elements)
     w = ApproximationWitness(tuple(int(i) for i in f), phi, psi, float(epsilon))
     valid, defects = verify_witness(A, B, w)
     if valid:
@@ -395,25 +384,6 @@ def _plane_wordwise_points(A, B):
             ww = ww[:-1]
         f.append(words_b[ww])
     return f
-
-
-def _greedy_points(A, B):
-    da = np.array([float(distance(A.space, p, A.points[A.base_index])) for p in A.points])
-    db = np.array([float(distance(B.space, p, B.points[B.base_index])) for p in B.points])
-    order_b = np.argsort(db, kind="stable")
-    f = []
-    for d in da:
-        j = int(order_b[np.searchsorted(db[order_b], d).clip(0, len(order_b) - 1)])
-        f.append(j)
-    return f
-
-
-def _greedy_elements(A, B):
-    db = np.array([el.displacement for el in B.elements])
-    out = []
-    for el in A.elements:
-        out.append(int(np.abs(db - el.displacement).argmin()))
-    return tuple(out)
 
 
 def algebraic_convergence_gap(space, gens_n, gens_limit, ball_radius, samples=200, seed=0):

@@ -9,6 +9,7 @@ Packing numbers have an exact mode and a greedy lower-bound mode.
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -68,10 +69,21 @@ def estimate_critical_exponent(counts, window, method="regression"):
 
 
 def poincare_partial(ball, s):
-    """Partial Poincare sum over the ball: sum over entries of e^{-s d(x,gx)}."""
+    """Partial Poincare sum over the ball: sum over entries of e^{-s d(x,gx)}.
+
+    A tree ball adds one term per word of each level, in entry order,
+    without building its entries.
+    """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    return float(sum(math.exp(-s * float(e.displacement)) for e in ball.entries))
+    if ball.levels is not None:
+        L = ball.edge_length
+        terms = chain.from_iterable(
+            repeat(math.exp(-s * float(k * L)), len(level)) for k, level in enumerate(ball.levels)
+        )
+    else:
+        terms = (math.exp(-s * float(e.displacement)) for e in ball.entries)
+    return float(sum(terms))
 
 
 # ---------------------------------------------------------------------------

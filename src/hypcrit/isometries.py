@@ -204,7 +204,7 @@ class BoundaryArc:
         return self.contains_angle(boundary_angle(x), slack)
 
 
-def _fixed_points(iso):
+def fixed_points(iso):
     """(repelling, attracting) boundary fixed points of a hyperbolic matrix."""
     a, b, c, d = iso.mat
     tr = a + d
@@ -234,7 +234,7 @@ def standard_disks(iso):
     The generator maps the exterior of its source arc into its target arc;
     the inverse swaps the roles.
     """
-    rep, att = _fixed_points(iso)
+    rep, att = fixed_points(iso)
     from .space import _mobius_apply, _mobius_inverse, _mobius_to_axis
 
     m = _mobius_to_axis(rep, att)

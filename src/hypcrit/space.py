@@ -16,10 +16,14 @@ by a Mobius map and move along it by multiplying the imaginary part by e^t.
 Distances to segments, rays and ideal lines are distances to an arc of that
 axis (`_dist_to_axis_arc`). Vectorized distance rows come from
 `_distance_rows`: sorted root paths on trees, the arcsinh formula
-(`plane_distances`) on the plane. `plane_ray_points` and
-`plane_dists_to_rays` take `ray_point` and `plane_dist_to_ray` over arrays
-of ideal endpoints with the same branches; they agree with the scalar
-functions to rounding, and the scalar functions are their reference.
+(`plane_distances`) on the plane.
+
+Rays from the basepoint i need no ray points: Gromov products of ray
+points at a common depth (`plane_ray_product`) and distances to such rays
+(`plane_ray_distance`) have closed forms from the hyperbolic law of
+cosines, in `math` for single calls and in numpy over arrays of ideal
+points. `ray_point`, `gromov_product` and `plane_dist_to_ray`, which build
+the ray's line, are their independent reference.
 """
 
 import math
@@ -569,61 +573,63 @@ def distances_to_point(space, points, q):
 
 
 # ---------------------------------------------------------------------------
-# vectorized plane rays: `_ray_line`, `_mobius_to_axis`, `plane_line_point`
-# and `plane_dist_to_ray` over arrays of ideal endpoints, branch for branch
+# plane rays from the basepoint i, in closed form: the Cayley map
+# z -> (z - i)/(z + i) takes i to 0 and the ideal point e to the unit
+# complex number (e - i)/(e + i) (1 at e = inf), so a ray from i is a
+# radius of the disk
 
 
-def _ray_axis_maps(p, e):
-    """Lines of the rays from the point p toward the ideal points e.
+def _half_angle_sine(e1, e2):
+    """sin(theta/2) for the angle theta at i between the rays toward the
+    distinct ideal points e1 and e2."""
+    if e1 == math.inf:
+        return 1.0 / math.hypot(1.0, e2)
+    if e2 == math.inf:
+        return 1.0 / math.hypot(1.0, e1)
+    return abs(e1 - e2) / (math.hypot(1.0, e1) * math.hypot(1.0, e2))
 
-    Returns u (each line's other endpoint as `_ray_line` gives it: p.real
-    for an upward ray, math.inf for a vertical line down) and the
-    coefficient arrays (a, b, c, d) of each line's `_mobius_to_axis` map.
+
+def plane_ray_product(e1, e2, t):
+    """(p1 | p2)_i of the points at arclength t on the rays from i toward
+    the distinct ideal points e1 and e2.
+
+    By the hyperbolic law of cosines sinh(d(p1, p2)/2) = sinh t sin(theta/2),
+    so the product t - d(p1, p2)/2 takes no difference of ray distances.
     """
-    up = e == math.inf
-    down = ~up & (np.abs(p.real - e) <= 1e-14 * (1.0 + np.abs(e)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = (abs(p) ** 2 - e * e) / (2.0 * (p.real - e))
-    u = np.where(up, p.real, np.where(down, math.inf, 2.0 * c - e))
-    branch = [down, up, u > e]
-    maps = (
-        np.where(down, 0.0, 1.0),
-        np.where(down, 1.0, -u),
-        np.select(branch, [-1.0, 0.0, 1.0], -1.0),
-        np.select(branch, [e, 1.0, -e], e),
-    )
-    return u, maps
+    return t - math.asinh(math.sinh(t) * _half_angle_sine(e1, e2))
 
 
-def _apply_maps(maps, z):
-    a, b, c, d = maps
-    return (a * z + b) / (c * z + d)
+def plane_ray_products(e1, e2, t):
+    """`plane_ray_product` over broadcast arrays (math.inf allowed; the
+    value where e1 == e2 is meaningless)."""
+    e1, e2 = np.asarray(e1, dtype=float), np.asarray(e2, dtype=float)
+    with np.errstate(invalid="ignore"):
+        sine = np.abs(e1 - e2) / (np.hypot(1.0, e1) * np.hypot(1.0, e2))
+    sine = np.where(np.isinf(e1), 1.0 / np.hypot(1.0, e2), sine)
+    sine = np.where(np.isinf(e2), 1.0 / np.hypot(1.0, e1), sine)
+    return t - np.arcsinh(np.sinh(t) * sine)
 
 
-def plane_ray_points(p, e, t):
-    """Complex coordinates of `ray_point` on the rays from the plane point p
-    toward the ideal points e (an array, math.inf allowed) at arclengths t
-    (a scalar or an array broadcast against e)."""
-    e, t = np.broadcast_arrays(np.asarray(e, dtype=float), np.asarray(t, dtype=float))
-    u, maps = _ray_axis_maps(p.z, e)
-    a, b, c, d = maps
-    y = 1j * (np.abs(_apply_maps(maps, p.z)) * np.exp(t))
-    w = _apply_maps((d, -b, -c, a), y)
-    down = u == math.inf
-    # vertical lines down keep plane_line_point's closed form
-    real = np.where(down, e, w.real)
-    imag = np.where(down, np.abs(p.z - e) * np.exp(-t), w.imag)
-    return real + 1j * np.maximum(imag, 1e-300)
+def plane_ray_distance(y, e):
+    """d(y, ray from i toward the ideal point e) for a plane coordinate y.
+
+    With u, w the Cayley images of e and y and rho = d(i, y), the distance
+    is asinh((1 + cosh rho) |Im(conj(u) w)|) when the foot of the
+    perpendicular lies on the ray (Re(conj(u) w) > 0), and rho otherwise.
+    """
+    rho = plane_distance(1j, y)
+    u = 1.0 if e == math.inf else (e - 1j) / (e + 1j)
+    v = u.conjugate() * (y - 1j) / (y + 1j)
+    if v.real > 0:
+        return math.asinh((1.0 + math.cosh(rho)) * abs(v.imag))
+    return rho
 
 
-def plane_dists_to_rays(x, p, e):
-    """`plane_dist_to_ray(x, p, e)` over an array of ideal points e."""
-    _, maps = _ray_axis_maps(p.z, np.asarray(e, dtype=float))
-    xm = _apply_maps(maps, x.z)
-    lo = np.abs(_apply_maps(maps, p.z))
-    # _dist_to_axis_arc with the arc [lo, inf)
-    return np.where(
-        lo <= np.abs(xm),
-        np.arcsinh(np.abs(xm.real) / xm.imag),
-        plane_distances(xm, 1j * lo),
-    )
+def plane_ray_distances(y, e):
+    """`plane_ray_distance(y, e)` over an array of ideal points e."""
+    e = np.asarray(e, dtype=float)
+    rho = plane_distance(1j, y)
+    finite = np.where(np.isinf(e), 0.0, e)
+    u = np.where(np.isinf(e), 1.0, (finite - 1j) / (finite + 1j))
+    v = np.conj(u) * ((y - 1j) / (y + 1j))
+    return np.where(v.real > 0, np.arcsinh((1.0 + math.cosh(rho)) * np.abs(v.imag)), rho)

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,37 @@ def test_plane_boundary_product_bracket(schottky):
     p, err = boundary_gromov_product(schottky, z, zp)
     assert p >= -1e-9
     assert 0 <= err <= schottky.declared_delta + 1e-12
+
+
+def _decimal_ray_product(e1, e2, t):
+    """t - asinh(sinh t sin(theta/2)) at 40 digits from the exact floats."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        t = Decimal(t)
+        if math.inf in (e1, e2):
+            other = Decimal(e2 if e1 == math.inf else e1)
+            sine = 1 / (1 + other * other).sqrt()
+        else:
+            a, b = Decimal(e1), Decimal(e2)
+            sine = abs(a - b) / ((1 + a * a) * (1 + b * b)).sqrt()
+        x = (t.exp() - (-t).exp()) / 2 * sine
+        return float(t - (x + (x * x + 1).sqrt()).ln())
+
+
+def test_plane_boundary_product_has_no_cancellation(l4_measure, schottky):
+    # d(i, p1) + d(i, p2) - d(p1, p2) of ray points at depth up to 23
+    # cancels to ~1e-10; the product must be accurate to rounding
+    atoms = [a.boundary for a in l4_measure.boundary_atoms]
+    checked = 0
+    for z in atoms[::37]:
+        for zp in atoms[::41]:
+            if z.coord == zp.coord:
+                continue
+            t = max(min(z.depth, zp.depth), 4.0)
+            got, _ = boundary_gromov_product(schottky, z, zp)
+            assert abs(got - _decimal_ray_product(z.coord, zp.coord, t)) <= 1e-12
+            checked += 1
+    assert checked > 900
 
 
 def test_visual_distance_tree_is_an_ultrametric(f2):

@@ -15,7 +15,7 @@ from hypcrit.convergence import (
     snapshot,
     verify_witness,
 )
-from hypcrit.errors import InsufficientDataError, MalformedWitnessError
+from hypcrit.errors import InsufficientDataError, KindMismatchError, MalformedWitnessError
 from hypcrit.isometries import apply_isometry, certify_ping_pong, schottky_pair
 from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
 from hypcrit.space import ModelSpace, TreePoint, tree_depth
@@ -186,6 +186,16 @@ def test_search_witness_reports_failures(f2, f2_ball):
     got = search_witness(fsnap, lim, 0.1)
     assert isinstance(got, SearchFailure)
     assert got.defects.worst() >= 0.1
+
+
+def test_search_witness_refuses_mixed_model_kinds(snap):
+    desc = schottky_pair(4.0)
+    plane = schottky_action(desc, certify_ping_pong(desc))
+    psnap = snapshot(plane, enumerate_orbit_ball(plane, 4.0), 0.5)
+    with pytest.raises(KindMismatchError):
+        search_witness(snap, psnap, 0.5)
+    with pytest.raises(KindMismatchError):
+        search_witness(psnap, snap, 0.5)
 
 
 def test_validity_is_monotone_in_epsilon(snap):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -68,6 +69,15 @@ def test_poincare_partial_on_tree_ball():
     assert poincare_partial(ball, s) == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError):
         poincare_partial(ball, -0.1)
+
+
+@pytest.mark.parametrize("ell", [Fraction(1), Fraction(9, 8)], ids=["L=1", "L=9/8"])
+def test_poincare_partial_reads_tree_levels(ell):
+    ball = enumerate_orbit_ball(tree_action(edge_length=ell), 7 * ell)
+    got = [poincare_partial(ball, s) for s in (0.4, 1.5)]
+    assert ball._entries is None  # no OrbitEntry was built
+    for s, value in zip((0.4, 1.5), got):
+        assert value == sum(math.exp(-s * float(e.displacement)) for e in ball.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The CLI promises byte-identical reports for the same scenario, seed and
 version, so a refactor must leave every digest in ``golden/reports.json``
-unchanged, on the tree and on the plane. A change that alters report bytes
-on purpose re-records the file and names the changed fields:
+unchanged, on the tree and on the plane, at seed 0 (and `verify schottky_L4`
+also at seeds 1 and 2). A change that alters report bytes on purpose
+re-records the file and names the changed fields:
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -40,12 +41,18 @@ PLANE_RUNS = (
     ("entropy", "counterexample_schottky_small"),
     ("entropy", "counterexample_translation"),
 )
-RUNS = TREE_RUNS + PLANE_RUNS
+#: (subcommand, bundled scenario, seed) runs pinned at seeds besides SEED:
+#: the shadow-ball audit of `verify` draws its boundary pairs from the seed
+SEEDED_RUNS = (
+    ("verify", "schottky_L4", 1),
+    ("verify", "schottky_L4", 2),
+)
+RUNS = tuple((c, s, SEED) for c, s in TREE_RUNS + PLANE_RUNS) + SEEDED_RUNS
 
 
-def report_digests(command, scenario, outdir):
-    """Exit code and {report file: sha256} of one CLI run at SEED."""
-    code = cli.main([command, "--scenario", scenario, "--out", str(outdir), "--seed", str(SEED)])
+def report_digests(command, scenario, outdir, seed=SEED):
+    """Exit code and {report file: sha256} of one CLI run at `seed`."""
+    code = cli.main([command, "--scenario", scenario, "--out", str(outdir), "--seed", str(seed)])
     root = Path(outdir)
     digests = {
         p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -55,13 +62,14 @@ def report_digests(command, scenario, outdir):
     return code, digests
 
 
-def _key(command, scenario):
-    return "%s-%s" % (command, scenario)
+def _key(command, scenario, seed=SEED):
+    key = "%s-%s" % (command, scenario)
+    return key if seed == SEED else "%s-seed%d" % (key, seed)
 
 
-def _check_golden(command, scenario, outdir):
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[_key(command, scenario)]
-    code, digests = report_digests(command, scenario, outdir)
+def _check_golden(command, scenario, outdir, seed=SEED):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[_key(command, scenario, seed)]
+    code, digests = report_digests(command, scenario, outdir, seed)
     assert code == golden["exit_code"]
     assert digests == golden["reports"]
 
@@ -74,6 +82,13 @@ def test_tree_reports_match_golden_digests(command, scenario, tmp_path):
 @pytest.mark.parametrize("command,scenario", PLANE_RUNS, ids=[_key(*r) for r in PLANE_RUNS])
 def test_plane_reports_match_golden_digests(command, scenario, tmp_path):
     _check_golden(command, scenario, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "command,scenario,seed", SEEDED_RUNS, ids=[_key(*r) for r in SEEDED_RUNS]
+)
+def test_reports_match_golden_digests_at_other_seeds(command, scenario, seed, tmp_path):
+    _check_golden(command, scenario, tmp_path, seed)
 
 
 def _flatten(golden):
@@ -118,9 +133,10 @@ def test_describe_changes_names_every_moved_entry():
 def record():
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for command, scenario in RUNS:
-            code, digests = report_digests(command, scenario, Path(tmp) / _key(command, scenario))
-            out[_key(command, scenario)] = {"exit_code": code, "reports": digests}
+        for command, scenario, seed in RUNS:
+            key = _key(command, scenario, seed)
+            code, digests = report_digests(command, scenario, Path(tmp) / key, seed)
+            out[key] = {"exit_code": code, "reports": digests}
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     for line in describe_changes(old, out) or ["no digest changed"]:
         print(line)

@@ -21,8 +21,10 @@ from hypcrit.space import (
     pairwise_distances,
     plane_dist_to_ray,
     plane_distance,
-    plane_dists_to_rays,
-    plane_ray_points,
+    plane_ray_distance,
+    plane_ray_distances,
+    plane_ray_product,
+    plane_ray_products,
     ray_point,
 )
 from hypcrit.geometry_checks import _rand_plane_point, _rand_tree_point
@@ -199,28 +201,36 @@ def test_plane_dist_to_ray_matches_grid_minimum():
         assert got >= min(grid) - 0.02  # grid is only 12/512-dense
 
 
-def test_plane_ray_arrays_match_scalar_kernels():
+def test_plane_ray_closed_forms_match_reference():
+    base = PLANE.basepoint
     rng = random.Random(41)
-    for p in (PLANE.basepoint, PlanePoint(-1.7 + 0.4j)):
-        # upward, vertical down (exactly and within 1e-14), and generic
-        # endpoints on both sides of p and of 0
-        ends = [math.inf, p.z.real, p.z.real + 1e-15, 0.3, -0.3, 4.0, -4.0]
-        ends += [rng.uniform(-6.0, 6.0) for _ in range(40)]
-        for t in (1.0, 4.0, 12.0, 23.0):
-            got = plane_ray_points(p, np.array(ends), t)
-            for e, w in zip(ends, got):
-                want = ray_point(PLANE, Ray(p, e), t).z
-                assert abs(w.real - want.real) <= 1e-12 * abs(want)
-                assert abs(w.imag - want.imag) <= 1e-12 * want.imag
-        # one arclength per endpoint, as the boundary products use it
-        ts = np.array([rng.choice((1.0, 4.0, 12.0, 23.0)) for _ in ends])
-        got = plane_ray_points(p, np.array(ends), ts)
-        for e, t, w in zip(ends, ts, got):
-            assert abs(w - ray_point(PLANE, Ray(p, e), t).z) <= 1e-12 * abs(w)
-        for x in rand_points(43, PLANE, 5):
-            dists = plane_dists_to_rays(x, p, np.array(ends))
-            for e, d in zip(ends, dists):
-                assert d == pytest.approx(plane_dist_to_ray(x, p, e), rel=1e-12, abs=1e-12)
+    # upward, straight down, and generic endpoints on both sides of 0
+    ends = [math.inf, 0.0, 0.3, -0.3, 4.0, -4.0] + [rng.uniform(-6.0, 6.0) for _ in range(30)]
+    for t in (1.0, 4.0, 12.0, 23.0):
+        for e1 in ends[:8]:
+            others = [e for e in ends if e != e1]
+            arr = plane_ray_products(e1, np.array(others), t)
+            for e2, got in zip(others, arr):
+                p1 = ray_point(PLANE, Ray(base, e1), t)
+                p2 = ray_point(PLANE, Ray(base, e2), t)
+                want = gromov_product(PLANE, base, p1, p2)
+                # the reference cancels between distances of deep points
+                assert abs(plane_ray_product(e1, e2, t) - want) <= 1e-7
+                assert abs(got - want) <= 1e-7
+    # points near the rays, off them, and behind i, where the nearest ray
+    # point is i itself
+    ys = [p.z for p in rand_points(43, PLANE, 12)]
+    ys += [0.5j, 2j, 0.01 + 0.3j, 3.0 + 0.1j, -3.0 + 0.1j]
+    ys += [ray_point(PLANE, Ray(base, e), 6.0).z * (1 + 1e-3j) for e in ends[:6]]
+    behind = 0
+    for y in ys:
+        arr = plane_ray_distances(y, np.array(ends))
+        for e, got in zip(ends, arr):
+            want = plane_dist_to_ray(PlanePoint(y), base, e)
+            behind += want == pytest.approx(plane_distance(1j, y), rel=1e-12)
+            assert plane_ray_distance(y, e) == pytest.approx(want, rel=1e-9)
+            assert got == pytest.approx(want, rel=1e-9)
+    assert behind > 0
 
 
 def test_basepoint_is_one_shared_point():
