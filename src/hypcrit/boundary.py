@@ -190,7 +190,7 @@ def shadow_contains(action, y, r, z):
     space = action.space
     if space.kind == TREE:
         proxy = TreePoint(z.word)
-        sep = _tree_separation(space, y, proxy)
+        sep = _tree_separation(space.edge_length, y, proxy)
         if sep >= tree_depth(space, proxy) and tree_depth(space, y) > sep:
             raise DepthError("shadow test needs a deeper boundary word")
         return float(tree_depth(space, y) - sep) < r

@@ -7,17 +7,29 @@ eps-approximation: a net of the 1/eps-ball, the elements displacing the
 basepoint by strictly less than 1/eps, and the exact action table between
 them. Verification recomputes every defect from scratch; search only ever
 returns witnesses that re-verify.
+
+Verification needs no n x n float table. A snapshot keeps its distances
+as a `space.DistanceTable`: on trees the int8 common-prefix lengths of the
+net (n^2 bytes, 15 MB at 3841 points where float64 took 118 MB), on the
+plane the dense table of its small orbit net. Defects are computed from
+blocks of rows and lists of pairs through the same float formula the
+dense table applied, and tree images that leave the net are placed by
+word arithmetic at an exact integer number of grid steps, so every defect
+is bitwise the one the dense tables and the scalar `Fraction` fallback
+gave.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InsufficientDataError, KindMismatchError, MalformedWitnessError
 from .isometries import apply_isometry
-from .space import TREE, TreePoint, distance, pairwise_distances
+from .space import _BLOCK, TREE, DistanceTable, TreePoint, _tree_separation, distance
 from .words import _ORDER, compose_words, letters, reduced_words_upto
 
 #: eps rungs tried by the continuity experiment, largest first; the last
@@ -41,7 +53,7 @@ class TripleSnapshot:
     (or, on the plane, the sampled net).
     """
 
-    def __init__(self, action, epsilon, resolution, covering_radius, points, elements, table, base_index, point_words=None):
+    def __init__(self, action, epsilon, resolution, covering_radius, points, elements, table, base_index, point_words=None, steps=None):
         self.action = action
         self.space = action.space
         self.epsilon = float(epsilon)
@@ -52,16 +64,17 @@ class TripleSnapshot:
         self.action_table = table
         self.base_index = base_index
         self.point_words = point_words
-        self._dist = None
+        #: tree: each point's offset in grid steps (resolution units)
+        self.steps = steps
 
     @property
     def radius(self):
         return 1.0 / self.epsilon
 
-    def distances(self):
-        if self._dist is None:
-            self._dist = pairwise_distances(self.space, self.points)
-        return self._dist
+    @cached_property
+    def metric(self):
+        """The net's `DistanceTable`, built on first use."""
+        return DistanceTable(self.space, self.points)
 
 
 def _tree_snapshot(space, levels, R, res_frac):
@@ -145,7 +158,7 @@ def _tree_snapshot(space, levels, R, res_frac):
         u = lmul[code[:, j, None], u]
     up = (last[u] == (pd ^ 1)) & (ps > 0)
     table = np.where(up, pid[parent[u], last[u], steps - ps], pid[u, pd, ps])
-    return points, elements, table
+    return points, elements, table, ps
 
 
 def snapshot(action, ball, epsilon, resolution=None):
@@ -174,7 +187,7 @@ def snapshot(action, ball, epsilon, resolution=None):
             raise ValueError("resolution %s too coarse for eps=%s" % (res, epsilon))
         if res_frac.numerator != 1:
             raise ValueError("resolution %s does not divide the edge length %s" % (res, L))
-        points, elements, table = _tree_snapshot(space, ball.levels, R, res_frac)
+        points, elements, table, steps = _tree_snapshot(space, ball.levels, R, res_frac)
         cov = float(res) / 2.0
         base_index = 0
     else:
@@ -205,7 +218,7 @@ def snapshot(action, ball, epsilon, resolution=None):
             action, epsilon, res, cov, points, elements, table, base_index,
             point_words=tuple(e.word for e in sel),
         )
-    return TripleSnapshot(action, epsilon, res, cov, points, elements, table, base_index)
+    return TripleSnapshot(action, epsilon, res, cov, points, elements, table, base_index, steps=steps)
 
 
 @dataclass(frozen=True)
@@ -260,16 +273,32 @@ def verify_witness(A, B, w):
     evaluated on the nets exactly, with the combined covering radius of
     both nets reported separately as discretization slack. Valid iff every
     defect is strictly below w.epsilon.
+
+    Memory: each snapshot's `DistanceTable` (on trees n^2 int8 prefix
+    lengths, on the plane the dense table of at most about 1.4k points) and
+    O(_BLOCK * n) float temporaries. Distortion and surjectivity are read
+    off blocks of _BLOCK rows of A and the rows of B at f(block), with a
+    running column minimum for surjectivity; the basepoint defect and the
+    in-net equivariance pairs are read as lists of pairs. Every entry
+    is bitwise the entry of the dense `pairwise_distances` table and every
+    defect is a max or min of entries, so the defects are bitwise those of
+    the dense n x n computation.
     """
     _check_table("f", w.f, len(A.points), len(B.points))
     _check_table("phi", w.phi, len(A.elements), max(len(B.elements), 1))
     _check_table("psi", w.psi, len(B.elements), max(len(A.elements), 1))
     f = np.asarray(w.f, dtype=np.int64)
-    DA = A.distances()
-    DB = B.distances()
-    base = float(DB[f[A.base_index], B.base_index])
-    distortion = float(np.abs(DB[np.ix_(f, f)] - DA).max())
-    surj = float(DB[f, :].min(axis=0).max()) + B.covering_radius
+    base = float(B.metric.pairs(f[[A.base_index]], [B.base_index])[0])
+    distortion = 0.0
+    cover = np.full(len(B.points), np.inf)
+    for start in range(0, len(f), _BLOCK):
+        rows = np.arange(start, min(start + _BLOCK, len(f)))
+        DB = B.metric.rows(f[rows])
+        gap = DB[:, f]
+        gap -= A.metric.rows(rows)
+        distortion = max(distortion, float(np.abs(gap, out=gap).max()))
+        np.minimum(cover, DB.min(axis=0), out=cover)
+    surj = float(cover.max()) + B.covering_radius
     phi_def = _equivariance_defect(A, B, f, w.phi, forward=True)
     psi_def = _equivariance_defect(A, B, f, w.psi, forward=False)
     defects = WitnessDefects(
@@ -281,16 +310,14 @@ def verify_witness(A, B, w):
     return valid, defects
 
 
-def _apply_element(snap, el_idx, point):
-    iso = snap.action.isometry(snap.elements[el_idx].word)
-    return apply_isometry(snap.space, iso, point)
-
-
 def _equivariance_defect(A, B, f, mapping, forward):
     """Forward: max d_B(f(g x), phi(g) f(x)) over g in Sigma(A), x with
     g x in the A-ball. Backward: max d_B(f(psi(g) x), g f(x)) over g in
-    Sigma(B), x with psi(g) x in the A-ball."""
-    DB = B.distances()
+    Sigma(B), x with psi(g) x in the A-ball.
+
+    Images g f(x) inside B's net are read through the pair formula; those
+    that leave it are computed exactly (`_tree_offnet_defect`, or one
+    scalar isometry and distance each on the plane)."""
     worst = 0.0
     n_out = len(B.elements) if not forward else len(A.elements)
     for gi in range(n_out):
@@ -305,12 +332,49 @@ def _equivariance_defect(A, B, f, mapping, forward):
         rhs = B.action_table[bi][f[xs]]
         inside = rhs >= 0
         if inside.any():
-            worst = max(worst, float(DB[lhs[inside], rhs[inside]].max()))
-        for k in np.nonzero(~inside)[0]:
-            x = xs[k]
-            img = _apply_element(B, bi, B.points[f[x]])
-            worst = max(worst, float(distance(B.space, B.points[lhs[k]], img)))
+            worst = max(worst, float(B.metric.pairs(lhs[inside], rhs[inside]).max()))
+        if inside.all():
+            continue
+        if B.space.kind == TREE:
+            worst = max(worst, _tree_offnet_defect(B, bi, f[xs[~inside]], lhs[~inside]))
+            continue
+        iso = B.action.isometry(B.elements[bi].word)
+        for x, l in zip(f[xs[~inside]], lhs[~inside]):
+            img = apply_isometry(B.space, iso, B.points[x])
+            worst = max(worst, float(distance(B.space, B.points[l], img)))
     return worst
+
+
+#: a tree point with its offset counted in grid steps
+_GridPoint = namedtuple("_GridPoint", "word offset direction")
+
+
+def _tree_offnet_defect(snap, el_idx, xs, ys):
+    """max_k d(g xs[k], ys[k]) for the element g = snap.elements[el_idx],
+    net points xs whose images leave the net, and net points ys.
+
+    Word arithmetic on the grid, as in `_tree_snapshot`: the image of a
+    point s steps from vertex v toward d lies s steps from u = g v toward
+    d, unless u ends in the inverse of d; then it lies m - s steps from
+    the parent of u toward the last letter of u (m steps per edge). The
+    distance is an integer k of grid steps, converted once as
+    float(Fraction(k) * resolution), the float of the exact distance.
+    """
+    g = snap.elements[el_idx].word
+    m = int(snap.space.edge_length / snap.resolution)
+    pts, steps = snap.points, snap.steps
+    worst = 0
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        p, s = pts[x], int(steps[x])
+        u = compose_words(g, p.word)
+        if s and u and u[-1] == p.direction.swapcase():
+            img = _GridPoint(u[:-1], m - s, u[-1])
+        else:
+            img = _GridPoint(u, s, p.direction)
+        q = _GridPoint(pts[y].word, int(steps[y]), pts[y].direction)
+        sep = _tree_separation(m, img, q)
+        worst = max(worst, len(img.word) * m + img.offset + len(q.word) * m + q.offset - 2 * sep)
+    return float(Fraction(worst) * snap.resolution)
 
 
 def _word_index(snap):
@@ -336,6 +400,15 @@ def search_witness(A, B, epsilon):
     longest available prefix for shell-straddling elements). Failures
     return a SearchFailure carrying the best defect vector found.
     """
+    w = _wordwise_witness(A, B, epsilon)
+    valid, defects = verify_witness(A, B, w)
+    if valid:
+        return ApproximationWitness(w.f, w.phi, w.psi, w.epsilon, defects)
+    return SearchFailure("verification failed", defects)
+
+
+def _wordwise_witness(A, B, epsilon):
+    """The unverified word-wise candidate of `search_witness`."""
     if A.space.kind != B.space.kind:
         raise KindMismatchError(
             "no word-wise witness between %s and %s snapshots" % (A.space.kind, B.space.kind)
@@ -348,11 +421,7 @@ def search_witness(A, B, epsilon):
     aw = _word_index(A)
     phi = tuple(_match_element(el.word, bw) for el in A.elements)
     psi = tuple(_match_element(el.word, aw) for el in B.elements)
-    w = ApproximationWitness(tuple(int(i) for i in f), phi, psi, float(epsilon))
-    valid, defects = verify_witness(A, B, w)
-    if valid:
-        return ApproximationWitness(w.f, w.phi, w.psi, w.epsilon, defects)
-    return SearchFailure("verification failed", defects)
+    return ApproximationWitness(tuple(int(i) for i in f), phi, psi, float(epsilon))
 
 
 def _tree_wordwise_points(A, B):

@@ -29,7 +29,9 @@ from .space import (
     plane_dist_to_ideal_line,
     plane_distance,
     plane_line_point,
+    plane_line_points,
     ray_point,
+    ray_points,
     tree_dist_to_word_line,
 )
 from .words import letters
@@ -198,20 +200,19 @@ def check_geodesic_lemmas(space, delta, plan=SamplingPlan()):
                 min(max(t1_opt + s * delta, 0.0), float(d0))
                 for s in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
             ]
-        r1, r2 = Ray(p, e), Ray(pp, e)
-        best = math.inf
-        for t1 in splits:
-            t2 = d0 - t1
-            if t2 < 0 or t1 < 0:
-                continue
-            sup = 0.0
-            for t in t_grid:
-                a = ray_point(space, r1, t + t1)
-                b = ray_point(space, r2, t + t2)
-                sup = max(sup, float(distance(space, a, b)))
-            best = min(best, sup)
-        if best is math.inf:
+        splits = [(t1, d0 - t1) for t1 in splits if t1 >= 0 and d0 - t1 >= 0]
+        if not splits:
             return None
+        # every matched pair of parameters, one ray_points call per ray
+        a = ray_points(space, Ray(p, e), [t + t1 for t1, _ in splits for t in t_grid])
+        b = ray_points(space, Ray(pp, e), [t + t2 for _, t2 in splits for t in t_grid])
+        n = len(t_grid)
+        best = math.inf
+        for k in range(len(splits)):
+            sup = 0.0
+            for x, y in zip(a[k * n : (k + 1) * n], b[k * n : (k + 1) * n]):
+                sup = max(sup, float(distance(space, x, y)))
+            best = min(best, sup)
         return max(best - 8.0 * delta, 0.0), "p=%r p'=%r e=%r" % (p, pp, e)
 
     run("parallel-rays", 8.0 * delta, parallel)
@@ -288,35 +289,20 @@ def check_geodesic_lemmas(space, delta, plan=SamplingPlan()):
             x = geodesic_point(space, A, B, mid + Fraction(rng.randrange(-32, 33), 8))
         else:
             x = plane_line_point(u, v, space.basepoint, rng.uniform(-4, 4))
-        ray = Ray(x, z)
+        ray = ray_points(space, Ray(x, z), t_grid)
         best = math.inf
         for c in (u, v):
             sup = 0.0
             if tree:
                 A, B = TreePoint(c), TreePoint(z)
                 s0 = gromov_product(space, A, B, x)
-                for t in t_grid:
-                    sup = max(
-                        sup,
-                        float(
-                            distance(
-                                space,
-                                ray_point(space, ray, t),
-                                geodesic_point(space, A, B, s0 + t),
-                            )
-                        ),
-                    )
+                for r, t in zip(ray, t_grid):
+                    sup = max(sup, float(distance(space, r, geodesic_point(space, A, B, s0 + t))))
             else:
                 if plane_dist_to_ideal_line(x, c, z) > 6.0 * delta + 1e-9 and delta > 0:
                     continue
-                for t in t_grid:
-                    sup = max(
-                        sup,
-                        plane_distance(
-                            ray_point(space, ray, t).z,
-                            plane_line_point(c, z, x, t).z,
-                        ),
-                    )
+                for r, q in zip(ray, plane_line_points(c, z, x, t_grid)):
+                    sup = max(sup, plane_distance(r.z, q.z))
             best = min(best, sup)
         if best is math.inf:
             return None

@@ -16,7 +16,9 @@ by a Mobius map and move along it by multiplying the imaginary part by e^t.
 Distances to segments, rays and ideal lines are distances to an arc of that
 axis (`_dist_to_axis_arc`). Vectorized distance rows come from
 `_distance_rows`: sorted root paths on trees, the arcsinh formula
-(`plane_distances`) on the plane.
+(`plane_distances`) on the plane. `DistanceTable` keeps a fixed net's
+distances for repeated reads by rows or pairs: int8 common-prefix lengths
+on trees, the dense table on the plane.
 
 Rays from the basepoint i need no ray points: Gromov products of ray
 points at a common depth (`plane_ray_product`) and distances to such rays
@@ -138,9 +140,11 @@ def tree_depth(space, p):
     return len(p.word) * space.edge_length + p.offset
 
 
-def _tree_separation(space, p, q):
-    """Length of the common initial segment of the two root-paths."""
-    L = space.edge_length
+def _tree_separation(L, p, q):
+    """Length of the common initial segment of the two root-paths, for edge
+    length L. Only word, direction and offset are read, so points whose
+    offsets count integer grid steps (with L the steps per edge) give the
+    separation in steps."""
     k = _lcp(p.word, q.word)
     lp, lq = len(p.word), len(q.word)
     if k < lp and k < lq:
@@ -169,7 +173,8 @@ def distance(space, p, q):
     _check_point(space, p)
     _check_point(space, q)
     if space.kind == TREE:
-        return tree_depth(space, p) + tree_depth(space, q) - 2 * _tree_separation(space, p, q)
+        sep = _tree_separation(space.edge_length, p, q)
+        return tree_depth(space, p) + tree_depth(space, q) - 2 * sep
     return plane_distance(p.z, q.z)
 
 
@@ -212,7 +217,7 @@ def _tree_geodesic_point(space, p, q, t):
     d = distance(space, p, q)
     if t < 0 or t > d:
         raise ValueError("geodesic parameter out of range: t=%s, d=%s" % (t, d))
-    sep = _tree_separation(space, p, q)
+    sep = _tree_separation(space.edge_length, p, q)
     a = tree_depth(space, p) - sep  # length of the upward leg
     if t <= a:
         return _tree_point_at_depth(space, p.word, p.direction, tree_depth(space, p) - t)
@@ -308,18 +313,37 @@ class Ray:
 
 def ray_point(space, ray, t):
     """Point at arclength t >= 0 along the ray."""
-    if t < 0:
+    return ray_points(space, ray, [t])[0]
+
+
+def ray_points(space, ray, ts):
+    """Points at the arclengths ts (a sequence, each >= 0) along the ray.
+
+    The ray's plane line, or on the tree the split of its root path at the
+    branch point, is built once for all of ts; each point is the one
+    `ray_point` returns. A tree parameter beyond the proxy vertex raises
+    DepthError.
+    """
+    if any(t < 0 for t in ts):
         raise ValueError("ray parameter must be nonnegative")
-    if space.kind == TREE:
-        proxy = TreePoint(ray.target)
-        d = distance(space, ray.origin, proxy)
-        if _as_fraction(t) > d:
-            raise DepthError(
-                "ray proxy too shallow: t=%s beyond proxy distance %s" % (t, d)
-            )
-        return _tree_geodesic_point(space, ray.origin, proxy, t)
-    u, e = _ray_line(ray.origin.z, ray.target)
-    return plane_line_point(u, e, ray.origin, t)
+    if space.kind != TREE:
+        u, e = _ray_line(ray.origin.z, ray.target)
+        return plane_line_points(u, e, ray.origin, ts)
+    p, proxy = ray.origin, TreePoint(ray.target)
+    d = distance(space, p, proxy)
+    sep = _tree_separation(space.edge_length, p, proxy)
+    depth = tree_depth(space, p)
+    a = depth - sep  # length of the upward leg
+    out = []
+    for t in ts:
+        t = _as_fraction(t)
+        if t > d:
+            raise DepthError("ray proxy too shallow: t=%s beyond proxy distance %s" % (t, d))
+        if t <= a:
+            out.append(_tree_point_at_depth(space, p.word, p.direction, depth - t))
+        else:
+            out.append(_tree_point_at_depth(space, proxy.word, proxy.direction, sep + (t - a)))
+    return out
 
 
 def _ray_line(p, e):
@@ -434,14 +458,25 @@ def _dist_to_axis_arc(xm, a, b):
 def plane_line_point(u, v, xref, t):
     """Point on the ideal line (u,v) at signed arclength t from the
     projection of xref onto the line (positive direction toward v)."""
+    return plane_line_points(u, v, xref, [t])[0]
+
+
+def plane_line_points(u, v, xref, ts):
+    """`plane_line_point` at each of the arclengths ts, conjugating the
+    line to the axis once."""
     if u == math.inf:
         # vertical line down to v, in closed form: the Mobius round trip
         # loses the real part's precision as the point nears the boundary
-        return PlanePoint(complex(v, max(abs(xref.z - v) * math.exp(-t), 1e-300)))
+        r = abs(xref.z - v)
+        return [PlanePoint(complex(v, max(r * math.exp(-t), 1e-300))) for t in ts]
     M = _mobius_to_axis(u, v)
-    xm = _mobius_apply(M, xref.z)
-    w = _mobius_apply(_mobius_inverse(M), complex(0.0, abs(xm) * math.exp(t)))
-    return PlanePoint(complex(w.real, max(w.imag, 1e-300)))
+    M_inv = _mobius_inverse(M)
+    rho = abs(_mobius_apply(M, xref.z))
+    out = []
+    for t in ts:
+        w = _mobius_apply(M_inv, complex(0.0, rho * math.exp(t)))
+        out.append(PlanePoint(complex(w.real, max(w.imag, 1e-300))))
+    return out
 
 
 def tree_dist_to_word_line(space, x, wu, wv):
@@ -491,8 +526,15 @@ class _TreePaths:
     sorted once; the common-prefix length of sorted rows a < b is then the
     minimum of the adjacent common-prefix lengths between them, so one
     point's prefix lengths against all others cost O(n) and no
-    n x n x depth comparison is ever built. Distances use the float64
-    formula depth_i + depth_j - 2 sep_ij with sep_ij from `_tree_separation`.
+    n x n x depth comparison is ever built.
+
+    A distance is two steps. `prefix_lengths` gives the common-prefix
+    lengths (small integers: a whole n x n table fits in int8, n^2 bytes);
+    `from_prefixes` evaluates the float64 formula depth_i + depth_j -
+    2 sep_ij, with sep_ij as in `_tree_separation`, for a block of rows or
+    for a list of pairs. Both read the same per-point operands, so a
+    distance is bitwise the same whichever way its prefix length was
+    stored or its pair was selected.
     """
 
     def __init__(self, space, points):
@@ -523,17 +565,66 @@ class _TreePaths:
         srt[:p] = np.minimum.accumulate(self.adjacent[:p][::-1])[::-1]
         out[:] = srt[self.rank]
 
-    def distances(self, rows):
-        """(len(rows), n) distances from the points at indices `rows`."""
-        lcp = np.empty((len(rows), len(self.rank)), dtype=np.int64)
+    def prefix_lengths(self, rows, dtype=np.int64):
+        """(len(rows), n) common-prefix lengths of the points at `rows`."""
+        if np.iinfo(dtype).max < self.width:
+            raise ValueError("prefix lengths up to %d overflow %s" % (self.width, dtype))
+        lcp = np.empty((len(rows), len(self.rank)), dtype=dtype)
         for r, i in enumerate(rows):
             self._prefix_lengths(i, lcp[r])
-        shorter = np.minimum(self.wl, self.wl[rows, None])
-        bonus = np.where(
-            self.shallow_rank < self.shallow_rank[rows, None], self.off, self.off[rows, None]
-        )
-        sep = np.where(lcp > shorter, shorter * self.L + bonus, lcp * self.L)
-        return np.maximum(self.depth + self.depth[rows, None] - 2.0 * sep, 0.0)
+        return lcp
+
+    def from_prefixes(self, lcp, i, j):
+        """Distances between points i and j (broadcast index arrays, or a
+        slice for j) with common-prefix lengths lcp."""
+        shorter = np.minimum(self.wl[j], self.wl[i])
+        # sep = shorter L + bonus where the paths agree past the shorter
+        # word, else lcp L; in place, to keep one block's temporaries few
+        sep = shorter * self.L
+        sep += np.where(self.shallow_rank[j] < self.shallow_rank[i], self.off[j], self.off[i])
+        np.copyto(sep, lcp * self.L, where=lcp <= shorter)
+        d = self.depth[j] + self.depth[i]
+        sep *= 2.0
+        d -= sep
+        return np.maximum(d, 0.0, out=d)
+
+    def distances(self, rows):
+        """(len(rows), n) distances from the points at indices `rows`."""
+        rows = np.asarray(rows)
+        return self.from_prefixes(self.prefix_lengths(rows), rows[:, None], slice(None))
+
+
+class DistanceTable:
+    """Distances among a fixed list of points, read by rows or by pairs.
+
+    Trees keep the int8 common-prefix table of `_TreePaths` (n^2 bytes)
+    and evaluate its float formula on demand, so a block of b rows costs
+    O(b n) floats and no n x n float table exists. The plane keeps the
+    dense float64 table of `pairwise_distances`. Either way an entry is
+    bitwise the entry of `pairwise_distances(space, points)`.
+    """
+
+    def __init__(self, space, points):
+        if space.kind == TREE:
+            self._paths = _TreePaths(space, points)
+            self._table = self._paths.prefix_lengths(np.arange(len(points)), np.int8)
+        else:
+            self._paths = None
+            self._table = pairwise_distances(space, points)
+
+    def rows(self, rows):
+        """(len(rows), n) distances from the points at indices `rows`."""
+        rows = np.asarray(rows)
+        if self._paths is None:
+            return self._table[rows]
+        return self._paths.from_prefixes(self._table[rows], rows[:, None], slice(None))
+
+    def pairs(self, i, j):
+        """Distances between points i[k] and j[k] for equal-length index
+        arrays."""
+        if self._paths is None:
+            return self._table[i, j]
+        return self._paths.from_prefixes(self._table[i, j], i, j)
 
 
 def _distance_rows(space, points):

@@ -1,14 +1,17 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hypcrit import convergence
 from hypcrit.convergence import (
     ApproximationWitness,
     ContinuityConfig,
     SearchFailure,
+    WitnessDefects,
     algebraic_convergence_gap,
     run_continuity_experiment,
     search_witness,
@@ -18,7 +21,7 @@ from hypcrit.convergence import (
 from hypcrit.errors import InsufficientDataError, KindMismatchError, MalformedWitnessError
 from hypcrit.isometries import apply_isometry, certify_ping_pong, schottky_pair
 from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
-from hypcrit.space import ModelSpace, TreePoint, tree_depth
+from hypcrit.space import ModelSpace, TreePoint, distance, pairwise_distances, tree_depth
 from hypcrit.words import letters, reduced_words_upto
 
 PLANE = ModelSpace.plane()
@@ -62,9 +65,7 @@ def test_snapshot_elements_are_strictly_inside(snap):
 def test_snapshot_net_covers_the_ball(snap):
     assert snap.covering_radius == pytest.approx(1.0 / 32.0)
     assert snap.points[snap.base_index].word == ""
-    import numpy as np
-
-    da = snap.distances()[snap.base_index]
+    da = pairwise_distances(snap.space, snap.points)[snap.base_index]
     assert float(np.max(da)) <= snap.radius + 1e-12
 
 
@@ -212,6 +213,134 @@ def test_validity_is_monotone_in_epsilon(snap):
         ]
         # once valid at some eps, valid at every larger eps
         assert verdicts == sorted(verdicts)
+
+
+# ---------------------------------------------------------------------------
+# verification against the dense reference
+
+
+def dense_equivariance(A, B, f, DB, mapping, forward, off_net):
+    """Equivariance defect from B's dense table, with a scalar isometry and
+    distance for every image that leaves B's net (counted in off_net)."""
+    worst = 0.0
+    for gi in range(len(A.elements) if forward else len(B.elements)):
+        ai, bi = (gi, mapping[gi]) if forward else (mapping[gi], gi)
+        xs = np.nonzero(A.action_table[ai] >= 0)[0]
+        lhs = f[A.action_table[ai][xs]]
+        rhs = B.action_table[bi][f[xs]]
+        inside = rhs >= 0
+        if inside.any():
+            worst = max(worst, float(DB[lhs[inside], rhs[inside]].max()))
+        iso = B.action.isometry(B.elements[bi].word)
+        for k in np.nonzero(~inside)[0]:
+            img = apply_isometry(B.space, iso, B.points[f[xs[k]]])
+            worst = max(worst, float(distance(B.space, B.points[lhs[k]], img)))
+            off_net[0] += 1
+    return worst
+
+
+def dense_verify(A, B, w, off_net):
+    """`verify_witness` on dense n x n float tables."""
+    f = np.asarray(w.f, dtype=np.int64)
+    DA = pairwise_distances(A.space, A.points)
+    DB = pairwise_distances(B.space, B.points)
+    defects = WitnessDefects(
+        float(DB[f[A.base_index], B.base_index]),
+        float(np.abs(DB[np.ix_(f, f)] - DA).max()),
+        float(DB[f, :].min(axis=0).max()) + B.covering_radius,
+        dense_equivariance(A, B, f, DB, w.phi, True, off_net),
+        dense_equivariance(A, B, f, DB, w.psi, False, off_net),
+        A.covering_radius + B.covering_radius,
+    )
+    return defects.worst() < float(w.epsilon), defects
+
+
+def assert_matches_dense(A, B, witnesses):
+    """verify_witness equals the dense reference bitwise; returns how many
+    images left B's net."""
+    off_net = [0]
+    for w in witnesses:
+        assert verify_witness(A, B, w) == dense_verify(A, B, w, off_net)
+    return off_net[0]
+
+
+def test_verify_matches_dense_reference_on_one_net(snap):
+    rng = random.Random(5)
+    n_pts, n_els = len(snap.points), len(snap.elements)
+    ident = identity_witness(snap, 0.5)
+    swap = {"a": "b", "b": "a", "A": "B", "B": "A"}
+    words = [el.word for el in snap.elements]
+    witnesses = [ident, ApproximationWitness(
+        ident.f, tuple(words.index(swap.get(w, w)) for w in words), ident.psi, 0.5
+    )]
+    for _ in range(20):
+        witnesses.append(ApproximationWitness(
+            tuple(rng.randrange(n_pts) for _ in range(n_pts)),
+            tuple(rng.randrange(n_els) for _ in range(n_els)),
+            tuple(rng.randrange(n_els) for _ in range(n_els)),
+            rng.choice([0.5, 2.0, 8.0]),
+        ))
+    assert assert_matches_dense(snap, snap, witnesses) > 0
+
+
+@pytest.fixture(scope="module")
+def rescale_limit(f2):
+    return enumerate_orbit_ball(f2, 4)
+
+
+@pytest.mark.parametrize(
+    "ell, eps, leaves_net",
+    [
+        (Fraction(3, 2), 1.0, False),
+        (Fraction(3, 2), 0.25, True),
+        (Fraction(9, 8), 1.0, False),
+        (Fraction(9, 8), 0.25, False),
+    ],
+)
+def test_wordwise_witnesses_match_dense_reference(
+    ell, eps, leaves_net, f2, rescale_limit, monkeypatch
+):
+    member = tree_action(edge_length=ell)
+    A = snapshot(member, enumerate_orbit_ball(member, 4 * ell), eps, resolution=ell / 24)
+    B = snapshot(f2, rescale_limit, eps, resolution=Fraction(1, 24))
+    calls = []
+    offnet = convergence._tree_offnet_defect
+    monkeypatch.setattr(
+        convergence, "_tree_offnet_defect", lambda *a: calls.append(1) or offnet(*a)
+    )
+    off_net = assert_matches_dense(A, B, [convergence._wordwise_witness(A, B, eps)])
+    assert (off_net > 0) == bool(calls) == leaves_net
+
+
+def test_plane_wordwise_witness_matches_dense_reference():
+    def member(L):
+        desc = schottky_pair(L)
+        return schottky_action(desc, certify_ping_pong(desc))
+
+    snaps = []
+    for L in (4.5, 4.0):  # a schottky_family member and the limit, ball_T 23 L/4
+        act = member(L)
+        snaps.append(snapshot(act, enumerate_orbit_ball(act, 23.0 * L / 4.0), 0.08))
+    w = convergence._wordwise_witness(*snaps, 0.08)
+    assert assert_matches_dense(*snaps, [w]) > 0
+
+
+def test_search_witness_memory_grows_with_the_output(f2, rescale_limit):
+    # dense float tables of these nets take 56 + 118 MB before any
+    # temporary; the int8 prefix tables take 7 + 15 MB
+    ell = Fraction(9, 8)
+    member = tree_action(edge_length=ell)
+    A = snapshot(member, enumerate_orbit_ball(member, 4 * ell), 0.25, resolution=ell / 24)
+    B = snapshot(f2, rescale_limit, 0.25, resolution=Fraction(1, 24))
+    assert (len(A.points), len(B.points)) == (2653, 3841)
+    tracemalloc.start()
+    try:
+        got = search_witness(A, B, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.defects.distortion > 0.25  # a real verification ran: 9/8 fails at 0.25
+    assert peak < 40e6
 
 
 # ---------------------------------------------------------------------------
