@@ -125,7 +125,6 @@ def boundary_gromov_product(action, z, zp):
 @dataclass(frozen=True)
 class VisualParams:
     a: float
-    center: object = None  # defaults to the action basepoint
     V: float = None  # defaults to e^{a*delta}
 
 

@@ -425,20 +425,22 @@ def _wordwise_witness(A, B, epsilon):
 
 
 def _tree_wordwise_points(A, B):
-    scale = Fraction(B.space.edge_length) / Fraction(A.space.edge_length)
-    index = {(p.word, p.offset, p.direction): i for i, p in enumerate(B.points)}
+    # s of A's grid steps are s * m_B / m_A of B's (m steps per edge); a
+    # non-integer count has no counterpart, and the point falls to a vertex
+    ratio = (B.space.edge_length / B.resolution) / (A.space.edge_length / A.resolution)
+    index = {
+        (p.word, s, p.direction): i for i, (p, s) in enumerate(zip(B.points, B.steps.tolist()))
+    }
     vertex = {p.word: i for i, p in enumerate(B.points) if p.is_vertex}
     f = []
-    for p in A.points:
-        key = (p.word, p.offset * scale, p.direction)
-        j = index.get(key)
-        if j is None:
-            j = vertex.get(p.word)
+    for p, s in zip(A.points, A.steps.tolist()):
+        w = p.word
+        sb, rem = divmod(s * ratio.numerator, ratio.denominator)
+        j = vertex.get(w) if rem else index.get((w, sb, p.direction), vertex.get(w))
         while j is None:
             # deep A-point with no B-counterpart inside the ball: walk up
-            wshort = p.word[:-1] if p.word else ""
-            j = vertex.get(wshort)
-            p = TreePoint(wshort)
+            w = w[:-1]
+            j = vertex.get(w)
         f.append(j)
     return f
 

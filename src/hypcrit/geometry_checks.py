@@ -27,7 +27,6 @@ from .space import (
     geodesic_point,
     gromov_product,
     plane_dist_to_ideal_line,
-    plane_distance,
     plane_line_point,
     plane_line_points,
     ray_point,
@@ -292,18 +291,15 @@ def check_geodesic_lemmas(space, delta, plan=SamplingPlan()):
         ray = ray_points(space, Ray(x, z), t_grid)
         best = math.inf
         for c in (u, v):
-            sup = 0.0
             if tree:
-                A, B = TreePoint(c), TreePoint(z)
-                s0 = gromov_product(space, A, B, x)
-                for r, t in zip(ray, t_grid):
-                    sup = max(sup, float(distance(space, r, geodesic_point(space, A, B, s0 + t))))
+                # the geodesic from c to the proxy z is the ray from c toward z
+                s0 = gromov_product(space, TreePoint(c), TreePoint(z), x)
+                line = ray_points(space, Ray(TreePoint(c), z), [s0 + t for t in t_grid])
+            elif plane_dist_to_ideal_line(x, c, z) > 6.0 * delta + 1e-9 and delta > 0:
+                continue
             else:
-                if plane_dist_to_ideal_line(x, c, z) > 6.0 * delta + 1e-9 and delta > 0:
-                    continue
-                for r, q in zip(ray, plane_line_points(c, z, x, t_grid)):
-                    sup = max(sup, plane_distance(r.z, q.z))
-            best = min(best, sup)
+                line = plane_line_points(c, z, x, t_grid)
+            best = min(best, max(float(distance(space, r, q)) for r, q in zip(ray, line)))
         if best is math.inf:
             return None
         return max(best - 14.0 * delta, 0.0), "u=%r v=%r z=%r x=%r" % (u, v, z, x)

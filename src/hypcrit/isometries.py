@@ -7,7 +7,8 @@ negatives, acting by Mobius transformations; products are renormalized to
 determinant 1 to damp float drift.
 
 Schottky subgroups of the plane isometries come with paired disjoint disks
-(arcs of the boundary circle) and a sampling-based ping-pong certificate.
+(arcs of the boundary circle) and a ping-pong certificate that decides
+nesting exactly from the images of the arc endpoints.
 """
 
 import math
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ClassificationError, KindMismatchError
-from .space import PLANE, TREE, PlanePoint, TreePoint, plane_distance
+from .space import PLANE, TREE, ModelSpace, PlanePoint, TreePoint, plane_distance
 from .words import (
     compose_words,
     cyclic_reduce,
@@ -27,6 +28,12 @@ from .words import (
 )
 
 MAT_TOL = 1e-12
+#: how far (rad) `certify_ping_pong` lets an arc endpoint's image fall
+#: outside the arc that receives it
+NEST_TOL = 1e-12
+#: word lengths surveyed for the systole bound and the per-letter gain
+WORD_HORIZON = 6
+GAIN_HORIZON = 4
 
 
 @dataclass(frozen=True)
@@ -197,12 +204,6 @@ class BoundaryArc:
     center: float  # angle
     half_width: float
 
-    def contains_angle(self, theta, slack=0.0):
-        return abs(_angle_gap(theta, self.center)) <= self.half_width + slack
-
-    def contains(self, x, slack=0.0):
-        return self.contains_angle(boundary_angle(x), slack)
-
 
 def fixed_points(iso):
     """(repelling, attracting) boundary fixed points of a hyperbolic matrix."""
@@ -228,26 +229,26 @@ def fixed_points(iso):
 def standard_disks(iso):
     """Source/target arcs for a hyperbolic generator.
 
-    Conjugating the generator to the dilation xi -> e^L xi (repelling fixed
-    point at 0, attracting at infinity), the source disk is the preimage of
-    {|xi| <= e^{-L/2}} and the target the preimage of {|xi| >= e^{L/2}}.
-    The generator maps the exterior of its source arc into its target arc;
-    the inverse swaps the roles.
+    In the axis coordinate xi = (x - rep)/(att - x) (xi = x - rep when
+    att = inf, 1/(att - x) when rep = inf) the generator is the dilation
+    xi -> e^L xi, with the repelling fixed point at 0 and the attracting
+    one at infinity. The source disk is {|xi| <= e^{-L/2}} and the target
+    {|xi| >= e^{L/2}}. The generator maps the exterior of its source arc
+    onto the interior of its target arc; the inverse swaps the roles.
     """
     rep, att = fixed_points(iso)
-    from .space import _mobius_apply, _mobius_inverse, _mobius_to_axis
-
-    m = _mobius_to_axis(rep, att)
-    minv = _mobius_inverse(m)
     L = 2.0 * math.acosh(abs(iso.trace) / 2.0)
     s = math.exp(-L / 2.0)
 
+    def from_axis(xi):
+        if rep == math.inf:
+            return att - 1.0 / xi
+        if att == math.inf:
+            return rep + xi
+        return (rep + xi * att) / (1.0 + xi)
+
     def arc_through(scale, inside_point):
-        p1 = _mobius_apply(minv, complex(scale, 0.0))
-        p2 = _mobius_apply(minv, complex(-scale, 0.0))
-        p1 = p1.real if p1 != math.inf else math.inf
-        p2 = p2.real if p2 != math.inf else math.inf
-        t1, t2 = boundary_angle(p1), boundary_angle(p2)
+        t1, t2 = boundary_angle(from_axis(scale)), boundary_angle(from_axis(-scale))
         tc = boundary_angle(inside_point)
         # the arc between t1, t2 containing tc
         half = abs(_angle_gap(t1, t2)) / 2.0
@@ -277,8 +278,6 @@ class SchottkyCertificate:
     systole_bound: float
     attaining_word: str
     per_letter_gain: float
-    boundary_samples: int
-    word_horizon: int
     displacement_table: dict = field(repr=False, default=None)
 
 
@@ -303,17 +302,25 @@ def _word_matrices(gens, horizon):
     return mats
 
 
-def certify_ping_pong(desc, boundary_samples=10_000, word_horizon=6, gain_horizon=4):
-    """Sampling-based ping-pong certification of a Schottky description.
+def certify_ping_pong(desc):
+    """Ping-pong certification of a Schottky description.
 
     Checks that the 2m disks are pairwise disjoint and that each generator
-    maps the (sampled) exterior of its source disk into its target disk.
+    maps the exterior of its source disk into its target disk (and its
+    inverse the exterior of the target into the source). A Mobius map
+    sends the exterior of an arc onto the arc between the images of its
+    endpoints that holds the image of its center's antipode, so nesting is
+    decided exactly from those three images. Margin policy: an endpoint
+    image may lie up to NEST_TOL = 1e-12 rad outside the receiving arc, to
+    absorb rounding; the standard disks are tight (their endpoint images
+    fall on the target endpoints to about 3e-15 rad).
+
     On success returns a certificate carrying a systole lower bound at the
     basepoint i (minimum displacement over all reduced words of length <=
-    word_horizon, with positive measured per-letter displacement gain over
-    words of length <= gain_horizon). On failure returns a PingPongFailure
-    with the offending sample. The certificate records the sampling density;
-    this is dense sampling, not interval arithmetic.
+    WORD_HORIZON, with positive measured per-letter displacement gain over
+    words of length <= GAIN_HORIZON). On failure returns a PingPongFailure;
+    a nesting failure's witness is (generator index, (the two endpoint
+    images, the antipode's image)) in angles from the receiving arc's center.
     """
     gens = desc.generators
     if len(gens) < 2:
@@ -331,38 +338,30 @@ def certify_ping_pong(desc, boundary_samples=10_000, word_horizon=6, gain_horizo
                 return PingPongFailure(
                     "disks not disjoint", (arcs[a][:2], arcs[b][:2])
                 )
-    # nesting: each generator maps the exterior of its source arc into its
-    # target arc (and the inverse swaps source/target)
-    thetas = [
-        -math.pi + (2.0 * math.pi) * (k + 0.5) / boundary_samples
-        for k in range(boundary_samples)
-    ]
-    for i, g in enumerate(gens):
-        src, tgt = desc.disks[i]
-        ginv = g.inverse()
-        for theta in thetas:
-            if not src.contains_angle(theta):
-                x = angle_to_boundary(theta)
-                if not tgt.contains(g.boundary_apply(x)):
-                    return PingPongFailure("nesting violated by generator", (i, x))
-            if not tgt.contains_angle(theta):
-                x = angle_to_boundary(theta)
-                if not src.contains(ginv.boundary_apply(x)):
-                    return PingPongFailure("nesting violated by inverse", (i, x))
+    for i, (g, (src, tgt)) in enumerate(zip(gens, desc.disks)):
+        for h, a, b, who in ((g, src, tgt, "generator"), (g.inverse(), tgt, src, "inverse")):
+            x1, x2, xa = (
+                _angle_gap(boundary_angle(h.boundary_apply(angle_to_boundary(t))), b.center)
+                for t in (a.center - a.half_width, a.center + a.half_width, a.center + math.pi)
+            )
+            # b is shorter than the circle, so the image arc lies in b iff its
+            # ends do and it runs between them inside b, not through b's antipode
+            ends_in = max(abs(x1), abs(x2)) <= b.half_width + NEST_TOL
+            if not (ends_in and min(x1, x2) < xa < max(x1, x2)):
+                return PingPongFailure("nesting violated by " + who, (i, (x1, x2, xa)))
     # displacement survey at the basepoint
     base = PlanePoint(1j)
-    mats = _word_matrices(gens, word_horizon)
-    disp = {}
-    for w, m in mats.items():
-        a, b, c, d = m.mat
-        z = (a * 1j + b) / (c * 1j + d)
-        disp[w] = plane_distance(1j, z)
+    plane = ModelSpace.plane()
+    disp = {
+        w: plane_distance(base.z, apply_isometry(plane, m, base).z)
+        for w, m in _word_matrices(gens, WORD_HORIZON).items()
+    }
     nonid = {w: v for w, v in disp.items() if w}
     best_word = min(nonid, key=lambda w: (nonid[w], w))
     gain = min(
         disp[w] - disp[w[:-1]]
         for w in disp
-        if 1 <= len(w) <= gain_horizon
+        if 1 <= len(w) <= GAIN_HORIZON
     )
     if gain <= 0:
         return PingPongFailure("no positive per-letter displacement gain", best_word)
@@ -370,8 +369,6 @@ def certify_ping_pong(desc, boundary_samples=10_000, word_horizon=6, gain_horizo
         systole_bound=nonid[best_word],
         attaining_word=best_word,
         per_letter_gain=gain,
-        boundary_samples=boundary_samples,
-        word_horizon=word_horizon,
         displacement_table=disp,
     )
 

@@ -154,6 +154,12 @@ def test_visual_parameter_range_is_enforced(schottky):
                         plane_boundary(1.0), plane_boundary(-1.0))
 
 
+def test_visual_params_take_no_center(f2):
+    # distances are measured from the action basepoint; a center would be ignored
+    with pytest.raises(TypeError):
+        VisualParams(a=1.0, center=f2.basepoint)
+
+
 def test_generalized_ball_is_the_cylinder(f2):
     rho = cylinder_scale(f2, 2)
     z = tree_boundary("ab")

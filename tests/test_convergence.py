@@ -179,6 +179,22 @@ def test_search_witness_between_rescaled_trees(f2, f2_ball):
     assert got.defects.distortion < 0.1
 
 
+def test_wordwise_points_match_offsets_across_grids(f2, f2_ball):
+    # 24 steps per edge against 16: A's step s is B's step 2s/3, so step 3
+    # lands on B's step 2 and step 1, with no counterpart, on its vertex
+    A = snapshot(f2, f2_ball, 0.5, resolution=Fraction(1, 24))
+    B = snapshot(f2, f2_ball, 0.5, resolution=Fraction(1, 16))
+    f = convergence._tree_wordwise_points(A, B)
+    for p, s, j in zip(A.points, A.steps.tolist(), f):
+        if p.word != "a":
+            continue
+        q = B.points[j]
+        if s % 3:
+            assert q == TreePoint("a")
+        else:
+            assert (q.word, q.offset, q.direction) == (p.word, p.offset, p.direction)
+
+
 def test_search_witness_reports_failures(f2, f2_ball):
     lim = snapshot(f2, f2_ball, 1.0)
     far = tree_action(edge_length=Fraction(3))

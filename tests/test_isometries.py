@@ -6,12 +6,16 @@ import pytest
 from hypcrit.errors import ClassificationError
 from hypcrit.isometries import (
     IDENTITY_PLANE,
+    BoundaryArc,
     PingPongFailure,
     PlaneIsometry,
     SchottkyCertificate,
     SchottkyDescription,
     TreeIsometry,
+    _angle_gap,
+    angle_to_boundary,
     apply_isometry,
+    boundary_angle,
     certify_ping_pong,
     compose,
     schottky_pair,
@@ -99,6 +103,79 @@ def test_ping_pong_fails_when_disks_collide():
     desc = schottky_pair(0.5)
     got = certify_ping_pong(desc)
     assert isinstance(got, PingPongFailure)
+    assert got.reason == "disks not disjoint"
+
+
+@pytest.mark.parametrize("L", [4.5, 4.25, 4.125, 4.0625, 4.03125, 4.015625, 4.0078125, 4.0])
+def test_schottky_family_members_certify(L):
+    # the schottky_family scenario's schedule and its limit
+    assert isinstance(certify_ping_pong(schottky_pair(L)), SchottkyCertificate)
+
+
+def _with_disks(desc, i, src, tgt):
+    disks = list(desc.disks)
+    disks[i] = (src, tgt)
+    return SchottkyDescription(desc.generators, tuple(disks))
+
+
+def test_ping_pong_rejects_a_slightly_short_target_arc():
+    # the standard disks are tight: a target arc 1e-4 rad short misses the
+    # image of the source exterior near both of its endpoints
+    desc = schottky_pair(4.0)
+    src, tgt = desc.disks[0]
+    short = BoundaryArc(tgt.center, tgt.half_width - 1e-4)
+    got = certify_ping_pong(_with_disks(desc, 0, src, short))
+    assert isinstance(got, PingPongFailure)
+    assert got.reason == "nesting violated by generator"
+
+
+def _sampled_nesting_failure(desc):
+    """Reference: whether some generator maps one of 10,000 sampled angles
+    outside its source arc out of its target arc, or its inverse a sampled
+    angle outside the target arc out of the source arc."""
+
+    def contains(arc, theta):
+        return abs(_angle_gap(theta, arc.center)) <= arc.half_width
+
+    thetas = [-math.pi + (2.0 * math.pi) * (k + 0.5) / 10_000 for k in range(10_000)]
+    for i, g in enumerate(desc.generators):
+        src, tgt = desc.disks[i]
+        ginv = g.inverse()
+        for theta in thetas:
+            x = angle_to_boundary(theta)
+            if not contains(src, theta) and not contains(tgt, boundary_angle(g.boundary_apply(x))):
+                return True
+            if not contains(tgt, theta) and not contains(src, boundary_angle(ginv.boundary_apply(x))):
+                return True
+    return False
+
+
+def test_exact_nesting_rejects_whatever_sampling_rejects():
+    rng = random.Random(11)
+    base = schottky_pair(4.0)
+    sampled_rejects = exact_only = 0
+    for _ in range(40):
+        i = rng.randrange(2)
+        arcs = [
+            BoundaryArc(
+                arc.center + rng.choice((-1, 1)) * 10 ** rng.uniform(-6, -1),
+                arc.half_width + rng.choice((-1, 1)) * 10 ** rng.uniform(-6, -1),
+            )
+            for arc in base.disks[i]
+        ]
+        desc = _with_disks(base, i, *arcs)
+        exact = certify_ping_pong(desc)
+        if isinstance(exact, PingPongFailure) and exact.reason == "disks not disjoint":
+            continue
+        exact_rejects = isinstance(exact, PingPongFailure)
+        if _sampled_nesting_failure(desc):
+            sampled_rejects += 1
+            assert exact_rejects
+        elif exact_rejects:
+            exact_only += 1
+    assert sampled_rejects >= 10
+    # perturbations below the sampling spacing slip past the sampler
+    assert exact_only >= 1
 
 
 def test_certificate_words_are_honest_displacements():
