@@ -31,11 +31,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DepthError, InsufficientDataError, MeasureError
-from .isometries import fixed_points
+from .isometries import compose, fixed_points
 from .space import (
     PLANE,
     TREE,
-    PlanePoint,
     Ray,
     TreePoint,
     _lcp,
@@ -326,44 +325,65 @@ def check_shadow_ball_lemma(action, samples, ts, params=None, seed=0, pair_count
 
 
 def limit_set_sample(action, ball, min_displacement):
-    """Boundary approximants accumulated by the orbit.
+    """Boundary approximants accumulated by the orbit, in a list.
 
     Tree: deep entry words read as truncated boundary words. Plane:
     attracting fixed points of the entries' isometries (hyperbolic words
     only), tagged with the producing word, deduplicated at 1e-9.
     """
+    return list(limit_set_approximants(action, ball, min_displacement))
+
+
+def limit_set_approximants(action, ball, min_displacement):
+    """The approximants of `limit_set_sample`, in its order, each built
+    when it is read: a caller that keeps the first N builds N."""
     if float(ball.radius) < float(min_displacement):
         raise InsufficientDataError("ball shallower than min_displacement")
-    out = []
+    found = False
     if action.space.kind == TREE:
         for k, level in enumerate(ball.levels):
             if k and float(k * ball.edge_length) >= float(min_displacement):
-                out.extend(tree_boundary(w) for w in level)
-        if not out:
-            raise InsufficientDataError("no entries deep enough")
-        return out
-    seen = set()
-    for e in ball.entries:
-        if not e.word or float(e.displacement) < float(min_displacement):
-            continue
-        b = _plane_entry_boundary(action, e)
-        if b is None:
-            continue
-        key = "inf" if b.coord == math.inf else round(b.coord / 1e-9)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(b)
-    if not out:
+                for w in level:
+                    found = True
+                    yield tree_boundary(w)
+    else:
+        seen = set()
+        isometry = _prefix_isometries(action)
+        for e in ball.entries:
+            if not e.word or float(e.displacement) < float(min_displacement):
+                continue
+            b = _plane_entry_boundary(isometry(e.word), e)
+            if b is None:
+                continue
+            key = "inf" if b.coord == math.inf else round(b.coord / 1e-9)
+            if key in seen:
+                continue
+            seen.add(key)
+            found = True
+            yield b
+    if not found:
         raise InsufficientDataError("no entries deep enough")
-    return out
 
 
-def _plane_entry_boundary(action, entry):
-    """The attracting fixed point of a plane orbit entry's isometry as a
-    boundary approximant, or None when the isometry is not hyperbolic (it
-    then fixes no boundary direction)."""
-    iso = action.isometry(entry.word)
+def _prefix_isometries(action):
+    """`action.isometry` for plane words, memoized by prefix: a word's
+    isometry is compose(its parent's, its last letter's generator), the
+    same left-to-right product, one compose per word."""
+    memo = {"": action.isometry("")}
+
+    def isometry(word):
+        g = memo.get(word)
+        if g is None:
+            g = memo[word] = compose(isometry(word[:-1]), action.gen_map[word[-1]])
+        return g
+
+    return isometry
+
+
+def _plane_entry_boundary(iso, entry):
+    """The attracting fixed point of a plane orbit entry's isometry iso as
+    a boundary approximant, or None when iso is not hyperbolic (it then
+    fixes no boundary direction)."""
     if abs(iso.trace) <= 2.0 + 1e-12:
         return None
     _, att = fixed_points(iso)
@@ -496,11 +516,12 @@ def patterson_sullivan_atoms(action, ball, s):
     thresh = 2.0 * float(ball.radius) / 3.0
     atoms = []
     tree = action.space.kind == TREE
+    isometry = None if tree else _prefix_isometries(action)
     for e in ball.entries:
         w = math.exp(-s * float(e.displacement)) / total
         b = None
         if e.word and float(e.displacement) >= thresh - 1e-12:
-            b = tree_boundary(e.word) if tree else _plane_entry_boundary(action, e)
+            b = tree_boundary(e.word) if tree else _plane_entry_boundary(isometry(e.word), e)
         atoms.append(Atom(e.word, e.point, float(e.displacement), w, b))
     return AtomicMeasure(tuple(atoms), s, float(ball.radius))
 

@@ -13,6 +13,7 @@ import math
 import sys
 from fractions import Fraction
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 
 from .boundary import (
@@ -22,6 +23,7 @@ from .boundary import (
     check_quasiconformality,
     check_shadow_ball_lemma,
     cylinder_scale,
+    limit_set_approximants,
     limit_set_sample,
     patterson_sullivan_atoms,
     qc_hull_sample,
@@ -242,7 +244,7 @@ def cmd_entropy(scenario, args, outdir):
         cov = block["covering"]
         cest = covering_entropy_estimate(
             action,
-            ball.points(),
+            ball,
             float(cov["r"]),
             tuple(float(v) for v in cov["window"]),
         )
@@ -284,8 +286,8 @@ def cmd_boundary(scenario, args, outdir):
         scales = sorted(set(scales), reverse=True)
         qc_cells = tree_cylinder_cells(action, int(block.get("qc_depth", 3)))
     else:
-        lim = limit_set_sample(action, ball, float(block["min_displacement"]))
-        centers = lim[: int(block.get("max_centers", 40))]
+        lim = limit_set_approximants(action, ball, float(block["min_displacement"]))
+        centers = list(islice(lim, int(block.get("max_centers", 40))))
         scales = [float(v) for v in block["scales"]]
         rho = float(block.get("qc_scale", scales[-1]))
         qc_cells = [(z, rho) for z in centers]
@@ -433,8 +435,8 @@ def cmd_verify(scenario, args, outdir):
         elif check == "shadow_ball":
             sb = block["shadow_ball"]
             b = ball(sb["T"])
-            samples = limit_set_sample(action, b, float(sb["min_displacement"]))
-            samples = samples[: int(sb.get("max_samples", 200))]
+            lim = limit_set_approximants(action, b, float(sb["min_displacement"]))
+            samples = list(islice(lim, int(sb.get("max_samples", 200))))
             rep = check_shadow_ball_lemma(
                 action,
                 samples,

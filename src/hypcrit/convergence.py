@@ -20,7 +20,7 @@ gave.
 """
 
 import math
-from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,7 +29,17 @@ import numpy as np
 
 from .errors import InsufficientDataError, KindMismatchError, MalformedWitnessError
 from .isometries import apply_isometry
-from .space import _BLOCK, TREE, DistanceTable, TreePoint, _tree_separation, distance
+from .space import (
+    _BLOCK,
+    TREE,
+    DistanceTable,
+    _GridPoint,
+    _path_distance,
+    _tree_point,
+    _TreePaths,
+    distance,
+    pairwise_distances,
+)
 from .words import _ORDER, compose_words, letters, reduced_words_upto
 
 #: eps rungs tried by the continuity experiment, largest first; the last
@@ -51,20 +61,29 @@ class TripleSnapshot:
     elements with displacement strictly below 1/eps. action_table[g][p] is
     the index of the image net point, or -1 when the image leaves the ball
     (or, on the plane, the sampled net).
+
+    A tree net is kept as grid data: each point's vertex word (`words`),
+    direction letter (`directions`, None at a vertex) and offset in
+    resolution steps (`steps`); its `points` are `TreePoint`s built when
+    read, and the hot paths never read them.
     """
 
-    def __init__(self, action, epsilon, resolution, covering_radius, points, elements, table, base_index, point_words=None, steps=None):
+    def __init__(self, action, epsilon, resolution, covering_radius, points, elements, table,
+                 base_index, point_words=None, words=None, directions=None, steps=None):
         self.action = action
         self.space = action.space
         self.epsilon = float(epsilon)
         self.resolution = resolution
         self.covering_radius = float(covering_radius)
+        if points is None:
+            points = _TreeNetPoints(words, directions, steps, resolution)
         self.points = points
         self.elements = elements
         self.action_table = table
         self.base_index = base_index
         self.point_words = point_words
-        #: tree: each point's offset in grid steps (resolution units)
+        self.words = words
+        self.directions = directions
         self.steps = steps
 
     @property
@@ -73,8 +92,31 @@ class TripleSnapshot:
 
     @cached_property
     def metric(self):
-        """The net's `DistanceTable`, built on first use."""
-        return DistanceTable(self.space, self.points)
+        """The net's `DistanceTable`, built on first use. Tree offsets are
+        float(s * resolution), the floats of the exact offsets."""
+        if self.space.kind != TREE:
+            return DistanceTable(pairwise_distances(self.space, self.points))
+        off = np.array([float(s * self.resolution) for s in range(int(self.steps.max()) + 1)])
+        return DistanceTable(
+            _TreePaths(self.space.edge_length, self.words, self.directions, off[self.steps])
+        )
+
+
+class _TreeNetPoints(Sequence):
+    """A tree snapshot's net as `TreePoint`s, each built when it is read."""
+
+    def __init__(self, words, directions, steps, resolution):
+        self.words, self.directions, self.steps = words, directions, steps
+        self.resolution = resolution
+
+    def __len__(self):
+        return len(self.words)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        g = _GridPoint(self.words[i], int(self.steps[i]), self.directions[i])
+        return _tree_point(g, self.resolution)
 
 
 def _tree_snapshot(space, levels, R, res_frac):
@@ -117,13 +159,15 @@ def _tree_snapshot(space, levels, R, res_frac):
             parent[v] = vid[w[:-1]]
             last[v] = _ORDER[w[-1]]
 
-    pv, pd, ps = [], [], []
+    pv, pd, ps, net_words, net_dirs = [], [], [], [], []
     for v, w in enumerate(words):
         if len(w) > depth:
             break
         pv.append(v)
         pd.append(0)
         ps.append(0)
+        net_words.append(w)
+        net_dirs.append(None)
         room = min(steps - 1, Rg - len(w) * steps)
         for di, d in enumerate(alpha):
             if w and d == w[-1].swapcase():
@@ -131,6 +175,8 @@ def _tree_snapshot(space, levels, R, res_frac):
             pv.extend([v] * room)
             pd.extend([di] * room)
             ps.extend(range(1, room + 1))
+            net_words.extend([w] * room)
+            net_dirs.extend([d] * room)
     pv, pd, ps = np.array(pv), np.array(pd), np.array(ps)
     # pid[v, d, s]: net index of the point s steps from v toward d; a
     # vertex sits at s = 0 under every d
@@ -138,10 +184,6 @@ def _tree_snapshot(space, levels, R, res_frac):
     pid[pv, pd, ps] = np.arange(len(pv))
     vertex = ps == 0
     pid[pv[vertex], :, 0] = np.nonzero(vertex)[0][:, None]
-    points = [
-        TreePoint(words[v]) if s == 0 else TreePoint(words[v], s * res, alpha[d])
-        for v, d, s in zip(pv.tolist(), pd.tolist(), ps.tolist())
-    ]
 
     elements = []
     for k, level in enumerate(levels):
@@ -158,7 +200,7 @@ def _tree_snapshot(space, levels, R, res_frac):
         u = lmul[code[:, j, None], u]
     up = (last[u] == (pd ^ 1)) & (ps > 0)
     table = np.where(up, pid[parent[u], last[u], steps - ps], pid[u, pd, ps])
-    return points, elements, table, ps
+    return net_words, net_dirs, ps, elements, table
 
 
 def snapshot(action, ball, epsilon, resolution=None):
@@ -187,7 +229,7 @@ def snapshot(action, ball, epsilon, resolution=None):
             raise ValueError("resolution %s too coarse for eps=%s" % (res, epsilon))
         if res_frac.numerator != 1:
             raise ValueError("resolution %s does not divide the edge length %s" % (res, L))
-        points, elements, table, steps = _tree_snapshot(space, ball.levels, R, res_frac)
+        words, directions, steps, elements, table = _tree_snapshot(space, ball.levels, R, res_frac)
         cov = float(res) / 2.0
         base_index = 0
     else:
@@ -218,7 +260,10 @@ def snapshot(action, ball, epsilon, resolution=None):
             action, epsilon, res, cov, points, elements, table, base_index,
             point_words=tuple(e.word for e in sel),
         )
-    return TripleSnapshot(action, epsilon, res, cov, points, elements, table, base_index, steps=steps)
+    return TripleSnapshot(
+        action, epsilon, res, cov, None, elements, table, base_index,
+        words=words, directions=directions, steps=steps,
+    )
 
 
 @dataclass(frozen=True)
@@ -283,6 +328,12 @@ def verify_witness(A, B, w):
     is bitwise the entry of the dense `pairwise_distances` table and every
     defect is a max or min of entries, so the defects are bitwise those of
     the dense n x n computation.
+
+    Distortion reads only the columns j >= the block's first row: both
+    tables are bitwise symmetric (`_TreePaths.from_prefixes` reads the same
+    operands for (i, j) and (j, i); the plane formula takes |z_i - z_j| and
+    y_i y_j), so |DB(f_i, f_j) - DA(i, j)| is too, and every pair (i, j)
+    with j < i is read as (j, i) in j's block.
     """
     _check_table("f", w.f, len(A.points), len(B.points))
     _check_table("phi", w.phi, len(A.elements), max(len(B.elements), 1))
@@ -294,8 +345,8 @@ def verify_witness(A, B, w):
     for start in range(0, len(f), _BLOCK):
         rows = np.arange(start, min(start + _BLOCK, len(f)))
         DB = B.metric.rows(f[rows])
-        gap = DB[:, f]
-        gap -= A.metric.rows(rows)
+        gap = DB[:, f[start:]]
+        gap -= A.metric.rows(rows, start)
         distortion = max(distortion, float(np.abs(gap, out=gap).max()))
         np.minimum(cover, DB.min(axis=0), out=cover)
     surj = float(cover.max()) + B.covering_radius
@@ -345,10 +396,6 @@ def _equivariance_defect(A, B, f, mapping, forward):
     return worst
 
 
-#: a tree point with its offset counted in grid steps
-_GridPoint = namedtuple("_GridPoint", "word offset direction")
-
-
 def _tree_offnet_defect(snap, el_idx, xs, ys):
     """max_k d(g xs[k], ys[k]) for the element g = snap.elements[el_idx],
     net points xs whose images leave the net, and net points ys.
@@ -362,18 +409,17 @@ def _tree_offnet_defect(snap, el_idx, xs, ys):
     """
     g = snap.elements[el_idx].word
     m = int(snap.space.edge_length / snap.resolution)
-    pts, steps = snap.points, snap.steps
+    words, dirs, steps = snap.words, snap.directions, snap.steps
     worst = 0
     for x, y in zip(xs.tolist(), ys.tolist()):
-        p, s = pts[x], int(steps[x])
-        u = compose_words(g, p.word)
-        if s and u and u[-1] == p.direction.swapcase():
+        s, d = int(steps[x]), dirs[x]
+        u = compose_words(g, words[x])
+        if s and u and u[-1] == d.swapcase():
             img = _GridPoint(u[:-1], m - s, u[-1])
         else:
-            img = _GridPoint(u, s, p.direction)
-        q = _GridPoint(pts[y].word, int(steps[y]), pts[y].direction)
-        sep = _tree_separation(m, img, q)
-        worst = max(worst, len(img.word) * m + img.offset + len(q.word) * m + q.offset - 2 * sep)
+            img = _GridPoint(u, s, d)
+        q = _GridPoint(words[y], int(steps[y]), dirs[y])
+        worst = max(worst, _path_distance(m, img, q))
     return float(Fraction(worst) * snap.resolution)
 
 
@@ -428,15 +474,13 @@ def _tree_wordwise_points(A, B):
     # s of A's grid steps are s * m_B / m_A of B's (m steps per edge); a
     # non-integer count has no counterpart, and the point falls to a vertex
     ratio = (B.space.edge_length / B.resolution) / (A.space.edge_length / A.resolution)
-    index = {
-        (p.word, s, p.direction): i for i, (p, s) in enumerate(zip(B.points, B.steps.tolist()))
-    }
-    vertex = {p.word: i for i, p in enumerate(B.points) if p.is_vertex}
+    b_steps = B.steps.tolist()
+    index = {key: i for i, key in enumerate(zip(B.words, b_steps, B.directions))}
+    vertex = {w: i for i, (w, s) in enumerate(zip(B.words, b_steps)) if not s}
     f = []
-    for p, s in zip(A.points, A.steps.tolist()):
-        w = p.word
+    for w, s, d in zip(A.words, A.steps.tolist(), A.directions):
         sb, rem = divmod(s * ratio.numerator, ratio.denominator)
-        j = vertex.get(w) if rem else index.get((w, sb, p.direction), vertex.get(w))
+        j = vertex.get(w) if rem else index.get((w, sb, d), vertex.get(w))
         while j is None:
             # deep A-point with no B-counterpart inside the ball: walk up
             w = w[:-1]

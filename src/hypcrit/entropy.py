@@ -14,7 +14,8 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import InsufficientDataError
-from .space import _distance_rows, distances_to_point, pairwise_distances
+from .orbits import OrbitBall
+from .space import TREE, _distance_rows, distances_to_point, pairwise_distances
 
 EXACT_LIMIT = 24
 
@@ -175,22 +176,43 @@ def covering_entropy_estimate(action, hull_samples, r, window, grid_step=None, m
 
     hull_samples: model points with known distance to the basepoint (the
     declared sampling density is the caller's responsibility and should be
-    reported alongside). For each grid T in the window the greedy covering
-    number of the samples within distance T of the basepoint is computed;
-    the slope of its log is the covering-entropy estimate (an upper-bound-
-    flavored greedy figure, not a certified value).
+    reported alongside), or an `OrbitBall`, whose orbit points are the
+    samples. For each grid T in the window the greedy covering number of
+    the samples within distance T of the basepoint is computed; the slope
+    of its log is the covering-entropy estimate (an upper-bound-flavored
+    greedy figure, not a certified value).
+
+    A tree ball is read off its levels when its vertices are isolated at
+    radius r (`_isolated_vertices`): level k lies at distance k * edge
+    from the basepoint, the float the distance kernel gives, and its
+    covering number within T is the number of its words there.
     """
+    space = action.space
     lo, hi = window
     if grid_step is None:
-        grid_step = float(action.space.edge_length) if action.space.kind == "tree" else 1.0
-    base = action.basepoint
-    d0 = distances_to_point(action.space, hull_samples, base)
+        grid_step = float(space.edge_length) if space.kind == TREE else 1.0
+    ball = hull_samples if isinstance(hull_samples, OrbitBall) else None
+    if ball is not None and ball.levels is not None and _isolated_vertices(space, r):
+        edge = float(space.edge_length)
+        shells = [(k * edge, len(level)) for k, level in enumerate(ball.levels)]
+
+        def count_within(t):
+            return sum(n for d, n in shells if d <= t + 1e-9)
+    else:
+        if ball is not None:
+            hull_samples = ball.points()
+        d0 = distances_to_point(space, hull_samples, action.basepoint)
+
+        def count_within(t):
+            sel = [p for p, d in zip(hull_samples, d0) if d <= t + 1e-9]
+            return greedy_covering_count(space, sel, r) if sel else 0
+
     counts = []
     t = lo
     while t <= hi + 1e-9:
-        sel = [p for p, d in zip(hull_samples, d0) if d <= t + 1e-9]
-        if sel:
-            counts.append((t, greedy_covering_count(action.space, sel, r)))
+        n = count_within(t)
+        if n:
+            counts.append((t, n))
         t += grid_step
     if len(counts) < 4:
         raise InsufficientDataError(
@@ -199,16 +221,37 @@ def covering_entropy_estimate(action, hull_samples, r, window, grid_step=None, m
     return estimate_critical_exponent(counts, (counts[0][0], counts[-1][0]), method)
 
 
+def _isolated_vertices(space, r):
+    """Whether no r-ball of the greedy covering holds two distinct tree
+    vertices.
+
+    Distinct vertices are at least one edge L apart, and the greedy loop
+    covers a point at computed distance <= r + 1e-12 from a centre. The
+    computed distance of two vertices is a multiple of L up to a few ulps
+    of their depths, far inside the relative margin 1e-6, so for
+    r + 1e-12 < (1 - 1e-6) L every vertex becomes a centre.
+    """
+    return space.kind == TREE and r + 1e-12 < (1.0 - 1e-6) * float(space.edge_length)
+
+
 def greedy_covering_count(space, points, r):
     """Farthest-point greedy covering number, an upper bound for the optimum.
 
     Centers are chosen deterministically from the first point on, with one
     distance row per center and no dense n x n matrix, so it scales to
-    ~1e5 points.
+    ~1e5 points. Distinct tree vertices isolated at radius r
+    (`_isolated_vertices`) are each their own center: the count is n,
+    returned without a distance row.
     """
     n = len(points)
     if n == 0:
         return 0
+    if (
+        _isolated_vertices(space, r)
+        and all(p.offset == 0 for p in points)
+        and len({p.word for p in points}) == n
+    ):
+        return n
     rows = _distance_rows(space, points)
     mind = rows(np.array([0]))[0]
     count = 1

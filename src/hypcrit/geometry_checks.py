@@ -4,9 +4,11 @@ Six lemma checks, each sampled over seeded random configurations:
 projection (4 delta), thin triangles (4 delta), parallel rays (8 delta),
 Gromov product vs rays (4 delta), quasiconvex-hull quasiconvexity
 (36 delta), ray-to-line approximation (14 delta). On the tree all
-constants vanish and the defects are exact zeros in rational arithmetic;
-on the plane the declared delta = log 3 is used and a pass means zero
-violations beyond 1e-9.
+constants vanish and the defects are exact zeros: the tree sweeps run in
+integers on the grid of `space.tree_grid` (1/D), and each grid length k
+becomes a float once, as k / D = float(Fraction(k, D)). On the plane the
+declared delta = log 3 is used and a pass means zero violations beyond
+1e-9.
 """
 
 import cmath
@@ -15,13 +17,18 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .space import (
-    PLANE,
     TREE,
     PlanePoint,
     Ray,
-    TreePoint,
+    _GridPoint,
+    _grid_geodesic_point,
+    _grid_product,
+    _grid_ray_points,
+    _path_distance,
+    _tree_point,
     dist_to_segment,
     distance,
     geodesic_point,
@@ -31,7 +38,7 @@ from .space import (
     plane_line_points,
     ray_point,
     ray_points,
-    tree_dist_to_word_line,
+    tree_grid,
 )
 from .words import letters
 
@@ -79,19 +86,30 @@ def _rand_word(rng, rank, length):
     return "".join(w)
 
 
-def _rand_tree_point(rng, space, radius):
-    rank = space.valence // 2
-    max_depth = max(int(radius / space.edge_length), 1)
+def _max_depth(space, radius):
+    """Vertex depth bound of random points within the float radius."""
+    return max(int(radius / float(space.edge_length)), 1)
+
+
+def _rand_grid_point(rng, rank, m, max_depth):
+    """A random tree point with m grid units per edge: a vertex at most
+    max_depth edges deep, or a point k/8 of the way along one of its
+    edges."""
     w = _rand_word(rng, rank, rng.randrange(0, max_depth + 1))
     k = rng.randrange(0, 8)
     if k == 0:
-        return TreePoint(w)
-    off = Fraction(k, 8) * space.edge_length
+        return _GridPoint(w, 0, None)
     alpha = letters(rank)
     d = rng.choice(alpha)
     while w and d == w[-1].swapcase():
         d = rng.choice(alpha)
-    return TreePoint(w, off, d)
+    return _GridPoint(w, k * m // 8, d)
+
+
+def _rand_tree_point(rng, space, radius):
+    D, m = tree_grid(space)
+    g = _rand_grid_point(rng, space.valence // 2, m, _max_depth(space, radius))
+    return _tree_point(g, Fraction(1, D))
 
 
 def _rand_plane_point(rng, radius):
@@ -113,20 +131,6 @@ def _rand_boundary(rng, space):
     return rng.uniform(-10.0, 10.0)
 
 
-def _frac_grid(lo, hi, step):
-    out = []
-    t = Fraction(lo)
-    step = Fraction(step)
-    while t <= hi:
-        out.append(t)
-        t += step
-    return out
-
-
-def _tree_line_point(space, wu, wv, s):
-    return geodesic_point(space, TreePoint(wu), TreePoint(wv), s)
-
-
 def check_geodesic_lemmas(space, delta, plan=SamplingPlan()):
     """Sampled audit of the six explicit geodesic inequalities.
 
@@ -134,10 +138,9 @@ def check_geodesic_lemmas(space, delta, plan=SamplingPlan()):
     tree, log 3 for the plane); a deliberately wrong delta is the intended
     negative control and shows up as positive defects.
     """
-    tree = space.kind == TREE
+    samplers = _tree_samplers if space.kind == TREE else _plane_samplers
     rows = []
-
-    def run(name, bound, sampler):
+    for name, factor, sampler in samplers(space, delta, plan):
         rng = random.Random(zlib.crc32(name.encode()) ^ (plan.seed * 0x9E3779B1))
         worst = 0.0
         witness = ""
@@ -150,26 +153,173 @@ def check_geodesic_lemmas(space, delta, plan=SamplingPlan()):
             n += 1
             if defect > worst:
                 worst = defect
-                witness = desc
+                witness = desc() if callable(desc) else desc
+        bound = factor * delta
         rows.append(LemmaRow(name, n, worst, bound, worst <= DEFECT_TOL, witness))
+    return InequalityReport(all(r.passed for r in rows), tuple(rows))
+
+
+def _tree_samplers(space, delta, plan):
+    """(name, bound factor, sampler) of the six lemmas on the tree.
+
+    Points are `_GridPoint`s with offsets in units of 1/D (`tree_grid`)
+    and every length is an integer count of units. A sampler returns the
+    defect and its witness text as a function, which formats the points as
+    `TreePoint`s only for a new worst defect. The random draws are those of
+    the `TreePoint` reference the tests keep.
+    """
+    D, m = tree_grid(space)  # units per length, per edge
+    rank = space.valence // 2
+    t_grid = [k * D // 2 for k in range(17)]  # 0, 1/2, ..., 8
+    depths = {r: _max_depth(space, r) for r in (plan.radius, plan.radius / 2)}
+
+    def point(rng, radius):
+        return _rand_grid_point(rng, rank, m, depths[radius])
+
+    dist, product = partial(_path_distance, m), partial(_grid_product, m)
+
+    def vertex(word):
+        return _GridPoint(word, 0, None)
+
+    def shift(rng):
+        # k/8 with k in [-32, 32], in units
+        return rng.randrange(-32, 33) * D // 8
+
+    def split(rng, d):
+        # d * k/16 with k in [0, 16]: every distance here is a multiple of
+        # 16 units, as all depths and offsets drawn are
+        return d * rng.randrange(0, 17) // 16
+
+    def line_point(u, v, s):
+        A, B = vertex(u), vertex(v)
+        return _grid_geodesic_point(m, A, B, dist(A, B) // 2 + s)
+
+    def tp(g):
+        return _tree_point(g, Fraction(1, D))
+
+    # 1. projection: on a tree d(x, [y, z]) = (y, z)_x
+    def projection(rng):
+        x, y, z = (point(rng, plan.radius) for _ in range(3))
+        d = p = product(x, y, z) / D
+        return max(d - p - 4.0 * delta, 0.0), lambda: "x=%r y=%r z=%r" % (tp(x), tp(y), tp(z))
+
+    # 2. thin triangles
+    def thin(rng):
+        p, q, r = (point(rng, plan.radius) for _ in range(3))
+        d = dist(q, r)
+        if d == 0:
+            return None
+        t = split(rng, d)
+        mid = _grid_geodesic_point(m, q, r, t)
+        gap = min(product(mid, p, q), product(mid, p, r)) / D
+        return max(gap - 4.0 * delta, 0.0), lambda: "p=%r q=%r r=%r t=%s" % (
+            tp(p), tp(q), tp(r), Fraction(t, D)
+        )
+
+    # 3. parallel rays: the split t1 = (p', e)_p, with 0 <= t1 <= d(p, p')
+    def parallel(rng):
+        p = point(rng, plan.radius / 2)
+        pp = point(rng, plan.radius / 2)
+        e = _rand_boundary(rng, space)
+        t1 = product(p, pp, vertex(e))
+        t2 = dist(p, pp) - t1
+        a = _grid_ray_points(m, p, vertex(e), [t + t1 for t in t_grid])
+        b = _grid_ray_points(m, pp, vertex(e), [t + t2 for t in t_grid])
+        sup = max(dist(x, y) for x, y in zip(a, b)) / D
+        return max(sup - 8.0 * delta, 0.0), lambda: "p=%r p'=%r e=%r" % (tp(p), tp(pp), e)
+
+    # 4. product vs rays at s = T - delta, T = (e1, e2)_x
+    def product_rays(rng):
+        x = point(rng, plan.radius)
+        e1, e2 = _rand_boundary(rng, space), _rand_boundary(rng, space)
+        if e1 == e2:
+            return None
+        T = product(x, vertex(e1), vertex(e2))
+        # T - delta as the Fraction reference evaluates it: a float for a
+        # float delta
+        s = T / D - delta if isinstance(delta, float) else Fraction(T, D) - delta
+        if float(s) <= 0:
+            return None
+        num, den = s.as_integer_ratio()
+        if D % den:
+            # s is off the grid: the TreePoint reference places the points
+            a, b = ray_point(space, Ray(tp(x), e1), s), ray_point(space, Ray(tp(x), e2), s)
+            gap = float(distance(space, a, b))
+        else:
+            su = num * (D // den)
+            a, b = (_grid_ray_points(m, x, vertex(e), [su])[0] for e in (e1, e2))
+            gap = dist(a, b) / D
+        return max(gap - 4.0 * delta, 0.0), lambda: "x=%r e1=%r e2=%r T=%s" % (
+            tp(x), e1, e2, Fraction(T, D)
+        )
+
+    # 5. quasiconvex hull
+    def qc_hull(rng):
+        ends = []
+        while len(ends) < 4:
+            e = _rand_boundary(rng, space)
+            if e not in ends:
+                ends.append(e)
+        u1, v1, u2, v2 = ends
+        x = line_point(u1, v1, shift(rng))
+        y = line_point(u2, v2, shift(rng))
+        d = dist(x, y)
+        if d == 0:
+            return None
+        mid = _grid_geodesic_point(m, x, y, split(rng, d))
+        cand = [(u1, v1), (u2, v2), (v1, v2), (v1, u2), (u1, v2), (u1, u2)]
+        gap = min(product(mid, vertex(a), vertex(b)) for a, b in cand) / D
+        return max(gap - 36.0 * delta, 0.0), lambda: "C=%r x=%r y=%r" % (ends, tp(x), tp(y))
+
+    # 6. ray-to-line: the line from c toward the proxy z is the ray from c
+    def ray_line(rng):
+        u = _rand_boundary(rng, space)
+        v = _rand_boundary(rng, space)
+        z = _rand_boundary(rng, space)
+        if len({u, v, z}) < 3:
+            return None
+        x = line_point(u, v, shift(rng))
+        ray = _grid_ray_points(m, x, vertex(z), t_grid)
+        best = []
+        for c in (vertex(u), vertex(v)):
+            s0 = product(c, vertex(z), x)
+            line = _grid_ray_points(m, c, vertex(z), [s0 + t for t in t_grid])
+            best.append(max(dist(r, q) for r, q in zip(ray, line)))
+        gap = min(best) / D
+        return max(gap - 14.0 * delta, 0.0), lambda: "u=%r v=%r z=%r x=%r" % (u, v, z, tp(x))
+
+    return _lemmas(projection, thin, parallel, product_rays, qc_hull, ray_line)
+
+
+def _lemmas(projection, thin, parallel, product_rays, qc_hull, ray_line):
+    return [
+        ("projection", 4.0, projection),
+        ("thin-triangles", 4.0, thin),
+        ("parallel-rays", 8.0, parallel),
+        ("product-rays", 4.0, product_rays),
+        ("qc-hull", 36.0, qc_hull),
+        ("ray-to-line", 14.0, ray_line),
+    ]
+
+
+def _plane_samplers(space, delta, plan):
+    """(name, bound factor, sampler) of the six lemmas on the plane."""
 
     # 1. projection: d(x, [y,z]) <= (y,z)_x + 4 delta
     def projection(rng):
-        x, y, z = (_rand_point(rng, space, plan.radius) for _ in range(3))
+        x, y, z = (_rand_plane_point(rng, plan.radius) for _ in range(3))
         d = float(dist_to_segment(space, x, y, z))
         p = float(gromov_product(space, x, y, z))
         return max(d - p - 4.0 * delta, 0.0), "x=%r y=%r z=%r" % (x, y, z)
 
-    run("projection", 4.0 * delta, projection)
-
     # 2. thin triangles: every point of [q,r] is 4 delta-close to the union
     # of the other two sides
     def thin(rng):
-        p, q, r = (_rand_point(rng, space, plan.radius) for _ in range(3))
+        p, q, r = (_rand_plane_point(rng, plan.radius) for _ in range(3))
         d = distance(space, q, r)
         if float(d) == 0.0:
             return None
-        t = d * Fraction(rng.randrange(0, 17), 16) if tree else float(d) * rng.random()
+        t = float(d) * rng.random()
         m = geodesic_point(space, q, r, t)
         gap = min(
             float(dist_to_segment(space, m, p, q)),
@@ -177,28 +327,21 @@ def check_geodesic_lemmas(space, delta, plan=SamplingPlan()):
         )
         return max(gap - 4.0 * delta, 0.0), "p=%r q=%r r=%r t=%s" % (p, q, r, t)
 
-    run("thin-triangles", 4.0 * delta, thin)
-
     # 3. parallel rays: same ideal endpoint, origins p, p'; for some split
     # t1 + t2 = d(p,p') the rays stay 8 delta-close at matched parameters
-    t_grid = _frac_grid(0, 8, Fraction(1, 2)) if tree else [0.5 * i for i in range(17)]
+    t_grid = [0.5 * i for i in range(17)]
 
     def parallel(rng):
-        p = _rand_point(rng, space, plan.radius / 2)
-        pp = _rand_point(rng, space, plan.radius / 2)
+        p = _rand_plane_point(rng, plan.radius / 2)
+        pp = _rand_plane_point(rng, plan.radius / 2)
         e = _rand_boundary(rng, space)
         d0 = distance(space, p, pp)
-        if tree:
-            t1_opt = gromov_product(space, p, pp, TreePoint(e))
-        else:
-            far = ray_point(space, Ray(p, e), 30.0)
-            t1_opt = float(gromov_product(space, p, pp, far))
-        splits = [t1_opt]
-        if not tree:
-            splits = [
-                min(max(t1_opt + s * delta, 0.0), float(d0))
-                for s in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
-            ]
+        far = ray_point(space, Ray(p, e), 30.0)
+        t1_opt = float(gromov_product(space, p, pp, far))
+        splits = [
+            min(max(t1_opt + s * delta, 0.0), float(d0))
+            for s in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+        ]
         splits = [(t1, d0 - t1) for t1 in splits if t1 >= 0 and d0 - t1 >= 0]
         if not splits:
             return None
@@ -214,23 +357,17 @@ def check_geodesic_lemmas(space, delta, plan=SamplingPlan()):
             best = min(best, sup)
         return max(best - 8.0 * delta, 0.0), "p=%r p'=%r e=%r" % (p, pp, e)
 
-    run("parallel-rays", 8.0 * delta, parallel)
-
     # 4. product vs rays: (z,z')_x >= T implies the rays at T - delta are
     # 4 delta-close
     def product_rays(rng):
-        x = _rand_point(rng, space, plan.radius)
+        x = _rand_plane_point(rng, plan.radius)
         e1, e2 = _rand_boundary(rng, space), _rand_boundary(rng, space)
         if e1 == e2:
             return None
-        if tree:
-            prod = gromov_product(space, x, TreePoint(e1), TreePoint(e2))
-            T = prod
-        else:
-            f1 = ray_point(space, Ray(x, e1), 30.0)
-            f2 = ray_point(space, Ray(x, e2), 30.0)
-            prod = float(gromov_product(space, x, f1, f2))
-            T = prod - 0.01
+        f1 = ray_point(space, Ray(x, e1), 30.0)
+        f2 = ray_point(space, Ray(x, e2), 30.0)
+        prod = float(gromov_product(space, x, f1, f2))
+        T = prod - 0.01
         s = T - delta
         if float(s) <= 0:
             return None
@@ -238,8 +375,6 @@ def check_geodesic_lemmas(space, delta, plan=SamplingPlan()):
         b = ray_point(space, Ray(x, e2), s)
         gap = float(distance(space, a, b))
         return max(gap - 4.0 * delta, 0.0), "x=%r e1=%r e2=%r T=%s" % (x, e1, e2, T)
-
-    run("product-rays", 4.0 * delta, product_rays)
 
     # 5. quasiconvex hull: a geodesic between two hull points stays within
     # 36 delta of the lines through the defining endpoints
@@ -250,29 +385,16 @@ def check_geodesic_lemmas(space, delta, plan=SamplingPlan()):
             if e not in ends:
                 ends.append(e)
         u1, v1, u2, v2 = ends
-
-        def line_pt(u, v, s_extra):
-            if tree:
-                A, B = TreePoint(u), TreePoint(v)
-                mid = distance(space, A, B) / 2
-                return geodesic_point(space, A, B, mid + s_extra)
-            return plane_line_point(u, v, space.basepoint, float(s_extra))
-
-        x = line_pt(u1, v1, Fraction(rng.randrange(-32, 33), 8) if tree else rng.uniform(-4, 4))
-        y = line_pt(u2, v2, Fraction(rng.randrange(-32, 33), 8) if tree else rng.uniform(-4, 4))
+        x = plane_line_point(u1, v1, space.basepoint, rng.uniform(-4, 4))
+        y = plane_line_point(u2, v2, space.basepoint, rng.uniform(-4, 4))
         d = distance(space, x, y)
         if float(d) == 0.0:
             return None
-        t = d * Fraction(rng.randrange(0, 17), 16) if tree else float(d) * rng.random()
+        t = float(d) * rng.random()
         m = geodesic_point(space, x, y, t)
         cand = [(u1, v1), (u2, v2), (v1, v2), (v1, u2), (u1, v2), (u1, u2)]
-        if tree:
-            gap = min(float(tree_dist_to_word_line(space, m, a, b)) for a, b in cand)
-        else:
-            gap = min(plane_dist_to_ideal_line(m, a, b) for a, b in cand)
+        gap = min(plane_dist_to_ideal_line(m, a, b) for a, b in cand)
         return max(gap - 36.0 * delta, 0.0), "C=%r x=%r y=%r" % (ends, x, y)
-
-    run("qc-hull", 36.0 * delta, qc_hull)
 
     # 6. ray-to-line: the ray from a hull point x toward z in C is 14
     # delta-close, at matched parameters, to a line with endpoints in C
@@ -282,28 +404,16 @@ def check_geodesic_lemmas(space, delta, plan=SamplingPlan()):
         z = _rand_boundary(rng, space)
         if len({u, v, z}) < 3:
             return None
-        if tree:
-            A, B = TreePoint(u), TreePoint(v)
-            mid = distance(space, A, B) / 2
-            x = geodesic_point(space, A, B, mid + Fraction(rng.randrange(-32, 33), 8))
-        else:
-            x = plane_line_point(u, v, space.basepoint, rng.uniform(-4, 4))
+        x = plane_line_point(u, v, space.basepoint, rng.uniform(-4, 4))
         ray = ray_points(space, Ray(x, z), t_grid)
         best = math.inf
         for c in (u, v):
-            if tree:
-                # the geodesic from c to the proxy z is the ray from c toward z
-                s0 = gromov_product(space, TreePoint(c), TreePoint(z), x)
-                line = ray_points(space, Ray(TreePoint(c), z), [s0 + t for t in t_grid])
-            elif plane_dist_to_ideal_line(x, c, z) > 6.0 * delta + 1e-9 and delta > 0:
+            if plane_dist_to_ideal_line(x, c, z) > 6.0 * delta + 1e-9 and delta > 0:
                 continue
-            else:
-                line = plane_line_points(c, z, x, t_grid)
+            line = plane_line_points(c, z, x, t_grid)
             best = min(best, max(float(distance(space, r, q)) for r, q in zip(ray, line)))
         if best is math.inf:
             return None
         return max(best - 14.0 * delta, 0.0), "u=%r v=%r z=%r x=%r" % (u, v, z, x)
 
-    run("ray-to-line", 14.0 * delta, ray_line)
-
-    return InequalityReport(all(r.passed for r in rows), tuple(rows))
+    return _lemmas(projection, thin, parallel, product_rays, qc_hull, ray_line)

@@ -13,7 +13,6 @@ nesting exactly from the images of the arc endpoints.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ClassificationError, KindMismatchError
 from .space import PLANE, TREE, ModelSpace, PlanePoint, TreePoint, plane_distance
@@ -23,7 +22,6 @@ from .words import (
     invert_word,
     is_reduced,
     letters,
-    reduce_word,
     reduced_words_upto,
 )
 

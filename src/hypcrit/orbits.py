@@ -12,16 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, InsufficientDataError, KindMismatchError
-from .isometries import (
-    IDENTITY_PLANE,
-    PlaneIsometry,
-    TreeIsometry,
-    apply_isometry,
-    compose,
-)
-from .space import PLANE, TREE, PlanePoint, TreePoint, distance, plane_distance
-from .words import compose_words, invert_word, letters, word_key
+from .errors import CertificationError, InsufficientDataError
+from .isometries import IDENTITY_PLANE, TreeIsometry, apply_isometry, compose
+from .space import TREE, TreePoint, distance, plane_distance
+from .words import compose_words, letters, word_key
 
 #: hard cap on enumerated elements; hitting it aborts with a diagnosis
 #: (a non-discrete action would otherwise loop)

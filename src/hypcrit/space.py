@@ -1,14 +1,23 @@
 """Model spaces: weighted regular trees and the hyperbolic upper half-plane.
 
-Tree points and distances are exact (stdlib Fraction in units of the edge
-length); plane points are complex numbers z = re + i*im with im > 0 and all
-plane arithmetic is float64 with a declared metric tolerance of 1e-9.
+Tree lengths are exact. The tree of valence 2k is realized as the Cayley
+tree of the free group F_k: vertices are reduced words, edges have length
+`edge_length`, and a point in the interior of an edge is stored as
+(shallow vertex word, offset, letter of the deeper endpoint). Group actions
+need even valence; the geometry functions themselves never use the group
+structure. Plane points are complex numbers z = re + i*im with im > 0 and
+all plane arithmetic is float64 with a declared metric tolerance of 1e-9.
 
-The tree of valence 2k is realized as the Cayley tree of the free group F_k:
-vertices are reduced words, edges have length `edge_length`, and a point in
-the interior of an edge is stored as (shallow vertex word, offset, letter of
-the deeper endpoint). Group actions need even valence; the geometry
-functions themselves never use the group structure.
+The tree has one distance and geodesic kernel (`_path_distance`,
+`_point_at_depth`, `_geodesic_points`), written over points with an
+integer offset and the edge length `m` counted in the same unit. The hot
+paths run it on `_GridPoint`s of an integer grid: the lemma sweeps on the
+grid of `tree_grid` (1/D with D = 128 * denominator(edge_length), fine
+enough for every sampled offset, parameter and split), snapshots on their
+resolution steps. A grid length k converts to float once, as k / D, which
+is float(Fraction(k, D)). `TreePoint` with `Fraction` offsets is the public
+type and the reference: `distance`, `geodesic_point` and `ray_points` run
+the same kernel in `Fraction` arithmetic with m = edge_length.
 
 Each model has one kernel per job. On the plane every line point comes
 from `plane_line_point`: conjugate the line to the positive imaginary axis
@@ -29,6 +38,7 @@ the ray's line, are their independent reference.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,27 +150,106 @@ def tree_depth(space, p):
     return len(p.word) * space.edge_length + p.offset
 
 
-def _tree_separation(L, p, q):
+# ---------------------------------------------------------------------------
+# the tree kernel: every function below reads only word, offset and
+# direction, with m the edge length in the offsets' unit, so it runs on
+# `_GridPoint`s in integers and on `TreePoint`s in Fractions alike
+
+#: a tree point with an integer offset: the vertex word, the offset toward
+#: the deeper endpoint of its edge in grid units, and that endpoint's letter
+#: (offset 0 and direction None at a vertex)
+_GridPoint = namedtuple("_GridPoint", "word offset direction")
+
+
+def tree_grid(space):
+    """(D, m): grid units per unit of length, and per edge, on the tree.
+
+    D = 128 * denominator(edge_length), so an edge is m = 128 *
+    numerator(edge_length) units and the grid holds every length the lemma
+    sweeps sample: offsets of edge/8, parameters in steps of 1/2, shifts in
+    steps of 1/8 and splits d * k/16 of a distance d between such points.
+    Tree medians are vertices or input points, so Gromov products stay on
+    the grid too.
+    """
+    L = space.edge_length
+    return 128 * L.denominator, 128 * L.numerator
+
+
+def _tree_separation(m, p, q):
     """Length of the common initial segment of the two root-paths, for edge
-    length L. Only word, direction and offset are read, so points whose
-    offsets count integer grid steps (with L the steps per edge) give the
-    separation in steps."""
+    length m."""
     k = _lcp(p.word, q.word)
     lp, lq = len(p.word), len(q.word)
     if k < lp and k < lq:
-        return k * L
+        return k * m
     if lp == lq:
         # same vertex
         if p.direction is not None and p.direction == q.direction:
-            return lp * L + min(p.offset, q.offset)
-        return lp * L
+            return lp * m + min(p.offset, q.offset)
+        return lp * m
     if lp < lq:
         if p.direction is not None and p.direction == q.word[lp]:
-            return lp * L + p.offset
-        return lp * L
+            return lp * m + p.offset
+        return lp * m
     if q.direction is not None and q.direction == p.word[lq]:
-        return lq * L + q.offset
-    return lq * L
+        return lq * m + q.offset
+    return lq * m
+
+
+def _path_distance(m, p, q):
+    """d(p, q) for edge length m: both depths less twice the separation."""
+    return len(p.word) * m + p.offset + len(q.word) * m + q.offset - 2 * _tree_separation(m, p, q)
+
+
+def _grid_product(m, x, y, z):
+    """(y, z)_x on the grid: the distance from x to the median of x, y, z,
+    a vertex or one of the three points, so an exact integer."""
+    return (_path_distance(m, x, y) + _path_distance(m, x, z) - _path_distance(m, y, z)) // 2
+
+
+def _point_at_depth(m, word, direction, depth):
+    """Point on the root-path of (word [+ direction partial edge]) at `depth`."""
+    k, r = divmod(depth, m)
+    if r == 0:
+        return _GridPoint(word[:k], r, None)
+    return _GridPoint(word[:k], r, word[k] if k < len(word) else direction)
+
+
+def _geodesic_points(m, p, q, ts):
+    """The points at arclengths ts (each in [0, d(p, q)], unchecked) along
+    the geodesic from p to q."""
+    sep = _tree_separation(m, p, q)
+    depth = len(p.word) * m + p.offset
+    a = depth - sep  # length of the upward leg
+    return [
+        _point_at_depth(m, p.word, p.direction, depth - t) if t <= a
+        else _point_at_depth(m, q.word, q.direction, sep + (t - a))
+        for t in ts
+    ]
+
+
+def _grid_geodesic_point(m, p, q, t):
+    d = _path_distance(m, p, q)
+    if t < 0 or t > d:
+        raise ValueError("geodesic parameter out of range: t=%s, d=%s" % (t, d))
+    return _geodesic_points(m, p, q, [t])[0]
+
+
+def _grid_ray_points(m, p, proxy, ts):
+    """Points at the arclengths ts (each >= 0) along the ray from p through
+    the vertex proxy; DepthError past the proxy."""
+    d = _path_distance(m, p, proxy)
+    for t in ts:
+        if t > d:
+            raise DepthError("ray proxy too shallow: t=%s beyond proxy distance %s" % (t, d))
+    return _geodesic_points(m, p, proxy, ts)
+
+
+def _tree_point(g, unit):
+    """The `TreePoint` of a grid point whose offset counts `unit`s of length."""
+    if not g.offset:
+        return TreePoint(g.word)
+    return TreePoint(g.word, g.offset * unit, g.direction)
 
 
 def plane_distance(z1, z2):
@@ -173,8 +262,7 @@ def distance(space, p, q):
     _check_point(space, p)
     _check_point(space, q)
     if space.kind == TREE:
-        sep = _tree_separation(space.edge_length, p, q)
-        return tree_depth(space, p) + tree_depth(space, q) - 2 * sep
+        return _path_distance(space.edge_length, p, q)
     return plane_distance(p.z, q.z)
 
 
@@ -184,44 +272,6 @@ def gromov_product(space, base, y, z):
     dxz = distance(space, base, z)
     dyz = distance(space, y, z)
     return (dxy + dxz - dyz) / 2
-
-
-# ---------------------------------------------------------------------------
-# tree geodesics
-
-
-def _tree_point_at_depth(space, word, direction, depth):
-    """Point on the root-path of (word [+ direction partial edge]) at `depth`."""
-    L = space.edge_length
-    m, r = divmod(depth, L)
-    m = int(m)
-    if r == 0:
-        return TreePoint(word[:m])
-    if m < len(word):
-        step = word[m]
-    else:
-        step = direction
-    return TreePoint(word[:m], r, step)
-
-
-def _as_fraction(t):
-    if isinstance(t, Fraction):
-        return t
-    if isinstance(t, int):
-        return Fraction(t)
-    return Fraction(t)  # exact binary value of the float
-
-
-def _tree_geodesic_point(space, p, q, t):
-    t = _as_fraction(t)
-    d = distance(space, p, q)
-    if t < 0 or t > d:
-        raise ValueError("geodesic parameter out of range: t=%s, d=%s" % (t, d))
-    sep = _tree_separation(space.edge_length, p, q)
-    a = tree_depth(space, p) - sep  # length of the upward leg
-    if t <= a:
-        return _tree_point_at_depth(space, p.word, p.direction, tree_depth(space, p) - t)
-    return _tree_point_at_depth(space, q.word, q.direction, sep + (t - a))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +341,7 @@ def geodesic_point(space, p, q, t):
     _check_point(space, p)
     _check_point(space, q)
     if space.kind == TREE:
-        return _tree_geodesic_point(space, p, q, t)
+        return TreePoint(*_grid_geodesic_point(space.edge_length, p, q, Fraction(t)))
     return _plane_geodesic_point(space, p, q, float(t))
 
 
@@ -329,21 +379,10 @@ def ray_points(space, ray, ts):
     if space.kind != TREE:
         u, e = _ray_line(ray.origin.z, ray.target)
         return plane_line_points(u, e, ray.origin, ts)
-    p, proxy = ray.origin, TreePoint(ray.target)
-    d = distance(space, p, proxy)
-    sep = _tree_separation(space.edge_length, p, proxy)
-    depth = tree_depth(space, p)
-    a = depth - sep  # length of the upward leg
-    out = []
-    for t in ts:
-        t = _as_fraction(t)
-        if t > d:
-            raise DepthError("ray proxy too shallow: t=%s beyond proxy distance %s" % (t, d))
-        if t <= a:
-            out.append(_tree_point_at_depth(space, p.word, p.direction, depth - t))
-        else:
-            out.append(_tree_point_at_depth(space, proxy.word, proxy.direction, sep + (t - a)))
-    return out
+    pts = _grid_ray_points(
+        space.edge_length, ray.origin, TreePoint(ray.target), [Fraction(t) for t in ts]
+    )
+    return [TreePoint(*g) for g in pts]
 
 
 def _ray_line(p, e):
@@ -370,7 +409,7 @@ def busemann(space, ray, y, horizon):
         raise ValueError("horizon must be positive")
     _check_point(space, y)
     if space.kind == TREE:
-        h = _as_fraction(horizon)
+        h = Fraction(horizon)
         value = distance(space, ray_point(space, ray, h), y) - h
         prev_h = h - space.edge_length
         if prev_h > 0:
@@ -479,14 +518,6 @@ def plane_line_points(u, v, xref, ts):
     return out
 
 
-def tree_dist_to_word_line(space, x, wu, wv):
-    """d(x, line) where the line joins the deep vertices of words wu, wv.
-
-    Exact, provided the proxies are deeper than the projection of x.
-    """
-    return gromov_product(space, x, TreePoint(wu), TreePoint(wv))
-
-
 # ---------------------------------------------------------------------------
 # vectorized distances
 
@@ -521,12 +552,13 @@ def _row_lcp(a, b):
 class _TreePaths:
     """Root paths of a list of tree points, the one tree-distance kernel.
 
-    Row i holds the letters of points[i].word followed by its direction
-    letter, padded to one more digit than the longest word. The rows are
-    sorted once; the common-prefix length of sorted rows a < b is then the
-    minimum of the adjacent common-prefix lengths between them, so one
-    point's prefix lengths against all others cost O(n) and no
-    n x n x depth comparison is ever built.
+    The points come as arrays: vertex words, direction letters (None at a
+    vertex) and float64 offsets. Row i holds the letters of words[i]
+    followed by its direction letter, padded to one more digit than the
+    longest word. The rows are sorted once; the common-prefix length of
+    sorted rows a < b is then the minimum of the adjacent common-prefix
+    lengths between them, so one point's prefix lengths against all others
+    cost O(n) and no n x n x depth comparison is ever built.
 
     A distance is two steps. `prefix_lengths` gives the common-prefix
     lengths (small integers: a whole n x n table fits in int8, n^2 bytes);
@@ -534,14 +566,14 @@ class _TreePaths:
     2 sep_ij, with sep_ij as in `_tree_separation`, for a block of rows or
     for a list of pairs. Both read the same per-point operands, so a
     distance is bitwise the same whichever way its prefix length was
-    stored or its pair was selected.
+    stored or its pair was selected, and bitwise symmetric in i and j.
     """
 
-    def __init__(self, space, points):
-        n = len(points)
-        self.L = float(space.edge_length)
-        self.wl = np.array([len(p.word) for p in points], dtype=np.int64)
-        self.off = np.array([float(p.offset) for p in points])
+    def __init__(self, edge_length, words, directions, offsets):
+        n = len(words)
+        self.L = float(edge_length)
+        self.wl = np.array([len(w) for w in words], dtype=np.int64)
+        self.off = np.asarray(offsets, dtype=float)
         self.depth = self.wl * self.L + self.off
         # order by (word length, offset): of two points whose root paths
         # agree past the shorter word, the earlier one lies on the shared
@@ -549,7 +581,7 @@ class _TreePaths:
         self.shallow_rank = np.empty(n, dtype=np.int64)
         self.shallow_rank[np.lexsort((self.off, self.wl))] = np.arange(n)
         self.width = int(self.wl.max()) + 1 if n else 1
-        rows = _word_rows([p.word + (p.direction or "") for p in points], self.width)
+        rows = _word_rows([w + (d or "") for w, d in zip(words, directions)], self.width)
         order = np.lexsort(rows.T[::-1])
         srt = rows[order]
         self.adjacent = _row_lcp(srt[1:], srt[:-1])
@@ -597,27 +629,30 @@ class _TreePaths:
 class DistanceTable:
     """Distances among a fixed list of points, read by rows or by pairs.
 
-    Trees keep the int8 common-prefix table of `_TreePaths` (n^2 bytes)
-    and evaluate its float formula on demand, so a block of b rows costs
-    O(b n) floats and no n x n float table exists. The plane keeps the
-    dense float64 table of `pairwise_distances`. Either way an entry is
-    bitwise the entry of `pairwise_distances(space, points)`.
+    Built from a tree net's `_TreePaths`, it keeps their int8 common-prefix
+    table (n^2 bytes) and evaluates the float formula on demand, so a block
+    of b rows costs O(b n) floats and no n x n float table exists. Built
+    from a plane net's dense float64 `pairwise_distances` table, it keeps
+    that. Either way an entry is bitwise the entry of
+    `pairwise_distances(space, points)`.
     """
 
-    def __init__(self, space, points):
-        if space.kind == TREE:
-            self._paths = _TreePaths(space, points)
-            self._table = self._paths.prefix_lengths(np.arange(len(points)), np.int8)
+    def __init__(self, source):
+        if isinstance(source, _TreePaths):
+            self._paths = source
+            self._table = source.prefix_lengths(np.arange(len(source.rank)), np.int8)
         else:
             self._paths = None
-            self._table = pairwise_distances(space, points)
+            self._table = source
 
-    def rows(self, rows):
-        """(len(rows), n) distances from the points at indices `rows`."""
+    def rows(self, rows, start=0):
+        """(len(rows), n - start) distances from the points at indices
+        `rows` to the points from index `start` on."""
         rows = np.asarray(rows)
         if self._paths is None:
-            return self._table[rows]
-        return self._paths.from_prefixes(self._table[rows], rows[:, None], slice(None))
+            return self._table[rows, start:]
+        lcp = self._table[rows, start:]
+        return self._paths.from_prefixes(lcp, rows[:, None], slice(start, None))
 
     def pairs(self, i, j):
         """Distances between points i[k] and j[k] for equal-length index
@@ -632,7 +667,12 @@ def _distance_rows(space, points):
     an index array `rows` to the (len(rows), n) float64 distances from those
     points to all of `points`."""
     if space.kind == TREE:
-        return _TreePaths(space, points).distances
+        return _TreePaths(
+            space.edge_length,
+            [p.word for p in points],
+            [p.direction for p in points],
+            [float(p.offset) for p in points],
+        ).distances
     z = np.array([p.z for p in points], dtype=complex)
     return lambda rows: plane_distances(z[rows, None], z)
 

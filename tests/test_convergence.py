@@ -409,3 +409,17 @@ def test_certification_failure_aborts_the_experiment():
     with pytest.raises(CertificationError) as err:
         run_continuity_experiment(member, [0.5], 4.0, cfg)
     assert "0.5" in str(err.value)
+
+
+def test_tree_net_distances_are_bitwise_symmetric():
+    # verify_witness reads distortion off the columns j >= each block's
+    # first row, which is exact only because of this symmetry
+    ell = Fraction(3, 2)
+    act = tree_action(edge_length=ell)
+    snap = snapshot(act, enumerate_orbit_ball(act, 6), 0.25, resolution=ell / 24)
+    n = len(snap.points)
+    D = snap.metric.rows(np.arange(n))
+    assert n > 900 and np.array_equal(D, D.T)
+    i, j = np.triu_indices(n, 1)
+    assert np.array_equal(snap.metric.pairs(i, j), snap.metric.pairs(j, i))
+    assert np.array_equal(snap.metric.rows(np.arange(5, 9), 7), D[5:9, 7:])

@@ -208,3 +208,93 @@ def test_entropy_lower_bound():
     assert not bad
     with pytest.raises(ValueError):
         check_entropy_lower_bound(1.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# greedy covering of isolated tree vertices
+
+
+def counted_rows(monkeypatch):
+    """Count the distance-row kernels `greedy_covering_count` builds."""
+    from hypcrit import entropy
+
+    built = [0]
+    rows = entropy._distance_rows
+
+    def counting(space, points):
+        built[0] += 1
+        return rows(space, points)
+
+    monkeypatch.setattr(entropy, "_distance_rows", counting)
+    return built
+
+
+def greedy_loop(monkeypatch, space, points, r):
+    from hypcrit import entropy
+
+    with monkeypatch.context() as m:
+        m.setattr(entropy, "_isolated_vertices", lambda space, r: False)
+        return greedy_covering_count(space, points, r)
+
+
+@pytest.mark.parametrize("ell", [Fraction(1), Fraction(3, 2), Fraction(1, 3)])
+def test_greedy_shortcut_equals_the_loop_on_vertex_sets(monkeypatch, ell):
+    from hypcrit.space import TreePoint
+    from hypcrit.words import reduced_words_upto
+
+    space = ModelSpace.tree(4, ell)
+    pts = [TreePoint(w) for w in reduced_words_upto(2, 4)][::-1]
+    built = counted_rows(monkeypatch)
+    for r in (0.0, 0.25 * float(ell), 0.999 * float(ell)):
+        assert greedy_covering_count(space, pts, r) == len(pts)
+        assert built[0] == 0
+        assert greedy_loop(monkeypatch, space, pts, r) == len(pts)
+        assert built[0] == 1
+        built[0] = 0
+
+
+def test_greedy_shortcut_needs_distinct_vertices_below_one_edge(monkeypatch):
+    from hypcrit.space import TreePoint
+    from hypcrit.words import reduced_words_upto
+
+    space = ModelSpace.tree(4, Fraction(3, 2))
+    pts = [TreePoint(w) for w in reduced_words_upto(2, 3)]
+    built = counted_rows(monkeypatch)
+    cases = [
+        (pts + [TreePoint("a", Fraction(3, 4), "b")], 1.0),  # a point off the vertices
+        (pts + pts[:3], 1.0),  # repeated vertices
+        (pts, 1.5),  # r = L: neighbours cover each other
+    ]
+    for points, r in cases:
+        got = greedy_covering_count(space, points, r)
+        assert built[0] == 1
+        assert got == greedy_loop(monkeypatch, space, points, r)
+        built[0] = 0
+    assert greedy_covering_count(space, pts, 1.5) < len(pts)
+
+
+def test_tree_covering_entropy_reads_the_ball_levels():
+    act = tree_action(edge_length=Fraction(3, 2))
+    ball = enumerate_orbit_ball(act, 9)
+    for r in (0.5, 1.5):
+        from_ball = covering_entropy_estimate(act, ball, r, (3, 9))
+        from_points = covering_entropy_estimate(act, [e.point for e in ball.entries], r, (3, 9))
+        assert from_ball == from_points
+
+
+def test_entropy_f2_tree_builds_no_tree_point(tmp_path, monkeypatch):
+    from hypcrit import cli
+    from hypcrit.space import TreePoint
+
+    built = [0]
+    check = TreePoint.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        check(self)
+
+    monkeypatch.setattr(TreePoint, "__post_init__", counting)
+    assert cli.main(["entropy", "--scenario", "f2_tree", "--out", str(tmp_path)]) == 0
+    assert built[0] == 0
+    TreePoint("ab")
+    assert built[0] == 1

@@ -55,3 +55,152 @@ def test_unknown_row_lookup_raises():
     rep = check_geodesic_lemmas(TREE, 0.0, SamplingPlan(count=10, seed=0))
     with pytest.raises(KeyError):
         rep.row("isoperimetry")
+
+
+# ---------------------------------------------------------------------------
+# the integer tree sweep against a TreePoint/Fraction reference sweep
+
+
+def reference_tree_lemmas(space, delta, plan):
+    """The six tree lemma sweeps on `TreePoint`s in `Fraction` arithmetic,
+    through the public geometry functions, with the sampler's random draws."""
+    from fractions import Fraction
+    import random
+    import zlib
+
+    from hypcrit.geometry_checks import LemmaRow, _rand_boundary, _rand_tree_point
+    from hypcrit.space import Ray, TreePoint, distance, geodesic_point, gromov_product, ray_point, ray_points
+
+    def point(rng, radius):
+        return _rand_tree_point(rng, space, radius)
+
+    def boundary(rng):
+        return _rand_boundary(rng, space)
+
+    def line_point(u, v, s):
+        A, B = TreePoint(u), TreePoint(v)
+        return geodesic_point(space, A, B, distance(space, A, B) / 2 + s)
+
+    t_grid = [Fraction(k, 2) for k in range(17)]
+
+    def projection(rng):
+        x, y, z = (point(rng, plan.radius) for _ in range(3))
+        d = p = float(gromov_product(space, x, y, z))
+        return max(d - p - 4.0 * delta, 0.0), "x=%r y=%r z=%r" % (x, y, z)
+
+    def thin(rng):
+        p, q, r = (point(rng, plan.radius) for _ in range(3))
+        d = distance(space, q, r)
+        if d == 0:
+            return None
+        t = d * Fraction(rng.randrange(0, 17), 16)
+        m = geodesic_point(space, q, r, t)
+        gap = min(float(gromov_product(space, m, p, q)), float(gromov_product(space, m, p, r)))
+        return max(gap - 4.0 * delta, 0.0), "p=%r q=%r r=%r t=%s" % (p, q, r, t)
+
+    def parallel(rng):
+        p, pp = point(rng, plan.radius / 2), point(rng, plan.radius / 2)
+        e = boundary(rng)
+        t1 = gromov_product(space, p, pp, TreePoint(e))
+        t2 = distance(space, p, pp) - t1
+        a = ray_points(space, Ray(p, e), [t + t1 for t in t_grid])
+        b = ray_points(space, Ray(pp, e), [t + t2 for t in t_grid])
+        sup = max(float(distance(space, x, y)) for x, y in zip(a, b))
+        return max(sup - 8.0 * delta, 0.0), "p=%r p'=%r e=%r" % (p, pp, e)
+
+    def product_rays(rng):
+        x = point(rng, plan.radius)
+        e1, e2 = boundary(rng), boundary(rng)
+        if e1 == e2:
+            return None
+        T = gromov_product(space, x, TreePoint(e1), TreePoint(e2))
+        s = T - delta
+        if float(s) <= 0:
+            return None
+        gap = float(distance(space, ray_point(space, Ray(x, e1), s), ray_point(space, Ray(x, e2), s)))
+        return max(gap - 4.0 * delta, 0.0), "x=%r e1=%r e2=%r T=%s" % (x, e1, e2, T)
+
+    def qc_hull(rng):
+        ends = []
+        while len(ends) < 4:
+            e = boundary(rng)
+            if e not in ends:
+                ends.append(e)
+        u1, v1, u2, v2 = ends
+        x = line_point(u1, v1, Fraction(rng.randrange(-32, 33), 8))
+        y = line_point(u2, v2, Fraction(rng.randrange(-32, 33), 8))
+        d = distance(space, x, y)
+        if d == 0:
+            return None
+        m = geodesic_point(space, x, y, d * Fraction(rng.randrange(0, 17), 16))
+        cand = [(u1, v1), (u2, v2), (v1, v2), (v1, u2), (u1, v2), (u1, u2)]
+        gap = min(float(gromov_product(space, m, TreePoint(a), TreePoint(b))) for a, b in cand)
+        return max(gap - 36.0 * delta, 0.0), "C=%r x=%r y=%r" % (ends, x, y)
+
+    def ray_line(rng):
+        u, v, z = boundary(rng), boundary(rng), boundary(rng)
+        if len({u, v, z}) < 3:
+            return None
+        x = line_point(u, v, Fraction(rng.randrange(-32, 33), 8))
+        ray = ray_points(space, Ray(x, z), t_grid)
+        best = min(
+            max(float(distance(space, r, q)) for r, q in zip(ray, ray_points(
+                space, Ray(TreePoint(c), z),
+                [gromov_product(space, TreePoint(c), TreePoint(z), x) + t for t in t_grid],
+            )))
+            for c in (u, v)
+        )
+        return max(best - 14.0 * delta, 0.0), "u=%r v=%r z=%r x=%r" % (u, v, z, x)
+
+    rows = []
+    for name, factor, sampler in [
+        ("projection", 4.0, projection), ("thin-triangles", 4.0, thin),
+        ("parallel-rays", 8.0, parallel), ("product-rays", 4.0, product_rays),
+        ("qc-hull", 36.0, qc_hull), ("ray-to-line", 14.0, ray_line),
+    ]:
+        rng = random.Random(zlib.crc32(name.encode()) ^ (plan.seed * 0x9E3779B1))
+        worst, witness, n = 0.0, "", 0
+        for _ in range(plan.count):
+            got = sampler(rng)
+            if got is None:
+                continue
+            n += 1
+            if got[0] > worst:
+                worst, witness = got
+        rows.append(LemmaRow(name, n, worst, factor * delta, worst <= DEFECT_TOL, witness))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_tree_sweep_matches_fraction_reference(seed):
+    plan = SamplingPlan(count=300, seed=seed)
+    assert check_geodesic_lemmas(TREE, 0.0, plan).rows == reference_tree_lemmas(TREE, 0.0, plan)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.25], ids=["delta=0", "delta<0"])
+def test_tree_sweep_matches_reference_off_the_dyadic_grid(delta):
+    # at L = 2/3, T - delta is a float that can miss the grid: product-rays
+    # then takes the reference path and keeps its rounding; a negative
+    # delta makes every lemma name a witness
+    from fractions import Fraction
+
+    space = ModelSpace.tree(4, Fraction(2, 3))
+    plan = SamplingPlan(count=60, seed=1)
+    rows = check_geodesic_lemmas(space, delta, plan).rows
+    assert rows == reference_tree_lemmas(space, delta, plan)
+    assert all(r.witness for r in rows) == (delta < 0)
+
+
+def test_tree_sweep_makes_no_fraction_arithmetic():
+    import cProfile
+    import pstats
+
+    prof = cProfile.Profile()
+    prof.runcall(check_geodesic_lemmas, TREE, 0.0, SamplingPlan(count=100, seed=0))
+    called = {
+        fn for (path, _, fn), st in pstats.Stats(prof).stats.items()
+        if path.endswith("fractions.py") and st[1]
+    }
+    # the grid is read off the edge length once; witness texts, which
+    # build Fractions, are formatted only for a positive defect
+    assert called <= {"numerator", "denominator", "__float__"}

@@ -318,3 +318,78 @@ def test_tree_point_validation():
         TreePoint("a", Fraction(1, 2), None)
     with pytest.raises(ValueError):
         PlanePoint(1.0 - 1j)
+
+
+# ---------------------------------------------------------------------------
+# the integer grid kernel
+
+
+def unit_path(g, m):
+    """The root path of a grid point as one letter per grid unit: the
+    common-prefix length of two such strings is their separation."""
+    return "".join(c * m for c in g.word) + (g.direction or "") * g.offset
+
+
+def rand_grid_point(rng, m, depth):
+    from hypcrit.space import _GridPoint
+
+    w = ""
+    while len(w) < rng.randrange(0, depth + 1):
+        c = rng.choice("aAbB")
+        if not w or c != w[-1].swapcase():
+            w += c
+    k = rng.randrange(0, m)
+    if k == 0:
+        return _GridPoint(w, 0, None)
+    d = rng.choice([c for c in "aAbB" if not w or c != w[-1].swapcase()])
+    return _GridPoint(w, k, d)
+
+
+@pytest.mark.parametrize("ell", ["1", "9/8", "3/2", "1/3"])
+def test_grid_kernel_matches_the_fraction_reference(ell):
+    from hypcrit.space import (
+        _GridPoint,
+        _grid_geodesic_point,
+        _grid_product,
+        _grid_ray_points,
+        _path_distance,
+        _tree_point,
+        ray_points,
+        tree_grid,
+    )
+
+    space = ModelSpace.tree(4, Fraction(ell))
+    D, m = tree_grid(space)
+    unit = Fraction(1, D)
+    assert m * unit == space.edge_length
+
+    def brute(p, q):
+        a, b = unit_path(p, m), unit_path(q, m)
+        k = 0
+        while k < min(len(a), len(b)) and a[k] == b[k]:
+            k += 1
+        return len(a) + len(b) - 2 * k
+
+    rng = random.Random(ell)
+    for _ in range(150):
+        p, q, x = (rand_grid_point(rng, m, 4) for _ in range(3))
+        P, Q, X = (_tree_point(g, unit) for g in (p, q, x))
+        d = _path_distance(m, p, q)
+        assert d == brute(p, q)
+        assert d * unit == distance(space, P, Q)
+        g = _grid_product(m, x, p, q)
+        assert 2 * g == brute(x, p) + brute(x, q) - brute(p, q)
+        assert g * unit == gromov_product(space, X, P, Q)
+        t = rng.randint(0, d)
+        mid = _grid_geodesic_point(m, p, q, t)
+        assert (brute(p, mid), brute(mid, q)) == (t, d - t)
+        assert _tree_point(mid, unit) == geodesic_point(space, P, Q, t * unit)
+        proxy = _GridPoint("".join(rng.choice("ab") for _ in range(8)), 0, None)
+        ts = [rng.randint(0, _path_distance(m, p, proxy)) for _ in range(5)]
+        ray = _grid_ray_points(m, p, proxy, ts)
+        assert [(brute(p, r), brute(r, proxy)) for r in ray] == [
+            (t, brute(p, proxy) - t) for t in ts
+        ]
+        assert [_tree_point(r, unit) for r in ray] == ray_points(
+            space, Ray(P, proxy.word), [t * unit for t in ts]
+        )
