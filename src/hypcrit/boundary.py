@@ -26,6 +26,7 @@ and the scalar functions remain the reference they are tested against.
 import math
 import random
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -37,8 +38,11 @@ from .space import (
     TREE,
     Ray,
     TreePoint,
+    _GridPoint,
+    _grid_ray_points,
     _lcp,
     _row_lcp,
+    _tree_point,
     _tree_separation,
     _word_rows,
     busemann,
@@ -49,8 +53,9 @@ from .space import (
     plane_ray_distances,
     plane_ray_product,
     plane_ray_products,
-    ray_point,
+    ray_points,
     tree_depth,
+    tree_grid,
 )
 from .words import _ORDER, compose_words, invert_word
 
@@ -195,6 +200,29 @@ def shadow_contains(action, y, r, z):
     return plane_ray_distance(y.z, z.coord) < r
 
 
+def _base_ray_points(action, ts):
+    """The function taking a boundary approximant z to the points at the
+    arclengths ts on the ray from the basepoint toward z, each the point
+    of `ray_point`, or None past a tree ray's proxy vertex. Tree rays run
+    from the root on an integer grid holding every t: the grid of
+    `tree_grid`, refined where a t is off it."""
+    space = action.space
+    if space.kind != TREE:
+        return lambda z: ray_points(space, boundary_ray(action, z), ts)
+    if any(t < 0 for t in ts):
+        raise ValueError("ray parameter must be nonnegative")
+    D, edge = tree_grid(space)
+    refine = math.lcm(*((Fraction(t) * D).denominator for t in ts))
+    D, edge = D * refine, edge * refine
+    grid_ts = [int(Fraction(t) * D) for t in ts]
+    root, unit = _GridPoint("", 0, None), Fraction(1, D)
+    return lambda z: [
+        _tree_point(_grid_ray_points(edge, root, _GridPoint(z.word, 0, None), [t])[0], unit)
+        if t <= len(z.word) * edge else None
+        for t in grid_ts
+    ]
+
+
 @dataclass(frozen=True)
 class ShadowBallReport:
     passed: bool
@@ -230,16 +258,15 @@ def check_shadow_ball_lemma(action, samples, ts, params=None, seed=0, pair_count
         a = 0.2 / delta if delta > 0 else 1.0
         params = VisualParams(a)
     V = params.V if params.V is not None else math.exp(params.a * delta)
+    ray_points_to = _base_ray_points(action, ts)
     for _ in range(pair_count):
         z, zp = rng.sample(samples, 2)
         try:
             p, err = boundary_gromov_product(action, z, zp)
         except DepthError:
             continue
-        for T in ts:
-            try:
-                xi = ray_point(space, boundary_ray(action, z), T)
-            except DepthError:
+        for T, xi in zip(ts, ray_points_to(z)):
+            if xi is None:
                 continue
             if p - err > T + 1e-9:
                 bis[0] += 1
@@ -606,7 +633,9 @@ def _tree_shadow_rules(action, atoms, y, r):
     Against the proxy vertex of an atom word of length lq, the separation
     from y is k * L plus y's offset when y's edge leads into the word
     (k = lcp, y.word a proper prefix). shadow_contains' exact rules are
-    evaluated once per distinct (k, edge bonus, lq).
+    evaluated once per distinct (k, edge bonus, lq), found by one 1-D
+    `np.unique` of the code (2 k + bonus) * base + lq, which orders the
+    triples lexicographically (k <= width and lq < width < base).
     """
     space = action.space
     L = space.edge_length
@@ -615,16 +644,18 @@ def _tree_shadow_rules(action, atoms, y, r):
     bonus = np.zeros(len(k), dtype=bool)
     if y.direction is not None and ly < atoms.width:
         bonus = (k == ly) & (atoms.lengths > ly) & (atoms.rows[:, ly] == _ORDER[y.direction])
-    keys = np.stack([k, bonus, atoms.lengths], axis=1)
-    distinct, which = np.unique(keys, axis=0, return_inverse=True)
+    base = atoms.width + 1
+    distinct, which = np.unique((2 * k + bonus) * base + atoms.lengths, return_inverse=True)
     dy = tree_depth(space, y)
     undecidable = np.zeros(len(distinct), dtype=bool)
     inside = np.zeros(len(distinct), dtype=bool)
-    for i, (kk, b, lq) in enumerate(distinct.tolist()):
+    for i, code in enumerate(distinct.tolist()):
+        kb, lq = divmod(code, base)
+        kk, b = divmod(kb, 2)
         sep = kk * L + (y.offset if b else 0)
         undecidable[i] = sep >= lq * L and dy > sep
         inside[i] = float(dy - sep) < r
-    return ~undecidable[which.ravel()], inside[which.ravel()]
+    return ~undecidable[which], inside[which]
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,16 @@ returns witnesses that re-verify.
 
 Verification needs no n x n float table. A snapshot keeps its distances
 as a `space.DistanceTable`: on trees the int8 common-prefix lengths of the
-net (n^2 bytes, 15 MB at 3841 points where float64 took 118 MB), on the
-plane the dense table of its small orbit net. Defects are computed from
-blocks of rows and lists of pairs through the same float formula the
-dense table applied, and tree images that leave the net are placed by
-word arithmetic at an exact integer number of grid steps, so every defect
-is bitwise the one the dense tables and the scalar `Fraction` fallback
-gave.
+net in sorted root-path order (n^2 bytes, 15 MB at 3841 points where
+float64 took 118 MB), filled by trie blocks, on the plane the dense table
+of its small orbit net. `verify_witness` runs its distortion and
+surjectivity blocks in that sorted order, with the witness mapped once,
+so no table is permuted. Defects are computed from blocks of rows and
+lists of pairs through the float formula of the dense table (tree
+separations in min form), and tree images that leave the net are placed
+by word arithmetic at an exact integer number of grid steps, so every
+defect is bitwise the one the dense tables and the scalar `Fraction`
+fallback gave.
 """
 
 import math
@@ -321,34 +324,40 @@ def verify_witness(A, B, w):
 
     Memory: each snapshot's `DistanceTable` (on trees n^2 int8 prefix
     lengths, on the plane the dense table of at most about 1.4k points) and
-    O(_BLOCK * n) float temporaries. Distortion and surjectivity are read
-    off blocks of _BLOCK rows of A and the rows of B at f(block), with a
-    running column minimum for surjectivity; the basepoint defect and the
-    in-net equivariance pairs are read as lists of pairs. Every entry
-    is bitwise the entry of the dense `pairwise_distances` table and every
-    defect is a max or min of entries, so the defects are bitwise those of
-    the dense n x n computation.
+    O(_BLOCK * n) float temporaries. Distortion and surjectivity run in the
+    tables' own order (sorted root paths on trees, the identity on the
+    plane): the witness is mapped once to fs = B.rank[f[A.order]], and
+    blocks of _BLOCK sorted rows of A are read against the rows of B at
+    fs(block), with a running column minimum for surjectivity. The
+    basepoint defect and the in-net equivariance pairs are read as lists
+    of pairs of net indices. Every entry is bitwise the entry of the dense
+    `pairwise_distances` table and every defect is a max or min of entries
+    over the same pairs, so the defects are bitwise those of the dense
+    n x n computation.
 
-    Distortion reads only the columns j >= the block's first row: both
-    tables are bitwise symmetric (`_TreePaths.from_prefixes` reads the same
-    operands for (i, j) and (j, i); the plane formula takes |z_i - z_j| and
-    y_i y_j), so |DB(f_i, f_j) - DA(i, j)| is too, and every pair (i, j)
-    with j < i is read as (j, i) in j's block.
+    Distortion reads only the columns b >= the block's first row: both
+    tables are bitwise symmetric (`space._separated` is symmetric in the
+    two points; the plane formula takes |z_i - z_j| and y_i y_j), so
+    |DB(fs_a, fs_b) - DA(a, b)| is too, and every pair (a, b) with b < a is
+    read as (b, a) in b's block.
     """
     _check_table("f", w.f, len(A.points), len(B.points))
     _check_table("phi", w.phi, len(A.elements), max(len(B.elements), 1))
     _check_table("psi", w.psi, len(B.elements), max(len(A.elements), 1))
     f = np.asarray(w.f, dtype=np.int64)
-    base = float(B.metric.pairs(f[[A.base_index]], [B.base_index])[0])
+    DA, DB = A.metric, B.metric
+    base = float(DB.pairs(f[[A.base_index]], [B.base_index])[0])
+    # the witness in table order: A's position a goes to B's position fs[a]
+    fs = DB.rank[f[DA.order]]
     distortion = 0.0
     cover = np.full(len(B.points), np.inf)
-    for start in range(0, len(f), _BLOCK):
-        rows = np.arange(start, min(start + _BLOCK, len(f)))
-        DB = B.metric.rows(f[rows])
-        gap = DB[:, f[start:]]
-        gap -= A.metric.rows(rows, start)
+    for start in range(0, len(fs), _BLOCK):
+        rows = slice(start, min(start + _BLOCK, len(fs)))
+        dB = DB.sorted_rows(fs[rows])
+        gap = dB[:, fs[start:]]
+        gap -= DA.sorted_rows(rows, start)
         distortion = max(distortion, float(np.abs(gap, out=gap).max()))
-        np.minimum(cover, DB.min(axis=0), out=cover)
+        np.minimum(cover, dB.min(axis=0), out=cover)
     surj = float(cover.max()) + B.covering_radius
     phi_def = _equivariance_defect(A, B, f, w.phi, forward=True)
     psi_def = _equivariance_defect(A, B, f, w.psi, forward=False)

@@ -43,6 +43,7 @@ from .space import (
 from .words import letters
 
 DEFECT_TOL = 1e-9
+#: depth of a tree proxy vertex, in length units and at least in letters
 PROXY_DEPTH = 24
 
 
@@ -125,9 +126,19 @@ def _rand_point(rng, space, radius):
 
 
 def _rand_boundary(rng, space):
-    """Boundary target usable as a Ray / line endpoint."""
+    """Boundary target usable as a Ray / line endpoint.
+
+    On the tree, a proxy word of max(PROXY_DEPTH, ceil(PROXY_DEPTH / L))
+    letters for edge length L: its vertex lies at least PROXY_DEPTH length
+    units deep, and at L >= 1 the word keeps PROXY_DEPTH letters. A sweep
+    ray at radius 6 starts at depth h < max(3, L) + L and runs at most
+    8 + d(p, p') < 8 + 2 h, so it ends above depth 8 + 3 h, short of the
+    proxy for every L.
+    """
     if space.kind == TREE:
-        return _rand_word(rng, space.valence // 2, PROXY_DEPTH)
+        L = space.edge_length
+        letters_needed = -(-PROXY_DEPTH * L.denominator // L.numerator)
+        return _rand_word(rng, space.valence // 2, max(PROXY_DEPTH, letters_needed))
     return rng.uniform(-10.0, 10.0)
 
 

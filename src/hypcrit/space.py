@@ -25,9 +25,12 @@ by a Mobius map and move along it by multiplying the imaginary part by e^t.
 Distances to segments, rays and ideal lines are distances to an arc of that
 axis (`_dist_to_axis_arc`). Vectorized distance rows come from
 `_distance_rows`: sorted root paths on trees, the arcsinh formula
-(`plane_distances`) on the plane. `DistanceTable` keeps a fixed net's
-distances for repeated reads by rows or pairs: int8 common-prefix lengths
-on trees, the dense table on the plane.
+(`plane_distances`) on the plane. A tree distance is depth_i + depth_j -
+2 sep with the separation in min form, sep = min(lcp L, depth_i, depth_j)
+(`_separated`). `DistanceTable` keeps a fixed net's distances for repeated
+reads by rows or pairs: on trees the int8 common-prefix table in sorted
+root-path order, filled by trie blocks (`_TreePaths.prefix_table`), on the
+plane the dense table.
 
 Rays from the basepoint i need no ray points: Gromov products of ray
 points at a common depth (`plane_ray_product`) and distances to such rays
@@ -549,117 +552,160 @@ def _row_lcp(a, b):
     return np.where(neq.any(axis=-1), neq.argmax(axis=-1), neq.shape[-1])
 
 
+def _separated(L, lcp, di, dj):
+    """Tree distances di + dj - 2 sep from common-prefix lengths lcp and
+    the depths di = fl(fl(wl L) + off) of the two points (broadcast
+    arrays), with the separation in min form, sep = min(lcp L, di, dj).
+
+    That is bitwise the float separation of `_tree_separation`: fl(lcp L)
+    where the root paths part within the shorter word, else the depth of
+    the shallower point, fl(fl(shorter L) + off).
+    - If lcp <= shorter, fl(lcp L) <= fl(wl L) <= depth for both points,
+      as rounding is monotone and offsets are >= 0.
+    - If lcp > shorter, then fl(lcp L) >= fl((shorter + 1) L), and the
+      shallower depth lies below (shorter + 1) L by L - off: at least one
+      grid step for every point this package makes (a net's resolution
+      step, an eighth of an edge for sampled points), far beyond the
+      rounding of a depth. With equal word lengths the points share word
+      and direction, and the min of their depths is the shallower one;
+      otherwise the deeper depth is >= fl((shorter + 1) L) too.
+    The min and the sum are symmetric, so the distance is bitwise
+    symmetric. It needs no clamp at 0: 2 sep <= 2 min(di, dj) is a float,
+    so fl(di + dj) >= 2 sep.
+    """
+    sep = lcp * L
+    np.minimum(sep, di, out=sep)
+    np.minimum(sep, dj, out=sep)
+    d = dj + di
+    sep *= 2.0
+    d -= sep
+    return d
+
+
 class _TreePaths:
     """Root paths of a list of tree points, the one tree-distance kernel.
 
     The points come as arrays: vertex words, direction letters (None at a
     vertex) and float64 offsets. Row i holds the letters of words[i]
     followed by its direction letter, padded to one more digit than the
-    longest word. The rows are sorted once; the common-prefix length of
-    sorted rows a < b is then the minimum of the adjacent common-prefix
-    lengths between them, so one point's prefix lengths against all others
-    cost O(n) and no n x n x depth comparison is ever built.
+    longest word. The rows are sorted once (`order` lists the points in
+    sorted order, `rank` is its inverse); the common-prefix length of
+    sorted rows a < b is then the minimum of the `adjacent` common-prefix
+    lengths between them, so no n x n x depth comparison is ever built.
 
-    A distance is two steps. `prefix_lengths` gives the common-prefix
-    lengths (small integers: a whole n x n table fits in int8, n^2 bytes);
-    `from_prefixes` evaluates the float64 formula depth_i + depth_j -
-    2 sep_ij, with sep_ij as in `_tree_separation`, for a block of rows or
-    for a list of pairs. Both read the same per-point operands, so a
-    distance is bitwise the same whichever way its prefix length was
-    stored or its pair was selected, and bitwise symmetric in i and j.
+    A distance is two steps: a common-prefix length (a small integer, so a
+    whole n x n table fits in int8, n^2 bytes), then the float64 formula of
+    `_separated` on the two depths. `prefix_lengths` gives one point's
+    prefix lengths against all others in net order, O(n) each;
+    `prefix_table` fills the whole table in sorted order by trie blocks.
+    Every route reads the same per-point depths, so a distance is bitwise
+    the same whichever way its prefix length was stored or its pair was
+    selected, and bitwise symmetric in i and j.
     """
 
     def __init__(self, edge_length, words, directions, offsets):
         n = len(words)
         self.L = float(edge_length)
-        self.wl = np.array([len(w) for w in words], dtype=np.int64)
-        self.off = np.asarray(offsets, dtype=float)
-        self.depth = self.wl * self.L + self.off
-        # order by (word length, offset): of two points whose root paths
-        # agree past the shorter word, the earlier one lies on the shared
-        # edge, so its offset is the partial-edge part of the separation
-        self.shallow_rank = np.empty(n, dtype=np.int64)
-        self.shallow_rank[np.lexsort((self.off, self.wl))] = np.arange(n)
-        self.width = int(self.wl.max()) + 1 if n else 1
+        wl = np.array([len(w) for w in words], dtype=np.int64)
+        self.depth = wl * self.L + np.asarray(offsets, dtype=float)
+        self.width = int(wl.max()) + 1 if n else 1
         rows = _word_rows([w + (d or "") for w, d in zip(words, directions)], self.width)
-        order = np.lexsort(rows.T[::-1])
-        srt = rows[order]
+        self.order = np.lexsort(rows.T[::-1])
+        srt = rows[self.order]
         self.adjacent = _row_lcp(srt[1:], srt[:-1])
         self.rank = np.empty(n, dtype=np.int64)
-        self.rank[order] = np.arange(n)
+        self.rank[self.order] = np.arange(n)
 
-    def _prefix_lengths(self, i, out):
-        """Write point i's common-prefix length with every point into out."""
-        p = self.rank[i]
+    def prefix_lengths(self, rows):
+        """(len(rows), n) common-prefix lengths of the points at `rows`, in
+        net order, one row at a time."""
+        lcp = np.empty((len(rows), len(self.rank)), dtype=np.int64)
         srt = np.empty(len(self.rank), dtype=np.int64)
-        srt[p] = self.width
-        srt[p + 1 :] = np.minimum.accumulate(self.adjacent[p:])
-        srt[:p] = np.minimum.accumulate(self.adjacent[:p][::-1])[::-1]
-        out[:] = srt[self.rank]
-
-    def prefix_lengths(self, rows, dtype=np.int64):
-        """(len(rows), n) common-prefix lengths of the points at `rows`."""
-        if np.iinfo(dtype).max < self.width:
-            raise ValueError("prefix lengths up to %d overflow %s" % (self.width, dtype))
-        lcp = np.empty((len(rows), len(self.rank)), dtype=dtype)
-        for r, i in enumerate(rows):
-            self._prefix_lengths(i, lcp[r])
+        for r, p in enumerate(self.rank[rows].tolist()):
+            srt[p] = self.width
+            srt[p + 1 :] = np.minimum.accumulate(self.adjacent[p:])
+            srt[:p] = np.minimum.accumulate(self.adjacent[:p][::-1])[::-1]
+            lcp[r] = srt[self.rank]
         return lcp
 
-    def from_prefixes(self, lcp, i, j):
-        """Distances between points i and j (broadcast index arrays, or a
-        slice for j) with common-prefix lengths lcp."""
-        shorter = np.minimum(self.wl[j], self.wl[i])
-        # sep = shorter L + bonus where the paths agree past the shorter
-        # word, else lcp L; in place, to keep one block's temporaries few
-        sep = shorter * self.L
-        sep += np.where(self.shallow_rank[j] < self.shallow_rank[i], self.off[j], self.off[i])
-        np.copyto(sep, lcp * self.L, where=lcp <= shorter)
-        d = self.depth[j] + self.depth[i]
-        sep *= 2.0
-        d -= sep
-        return np.maximum(d, 0.0, out=d)
+    def prefix_table(self):
+        """The (n, n) int8 common-prefix lengths among the points in sorted
+        order: entry (a, b) belongs to points order[a] and order[b].
+
+        Filled by trie blocks. For each level k = 1 .. width, the sorted
+        rows whose adjacent common-prefix lengths are >= k form contiguous
+        runs (the points below one trie node of depth k), and each run's
+        diagonal block gains 1; sorted rows a < b share min(adjacent[a:b])
+        such levels. The diagonal is then set to the full width.
+        """
+        if self.width > np.iinfo(np.int8).max:
+            raise ValueError("prefix lengths up to %d overflow int8" % self.width)
+        n = len(self.rank)
+        table = np.zeros((n, n), dtype=np.int8)
+        for k in range(1, self.width + 1):
+            edges = np.flatnonzero(np.diff(np.concatenate(([0], self.adjacent >= k, [0]))))
+            for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()):
+                table[a : b + 1, a : b + 1] += 1
+        np.fill_diagonal(table, self.width)
+        return table
 
     def distances(self, rows):
         """(len(rows), n) distances from the points at indices `rows`."""
         rows = np.asarray(rows)
-        return self.from_prefixes(self.prefix_lengths(rows), rows[:, None], slice(None))
+        return _separated(self.L, self.prefix_lengths(rows), self.depth[rows, None], self.depth)
 
 
 class DistanceTable:
     """Distances among a fixed list of points, read by rows or by pairs.
 
     Built from a tree net's `_TreePaths`, it keeps their int8 common-prefix
-    table (n^2 bytes) and evaluates the float formula on demand, so a block
-    of b rows costs O(b n) floats and no n x n float table exists. Built
-    from a plane net's dense float64 `pairwise_distances` table, it keeps
-    that. Either way an entry is bitwise the entry of
-    `pairwise_distances(space, points)`.
+    table (n^2 bytes) in sorted root-path order, as `prefix_table` fills
+    it, and evaluates `_separated` on demand, so a block of b rows costs
+    O(b n) floats and no n x n float table exists. `order` lists the net
+    indices in table order and `rank` is its inverse. Built from a plane
+    net's dense float64 `pairwise_distances` table, it keeps that, with
+    `order` and `rank` the identity. Either way an entry is bitwise the
+    entry of `pairwise_distances(space, points)`.
+
+    `sorted_rows` reads in table order, without a gather of the table;
+    `rows` and `pairs` take net indices.
     """
 
     def __init__(self, source):
         if isinstance(source, _TreePaths):
-            self._paths = source
-            self._table = source.prefix_lengths(np.arange(len(source.rank)), np.int8)
+            self.order, self.rank = source.order, source.rank
+            self._L = source.L
+            self._depth = source.depth[self.order]
+            self._table = source.prefix_table()
         else:
-            self._paths = None
+            self.order = self.rank = np.arange(len(source))
+            self._depth = None
             self._table = source
 
+    def _entries(self, cells, a, b):
+        """Distances of the table cells between table positions a and b."""
+        if self._depth is None:
+            return cells
+        return _separated(self._L, cells, self._depth[a], self._depth[b])
+
+    def sorted_rows(self, rows, start=0):
+        """(len(rows), n - start) distances from the table positions `rows`
+        (an index array or a slice) to the positions from `start` on."""
+        # (rows, None) indexes the depths of `rows` as a column
+        return self._entries(self._table[rows, start:], (rows, None), slice(start, None))
+
     def rows(self, rows, start=0):
-        """(len(rows), n - start) distances from the points at indices
-        `rows` to the points from index `start` on."""
-        rows = np.asarray(rows)
-        if self._paths is None:
-            return self._table[rows, start:]
-        lcp = self._table[rows, start:]
-        return self._paths.from_prefixes(lcp, rows[:, None], slice(start, None))
+        """(len(rows), n - start) distances from the points at net indices
+        `rows` to the points from net index `start` on."""
+        a = self.rank[np.asarray(rows)][:, None]
+        b = self.rank[start:]
+        return self._entries(self._table[a, b], a, b)
 
     def pairs(self, i, j):
-        """Distances between points i[k] and j[k] for equal-length index
-        arrays."""
-        if self._paths is None:
-            return self._table[i, j]
-        return self._paths.from_prefixes(self._table[i, j], i, j)
+        """Distances between points i[k] and j[k] for equal-length arrays
+        of net indices."""
+        a, b = self.rank[i], self.rank[j]
+        return self._entries(self._table[a, b], a, b)
 
 
 def _distance_rows(space, points):

@@ -8,7 +8,9 @@ import pytest
 
 from hypcrit.boundary import (
     VisualParams,
+    _base_ray_points,
     _pushed_measure,
+    _tree_shadow_rules,
     ball_mass,
     boundary_gromov_product,
     check_ahlfors_regularity,
@@ -29,7 +31,7 @@ from hypcrit.boundary import (
 from hypcrit.errors import DepthError, InsufficientDataError, MeasureError
 from hypcrit.isometries import PlaneIsometry, certify_ping_pong, schottky_pair
 from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
-from hypcrit.space import TreePoint
+from hypcrit.space import Ray, TreePoint, ray_point
 from hypcrit.words import reduced_words_upto
 
 
@@ -317,6 +319,63 @@ def test_tree_masses_match_scalar_rules(ell):
         for y in (TreePoint(w), TreePoint(w, res, d), TreePoint(w, 23 * res, d)):
             for r in (0.25, 2.5, 7.0):
                 assert shadow_mass(act, measure, y, r) == scalar_shadow_mass(act, measure, y, r)
+
+
+@pytest.mark.parametrize("ell", [Fraction(1), Fraction(9, 8)], ids=["L=1", "L=9/8"])
+def test_tree_shadow_rules_match_shadow_contains(ell):
+    # the (decided, inside) masks against one shadow_contains call per
+    # atom, for vertices y and edge points y heading into an atom word
+    # (the separation gains y's offset) or out of it, above and below the
+    # atom depths, so that undecided atoms occur
+    act = tree_action(edge_length=ell)
+    measure = patterson_sullivan_atoms(act, enumerate_orbit_ball(act, 5 * ell), 1.3)
+    res = ell / 24
+    seen = Counter()
+    for a in measure.boundary_atoms[3::97]:
+        word = a.boundary.word
+        w = word + ("bb" if word[-1] == "A" else "aa")  # two letters past the atom
+        for j in (0, 1, len(w) - 3, len(w) - 1):
+            out = next(c for c in "aAbB" if c != w[j] and (j == 0 or c != w[j - 1].swapcase()))
+            for y in (TreePoint(w[:j]), TreePoint(w[:j], 5 * res, w[j]), TreePoint(w[:j], 19 * res, out)):
+                for r in (0.25, 2.5):
+                    decided, inside = _tree_shadow_rules(act, measure._tree_atoms, y, r)
+                    for i, atom in enumerate(measure.boundary_atoms):
+                        try:
+                            m = shadow_contains(act, y, r, atom.boundary)
+                        except DepthError:
+                            assert not decided[i]
+                            seen["undecided"] += 1
+                            continue
+                        assert decided[i] and inside[i] == m
+                        seen[(y.direction == w[j] if y.direction else None, m)] += 1
+    assert seen["undecided"]
+    assert all(seen[(into, m)] for into in (None, True, False) for m in (True, False))
+
+
+def test_base_ray_points_match_ray_point(f2, schottky, schottky_ball):
+    # tree rays on the integer grid, refined for the off-grid 0.3, and None
+    # exactly where ray_point raises DepthError; plane rays as ray_points
+    cases = [
+        (f2, limit_set_sample(f2, enumerate_orbit_ball(f2, 6), 4)[::9]),
+        (tree_action(edge_length=Fraction(9, 8)), [tree_boundary("abAB"), tree_boundary("aBBaba")]),
+        (schottky, limit_set_sample(schottky, schottky_ball, 4.0)[::7]),
+    ]
+    ts = [0.0, 0.3, 2.0, 4.5, 5.0, 6.75]
+    beyond = 0
+    for act, samples in cases:
+        points_to = _base_ray_points(act, ts)
+        for z in samples:
+            target = z.word if act.space.kind == "tree" else z.coord
+            for t, got in zip(ts, points_to(z)):
+                try:
+                    want = ray_point(act.space, Ray(act.basepoint, target), t)
+                except DepthError:
+                    want = None
+                    beyond += 1
+                assert got == want
+    assert beyond
+    with pytest.raises(ValueError):
+        _base_ray_points(f2, [1.0, -0.5])
 
 
 def test_plane_masses_match_scalar_rules(schottky, l4_ball, l4_measure):

@@ -21,7 +21,7 @@ from hypcrit.convergence import (
 from hypcrit.errors import InsufficientDataError, KindMismatchError, MalformedWitnessError
 from hypcrit.isometries import apply_isometry, certify_ping_pong, schottky_pair
 from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
-from hypcrit.space import ModelSpace, TreePoint, distance, pairwise_distances, tree_depth
+from hypcrit.space import ModelSpace, TreePoint, _TreePaths, distance, pairwise_distances, tree_depth
 from hypcrit.words import letters, reduced_words_upto
 
 PLANE = ModelSpace.plane()
@@ -423,3 +423,56 @@ def test_tree_net_distances_are_bitwise_symmetric():
     i, j = np.triu_indices(n, 1)
     assert np.array_equal(snap.metric.pairs(i, j), snap.metric.pairs(j, i))
     assert np.array_equal(snap.metric.rows(np.arange(5, 9), 7), D[5:9, 7:])
+
+
+def shallow_rank_distances(L, wl, off, lcp, i, j):
+    """Tree net distances by the separation formula with a (word length,
+    offset) shallowness rank: sep = shorter L + the shallower point's offset
+    where the root paths agree past the shorter word, else lcp L."""
+    shallow_rank = np.empty(len(wl), dtype=np.int64)
+    shallow_rank[np.lexsort((off, wl))] = np.arange(len(wl))
+    depth = wl * L + off
+    shorter = np.minimum(wl[j], wl[i])
+    sep = shorter * L
+    sep += np.where(shallow_rank[j] < shallow_rank[i], off[j], off[i])
+    np.copyto(sep, lcp * L, where=lcp <= shorter)
+    d = depth[j] + depth[i]
+    sep *= 2.0
+    d -= sep
+    return np.maximum(d, 0.0, out=d)
+
+
+@pytest.mark.parametrize(
+    "ell", [Fraction(1), Fraction(9, 8), Fraction(3, 2), Fraction(257, 256)],
+    ids=["L=1", "L=9/8", "L=3/2", "L=257/256"],
+)
+def test_sorted_prefix_table_matches_the_shallow_rank_formula(ell):
+    # the trie-block table in sorted order against the per-row prefix
+    # lengths, and the min-form distances against the shallow-rank formula,
+    # bit for bit, on every row of an eps 0.25 net
+    act = tree_action(edge_length=ell)
+    snap = snapshot(act, enumerate_orbit_ball(act, 4 * ell), 0.25, resolution=ell / 24)
+    n = len(snap.points)
+    L = float(ell)
+    wl = np.array([len(w) for w in snap.words])
+    off = np.array([float(s * snap.resolution) for s in snap.steps.tolist()])
+    paths = _TreePaths(ell, snap.words, snap.directions, off)
+    metric = snap.metric
+    table = paths.prefix_table()
+    assert n > 900 and table.dtype == np.int8
+    assert np.array_equal(metric.order, paths.order) and np.array_equal(metric.rank, paths.rank)
+    assert np.array_equal(metric.order[metric.rank], np.arange(n))
+    rng = np.random.default_rng(0)
+    for start in range(0, n, 512):
+        rows = np.arange(start, min(start + 512, n))
+        lcp = paths.prefix_lengths(rows)
+        assert np.array_equal(table[paths.rank[rows]][:, paths.rank], lcp)
+        ref = shallow_rank_distances(L, wl, off, lcp, rows[:, None], slice(None))
+        assert np.array_equal(metric.rows(rows), ref)
+        assert np.array_equal(metric.rows(rows, start + 7), ref[:, start + 7 :])
+        j = rng.integers(0, n, len(rows))
+        k = np.arange(len(rows))
+        assert np.array_equal(metric.pairs(rows, j), ref[k, j])
+        assert np.array_equal(metric.pairs(rows, rows), ref[k, rows])
+        a = metric.rank[rows]
+        assert np.array_equal(metric.sorted_rows(a), ref[:, metric.order])

@@ -191,6 +191,21 @@ def test_tree_sweep_matches_reference_off_the_dyadic_grid(delta):
     assert all(r.witness for r in rows) == (delta < 0)
 
 
+@pytest.mark.parametrize("ell", ["1/3", "1/4"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_tree_proxies_reach_past_the_rays_on_short_edges(ell, seed):
+    # proxy words are sized in length units: at L = 1/3 and 1/4, 24 letters
+    # end 8 and 6 deep, short of the parallel-rays parameters
+    from fractions import Fraction
+
+    space = ModelSpace.tree(4, Fraction(ell))
+    plan = SamplingPlan(count=60, seed=seed)
+    rows = check_geodesic_lemmas(space, 0.0, plan).rows
+    assert all(r.passed and r.configs > 50 for r in rows)
+    if seed == 0:
+        assert rows == reference_tree_lemmas(space, 0.0, plan)
+
+
 def test_tree_sweep_makes_no_fraction_arithmetic():
     import cProfile
     import pstats
