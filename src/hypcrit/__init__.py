@@ -13,46 +13,50 @@ Gromov-Hausdorff convergence of actions.
 
 __version__ = "0.1.0"
 
-from .space import ModelSpace, TreePoint, PlanePoint, Ray, distance, geodesic_point, gromov_product
-from .isometries import (
-    PlaneIsometry,
-    SchottkyDescription,
-    TreeIsometry,
-    apply_isometry,
-    certify_ping_pong,
-    compose,
-    schottky_pair,
-    translation_length,
-)
-from .orbits import (
-    GroupAction,
-    OrbitBall,
-    enumerate_orbit_ball,
-    measure_systole,
-    schottky_action,
-    sigma_R,
-    tree_action,
-)
-from .entropy import (
-    EntropyEstimate,
-    covering_entropy_estimate,
-    equidistribution_constant,
-    estimate_critical_exponent,
-    poincare_partial,
-)
-from .boundary import (
-    check_ahlfors_regularity,
-    check_quasiconformality,
-    check_shadow_ball_lemma,
-    limit_set_sample,
-    patterson_sullivan_atoms,
-    visual_distance,
-)
-from .geometry_checks import SamplingPlan, check_geodesic_lemmas
-from .convergence import (
-    ContinuityConfig,
-    run_continuity_experiment,
-    search_witness,
-    snapshot,
-    verify_witness,
-)
+#: public names re-exported by the package, by defining module; each
+#: module is imported on the first read of one of its names or of the
+#: module itself, so a subcommand loads only the modules it runs
+_EXPORTS = {
+    "space": (
+        "ModelSpace", "TreePoint", "PlanePoint", "Ray", "distance", "geodesic_point",
+        "gromov_product",
+    ),
+    "isometries": (
+        "PlaneIsometry", "SchottkyDescription", "TreeIsometry", "apply_isometry",
+        "certify_ping_pong", "compose", "schottky_pair", "translation_length",
+    ),
+    "orbits": (
+        "GroupAction", "OrbitBall", "enumerate_orbit_ball", "measure_systole",
+        "schottky_action", "sigma_R", "tree_action",
+    ),
+    "entropy": (
+        "EntropyEstimate", "covering_entropy_estimate", "equidistribution_constant",
+        "estimate_critical_exponent", "poincare_partial",
+    ),
+    "boundary": (
+        "check_ahlfors_regularity", "check_quasiconformality", "check_shadow_ball_lemma",
+        "limit_set_sample", "patterson_sullivan_atoms", "visual_distance",
+    ),
+    "geometry_checks": ("SamplingPlan", "check_geodesic_lemmas"),
+    "convergence": (
+        "ContinuityConfig", "run_continuity_experiment", "search_witness", "snapshot",
+        "verify_witness",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "errors", "words")
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _SUBMODULES:
+        return import_module("." + name, __name__)
+    if name in _MODULE_OF:
+        return getattr(import_module("." + _MODULE_OF[name], __name__), name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -4,7 +4,9 @@ Scenarios are JSON documents (schema 1) naming an action and one block
 per subcommand; the same scenario file can drive several subcommands.
 Reports are plain CSV/JSON with sorted keys and LF endings, so the same
 scenario and seed produce byte-identical output. The exit code is 0 iff
-every check enabled by the scenario passed.
+every check enabled by the scenario passed. A subcommand imports the audit
+modules (`entropy`, `boundary`, `geometry_checks`, `convergence`) where it
+calls them, so a run loads only the modules it uses.
 """
 
 import argparse
@@ -16,33 +18,7 @@ from importlib import resources
 from itertools import islice
 from pathlib import Path
 
-from .boundary import (
-    Atom,
-    AtomicMeasure,
-    check_ahlfors_regularity,
-    check_quasiconformality,
-    check_shadow_ball_lemma,
-    cylinder_scale,
-    limit_set_approximants,
-    limit_set_sample,
-    patterson_sullivan_atoms,
-    qc_hull_sample,
-    tree_boundary,
-    tree_cylinder_cells,
-)
-from .convergence import ContinuityConfig, _exact_T, _member_counts, run_continuity_experiment
-from .entropy import (
-    check_entropy_lower_bound,
-    check_packing_chain,
-    check_packing_growth,
-    covering_entropy_estimate,
-    equidistribution_constant,
-    estimate_critical_exponent,
-    poincare_partial,
-    recheck_equidistribution,
-)
 from .errors import CertificationError, ClassificationError
-from .geometry_checks import SamplingPlan, check_geodesic_lemmas
 from .isometries import (
     PingPongFailure,
     PlaneIsometry,
@@ -54,6 +30,8 @@ from .isometries import (
     translation_length,
 )
 from .orbits import (
+    _exact_T,
+    _member_counts,
     check_generating,
     check_word_metric_comparison,
     enumerate_orbit_ball,
@@ -186,6 +164,15 @@ def _seed(scenario, args):
 
 
 def cmd_entropy(scenario, args, outdir):
+    from .entropy import (
+        check_entropy_lower_bound,
+        covering_entropy_estimate,
+        equidistribution_constant,
+        estimate_critical_exponent,
+        poincare_partial,
+        recheck_equidistribution,
+    )
+
     block = _block(scenario, "entropy")
     action = build_action(scenario["action"])
     ball = enumerate_orbit_ball(action, _exact_T(action, block["T"]))
@@ -258,12 +245,24 @@ def cmd_entropy(scenario, args, outdir):
 
 def _dirac_measure(measure):
     """Single-atom replacement of a boundary measure (negative control)."""
+    from .boundary import Atom, AtomicMeasure
+
     deep = max(measure.boundary_atoms, key=lambda a: a.displacement)
     atom = Atom(deep.word, deep.point, deep.displacement, 1.0, deep.boundary)
     return AtomicMeasure((atom,), measure.s, measure.truncation_T)
 
 
 def cmd_boundary(scenario, args, outdir):
+    from .boundary import (
+        check_ahlfors_regularity,
+        check_quasiconformality,
+        cylinder_scale,
+        limit_set_approximants,
+        patterson_sullivan_atoms,
+        tree_boundary,
+        tree_cylinder_cells,
+    )
+
     block = _block(scenario, "boundary")
     action = build_action(scenario["action"])
     ball = enumerate_orbit_ball(action, _exact_T(action, block["T"]))
@@ -330,6 +329,8 @@ def cmd_boundary(scenario, args, outdir):
 
 
 def cmd_converge(scenario, args, outdir):
+    from .convergence import ContinuityConfig, run_continuity_experiment
+
     block = _block(scenario, "converge")
     family = block["family"]
     kw = {}
@@ -412,6 +413,8 @@ def cmd_verify(scenario, args, outdir):
 
     for check in block["checks"]:
         if check == "lemmas":
+            from .geometry_checks import SamplingPlan, check_geodesic_lemmas
+
             plan = SamplingPlan(
                 count=int(block.get("configs", 300)),
                 seed=seed,
@@ -433,6 +436,8 @@ def cmd_verify(scenario, args, outdir):
             audits["geodesic_lemmas"] = {"passed": rep.passed, "rows": rows}
             ok = ok and rep.passed
         elif check == "shadow_ball":
+            from .boundary import check_shadow_ball_lemma, limit_set_approximants
+
             sb = block["shadow_ball"]
             b = ball(sb["T"])
             lim = limit_set_approximants(action, b, float(sb["min_displacement"]))
@@ -463,6 +468,9 @@ def cmd_verify(scenario, args, outdir):
             audits["word_metric"] = _check_report_dict(rep, args)
             ok = ok and rep.passed
         elif check == "packing_growth":
+            from .boundary import limit_set_sample, qc_hull_sample
+            from .entropy import check_packing_growth
+
             pg = block["packing_growth"]
             b = ball(pg["T"])
             samples = limit_set_sample(action, b, float(pg["min_displacement"]))
@@ -478,6 +486,8 @@ def cmd_verify(scenario, args, outdir):
             }
             ok = ok and rep.passed
         elif check == "packing_chain":
+            from .entropy import check_packing_chain
+
             pc = block["packing_chain"]
             pts = ball(pc["T"]).points()[: int(pc.get("max_points", 20))]
             chain_ok, nums = check_packing_chain(action.space, pts, float(pc["r"]))

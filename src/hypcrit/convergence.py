@@ -584,21 +584,6 @@ class ContinuityConfig:
     h_reference: object = None  # optional callable param -> h for the K audit
 
 
-def _member_counts(action, ball):
-    """Counting-function samples (T, N(T)) suitable for the estimators."""
-    shells = [(float(t), n) for t, n in ball.count_by_shell if n > 0]
-    if action.space.kind == TREE:
-        return shells
-    disps = sorted(float(e.displacement) for e in ball.entries)
-    out = []
-    for i, d in enumerate(disps):
-        if out and d - out[-1][0] < 1e-9:
-            out[-1] = (out[-1][0], i + 1)
-        else:
-            out.append((d, i + 1))
-    return out
-
-
 def run_continuity_experiment(make_member, schedule, limit_param, config=ContinuityConfig()):
     """Continuity of the critical exponent along a parametric family.
 
@@ -613,7 +598,7 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
     """
     from .entropy import equidistribution_constant, estimate_critical_exponent
     from .errors import CertificationError
-    from .orbits import enumerate_orbit_ball
+    from .orbits import _exact_T, _member_counts, enumerate_orbit_ball
 
     def member_pipeline(param):
         try:
@@ -702,11 +687,3 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
         passed = passed and drift <= config.h_tolerance + C * r.eps + 1e-12
     notes = "limit K=%.6g" % limit_K
     return ContinuityReport(tuple(rows), limit_est.h_hat, C, passed, notes)
-
-
-def _exact_T(action, T):
-    """Keep tree ball radii on the exact rational grid when possible."""
-    if action.space.kind == TREE:
-        L = action.space.edge_length
-        return L * int(Fraction(T) / L)
-    return T

@@ -4,9 +4,14 @@ Six lemma checks, each sampled over seeded random configurations:
 projection (4 delta), thin triangles (4 delta), parallel rays (8 delta),
 Gromov product vs rays (4 delta), quasiconvex-hull quasiconvexity
 (36 delta), ray-to-line approximation (14 delta). On the tree all
-constants vanish and the defects are exact zeros: the tree sweeps run in
-integers on the grid of `space.tree_grid` (1/D), and each grid length k
-becomes a float once, as k / D = float(Fraction(k, D)). On the plane the
+constants vanish: the tree sweeps run in integers on the grid of
+`space.tree_grid` (1/D), and each grid length k becomes a float once, as
+k / D = float(Fraction(k, D)). The defects are exact zeros except in
+product-rays at an edge length whose grid is not dyadic: with a float
+delta, s = T - delta is the float T / D - delta, as in the `Fraction`
+reference, which places the two ray points at that rounded s. Their
+distance is then the rounding error, not 0: max_defect is 5.9e-16 at
+L = 2/3, seed 1, 300 configurations. On the plane the
 declared delta = log 3 is used and a pass means zero violations beyond
 1e-9.
 """
@@ -28,16 +33,17 @@ from .space import (
     _grid_product,
     _grid_ray_points,
     _path_distance,
+    _plane_line_coords,
+    _plane_ray_coords,
     _tree_point,
     dist_to_segment,
     distance,
     geodesic_point,
     gromov_product,
     plane_dist_to_ideal_line,
+    plane_distance,
     plane_line_point,
-    plane_line_points,
     ray_point,
-    ray_points,
     tree_grid,
 )
 from .words import letters
@@ -356,16 +362,14 @@ def _plane_samplers(space, delta, plan):
         splits = [(t1, d0 - t1) for t1 in splits if t1 >= 0 and d0 - t1 >= 0]
         if not splits:
             return None
-        # every matched pair of parameters, one ray_points call per ray
-        a = ray_points(space, Ray(p, e), [t + t1 for t1, _ in splits for t in t_grid])
-        b = ray_points(space, Ray(pp, e), [t + t2 for _, t2 in splits for t in t_grid])
+        # every matched pair of parameters, one line per ray, on coordinates
+        a = _plane_ray_coords(p.z, e, [t + t1 for t1, _ in splits for t in t_grid])
+        b = _plane_ray_coords(pp.z, e, [t + t2 for _, t2 in splits for t in t_grid])
         n = len(t_grid)
-        best = math.inf
-        for k in range(len(splits)):
-            sup = 0.0
-            for x, y in zip(a[k * n : (k + 1) * n], b[k * n : (k + 1) * n]):
-                sup = max(sup, float(distance(space, x, y)))
-            best = min(best, sup)
+        best = min(
+            max(map(plane_distance, a[k : k + n], b[k : k + n]))
+            for k in range(0, len(a), n)
+        )
         return max(best - 8.0 * delta, 0.0), "p=%r p'=%r e=%r" % (p, pp, e)
 
     # 4. product vs rays: (z,z')_x >= T implies the rays at T - delta are
@@ -416,13 +420,13 @@ def _plane_samplers(space, delta, plan):
         if len({u, v, z}) < 3:
             return None
         x = plane_line_point(u, v, space.basepoint, rng.uniform(-4, 4))
-        ray = ray_points(space, Ray(x, z), t_grid)
+        ray = _plane_ray_coords(x.z, z, t_grid)
         best = math.inf
         for c in (u, v):
             if plane_dist_to_ideal_line(x, c, z) > 6.0 * delta + 1e-9 and delta > 0:
                 continue
-            line = plane_line_points(c, z, x, t_grid)
-            best = min(best, max(float(distance(space, r, q)) for r, q in zip(ray, line)))
+            line = _plane_line_coords(c, z, x.z, t_grid)
+            best = min(best, max(map(plane_distance, ray, line)))
         if best is math.inf:
             return None
         return max(best - 14.0 * delta, 0.0), "u=%r v=%r z=%r x=%r" % (u, v, z, x)

@@ -13,16 +13,18 @@ nesting exactly from the images of the arc endpoints.
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
+
+import numpy as np
 
 from .errors import ClassificationError, KindMismatchError
-from .space import PLANE, TREE, ModelSpace, PlanePoint, TreePoint, plane_distance
+from .space import PLANE, TREE, PlanePoint, TreePoint, plane_distance
 from .words import (
     compose_words,
     cyclic_reduce,
     invert_word,
     is_reduced,
     letters,
-    reduced_words_upto,
 )
 
 MAT_TOL = 1e-12
@@ -149,6 +151,75 @@ def apply_isometry(space, iso, p):
     a, b, c, d = iso.mat
     z = (a * p.z + b) / (c * p.z + d)
     return PlanePoint(complex(z.real, max(z.imag, 1e-300)))
+
+
+def _compose_rows(g, h):
+    """`compose` row by row over stacked (n, 4) matrix arrays g and h.
+
+    Every entry takes the same correctly rounded float operations in the
+    same order as the scalar `compose` and `_normalize_matrix`, so the rows
+    are bitwise their matrices.
+    """
+    a1, b1, c1, d1 = g.T
+    a2, b2, c2, d2 = h.T
+    m = np.stack(
+        (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2), axis=1
+    )
+    a, b, c, d = m.T
+    det = a * d - b * c
+    bad = det <= 0
+    if bad.any():
+        raise ValueError("matrix must have positive determinant, got %g" % det[bad][0])
+    m /= np.sqrt(det)[:, None]
+    # canonical sign: first entry with |entry| > tol positive (a row of
+    # determinant 1 has one)
+    lead = m[np.arange(len(m)), (np.abs(m) > MAT_TOL).argmax(axis=1)]
+    m[lead < 0] *= -1.0
+    return m
+
+
+def _images_of_i(m):
+    """`apply_isometry` of each (n, 4) matrix row at the basepoint i, as a
+    list of complex coordinates, bitwise.
+
+    CPython's complex arithmetic is written out: a * 1j + b is
+    (a * 0 - 0 + b, a + 0), and the quotient is Smith's division, which
+    scales by the denominator's real part when |Re| >= |Im| and by its
+    imaginary part otherwise.
+    """
+    a, b, c, d = m.T
+    nr, ni = (a * 0.0 - 0.0) + b, a + 0.0
+    dr, di = (c * 0.0 - 0.0) + d, c + 0.0
+    by_re = np.abs(dr) >= np.abs(di)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(by_re, di / dr, dr / di)
+        den = np.where(by_re, dr + di * r, dr * r + di)
+        re = np.where(by_re, nr + ni * r, nr * r + ni) / den
+        im = np.where(by_re, ni - nr * r, ni * r - nr) / den
+    return list(map(complex, re.tolist(), np.maximum(im, 1e-300).tolist()))
+
+
+def _word_levels(gen_map, alph):
+    """Iterator over the levels k = 1, 2, ... of the reduced words over
+    alph: each level is (words, mats), the words of length k in canonical
+    order (each word of level k - 1 extended by the letters that may
+    follow it, in alphabet order) and their stacked (n, 4) matrix rows. A
+    row is its parent's row composed with the generator of its last letter
+    (`_compose_rows`), bitwise the left-to-right scalar `compose` product.
+    Level k is built when it is requested.
+    """
+    gens = np.array([gen_map[c].mat for c in alph])
+    # indices of the letters that may follow each letter
+    nexts = np.array([[j for j, d in enumerate(alph) if d != c.swapcase()] for c in alph])
+    words, mats = [""], np.array([IDENTITY_PLANE.mat])
+    # row i of a level is mats[parent[i]] times the generator of alph[letter[i]]
+    parent, letter = np.zeros(len(alph), dtype=int), np.arange(len(alph))
+    while True:
+        words = [words[i] + alph[j] for i, j in zip(parent.tolist(), letter.tolist())]
+        mats = _compose_rows(mats[parent], gens[letter])
+        yield words, mats
+        parent = np.repeat(np.arange(len(words)), len(alph) - 1)
+        letter = nexts[letter].ravel()
 
 
 def translation_length(space, iso):
@@ -285,21 +356,6 @@ class PingPongFailure:
     witness: object = None
 
 
-def _word_matrices(gens, horizon):
-    """Matrices of all reduced words up to the horizon, memoized by prefix."""
-    rank = len(gens)
-    alph = letters(rank)
-    gen_map = {}
-    for i, g in enumerate(gens):
-        gen_map[alph[2 * i]] = g
-        gen_map[alph[2 * i + 1]] = g.inverse()
-    mats = {"": IDENTITY_PLANE}
-    for w in reduced_words_upto(rank, horizon):
-        if w and w not in mats:
-            mats[w] = compose(mats[w[:-1]], gen_map[w[-1]])
-    return mats
-
-
 def certify_ping_pong(desc):
     """Ping-pong certification of a Schottky description.
 
@@ -347,13 +403,14 @@ def certify_ping_pong(desc):
             ends_in = max(abs(x1), abs(x2)) <= b.half_width + NEST_TOL
             if not (ends_in and min(x1, x2) < xa < max(x1, x2)):
                 return PingPongFailure("nesting violated by " + who, (i, (x1, x2, xa)))
-    # displacement survey at the basepoint
-    base = PlanePoint(1j)
-    plane = ModelSpace.plane()
-    disp = {
-        w: plane_distance(base.z, apply_isometry(plane, m, base).z)
-        for w, m in _word_matrices(gens, WORD_HORIZON).items()
-    }
+    # displacement survey at the basepoint i
+    alph = letters(len(gens))
+    gen_map = {}
+    for i, g in enumerate(gens):
+        gen_map[alph[2 * i]], gen_map[alph[2 * i + 1]] = g, g.inverse()
+    disp = {"": 0.0}
+    for words, mats in islice(_word_levels(gen_map, alph), WORD_HORIZON):
+        disp.update((w, plane_distance(1j, z)) for w, z in zip(words, _images_of_i(mats)))
     nonid = {w: v for w, v in disp.items() if w}
     best_word = min(nonid, key=lambda w: (nonid[w], w))
     gain = min(

@@ -9,12 +9,20 @@ points within radius T, deduplicated, with deterministic output order
 import bisect
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import CertificationError, InsufficientDataError
-from .isometries import IDENTITY_PLANE, TreeIsometry, apply_isometry, compose
-from .space import TREE, TreePoint, distance, plane_distance
+from .isometries import (
+    IDENTITY_PLANE,
+    TreeIsometry,
+    _images_of_i,
+    _word_levels,
+    apply_isometry,
+    compose,
+)
+from .space import TREE, PlanePoint, TreePoint, distance, plane_distance
 from .words import compose_words, letters, word_key
 
 #: hard cap on enumerated elements; hitting it aborts with a diagnosis
@@ -180,6 +188,12 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None, shell_step=No
     level expands a canonically ordered frontier letter by letter. The
     ELEMENT_CAP check runs before a level is built, on the number of words
     the level would build.
+
+    A plane level is composed on stacked matrix rows (`_word_levels`) and
+    its images of i come from `_images_of_i`, bitwise equal to the scalar
+    `compose` and `apply_isometry`. Displacements and merge distances stay
+    `plane_distance` calls: numpy's `arcsinh` and complex `abs` differ
+    from libm in the last bit.
     """
     if T < 0:
         raise ValueError("ball radius must be nonnegative")
@@ -226,44 +240,42 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None, shell_step=No
         )
         return OrbitBall(T, None, shells, merge_radius, levels=tuple(levels), edge_length=L)
 
-    entries = []
-    merged_words = []
+    # the plane: one BFS level at a time on stacked (n, 4) matrix rows
+    reach = float(T) + 1e-9  # closed ball at the declared tolerance
     base = action.basepoint
-    entries.append(OrbitEntry("", base, 0.0))
+    entries = [OrbitEntry("", base, 0.0)]
+    merged_words = []
     cell = merge_radius / math.sqrt(2.0) if merge_radius > 0 else None
     grid = {}
     if cell:
         grid[(round(base.z.real / cell), round(base.z.imag / cell))] = [0]
-    frontier = [("", IDENTITY_PLANE)]
+    levels = _word_levels(action.gen_map, alph)
     for k in range(1, max_len + 1):
         check_cap(len(entries), k)
-        frontier = [
-            (w + c, compose(g, action.gen_map[c])) for w, g in frontier for c in follow[w[-1:]]
-        ]
-        for w, g in frontier:
-            p = apply_isometry(action.space, g, base)
-            d = plane_distance(base.z, p.z)
-            if d > float(T) + 1e-9:  # closed ball at the declared tolerance
+        words, mats = next(levels)
+        for w, z in zip(words, _images_of_i(mats)):
+            d = plane_distance(base.z, z)
+            if d > reach:
                 continue
-            merged = False
             if cell:
-                ci, cj = round(p.z.real / cell), round(p.z.imag / cell)
-                for key in (
-                    (ci + di, cj + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                ):
-                    for idx in grid.get(key, ()):
-                        if plane_distance(entries[idx].point.z, p.z) < merge_radius:
-                            merged = True
-                            merged_words.append((w, entries[idx].word))
-                            break
-                    if merged:
-                        break
-                if not merged:
-                    grid.setdefault((ci, cj), []).append(len(entries))
-            if not merged:
-                entries.append(OrbitEntry(w, p, d))
+                ci, cj = round(z.real / cell), round(z.imag / cell)
+                hit = next(
+                    (
+                        idx
+                        for di in (-1, 0, 1)
+                        for dj in (-1, 0, 1)
+                        for idx in grid.get((ci + di, cj + dj), ())
+                        if plane_distance(entries[idx].point.z, z) < merge_radius
+                    ),
+                    None,
+                )
+                if hit is not None:
+                    merged_words.append((w, entries[hit].word))
+                    continue
+                grid.setdefault((ci, cj), []).append(len(entries))
+            entries.append(OrbitEntry(w, PlanePoint(z), d))
 
-    entries.sort(key=lambda e: word_key(e.word))
+    # the levels, and so the entries, are already in canonical word order
     disps = sorted(e.displacement for e in entries)
     shells = _count_by_shell(
         lambda t: bisect.bisect_right(disps, t),
@@ -285,6 +297,29 @@ def _count_by_shell(count_le, T, shell_step, total):
     if not shells or abs(shells[-1][0] - Tf) > 1e-12:
         shells.append((Tf, total))
     return tuple(shells)
+
+
+def _exact_T(action, T):
+    """Keep tree ball radii on the exact rational grid when possible."""
+    if action.space.kind == TREE:
+        L = action.space.edge_length
+        return L * int(Fraction(T) / L)
+    return T
+
+
+def _member_counts(action, ball):
+    """Counting-function samples (T, N(T)) suitable for the estimators."""
+    shells = [(float(t), n) for t, n in ball.count_by_shell if n > 0]
+    if action.space.kind == TREE:
+        return shells
+    disps = sorted(float(e.displacement) for e in ball.entries)
+    out = []
+    for i, d in enumerate(disps):
+        if out and d - out[-1][0] < 1e-9:
+            out[-1] = (out[-1][0], i + 1)
+        else:
+            out.append((d, i + 1))
+    return out
 
 
 def export_entries(ball):

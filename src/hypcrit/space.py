@@ -20,8 +20,11 @@ type and the reference: `distance`, `geodesic_point` and `ray_points` run
 the same kernel in `Fraction` arithmetic with m = edge_length.
 
 Each model has one kernel per job. On the plane every line point comes
-from `plane_line_point`: conjugate the line to the positive imaginary axis
-by a Mobius map and move along it by multiplying the imaginary part by e^t.
+from `_plane_line_coords`, as a complex coordinate: conjugate the line to
+the positive imaginary axis by a Mobius map and move along it by
+multiplying the imaginary part by e^t. `plane_line_points` and
+`ray_points` wrap its coordinates as `PlanePoint`s; the lemma sweeps
+measure the coordinates themselves with `plane_distance`.
 Distances to segments, rays and ideal lines are distances to an arc of that
 axis (`_dist_to_axis_arc`). Vectorized distance rows come from
 `_distance_rows`: sorted root paths on trees, the arcsinh formula
@@ -380,8 +383,7 @@ def ray_points(space, ray, ts):
     if any(t < 0 for t in ts):
         raise ValueError("ray parameter must be nonnegative")
     if space.kind != TREE:
-        u, e = _ray_line(ray.origin.z, ray.target)
-        return plane_line_points(u, e, ray.origin, ts)
+        return [PlanePoint(z) for z in _plane_ray_coords(ray.origin.z, ray.target, ts)]
     pts = _grid_ray_points(
         space.edge_length, ray.origin, TreePoint(ray.target), [Fraction(t) for t in ts]
     )
@@ -506,19 +508,32 @@ def plane_line_point(u, v, xref, t):
 def plane_line_points(u, v, xref, ts):
     """`plane_line_point` at each of the arclengths ts, conjugating the
     line to the axis once."""
+    return [PlanePoint(w) for w in _plane_line_coords(u, v, xref.z, ts)]
+
+
+def _plane_line_coords(u, v, z, ts):
+    """Complex coordinates of `plane_line_points(u, v, PlanePoint(z), ts)`:
+    the one line kernel of the plane."""
     if u == math.inf:
         # vertical line down to v, in closed form: the Mobius round trip
         # loses the real part's precision as the point nears the boundary
-        r = abs(xref.z - v)
-        return [PlanePoint(complex(v, max(r * math.exp(-t), 1e-300))) for t in ts]
+        r = abs(z - v)
+        return [complex(v, max(r * math.exp(-t), 1e-300)) for t in ts]
     M = _mobius_to_axis(u, v)
     M_inv = _mobius_inverse(M)
-    rho = abs(_mobius_apply(M, xref.z))
+    rho = abs(_mobius_apply(M, z))
     out = []
     for t in ts:
         w = _mobius_apply(M_inv, complex(0.0, rho * math.exp(t)))
-        out.append(PlanePoint(complex(w.real, max(w.imag, 1e-300))))
+        out.append(complex(w.real, max(w.imag, 1e-300)))
     return out
+
+
+def _plane_ray_coords(z, e, ts):
+    """Complex coordinates of `ray_points` at the arclengths ts along the
+    plane ray from z toward the ideal point e."""
+    u, e = _ray_line(z, e)
+    return _plane_line_coords(u, e, z, ts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,50 @@
-"""Every top-level import of a hypcrit module is read somewhere in it."""
+"""Every import in a hypcrit module is read somewhere in its scope, and a
+subcommand loads only the modules it runs."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hypcrit"
-# __init__.py imports to re-export
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
+# __init__.py re-exports through a module __getattr__ and imports nothing
+# at the top level
+TOP_LEVEL = [p for p in MODULES if p.name != "__init__.py"]
+
+
+def _imported(statements):
+    """{bound name: line} of the import statements among statements."""
+    imported = {}
+    for node in statements:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return imported
+
+
+def _unread(imported, scope):
+    read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
 def unused_imports(source):
     tree = ast.parse(source)
-    imported = {}
-    for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for name, line in imported.items() if name not in read)
+    return _unread(_imported(tree.body), tree)
+
+
+def unused_function_imports(source):
+    """(line, name) of names imported inside a function body, at any depth
+    of its statements, that the function never reads."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out += _unread(_imported(ast.walk(fn)), fn)
+    return sorted(out)
 
 
 def test_scan_finds_an_unused_import():
@@ -28,6 +53,63 @@ def test_scan_finds_an_unused_import():
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_scan_finds_an_unused_function_import():
+    source = (
+        "def f(x):\n"
+        "    from math import pi, tau\n"
+        "    if x:\n"
+        "        import os\n"
+        "    return tau\n"
+    )
+    assert unused_function_imports(source) == [(2, "pi"), (4, "os")]
+
+
+@pytest.mark.parametrize("path", TOP_LEVEL, ids=[p.name for p in TOP_LEVEL])
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_function_imports(path):
+    assert unused_function_imports(path.read_text(encoding="utf-8")) == []
+
+
+#: every name the package re-exported when its __init__ imported all modules
+REEXPORTED = (
+    "ModelSpace TreePoint PlanePoint Ray distance geodesic_point gromov_product "
+    "PlaneIsometry SchottkyDescription TreeIsometry apply_isometry certify_ping_pong "
+    "compose schottky_pair translation_length "
+    "GroupAction OrbitBall enumerate_orbit_ball measure_systole schottky_action sigma_R "
+    "tree_action "
+    "EntropyEstimate covering_entropy_estimate equidistribution_constant "
+    "estimate_critical_exponent poincare_partial "
+    "check_ahlfors_regularity check_quasiconformality check_shadow_ball_lemma "
+    "limit_set_sample patterson_sullivan_atoms visual_distance "
+    "SamplingPlan check_geodesic_lemmas "
+    "ContinuityConfig run_continuity_experiment search_witness snapshot verify_witness"
+).split()
+
+_REJECTED_RUN = """
+import json, sys
+from hypcrit import cli
+code = cli.main(["entropy", "--scenario", "counterexample_translation", "--out", sys.argv[1]])
+loaded = sorted(m for m in sys.modules if m.startswith("hypcrit"))
+import hypcrit
+resolved = {name: getattr(hypcrit, name).__module__ for name in sys.argv[2:]}
+print(json.dumps({"code": code, "loaded": loaded, "resolved": resolved}))
+"""
+
+
+def test_rejected_entropy_run_loads_no_audit_module(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", _REJECTED_RUN, str(tmp_path), *REEXPORTED],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["code"] == 2
+    for module in ("boundary", "convergence", "geometry_checks"):
+        assert "hypcrit." + module not in got["loaded"]
+    # the package still re-exports every name, each from its defining module
+    assert sorted(got["resolved"]) == sorted(REEXPORTED)
+    assert all(m.startswith("hypcrit.") for m in got["resolved"].values())

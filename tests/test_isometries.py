@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hypcrit.errors import ClassificationError
@@ -11,8 +12,12 @@ from hypcrit.isometries import (
     PlaneIsometry,
     SchottkyCertificate,
     SchottkyDescription,
+    WORD_HORIZON,
     TreeIsometry,
     _angle_gap,
+    _compose_rows,
+    _images_of_i,
+    _word_levels,
     angle_to_boundary,
     apply_isometry,
     boundary_angle,
@@ -22,6 +27,7 @@ from hypcrit.isometries import (
     translation_length,
 )
 from hypcrit.space import ModelSpace, PlanePoint, TreePoint, distance, plane_distance
+from hypcrit.words import letters, reduced_words_of_length, reduced_words_upto
 
 TREE = ModelSpace.tree()
 PLANE = ModelSpace.plane()
@@ -47,6 +53,63 @@ def test_compose_matches_sequential_application():
         lhs = apply_isometry(PLANE, compose(g, h), z)
         rhs = apply_isometry(PLANE, g, apply_isometry(PLANE, h, z))
         assert plane_distance(lhs.z, rhs.z) < 1e-9
+
+
+def test_row_kernels_match_compose_and_apply_bitwise():
+    rng = random.Random(7)
+    rot = PlaneIsometry.from_matrix(1.0, -1.0, 1.0, 1.0)  # |c| = |d|
+    shift = hyperbolic_shift(4.0)
+    mats = [IDENTITY_PLANE, shift, shift.inverse(), rot, rot.inverse()]
+    mats += [PlaneIsometry.from_matrix(1.0, 0.0, t, 1.0) for t in (-2.0, 0.5)]
+    for _ in range(40):
+        upper = PlaneIsometry.from_matrix(1.0, rng.uniform(-3, 3), 0.0, 1.0)
+        lower = PlaneIsometry.from_matrix(1.0, 0.0, rng.uniform(-3, 3), 1.0)
+        mats.append(compose(hyperbolic_shift(rng.uniform(-6, 6)), compose(upper, lower)))
+    # entries of both signed zeros, as inverses of diagonal matrices have
+    zeros = {math.copysign(1.0, x) for g in mats for x in g.mat if x == 0}
+    assert zeros == {1.0, -1.0}
+    g = np.array([a.mat for a in mats for _ in mats])
+    h = np.array([b.mat for _ in mats for b in mats])
+    rows = _compose_rows(g, h)
+    want = [compose(a, b) for a in mats for b in mats]
+    assert [tuple(x.hex() for x in r) for r in rows.tolist()] == [
+        tuple(x.hex() for x in w.mat) for w in want
+    ]
+    got = _images_of_i(np.array([w.mat for w in mats + want]))
+    for w, z in zip(mats + want, got):
+        ref = apply_isometry(PLANE, w, PLANE.basepoint).z
+        assert (z.real.hex(), z.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+
+
+def test_word_levels_are_the_scalar_prefix_products():
+    desc = schottky_pair(4.0)
+    alph = letters(2)
+    gen_map = dict(zip(alph, [g for h in desc.generators for g in (h, h.inverse())]))
+    levels = _word_levels(gen_map, alph)
+    for k in range(1, 6):
+        words, mats = next(levels)
+        assert words == reduced_words_of_length(2, k)
+        for w, row in zip(words, mats.tolist()):
+            assert [x.hex() for x in row] == [x.hex() for x in scalar_product(gen_map, w).mat]
+
+
+def scalar_product(gen_map, word):
+    g = IDENTITY_PLANE
+    for c in word:
+        g = compose(g, gen_map[c])
+    return g
+
+
+@pytest.mark.parametrize("L", [4.0, 4.5, 4.0078125])
+def test_certificate_survey_matches_the_scalar_words(L):
+    desc = schottky_pair(L)
+    gen_map = dict(zip(letters(2), [g for h in desc.generators for g in (h, h.inverse())]))
+    want = {
+        w: plane_distance(1j, apply_isometry(PLANE, scalar_product(gen_map, w), PLANE.basepoint).z).hex()
+        for w in reduced_words_upto(2, WORD_HORIZON)
+    }
+    got = certify_ping_pong(desc).displacement_table
+    assert {w: d.hex() for w, d in got.items()} == want
 
 
 def test_isometries_preserve_distance():

@@ -1,12 +1,23 @@
+import bisect
 import math
 from fractions import Fraction
 
 import pytest
 
 from hypcrit.errors import CertificationError, InsufficientDataError
-from hypcrit.isometries import certify_ping_pong, schottky_pair
+from hypcrit.isometries import (
+    IDENTITY_PLANE,
+    PlaneIsometry,
+    apply_isometry,
+    certify_ping_pong,
+    compose,
+    schottky_pair,
+)
 from hypcrit.orbits import (
+    GroupAction,
+    OrbitEntry,
     PruneParams,
+    _count_by_shell,
     check_generating,
     check_word_metric_comparison,
     enumerate_orbit_ball,
@@ -18,7 +29,8 @@ from hypcrit.orbits import (
     sigma_R,
     tree_action,
 )
-from hypcrit.words import brute_force_reduced_words_upto
+from hypcrit.space import ModelSpace, plane_distance
+from hypcrit.words import brute_force_reduced_words_upto, word_key
 
 
 @pytest.fixture(scope="module")
@@ -144,3 +156,110 @@ def test_export_formats(f2):
     assert csv.endswith("\n")
     entries = export_entries(ball)
     assert entries.count("\n") == ball.count
+
+
+# ---------------------------------------------------------------------------
+# the batched plane BFS against the scalar loop it replaced
+
+
+def scalar_plane_ball(action, T, merge_radius, prune):
+    """(entries, count_by_shell, merged_words) of the plane BFS, one word
+    at a time with `compose`, `apply_isometry` and `plane_distance`."""
+    alph = action.alphabet
+    follow = {c: [d for d in alph if d != c.swapcase()] for c in alph}
+    follow[""] = alph
+    max_len = int(math.floor((float(T) + prune.c_prime) / prune.c + 1e-12))
+    base = action.basepoint
+    entries = [OrbitEntry("", base, 0.0)]
+    merged_words = []
+    cell = merge_radius / math.sqrt(2.0) if merge_radius > 0 else None
+    grid = {}
+    if cell:
+        grid[(round(base.z.real / cell), round(base.z.imag / cell))] = [0]
+    frontier = [("", IDENTITY_PLANE)]
+    for _ in range(max_len):
+        frontier = [
+            (w + c, compose(g, action.gen_map[c])) for w, g in frontier for c in follow[w[-1:]]
+        ]
+        for w, g in frontier:
+            p = apply_isometry(action.space, g, base)
+            d = plane_distance(base.z, p.z)
+            if d > float(T) + 1e-9:
+                continue
+            merged = False
+            if cell:
+                ci, cj = round(p.z.real / cell), round(p.z.imag / cell)
+                for key in ((ci + di, cj + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)):
+                    for idx in grid.get(key, ()):
+                        if plane_distance(entries[idx].point.z, p.z) < merge_radius:
+                            merged = True
+                            merged_words.append((w, entries[idx].word))
+                            break
+                    if merged:
+                        break
+                if not merged:
+                    grid.setdefault((ci, cj), []).append(len(entries))
+            if not merged:
+                entries.append(OrbitEntry(w, p, d))
+    entries.sort(key=lambda e: word_key(e.word))
+    disps = sorted(e.displacement for e in entries)
+    shells = _count_by_shell(lambda t: bisect.bisect_right(disps, t), T, 1.0, len(entries))
+    return tuple(entries), shells, tuple(merged_words)
+
+
+def bits(entries):
+    return [
+        (e.word, e.point.z.real.hex(), e.point.z.imag.hex(), e.displacement.hex())
+        for e in entries
+    ]
+
+
+def assert_matches_scalar(action, T, merge_radius, prune):
+    ball = enumerate_orbit_ball(action, T, merge_radius=merge_radius, prune=prune)
+    entries, shells, merged = scalar_plane_ball(action, T, merge_radius, prune)
+    assert bits(ball.entries) == bits(entries)
+    assert ball.count_by_shell == shells
+    assert ball.merged_words == merged
+    return ball
+
+
+@pytest.mark.parametrize("L", [4.5, 4.0, 4.0078125, 3.7])
+def test_batched_plane_ball_matches_the_scalar_loop(L):
+    desc = schottky_pair(L)
+    action = schottky_action(desc, certify_ping_pong(desc))
+    cert = action.certificate
+    merge_radius = min(1e-6, cert.systole_bound / 10.0)
+    for T in (0.0, 3.9, 14.0, 23.0, 26.0):
+        ball = assert_matches_scalar(action, T, merge_radius, PruneParams(cert.per_letter_gain))
+        assert ball.merged_words == ()
+
+
+def test_repeated_generator_merges_like_the_scalar_loop():
+    # an uncertified action whose second generator repeats the first: "b"
+    # lands on "a" and "aB" on the identity, so the merge path runs
+    g = schottky_pair(4.0).generators[1]
+    action = GroupAction(
+        ModelSpace.plane(), {"a": g, "A": g.inverse(), "b": g, "B": g.inverse()},
+        math.log(3.0), 3.0,
+    )
+    ball = assert_matches_scalar(action, 9.0, 1e-6, PruneParams(2.0))
+    assert ("b", "a") in ball.merged_words and ("aB", "") in ball.merged_words
+    assert [e.word for e in ball.entries] == ["", "a", "A", "aa", "AA"]
+
+
+@pytest.mark.parametrize("merge_radius", [0.05, 0.2, 0.4])
+def test_dense_action_merges_like_the_scalar_loop(merge_radius):
+    # translations by 1 and sqrt 2 and a dilation generate a non-discrete
+    # group: its orbit points crowd, and most words merge into an entry
+    # kept earlier in the same or a neighbouring hash cell
+    gens = (
+        PlaneIsometry.from_matrix(1.0, 1.0, 0.0, 1.0),
+        PlaneIsometry.from_matrix(1.0, math.sqrt(2.0), 0.0, 1.0),
+        PlaneIsometry.from_matrix(math.sqrt(1.5), 0.0, 0.0, 1.0 / math.sqrt(1.5)),
+    )
+    gen_map = {}
+    for c, g in zip("abc", gens):
+        gen_map[c], gen_map[c.upper()] = g, g.inverse()
+    action = GroupAction(ModelSpace.plane(), gen_map, math.log(3.0), 3.0)
+    ball = assert_matches_scalar(action, 2.0, merge_radius, PruneParams(0.5))
+    assert len(ball.merged_words) > ball.count

@@ -25,7 +25,15 @@ from hypcrit.space import (
     plane_ray_distances,
     plane_ray_product,
     plane_ray_products,
+    plane_line_point,
+    plane_line_points,
     ray_point,
+    ray_points,
+    _mobius_apply,
+    _mobius_inverse,
+    _mobius_to_axis,
+    _plane_line_coords,
+    _plane_ray_coords,
 )
 from hypcrit.geometry_checks import _rand_plane_point, _rand_tree_point
 
@@ -231,6 +239,46 @@ def test_plane_ray_closed_forms_match_reference():
             assert plane_ray_distance(y, e) == pytest.approx(want, rel=1e-9)
             assert got == pytest.approx(want, rel=1e-9)
     assert behind > 0
+
+
+def hexes(zs):
+    return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+
+def reference_line_points(u, v, z, ts):
+    """The plane line kernel one point at a time, as `plane_line_points`
+    computed it on `PlanePoint`s."""
+    if u == math.inf:
+        return [complex(v, max(abs(z - v) * math.exp(-t), 1e-300)) for t in ts]
+    M = _mobius_to_axis(u, v)
+    rho = abs(_mobius_apply(M, z))
+    out = []
+    for t in ts:
+        w = _mobius_apply(_mobius_inverse(M), complex(0.0, rho * math.exp(t)))
+        out.append(complex(w.real, max(w.imag, 1e-300)))
+    return out
+
+
+def test_line_coordinates_match_the_point_kernels():
+    rng = random.Random(47)
+    ts = [0.5 * i - 4.0 for i in range(17)] + [rng.uniform(-30.0, 30.0) for _ in range(8)]
+    zs = [p.z for p in rand_points(53, PLANE, 6)] + [1j, 3.0 + 1e-7j]
+    ends = [math.inf, 0.0, -2.5, 0.75, 1e-3] + [rng.uniform(-8.0, 8.0) for _ in range(4)]
+    lines = [(u, v) for u in ends for v in ends if u != v]
+    assert any(u == math.inf for u, _ in lines) and any(v == math.inf for _, v in lines)
+    for z in zs:
+        x = PlanePoint(z)
+        for u, v in lines:
+            got = hexes(_plane_line_coords(u, v, z, ts))
+            assert got == hexes(reference_line_points(u, v, z, ts))
+            assert got == hexes(p.z for p in plane_line_points(u, v, x, ts))
+            assert got == hexes(plane_line_point(u, v, x, t).z for t in ts)
+        # rays toward infinity, straight down (z.real == e) and generic
+        for e in ends + [z.real]:
+            rts = [abs(t) for t in ts]
+            got = hexes(_plane_ray_coords(z, e, rts))
+            assert got == hexes(p.z for p in ray_points(PLANE, Ray(x, e), rts))
+            assert got == hexes(ray_point(PLANE, Ray(x, e), t).z for t in rts)
 
 
 def test_basepoint_is_one_shared_point():
