@@ -15,19 +15,30 @@ ray have closed forms (`space.plane_ray_product`,
 for a product or a shadow test, and `ray_point`/`plane_dist_to_ray` are
 the reference they are tested against.
 
+Tree boundary data is word combinatorics: a tree Patterson-Sullivan
+measure is level arrays (`_tree_measure`), with one weight per level,
+summed in the order of the orbit entries, so its bits are those of one
+`Atom` per entry; tree products and shadow tests count whole units of
+`tree_grid` in integers. The `Atom` and `Fraction` forms are the
+reference of the tests.
+
 Measures cache their boundary atoms as arrays, in atom order:
-`AtomicMeasure._tree_atoms` (letter rows, word lengths, depths, weights)
-and `AtomicMeasure._plane_atoms` (endpoint coordinates, depths, weights).
-`ball_mass` and `shadow_mass` apply the scalar membership rules of
-`generalized_ball_contains` and `shadow_contains` to every atom at once,
+`AtomicMeasure._tree_atoms` (letter rows, also lexsorted, word lengths,
+depths, weights) and `AtomicMeasure._plane_atoms` (endpoint coordinates,
+depths, weights). `ball_mass` and `shadow_mass` apply the scalar
+membership rules of `generalized_ball_contains` and `shadow_contains` to
+every atom at once, summing masked weights left to right in atom order,
 and the scalar functions remain the reference they are tested against.
 """
 
+import bisect
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -41,7 +52,6 @@ from .space import (
     _GridPoint,
     _grid_ray_points,
     _lcp,
-    _row_lcp,
     _tree_point,
     _tree_separation,
     _word_rows,
@@ -54,7 +64,6 @@ from .space import (
     plane_ray_product,
     plane_ray_products,
     ray_points,
-    tree_depth,
     tree_grid,
 )
 from .words import _ORDER, compose_words, invert_word
@@ -109,13 +118,7 @@ def boundary_gromov_product(action, z, zp):
     """
     space = action.space
     if space.kind == TREE:
-        k = _lcp(z.word, zp.word)
-        if k >= min(z.depth, zp.depth):
-            raise DepthError(
-                "common prefix reaches truncation depth %d; deepen the approximants"
-                % k
-            )
-        return k * space.edge_length, space.edge_length * 0
+        return _tree_product(z, zp, 1) * space.edge_length, space.edge_length * 0
     if z.coord == zp.coord:
         raise DepthError("identical plane endpoints: product is unbounded")
     t = max(min(z.depth, zp.depth), 4.0)
@@ -124,6 +127,38 @@ def boundary_gromov_product(action, z, zp):
     err = min(action.declared_delta if action.declared_delta > 0 else math.inf,
               gap + 1e-6)
     return value, err
+
+
+def _tree_product(z, zp, m):
+    """The tree boundary product, k edge_length, in units of 1/m edge;
+    DepthError where the common-prefix length k reaches a truncation."""
+    k = _lcp(z.word, zp.word)
+    if k >= min(z.depth, zp.depth):
+        raise DepthError(
+            "common prefix reaches truncation depth %d; deepen the approximants" % k
+        )
+    return k * m
+
+
+def _product_exceeds(action, cuts):
+    """The function (z, z') -> [p - err > c for c in cuts] for (p, err) =
+    boundary_gromov_product(action, z, z'). On the tree, in whole units
+    of `tree_grid`: k m units exceed c iff they exceed floor(c D), exactly
+    from c's integer ratio."""
+    if action.space.kind != TREE:
+        def exceeds(z, zp):
+            p, err = boundary_gromov_product(action, z, zp)
+            return [p - err > c for c in cuts]
+
+        return exceeds
+    D, m = tree_grid(action.space)
+    floors = [num * D // den for num, den in (float(c).as_integer_ratio() for c in cuts)]
+
+    def exceeds(z, zp):
+        units = _tree_product(z, zp, m)
+        return [units > f for f in floors]
+
+    return exceeds
 
 
 @dataclass(frozen=True)
@@ -147,8 +182,9 @@ def visual_distance(params, action, z, zp):
     if delta > 0 and a >= math.log(2.0) / (2.0 * delta):
         raise ValueError("a outside the admissible range (0, log2/(2 delta))")
     if action.space.kind == TREE:
-        p, _ = boundary_gromov_product(action, z, zp)
-        v = math.exp(-a * float(p))
+        # k m / D is the float of the exact product k edge_length
+        D, m = tree_grid(action.space)
+        v = math.exp(-a * (_tree_product(z, zp, m) / D))
         return v, v
     V = params.V if params.V is not None else math.exp(a * delta)
     if 3.0 - 2.0 * math.exp(a * delta) <= 0:
@@ -186,18 +222,32 @@ def shadow_contains(action, y, r, z):
     """Whether the ray from the basepoint toward z meets the open ball B(y, r).
 
     Rays are unique in both models; the minimum ray-to-point distance is
-    computed in closed form (`plane_ray_distance` on the plane).
+    computed in closed form: on the tree in whole grid units (`_on_grid`),
+    as depth(y) less its separation from the proxy vertex z.word, on the
+    plane by `plane_ray_distance`. DepthError where y lies below the proxy
+    on the shared path, so that a deeper word could bring it closer.
     """
     if r <= 0:
         raise ValueError("shadow radius must be positive")
-    space = action.space
-    if space.kind == TREE:
-        proxy = TreePoint(z.word)
-        sep = _tree_separation(space.edge_length, y, proxy)
-        if sep >= tree_depth(space, proxy) and tree_depth(space, y) > sep:
+    if action.space.kind == TREE:
+        D, m, g = _on_grid(action.space, y)
+        sep = _tree_separation(m, g, _GridPoint(z.word, 0, None))
+        dy = len(g.word) * m + g.offset
+        if sep >= len(z.word) * m and dy > sep:
             raise DepthError("shadow test needs a deeper boundary word")
-        return float(tree_depth(space, y) - sep) < r
+        return (dy - sep) / D < r
     return plane_ray_distance(y.z, z.coord) < r
+
+
+def _on_grid(space, y):
+    """(D, m, g): the tree point y as the `_GridPoint` g on the grid of
+    `tree_grid` (D units per length, m per edge), refined where y's offset
+    is off it. k units are the float k / D, float(Fraction(k, D))."""
+    D, m = tree_grid(space)
+    den = y.offset.denominator
+    refine = den // math.gcd(den, D)
+    D, m = D * refine, m * refine
+    return D, m, _GridPoint(y.word, y.offset.numerator * (D // den), y.direction)
 
 
 def _base_ray_points(action, ts):
@@ -259,16 +309,17 @@ def check_shadow_ball_lemma(action, samples, ts, params=None, seed=0, pair_count
         params = VisualParams(a)
     V = params.V if params.V is not None else math.exp(params.a * delta)
     ray_points_to = _base_ray_points(action, ts)
+    exceeds = _product_exceeds(action, [T + 1e-9 for T in ts])
     for _ in range(pair_count):
         z, zp = rng.sample(samples, 2)
         try:
-            p, err = boundary_gromov_product(action, z, zp)
+            beyond = exceeds(z, zp)
         except DepthError:
             continue
-        for T, xi in zip(ts, ray_points_to(z)):
+        for T, xi, deep in zip(ts, ray_points_to(z), beyond):
             if xi is None:
                 continue
-            if p - err > T + 1e-9:
+            if deep:
                 bis[0] += 1
                 if not shadow_contains(action, xi, r_shadow, zp):
                     bis[1] += 1
@@ -456,20 +507,30 @@ class Atom:
     boundary: object = None  # BoundaryApprox when projected
 
 
-@dataclass(frozen=True)
+@dataclass
 class AtomicMeasure:
+    """A normalized atomic measure: its `atoms` in orbit-entry order, the
+    boundary atoms among them, and their arrays, each built on first use.
+    A tree Patterson-Sullivan measure holds `_LevelAtoms` and level arrays
+    instead (`_tree_measure`)."""
+
     atoms: tuple
     s: float
     truncation_T: float
 
-    @property
+    @cached_property
     def boundary_atoms(self):
         return [a for a in self.atoms if a.boundary is not None]
 
     @cached_property
     def _tree_atoms(self):
         """Boundary atoms of a tree measure as arrays, in atom order."""
-        return _TreeAtoms(self.boundary_atoms)
+        atoms = self.boundary_atoms
+        return _TreeAtoms(
+            [a.boundary.word for a in atoms],
+            np.array([a.boundary.depth for a in atoms]),
+            np.array([a.weight for a in atoms], dtype=float),
+        )
 
     @cached_property
     def _plane_atoms(self):
@@ -477,27 +538,93 @@ class AtomicMeasure:
         return _PlaneAtoms(self.boundary_atoms)
 
 
+def _tree_measure(ball, s, thresh):
+    """The Patterson-Sullivan measure of a tree ball as level arrays.
+
+    Every word of level k is displaced by k edge_length, so each level has
+    one weight e^{-s float(k L)} / total. The total is the `np.cumsum` of
+    the numbers e^{-s float(k L)} repeated by the level sizes: the
+    left-to-right order, and so the bits, of Python's `sum` over the orbit
+    entries (plain addition on Python 3.11). The levels from `deep` on are
+    projected to the boundary, and their words, depths and weights are the
+    `_TreeAtoms` arrays.
+    """
+    L = ball.edge_length
+    sizes = [len(words) for words in ball.levels]
+    disp = [float(k * L) for k in range(len(sizes))]
+    mass = [math.exp(-s * d) for d in disp]
+    total = _ordered_sum(np.repeat(mass, sizes))
+    weight = [x / total for x in mass]
+    deep = next((k for k in range(1, len(disp)) if disp[k] >= thresh - 1e-12), len(disp))
+    levels = list(enumerate(ball.levels))
+    measure = AtomicMeasure(_LevelAtoms(levels, disp, weight, deep), s, float(ball.radius))
+    measure.boundary_atoms = _LevelAtoms(levels[deep:], disp, weight, deep)
+    measure._tree_atoms = _TreeAtoms(
+        [w for words in ball.levels[deep:] for w in words],
+        np.repeat(np.arange(deep, len(sizes)), sizes[deep:]),
+        np.repeat(weight[deep:], sizes[deep:]),
+    )
+    return measure
+
+
+class _LevelAtoms(Sequence):
+    """The atoms of tree levels, (k, words) pairs, each built when it is
+    read: Atom(w, TreePoint(w), disp[k], weight[k]), projected to
+    `tree_boundary(w)` when k >= deep."""
+
+    def __init__(self, levels, disp, weight, deep):
+        self.levels, self.disp, self.weight, self.deep = levels, disp, weight, deep
+        self.ends = list(accumulate(len(words) for _, words in levels))
+
+    def __len__(self):
+        return self.ends[-1] if self.ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # IndexError out of range
+        li = bisect.bisect_right(self.ends, i)
+        k, words = self.levels[li]
+        w = words[i - (self.ends[li - 1] if li else 0)]
+        return Atom(w, TreePoint(w), self.disp[k], self.weight[k],
+                    tree_boundary(w) if k >= self.deep else None)
+
+
 class _TreeAtoms:
     """Letter rows, word lengths, depths and weights of tree boundary atoms.
 
     total is the left-to-right float sum of the weights, the order in
-    which the scalar loops add them.
+    which the scalar loops add them. `columns` holds the rows lexsorted
+    (atom `order`), column by column, for `lcp`.
     """
 
-    def __init__(self, atoms):
-        words = [a.boundary.word for a in atoms]
+    def __init__(self, words, depth, weight):
         self.lengths = np.array([len(w) for w in words], dtype=np.int64)
         self.width = int(self.lengths.max()) + 1 if words else 1
         self.rows = _word_rows(words, self.width)
-        self.depth = np.array([a.boundary.depth for a in atoms])
-        self.weight = np.array([a.weight for a in atoms], dtype=float)
-        self.total = _ordered_sum(self.weight)
+        self.depth = depth
+        self.weight = weight
+        self.total = _ordered_sum(weight)
+        self.order = np.lexsort(self.rows.T[::-1])
+        self.columns = np.ascontiguousarray(self.rows[self.order].T)
 
     def lcp(self, word):
-        """Common-prefix length of `word` with every atom word."""
-        row = _word_rows([word], self.width)
-        row[0, len(word):] = -2  # padding of `word` matches nothing
-        return _row_lcp(self.rows, row)
+        """Common-prefix length of `word` with every atom word, in atom
+        order. The atoms sharing the first j letters of `word` are a range
+        [lo, hi) of the sorted rows, sorted by column j, so a binary search
+        per letter narrows it; the lengths are scattered back once."""
+        srt = np.zeros(len(self.order), dtype=np.int64)
+        lo, hi = 0, len(srt)
+        for j, c in enumerate(word[: self.width]):
+            col = self.columns[j, lo:hi]
+            digit = _ORDER[c]
+            lo, hi = lo + col.searchsorted(digit, "left"), lo + col.searchsorted(digit, "right")
+            if lo == hi:
+                break
+            srt[lo:hi] = j + 1
+        out = np.empty_like(srt)
+        out[self.order] = srt
+        return out
 
 
 class _PlaneAtoms:
@@ -522,7 +649,8 @@ def patterson_sullivan_atoms(action, ball, s):
     Requires s strictly above a rough growth estimate of the ball (below it
     the truncated sum is not a stable proxy for the limit measure). Atoms
     at displacement >= (2/3) of the ball radius also carry a boundary
-    projection for reporting boundary masses.
+    projection for reporting boundary masses. A tree measure is built from
+    the ball's levels (`_tree_measure`), with no object per atom.
     """
     if s <= 0:
         raise MeasureError("s must be positive")
@@ -539,16 +667,17 @@ def patterson_sullivan_atoms(action, ball, s):
             "sum is unstable (the limit construction sends s down to the "
             "critical exponent along a sequence, always from above)" % (s, h_rough)
         )
-    total = sum(math.exp(-s * float(e.displacement)) for e in ball.entries)
     thresh = 2.0 * float(ball.radius) / 3.0
+    if action.space.kind == TREE:
+        return _tree_measure(ball, s, thresh)
+    total = sum(math.exp(-s * float(e.displacement)) for e in ball.entries)
     atoms = []
-    tree = action.space.kind == TREE
-    isometry = None if tree else _prefix_isometries(action)
+    isometry = _prefix_isometries(action)
     for e in ball.entries:
         w = math.exp(-s * float(e.displacement)) / total
         b = None
         if e.word and float(e.displacement) >= thresh - 1e-12:
-            b = tree_boundary(e.word) if tree else _plane_entry_boundary(isometry(e.word), e)
+            b = _plane_entry_boundary(isometry(e.word), e)
         atoms.append(Atom(e.word, e.point, float(e.displacement), w, b))
     return AtomicMeasure(tuple(atoms), s, float(ball.radius))
 
@@ -630,32 +759,21 @@ def shadow_mass(action, measure, y, r):
 def _tree_shadow_rules(action, atoms, y, r):
     """shadow_contains on tree atom arrays: the (decided, inside) masks.
 
-    Against the proxy vertex of an atom word of length lq, the separation
-    from y is k * L plus y's offset when y's edge leads into the word
-    (k = lcp, y.word a proper prefix). shadow_contains' exact rules are
-    evaluated once per distinct (k, edge bonus, lq), found by one 1-D
-    `np.unique` of the code (2 k + bonus) * base + lq, which orders the
-    triples lexicographically (k <= width and lq < width < base).
+    In the grid units of `_on_grid`, the separation of y from the proxy
+    vertex of an atom word is k m for the common-prefix length k, plus
+    y's offset where y's edge leads into the word (y.word a proper prefix
+    and y's direction the next letter); depths and separations are exact
+    integers, and (dy - sep) / D is the float of shadow_contains.
     """
-    space = action.space
-    L = space.edge_length
-    ly = len(y.word)
-    k = atoms.lcp(y.word)
-    bonus = np.zeros(len(k), dtype=bool)
-    if y.direction is not None and ly < atoms.width:
-        bonus = (k == ly) & (atoms.lengths > ly) & (atoms.rows[:, ly] == _ORDER[y.direction])
-    base = atoms.width + 1
-    distinct, which = np.unique((2 * k + bonus) * base + atoms.lengths, return_inverse=True)
-    dy = tree_depth(space, y)
-    undecidable = np.zeros(len(distinct), dtype=bool)
-    inside = np.zeros(len(distinct), dtype=bool)
-    for i, code in enumerate(distinct.tolist()):
-        kb, lq = divmod(code, base)
-        kk, b = divmod(kb, 2)
-        sep = kk * L + (y.offset if b else 0)
-        undecidable[i] = sep >= lq * L and dy > sep
-        inside[i] = float(dy - sep) < r
-    return ~undecidable[which], inside[which]
+    D, m, g = _on_grid(action.space, y)
+    ly = len(g.word)
+    k = atoms.lcp(g.word)
+    sep = k * m
+    if g.direction is not None and ly < atoms.width:
+        into = (k == ly) & (atoms.lengths > ly) & (atoms.rows[:, ly] == _ORDER[g.direction])
+        sep[into] += g.offset
+    dy = ly * m + g.offset
+    return ~((sep >= atoms.lengths * m) & (dy > sep)), (dy - sep) / D < r
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +826,7 @@ def check_ahlfors_regularity(action, measure, h, centers, scales, shadow_samples
     step1 = math.exp(h * (55.0 * delta + 3.0 * D))
     R0 = math.log(2.0) / h + 55.0 * delta + 3.0 * D + 5.0 * delta
     Q = 1.0
-    deep = [a for a in measure.boundary_atoms if a.word]
+    deep = measure.boundary_atoms  # every boundary atom carries a word
     for a in deep[:: max(1, len(deep) // shadow_samples)]:
         m = shadow_mass(action, measure, a.point, R0)
         if not m:

@@ -18,7 +18,7 @@ from importlib import resources
 from itertools import islice
 from pathlib import Path
 
-from .errors import CertificationError, ClassificationError
+from .errors import CertificationError, ClassificationError, NumericalLimitError
 from .isometries import (
     PingPongFailure,
     PlaneIsometry,
@@ -546,7 +546,7 @@ def main(argv=None):
     try:
         scenario = load_scenario(args.scenario)
         passed = COMMANDS[args.command](scenario, args, args.out)
-    except (CertificationError, ClassificationError) as exc:
+    except (CertificationError, ClassificationError, NumericalLimitError) as exc:
         diagnosis = "%s: %s" % (type(exc).__name__, exc)
         print("rejected: " + diagnosis, file=sys.stderr)
         write_report(args.out, "audits.json", dump_json({"error": diagnosis, "passed": False}))

@@ -37,13 +37,14 @@ from .space import (
     TREE,
     DistanceTable,
     _GridPoint,
-    _path_distance,
+    _row_lcp,
     _tree_point,
     _TreePaths,
+    _word_rows,
     distance,
     pairwise_distances,
 )
-from .words import _ORDER, compose_words, letters, reduced_words_upto
+from .words import _ORDER, compose_words, invert_word, letters, reduced_words_upto
 
 #: eps rungs tried by the continuity experiment, largest first; the last
 #: rung is the floor imposed by the resolution <= eps/4 precondition
@@ -95,14 +96,17 @@ class TripleSnapshot:
 
     @cached_property
     def metric(self):
-        """The net's `DistanceTable`, built on first use. Tree offsets are
-        float(s * resolution), the floats of the exact offsets."""
+        """The net's `DistanceTable`, built on first use."""
         if self.space.kind != TREE:
             return DistanceTable(pairwise_distances(self.space, self.points))
+        return DistanceTable(self.paths)
+
+    @cached_property
+    def paths(self):
+        """A tree net's `_TreePaths`. Offsets are float(s * resolution),
+        the floats of the exact offsets."""
         off = np.array([float(s * self.resolution) for s in range(int(self.steps.max()) + 1)])
-        return DistanceTable(
-            _TreePaths(self.space.edge_length, self.words, self.directions, off[self.steps])
-        )
+        return _TreePaths(self.space.edge_length, self.words, self.directions, off[self.steps])
 
 
 class _TreeNetPoints(Sequence):
@@ -409,27 +413,41 @@ def _tree_offnet_defect(snap, el_idx, xs, ys):
     """max_k d(g xs[k], ys[k]) for the element g = snap.elements[el_idx],
     net points xs whose images leave the net, and net points ys.
 
-    Word arithmetic on the grid, as in `_tree_snapshot`: the image of a
-    point s steps from vertex v toward d lies s steps from u = g v toward
-    d, unless u ends in the inverse of d; then it lies m - s steps from
-    the parent of u toward the last letter of u (m steps per edge). The
-    distance is an integer k of grid steps, converted once as
-    float(Fraction(k) * resolution), the float of the exact distance.
+    Word arithmetic on the grid, as in `_tree_snapshot`, on the net's int8
+    root paths (`_TreePaths.rows`: vertex word w, then the direction d of
+    a point s > 0 steps along an edge). g w cancels c = lcp(g^-1, w)
+    letters: the image lies s steps from u = g[:|g| - c] + w[c:] toward d,
+    on the root path g[:|g| - c] + path[c:], unless g^-1 cancels d too;
+    then it lies m - s steps from the parent of u toward the last letter
+    of u, on the root path u. With depths in integer steps, a distance is
+    d1 + d2 - 2 min(lcp m, d1, d2), the min form of `space._separated`;
+    the largest is converted once, as float(Fraction(k) * resolution).
     """
     g = snap.elements[el_idx].word
-    m = int(snap.space.edge_length / snap.resolution)
-    words, dirs, steps = snap.words, snap.directions, snap.steps
-    worst = 0
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        s, d = int(steps[x]), dirs[x]
-        u = compose_words(g, words[x])
-        if s and u and u[-1] == d.swapcase():
-            img = _GridPoint(u[:-1], m - s, u[-1])
-        else:
-            img = _GridPoint(u, s, d)
-        q = _GridPoint(words[y], int(steps[y]), dirs[y])
-        worst = max(worst, _path_distance(m, img, q))
-    return float(Fraction(worst) * snap.resolution)
+    res = snap.resolution
+    m = int(snap.space.edge_length / res)
+    paths = snap.paths
+    rows, wl, s = paths.rows[xs], paths.lengths[xs], snap.steps[xs]
+    width = rows.shape[1]
+    # g^-1 padded with -2, which matches no digit of a path or its padding
+    ginv = _word_rows([invert_word(g)], width)
+    ginv[0, len(g):] = -2
+    cut = _row_lcp(rows, ginv)
+    up = cut > wl
+    c = np.minimum(cut, wl)
+    keep = len(g) - c  # letters of g left in the image
+    img_depth = (keep + wl - c) * m + np.where(up, -s, s)
+    # the image's root path g[:keep] + path[c:], read to `width` digits;
+    # digits past its end (d where g^-1 cancels it, or clipped ones) never
+    # matter: a common prefix that reaches them is already >= the image
+    # depth in the min form
+    j = np.arange(width)
+    tail = np.take_along_axis(rows, np.clip(j - keep[:, None] + c[:, None], 0, width - 1), axis=1)
+    img = np.where(j < keep[:, None], _word_rows([g], width)[0], tail)
+    q_depth = paths.lengths[ys] * m + snap.steps[ys]
+    sep = np.minimum(np.minimum(_row_lcp(img, paths.rows[ys]) * m, img_depth), q_depth)
+    worst = int((img_depth + q_depth - 2 * sep).max())
+    return (worst * res.numerator) / res.denominator
 
 
 def _word_index(snap):

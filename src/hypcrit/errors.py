@@ -37,3 +37,7 @@ class MeasureError(ValueError):
 
 class MalformedWitnessError(ValueError):
     """An approximation witness is missing required table entries."""
+
+
+class NumericalLimitError(ValueError):
+    """A float64 result would carry no meaning; raised instead of using it."""

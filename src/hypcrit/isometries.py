@@ -4,7 +4,8 @@ Tree isometries are reduced words acting on the Cayley tree by left
 multiplication (the source of truth; no matrix representation). Plane
 isometries are real 2x2 matrices of determinant 1, identified with their
 negatives, acting by Mobius transformations; products are renormalized to
-determinant 1 to damp float drift.
+determinant 1 to damp float drift, except where the computed determinant
+cancels to <= 0 (`_normalize_matrix`).
 
 Schottky subgroups of the plane isometries come with paired disjoint disks
 (arcs of the boundary circle) and a ping-pong certificate that decides
@@ -17,7 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ClassificationError, KindMismatchError
+from .errors import ClassificationError, KindMismatchError, NumericalLimitError
 from .space import PLANE, TREE, PlanePoint, TreePoint, plane_distance
 from .words import (
     compose_words,
@@ -56,11 +57,23 @@ class TreeIsometry:
         return self.word == ""
 
 
-def _normalize_matrix(m):
+def _normalize_matrix(m, unimodular=False):
+    """m divided by sqrt(ad - bc), with the canonical sign.
+
+    A product or inverse of determinant-1 matrices (`unimodular`) has det
+    1 up to rounding, so a computed det <= 0 there is cancellation (ad and
+    bc agree to the last bit from entries of about 1e8 on, words of length
+    10 at L = 4) and the exact det 1 is used. An input matrix with det <=
+    0 raises ValueError, an overflowing one NumericalLimitError.
+    """
     a, b, c, d = m
     det = a * d - b * c
+    if not math.isfinite(det):
+        raise NumericalLimitError("matrix entries overflow float64")
     if det <= 0:
-        raise ValueError("matrix must have positive determinant, got %g" % det)
+        if not unimodular:
+            raise ValueError("matrix must have positive determinant, got %g" % det)
+        det = 1.0
     s = math.sqrt(det)
     a, b, c, d = a / s, b / s, c / s, d / s
     # canonical sign: first entry of (a, b, c, d) with |entry| > tol positive
@@ -90,7 +103,7 @@ class PlaneIsometry:
 
     def inverse(self):
         a, b, c, d = self.mat
-        return PlaneIsometry(_normalize_matrix((d, -b, -c, a)))
+        return PlaneIsometry(_normalize_matrix((d, -b, -c, a), unimodular=True))
 
     @property
     def is_identity(self):
@@ -126,7 +139,8 @@ def compose(g, h):
                 a1 * b2 + b1 * d2,
                 c1 * a2 + d1 * c2,
                 c1 * b2 + d1 * d2,
-            )
+            ),
+            unimodular=True,
         )
     )
 
@@ -158,7 +172,8 @@ def _compose_rows(g, h):
 
     Every entry takes the same correctly rounded float operations in the
     same order as the scalar `compose` and `_normalize_matrix`, so the rows
-    are bitwise their matrices.
+    are bitwise their matrices; a cancelled det <= 0 is the exact det 1
+    there too.
     """
     a1, b1, c1, d1 = g.T
     a2, b2, c2, d2 = h.T
@@ -167,9 +182,9 @@ def _compose_rows(g, h):
     )
     a, b, c, d = m.T
     det = a * d - b * c
-    bad = det <= 0
-    if bad.any():
-        raise ValueError("matrix must have positive determinant, got %g" % det[bad][0])
+    if not np.isfinite(det).all():
+        raise NumericalLimitError("matrix entries overflow float64")
+    det[det <= 0] = 1.0
     m /= np.sqrt(det)[:, None]
     # canonical sign: first entry with |entry| > tol positive (a row of
     # determinant 1 has one)
@@ -304,6 +319,8 @@ def standard_disks(iso):
     one at infinity. The source disk is {|xi| <= e^{-L/2}} and the target
     {|xi| >= e^{L/2}}. The generator maps the exterior of its source arc
     onto the interior of its target arc; the inverse swaps the roles.
+    Their widths, about e^{-L/2}, round to 0 from L = 75 on:
+    NumericalLimitError.
     """
     rep, att = fixed_points(iso)
     L = 2.0 * math.acosh(abs(iso.trace) / 2.0)
@@ -329,6 +346,8 @@ def standard_disks(iso):
 
     source = arc_through(s, rep)
     target = arc_through(1.0 / s, att)
+    if source.half_width <= 0 or target.half_width <= 0:
+        raise NumericalLimitError("standard disks of length %.6g below float64 angles" % L)
     return source, target
 
 

@@ -8,12 +8,13 @@ points within radius T, deduplicated, with deterministic output order
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import CertificationError, InsufficientDataError
+from .errors import CertificationError, InsufficientDataError, NumericalLimitError
 from .isometries import (
     IDENTITY_PLANE,
     TreeIsometry,
@@ -28,6 +29,11 @@ from .words import compose_words, letters, word_key
 #: hard cap on enumerated elements; hitting it aborts with a diagnosis
 #: (a non-discrete action would otherwise loop)
 ELEMENT_CAP = 2_000_000
+
+#: the deepest plane ball float64 resolves: g(i) is off by a few eps (|ad| +
+#: |bc|) <= eps cosh d(i, g i), as its imaginary part cancels ad against
+#: bc; this radius (about 32.1) keeps that bound at 1e-2
+PLANE_RADIUS_LIMIT = math.acosh(1e-2 / sys.float_info.epsilon)
 
 
 @dataclass(frozen=True)
@@ -182,9 +188,10 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None, shell_step=No
     """All distinct orbit points within displacement T of the basepoint.
 
     Breadth-first over reduced words with the linear prune bound capping
-    word length at (T + c')/c; deduplication is exact on trees and spatial-
-    hash based (cell size merge_radius/sqrt(2), exact pairwise
-    confirmation) on the plane. Output order is canonical word order: each
+    word length at (T + c')/c; deduplication is exact on trees. On the
+    plane a point closer than merge_radius to a kept entry merges into the
+    earliest such entry, found by a spatial hash in (log y, x/y) bands
+    (`_MergeHash`). Output order is canonical word order: each
     level expands a canonically ordered frontier letter by letter. The
     ELEMENT_CAP check runs before a level is built, on the number of words
     the level would build.
@@ -193,7 +200,8 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None, shell_step=No
     its images of i come from `_images_of_i`, bitwise equal to the scalar
     `compose` and `apply_isometry`. Displacements and merge distances stay
     `plane_distance` calls: numpy's `arcsinh` and complex `abs` differ
-    from libm in the last bit.
+    from libm in the last bit. A plane radius beyond PLANE_RADIUS_LIMIT
+    raises NumericalLimitError.
     """
     if T < 0:
         raise ValueError("ball radius must be nonnegative")
@@ -241,14 +249,16 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None, shell_step=No
         return OrbitBall(T, None, shells, merge_radius, levels=tuple(levels), edge_length=L)
 
     # the plane: one BFS level at a time on stacked (n, 4) matrix rows
+    if float(T) > PLANE_RADIUS_LIMIT:
+        raise NumericalLimitError("plane ball radius %.6g beyond float64's %.4g"
+                                  % (float(T), PLANE_RADIUS_LIMIT))
     reach = float(T) + 1e-9  # closed ball at the declared tolerance
     base = action.basepoint
     entries = [OrbitEntry("", base, 0.0)]
     merged_words = []
-    cell = merge_radius / math.sqrt(2.0) if merge_radius > 0 else None
-    grid = {}
-    if cell:
-        grid[(round(base.z.real / cell), round(base.z.imag / cell))] = [0]
+    near = _MergeHash(merge_radius) if merge_radius > 0 else None
+    if near:
+        near.find_or_add(base.z, 0)
     levels = _word_levels(action.gen_map, alph)
     for k in range(1, max_len + 1):
         check_cap(len(entries), k)
@@ -257,22 +267,11 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None, shell_step=No
             d = plane_distance(base.z, z)
             if d > reach:
                 continue
-            if cell:
-                ci, cj = round(z.real / cell), round(z.imag / cell)
-                hit = next(
-                    (
-                        idx
-                        for di in (-1, 0, 1)
-                        for dj in (-1, 0, 1)
-                        for idx in grid.get((ci + di, cj + dj), ())
-                        if plane_distance(entries[idx].point.z, z) < merge_radius
-                    ),
-                    None,
-                )
+            if near:
+                hit = near.find_or_add(z, len(entries))
                 if hit is not None:
                     merged_words.append((w, entries[hit].word))
                     continue
-                grid.setdefault((ci, cj), []).append(len(entries))
             entries.append(OrbitEntry(w, PlanePoint(z), d))
 
     # the levels, and so the entries, are already in canonical word order
@@ -282,6 +281,47 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None, shell_step=No
         T, 1.0 if shell_step is None else shell_step, len(entries),
     )
     return OrbitBall(T, tuple(entries), shells, merge_radius, tuple(merged_words))
+
+
+class _MergeHash:
+    """Plane points with their indices, hashed so that every pair closer
+    than r is compared: cells in (log y, x/y) bands.
+
+    Band b holds the points with b h <= log y < (b + 1) h, h = 4 r, cut
+    into cells of width 4 (e^r - 1) e^{(b + 1) h} in x. A point closer than
+    r to z differs from it by less than r in log y and, as |x - x'| <=
+    |z - z'| = 2 sqrt(y y') sinh(d/2) with y' < y e^r, by less than
+    y (e^r - 1) in x: it lies in the one or two bands meeting log y +- r
+    and, in each, the one or two cells meeting x +- y (e^r - 1), both
+    ranges widened for rounding.
+    """
+
+    def __init__(self, r):
+        self.r, self.h = r, 4.0 * r
+        self.grow = math.expm1(r) * (1.0 + 1e-6)
+        self.K = 4.0 * math.expm1(r) * math.exp(self.h)
+        self.cells = {}
+
+    def find_or_add(self, z, index):
+        """The smallest index of a point closer than r to z; where there is
+        none, z is added under `index` and None returned."""
+        x, y, h, cells = z.real, z.imag, self.h, self.cells
+        u = math.log(y)
+        pad = self.r * (1.0 + 1e-6) + 1e-15 * abs(u)
+        dx = y * self.grow + 1e-15 * abs(x)
+        b0, b1 = math.floor((u - pad) / h), math.floor((u + pad) / h)
+        hit = None
+        for b in (b0,) if b0 == b1 else range(b0, b1 + 1):
+            w = self.K * math.exp(b * h)
+            j0, j1 = math.floor((x - dx) / w), math.floor((x + dx) / w)
+            for j in (j0,) if j0 == j1 else range(j0, j1 + 1):
+                for i, q in cells.get((b, j), ()):
+                    if (hit is None or i < hit) and plane_distance(q, z) < self.r:
+                        hit = i
+        if hit is None:
+            b = math.floor(u / h)
+            cells.setdefault((b, math.floor(x / (self.K * math.exp(b * h)))), []).append((index, z))
+        return hit
 
 
 def _count_by_shell(count_le, T, shell_step, total):
@@ -320,25 +360,6 @@ def _member_counts(action, ball):
         else:
             out.append((d, i + 1))
     return out
-
-
-def export_entries(ball):
-    """Line-oriented export: word<TAB>displacement<TAB>coordinates."""
-    lines = []
-    for e in ball.entries:
-        if isinstance(e.point, TreePoint):
-            coords = "%s:%s:%s" % (e.point.word, e.point.offset, e.point.direction or "-")
-        else:
-            coords = "%.12g,%.12g" % (e.point.z.real, e.point.z.imag)
-        lines.append("%s\t%.12g\t%s" % (e.word, float(e.displacement), coords))
-    return "\n".join(lines) + "\n"
-
-
-def export_shells_csv(ball):
-    lines = ["t,count"]
-    for t, n in ball.count_by_shell:
-        lines.append("%.12g,%d" % (t, n))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

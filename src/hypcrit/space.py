@@ -151,11 +151,6 @@ def _lcp(u, v):
     return i
 
 
-def tree_depth(space, p):
-    """Distance from the root vertex (empty word), exact."""
-    return len(p.word) * space.edge_length + p.offset
-
-
 # ---------------------------------------------------------------------------
 # the tree kernel: every function below reads only word, offset and
 # direction, with m the edge length in the offsets' unit, so it runs on
@@ -601,12 +596,13 @@ class _TreePaths:
     """Root paths of a list of tree points, the one tree-distance kernel.
 
     The points come as arrays: vertex words, direction letters (None at a
-    vertex) and float64 offsets. Row i holds the letters of words[i]
-    followed by its direction letter, padded to one more digit than the
-    longest word. The rows are sorted once (`order` lists the points in
-    sorted order, `rank` is its inverse); the common-prefix length of
-    sorted rows a < b is then the minimum of the `adjacent` common-prefix
-    lengths between them, so no n x n x depth comparison is ever built.
+    vertex) and float64 offsets. Row i of `rows` holds the letters of
+    words[i] (`lengths[i]` of them) followed by its direction letter,
+    padded to one more digit than the longest word. The rows are sorted
+    once (`order` lists the points in sorted order, `rank` is its
+    inverse); the common-prefix length of sorted rows a < b is then the
+    minimum of the `adjacent` common-prefix lengths between them, so no
+    n x n x depth comparison is ever built.
 
     A distance is two steps: a common-prefix length (a small integer, so a
     whole n x n table fits in int8, n^2 bytes), then the float64 formula of
@@ -621,12 +617,12 @@ class _TreePaths:
     def __init__(self, edge_length, words, directions, offsets):
         n = len(words)
         self.L = float(edge_length)
-        wl = np.array([len(w) for w in words], dtype=np.int64)
-        self.depth = wl * self.L + np.asarray(offsets, dtype=float)
-        self.width = int(wl.max()) + 1 if n else 1
-        rows = _word_rows([w + (d or "") for w, d in zip(words, directions)], self.width)
-        self.order = np.lexsort(rows.T[::-1])
-        srt = rows[self.order]
+        self.lengths = np.array([len(w) for w in words], dtype=np.int64)
+        self.depth = self.lengths * self.L + np.asarray(offsets, dtype=float)
+        self.width = int(self.lengths.max()) + 1 if n else 1
+        self.rows = _word_rows([w + (d or "") for w, d in zip(words, directions)], self.width)
+        self.order = np.lexsort(self.rows.T[::-1])
+        srt = self.rows[self.order]
         self.adjacent = _row_lcp(srt[1:], srt[:-1])
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[self.order] = np.arange(n)

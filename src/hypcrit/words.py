@@ -29,23 +29,8 @@ for _i, _c in enumerate(_LOWER):
     _ORDER[_c.upper()] = 2 * _i + 1
 
 
-def inv_letter(c):
-    return c.swapcase()
-
-
 def is_reduced(w):
     return all(w[i] != w[i + 1].swapcase() for i in range(len(w) - 1))
-
-
-def reduce_word(w):
-    """Freely reduce a word (cancel adjacent inverse pairs)."""
-    stack = []
-    for c in w:
-        if stack and stack[-1] == c.swapcase():
-            stack.pop()
-        else:
-            stack.append(c)
-    return "".join(stack)
 
 
 def compose_words(u, v):

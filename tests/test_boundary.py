@@ -4,11 +4,15 @@ from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypcrit.boundary import (
+    Atom,
+    AtomicMeasure,
     VisualParams,
     _base_ray_points,
+    _product_exceeds,
     _pushed_measure,
     _tree_shadow_rules,
     ball_mass,
@@ -31,7 +35,15 @@ from hypcrit.boundary import (
 from hypcrit.errors import DepthError, InsufficientDataError, MeasureError
 from hypcrit.isometries import PlaneIsometry, certify_ping_pong, schottky_pair
 from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
-from hypcrit.space import Ray, TreePoint, ray_point
+from hypcrit.space import (
+    Ray,
+    TreePoint,
+    _lcp,
+    _row_lcp,
+    _tree_separation,
+    _word_rows,
+    ray_point,
+)
 from hypcrit.words import reduced_words_upto
 
 
@@ -477,3 +489,169 @@ def test_shadow_ball_lemma_both_models(f2, schottky, schottky_ball):
     prep = check_shadow_ball_lemma(schottky, psam, [2.0, 4.0], seed=3, pair_count=100)
     assert prep.passed
     assert all(ok for _, _, _, ok in prep.pack_cov_rows)
+
+
+# ---------------------------------------------------------------------------
+# the tree measure as level arrays, against the object path it replaced
+
+
+class RowCompareAtoms:
+    """Reference for the tree atom arrays: built from `Atom` objects, with
+    common prefixes found by comparing the query with every atom row."""
+
+    def __init__(self, atoms):
+        words = [a.boundary.word for a in atoms]
+        self.lengths = np.array([len(w) for w in words], dtype=np.int64)
+        self.width = int(self.lengths.max()) + 1 if words else 1
+        self.rows = _word_rows(words, self.width)
+        self.depth = np.array([a.boundary.depth for a in atoms])
+        self.weight = np.array([a.weight for a in atoms], dtype=float)
+        self.total = float(np.cumsum(self.weight)[-1]) if words else 0.0
+
+    def lcp(self, word):
+        row = _word_rows([word], self.width)
+        row[0, len(word):] = -2  # padding of `word` matches nothing
+        return _row_lcp(self.rows, row)
+
+
+def object_tree_measure(action, ball, s):
+    """Reference: the tree Patterson-Sullivan measure as one `Atom` per
+    orbit entry, its total a left-to-right sum over the entries."""
+    total = 0.0
+    for e in ball.entries:
+        total += math.exp(-s * float(e.displacement))
+    thresh = 2.0 * float(ball.radius) / 3.0
+    atoms = []
+    for e in ball.entries:
+        w = math.exp(-s * float(e.displacement)) / total
+        deep = e.word and float(e.displacement) >= thresh - 1e-12
+        atoms.append(Atom(e.word, e.point, float(e.displacement), w,
+                          tree_boundary(e.word) if deep else None))
+    measure = AtomicMeasure(tuple(atoms), s, float(ball.radius))
+    measure._tree_atoms = RowCompareAtoms(measure.boundary_atoms)
+    return measure
+
+
+def atom_bits(atoms):
+    return [(a.word, a.point, a.displacement.hex(), a.weight.hex(), a.boundary) for a in atoms]
+
+
+@pytest.mark.parametrize(
+    "valence, ell, s",
+    [(4, Fraction(1), 1.3), (4, Fraction(9, 8), 1.2), (4, Fraction(3, 2), 0.9), (6, Fraction(1), 1.8)],
+    ids=["L=1", "L=9/8", "L=3/2", "rank3"],
+)
+def test_tree_measure_levels_match_the_object_path(valence, ell, s):
+    act = tree_action(valence=valence, edge_length=ell)
+    depth = 7 if valence == 4 else 5
+    ball = enumerate_orbit_ball(act, depth * ell)
+    got, want = patterson_sullivan_atoms(act, ball, s), object_tree_measure(act, ball, s)
+    assert len(got.atoms) == len(want.atoms) and len(got.boundary_atoms) == len(want.boundary_atoms)
+    assert atom_bits(got.atoms[::7]) == atom_bits(want.atoms[::7])
+    assert atom_bits(got.boundary_atoms[-40:]) == atom_bits(want.boundary_atoms[-40:])
+    a, b = got._tree_atoms, want._tree_atoms
+    assert a.width == b.width and a.total.hex() == b.total.hex()
+    for name in ("rows", "lengths", "depth", "weight"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    # sorted-range prefix lengths and masses, for words shorter and longer
+    # than the atoms, across cylinder and off-cylinder scales
+    rng = random.Random(5)
+    words = reduced_words_upto(act.rank, 2) + [
+        w.word + "".join(rng.choice("aAbB") for _ in range(3)) for w in want.boundary_atoms[::301]
+    ]
+    h = math.log(valence - 1) / float(ell)
+    for w in words:
+        assert (a.lcp(w) == b.lcp(w)).all()
+        z = tree_boundary(w) if w else tree_boundary("a")
+        for rho in [cylinder_scale(act, n) for n in (1, 3, depth)] + [0.7, 0.013]:
+            m1, m2 = ball_mass(act, got, z, rho), ball_mass(act, want, z, rho)
+            assert repr(m1) == repr(m2)
+    centers = [z for z, _ in tree_cylinder_cells(act, 3)[::5]]
+    scales = [cylinder_scale(act, n) for n in (1, 2, 3, 4)]
+    reports = [
+        (check_ahlfors_regularity(act, measure, h, centers, scales),
+         check_quasiconformality(act, measure, h, "a", tree_cylinder_cells(act, 3)))
+        for measure in (got, want)
+    ]
+    assert repr(reports[0]) == repr(reports[1])
+
+
+# ---------------------------------------------------------------------------
+# tree shadow tests in grid integers, against their Fraction forms
+
+
+def tree_depth(space, p):
+    """Distance from the root vertex (empty word), exact."""
+    return len(p.word) * space.edge_length + p.offset
+
+
+def fraction_shadow_contains(action, y, r, z):
+    """shadow_contains on the tree in `TreePoint`/`Fraction` arithmetic."""
+    space = action.space
+    proxy = TreePoint(z.word)
+    sep = _tree_separation(space.edge_length, y, proxy)
+    if sep >= tree_depth(space, proxy) and tree_depth(space, y) > sep:
+        raise DepthError("shadow test needs a deeper boundary word")
+    return float(tree_depth(space, y) - sep) < r
+
+
+def fraction_product(action, z, zp):
+    """boundary_gromov_product on the tree as k * edge_length, a Fraction."""
+    k = _lcp(z.word, zp.word)
+    if k >= min(z.depth, zp.depth):
+        raise DepthError("truncation")
+    return k * action.space.edge_length, action.space.edge_length * 0
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DepthError:
+        return "DepthError"
+
+
+@pytest.mark.parametrize("ell", [Fraction(1), Fraction(9, 8), Fraction(1, 3)], ids=["L=1", "L=9/8", "L=1/3"])
+def test_tree_shadow_tests_match_the_fraction_forms(ell):
+    act = tree_action(edge_length=ell)
+    rng = random.Random(11)
+
+    def rand_word(n, w=""):
+        while len(w) < n:
+            w += rng.choice([c for c in "aAbB" if not w or c != w[-1].swapcase()])
+        return w
+
+    # thresholds on and next to the products k L, as floats, and radii on
+    # and next to depth differences
+    ts = sorted({float(k * ell) + dt for k in range(6) for dt in (-1e-9, 0.0, 2e-9, 0.3)})
+    exceeds = _product_exceeds(act, [t + 1e-9 for t in ts])
+    seen = Counter()
+    for _ in range(400):
+        z = tree_boundary(rand_word(rng.randrange(3, 7)))
+        zp = tree_boundary(rand_word(rng.randrange(3, 7), z.word[: rng.randrange(5)]))
+        want = outcome(fraction_product, act, z, zp)
+        assert outcome(boundary_gromov_product, act, z, zp) == want
+        got = outcome(exceeds, z, zp)
+        if want == "DepthError":
+            assert got == want
+            seen["product DepthError"] += 1
+            continue
+        p, err = want
+        assert got == [p - err > t + 1e-9 for t in ts]
+        seen["exceeds"] += sum(got)
+        assert visual_distance(VisualParams(a=0.7), act, z, zp)[0] == math.exp(-0.7 * float(p))
+        # y: a vertex, or a point on an edge at an offset on the edge/8
+        # grid or off it (1/7 and 1/3 of the edge, so the grid refines)
+        w = rand_word(rng.randrange(4))
+        d = rng.choice([c for c in "aAbB" if not w or c != w[-1].swapcase()])
+        off = ell * rng.choice([Fraction(1, 8), Fraction(5, 8), Fraction(1, 7), Fraction(2, 3)])
+        for y in (TreePoint(w), TreePoint(w, off, d), TreePoint(zp.word[:2], off, zp.word[2])):
+            dy = float(tree_depth(act.space, y))
+            for r in (0.25, 1.0, dy - float(len(zp.word[:1]) * ell), dy + 1e-12):
+                if r <= 0:
+                    continue
+                want = outcome(fraction_shadow_contains, act, y, r, zp)
+                assert outcome(shadow_contains, act, y, r, zp) == want
+                seen[want] += 1
+    assert seen["product DepthError"] and seen["exceeds"] and seen["DepthError"]
+    assert seen[True] and seen[False]

@@ -41,6 +41,27 @@ def test_elliptic_scenario_is_rejected_by_classification(tmp_path, capsys):
     assert "elliptic" in err
 
 
+@pytest.mark.parametrize(
+    "action, T",
+    [({"kind": "schottky", "L": 4.0, "min_systole": 0.5}, 34.0),
+     ({"kind": "schottky", "L": 80.0, "min_systole": 0.5}, 100.0)],
+    ids=["ball-beyond-float64", "disks-below-float64"],
+)
+def test_numerical_limit_exits_2_with_a_named_error(action, T, tmp_path, capsys):
+    # a T = 34 ball at L = 4 holds orbit points whose float64 images of i
+    # are off by up to about 0.1; the standard disks at L = 80 are narrower
+    # than float64 angles resolve
+    scenario = {"schema": 1, "name": "deep", "seed": 0, "action": action,
+                "entropy": {"T": T, "window": [T / 2, T]}}
+    path = tmp_path / "deep.scn"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code = run(["entropy", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "NumericalLimitError" in capsys.readouterr().err
+    audit = json.loads(read(tmp_path / "out", "audits.json"))
+    assert audit["passed"] is False and audit["error"].startswith("NumericalLimitError: ")
+
+
 def test_delta_zero_negative_control_fails_with_witness(tmp_path):
     code = run(["verify", "--scenario", "plane_delta0_negative", "--out", str(tmp_path)])
     assert code == 1

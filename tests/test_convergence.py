@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypcrit import convergence
+from hypcrit import cli, convergence
 from hypcrit.convergence import (
     ApproximationWitness,
     ContinuityConfig,
@@ -21,10 +21,23 @@ from hypcrit.convergence import (
 from hypcrit.errors import InsufficientDataError, KindMismatchError, MalformedWitnessError
 from hypcrit.isometries import apply_isometry, certify_ping_pong, schottky_pair
 from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
-from hypcrit.space import ModelSpace, TreePoint, _TreePaths, distance, pairwise_distances, tree_depth
-from hypcrit.words import letters, reduced_words_upto
+from hypcrit.space import (
+    ModelSpace,
+    TreePoint,
+    _GridPoint,
+    _path_distance,
+    _TreePaths,
+    distance,
+    pairwise_distances,
+)
+from hypcrit.words import compose_words, letters, reduced_words_upto
 
 PLANE = ModelSpace.plane()
+
+
+def tree_depth(space, p):
+    """Distance from the root vertex (empty word), exact."""
+    return len(p.word) * space.edge_length + p.offset
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +339,60 @@ def test_wordwise_witnesses_match_dense_reference(
     )
     off_net = assert_matches_dense(A, B, [convergence._wordwise_witness(A, B, eps)])
     assert (off_net > 0) == bool(calls) == leaves_net
+
+
+def scalar_offnet_defect(snap, el_idx, xs, ys):
+    """Reference for `_tree_offnet_defect`: one `compose_words` and one
+    scalar `_path_distance` per point, on grid points."""
+    g = snap.elements[el_idx].word
+    m = int(snap.space.edge_length / snap.resolution)
+    words, dirs, steps = snap.words, snap.directions, snap.steps
+    worst, up = 0, 0
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        s, d = int(steps[x]), dirs[x]
+        u = compose_words(g, words[x])
+        if s and u and u[-1] == d.swapcase():
+            img, up = _GridPoint(u[:-1], m - s, u[-1]), up + 1
+        else:
+            img = _GridPoint(u, s, d)
+        worst = max(worst, _path_distance(m, img, _GridPoint(words[y], int(steps[y]), dirs[y])))
+    return float(Fraction(worst) * snap.resolution), up
+
+
+def test_offnet_defect_matches_the_scalar_loop_on_the_tree_family(tmp_path, monkeypatch):
+    # every call of the full `converge tree_rescale_family`
+    offnet = convergence._tree_offnet_defect
+    seen = {"calls": 0, "points": 0}
+
+    def both(snap, el_idx, xs, ys):
+        got = offnet(snap, el_idx, xs, ys)
+        assert got.hex() == scalar_offnet_defect(snap, el_idx, xs, ys)[0].hex()
+        seen["calls"] += 1
+        seen["points"] += len(xs)
+        return got
+
+    monkeypatch.setattr(convergence, "_tree_offnet_defect", both)
+    assert cli.main(["converge", "--scenario", "tree_rescale_family", "--out", str(tmp_path)]) == 0
+    assert seen == {"calls": 220, "points": 36928}
+
+
+@pytest.mark.parametrize("ell", [Fraction(1), Fraction(3, 2)])
+def test_offnet_defect_matches_the_scalar_loop_point_by_point(ell):
+    # every element of length <= 2 on sampled net points, one point per
+    # call, so images below the point's vertex and images on the edge above
+    # the image vertex (g = "ab" on the point of edge "B" -> "BA") both occur
+    act = tree_action(edge_length=ell)
+    snap = snapshot(act, enumerate_orbit_ball(act, 3 * ell), 1 / (3 * ell), resolution=ell / 32)
+    assert max(len(el.word) for el in snap.elements) == 2
+    rng = random.Random(2)
+    ups = 0
+    for gi in range(len(snap.elements)):
+        for x in rng.sample(range(len(snap.points)), 300):
+            xs, ys = np.array([x]), np.array([rng.randrange(len(snap.points))])
+            want, up = scalar_offnet_defect(snap, gi, xs, ys)
+            assert convergence._tree_offnet_defect(snap, gi, xs, ys).hex() == want.hex()
+            ups += up
+    assert ups
 
 
 def test_plane_wordwise_witness_matches_dense_reference():

@@ -2,8 +2,9 @@
 
 The CLI promises byte-identical reports for the same scenario, seed and
 version, so a refactor must leave every digest in ``golden/reports.json``
-unchanged, on the tree and on the plane, at seed 0 (and `verify schottky_L4`
-also at seeds 1 and 2). A change that alters report bytes on purpose
+unchanged, on the tree and on the plane, at seed 0 (and `verify
+schottky_L4` and `verify f2_tree` also at seeds 1 and 2). A change that
+alters report bytes on purpose
 re-records the file and names the changed fields:
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -46,6 +47,8 @@ PLANE_RUNS = (
 SEEDED_RUNS = (
     ("verify", "schottky_L4", 1),
     ("verify", "schottky_L4", 2),
+    ("verify", "f2_tree", 1),
+    ("verify", "f2_tree", 2),
 )
 RUNS = tuple((c, s, SEED) for c, s in TREE_RUNS + PLANE_RUNS) + SEEDED_RUNS
 

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hypcrit.isometries import (
     schottky_pair,
     translation_length,
 )
+from hypcrit.orbits import PLANE_RADIUS_LIMIT
 from hypcrit.space import ModelSpace, PlanePoint, TreePoint, distance, plane_distance
 from hypcrit.words import letters, reduced_words_of_length, reduced_words_upto
 
@@ -91,6 +93,77 @@ def test_word_levels_are_the_scalar_prefix_products():
         assert words == reduced_words_of_length(2, k)
         for w, row in zip(words, mats.tolist()):
             assert [x.hex() for x in row] == [x.hex() for x in scalar_product(gen_map, w).mat]
+
+
+def test_products_past_a_cancelled_determinant_compose():
+    # at L = 4, ad and bc agree to the last bit for 279 of the 78,732
+    # reduced words of length 10 (as "baaaaaaaab"), so the computed det of
+    # the product cancels to <= 0; the product is normalized by the exact
+    # det 1, which leaves it as computed up to the canonical sign, bitwise
+    # the scalar chain
+    desc = schottky_pair(4.0)
+    alph = letters(2)
+    gen_map = dict(zip(alph, [g for h in desc.generators for g in (h, h.inverse())]))
+    levels = _word_levels(gen_map, alph)
+    for _ in range(9):
+        parents, parent_rows = next(levels)
+    words, rows = next(levels)
+    gens = np.array([gen_map[w[-1]].mat for w in words])
+    a1, b1, c1, d1 = parent_rows[np.arange(len(words)) // 3].T
+    a2, b2, c2, d2 = gens.T
+    raw = np.stack((a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2), axis=1)
+    a, b, c, d = raw.T
+    cancelled = np.flatnonzero(a * d - b * c <= 0)
+    assert len(words) == 78732 and len(cancelled) == 279
+    assert "baaaaaaaab" in {words[i] for i in cancelled}
+    same, flipped = rows[cancelled] == raw[cancelled], rows[cancelled] == -raw[cancelled]
+    assert (same.all(axis=1) | flipped.all(axis=1)).all()
+    for i in cancelled:
+        assert [x.hex() for x in scalar_product(gen_map, words[i]).mat] == [x.hex() for x in rows[i]]
+        # a matrix given as input still needs a positive determinant
+        with pytest.raises(ValueError):
+            PlaneIsometry.from_matrix(*raw[i])
+
+
+def exact_image_of_i(gen_map, word):
+    """g(i) for the exact product of the float generator entries."""
+    m = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+    for ch in word:
+        a1, b1, c1, d1 = m
+        a2, b2, c2, d2 = map(Fraction, gen_map[ch].mat)
+        m = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+    a, b, c, d = m
+    den = c * c + d * d
+    return complex((a * c + b * d) / den, (a * d - b * c) / den)
+
+
+@pytest.mark.parametrize("L", [4.0, 3.7])
+def test_images_of_i_at_depth_match_the_exact_products(L):
+    # the float image of i is off by a few eps cosh d(i, g i) (the division
+    # behind its imaginary part cancels ad against bc), 8 eps cosh d at most
+    # here, for every sampled word of length up to 10 within
+    # PLANE_RADIUS_LIMIT; the words whose det cancels lie beyond it
+    desc = schottky_pair(L)
+    alph = letters(2)
+    gen_map = dict(zip(alph, [g for h in desc.generators for g in (h, h.inverse())]))
+    eps = np.finfo(float).eps
+    rng = random.Random(4)
+    levels = _word_levels(gen_map, alph)
+    worst, beyond = 0.0, 0
+    for k in range(1, 11):
+        words, rows = next(levels)
+        a, b, c, d = rows.T
+        pick = rng.sample(range(len(words)), min(150, len(words)))
+        pick += np.flatnonzero(a * d - b * c <= 0).tolist()[:20]
+        for i, z in zip(pick, _images_of_i(rows[pick])):
+            exact = exact_image_of_i(gen_map, words[i])
+            disp = plane_distance(1j, exact)
+            if disp > PLANE_RADIUS_LIMIT:
+                beyond += 1
+                continue
+            assert a[i] * d[i] - b[i] * c[i] > 0
+            worst = max(worst, plane_distance(z, exact) / (eps * math.cosh(disp)))
+    assert worst <= 8.0 and beyond
 
 
 def scalar_product(gen_map, word):

@@ -1,10 +1,11 @@
 import bisect
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from hypcrit.errors import CertificationError, InsufficientDataError
+from hypcrit.errors import CertificationError, InsufficientDataError, NumericalLimitError
 from hypcrit.isometries import (
     IDENTITY_PLANE,
     PlaneIsometry,
@@ -14,15 +15,15 @@ from hypcrit.isometries import (
     schottky_pair,
 )
 from hypcrit.orbits import (
+    PLANE_RADIUS_LIMIT,
     GroupAction,
     OrbitEntry,
     PruneParams,
     _count_by_shell,
+    _MergeHash,
     check_generating,
     check_word_metric_comparison,
     enumerate_orbit_ball,
-    export_entries,
-    export_shells_csv,
     measure_codiameter,
     measure_systole,
     schottky_action,
@@ -149,22 +150,16 @@ def test_word_metric_comparison_schottky(schottky, schottky_ball):
     assert rep.passed
 
 
-def test_export_formats(f2):
-    ball = enumerate_orbit_ball(f2, 2)
-    csv = export_shells_csv(ball)
-    assert csv.splitlines()[0] == "t,count"
-    assert csv.endswith("\n")
-    entries = export_entries(ball)
-    assert entries.count("\n") == ball.count
-
-
 # ---------------------------------------------------------------------------
 # the batched plane BFS against the scalar loop it replaced
 
 
 def scalar_plane_ball(action, T, merge_radius, prune):
     """(entries, count_by_shell, merged_words) of the plane BFS, one word
-    at a time with `compose`, `apply_isometry` and `plane_distance`."""
+    at a time with `compose`, `apply_isometry` and `plane_distance`; a
+    point merges into the earliest kept entry closer than merge_radius,
+    among the kept entries whose log y is within merge_radius of its own
+    (d(z, z') >= |log y - log y'|), kept sorted by log y (no hash)."""
     alph = action.alphabet
     follow = {c: [d for d in alph if d != c.swapcase()] for c in alph}
     follow[""] = alph
@@ -172,10 +167,7 @@ def scalar_plane_ball(action, T, merge_radius, prune):
     base = action.basepoint
     entries = [OrbitEntry("", base, 0.0)]
     merged_words = []
-    cell = merge_radius / math.sqrt(2.0) if merge_radius > 0 else None
-    grid = {}
-    if cell:
-        grid[(round(base.z.real / cell), round(base.z.imag / cell))] = [0]
+    by_height = [(math.log(base.z.imag), 0)]
     frontier = [("", IDENTITY_PLANE)]
     for _ in range(max_len):
         frontier = [
@@ -186,21 +178,19 @@ def scalar_plane_ball(action, T, merge_radius, prune):
             d = plane_distance(base.z, p.z)
             if d > float(T) + 1e-9:
                 continue
-            merged = False
-            if cell:
-                ci, cj = round(p.z.real / cell), round(p.z.imag / cell)
-                for key in ((ci + di, cj + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)):
-                    for idx in grid.get(key, ()):
-                        if plane_distance(entries[idx].point.z, p.z) < merge_radius:
-                            merged = True
-                            merged_words.append((w, entries[idx].word))
-                            break
-                    if merged:
-                        break
-                if not merged:
-                    grid.setdefault((ci, cj), []).append(len(entries))
-            if not merged:
-                entries.append(OrbitEntry(w, p, d))
+            if merge_radius > 0:
+                u = math.log(p.z.imag)
+                lo = bisect.bisect_left(by_height, (u - merge_radius - 1e-9,))
+                hi = bisect.bisect_right(by_height, (u + merge_radius + 1e-9, math.inf))
+                hits = [
+                    i for _, i in by_height[lo:hi]
+                    if plane_distance(entries[i].point.z, p.z) < merge_radius
+                ]
+                if hits:
+                    merged_words.append((w, entries[min(hits)].word))
+                    continue
+                bisect.insort(by_height, (u, len(entries)))
+            entries.append(OrbitEntry(w, p, d))
     entries.sort(key=lambda e: word_key(e.word))
     disps = sorted(e.displacement for e in entries)
     shells = _count_by_shell(lambda t: bisect.bisect_right(disps, t), T, 1.0, len(entries))
@@ -263,3 +253,51 @@ def test_dense_action_merges_like_the_scalar_loop(merge_radius):
     action = GroupAction(ModelSpace.plane(), gen_map, math.log(3.0), 3.0)
     ball = assert_matches_scalar(action, 2.0, merge_radius, PruneParams(0.5))
     assert len(ball.merged_words) > ball.count
+
+
+def dilate_then_shift(x):
+    """z -> 10 z + x as a determinant-1 matrix."""
+    r = math.sqrt(10.0)
+    return PlaneIsometry.from_matrix(r, x / r, 0.0, 1.0 / r)
+
+
+def test_close_pairs_merge_at_every_height():
+    # "a" = D(10) puts i at 10i; "b" = P(4e-6) D(10) puts it 4e-7 away in
+    # the hyperbolic metric, where a Euclidean cell of side 1e-6/sqrt 2 is 4e-5
+    # units of hyperbolic length. "c" sits 1.2e-6 from "a" and is kept; "d"
+    # sits 6e-7 from both "a" and "c", in the cell left of theirs, and
+    # merges into the earlier entry "a", whichever cell is scanned first
+    gens = [dilate_then_shift(x) for x in (0.0, 4e-6, -1.2e-5, -6e-6)]
+    gen_map = {}
+    for c, g in zip("abcd", gens):
+        gen_map[c], gen_map[c.upper()] = g, g.inverse()
+    action = GroupAction(ModelSpace.plane(), gen_map, math.log(3.0), 3.0)
+    ball = assert_matches_scalar(action, 2.5, 1e-6, PruneParams(2.0))
+    assert ball.merged_words == (("b", "a"), ("d", "a"))
+    assert [e.word for e in ball.entries] == ["", "a", "A", "B", "c", "C", "D"]
+
+
+def test_merge_hash_finds_the_earliest_close_point():
+    # random points from near the real axis to high up, with clusters
+    # closer than r, against a scan of all earlier points
+    rng = random.Random(8)
+    for r in (1e-6, 0.05):
+        near = _MergeHash(r)
+        kept = []
+        for n in range(1500):
+            if kept and rng.random() < 0.3:
+                q = rng.choice(kept)[1]
+                t = rng.uniform(0.0, 1.2 * r)
+                z = complex(q.real + q.imag * t * rng.uniform(-1, 1), q.imag * math.exp(rng.uniform(-t, t)))
+            else:
+                z = complex(rng.uniform(-50.0, 50.0), math.exp(rng.uniform(-25.0, 5.0)))
+            want = next((i for i, q in kept if plane_distance(q, z) < r), None)
+            assert near.find_or_add(z, n) == want
+            if want is None:
+                kept.append((n, z))
+        assert 0 < len(kept) < 1500
+
+
+def test_plane_ball_beyond_float64_is_refused(schottky):
+    with pytest.raises(NumericalLimitError):
+        enumerate_orbit_ball(schottky, PLANE_RADIUS_LIMIT + 0.5)
