@@ -44,7 +44,7 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "errors", "words")
+_SUBMODULES = (*_EXPORTS, "arrays", "errors", "words")
 __all__ = sorted(_MODULE_OF)
 
 

@@ -10,8 +10,8 @@ every set-membership answer near a threshold is three-valued
 
 Plane boundary points are seen from the basepoint i, where the Gromov
 product of two ray points at depth t and the distance from a point to a
-ray have closed forms (`space.plane_ray_product`,
-`space.plane_ray_distance` and their array forms); no ray point is built
+ray have closed forms (`arrays.plane_ray_product`,
+`arrays.plane_ray_distance` and their array forms); no ray point is built
 for a product or a shadow test, and `ray_point`/`plane_dist_to_ray` are
 the reference they are tested against.
 
@@ -42,6 +42,13 @@ from itertools import accumulate
 
 import numpy as np
 
+from .arrays import (
+    _word_rows,
+    plane_ray_distance,
+    plane_ray_distances,
+    plane_ray_product,
+    plane_ray_products,
+)
 from .errors import DepthError, InsufficientDataError, MeasureError
 from .isometries import compose, fixed_points
 from .space import (
@@ -50,19 +57,14 @@ from .space import (
     Ray,
     TreePoint,
     _GridPoint,
+    _geodesic_points,
     _grid_ray_points,
     _lcp,
+    _path_distance,
     _tree_point,
     _tree_separation,
-    _word_rows,
     busemann,
-    distance,
-    geodesic_point,
     plane_line_point,
-    plane_ray_distance,
-    plane_ray_distances,
-    plane_ray_product,
-    plane_ray_products,
     ray_points,
     tree_grid,
 )
@@ -403,42 +405,55 @@ def check_shadow_ball_lemma(action, samples, ts, params=None, seed=0, pair_count
 
 
 def limit_set_sample(action, ball, min_displacement):
-    """Boundary approximants accumulated by the orbit, in a list.
+    """Boundary approximants accumulated by the orbit, as a sequence.
 
-    Tree: deep entry words read as truncated boundary words. Plane:
-    attracting fixed points of the entries' isometries (hyperbolic words
-    only), tagged with the producing word, deduplicated at 1e-9.
+    Tree: deep entry words read as truncated boundary words, in a
+    `_LevelItems` that builds each approximant when it is read, so a
+    caller that samples a few builds a few. Plane: attracting fixed points
+    of the entries' isometries (hyperbolic words only), tagged with the
+    producing word, deduplicated at 1e-9, in a list.
     """
+    if action.space.kind == TREE:
+        return _tree_limit_set(ball, min_displacement)
     return list(limit_set_approximants(action, ball, min_displacement))
+
+
+def _tree_limit_set(ball, min_displacement):
+    if float(ball.radius) < float(min_displacement):
+        raise InsufficientDataError("ball shallower than min_displacement")
+    deep = [
+        (k, level) for k, level in enumerate(ball.levels)
+        if k and float(k * ball.edge_length) >= float(min_displacement)
+    ]
+    sample = _LevelItems(deep, lambda k, w: tree_boundary(w))
+    if not sample:
+        raise InsufficientDataError("no entries deep enough")
+    return sample
 
 
 def limit_set_approximants(action, ball, min_displacement):
     """The approximants of `limit_set_sample`, in its order, each built
     when it is read: a caller that keeps the first N builds N."""
+    if action.space.kind == TREE:
+        yield from _tree_limit_set(ball, min_displacement)
+        return
     if float(ball.radius) < float(min_displacement):
         raise InsufficientDataError("ball shallower than min_displacement")
     found = False
-    if action.space.kind == TREE:
-        for k, level in enumerate(ball.levels):
-            if k and float(k * ball.edge_length) >= float(min_displacement):
-                for w in level:
-                    found = True
-                    yield tree_boundary(w)
-    else:
-        seen = set()
-        isometry = _prefix_isometries(action)
-        for e in ball.entries:
-            if not e.word or float(e.displacement) < float(min_displacement):
-                continue
-            b = _plane_entry_boundary(isometry(e.word), e)
-            if b is None:
-                continue
-            key = "inf" if b.coord == math.inf else round(b.coord / 1e-9)
-            if key in seen:
-                continue
-            seen.add(key)
-            found = True
-            yield b
+    seen = set()
+    isometry = _prefix_isometries(action)
+    for e in ball.entries:
+        if not e.word or float(e.displacement) < float(min_displacement):
+            continue
+        b = _plane_entry_boundary(isometry(e.word), e)
+        if b is None:
+            continue
+        key = "inf" if b.coord == math.inf else round(b.coord / 1e-9)
+        if key in seen:
+            continue
+        seen.add(key)
+        found = True
+        yield b
     if not found:
         raise InsufficientDataError("no entries deep enough")
 
@@ -469,7 +484,13 @@ def _plane_entry_boundary(iso, entry):
 
 
 def qc_hull_sample(action, limit_samples, pair_count, seed=0, points_per_pair=8, max_radius=10.0):
-    """Points along geodesic lines joining random pairs of limit points."""
+    """Points along geodesic lines joining random pairs of limit points.
+
+    On the tree a pair n edges apart gets steps = min(points_per_pair,
+    n + 1) splits: the points at d i/steps, i = 0 .. steps, of the
+    geodesic between the two vertices, placed by the grid kernel with an
+    edge of `steps` units, where every split is a whole number of units.
+    """
     if len(limit_samples) < 2:
         raise ValueError("need at least 2 limit points")
     rng = random.Random(seed)
@@ -478,13 +499,14 @@ def qc_hull_sample(action, limit_samples, pair_count, seed=0, points_per_pair=8,
     for _ in range(pair_count):
         z1, z2 = rng.sample(limit_samples, 2)
         if space.kind == TREE:
-            p1, p2 = TreePoint(z1.word), TreePoint(z2.word)
-            d = distance(space, p1, p2)
-            if d == 0:
+            p1, p2 = _GridPoint(z1.word, 0, None), _GridPoint(z2.word, 0, None)
+            n = _path_distance(1, p1, p2)
+            if n == 0:
                 continue
-            steps = min(points_per_pair, int(d / space.edge_length) + 1)
-            for i in range(steps + 1):
-                out.append(geodesic_point(space, p1, p2, d * i / steps))
+            steps = min(points_per_pair, n + 1)
+            unit = space.edge_length / steps
+            pts = _geodesic_points(steps, p1, p2, [n * i for i in range(steps + 1)])
+            out += [_tree_point(g, unit) for g in pts]
         else:
             if z1.coord == z2.coord:
                 continue
@@ -511,7 +533,7 @@ class Atom:
 class AtomicMeasure:
     """A normalized atomic measure: its `atoms` in orbit-entry order, the
     boundary atoms among them, and their arrays, each built on first use.
-    A tree Patterson-Sullivan measure holds `_LevelAtoms` and level arrays
+    A tree Patterson-Sullivan measure holds `_LevelItems` of atoms and level arrays
     instead (`_tree_measure`)."""
 
     atoms: tuple
@@ -557,8 +579,12 @@ def _tree_measure(ball, s, thresh):
     weight = [x / total for x in mass]
     deep = next((k for k in range(1, len(disp)) if disp[k] >= thresh - 1e-12), len(disp))
     levels = list(enumerate(ball.levels))
-    measure = AtomicMeasure(_LevelAtoms(levels, disp, weight, deep), s, float(ball.radius))
-    measure.boundary_atoms = _LevelAtoms(levels[deep:], disp, weight, deep)
+
+    def atom(k, w):
+        return Atom(w, TreePoint(w), disp[k], weight[k], tree_boundary(w) if k >= deep else None)
+
+    measure = AtomicMeasure(_LevelItems(levels, atom), s, float(ball.radius))
+    measure.boundary_atoms = _LevelItems(levels[deep:], atom)
     measure._tree_atoms = _TreeAtoms(
         [w for words in ball.levels[deep:] for w in words],
         np.repeat(np.arange(deep, len(sizes)), sizes[deep:]),
@@ -567,13 +593,12 @@ def _tree_measure(ball, s, thresh):
     return measure
 
 
-class _LevelAtoms(Sequence):
-    """The atoms of tree levels, (k, words) pairs, each built when it is
-    read: Atom(w, TreePoint(w), disp[k], weight[k]), projected to
-    `tree_boundary(w)` when k >= deep."""
+class _LevelItems(Sequence):
+    """The items of tree levels, (k, words) pairs, in level order, each
+    built when it is read, as make(k, w) for the word w of level k."""
 
-    def __init__(self, levels, disp, weight, deep):
-        self.levels, self.disp, self.weight, self.deep = levels, disp, weight, deep
+    def __init__(self, levels, make):
+        self.levels, self.make = levels, make
         self.ends = list(accumulate(len(words) for _, words in levels))
 
     def __len__(self):
@@ -585,9 +610,7 @@ class _LevelAtoms(Sequence):
         i = range(len(self))[i]  # IndexError out of range
         li = bisect.bisect_right(self.ends, i)
         k, words = self.levels[li]
-        w = words[i - (self.ends[li - 1] if li else 0)]
-        return Atom(w, TreePoint(w), self.disp[k], self.weight[k],
-                    tree_boundary(w) if k >= self.deep else None)
+        return self.make(k, words[i - (self.ends[li - 1] if li else 0)])
 
 
 class _TreeAtoms:

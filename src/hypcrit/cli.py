@@ -4,19 +4,28 @@ Scenarios are JSON documents (schema 1) naming an action and one block
 per subcommand; the same scenario file can drive several subcommands.
 Reports are plain CSV/JSON with sorted keys and LF endings, so the same
 scenario and seed produce byte-identical output. The exit code is 0 iff
-every check enabled by the scenario passed. A subcommand imports the audit
-modules (`entropy`, `boundary`, `geometry_checks`, `convergence`) where it
-calls them, so a run loads only the modules it uses.
+every check enabled by the scenario passed. A subcommand imports `orbits`
+and the audit modules (`entropy`, `boundary`, `geometry_checks`,
+`convergence`) where it calls them, so a run loads only the modules it
+uses. `entropy`, `boundary` and `verify` build their action first, so an
+input the scalar screen rejects loads no numpy.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
 from itertools import islice
 from pathlib import Path
+
+# hypcrit makes no BLAS call, but OpenBLAS starts a busy-waiting worker
+# thread for each further core when numpy loads: on a 2-core machine
+# `import numpy` took 0.27 s of CPU for 0.16 s of wall time, against 0.16 s
+# and 0.16 s with one thread. A value set by the user wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import CertificationError, ClassificationError, NumericalLimitError
 from .isometries import (
@@ -28,16 +37,6 @@ from .isometries import (
     compose,
     schottky_pair,
     translation_length,
-)
-from .orbits import (
-    _exact_T,
-    _member_counts,
-    check_generating,
-    check_word_metric_comparison,
-    enumerate_orbit_ball,
-    measure_systole,
-    schottky_action,
-    tree_action,
 )
 from .space import TREE, ModelSpace, PLANE_TOL, distance
 
@@ -101,6 +100,8 @@ def screen_plane_systole(gens, threshold):
 def build_action(spec):
     kind = spec["kind"]
     if kind == "tree":
+        from .orbits import tree_action
+
         return tree_action(
             valence=int(spec.get("valence", 4)),
             edge_length=Fraction(spec.get("edge_length", 1)),
@@ -121,6 +122,8 @@ def build_action(spec):
     cert = certify_ping_pong(desc)
     if isinstance(cert, PingPongFailure):
         raise CertificationError("ping-pong certification failed: %s" % (cert,))
+    from .orbits import schottky_action
+
     return schottky_action(desc, cert)
 
 
@@ -164,6 +167,9 @@ def _seed(scenario, args):
 
 
 def cmd_entropy(scenario, args, outdir):
+    block = _block(scenario, "entropy")
+    action = build_action(scenario["action"])
+
     from .entropy import (
         check_entropy_lower_bound,
         covering_entropy_estimate,
@@ -172,9 +178,8 @@ def cmd_entropy(scenario, args, outdir):
         poincare_partial,
         recheck_equidistribution,
     )
+    from .orbits import _exact_T, _member_counts, enumerate_orbit_ball, measure_systole
 
-    block = _block(scenario, "entropy")
-    action = build_action(scenario["action"])
     ball = enumerate_orbit_ball(action, _exact_T(action, block["T"]))
     counts = _member_counts(action, ball)
     window = tuple(float(v) for v in block["window"])
@@ -253,6 +258,9 @@ def _dirac_measure(measure):
 
 
 def cmd_boundary(scenario, args, outdir):
+    block = _block(scenario, "boundary")
+    action = build_action(scenario["action"])
+
     from .boundary import (
         check_ahlfors_regularity,
         check_quasiconformality,
@@ -262,9 +270,8 @@ def cmd_boundary(scenario, args, outdir):
         tree_boundary,
         tree_cylinder_cells,
     )
+    from .orbits import _exact_T, enumerate_orbit_ball
 
-    block = _block(scenario, "boundary")
-    action = build_action(scenario["action"])
     ball = enumerate_orbit_ball(action, _exact_T(action, block["T"]))
     measure = patterson_sullivan_atoms(action, ball, float(block["s"]))
     if block.get("dirac_control"):
@@ -348,7 +355,7 @@ def cmd_converge(scenario, args, outdir):
         schedule = [Fraction(str(v)) for v in block["schedule"]]
         limit = Fraction(str(block["limit"]))
         valence = int(scenario["action"].get("valence", 4))
-        make_member = lambda ell: tree_action(valence=valence, edge_length=ell)
+        make_member = lambda ell: build_action({**scenario["action"], "edge_length": ell})
         kw.setdefault("param_scale", float)
         if block.get("closed_form_target", True):
             kw.setdefault("h_target", lambda ell: math.log(valence - 1) / float(ell))
@@ -394,6 +401,14 @@ def cmd_verify(scenario, args, outdir):
     block = _block(scenario, "verify")
     action = build_action(scenario["action"])
     seed = _seed(scenario, args)
+
+    from .orbits import (
+        _exact_T,
+        check_generating,
+        check_word_metric_comparison,
+        enumerate_orbit_ball,
+    )
+
     delta = action.declared_delta
     if "delta_override" in block:
         if not block.get("unsafe"):
@@ -511,6 +526,18 @@ def _check_report_dict(rep, args):
     if rep.witness is not None and (args.emit_witnesses or not rep.passed):
         out["witness"] = list(rep.witness) if isinstance(rep.witness, tuple) else rep.witness
     return out
+
+
+def __getattr__(name):
+    """`orbits` loads with the first action built, not with `cli`; its
+    public names still read as `cli` attributes (as
+    `cli.enumerate_orbit_ball`)."""
+    if not name.startswith("_"):
+        from . import orbits
+
+        if hasattr(orbits, name):
+            return getattr(orbits, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 COMMANDS = {

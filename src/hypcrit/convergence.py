@@ -9,7 +9,7 @@ them. Verification recomputes every defect from scratch; search only ever
 returns witnesses that re-verify.
 
 Verification needs no n x n float table. A snapshot keeps its distances
-as a `space.DistanceTable`: on trees the int8 common-prefix lengths of the
+as an `arrays.DistanceTable`: on trees the int8 common-prefix lengths of the
 net in sorted root-path order (n^2 bytes, 15 MB at 3841 points where
 float64 took 118 MB), filled by trie blocks, on the plane the dense table
 of its small orbit net. `verify_witness` runs its distortion and
@@ -30,20 +30,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .arrays import _BLOCK, DistanceTable, _row_lcp, _TreePaths, _word_rows, pairwise_distances
 from .errors import InsufficientDataError, KindMismatchError, MalformedWitnessError
 from .isometries import apply_isometry
-from .space import (
-    _BLOCK,
-    TREE,
-    DistanceTable,
-    _GridPoint,
-    _row_lcp,
-    _tree_point,
-    _TreePaths,
-    _word_rows,
-    distance,
-    pairwise_distances,
-)
+from .space import TREE, _GridPoint, _tree_point, distance
 from .words import _ORDER, compose_words, invert_word, letters, reduced_words_upto
 
 #: eps rungs tried by the continuity experiment, largest first; the last
@@ -340,7 +330,7 @@ def verify_witness(A, B, w):
     n x n computation.
 
     Distortion reads only the columns b >= the block's first row: both
-    tables are bitwise symmetric (`space._separated` is symmetric in the
+    tables are bitwise symmetric (`arrays._separated` is symmetric in the
     two points; the plane formula takes |z_i - z_j| and y_i y_j), so
     |DB(fs_a, fs_b) - DA(a, b)| is too, and every pair (a, b) with b < a is
     read as (b, a) in b's block.
@@ -420,7 +410,7 @@ def _tree_offnet_defect(snap, el_idx, xs, ys):
     on the root path g[:|g| - c] + path[c:], unless g^-1 cancels d too;
     then it lies m - s steps from the parent of u toward the last letter
     of u, on the root path u. With depths in integer steps, a distance is
-    d1 + d2 - 2 min(lcp m, d1, d2), the min form of `space._separated`;
+    d1 + d2 - 2 min(lcp m, d1, d2), the min form of `arrays._separated`;
     the largest is converted once, as float(Fraction(k) * resolution).
     """
     g = snap.elements[el_idx].word

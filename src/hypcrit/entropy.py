@@ -13,9 +13,10 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from .arrays import _distance_rows, distances_to_point, pairwise_distances
 from .errors import InsufficientDataError
 from .orbits import OrbitBall
-from .space import TREE, _distance_rows, distances_to_point, pairwise_distances
+from .space import TREE
 
 EXACT_LIMIT = 24
 

@@ -9,14 +9,14 @@ cancels to <= 0 (`_normalize_matrix`).
 
 Schottky subgroups of the plane isometries come with paired disjoint disks
 (arcs of the boundary circle) and a ping-pong certificate that decides
-nesting exactly from the images of the arc endpoints.
+nesting exactly from the images of the arc endpoints. Only the stacked-row
+kernels (`_compose_rows`, `_images_of_i`, `_word_levels`) use numpy, and
+they import it where they run, so scalar isometry work loads none.
 """
 
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-
-import numpy as np
 
 from .errors import ClassificationError, KindMismatchError, NumericalLimitError
 from .space import PLANE, TREE, PlanePoint, TreePoint, plane_distance
@@ -175,6 +175,8 @@ def _compose_rows(g, h):
     are bitwise their matrices; a cancelled det <= 0 is the exact det 1
     there too.
     """
+    import numpy as np
+
     a1, b1, c1, d1 = g.T
     a2, b2, c2, d2 = h.T
     m = np.stack(
@@ -202,11 +204,14 @@ def _images_of_i(m):
     scales by the denominator's real part when |Re| >= |Im| and by its
     imaginary part otherwise.
     """
+    import numpy as np
+
     a, b, c, d = m.T
     nr, ni = (a * 0.0 - 0.0) + b, a + 0.0
     dr, di = (c * 0.0 - 0.0) + d, c + 0.0
     by_re = np.abs(dr) >= np.abs(di)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # both quotients are taken and one is kept, so the other may overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.where(by_re, di / dr, dr / di)
         den = np.where(by_re, dr + di * r, dr * r + di)
         re = np.where(by_re, nr + ni * r, nr * r + ni) / den
@@ -223,6 +228,8 @@ def _word_levels(gen_map, alph):
     (`_compose_rows`), bitwise the left-to-right scalar `compose` product.
     Level k is built when it is requested.
     """
+    import numpy as np
+
     gens = np.array([gen_map[c].mat for c in alph])
     # indices of the letters that may follow each letter
     nexts = np.array([[j for j, d in enumerate(alph) if d != c.swapcase()] for c in alph])

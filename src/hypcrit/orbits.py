@@ -12,8 +12,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import CertificationError, InsufficientDataError, NumericalLimitError
 from .isometries import (
     IDENTITY_PLANE,
@@ -408,7 +406,7 @@ def measure_codiameter(action, ball, hull_samples):
     """
     if not hull_samples:
         raise ValueError("need at least one hull sample")
-    from .space import distances_to_point
+    from .arrays import distances_to_point
 
     pts = ball.points()
     worst = 0.0
@@ -505,7 +503,9 @@ def word_metric_distances(action, ball, R):
             frontier = nxt
         return dist
     # plane: vectorized distance threshold graph
-    from .space import pairwise_distances
+    import numpy as np
+
+    from .arrays import pairwise_distances
 
     pts = [e.point for e in entries]
     D = pairwise_distances(action.space, pts)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypcrit.arrays import _row_lcp, _word_rows
 from hypcrit.boundary import (
     Atom,
     AtomicMeasure,
@@ -22,6 +23,7 @@ from hypcrit.boundary import (
     check_shadow_ball_lemma,
     cylinder_scale,
     generalized_ball_contains,
+    limit_set_approximants,
     limit_set_sample,
     patterson_sullivan_atoms,
     plane_boundary,
@@ -35,15 +37,7 @@ from hypcrit.boundary import (
 from hypcrit.errors import DepthError, InsufficientDataError, MeasureError
 from hypcrit.isometries import PlaneIsometry, certify_ping_pong, schottky_pair
 from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
-from hypcrit.space import (
-    Ray,
-    TreePoint,
-    _lcp,
-    _row_lcp,
-    _tree_separation,
-    _word_rows,
-    ray_point,
-)
+from hypcrit.space import Ray, TreePoint, _lcp, _tree_separation, distance, geodesic_point, ray_point
 from hypcrit.words import reduced_words_upto
 
 
@@ -224,6 +218,54 @@ def test_qc_hull_sample_sizes(f2, f2_ball):
     sam = limit_set_sample(f2, f2_ball, 8)
     hull = qc_hull_sample(f2, sam[:50], 20, seed=1)
     assert len(hull) > 20
+
+
+def test_tree_limit_set_sample_is_read_lazily(f2, f2_ball):
+    sam = limit_set_sample(f2, f2_ball, 5)
+    assert not isinstance(sam, list)
+    assert list(sam) == list(limit_set_approximants(f2, f2_ball, 5))
+    assert sam[-1] == tree_boundary("BBBBBBBB") and sam[:2] == list(sam)[:2]
+    with pytest.raises(IndexError):
+        sam[len(sam)]
+    # rng.sample indexes the sequence, so the draws are those of a list
+    assert qc_hull_sample(f2, sam, 40, seed=3) == qc_hull_sample(f2, list(sam), 40, seed=3)
+
+
+def fraction_hull(action, limit_samples, pair_count, seed, points_per_pair=8):
+    """The tree branch of `qc_hull_sample` in `TreePoint`/`Fraction`
+    arithmetic, the reference of the grid kernel."""
+    rng = random.Random(seed)
+    space = action.space
+    out = []
+    for _ in range(pair_count):
+        z1, z2 = rng.sample(limit_samples, 2)
+        p1, p2 = TreePoint(z1.word), TreePoint(z2.word)
+        d = distance(space, p1, p2)
+        if d == 0:
+            continue
+        steps = min(points_per_pair, int(d / space.edge_length) + 1)
+        for i in range(steps + 1):
+            out.append(geodesic_point(space, p1, p2, d * i / steps))
+    return out
+
+
+@pytest.mark.parametrize("ell", ["1", "9/8", "1/3"])
+def test_tree_hull_points_match_the_fraction_reference(ell):
+    action = tree_action(edge_length=Fraction(ell))
+    L = action.space.edge_length
+    # words of 1 to 4 letters: pairs 1 to 8 edges apart, so every split
+    # count from 2 to 8 occurs, splits by 3, 5 and 7 among them
+    sam = limit_set_sample(action, enumerate_orbit_ball(action, 4 * L), L)
+    for seed in range(3):
+        got = qc_hull_sample(action, sam, 300, seed=seed)
+        want = fraction_hull(action, sam, 300, seed)
+        assert [(p.word, p.offset, p.direction) for p in got] == [
+            (p.word, p.offset, p.direction) for p in want
+        ]
+        odd = {q for p in want for q in (3, 5, 7) if (p.offset / L).denominator % q == 0}
+        assert odd == {3, 5, 7}
+    # a pair at distance 0 gives no points
+    assert qc_hull_sample(action, [sam[0], sam[0]], 5) == fraction_hull(action, [sam[0]] * 2, 5, 0) == []
 
 
 def test_measure_requires_supercritical_s(f2, f2_ball):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hypcrit import cli, convergence
+from hypcrit.arrays import _TreePaths, pairwise_distances
 from hypcrit.convergence import (
     ApproximationWitness,
     ContinuityConfig,
@@ -21,15 +22,7 @@ from hypcrit.convergence import (
 from hypcrit.errors import InsufficientDataError, KindMismatchError, MalformedWitnessError
 from hypcrit.isometries import apply_isometry, certify_ping_pong, schottky_pair
 from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
-from hypcrit.space import (
-    ModelSpace,
-    TreePoint,
-    _GridPoint,
-    _path_distance,
-    _TreePaths,
-    distance,
-    pairwise_distances,
-)
+from hypcrit.space import ModelSpace, TreePoint, _GridPoint, _path_distance, distance
 from hypcrit.words import compose_words, letters, reduced_words_upto
 
 PLANE = ModelSpace.plane()

@@ -107,7 +107,7 @@ def test_equidistribution_validation():
 
 
 def brute_force_covering(space, points, r):
-    from hypcrit.space import pairwise_distances
+    from hypcrit.arrays import pairwise_distances
 
     D = pairwise_distances(space, points)
     n = len(points)
@@ -119,7 +119,7 @@ def brute_force_covering(space, points, r):
 
 
 def brute_force_packing(space, points, r):
-    from hypcrit.space import pairwise_distances
+    from hypcrit.arrays import pairwise_distances
 
     D = pairwise_distances(space, points)
     n = len(points)

@@ -1,5 +1,6 @@
-"""Every import in a hypcrit module is read somewhere in its scope, and a
-subcommand loads only the modules it runs."""
+"""Every import in a hypcrit module is read somewhere in its scope, a
+subcommand loads only the modules it runs, and no module calls BLAS, so
+the CLI's single OpenBLAS thread costs nothing."""
 
 import ast
 import json
@@ -92,24 +93,94 @@ REEXPORTED = (
 _REJECTED_RUN = """
 import json, sys
 from hypcrit import cli
-code = cli.main(["entropy", "--scenario", "counterexample_translation", "--out", sys.argv[1]])
-loaded = sorted(m for m in sys.modules if m.startswith("hypcrit"))
+code = cli.main(["entropy", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+loaded = sorted(m for m in sys.modules if m.startswith(("hypcrit", "numpy")))
 import hypcrit
-resolved = {name: getattr(hypcrit, name).__module__ for name in sys.argv[2:]}
+resolved = {name: getattr(hypcrit, name).__module__ for name in sys.argv[3:]}
 print(json.dumps({"code": code, "loaded": loaded, "resolved": resolved}))
 """
 
+#: bundled inputs outside the theorem's class, each refused by the scalar
+#: screen of `cli.build_action`
+COUNTEREXAMPLES = (
+    "counterexample_translation", "counterexample_elliptic", "counterexample_schottky_small"
+)
+
+
+def _run(code, *args, **env):
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=dict(base, PYTHONPATH=str(SRC.parent), **env),
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
 
 def test_rejected_entropy_run_loads_no_audit_module(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", _REJECTED_RUN, str(tmp_path), *REEXPORTED],
-        env=env, capture_output=True, text=True, check=True,
+    for name in COUNTEREXAMPLES:
+        got = _run(_REJECTED_RUN, name, str(tmp_path / name), *REEXPORTED)
+        assert got["code"] == 2
+        assert not [m for m in got["loaded"] if m == "numpy" or m.startswith("numpy.")]
+        for module in ("boundary", "convergence", "entropy", "geometry_checks", "orbits"):
+            assert "hypcrit." + module not in got["loaded"]
+        # the package still re-exports every name, each from its defining module
+        assert sorted(got["resolved"]) == sorted(REEXPORTED)
+        assert all(m.startswith("hypcrit.") for m in got["resolved"].values())
+
+
+_THREADS = """
+import json, os
+import hypcrit.cli
+import numpy
+print(json.dumps([len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"]]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_keeps_one_thread_after_numpy_loads():
+    assert _run(_THREADS) == [1, "1"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_keeps_a_preset_blas_thread_count():
+    assert _run(_THREADS, OPENBLAS_NUM_THREADS="2")[1] == "2"
+
+
+#: numpy routines that call BLAS: the CLI runs OpenBLAS on one thread
+#: because no hypcrit module calls one
+BLAS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def blas_calls(source):
+    """(line, name) of each matrix product (@), attribute read or import of
+    a BLAS-backed numpy routine, and anything under linalg."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            out.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS:
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            out += [(node.lineno, n) for n in names if BLAS & set(n.split("."))]
+    return sorted(out)
+
+
+def test_scan_finds_blas_calls():
+    source = (
+        "import numpy as np\n"
+        "c = a @ b\n"
+        "c @= b\n"
+        "x = np.einsum('ij,j', a, v).dot(v)\n"
+        "from numpy.linalg import norm\n"
+        "from numpy import inner\n"
+        "inner = 1\n"
     )
-    got = json.loads(out.stdout.splitlines()[-1])
-    assert got["code"] == 2
-    for module in ("boundary", "convergence", "geometry_checks"):
-        assert "hypcrit." + module not in got["loaded"]
-    # the package still re-exports every name, each from its defining module
-    assert sorted(got["resolved"]) == sorted(REEXPORTED)
-    assert all(m.startswith("hypcrit.") for m in got["resolved"].values())
+    assert blas_calls(source) == [
+        (2, "@"), (3, "@"), (4, "dot"), (4, "einsum"), (5, "numpy.linalg"), (6, "inner")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_blas_calls(path):
+    assert blas_calls(path.read_text(encoding="utf-8")) == []

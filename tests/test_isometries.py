@@ -83,6 +83,24 @@ def test_row_kernels_match_compose_and_apply_bitwise():
         assert (z.real.hex(), z.imag.hex()) == (ref.real.hex(), ref.imag.hex())
 
 
+def test_row_kernels_at_the_sign_and_zero_edges():
+    # the product's leading entry is -1e-10: within MAT_TOL of nothing, so
+    # the row is negated like the scalar product
+    g = PlaneIsometry.from_matrix(1.0, 1.0, 0.0, 1.0)
+    h = PlaneIsometry.from_matrix(1.0, 0.0, -1.0 - 1e-10, 1.0)
+    lead = g.mat[0] * h.mat[0] + g.mat[1] * h.mat[2]
+    assert -1e-9 < lead < -1e-12
+    row = _compose_rows(np.array([g.mat]), np.array([h.mat]))[0]
+    assert [x.hex() for x in row] == [x.hex() for x in compose(g, h).mat]
+    # b = -0.0 and c / d underflowing to -0.0: g(i) = (0.5 i - 0) / (-5e-324 i
+    # + 2) has real part +0.0, which only CPython's a * 0 - 0 + b gives
+    w = PlaneIsometry.from_matrix(0.5, -0.0, -5e-324, 2.0)
+    ref = apply_isometry(PLANE, w, PLANE.basepoint).z
+    assert math.copysign(1.0, ref.real) == 1.0
+    (z,) = _images_of_i(np.array([w.mat]))
+    assert (z.real.hex(), z.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+
+
 def test_word_levels_are_the_scalar_prefix_products():
     desc = schottky_pair(4.0)
     alph = letters(2)

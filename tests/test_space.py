@@ -6,6 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypcrit.arrays import (
+    distances_to_point,
+    pairwise_distances,
+    plane_ray_distance,
+    plane_ray_distances,
+    plane_ray_product,
+    plane_ray_products,
+)
 from hypcrit.errors import KindMismatchError
 from hypcrit.space import (
     ModelSpace,
@@ -14,17 +22,11 @@ from hypcrit.space import (
     TreePoint,
     dist_to_segment,
     distance,
-    distances_to_point,
     estimate_delta,
     geodesic_point,
     gromov_product,
-    pairwise_distances,
     plane_dist_to_ray,
     plane_distance,
-    plane_ray_distance,
-    plane_ray_distances,
-    plane_ray_product,
-    plane_ray_products,
     plane_line_point,
     plane_line_points,
     ray_point,
