@@ -5,10 +5,11 @@ Vectorized distance rows come from `_distance_rows`: sorted root paths on
 trees (`_TreePaths`), the arcsinh formula (`plane_distances`) on the
 plane. A tree distance is depth_i + depth_j - 2 sep with the separation
 in min form, sep = min(lcp L, depth_i, depth_j) (`_separated`), bitwise
-the float form of `space._tree_separation`. `DistanceTable` keeps a fixed
-net's distances for repeated reads by rows or pairs: on trees the int8
-common-prefix table in sorted root-path order, filled by trie blocks
-(`_TreePaths.prefix_table`), on the plane the dense table.
+the float form of `space._tree_separation`. Common-prefix lengths come
+from trie node ids per level in sorted root-path order (`_TreePaths.lcp`
+and `lcp_rows`), O(width n) memory and no n x n table. `DistanceTable`
+keeps a fixed net's distances for repeated reads by rows or pairs: on
+trees those root paths, on the plane the dense table.
 
 Rays from the basepoint i need no ray points: Gromov products of ray
 points at a common depth (`plane_ray_product`) and distances to such rays
@@ -84,6 +85,15 @@ def _separated(L, lcp, di, dj):
     return d
 
 
+def _outer_min(a, b):
+    """The (len(a), len(b)) int8 table min(a[i], b[j]), filled with b and
+    reduced in place: numpy's broadcast minimum of a column against a row
+    runs several times slower on int8 rows of a few thousand entries."""
+    out = np.empty((len(a), len(b)), dtype=np.int8)
+    out[:] = b
+    return np.minimum(out, a[:, None], out=out)
+
+
 class _TreePaths:
     """Root paths of a list of tree points, the one tree-distance kernel.
 
@@ -93,17 +103,21 @@ class _TreePaths:
     padded to one more digit than the longest word. The rows are sorted
     once (`order` lists the points in sorted order, `rank` is its
     inverse); the common-prefix length of sorted rows a < b is then the
-    minimum of the `adjacent` common-prefix lengths between them, so no
-    n x n x depth comparison is ever built.
+    minimum of the `adjacent` common-prefix lengths between them (Kasai et
+    al., CPM 2001), so no n x n x depth comparison is ever built.
 
-    A distance is two steps: a common-prefix length (a small integer, so a
-    whole n x n table fits in int8, n^2 bytes), then the float64 formula of
-    `_separated` on the two depths. `prefix_lengths` gives one point's
-    prefix lengths against all others in net order, O(n) each;
-    `prefix_table` fills the whole table in sorted order by trie blocks.
-    Every route reads the same per-point depths, so a distance is bitwise
-    the same whichever way its prefix length was stored or its pair was
-    selected, and bitwise symmetric in i and j.
+    `nodes[k - 1]` numbers, in sorted order, the trie node of depth k
+    above each point (k = 1 .. width): sorted points a < b share it iff
+    min(adjacent[a:b]) >= k, so their common-prefix length is the number
+    of levels whose node ids agree (`lcp`), the full width for a == b.
+    That is O(width n) memory; blocks of rows read running minima
+    (`lcp_rows`).
+
+    A distance is two steps: a common-prefix length (int8, so a width over
+    127 is refused), then the float64 formula of `_separated` on the two
+    depths. Every route reads the same per-point depths, so a distance is
+    bitwise the same whichever way its prefix length was found or its pair
+    was selected, and bitwise symmetric in i and j.
     """
 
     def __init__(self, edge_length, words, directions, offsets):
@@ -112,103 +126,114 @@ class _TreePaths:
         self.lengths = np.array([len(w) for w in words], dtype=np.int64)
         self.depth = self.lengths * self.L + np.asarray(offsets, dtype=float)
         self.width = int(self.lengths.max()) + 1 if n else 1
+        if self.width > np.iinfo(np.int8).max:
+            raise ValueError("prefix lengths up to %d overflow int8" % self.width)
         self.rows = _word_rows([w + (d or "") for w, d in zip(words, directions)], self.width)
         self.order = np.lexsort(self.rows.T[::-1])
         srt = self.rows[self.order]
-        self.adjacent = _row_lcp(srt[1:], srt[:-1])
+        self.adjacent = _row_lcp(srt[1:], srt[:-1]).astype(np.int8)
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[self.order] = np.arange(n)
+        self.nodes = np.zeros((self.width, n), dtype=np.int32)
+        levels = np.arange(1, self.width + 1)[:, None]
+        np.cumsum(self.adjacent < levels, axis=1, out=self.nodes[:, 1:])
 
-    def prefix_lengths(self, rows):
-        """(len(rows), n) common-prefix lengths of the points at `rows`, in
-        net order, one row at a time."""
-        lcp = np.empty((len(rows), len(self.rank)), dtype=np.int64)
-        srt = np.empty(len(self.rank), dtype=np.int64)
-        for r, p in enumerate(self.rank[rows].tolist()):
-            srt[p] = self.width
-            srt[p + 1 :] = np.minimum.accumulate(self.adjacent[p:])
-            srt[:p] = np.minimum.accumulate(self.adjacent[:p][::-1])[::-1]
-            lcp[r] = srt[self.rank]
+    def lcp(self, a, b):
+        """int8 common-prefix lengths of the points at sorted positions a
+        and b (index arrays or slices that broadcast together), one compare
+        of node ids per level."""
+        lcp = (self.nodes[0][a] == self.nodes[0][b]).view(np.int8)
+        for ids in self.nodes[1:]:
+            lcp += ids[a] == ids[b]
         return lcp
 
-    def prefix_table(self):
-        """The (n, n) int8 common-prefix lengths among the points in sorted
-        order: entry (a, b) belongs to points order[a] and order[b].
+    def lcp_rows(self, rows, start=0):
+        """(len(rows), n - start) int8 common-prefix lengths of the points
+        at sorted positions `rows` (an index array or a slice) against the
+        sorted positions from `start` on.
 
-        Filled by trie blocks. For each level k = 1 .. width, the sorted
-        rows whose adjacent common-prefix lengths are >= k form contiguous
-        runs (the points below one trie node of depth k), and each run's
-        diagonal block gains 1; sorted rows a < b share min(adjacent[a:b])
-        such levels. The diagonal is then set to the full width.
+        With lo and hi the least and greatest of `rows`, a row r and a
+        column c >= hi share min(min(adjacent[r:hi]), min(adjacent[hi:c]))
+        levels, and a column c < lo shares min(min(adjacent[c:lo]),
+        min(adjacent[lo:r])): running minima over the rows' span and
+        beyond it, whatever the width. Only the columns between lo and hi
+        take the per-level compare of `lcp`, so a block of rows that lie
+        close in sorted order, as a contiguous block does, costs O(b n).
         """
-        if self.width > np.iinfo(np.int8).max:
-            raise ValueError("prefix lengths up to %d overflow int8" % self.width)
-        n = len(self.rank)
-        table = np.zeros((n, n), dtype=np.int8)
-        for k in range(1, self.width + 1):
-            edges = np.flatnonzero(np.diff(np.concatenate(([0], self.adjacent >= k, [0]))))
-            for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()):
-                table[a : b + 1, a : b + 1] += 1
-        np.fill_diagonal(table, self.width)
-        return table
+        n, w, adj = len(self.rank), np.int8(self.width), self.adjacent
+        rows = np.arange(n)[rows]
+        lo, hi = int(rows.min()), int(rows.max())
+        left, right = max(lo, start), max(hi, start)
+        span = adj[lo:hi]
+        up = np.minimum.accumulate(np.append(w, span))[rows - lo]
+        down = np.minimum.accumulate(np.append(span, w)[::-1])[::-1][rows - lo]
+        # copied, as a reversed view fills `_outer_min` slowly
+        back = np.minimum.accumulate(adj[start:lo][::-1])[::-1].copy()
+        run = np.minimum.accumulate(np.append(w, adj[hi:]))[right - hi :]
+        mid = self.lcp(rows[:, None], slice(left, right))
+        return np.concatenate((_outer_min(up, back), mid, _outer_min(down, run)), axis=1)
 
     def distances(self, rows):
         """(len(rows), n) distances from the points at indices `rows`."""
         rows = np.asarray(rows)
-        return _separated(self.L, self.prefix_lengths(rows), self.depth[rows, None], self.depth)
+        lcp = self.lcp_rows(self.rank[rows])[:, self.rank]
+        return _separated(self.L, lcp, self.depth[rows, None], self.depth)
 
 
 class DistanceTable:
     """Distances among a fixed list of points, read by rows or by pairs.
 
-    Built from a tree net's `_TreePaths`, it keeps their int8 common-prefix
-    table (n^2 bytes) in sorted root-path order, as `prefix_table` fills
-    it, and evaluates `_separated` on demand, so a block of b rows costs
-    O(b n) floats and no n x n float table exists. `order` lists the net
-    indices in table order and `rank` is its inverse. Built from a plane
-    net's dense float64 `pairwise_distances` table, it keeps that, with
-    `order` and `rank` the identity. Either way an entry is bitwise the
-    entry of `pairwise_distances(space, points)`.
+    Built from a tree net's `_TreePaths`, it keeps their root paths in
+    sorted order (O(width n) memory) and evaluates common-prefix lengths
+    and `_separated` on demand, so a block of b rows costs O(b n) and no
+    n x n table exists. `order` lists the net indices in sorted order and
+    `rank` is its inverse. Built from a plane net's dense float64
+    `pairwise_distances` table, it keeps that, with `order` and `rank` the
+    identity. Either way an entry is bitwise the entry of
+    `pairwise_distances(space, points)`.
 
-    `sorted_rows` reads in table order, without a gather of the table;
-    `rows` and `pairs` take net indices.
+    `sorted_rows` reads in table order; `rows` and `pairs` take net
+    indices.
     """
 
     def __init__(self, source):
         if isinstance(source, _TreePaths):
             self.order, self.rank = source.order, source.rank
-            self._L = source.L
+            self._paths = source
             self._depth = source.depth[self.order]
-            self._table = source.prefix_table()
         else:
             self.order = self.rank = np.arange(len(source))
-            self._depth = None
+            self._paths = None
             self._table = source
 
-    def _entries(self, cells, a, b):
-        """Distances of the table cells between table positions a and b."""
-        if self._depth is None:
-            return cells
-        return _separated(self._L, cells, self._depth[a], self._depth[b])
+    def _distances(self, lcp, a, b):
+        """Tree distances between table positions a and b (broadcast) with
+        common-prefix lengths lcp."""
+        return _separated(self._paths.L, lcp, self._depth[a], self._depth[b])
 
     def sorted_rows(self, rows, start=0):
         """(len(rows), n - start) distances from the table positions `rows`
         (an index array or a slice) to the positions from `start` on."""
+        if self._paths is None:
+            return self._table[rows, start:]
         # (rows, None) indexes the depths of `rows` as a column
-        return self._entries(self._table[rows, start:], (rows, None), slice(start, None))
+        return self._distances(self._paths.lcp_rows(rows, start), (rows, None), slice(start, None))
 
     def rows(self, rows, start=0):
         """(len(rows), n - start) distances from the points at net indices
         `rows` to the points from net index `start` on."""
-        a = self.rank[np.asarray(rows)][:, None]
-        b = self.rank[start:]
-        return self._entries(self._table[a, b], a, b)
+        a, b = self.rank[np.asarray(rows)], self.rank[start:]
+        if self._paths is None:
+            return self._table[a[:, None], b]
+        return self._distances(self._paths.lcp_rows(a)[:, b], a[:, None], b)
 
     def pairs(self, i, j):
         """Distances between points i[k] and j[k] for equal-length arrays
         of net indices."""
         a, b = self.rank[i], self.rank[j]
-        return self._entries(self._table[a, b], a, b)
+        if self._paths is None:
+            return self._table[a, b]
+        return self._distances(self._paths.lcp(a, b), a, b)
 
 
 def _distance_rows(space, points):

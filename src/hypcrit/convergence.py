@@ -8,18 +8,18 @@ basepoint by strictly less than 1/eps, and the exact action table between
 them. Verification recomputes every defect from scratch; search only ever
 returns witnesses that re-verify.
 
-Verification needs no n x n float table. A snapshot keeps its distances
-as an `arrays.DistanceTable`: on trees the int8 common-prefix lengths of the
-net in sorted root-path order (n^2 bytes, 15 MB at 3841 points where
-float64 took 118 MB), filled by trie blocks, on the plane the dense table
-of its small orbit net. `verify_witness` runs its distortion and
-surjectivity blocks in that sorted order, with the witness mapped once,
-so no table is permuted. Defects are computed from blocks of rows and
-lists of pairs through the float formula of the dense table (tree
-separations in min form), and tree images that leave the net are placed
-by word arithmetic at an exact integer number of grid steps, so every
-defect is bitwise the one the dense tables and the scalar `Fraction`
-fallback gave.
+Verification needs no n x n table on trees. A snapshot keeps its distances
+as an `arrays.DistanceTable`: on trees the net's root paths in sorted
+order with one trie node id per point and level, O(width n) memory (a
+float64 table of the 3841-point net took 118 MB, an int8 one 15 MB), on
+the plane the dense table of its small orbit net. `verify_witness` runs
+its distortion and surjectivity blocks in that sorted order, with the
+witness mapped once, so no table is permuted. Defects are computed from
+blocks of rows and lists of pairs through the float formula of the dense
+table (tree separations in min form), and tree images that leave the net
+are placed by word arithmetic at an exact integer number of grid steps,
+so every defect is bitwise the one the dense tables and the scalar
+`Fraction` fallback gave.
 """
 
 import math
@@ -200,6 +200,11 @@ def _tree_snapshot(space, levels, R, res_frac):
     return net_words, net_dirs, ps, elements, table
 
 
+def _reaches(ball, R):
+    """Whether an orbit ball is deep enough for a snapshot of radius R."""
+    return float(ball.radius) >= R - 1e-12
+
+
 def snapshot(action, ball, epsilon, resolution=None):
     """Discretize (space, basepoint, group) at scale eps from an orbit ball.
 
@@ -210,9 +215,9 @@ def snapshot(action, ball, epsilon, resolution=None):
     reach radius 1/eps.
     """
     R = 1.0 / float(epsilon)
-    if float(ball.radius) < R - 1e-12:
+    if not _reaches(ball, R):
         raise InsufficientDataError(
-            "ball radius %s below snapshot radius %.6g" % (ball.radius, R)
+            "ball radius %r below snapshot radius %r" % (float(ball.radius), R)
         )
     space = action.space
     if space.kind == TREE:
@@ -316,9 +321,10 @@ def verify_witness(A, B, w):
     both nets reported separately as discretization slack. Valid iff every
     defect is strictly below w.epsilon.
 
-    Memory: each snapshot's `DistanceTable` (on trees n^2 int8 prefix
-    lengths, on the plane the dense table of at most about 1.4k points) and
-    O(_BLOCK * n) float temporaries. Distortion and surjectivity run in the
+    Memory: each snapshot's `DistanceTable` (on trees O(width n) trie node
+    ids, on the plane the dense table of at most about 1.4k points) and
+    O(_BLOCK * n) temporaries: each block's common-prefix lengths and
+    float distances. Distortion and surjectivity run in the
     tables' own order (sorted root paths on trees, the identity on the
     plane): the witness is mapped once to fs = B.rank[f[A.order]], and
     blocks of _BLOCK sorted rows of A are read against the rows of B at
@@ -606,7 +612,7 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
     """
     from .entropy import equidistribution_constant, estimate_critical_exponent
     from .errors import CertificationError
-    from .orbits import _exact_T, _member_counts, enumerate_orbit_ball
+    from .orbits import OrbitBall, _exact_T, _member_counts, enumerate_orbit_ball
 
     def member_pipeline(param):
         try:
@@ -647,6 +653,16 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
         K = equidistribution_constant(
             [(t, n) for t, n in counts if win[0] - 1e-9 <= t <= win[1] + 1e-9], href
         ).K_measured
+        if ball.levels is not None:
+            # tree snapshots read only the words displaced by less than the
+            # deepest rung's radius; keep the ball up to that radius
+            R = 1.0 / min(config.eps_ladder)
+            L = ball.edge_length
+            ball = OrbitBall(
+                min(ball.radius, R), None, tuple(s for s in ball.count_by_shell if s[0] <= R),
+                ball.merge_radius, edge_length=L,
+                levels=tuple(lv for k, lv in enumerate(ball.levels) if float(k * L) <= R),
+            )
         return action, ball, est, K
 
     limit_action, limit_ball, limit_est, limit_K = member_pipeline(limit_param)
@@ -669,7 +685,7 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
         action, ball, est, K = member_pipeline(param)
         achieved = math.inf
         for eps in sorted(config.eps_ladder, reverse=True):
-            if 1.0 / eps > float(ball.radius) + 1e-9:
+            if not _reaches(ball, 1.0 / eps):
                 continue
             # every rung is tried: a shell-straddling radius can fail while
             # smaller rungs still succeed

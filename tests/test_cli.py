@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +126,37 @@ def test_converge_runs_a_tiny_family(tmp_path):
     assert len(csv.splitlines()) == 3
     audit = json.loads(read(out, "audits.json"))
     assert audit["continuity_passed"] is True
+
+
+#: runs the command in its argv from a fresh interpreter and prints its exit
+#: code and ru_maxrss: Linux counts the memory a child had before exec in
+#: its peak, so a child forked from the test process would report that
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_tree_converge_peak_rss(tmp_path):
+    # the benchmark's tree continuity run: the first three members of the
+    # family with the full eps ladder; with n^2 prefix tables and whole
+    # T = 10 L balls held through the ladder it peaked at 101 MB
+    scn = cli.load_scenario("tree_rescale_family")
+    scn["converge"]["schedule"] = scn["converge"]["schedule"][:3]
+    path = tmp_path / "three.scn"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    argv = [sys.executable, "-m", "hypcrit.cli", "converge", "--scenario", str(path),
+            "--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    code, kib = map(int, out.stdout.split())
+    assert code == 0
+    assert kib / 1024.0 < 75.0
 
 
 def test_emit_witnesses_includes_rows(tmp_path):

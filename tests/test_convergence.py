@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -136,6 +137,19 @@ def test_snapshot_refuses_coarse_resolution(f2, f2_ball):
 def test_snapshot_refuses_shallow_ball(f2):
     with pytest.raises(InsufficientDataError):
         snapshot(f2, enumerate_orbit_ball(f2, 1), 0.25)
+    # the message shows a gap below display precision
+    with pytest.raises(InsufficientDataError, match=r"radius 6\.0 below .* 6\.0000000005"):
+        snapshot(f2, enumerate_orbit_ball(f2, 6), 1 / (6 + 5e-10))
+
+
+def test_rung_just_past_the_ball_is_skipped():
+    # 1/eps = ball radius + 5e-10: the experiment and the snapshot must
+    # agree that the ball is too shallow, so the rung is skipped, not fatal
+    cfg = ContinuityConfig(ball_T=6.0, window=(2.0, 6.0), eps_ladder=(1.0, 0.5, 1 / (6 + 5e-10)),
+                           param_scale=float)
+    rep = run_continuity_experiment(lambda ell: tree_action(edge_length=ell), [Fraction(1)],
+                                    Fraction(1), cfg)
+    assert [row.eps for row in rep.rows] == [0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +415,9 @@ def test_plane_wordwise_witness_matches_dense_reference():
     assert assert_matches_dense(*snaps, [w]) > 0
 
 
-def test_search_witness_memory_grows_with_the_output(f2, rescale_limit):
-    # dense float tables of these nets take 56 + 118 MB before any
-    # temporary; the int8 prefix tables take 7 + 15 MB
+def witness_search_peak(f2, rescale_limit):
+    """search_witness at L = 9/8 and eps 0.25 (2653 x 3841 points) and its
+    tracemalloc peak, snapshot tables included."""
     ell = Fraction(9, 8)
     member = tree_action(edge_length=ell)
     A = snapshot(member, enumerate_orbit_ball(member, 4 * ell), 0.25, resolution=ell / 24)
@@ -416,7 +430,19 @@ def test_search_witness_memory_grows_with_the_output(f2, rescale_limit):
     finally:
         tracemalloc.stop()
     assert got.defects.distortion > 0.25  # a real verification ran: 9/8 fails at 0.25
-    assert peak < 40e6
+    return peak
+
+
+def test_search_witness_memory_grows_with_the_output(f2, rescale_limit):
+    # dense float tables of these nets take 56 + 118 MB before any
+    # temporary, n^2 int8 prefix tables 7 + 15 MB; the trie level ids take
+    # O(width n) and the float blocks O(_BLOCK n)
+    assert witness_search_peak(f2, rescale_limit) < 40e6
+
+
+def test_search_witness_keeps_no_quadratic_table(f2, rescale_limit):
+    # B's n^2 int8 prefix table alone would take 14.7 MB
+    assert witness_search_peak(f2, rescale_limit) < 12e6
 
 
 # ---------------------------------------------------------------------------
@@ -502,31 +528,57 @@ def shallow_rank_distances(L, wl, off, lcp, i, j):
     return np.maximum(d, 0.0, out=d)
 
 
+def trie_block_prefix_table(paths):
+    """The (n, n) int8 common-prefix lengths among `paths`' points in
+    sorted order, the quadratic reference of `_TreePaths.lcp_rows`.
+
+    Filled by trie blocks. For each level k = 1 .. width, the sorted rows
+    whose adjacent common-prefix lengths are >= k form contiguous runs (the
+    points below one trie node of depth k), and each run's diagonal block
+    gains 1; sorted rows a < b share min(adjacent[a:b]) such levels. The
+    diagonal is then set to the full width.
+    """
+    n = len(paths.rank)
+    table = np.zeros((n, n), dtype=np.int8)
+    for k in range(1, paths.width + 1):
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], paths.adjacent >= k, [0]))))
+        for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()):
+            table[a : b + 1, a : b + 1] += 1
+    np.fill_diagonal(table, paths.width)
+    return table
+
+
 @pytest.mark.parametrize(
-    "ell", [Fraction(1), Fraction(9, 8), Fraction(3, 2), Fraction(257, 256)],
-    ids=["L=1", "L=9/8", "L=3/2", "L=257/256"],
+    "valence, ell, eps, steps",
+    [(4, Fraction(1), 0.25, 24), (4, Fraction(9, 8), 0.25, 24), (4, Fraction(3, 2), 0.25, 24),
+     (4, Fraction(257, 256), 0.25, 24), (6, Fraction(1), 1 / 3, 12)],
+    ids=["L=1", "L=9/8", "L=3/2", "L=257/256", "valence=6"],
 )
-def test_sorted_prefix_table_matches_the_shallow_rank_formula(ell):
-    # the trie-block table in sorted order against the per-row prefix
-    # lengths, and the min-form distances against the shallow-rank formula,
-    # bit for bit, on every row of an eps 0.25 net
-    act = tree_action(edge_length=ell)
-    snap = snapshot(act, enumerate_orbit_ball(act, 4 * ell), 0.25, resolution=ell / 24)
+def test_sorted_prefix_table_matches_the_shallow_rank_formula(valence, ell, eps, steps):
+    # the level-id prefix lengths against the trie-block table, and the
+    # min-form distances against the shallow-rank formula, bit for bit, on
+    # every row of a net, read by contiguous, unsorted and repeated rows
+    act = tree_action(valence=valence, edge_length=ell)
+    snap = snapshot(act, enumerate_orbit_ball(act, ell / eps), eps, resolution=ell / steps)
     n = len(snap.points)
     L = float(ell)
     wl = np.array([len(w) for w in snap.words])
     off = np.array([float(s * snap.resolution) for s in snap.steps.tolist()])
     paths = _TreePaths(ell, snap.words, snap.directions, off)
     metric = snap.metric
-    table = paths.prefix_table()
-    assert n > 900 and table.dtype == np.int8
+    table = trie_block_prefix_table(paths)
+    assert n > 900
     assert np.array_equal(metric.order, paths.order) and np.array_equal(metric.rank, paths.rank)
     assert np.array_equal(metric.order[metric.rank], np.arange(n))
+    # the adjacent prefix lengths against string prefixes of the root paths
+    path = [w + (d or "") for w, d in zip(snap.words, snap.directions)]
+    for a, b in zip(paths.order[:-1].tolist(), paths.order[1:].tolist()):
+        common = len(os.path.commonprefix([path[a], path[b]]))
+        assert paths.adjacent[paths.rank[a]] == (paths.width if path[a] == path[b] else common)
     rng = np.random.default_rng(0)
     for start in range(0, n, 512):
         rows = np.arange(start, min(start + 512, n))
-        lcp = paths.prefix_lengths(rows)
-        assert np.array_equal(table[paths.rank[rows]][:, paths.rank], lcp)
+        lcp = table[paths.rank[rows]][:, paths.rank]
         ref = shallow_rank_distances(L, wl, off, lcp, rows[:, None], slice(None))
         assert np.array_equal(metric.rows(rows), ref)
         assert np.array_equal(metric.rows(rows, start + 7), ref[:, start + 7 :])
@@ -536,3 +588,22 @@ def test_sorted_prefix_table_matches_the_shallow_rank_formula(ell):
         assert np.array_equal(metric.pairs(rows, rows), ref[k, rows])
         a = metric.rank[rows]
         assert np.array_equal(metric.sorted_rows(a), ref[:, metric.order])
+        assert np.array_equal(paths.lcp_rows(a), table[a])
+        assert np.array_equal(paths.lcp(a[:, None], slice(None)), table[a])
+        # contiguous sorted rows from their first position on, as
+        # verify_witness reads A
+        block = slice(start, min(start + 64, n))
+        assert np.array_equal(paths.lcp_rows(block, start), table[block, start:])
+        assert np.array_equal(paths.lcp_rows(block, start + 100), table[block, start + 100 :])
+    # unsorted rows with repeats, as fs = rank[f[order]] gives for a
+    # non-injective f: a wide random set, and near runs as a word-wise map
+    # between nets makes
+    near = np.clip(np.arange(0, n, 2) + rng.integers(-40, 40, (n + 1) // 2), 0, n - 1)
+    for rows in (rng.integers(0, n, 300), np.repeat(rng.integers(0, n, 40), 3), near):
+        for start in range(0, len(rows), 64):
+            r = rows[start : start + 64]
+            assert np.array_equal(paths.lcp_rows(r), table[r])
+            lcp = table[r][:, paths.rank]
+            ref = shallow_rank_distances(L, wl, off, lcp, metric.order[r][:, None], slice(None))
+            assert np.array_equal(metric.sorted_rows(r), ref[:, metric.order])
+            assert np.array_equal(metric.sorted_rows(r, 5), ref[:, metric.order[5:]])
