@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "orbits": (
         "GroupAction", "OrbitBall", "enumerate_orbit_ball", "measure_systole",
-        "schottky_action", "sigma_R", "tree_action",
+        "schottky_action", "tree_action",
     ),
     "entropy": (
         "EntropyEstimate", "covering_entropy_estimate", "equidistribution_constant",

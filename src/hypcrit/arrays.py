@@ -7,9 +7,9 @@ plane. A tree distance is depth_i + depth_j - 2 sep with the separation
 in min form, sep = min(lcp L, depth_i, depth_j) (`_separated`), bitwise
 the float form of `space._tree_separation`. Common-prefix lengths come
 from trie node ids per level in sorted root-path order (`_TreePaths.lcp`
-and `lcp_rows`), O(width n) memory and no n x n table. `DistanceTable`
-keeps a fixed net's distances for repeated reads by rows or pairs: on
-trees those root paths, on the plane the dense table.
+and `lcp_rows`), O(width n) memory and no n x n table, so a `_TreePaths`
+also serves a fixed net's repeated reads, by blocks of sorted rows
+(`sorted_rows`) and by lists of pairs (`pairs`).
 
 Rays from the basepoint i need no ray points: Gromov products of ray
 points at a common depth (`plane_ray_product`) and distances to such rays
@@ -115,9 +115,11 @@ class _TreePaths:
 
     A distance is two steps: a common-prefix length (int8, so a width over
     127 is refused), then the float64 formula of `_separated` on the two
-    depths. Every route reads the same per-point depths, so a distance is
-    bitwise the same whichever way its prefix length was found or its pair
-    was selected, and bitwise symmetric in i and j.
+    depths. Every route reads the same per-point depths (`sorted_depth`
+    holds them in sorted order), so a distance is bitwise the same
+    whichever way its prefix length was found or its pair was selected,
+    and bitwise symmetric in i and j. `distances` and `pairs` take point
+    indices, `sorted_rows` sorted positions.
     """
 
     def __init__(self, edge_length, words, directions, offsets):
@@ -134,6 +136,7 @@ class _TreePaths:
         self.adjacent = _row_lcp(srt[1:], srt[:-1]).astype(np.int8)
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[self.order] = np.arange(n)
+        self.sorted_depth = self.depth[self.order]
         self.nodes = np.zeros((self.width, n), dtype=np.int32)
         levels = np.arange(1, self.width + 1)[:, None]
         np.cumsum(self.adjacent < levels, axis=1, out=self.nodes[:, 1:])
@@ -179,61 +182,19 @@ class _TreePaths:
         lcp = self.lcp_rows(self.rank[rows])[:, self.rank]
         return _separated(self.L, lcp, self.depth[rows, None], self.depth)
 
-
-class DistanceTable:
-    """Distances among a fixed list of points, read by rows or by pairs.
-
-    Built from a tree net's `_TreePaths`, it keeps their root paths in
-    sorted order (O(width n) memory) and evaluates common-prefix lengths
-    and `_separated` on demand, so a block of b rows costs O(b n) and no
-    n x n table exists. `order` lists the net indices in sorted order and
-    `rank` is its inverse. Built from a plane net's dense float64
-    `pairwise_distances` table, it keeps that, with `order` and `rank` the
-    identity. Either way an entry is bitwise the entry of
-    `pairwise_distances(space, points)`.
-
-    `sorted_rows` reads in table order; `rows` and `pairs` take net
-    indices.
-    """
-
-    def __init__(self, source):
-        if isinstance(source, _TreePaths):
-            self.order, self.rank = source.order, source.rank
-            self._paths = source
-            self._depth = source.depth[self.order]
-        else:
-            self.order = self.rank = np.arange(len(source))
-            self._paths = None
-            self._table = source
-
-    def _distances(self, lcp, a, b):
-        """Tree distances between table positions a and b (broadcast) with
-        common-prefix lengths lcp."""
-        return _separated(self._paths.L, lcp, self._depth[a], self._depth[b])
-
     def sorted_rows(self, rows, start=0):
-        """(len(rows), n - start) distances from the table positions `rows`
-        (an index array or a slice) to the positions from `start` on."""
-        if self._paths is None:
-            return self._table[rows, start:]
+        """(len(rows), n - start) distances from the sorted positions `rows`
+        (an index array or a slice) to the sorted positions from `start`
+        on."""
         # (rows, None) indexes the depths of `rows` as a column
-        return self._distances(self._paths.lcp_rows(rows, start), (rows, None), slice(start, None))
-
-    def rows(self, rows, start=0):
-        """(len(rows), n - start) distances from the points at net indices
-        `rows` to the points from net index `start` on."""
-        a, b = self.rank[np.asarray(rows)], self.rank[start:]
-        if self._paths is None:
-            return self._table[a[:, None], b]
-        return self._distances(self._paths.lcp_rows(a)[:, b], a[:, None], b)
+        depth = self.sorted_depth
+        return _separated(self.L, self.lcp_rows(rows, start), depth[rows, None], depth[start:])
 
     def pairs(self, i, j):
         """Distances between points i[k] and j[k] for equal-length arrays
-        of net indices."""
+        of point indices."""
         a, b = self.rank[i], self.rank[j]
-        if self._paths is None:
-            return self._table[a, b]
-        return self._distances(self._paths.lcp(a, b), a, b)
+        return _separated(self.L, self.lcp(a, b), self.sorted_depth[a], self.sorted_depth[b])
 
 
 def _distance_rows(space, points):

@@ -166,7 +166,6 @@ def _product_exceeds(action, cuts):
 @dataclass(frozen=True)
 class VisualParams:
     a: float
-    V: float = None  # defaults to e^{a*delta}
 
 
 def visual_distance(params, action, z, zp):
@@ -188,8 +187,8 @@ def visual_distance(params, action, z, zp):
         D, m = tree_grid(action.space)
         v = math.exp(-a * (_tree_product(z, zp, m) / D))
         return v, v
-    V = params.V if params.V is not None else math.exp(a * delta)
-    if 3.0 - 2.0 * math.exp(a * delta) <= 0:
+    V = math.exp(a * delta)
+    if 3.0 - 2.0 * V <= 0:
         raise ValueError("standard-metric constant 3 - 2 e^{a delta} not positive")
     p, err = boundary_gromov_product(action, z, zp)
     return math.exp(-a * (p + err)) / V, V * math.exp(-a * p)
@@ -284,7 +283,7 @@ class ShadowBallReport:
     pack_cov_rows: tuple  # ((T, pack_star, cov, ok), ...)
 
 
-def check_shadow_ball_lemma(action, samples, ts, params=None, seed=0, pair_count=200):
+def check_shadow_ball_lemma(action, samples, ts, seed=0, pair_count=200):
     """Audit of the shadow/ball comparison package on boundary samples.
 
     Four sub-checks, all in the honest direction of their inequalities:
@@ -292,11 +291,11 @@ def check_shadow_ball_lemma(action, samples, ts, params=None, seed=0, pair_count
     ball of radius 7 delta around the point at distance T on the ray to z;
     (2) every sampled member of a shadow Shad(xi_T, r) lies in
     B(z, e^{-T + r}) (undecidable memberships are counted, not failed);
-    (3) the visual-distance bracket sandwiches generalized balls with the
-    constant V = e^{a delta}; (4) Pack*(scale e^{-T + delta}) <=
-    Cov(scale e^{-T}), exactly via cylinder counts on the tree and via a
-    conservative packing lower bound against a greedy covering upper bound
-    on the plane.
+    (3) the visual-distance bracket at a = 0.2 / delta (1 on trees)
+    sandwiches generalized balls with the constant V = e^{a delta}; (4)
+    Pack*(scale e^{-T + delta}) <= Cov(scale e^{-T}), exactly via
+    cylinder counts on the tree and via a conservative packing lower bound
+    against a greedy covering upper bound on the plane.
     """
     rng = random.Random(seed)
     space = action.space
@@ -306,10 +305,8 @@ def check_shadow_ball_lemma(action, samples, ts, params=None, seed=0, pair_count
     bis = [0, 0]
     sib = [0, 0, 0]
     vis = [0, 0, 0]
-    if params is None:
-        a = 0.2 / delta if delta > 0 else 1.0
-        params = VisualParams(a)
-    V = params.V if params.V is not None else math.exp(params.a * delta)
+    params = VisualParams(0.2 / delta if delta > 0 else 1.0)
+    V = math.exp(params.a * delta)
     ray_points_to = _base_ray_points(action, ts)
     exceeds = _product_exceeds(action, [T + 1e-9 for T in ts])
     for _ in range(pair_count):
@@ -483,13 +480,14 @@ def _plane_entry_boundary(iso, entry):
     return plane_boundary(att, entry.word, float(entry.displacement))
 
 
-def qc_hull_sample(action, limit_samples, pair_count, seed=0, points_per_pair=8, max_radius=10.0):
+def qc_hull_sample(action, limit_samples, pair_count, seed=0):
     """Points along geodesic lines joining random pairs of limit points.
 
-    On the tree a pair n edges apart gets steps = min(points_per_pair,
-    n + 1) splits: the points at d i/steps, i = 0 .. steps, of the
-    geodesic between the two vertices, placed by the grid kernel with an
-    edge of `steps` units, where every split is a whole number of units.
+    On the tree a pair n edges apart gets steps = min(8, n + 1) splits:
+    the points at d i/steps, i = 0 .. steps, of the geodesic between the
+    two vertices, placed by the grid kernel with an edge of `steps` units,
+    where every split is a whole number of units. On the plane a pair gets
+    8 points evenly spread over arclengths -10 .. 10 of its line.
     """
     if len(limit_samples) < 2:
         raise ValueError("need at least 2 limit points")
@@ -503,15 +501,15 @@ def qc_hull_sample(action, limit_samples, pair_count, seed=0, points_per_pair=8,
             n = _path_distance(1, p1, p2)
             if n == 0:
                 continue
-            steps = min(points_per_pair, n + 1)
+            steps = min(8, n + 1)
             unit = space.edge_length / steps
             pts = _geodesic_points(steps, p1, p2, [n * i for i in range(steps + 1)])
             out += [_tree_point(g, unit) for g in pts]
         else:
             if z1.coord == z2.coord:
                 continue
-            for i in range(points_per_pair):
-                t = -max_radius + 2.0 * max_radius * (i + 0.5) / points_per_pair
+            for i in range(8):
+                t = -10.0 + 20.0 * (i + 0.5) / 8
                 out.append(plane_line_point(z1.coord, z2.coord, action.basepoint, t))
     return out
 
@@ -572,7 +570,7 @@ def _tree_measure(ball, s, thresh):
     `_TreeAtoms` arrays.
     """
     L = ball.edge_length
-    sizes = [len(words) for words in ball.levels]
+    sizes = ball.sizes
     disp = [float(k * L) for k in range(len(sizes))]
     mass = [math.exp(-s * d) for d in disp]
     total = _ordered_sum(np.repeat(mass, sizes))
@@ -819,7 +817,7 @@ class AhlforsReport:
         return self.step1_passed
 
 
-def check_ahlfors_regularity(action, measure, h, centers, scales, shadow_samples=25):
+def check_ahlfors_regularity(action, measure, h, centers, scales):
     """Ahlfors-regularity audit of the boundary measure.
 
     For sampled (center z, radius rho) the ratio mu(B(z, rho)) / rho^h is
@@ -827,7 +825,8 @@ def check_ahlfors_regularity(action, measure, h, centers, scales, shadow_samples
     e^{h (55 delta + 3 D)}. The shadow lower bound at radius
     R0 = log2/h + 55 delta + 3 D + 5 delta is checked with Q as a measured
     free parameter: the smallest Q making every sampled inequality
-    mu(Shad_x(gx, R0)) >= (1/(2Q)) e^{-h d(x, gx)} hold is reported.
+    mu(Shad_x(gx, R0)) >= (1/(2Q)) e^{-h d(x, gx)} hold is reported, over
+    about 25 boundary atoms spread evenly in atom order.
     """
     delta, D = action.declared_delta, action.declared_codiameter
     A_upper = 0.0
@@ -850,7 +849,7 @@ def check_ahlfors_regularity(action, measure, h, centers, scales, shadow_samples
     R0 = math.log(2.0) / h + 55.0 * delta + 3.0 * D + 5.0 * delta
     Q = 1.0
     deep = measure.boundary_atoms  # every boundary atom carries a word
-    for a in deep[:: max(1, len(deep) // shadow_samples)]:
+    for a in deep[:: max(1, len(deep) // 25)]:
         m = shadow_mass(action, measure, a.point, R0)
         if not m:
             skipped += 1
@@ -953,17 +952,16 @@ def _pushed_measure(action, measure, g_word):
     return AtomicMeasure(atoms, measure.s, measure.truncation_T)
 
 
-def tree_cylinder_cells(action, depth, tiny=1e-9):
+def tree_cylinder_cells(action, depth):
     """All depth-n cylinders as (center approximant, radius) cells."""
     from .words import reduced_words_of_length
 
-    L = float(action.space.edge_length)
-    rho = math.exp(-(depth * L - tiny))
+    rho = cylinder_scale(action, depth)
     return [
         (tree_boundary(w), rho) for w in reduced_words_of_length(action.rank, depth)
     ]
 
 
-def cylinder_scale(action, depth, tiny=1e-9):
+def cylinder_scale(action, depth):
     """Radius whose generalized ball is exactly the depth-n cylinder."""
-    return math.exp(-(depth * float(action.space.edge_length) - tiny))
+    return math.exp(-(depth * float(action.space.edge_length) - 1e-9))

@@ -359,7 +359,6 @@ def cmd_converge(scenario, args, outdir):
         kw.setdefault("param_scale", float)
         if block.get("closed_form_target", True):
             kw.setdefault("h_target", lambda ell: math.log(valence - 1) / float(ell))
-            kw.setdefault("h_reference", lambda ell: math.log(valence - 1) / float(ell))
     elif family == "schottky-length":
         schedule = [float(v) for v in block["schedule"]]
         limit = float(block["limit"])

@@ -1,6 +1,6 @@
 """Finite snapshots of (space, basepoint, group) triples, verification and
-search of equivariant approximations, algebraic-convergence gaps, and the
-end-to-end continuity experiment for the critical exponent.
+search of equivariant approximations, and the end-to-end continuity
+experiment for the critical exponent.
 
 A snapshot discretizes the data quantified over by an equivariant
 eps-approximation: a net of the 1/eps-ball, the elements displacing the
@@ -8,18 +8,15 @@ basepoint by strictly less than 1/eps, and the exact action table between
 them. Verification recomputes every defect from scratch; search only ever
 returns witnesses that re-verify.
 
-Verification needs no n x n table on trees. A snapshot keeps its distances
-as an `arrays.DistanceTable`: on trees the net's root paths in sorted
-order with one trie node id per point and level, O(width n) memory (a
-float64 table of the 3841-point net took 118 MB, an int8 one 15 MB), on
-the plane the dense table of its small orbit net. `verify_witness` runs
-its distortion and surjectivity blocks in that sorted order, with the
-witness mapped once, so no table is permuted. Defects are computed from
-blocks of rows and lists of pairs through the float formula of the dense
-table (tree separations in min form), and tree images that leave the net
-are placed by word arithmetic at an exact integer number of grid steps,
-so every defect is bitwise the one the dense tables and the scalar
-`Fraction` fallback gave.
+A tree snapshot reads only its orbit ball's radius: net, elements and
+action table are index arithmetic on the vertex list it numbers itself
+(`_tree_snapshot`), and its distances come from the net's root paths
+(`arrays._TreePaths`, O(width n) memory, no n x n table). A plane
+snapshot's net is its orbit ball's sample, with a dense distance table
+(`_DenseTable`). `verify_witness` reads either by blocks of rows in the
+table's own order and by lists of pairs, and places tree images that
+leave the net by word arithmetic at an exact integer number of grid
+steps, so every defect is bitwise the one of the dense n x n computation.
 """
 
 import math
@@ -30,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import _BLOCK, DistanceTable, _row_lcp, _TreePaths, _word_rows, pairwise_distances
+from .arrays import _BLOCK, _row_lcp, _TreePaths, _word_rows, pairwise_distances
 from .errors import InsufficientDataError, KindMismatchError, MalformedWitnessError
 from .isometries import apply_isometry
 from .space import TREE, _GridPoint, _tree_point, distance
@@ -60,6 +57,9 @@ class TripleSnapshot:
     direction letter (`directions`, None at a vertex) and offset in
     resolution steps (`steps`); its `points` are `TreePoint`s built when
     read, and the hot paths never read them.
+
+    `metric` holds the net's distances, read by sorted rows and by pairs
+    (a `_TreePaths` or a `_DenseTable`).
     """
 
     def __init__(self, action, epsilon, resolution, covering_radius, points, elements, table,
@@ -86,17 +86,37 @@ class TripleSnapshot:
 
     @cached_property
     def metric(self):
-        """The net's `DistanceTable`, built on first use."""
+        """The net's distances, built on first use: a tree net's
+        `_TreePaths`, with offsets float(s * resolution), the floats of the
+        exact offsets, or a plane net's `_DenseTable`."""
         if self.space.kind != TREE:
-            return DistanceTable(pairwise_distances(self.space, self.points))
-        return DistanceTable(self.paths)
-
-    @cached_property
-    def paths(self):
-        """A tree net's `_TreePaths`. Offsets are float(s * resolution),
-        the floats of the exact offsets."""
+            return _DenseTable(pairwise_distances(self.space, self.points))
         off = np.array([float(s * self.resolution) for s in range(int(self.steps.max()) + 1)])
         return _TreePaths(self.space.edge_length, self.words, self.directions, off[self.steps])
+
+    @cached_property
+    def grid_index(self):
+        """A tree net's point indices keyed by (word, step, direction), and
+        its vertex indices keyed by word."""
+        steps = self.steps.tolist()
+        index = {key: i for i, key in enumerate(zip(self.words, steps, self.directions))}
+        vertex = {w: i for i, (w, s) in enumerate(zip(self.words, steps)) if not s}
+        return index, vertex
+
+
+class _DenseTable:
+    """A plane net's dense distance table, read as a `_TreePaths` is: by
+    rows in its order, here the identity, and by pairs."""
+
+    def __init__(self, table):
+        self.table = table
+        self.order = self.rank = np.arange(len(table))
+
+    def sorted_rows(self, rows, start=0):
+        return self.table[rows, start:]
+
+    def pairs(self, i, j):
+        return self.table[i, j]
 
 
 class _TreeNetPoints(Sequence):
@@ -116,23 +136,24 @@ class _TreeNetPoints(Sequence):
         return _tree_point(g, self.resolution)
 
 
-def _tree_snapshot(space, levels, R, res_frac):
+def _tree_snapshot(space, R, res_frac):
     """Net, element list and action table of a tree snapshot.
 
     The net holds every offset-grid point (spacing edge_length * res_frac,
     vertices included) of the closed ball of radius Rg * res, where Rg is
     the largest grid multiple not exceeding R; its order is canonical
     vertex order, each vertex followed by its edges in letter order, each
-    edge by step. The elements are the words of the ball `levels` displaced
-    by strictly less than R.
+    edge by step. Vertices up to one level past the net, depth + 1 with
+    depth = floor(R / edge_length), are numbered in canonical order. The
+    elements are the words among them displaced by strictly less than R,
+    all of length <= depth.
 
     The table is index arithmetic, exact because every point is (vertex
-    id, direction, grid step). Vertices up to one level past the net are
-    numbered in canonical order with left-multiplication tables; each
-    element's letters are applied right to left to every net point's
-    vertex at once. A point on an edge whose image vertex u ends in the
-    inverse of the edge's direction lands on the edge above u, at the
-    complementary step.
+    id, direction, grid step). Left-multiplication tables act on the
+    vertex ids; each element's letters are applied right to left to every
+    net point's vertex at once. A point on an edge whose image vertex u
+    ends in the inverse of the edge's direction lands on the edge above u,
+    at the complementary step.
     """
     L = space.edge_length
     steps = res_frac.denominator
@@ -182,11 +203,8 @@ def _tree_snapshot(space, levels, R, res_frac):
     vertex = ps == 0
     pid[pv[vertex], :, 0] = np.nonzero(vertex)[0][:, None]
 
-    elements = []
-    for k, level in enumerate(levels):
-        disp = float(k * L)
-        if disp < R - 1e-12:
-            elements.extend(SnapElement(w, disp) for w in level)
+    disp = [float(k * L) for k in range(depth + 2)]
+    elements = [SnapElement(w, disp[len(w)]) for w in words if disp[len(w)] < R - 1e-12]
     width = max((len(el.word) for el in elements), default=0)
     # letters right-aligned, padded on the left with the identity row
     code = np.full((len(elements), width), nl, dtype=np.int64)
@@ -213,6 +231,10 @@ def snapshot(action, ball, epsilon, resolution=None):
     error stays subordinate to eps, and on trees it must be edge/m for an
     integer m, so that the net is closed under the action. The ball must
     reach radius 1/eps.
+
+    A tree snapshot reads only the ball's radius (`_tree_snapshot` numbers
+    its own words); a plane snapshot's net and elements are the ball's
+    entries within 1/eps.
     """
     R = 1.0 / float(epsilon)
     if not _reaches(ball, R):
@@ -231,7 +253,7 @@ def snapshot(action, ball, epsilon, resolution=None):
             raise ValueError("resolution %s too coarse for eps=%s" % (res, epsilon))
         if res_frac.numerator != 1:
             raise ValueError("resolution %s does not divide the edge length %s" % (res, L))
-        words, directions, steps, elements, table = _tree_snapshot(space, ball.levels, R, res_frac)
+        words, directions, steps, elements, table = _tree_snapshot(space, R, res_frac)
         cov = float(res) / 2.0
         base_index = 0
     else:
@@ -321,8 +343,8 @@ def verify_witness(A, B, w):
     both nets reported separately as discretization slack. Valid iff every
     defect is strictly below w.epsilon.
 
-    Memory: each snapshot's `DistanceTable` (on trees O(width n) trie node
-    ids, on the plane the dense table of at most about 1.4k points) and
+    Memory: each snapshot's `metric` (on trees O(width n) trie node ids, on
+    the plane the dense table of at most about 1.4k points) and
     O(_BLOCK * n) temporaries: each block's common-prefix lengths and
     float distances. Distortion and surjectivity run in the
     tables' own order (sorted root paths on trees, the identity on the
@@ -422,7 +444,7 @@ def _tree_offnet_defect(snap, el_idx, xs, ys):
     g = snap.elements[el_idx].word
     res = snap.resolution
     m = int(snap.space.edge_length / res)
-    paths = snap.paths
+    paths = snap.metric
     rows, wl, s = paths.rows[xs], paths.lengths[xs], snap.steps[xs]
     width = rows.shape[1]
     # g^-1 padded with -2, which matches no digit of a path or its padding
@@ -497,9 +519,7 @@ def _tree_wordwise_points(A, B):
     # s of A's grid steps are s * m_B / m_A of B's (m steps per edge); a
     # non-integer count has no counterpart, and the point falls to a vertex
     ratio = (B.space.edge_length / B.resolution) / (A.space.edge_length / A.resolution)
-    b_steps = B.steps.tolist()
-    index = {key: i for i, key in enumerate(zip(B.words, b_steps, B.directions))}
-    vertex = {w: i for i, (w, s) in enumerate(zip(B.words, b_steps)) if not s}
+    index, vertex = B.grid_index
     f = []
     for w, s, d in zip(A.words, A.steps.tolist(), A.directions):
         sb, rem = divmod(s * ratio.numerator, ratio.denominator)
@@ -522,33 +542,6 @@ def _plane_wordwise_points(A, B):
             ww = ww[:-1]
         f.append(words_b[ww])
     return f
-
-
-def algebraic_convergence_gap(space, gens_n, gens_limit, ball_radius, samples=200, seed=0):
-    """Max over generators and sampled ball points of d(g_n y, g_limit y)."""
-    if len(gens_n) != len(gens_limit):
-        raise ValueError("generator lists must align index-wise")
-    from .geometry_checks import _rand_point
-    import random
-
-    rng = random.Random(seed)
-    pts = [space.basepoint] + [
-        _rand_point(rng, space, float(ball_radius)) for _ in range(samples)
-    ]
-    gap = 0.0
-    for g, h in zip(gens_n, gens_limit):
-        for y in pts:
-            gap = max(
-                gap,
-                float(
-                    distance(
-                        space,
-                        apply_isometry(space, g, y),
-                        apply_isometry(space, h, y),
-                    )
-                ),
-            )
-    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +587,9 @@ class ContinuityConfig:
     #: estimated over literally the same group elements (smooth in the
     #: family parameter, which absolute windows are not)
     rank_window: tuple = None
-    h_target: object = None  # optional callable param -> closed-form exponent
-    h_reference: object = None  # optional callable param -> h for the K audit
+    #: optional callable param -> closed-form exponent, the residuals' target
+    #: and the K audit's exponent (else the limit's and the member's estimate)
+    h_target: object = None
 
 
 def run_continuity_experiment(make_member, schedule, limit_param, config=ContinuityConfig()):
@@ -607,12 +601,14 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
     a verified witness against the limit snapshot, the member's exponent
     estimate, its residual against the closed-form target (when one is
     supplied; otherwise against the limit estimate), and the measured
-    equidistribution constant. The verdict needs |h_n - h_limit| <=
-    tolerance + C * eps_n for the reported C, and K uniformly bounded.
+    equidistribution constant (at the target exponent where one is
+    supplied, else at the member's estimate). The verdict needs
+    |h_n - h_limit| <= tolerance + C * eps_n for the reported C, and K
+    uniformly bounded.
     """
     from .entropy import equidistribution_constant, estimate_critical_exponent
     from .errors import CertificationError
-    from .orbits import OrbitBall, _exact_T, _member_counts, enumerate_orbit_ball
+    from .orbits import _exact_T, _member_counts, enumerate_orbit_ball
 
     def member_pipeline(param):
         try:
@@ -649,20 +645,10 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
         else:
             win = (config.window[0] * scale, config.window[1] * scale)
             est = estimate_critical_exponent(counts, win)
-        href = config.h_reference(param) if config.h_reference else est.h_hat
+        href = config.h_target(param) if config.h_target else est.h_hat
         K = equidistribution_constant(
             [(t, n) for t, n in counts if win[0] - 1e-9 <= t <= win[1] + 1e-9], href
         ).K_measured
-        if ball.levels is not None:
-            # tree snapshots read only the words displaced by less than the
-            # deepest rung's radius; keep the ball up to that radius
-            R = 1.0 / min(config.eps_ladder)
-            L = ball.edge_length
-            ball = OrbitBall(
-                min(ball.radius, R), None, tuple(s for s in ball.count_by_shell if s[0] <= R),
-                ball.merge_radius, edge_length=L,
-                levels=tuple(lv for k, lv in enumerate(ball.levels) if float(k * L) <= R),
-            )
         return action, ball, est, K
 
     limit_action, limit_ball, limit_est, limit_K = member_pipeline(limit_param)

@@ -74,14 +74,14 @@ def poincare_partial(ball, s):
     """Partial Poincare sum over the ball: sum over entries of e^{-s d(x,gx)}.
 
     A tree ball adds one term per word of each level, in entry order,
-    without building its entries.
+    from its level sizes.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    if ball.levels is not None:
+    if ball.sizes is not None:
         L = ball.edge_length
         terms = chain.from_iterable(
-            repeat(math.exp(-s * float(k * L)), len(level)) for k, level in enumerate(ball.levels)
+            repeat(math.exp(-s * float(k * L)), n) for k, n in enumerate(ball.sizes)
         )
     else:
         terms = (math.exp(-s * float(e.displacement)) for e in ball.entries)
@@ -172,30 +172,30 @@ def packing_number(space, points, r, mode="exact"):
     raise ValueError("unknown mode %r" % mode)
 
 
-def covering_entropy_estimate(action, hull_samples, r, window, grid_step=None, method="regression"):
+def covering_entropy_estimate(action, hull_samples, r, window):
     """Growth rate of greedy covering numbers of hull pieces.
 
     hull_samples: model points with known distance to the basepoint (the
     declared sampling density is the caller's responsibility and should be
     reported alongside), or an `OrbitBall`, whose orbit points are the
-    samples. For each grid T in the window the greedy covering number of
-    the samples within distance T of the basepoint is computed; the slope
-    of its log is the covering-entropy estimate (an upper-bound-flavored
+    samples. For each grid T in the window (one edge apart on trees, one
+    unit on the plane) the greedy covering number of the samples within
+    distance T of the basepoint is computed; the regression slope of its
+    log is the covering-entropy estimate (an upper-bound-flavored
     greedy figure, not a certified value).
 
-    A tree ball is read off its levels when its vertices are isolated at
-    radius r (`_isolated_vertices`): level k lies at distance k * edge
+    A tree ball is read off its level sizes when its vertices are isolated
+    at radius r (`_isolated_vertices`): level k lies at distance k * edge
     from the basepoint, the float the distance kernel gives, and its
     covering number within T is the number of its words there.
     """
     space = action.space
     lo, hi = window
-    if grid_step is None:
-        grid_step = float(space.edge_length) if space.kind == TREE else 1.0
+    grid_step = float(space.edge_length) if space.kind == TREE else 1.0
     ball = hull_samples if isinstance(hull_samples, OrbitBall) else None
-    if ball is not None and ball.levels is not None and _isolated_vertices(space, r):
+    if ball is not None and ball.sizes is not None and _isolated_vertices(space, r):
         edge = float(space.edge_length)
-        shells = [(k * edge, len(level)) for k, level in enumerate(ball.levels)]
+        shells = [(k * edge, n) for k, n in enumerate(ball.sizes)]
 
         def count_within(t):
             return sum(n for d, n in shells if d <= t + 1e-9)
@@ -219,7 +219,7 @@ def covering_entropy_estimate(action, hull_samples, r, window, grid_step=None, m
         raise InsufficientDataError(
             "window yields %d covering counts; the estimate needs 4" % len(counts)
         )
-    return estimate_critical_exponent(counts, (counts[0][0], counts[-1][0]), method)
+    return estimate_critical_exponent(counts, (counts[0][0], counts[-1][0]))
 
 
 def _isolated_vertices(space, r):

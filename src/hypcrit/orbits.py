@@ -11,6 +11,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 
 from .errors import CertificationError, InsufficientDataError, NumericalLimitError
 from .isometries import (
@@ -22,7 +24,7 @@ from .isometries import (
     compose,
 )
 from .space import TREE, PlanePoint, TreePoint, distance, plane_distance
-from .words import compose_words, letters, word_key
+from .words import compose_words, letters, word_key, word_levels
 
 #: hard cap on enumerated elements; hitting it aborts with a diagnosis
 #: (a non-discrete action would otherwise loop)
@@ -123,21 +125,29 @@ class OrbitBall:
     """All distinct orbit points within displacement `radius`, in canonical
     word order.
 
-    A tree ball is stored as `levels`: level k lists the words of length k
-    in canonical order, each displaced by k * edge_length. Its OrbitEntry
-    objects are built on the first read of `entries`. A plane ball stores
-    its entries (and `levels` is None); a tree ball passes entries=None.
+    A tree ball is its level `sizes`: level k holds the 2r (2r - 1)^(k - 1)
+    reduced words of length k of F_r, r = `rank`, each displaced by
+    k * edge_length. Its `levels` (the words of each level, in canonical
+    order) and its OrbitEntry objects are built on first read. A plane
+    ball stores its entries, and its `sizes` and `levels` are None.
     """
 
     def __init__(self, radius, entries, count_by_shell, merge_radius, merged_words=(),
-                 levels=None, edge_length=None):
+                 sizes=None, rank=None, edge_length=None):
         self.radius = radius
         self.count_by_shell = count_by_shell
         self.merge_radius = merge_radius
         self.merged_words = merged_words
-        self.levels = levels
+        self.sizes = sizes
+        self.rank = rank
         self.edge_length = edge_length
         self._entries = entries
+
+    @cached_property
+    def levels(self):
+        if self.sizes is None:
+            return None
+        return tuple(islice(word_levels(self.rank), len(self.sizes)))
 
     @property
     def entries(self):
@@ -152,12 +162,12 @@ class OrbitBall:
 
     @property
     def count(self):
-        if self.levels is not None:
-            return sum(len(words) for words in self.levels)
+        if self.sizes is not None:
+            return sum(self.sizes)
         return len(self._entries)
 
     def words(self):
-        if self.levels is not None:
+        if self.sizes is not None:
             return [w for words in self.levels for w in words]
         return [e.word for e in self._entries]
 
@@ -182,17 +192,18 @@ def default_merge_radius(action):
     return min(1e-6, action.certificate.systole_bound / 10.0)
 
 
-def enumerate_orbit_ball(action, T, merge_radius=None, prune=None, shell_step=None):
+def enumerate_orbit_ball(action, T, merge_radius=None, prune=None):
     """All distinct orbit points within displacement T of the basepoint.
 
     Breadth-first over reduced words with the linear prune bound capping
-    word length at (T + c')/c; deduplication is exact on trees. On the
-    plane a point closer than merge_radius to a kept entry merges into the
-    earliest such entry, found by a spatial hash in (log y, x/y) bands
-    (`_MergeHash`). Output order is canonical word order: each
-    level expands a canonically ordered frontier letter by letter. The
-    ELEMENT_CAP check runs before a level is built, on the number of words
-    the level would build.
+    word length at (T + c')/c. A tree ball counts its levels and builds no
+    word (`OrbitBall`); its shells are one edge apart, a plane ball's one
+    unit. On the plane a point closer than merge_radius to a kept entry
+    merges into the earliest such entry, found by a spatial hash in
+    (log y, x/y) bands (`_MergeHash`). Output order is canonical word
+    order: each level expands a canonically ordered frontier letter by
+    letter. The ELEMENT_CAP check runs before a level is built (on a tree,
+    counted), on the number of words the level would build.
 
     A plane level is composed on stacked matrix rows (`_word_levels`) and
     its images of i come from `_images_of_i`, bitwise equal to the scalar
@@ -218,33 +229,30 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None, shell_step=No
     tree = action.space.kind == TREE
     alph = action.alphabet
     max_len = int(math.floor((float(T) + prune.c_prime) / prune.c + 1e-12))
-    # letters that may follow a word, keyed by its last letter ("" if none)
-    follow = {c: [d for d in alph if d != c.swapcase()] for c in alph}
-    follow[""] = alph
 
-    def check_cap(built, k):
+    def level_size(k):
         # level k builds every reduced word of length k (the plane frontier
         # keeps all children, inside the ball or not)
-        if built + len(alph) * (len(alph) - 1) ** (k - 1) > ELEMENT_CAP:
+        return len(alph) * (len(alph) - 1) ** (k - 1)
+
+    def check_cap(built, k):
+        if built + level_size(k) > ELEMENT_CAP:
             raise CertificationError("element cap hit; action looks non-discrete")
 
     if tree:
         L = action.space.edge_length
-        levels = [[""]]
-        count = 1
+        sizes = [1]
         for k in range(1, max_len + 1):
             if k * L > T:
                 break
-            check_cap(count, k)
-            level = [w + c for w in levels[-1] for c in follow[w[-1:]]]
-            levels.append(level)
-            count += len(level)
-        disps = [(float(k * L), len(level)) for k, level in enumerate(levels)]
+            check_cap(sum(sizes), k)
+            sizes.append(level_size(k))
+        disps = [(float(k * L), n) for k, n in enumerate(sizes)]
         shells = _count_by_shell(
-            lambda t: sum(n for d, n in disps if d <= t),
-            T, float(L) if shell_step is None else shell_step, count,
+            lambda t: sum(n for d, n in disps if d <= t), T, float(L), sum(sizes)
         )
-        return OrbitBall(T, None, shells, merge_radius, levels=tuple(levels), edge_length=L)
+        return OrbitBall(T, None, shells, merge_radius, sizes=tuple(sizes),
+                         rank=action.rank, edge_length=L)
 
     # the plane: one BFS level at a time on stacked (n, 4) matrix rows
     if float(T) > PLANE_RADIUS_LIMIT:
@@ -274,10 +282,7 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None, shell_step=No
 
     # the levels, and so the entries, are already in canonical word order
     disps = sorted(e.displacement for e in entries)
-    shells = _count_by_shell(
-        lambda t: bisect.bisect_right(disps, t),
-        T, 1.0 if shell_step is None else shell_step, len(entries),
-    )
+    shells = _count_by_shell(lambda t: bisect.bisect_right(disps, t), T, 1.0, len(entries))
     return OrbitBall(T, tuple(entries), shells, merge_radius, tuple(merged_words))
 
 
@@ -364,19 +369,6 @@ def _member_counts(action, ball):
 # derived measurements
 
 
-def sigma_R(action, ball, R):
-    """Group elements displacing the basepoint by at most R.
-
-    Refuses (never silently truncates) if the ball is too shallow to
-    answer exactly.
-    """
-    if float(R) > float(ball.radius) + 1e-12:
-        raise InsufficientDataError(
-            "sigma_R needs radius %s but ball has %s" % (R, ball.radius)
-        )
-    return [action.isometry(e.word) for e in ball.entries if float(e.displacement) <= float(R) + 1e-12]
-
-
 @dataclass(frozen=True)
 class SystoleReport:
     min_displacement: object
@@ -386,11 +378,12 @@ class SystoleReport:
 
 
 def measure_systole(action, ball):
-    if ball.levels is not None:
-        # every tree word of length 1 is displaced by exactly one edge
-        if len(ball.levels) < 2:
+    if ball.sizes is not None:
+        # every tree word of length 1 is displaced by exactly one edge; the
+        # first of them in canonical order is the first letter
+        if len(ball.sizes) < 2:
             raise InsufficientDataError("ball has no nonidentity entries")
-        return SystoleReport(ball.edge_length, ball.levels[1][0], ball.count)
+        return SystoleReport(ball.edge_length, letters(ball.rank)[0], ball.count)
     nonid = [e for e in ball.entries if e.word]
     if not nonid:
         raise InsufficientDataError("ball has no nonidentity entries")

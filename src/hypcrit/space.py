@@ -29,7 +29,7 @@ Distances to segments, rays and ideal lines are distances to an arc of that
 axis (`_dist_to_axis_arc`).
 
 This module is scalar and loads no numpy. The vectorized distance kernels
-(`pairwise_distances`, `distances_to_point`, `DistanceTable`) and the
+(`pairwise_distances`, `distances_to_point`, `_TreePaths`) and the
 closed forms for rays from the basepoint i (`plane_ray_product`,
 `plane_ray_distance`) live in `arrays`; `ray_point`, `gromov_product` and
 `plane_dist_to_ray` here are the closed forms' independent reference.

@@ -9,6 +9,7 @@ is needed) is a < A < b < B < c < C < ..., i.e. generator before its
 inverse, ranks in alphabet order.
 """
 
+from itertools import chain, islice
 from itertools import product as iproduct
 
 _LOWER = "abcdefghijklmnopqrstuvwxyz"
@@ -66,28 +67,30 @@ def word_key(w):
     return (len(w), tuple(_ORDER[c] for c in w))
 
 
+def word_levels(rank):
+    """Iterator over the levels k = 0, 1, 2, ... of the reduced words of
+    F_rank: level k lists the words of length k in canonical order, each
+    word of level k - 1 followed by every letter that does not cancel its
+    last one."""
+    alph = letters(rank)
+    # letters that may follow a word, keyed by its last letter ("" if none)
+    follow = {c: [d for d in alph if d != c.swapcase()] for c in alph}
+    follow[""] = alph
+    level = [""]
+    while True:
+        yield level
+        level = [w + c for w in level for c in follow[w[-1:]]]
+
+
 def reduced_words_of_length(rank, n):
     """All reduced words of exactly length n, in canonical order."""
-    if n == 0:
-        return [""]
-    out = [c for c in letters(rank)]
-    for _ in range(n - 1):
-        nxt = []
-        for w in out:
-            last = w[-1]
-            for c in letters(rank):
-                if c != last.swapcase():
-                    nxt.append(w + c)
-        out = nxt
-    return out
+    return next(islice(word_levels(rank), n, None))
 
 
 def reduced_words_upto(rank, n):
-    """All reduced words of length <= n, canonical order. Brute-force oracle."""
-    out = []
-    for k in range(n + 1):
-        out.extend(reduced_words_of_length(rank, k))
-    return out
+    """All reduced words of length <= n, in canonical order: the first
+    n + 1 levels of `word_levels`."""
+    return list(chain.from_iterable(islice(word_levels(rank), n + 1)))
 
 
 def brute_force_reduced_words_upto(rank, n):

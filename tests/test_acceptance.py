@@ -148,7 +148,6 @@ def test_tree_rescaling_continuity():
     cfg = ContinuityConfig(
         param_scale=float,
         h_target=lambda ell: LOG3 / float(ell),
-        h_reference=lambda ell: LOG3 / float(ell),
     )
     schedule = [Fraction(1) + Fraction(1, 2**n) for n in range(1, 9)]
     rep = run_continuity_experiment(

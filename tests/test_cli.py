@@ -128,6 +128,31 @@ def test_converge_runs_a_tiny_family(tmp_path):
     assert audit["continuity_passed"] is True
 
 
+def test_tree_continuity_and_entropy_build_no_ball_words(tmp_path, monkeypatch):
+    # a tree ball is its level sizes: the entropy report and the tree
+    # snapshots read them and the radius, never the ball's words
+    from hypcrit.orbits import OrbitBall, enumerate_orbit_ball, tree_action
+
+    def fail(ball):
+        raise AssertionError("a tree ball's words were built")
+
+    monkeypatch.setattr(OrbitBall, "levels", property(fail))
+    assert run(["entropy", "--scenario", "f2_tree", "--out", str(tmp_path / "entropy")]) == 0
+    scn = {
+        "schema": 1,
+        "name": "short-rescale-family",
+        "seed": 0,
+        "action": {"kind": "tree", "valence": 4, "edge_length": "1"},
+        "converge": {"family": "tree-rescale", "schedule": ["3/2", "9/8"], "limit": "1"},
+    }
+    path = tmp_path / "short.scn"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    assert run(["converge", "--scenario", str(path), "--out", str(tmp_path / "converge")]) == 0
+    # the patch does catch a read of the words
+    with pytest.raises(AssertionError, match="words were built"):
+        enumerate_orbit_ball(tree_action(), 2).words()
+
+
 #: runs the command in its argv from a fresh interpreter and prints its exit
 #: code and ru_maxrss: Linux counts the memory a child had before exec in
 #: its peak, so a child forked from the test process would report that

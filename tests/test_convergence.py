@@ -10,11 +10,11 @@ import pytest
 from hypcrit import cli, convergence
 from hypcrit.arrays import _TreePaths, pairwise_distances
 from hypcrit.convergence import (
+    EPS_LADDER,
     ApproximationWitness,
     ContinuityConfig,
     SearchFailure,
     WitnessDefects,
-    algebraic_convergence_gap,
     run_continuity_experiment,
     search_witness,
     snapshot,
@@ -22,11 +22,9 @@ from hypcrit.convergence import (
 )
 from hypcrit.errors import InsufficientDataError, KindMismatchError, MalformedWitnessError
 from hypcrit.isometries import apply_isometry, certify_ping_pong, schottky_pair
-from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
-from hypcrit.space import ModelSpace, TreePoint, _GridPoint, _path_distance, distance
+from hypcrit.orbits import _exact_T, enumerate_orbit_ball, schottky_action, tree_action
+from hypcrit.space import TreePoint, _GridPoint, _path_distance, distance
 from hypcrit.words import compose_words, letters, reduced_words_upto
-
-PLANE = ModelSpace.plane()
 
 
 def tree_depth(space, p):
@@ -127,6 +125,30 @@ def test_snapshot_table_matches_apply_isometry(ell):
                 expected[gi, pi] = index[q]
     assert (expected >= 0).any() and (expected < 0).any()
     assert np.array_equal(snap.action_table, expected)
+
+
+@pytest.mark.parametrize(
+    "ell", [Fraction(1), Fraction(9, 8), Fraction(3, 2), Fraction(257, 256)],
+    ids=["L=1", "L=9/8", "L=3/2", "L=257/256"],
+)
+def test_tree_snapshot_elements_are_the_ball_levels(ell):
+    # a tree snapshot numbers its own words; its elements are the ball's
+    # (word, displacement) pairs displaced by less than 1/eps, in level
+    # order, on every rung a continuity member's ball reaches
+    act = tree_action(edge_length=ell)
+    ball = enumerate_orbit_ball(act, _exact_T(act, 10.0 * float(ell)))
+    rungs = [eps for eps in EPS_LADDER if float(ball.radius) >= 1.0 / eps - 1e-12]
+    assert rungs == list(EPS_LADDER)
+    for eps in rungs:
+        R = 1.0 / eps
+        snap = snapshot(act, ball, eps, resolution=ell / 24)
+        from_levels = [
+            (w, float(k * ell))
+            for k, level in enumerate(ball.levels)
+            for w in level
+            if float(k * ell) < R - 1e-12
+        ]
+        assert [(el.word, el.displacement) for el in snap.elements] == from_levels
 
 
 def test_snapshot_refuses_coarse_resolution(f2, f2_ball):
@@ -449,16 +471,6 @@ def test_search_witness_keeps_no_quadratic_table(f2, rescale_limit):
 # convergence experiments
 
 
-def test_algebraic_gap_shrinks_along_the_family():
-    gens_limit = schottky_pair(4.0).generators
-    gaps = [
-        algebraic_convergence_gap(PLANE, schottky_pair(4.0 + step).generators,
-                                  gens_limit, 3.0, samples=50, seed=0)
-        for step in (0.5, 0.25, 0.125)
-    ]
-    assert gaps[0] > gaps[1] > gaps[2] > 0
-
-
 def test_constant_family_passes_trivially():
     cfg = ContinuityConfig(
         ball_T=6.0,
@@ -504,11 +516,11 @@ def test_tree_net_distances_are_bitwise_symmetric():
     act = tree_action(edge_length=ell)
     snap = snapshot(act, enumerate_orbit_ball(act, 6), 0.25, resolution=ell / 24)
     n = len(snap.points)
-    D = snap.metric.rows(np.arange(n))
+    D = snap.metric.distances(np.arange(n))
     assert n > 900 and np.array_equal(D, D.T)
     i, j = np.triu_indices(n, 1)
     assert np.array_equal(snap.metric.pairs(i, j), snap.metric.pairs(j, i))
-    assert np.array_equal(snap.metric.rows(np.arange(5, 9), 7), D[5:9, 7:])
+    assert np.array_equal(snap.metric.distances(np.arange(5, 9))[:, 7:], D[5:9, 7:])
 
 
 def shallow_rank_distances(L, wl, off, lcp, i, j):
@@ -580,8 +592,8 @@ def test_sorted_prefix_table_matches_the_shallow_rank_formula(valence, ell, eps,
         rows = np.arange(start, min(start + 512, n))
         lcp = table[paths.rank[rows]][:, paths.rank]
         ref = shallow_rank_distances(L, wl, off, lcp, rows[:, None], slice(None))
-        assert np.array_equal(metric.rows(rows), ref)
-        assert np.array_equal(metric.rows(rows, start + 7), ref[:, start + 7 :])
+        assert np.array_equal(metric.distances(rows), ref)
+        assert np.array_equal(metric.distances(rows)[:, start + 7 :], ref[:, start + 7 :])
         j = rng.integers(0, n, len(rows))
         k = np.arange(len(rows))
         assert np.array_equal(metric.pairs(rows, j), ref[k, j])

@@ -80,7 +80,7 @@ REEXPORTED = (
     "ModelSpace TreePoint PlanePoint Ray distance geodesic_point gromov_product "
     "PlaneIsometry SchottkyDescription TreeIsometry apply_isometry certify_ping_pong "
     "compose schottky_pair translation_length "
-    "GroupAction OrbitBall enumerate_orbit_ball measure_systole schottky_action sigma_R "
+    "GroupAction OrbitBall enumerate_orbit_ball measure_systole schottky_action "
     "tree_action "
     "EntropyEstimate covering_entropy_estimate equidistribution_constant "
     "estimate_critical_exponent poincare_partial "

@@ -27,7 +27,6 @@ from hypcrit.orbits import (
     measure_codiameter,
     measure_systole,
     schottky_action,
-    sigma_R,
     tree_action,
 )
 from hypcrit.space import ModelSpace, plane_distance
@@ -59,6 +58,15 @@ def test_tree_ball_matches_word_oracle(f2, f2_ball6):
     oracle = set(brute_force_reduced_words_upto(2, 6))
     assert set(f2_ball6.words()) == oracle
     assert f2_ball6.count == 2 * 3**6 - 1
+    # the level sizes, and the levels built from them on first read, level
+    # by level in canonical order, at ranks 2 and 3
+    for ball, rank, depth in ((f2_ball6, 2, 6), (enumerate_orbit_ball(tree_action(6), 4), 3, 4)):
+        oracle = brute_force_reduced_words_upto(rank, depth)
+        assert ball.rank == rank and len(ball.sizes) == len(ball.levels) == depth + 1
+        for k, level in enumerate(ball.levels):
+            assert level == [w for w in oracle if len(w) == k]
+            assert ball.sizes[k] == len(level)
+        assert ball.words() == oracle and ball.count == len(oracle)
 
 
 def test_tree_ball_counts_per_shell(f2_ball6):
@@ -91,13 +99,6 @@ def test_rescaled_tree_ball(f2_ball6):
     ball = enumerate_orbit_ball(act, Fraction(9, 2))
     assert ball.count == 2 * 3**3 - 1
     assert all(e.displacement == len(e.word) * Fraction(3, 2) for e in ball.entries)
-
-
-def test_sigma_r_refuses_shallow_balls(f2, f2_ball6):
-    small = sigma_R(f2, f2_ball6, 2)
-    assert len(small) == 2 * 3**2 - 1
-    with pytest.raises(InsufficientDataError):
-        sigma_R(f2, f2_ball6, 7)
 
 
 def test_systole_measurement(f2, f2_ball6, schottky, schottky_ball):
