@@ -24,11 +24,12 @@ reference of the tests.
 
 Measures cache their boundary atoms as arrays, in atom order:
 `AtomicMeasure._tree_atoms` (letter rows, also lexsorted, word lengths,
-depths, weights) and `AtomicMeasure._plane_atoms` (endpoint coordinates,
-depths, weights). `ball_mass` and `shadow_mass` apply the scalar
-membership rules of `generalized_ball_contains` and `shadow_contains` to
-every atom at once, summing masked weights left to right in atom order,
-and the scalar functions remain the reference they are tested against.
+which are their depths, weights) and `AtomicMeasure._plane_atoms`
+(endpoint coordinates, depths, weights). `ball_mass` and `shadow_mass`
+apply the scalar membership rules of `generalized_ball_contains` and
+`shadow_contains` to every atom at once, summing masked weights left to
+right in atom order, and the scalar functions remain the reference they
+are tested against.
 """
 
 import bisect
@@ -50,7 +51,7 @@ from .arrays import (
     plane_ray_products,
 )
 from .errors import DepthError, InsufficientDataError, MeasureError
-from .isometries import compose, fixed_points
+from .isometries import fixed_points
 from .space import (
     PLANE,
     TREE,
@@ -438,11 +439,10 @@ def limit_set_approximants(action, ball, min_displacement):
         raise InsufficientDataError("ball shallower than min_displacement")
     found = False
     seen = set()
-    isometry = _prefix_isometries(action)
     for e in ball.entries:
         if not e.word or float(e.displacement) < float(min_displacement):
             continue
-        b = _plane_entry_boundary(isometry(e.word), e)
+        b = _plane_entry_boundary(e)
         if b is None:
             continue
         key = "inf" if b.coord == math.inf else round(b.coord / 1e-9)
@@ -455,25 +455,11 @@ def limit_set_approximants(action, ball, min_displacement):
         raise InsufficientDataError("no entries deep enough")
 
 
-def _prefix_isometries(action):
-    """`action.isometry` for plane words, memoized by prefix: a word's
-    isometry is compose(its parent's, its last letter's generator), the
-    same left-to-right product, one compose per word."""
-    memo = {"": action.isometry("")}
-
-    def isometry(word):
-        g = memo.get(word)
-        if g is None:
-            g = memo[word] = compose(isometry(word[:-1]), action.gen_map[word[-1]])
-        return g
-
-    return isometry
-
-
-def _plane_entry_boundary(iso, entry):
-    """The attracting fixed point of a plane orbit entry's isometry iso as
-    a boundary approximant, or None when iso is not hyperbolic (it then
-    fixes no boundary direction)."""
+def _plane_entry_boundary(entry):
+    """The attracting fixed point of a plane orbit entry's isometry (the
+    matrix its BFS level composed) as a boundary approximant, or None when
+    the isometry is not hyperbolic (it then fixes no boundary direction)."""
+    iso = entry.isometry
     if abs(iso.trace) <= 2.0 + 1e-12:
         return None
     _, att = fixed_points(iso)
@@ -547,9 +533,7 @@ class AtomicMeasure:
         """Boundary atoms of a tree measure as arrays, in atom order."""
         atoms = self.boundary_atoms
         return _TreeAtoms(
-            [a.boundary.word for a in atoms],
-            np.array([a.boundary.depth for a in atoms]),
-            np.array([a.weight for a in atoms], dtype=float),
+            [a.boundary.word for a in atoms], np.array([a.weight for a in atoms], dtype=float)
         )
 
     @cached_property
@@ -566,7 +550,7 @@ def _tree_measure(ball, s, thresh):
     the numbers e^{-s float(k L)} repeated by the level sizes: the
     left-to-right order, and so the bits, of Python's `sum` over the orbit
     entries (plain addition on Python 3.11). The levels from `deep` on are
-    projected to the boundary, and their words, depths and weights are the
+    projected to the boundary, and their words and weights are the
     `_TreeAtoms` arrays.
     """
     L = ball.edge_length
@@ -584,9 +568,7 @@ def _tree_measure(ball, s, thresh):
     measure = AtomicMeasure(_LevelItems(levels, atom), s, float(ball.radius))
     measure.boundary_atoms = _LevelItems(levels[deep:], atom)
     measure._tree_atoms = _TreeAtoms(
-        [w for words in ball.levels[deep:] for w in words],
-        np.repeat(np.arange(deep, len(sizes)), sizes[deep:]),
-        np.repeat(weight[deep:], sizes[deep:]),
+        [w for words in ball.levels[deep:] for w in words], np.repeat(weight[deep:], sizes[deep:])
     )
     return measure
 
@@ -612,18 +594,18 @@ class _LevelItems(Sequence):
 
 
 class _TreeAtoms:
-    """Letter rows, word lengths, depths and weights of tree boundary atoms.
+    """Letter rows, word lengths and weights of tree boundary atoms; a tree
+    approximant's depth is its word length (`tree_boundary`).
 
     total is the left-to-right float sum of the weights, the order in
     which the scalar loops add them. `columns` holds the rows lexsorted
     (atom `order`), column by column, for `lcp`.
     """
 
-    def __init__(self, words, depth, weight):
+    def __init__(self, words, weight):
         self.lengths = np.array([len(w) for w in words], dtype=np.int64)
         self.width = int(self.lengths.max()) + 1 if words else 1
         self.rows = _word_rows(words, self.width)
-        self.depth = depth
         self.weight = weight
         self.total = _ordered_sum(weight)
         self.order = np.lexsort(self.rows.T[::-1])
@@ -693,12 +675,11 @@ def patterson_sullivan_atoms(action, ball, s):
         return _tree_measure(ball, s, thresh)
     total = sum(math.exp(-s * float(e.displacement)) for e in ball.entries)
     atoms = []
-    isometry = _prefix_isometries(action)
     for e in ball.entries:
         w = math.exp(-s * float(e.displacement)) / total
         b = None
         if e.word and float(e.displacement) >= thresh - 1e-12:
-            b = _plane_entry_boundary(isometry(e.word), e)
+            b = _plane_entry_boundary(e)
         atoms.append(Atom(e.word, e.point, float(e.displacement), w, b))
     return AtomicMeasure(tuple(atoms), s, float(ball.radius))
 
@@ -726,8 +707,8 @@ def ball_mass(action, measure, z, rho):
         L = float(action.space.edge_length)
         k = atoms.lcp(z.word)
         inside = k * L > thr
-        known = inside | (k < np.minimum(z.depth, atoms.depth))
-        resolved = atoms.depth * L >= thr - 1e-12
+        known = inside | (k < np.minimum(z.depth, atoms.lengths))
+        resolved = atoms.lengths * L >= thr - 1e-12
     else:
         atoms = measure._plane_atoms
         value, err, known = _plane_products(action, atoms, z)

@@ -473,7 +473,8 @@ def _word_index(snap):
 
 
 def _match_element(word, index):
-    """Index of the word in the element table, or of its longest prefix."""
+    """index[word], or the value of its longest prefix in index (index
+    holds the empty word)."""
     w = word
     while w not in index:
         w = w[:-1]
@@ -523,25 +524,17 @@ def _tree_wordwise_points(A, B):
     f = []
     for w, s, d in zip(A.words, A.steps.tolist(), A.directions):
         sb, rem = divmod(s * ratio.numerator, ratio.denominator)
-        j = vertex.get(w) if rem else index.get((w, sb, d), vertex.get(w))
-        while j is None:
-            # deep A-point with no B-counterpart inside the ball: walk up
-            w = w[:-1]
-            j = vertex.get(w)
-        f.append(j)
+        j = None if rem else index.get((w, sb, d))
+        # no counterpart: the vertex of w, or of its longest prefix in B's
+        # ball for a deep A-point
+        f.append(_match_element(w, vertex) if j is None else j)
     return f
 
 
 def _plane_wordwise_points(A, B):
     # plane snapshot points carry the orbit word of the producing entry
     words_b = {w: i for i, w in enumerate(B.point_words)}
-    f = []
-    for w in A.point_words:
-        ww = w
-        while ww not in words_b:
-            ww = ww[:-1]
-        f.append(words_b[ww])
-    return f
+    return [_match_element(w, words_b) for w in A.point_words]
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +552,11 @@ class ContinuityRow:
 
 @dataclass(frozen=True)
 class ContinuityReport:
+    """The rows of `run_continuity_experiment`, the limit's exponent
+    estimate and C, the drift slope fitted on the finite-eps rows.
+    `passed` is finite eps, K <= K_bound and non-increasing eps on every
+    row; C is reported but not judged."""
+
     rows: tuple
     h_limit: float
     C: float
@@ -602,9 +600,14 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
     estimate, its residual against the closed-form target (when one is
     supplied; otherwise against the limit estimate), and the measured
     equidistribution constant (at the target exponent where one is
-    supplied, else at the member's estimate). The verdict needs
-    |h_n - h_limit| <= tolerance + C * eps_n for the reported C, and K
-    uniformly bounded.
+    supplied, else at the member's estimate).
+
+    The verdict needs a finite eps on every row, K <= K_bound on every row
+    and eps non-increasing along the schedule. C, the largest
+    (|h_n - h_limit| - h_tolerance) / eps_n over the finite-eps rows, is
+    reported but not judged: it is fitted on the rows it would be tested
+    on, so |h_n - h_limit| <= h_tolerance + C * eps_n holds there by
+    construction.
     """
     from .entropy import equidistribution_constant, estimate_critical_exponent
     from .errors import CertificationError
@@ -692,8 +695,5 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
     passed = passed and all(
         rows[i].eps >= rows[i + 1].eps - 1e-12 for i in range(len(rows) - 1)
     )
-    for r in rows:
-        drift = abs(r.h_hat - limit_est.h_hat)
-        passed = passed and drift <= config.h_tolerance + C * r.eps + 1e-12
     notes = "limit K=%.6g" % limit_K
     return ContinuityReport(tuple(rows), limit_est.h_hat, C, passed, notes)

@@ -125,12 +125,6 @@ def _rand_plane_point(rng, radius):
     return PlanePoint(1j * (1 + w) / (1 - w))
 
 
-def _rand_point(rng, space, radius):
-    if space.kind == TREE:
-        return _rand_tree_point(rng, space, radius)
-    return _rand_plane_point(rng, radius)
-
-
 def _rand_boundary(rng, space):
     """Boundary target usable as a Ray / line endpoint.
 

@@ -85,7 +85,7 @@ def _normalize_matrix(m, unimodular=False):
     return (a, b, c, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlaneIsometry:
     mat: tuple  # (a, b, c, d), det = 1, canonical sign
 
@@ -217,6 +217,15 @@ def _images_of_i(m):
         re = np.where(by_re, nr + ni * r, nr * r + ni) / den
         im = np.where(by_re, ni - nr * r, ni * r - nr) / den
     return list(map(complex, re.tolist(), np.maximum(im, 1e-300).tolist()))
+
+
+def _generator_map(generators):
+    """{letter: isometry} over the alphabet of len(generators) free
+    generators: a -> g1, A -> g1^-1, b -> g2, B -> g2^-1, ..."""
+    gen_map = {}
+    for c, g in zip(letters(len(generators))[::2], generators):
+        gen_map[c], gen_map[c.upper()] = g, g.inverse()
+    return gen_map
 
 
 def _word_levels(gen_map, alph):
@@ -430,12 +439,8 @@ def certify_ping_pong(desc):
             if not (ends_in and min(x1, x2) < xa < max(x1, x2)):
                 return PingPongFailure("nesting violated by " + who, (i, (x1, x2, xa)))
     # displacement survey at the basepoint i
-    alph = letters(len(gens))
-    gen_map = {}
-    for i, g in enumerate(gens):
-        gen_map[alph[2 * i]], gen_map[alph[2 * i + 1]] = g, g.inverse()
     disp = {"": 0.0}
-    for words, mats in islice(_word_levels(gen_map, alph), WORD_HORIZON):
+    for words, mats in islice(_word_levels(_generator_map(gens), letters(len(gens))), WORD_HORIZON):
         disp.update((w, plane_distance(1j, z)) for w, z in zip(words, _images_of_i(mats)))
     nonid = {w: v for w, v in disp.items() if w}
     best_word = min(nonid, key=lambda w: (nonid[w], w))

@@ -17,13 +17,15 @@ from itertools import islice
 from .errors import CertificationError, InsufficientDataError, NumericalLimitError
 from .isometries import (
     IDENTITY_PLANE,
+    PlaneIsometry,
     TreeIsometry,
+    _generator_map,
     _images_of_i,
     _word_levels,
     apply_isometry,
     compose,
 )
-from .space import TREE, PlanePoint, TreePoint, distance, plane_distance
+from .space import TREE, PlanePoint, TreePoint, plane_distance
 from .words import compose_words, letters, word_key, word_levels
 
 #: hard cap on enumerated elements; hitting it aborts with a diagnosis
@@ -85,11 +87,6 @@ class GroupAction:
     def orbit_point(self, word):
         return apply_isometry(self.space, self.isometry(word), self.basepoint)
 
-    def displacement(self, word):
-        if self.space.kind == TREE:
-            return len(word) * self.space.edge_length
-        return distance(self.space, self.basepoint, self.orbit_point(word))
-
 
 def tree_action(valence=4, edge_length=1, declared_delta=0.0, declared_codiameter=0.5):
     from .space import ModelSpace
@@ -104,21 +101,22 @@ def tree_action(valence=4, edge_length=1, declared_delta=0.0, declared_codiamete
 def schottky_action(desc, certificate, declared_delta=math.log(3.0), declared_codiameter=3.0):
     from .space import ModelSpace
 
-    alph = letters(len(desc.generators))
-    gen_map = {}
-    for i, g in enumerate(desc.generators):
-        gen_map[alph[2 * i]] = g
-        gen_map[alph[2 * i + 1]] = g.inverse()
-    return GroupAction(
-        ModelSpace.plane(), gen_map, declared_delta, declared_codiameter, certificate
-    )
+    return GroupAction(ModelSpace.plane(), _generator_map(desc.generators),
+                       declared_delta, declared_codiameter, certificate)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitEntry:
+    """The orbit point of a word g and its displacement d(x, g x). A
+    plane entry from `enumerate_orbit_ball` also carries g's
+    `PlaneIsometry`, the matrix row its BFS level composed, bitwise
+    `action.isometry(word)`; a tree entry's isometry is None (its word is
+    its isometry)."""
+
     word: str
     point: object
     displacement: object  # Fraction on trees, float on the plane
+    isometry: object = None
 
 
 class OrbitBall:
@@ -132,11 +130,10 @@ class OrbitBall:
     ball stores its entries, and its `sizes` and `levels` are None.
     """
 
-    def __init__(self, radius, entries, count_by_shell, merge_radius, merged_words=(),
+    def __init__(self, radius, entries, count_by_shell, merged_words=(),
                  sizes=None, rank=None, edge_length=None):
         self.radius = radius
         self.count_by_shell = count_by_shell
-        self.merge_radius = merge_radius
         self.merged_words = merged_words
         self.sizes = sizes
         self.rank = rank
@@ -207,7 +204,8 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None):
 
     A plane level is composed on stacked matrix rows (`_word_levels`) and
     its images of i come from `_images_of_i`, bitwise equal to the scalar
-    `compose` and `apply_isometry`. Displacements and merge distances stay
+    `compose` and `apply_isometry`; a kept entry keeps its row as its
+    `isometry`. Displacements and merge distances stay
     `plane_distance` calls: numpy's `arcsinh` and complex `abs` differ
     from libm in the last bit. A plane radius beyond PLANE_RADIUS_LIMIT
     raises NumericalLimitError.
@@ -251,7 +249,7 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None):
         shells = _count_by_shell(
             lambda t: sum(n for d, n in disps if d <= t), T, float(L), sum(sizes)
         )
-        return OrbitBall(T, None, shells, merge_radius, sizes=tuple(sizes),
+        return OrbitBall(T, None, shells, sizes=tuple(sizes),
                          rank=action.rank, edge_length=L)
 
     # the plane: one BFS level at a time on stacked (n, 4) matrix rows
@@ -260,7 +258,7 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None):
                                   % (float(T), PLANE_RADIUS_LIMIT))
     reach = float(T) + 1e-9  # closed ball at the declared tolerance
     base = action.basepoint
-    entries = [OrbitEntry("", base, 0.0)]
+    entries = [OrbitEntry("", base, 0.0, IDENTITY_PLANE)]
     merged_words = []
     near = _MergeHash(merge_radius) if merge_radius > 0 else None
     if near:
@@ -269,7 +267,7 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None):
     for k in range(1, max_len + 1):
         check_cap(len(entries), k)
         words, mats = next(levels)
-        for w, z in zip(words, _images_of_i(mats)):
+        for w, z, m in zip(words, _images_of_i(mats), mats):
             d = plane_distance(base.z, z)
             if d > reach:
                 continue
@@ -278,12 +276,12 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None):
                 if hit is not None:
                     merged_words.append((w, entries[hit].word))
                     continue
-            entries.append(OrbitEntry(w, PlanePoint(z), d))
+            entries.append(OrbitEntry(w, PlanePoint(z), d, PlaneIsometry(tuple(m.tolist()))))
 
     # the levels, and so the entries, are already in canonical word order
     disps = sorted(e.displacement for e in entries)
     shells = _count_by_shell(lambda t: bisect.bisect_right(disps, t), T, 1.0, len(entries))
-    return OrbitBall(T, tuple(entries), shells, merge_radius, tuple(merged_words))
+    return OrbitBall(T, tuple(entries), shells, tuple(merged_words))
 
 
 class _MergeHash:
@@ -416,24 +414,25 @@ class CheckReport:
     detail: dict = None
 
 
-def _orbit_graph_neighbors(action, ball, threshold):
-    """Adjacency (by index) of the orbit graph with edge threshold."""
+def _orbit_graph_steps(ball, R):
+    """Steps from the identity to each entry, in entry order, in the orbit
+    graph that joins g to g s (`compose_words`) for every entry s displaced
+    by at most R, through entries of the ball; -1 where no path reaches
+    the entry. The identity is entry 0 of every ball."""
     index = {e.word: i for i, e in enumerate(ball.entries)}
-    steps = [
-        e.word
-        for e in ball.entries
-        if e.word and float(e.displacement) <= float(threshold) + 1e-12
-    ]
-    adj = []
-    for e in ball.entries:
-        nbrs = []
-        for s in steps:
-            w2 = compose_words(e.word, s)
-            j = index.get(w2)
-            if j is not None:
-                nbrs.append(j)
-        adj.append(nbrs)
-    return adj
+    steps = [e.word for e in ball.entries if e.word and float(e.displacement) <= float(R) + 1e-12]
+    dist = [0] + [-1] * (len(index) - 1)
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for s in steps:
+                j = index.get(compose_words(ball.entries[i].word, s))
+                if j is not None and dist[j] < 0:
+                    dist[j] = dist[i] + 1
+                    nxt.append(j)
+        frontier = nxt
+    return dist
 
 
 def check_generating(action, ball, threshold=None):
@@ -442,8 +441,9 @@ def check_generating(action, ball, threshold=None):
     The default threshold 2D + 72*delta is the theoretical generating
     bound; passing a smaller explicit threshold verifies a stronger
     statement (the small set already generates), hence still certifies the
-    bound. Pass means every entry is reachable from the identity through
-    orbit points in the ball with steps of displacement <= threshold.
+    bound. Pass means every entry is reachable from the identity in the
+    orbit graph of `_orbit_graph_steps` with R = threshold; on failure the
+    witness is the least unreachable word in canonical order.
     """
     theo = 2.0 * action.declared_codiameter + 72.0 * action.declared_delta
     if threshold is None:
@@ -454,60 +454,32 @@ def check_generating(action, ball, threshold=None):
         raise InsufficientDataError(
             "ball radius %s < 2x threshold %s" % (ball.radius, threshold)
         )
-    adj = _orbit_graph_neighbors(action, ball, threshold)
-    index = {e.word: i for i, e in enumerate(ball.entries)}
-    seen = {index[""]}
-    stack = [index[""]]
-    while stack:
-        i = stack.pop()
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    if len(seen) == len(ball.entries):
+    dist = _orbit_graph_steps(ball, threshold)
+    unreached = [e.word for e, k in zip(ball.entries, dist) if k < 0]
+    if not unreached:
         return CheckReport(True, detail={"threshold": threshold})
-    missing = min(
-        (i for i in range(len(ball.entries)) if i not in seen),
-        key=lambda i: word_key(ball.entries[i].word),
-    )
-    return CheckReport(False, witness=ball.entries[missing].word, detail={"threshold": threshold})
+    return CheckReport(False, witness=min(unreached, key=word_key), detail={"threshold": threshold})
 
 
 def word_metric_distances(action, ball, R):
-    """d_Sigma(g, id) for every entry: BFS over the orbit graph whose edges
-    join orbit points at distance <= R."""
-    entries = ball.entries
-    n = len(entries)
-    index = {e.word: i for i, e in enumerate(entries)}
+    """d_Sigma(g, id) for every entry, -1 where unreachable. Trees search
+    the orbit graph of `_orbit_graph_steps`. The plane searches the denser
+    graph that joins every two orbit points at distance <= R, whatever
+    their quotient: it need not lie in the ball, as R may exceed the ball
+    radius."""
     if action.space.kind == TREE:
-        steps = [e.word for e in entries if e.word and float(e.displacement) <= float(R) + 1e-12]
-        dist = [-1] * n
-        start = index[""]
-        dist[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for s in steps:
-                    j = index.get(compose_words(entries[i].word, s))
-                    if j is not None and dist[j] < 0:
-                        dist[j] = dist[i] + 1
-                        nxt.append(j)
-            frontier = nxt
-        return dist
+        return _orbit_graph_steps(ball, R)
     # plane: vectorized distance threshold graph
     import numpy as np
 
     from .arrays import pairwise_distances
 
-    pts = [e.point for e in entries]
-    D = pairwise_distances(action.space, pts)
-    close = D <= float(R) + 1e-9
+    n = ball.count
+    close = pairwise_distances(action.space, ball.points()) <= float(R) + 1e-9
     dist = np.full(n, -1, dtype=int)
-    start = index[""]
-    dist[start] = 0
+    dist[0] = 0
     frontier = np.zeros(n, dtype=bool)
-    frontier[start] = True
+    frontier[0] = True
     level = 0
     while frontier.any():
         level += 1

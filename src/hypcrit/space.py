@@ -76,10 +76,6 @@ class TreePoint:
             if self.word and self.direction == self.word[-1].swapcase():
                 raise ValueError("direction would backtrack; not a reduced edge")
 
-    @property
-    def is_vertex(self):
-        return self.offset == 0
-
 
 @dataclass(frozen=True)
 class PlanePoint:

@@ -546,7 +546,6 @@ class RowCompareAtoms:
         self.lengths = np.array([len(w) for w in words], dtype=np.int64)
         self.width = int(self.lengths.max()) + 1 if words else 1
         self.rows = _word_rows(words, self.width)
-        self.depth = np.array([a.boundary.depth for a in atoms])
         self.weight = np.array([a.weight for a in atoms], dtype=float)
         self.total = float(np.cumsum(self.weight)[-1]) if words else 0.0
 
@@ -593,7 +592,7 @@ def test_tree_measure_levels_match_the_object_path(valence, ell, s):
     assert atom_bits(got.boundary_atoms[-40:]) == atom_bits(want.boundary_atoms[-40:])
     a, b = got._tree_atoms, want._tree_atoms
     assert a.width == b.width and a.total.hex() == b.total.hex()
-    for name in ("rows", "lengths", "depth", "weight"):
+    for name in ("rows", "lengths", "weight"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
     # sorted-range prefix lengths and masses, for words shorter and longer

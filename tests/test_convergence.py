@@ -492,6 +492,16 @@ def test_constant_family_passes_trivially():
         assert row.K < 2.0
 
 
+def test_fitted_C_is_reported_not_judged():
+    # with no tolerance every drift counts toward C, and the fit on the
+    # rows it would be tested on cannot fail them
+    cfg = ContinuityConfig(ball_T=6.0, window=(2.0, 6.0), eps_ladder=(1.0, 0.5),
+                           h_tolerance=0.0, param_scale=float)
+    rep = run_continuity_experiment(lambda ell: tree_action(edge_length=ell),
+                                    [Fraction(5, 4), Fraction(9, 8)], Fraction(1), cfg)
+    assert rep.C > 0 and rep.passed
+
+
 def test_certification_failure_aborts_the_experiment():
     from hypcrit.errors import CertificationError
 

@@ -1,17 +1,21 @@
-"""Every import in a hypcrit module is read somewhere in its scope, a
-subcommand loads only the modules it runs, and no module calls BLAS, so
-the CLI's single OpenBLAS thread costs nothing."""
+"""Every import in a hypcrit module is read somewhere in its scope, every
+definition is named somewhere else, a subcommand loads only the modules it
+runs, and no module calls BLAS, so the CLI's single OpenBLAS thread costs
+nothing."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hypcrit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hypcrit"
 MODULES = sorted(SRC.glob("*.py"))
 # __init__.py re-exports through a module __getattr__ and imports nothing
 # at the top level
@@ -73,6 +77,48 @@ def test_no_unused_top_level_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_function_imports(path):
     assert unused_function_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced(definitions, sources):
+    """Sorted (line, name) of the functions, methods and classes defined
+    in the source `definitions` (dunder names exempt) whose name no other
+    place in `sources`, which include `definitions`, mentions: it occurs
+    there, as a word, no more often than it is defined."""
+    mentions = Counter(m for text in sources for m in re.findall(r"[A-Za-z_]\w*", text))
+    defs = [
+        (node.lineno, node.name) for node in ast.walk(ast.parse(definitions))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    defined = Counter(name for _, name in defs)
+    return sorted((line, name) for line, name in defs if mentions[name] <= defined[name])
+
+
+def test_scan_finds_an_unreferenced_definition():
+    source = (
+        "class Box:\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def size(self):\n"
+        "        return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def twice():\n"
+        "    pass\n"
+        "def twice():\n"
+        "    pass\n"
+    )
+    assert unreferenced(source, [source, "# the Box"]) == [(4, "size"), (8, "twice"), (10, "twice")]
+
+
+def test_every_definition_is_referenced():
+    """Each function, method or class of src/hypcrit is named somewhere in
+    the Python files of src/, tests/ or bench/ other than its definition
+    (a call, an attribute read, a traced name or a docstring)."""
+    paths = [p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")]
+    sources = [p.read_text(encoding="utf-8") for p in paths]
+    found = {p.name: unreferenced(p.read_text(encoding="utf-8"), sources) for p in MODULES}
+    assert {name: defs for name, defs in found.items() if defs} == {}
 
 
 #: every name the package re-exported when its __init__ imported all modules

@@ -133,6 +133,12 @@ def test_generating_check_passes_on_tree(f2, f2_ball6):
         check_generating(f2, f2_ball6, threshold=5.0)  # above the theoretical bound
 
 
+def test_generating_check_names_the_least_unreachable_word(f2, f2_ball6):
+    # no entry is displaced by 0.5 or less, so only the identity is reached
+    rep = check_generating(f2, f2_ball6, threshold=0.5)
+    assert not rep.passed and rep.witness == "a"
+
+
 def test_generating_check_needs_deep_enough_ball(f2):
     with pytest.raises(InsufficientDataError):
         check_generating(f2, enumerate_orbit_ball(f2, 1))
@@ -297,6 +303,16 @@ def test_merge_hash_finds_the_earliest_close_point():
             if want is None:
                 kept.append((n, z))
         assert 0 < len(kept) < 1500
+
+
+def test_plane_entries_carry_their_isometries(schottky):
+    # the matrix rows the BFS composed, bitwise the scalar left-to-right
+    # product of `action.isometry`
+    ball = enumerate_orbit_ball(schottky, 23.0)
+    for e in ball.entries:
+        want = schottky.isometry(e.word).mat
+        assert [x.hex() for x in e.isometry.mat] == [x.hex() for x in want], e.word
+    assert ball.count > 1000
 
 
 def test_plane_ball_beyond_float64_is_refused(schottky):
