@@ -6,10 +6,15 @@ trees (`_TreePaths`), the arcsinh formula (`plane_distances`) on the
 plane. A tree distance is depth_i + depth_j - 2 sep with the separation
 in min form, sep = min(lcp L, depth_i, depth_j) (`_separated`), bitwise
 the float form of `space._tree_separation`. Common-prefix lengths come
-from trie node ids per level in sorted root-path order (`_TreePaths.lcp`
-and `lcp_rows`), O(width n) memory and no n x n table, so a `_TreePaths`
-also serves a fixed net's repeated reads, by blocks of sorted rows
-(`sorted_rows`) and by lists of pairs (`pairs`).
+from trie node ids per level in sorted root-path order (`_TreePaths.lcp`),
+O(width n) memory and no n x n table, so a `_TreePaths` also serves a
+fixed net's repeated reads, by blocks of sorted rows (`sorted_rows`, which
+`distances` reads too) and by lists of pairs (`pairs`). Outside a block's
+span of sorted rows a prefix length is the min of a per-row and a
+per-column running minimum (`_TreePaths._spans`), so there the separation
+is one broadcast minimum of two vectors (`_separated_outer`). Tables are
+read by blocks of at most `_CELLS` float cells (`_block_rows`), so a
+block's temporaries stay the same size however large the net.
 
 Rays from the basepoint i need no ray points: Gromov products of ray
 points at a common depth (`plane_ray_product`) and distances to such rays
@@ -33,8 +38,37 @@ _DIGIT = np.full(256, -1, dtype=np.int8)
 for _c, _r in _ORDER.items():
     _DIGIT[ord(_c)] = _r
 
-#: rows per block when a dense distance table is filled
-_BLOCK = 64
+#: float cells per block when distances are read by blocks of rows
+_CELLS = 1 << 16
+
+
+def _block_rows(columns):
+    """Rows in a block of `columns` columns: as many as fit in _CELLS."""
+    return max(1, _CELLS // max(columns, 1))
+
+
+def _level_rows(rank, lengths):
+    """`_word_rows` of the reduced words of F_rank whose lengths lie in
+    the range `lengths`, one digit wider than the longest, level by level
+    in canonical order, built from letter ranks with no word listed: level
+    k + 1 repeats each row of level k 2 rank - 1 times and writes after it,
+    in rank order, the letters that do not cancel its last one (the inverse
+    of rank r has rank r ^ 1)."""
+    if not lengths:
+        return np.zeros((0, 1), dtype=np.int8)
+    q = 2 * rank
+    follow = np.array([[r for r in range(q) if r != p ^ 1] for p in range(q)], dtype=np.int8)
+    sizes = [q * (q - 1) ** (k - 1) if k else 1 for k in lengths]
+    out = np.full((sum(sizes), lengths.stop), -1, dtype=np.int8)
+    level, at = np.zeros((1, 0), dtype=np.int8), 0
+    for k in range(lengths.stop):
+        if k in lengths:
+            out[at : at + len(level), :k] = level
+            at += len(level)
+        if k + 1 < lengths.stop:
+            nxt = follow[level[:, -1]] if k else np.arange(q, dtype=np.int8)[None]
+            level = np.column_stack((np.repeat(level, nxt.shape[1], axis=0), nxt.ravel()))
+    return out
 
 
 def _word_rows(words, width):
@@ -85,13 +119,16 @@ def _separated(L, lcp, di, dj):
     return d
 
 
-def _outer_min(a, b):
-    """The (len(a), len(b)) int8 table min(a[i], b[j]), filled with b and
-    reduced in place: numpy's broadcast minimum of a column against a row
-    runs several times slower on int8 rows of a few thousand entries."""
-    out = np.empty((len(a), len(b)), dtype=np.int8)
-    out[:] = b
-    return np.minimum(out, a[:, None], out=out)
+def _separated_outer(L, row, col, di, dj, out):
+    """`_separated` where lcp = min(row[:, None], col), written to out.
+
+    Then sep = min(min(row L, di), min(col L, dj)), one broadcast minimum
+    of a per-row and a per-column vector, bitwise the same: fl(k L) is
+    monotone in k, so fl(min(r, c) L) = min(fl(r L), fl(c L)).
+    """
+    di = di[:, None]
+    np.minimum(np.minimum(row[:, None] * L, di) * 2.0, np.minimum(col * L, dj) * 2.0, out=out)
+    np.subtract(di + dj, out, out=out)
 
 
 class _TreePaths:
@@ -111,7 +148,7 @@ class _TreePaths:
     min(adjacent[a:b]) >= k, so their common-prefix length is the number
     of levels whose node ids agree (`lcp`), the full width for a == b.
     That is O(width n) memory; blocks of rows read running minima
-    (`lcp_rows`).
+    (`_spans`).
 
     A distance is two steps: a common-prefix length (int8, so a width over
     127 is refused), then the float64 formula of `_separated` on the two
@@ -150,18 +187,20 @@ class _TreePaths:
             lcp += ids[a] == ids[b]
         return lcp
 
-    def lcp_rows(self, rows, start=0):
-        """(len(rows), n - start) int8 common-prefix lengths of the points
-        at sorted positions `rows` (an index array or a slice) against the
-        sorted positions from `start` on.
+    def _spans(self, rows, start):
+        """The sorted positions `rows`, the columns [left, right) between
+        their least and greatest that take the per-level compare, and the
+        running minima that give every other column's common-prefix length
+        as min(row value, column value): (up, back) for the columns from
+        `start` to left, (down, run) for those from right on.
 
         With lo and hi the least and greatest of `rows`, a row r and a
         column c >= hi share min(min(adjacent[r:hi]), min(adjacent[hi:c]))
         levels, and a column c < lo shares min(min(adjacent[c:lo]),
-        min(adjacent[lo:r])): running minima over the rows' span and
-        beyond it, whatever the width. Only the columns between lo and hi
-        take the per-level compare of `lcp`, so a block of rows that lie
-        close in sorted order, as a contiguous block does, costs O(b n).
+        min(adjacent[lo:r])), whatever the width. So only the columns
+        between lo and hi take the per-level compare of `lcp`, and a block
+        of rows that lie close in sorted order, as a contiguous block does,
+        costs O(b n).
         """
         n, w, adj = len(self.rank), np.int8(self.width), self.adjacent
         rows = np.arange(n)[rows]
@@ -170,25 +209,34 @@ class _TreePaths:
         span = adj[lo:hi]
         up = np.minimum.accumulate(np.append(w, span))[rows - lo]
         down = np.minimum.accumulate(np.append(span, w)[::-1])[::-1][rows - lo]
-        # copied, as a reversed view fills `_outer_min` slowly
-        back = np.minimum.accumulate(adj[start:lo][::-1])[::-1].copy()
+        back = np.minimum.accumulate(adj[start:lo][::-1])[::-1]
         run = np.minimum.accumulate(np.append(w, adj[hi:]))[right - hi :]
-        mid = self.lcp(rows[:, None], slice(left, right))
-        return np.concatenate((_outer_min(up, back), mid, _outer_min(down, run)), axis=1)
+        return rows, left, right, (up, back), (down, run)
 
     def distances(self, rows):
         """(len(rows), n) distances from the points at indices `rows`."""
-        rows = np.asarray(rows)
-        lcp = self.lcp_rows(self.rank[rows])[:, self.rank]
-        return _separated(self.L, lcp, self.depth[rows, None], self.depth)
+        return self.sorted_rows(self.rank[rows])[:, self.rank]
 
     def sorted_rows(self, rows, start=0):
         """(len(rows), n - start) distances from the sorted positions `rows`
         (an index array or a slice) to the sorted positions from `start`
-        on."""
-        # (rows, None) indexes the depths of `rows` as a column
-        depth = self.sorted_depth
-        return _separated(self.L, self.lcp_rows(rows, start), depth[rows, None], depth[start:])
+        on.
+
+        The columns outside the rows' span read their common-prefix
+        lengths as running minima (`_spans`), so their distances take one
+        broadcast minimum of a per-row and a per-column vector
+        (`_separated_outer`) and no int8 table.
+        """
+        L, depth, n = self.L, self.sorted_depth, len(self.rank)
+        rows, left, right, before, after = self._spans(rows, start)
+        di = depth[rows]
+        out = np.empty((len(rows), n - start))
+        mid = self.lcp(rows[:, None], slice(left, right))
+        out[:, left - start : right - start] = _separated(L, mid, di[:, None], depth[left:right])
+        for (row, col), cols in ((before, slice(start, left)), (after, slice(right, n))):
+            part = out[:, cols.start - start : cols.stop - start]
+            _separated_outer(L, row, col, di, depth[cols], part)
+        return out
 
     def pairs(self, i, j):
         """Distances between points i[k] and j[k] for equal-length arrays
@@ -220,14 +268,16 @@ def plane_distances(z1, z2):
 def pairwise_distances(space, points):
     """Dense float64 distance matrix over a list of model points.
 
-    The table is filled a block of rows at a time, so the memory used
-    beyond the n x n output grows with n, not with n^2 * depth.
+    The table is filled a block of rows at a time, each block at most
+    _CELLS cells, so the memory used beyond the n x n output is O(_CELLS)
+    float cells plus O(width n) on trees.
     """
     n = len(points)
     rows = _distance_rows(space, points)
     d = np.empty((n, n))
-    for start in range(0, n, _BLOCK):
-        d[start : start + _BLOCK] = rows(np.arange(start, min(start + _BLOCK, n)))
+    b = _block_rows(n)
+    for start in range(0, n, b):
+        d[start : start + b] = rows(np.arange(start, min(start + b, n)))
     np.fill_diagonal(d, 0.0)
     return d
 

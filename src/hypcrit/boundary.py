@@ -44,6 +44,7 @@ from itertools import accumulate
 import numpy as np
 
 from .arrays import (
+    _level_rows,
     _word_rows,
     plane_ray_distance,
     plane_ray_distances,
@@ -69,7 +70,7 @@ from .space import (
     ray_points,
     tree_grid,
 )
-from .words import _ORDER, compose_words, invert_word
+from .words import _ORDER, compose_words, invert_word, reduced_word_at
 
 
 @dataclass(frozen=True)
@@ -406,8 +407,9 @@ def limit_set_sample(action, ball, min_displacement):
     """Boundary approximants accumulated by the orbit, as a sequence.
 
     Tree: deep entry words read as truncated boundary words, in a
-    `_LevelItems` that builds each approximant when it is read, so a
-    caller that samples a few builds a few. Plane: attracting fixed points
+    `_LevelItems` that builds each approximant, and its word, from its
+    index when it is read: a caller that samples a few builds a few, and
+    the ball's `levels` are never listed. Plane: attracting fixed points
     of the entries' isometries (hyperbolic words only), tagged with the
     producing word, deduplicated at 1e-9, in a list.
     """
@@ -420,10 +422,10 @@ def _tree_limit_set(ball, min_displacement):
     if float(ball.radius) < float(min_displacement):
         raise InsufficientDataError("ball shallower than min_displacement")
     deep = [
-        (k, level) for k, level in enumerate(ball.levels)
+        (k, n) for k, n in enumerate(ball.sizes)
         if k and float(k * ball.edge_length) >= float(min_displacement)
     ]
-    sample = _LevelItems(deep, lambda k, w: tree_boundary(w))
+    sample = _LevelItems(ball.rank, deep, lambda k, w: tree_boundary(w))
     if not sample:
         raise InsufficientDataError("no entries deep enough")
     return sample
@@ -532,9 +534,9 @@ class AtomicMeasure:
     def _tree_atoms(self):
         """Boundary atoms of a tree measure as arrays, in atom order."""
         atoms = self.boundary_atoms
-        return _TreeAtoms(
-            [a.boundary.word for a in atoms], np.array([a.weight for a in atoms], dtype=float)
-        )
+        words = [a.boundary.word for a in atoms]
+        width = max(map(len, words), default=0) + 1
+        return _TreeAtoms(_word_rows(words, width), np.array([a.weight for a in atoms], dtype=float))
 
     @cached_property
     def _plane_atoms(self):
@@ -550,8 +552,9 @@ def _tree_measure(ball, s, thresh):
     the numbers e^{-s float(k L)} repeated by the level sizes: the
     left-to-right order, and so the bits, of Python's `sum` over the orbit
     entries (plain addition on Python 3.11). The levels from `deep` on are
-    projected to the boundary, and their words and weights are the
-    `_TreeAtoms` arrays.
+    projected to the boundary; their letter rows, written level by level
+    from letter ranks (`_level_rows`), and weights are the `_TreeAtoms`
+    arrays, so no level's words are listed.
     """
     L = ball.edge_length
     sizes = ball.sizes
@@ -560,26 +563,28 @@ def _tree_measure(ball, s, thresh):
     total = _ordered_sum(np.repeat(mass, sizes))
     weight = [x / total for x in mass]
     deep = next((k for k in range(1, len(disp)) if disp[k] >= thresh - 1e-12), len(disp))
-    levels = list(enumerate(ball.levels))
+    levels = list(enumerate(sizes))
 
     def atom(k, w):
         return Atom(w, TreePoint(w), disp[k], weight[k], tree_boundary(w) if k >= deep else None)
 
-    measure = AtomicMeasure(_LevelItems(levels, atom), s, float(ball.radius))
-    measure.boundary_atoms = _LevelItems(levels[deep:], atom)
-    measure._tree_atoms = _TreeAtoms(
-        [w for words in ball.levels[deep:] for w in words], np.repeat(weight[deep:], sizes[deep:])
-    )
+    measure = AtomicMeasure(_LevelItems(ball.rank, levels, atom), s, float(ball.radius))
+    measure.boundary_atoms = _LevelItems(ball.rank, levels[deep:], atom)
+    rows = _level_rows(ball.rank, range(deep, len(sizes)))
+    measure._tree_atoms = _TreeAtoms(rows, np.repeat(weight[deep:], sizes[deep:]))
     return measure
 
 
 class _LevelItems(Sequence):
-    """The items of tree levels, (k, words) pairs, in level order, each
-    built when it is read, as make(k, w) for the word w of level k."""
+    """The items of levels of F_rank's reduced words, given as (k, count)
+    pairs with count the size of level k, in level order. Each item is
+    built when it is read, as make(k, w) for the word w of level k that
+    `reduced_word_at` computes from the item's index, so no level is ever
+    listed."""
 
-    def __init__(self, levels, make):
-        self.levels, self.make = levels, make
-        self.ends = list(accumulate(len(words) for _, words in levels))
+    def __init__(self, rank, levels, make):
+        self.rank, self.levels, self.make = rank, levels, make
+        self.ends = list(accumulate(n for _, n in levels))
 
     def __len__(self):
         return self.ends[-1] if self.ends else 0
@@ -589,23 +594,23 @@ class _LevelItems(Sequence):
             return [self[j] for j in range(*i.indices(len(self)))]
         i = range(len(self))[i]  # IndexError out of range
         li = bisect.bisect_right(self.ends, i)
-        k, words = self.levels[li]
-        return self.make(k, words[i - (self.ends[li - 1] if li else 0)])
+        k = self.levels[li][0]
+        return self.make(k, reduced_word_at(self.rank, k, i - (self.ends[li - 1] if li else 0)))
 
 
 class _TreeAtoms:
-    """Letter rows, word lengths and weights of tree boundary atoms; a tree
-    approximant's depth is its word length (`tree_boundary`).
+    """Letter rows (`_word_rows`, padded with -1), word lengths and weights
+    of tree boundary atoms; a tree approximant's depth is its word length
+    (`tree_boundary`).
 
     total is the left-to-right float sum of the weights, the order in
     which the scalar loops add them. `columns` holds the rows lexsorted
     (atom `order`), column by column, for `lcp`.
     """
 
-    def __init__(self, words, weight):
-        self.lengths = np.array([len(w) for w in words], dtype=np.int64)
-        self.width = int(self.lengths.max()) + 1 if words else 1
-        self.rows = _word_rows(words, self.width)
+    def __init__(self, rows, weight):
+        self.rows, self.width = rows, rows.shape[1]
+        self.lengths = np.count_nonzero(rows >= 0, axis=1)
         self.weight = weight
         self.total = _ordered_sum(weight)
         self.order = np.lexsort(self.rows.T[::-1])

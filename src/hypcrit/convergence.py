@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import _BLOCK, _row_lcp, _TreePaths, _word_rows, pairwise_distances
+from .arrays import _block_rows, _row_lcp, _TreePaths, _word_rows, pairwise_distances
 from .errors import InsufficientDataError, KindMismatchError, MalformedWitnessError
 from .isometries import apply_isometry
 from .space import TREE, _GridPoint, _tree_point, distance
@@ -165,11 +165,15 @@ def _tree_snapshot(space, R, res_frac):
     words = reduced_words_upto(space.rank, depth + 1)
     vid = {w: i for i, w in enumerate(words)}
     V = len(words)  # also the id of "deeper than depth + 1"
+    # every vertex id and net index is below the size of `pid`
+    cells = (V + 1) * (nl + 1) * (steps + 1)
+    if cells > np.iinfo(np.int32).max:
+        raise ValueError("snapshot ids up to %d overflow int32" % cells)
     # lmul[c, v]: id of letter c times vertex v; row nl is the identity
-    lmul = np.full((nl + 1, V + 1), V, dtype=np.int64)
+    lmul = np.full((nl + 1, V + 1), V, dtype=np.int32)
     lmul[nl] = np.arange(V + 1)
-    parent = np.full(V + 1, V, dtype=np.int64)
-    last = np.full(V + 1, nl, dtype=np.int64)  # nl: no last letter
+    parent = np.full(V + 1, V, dtype=np.int32)
+    last = np.full(V + 1, nl, dtype=np.int32)  # nl: no last letter
     for v, w in enumerate(words):
         for ci, c in enumerate(alpha):
             lmul[ci, v] = vid.get(compose_words(c, w), V)
@@ -195,10 +199,10 @@ def _tree_snapshot(space, R, res_frac):
             ps.extend(range(1, room + 1))
             net_words.extend([w] * room)
             net_dirs.extend([d] * room)
-    pv, pd, ps = np.array(pv), np.array(pd), np.array(ps)
+    pv, pd, ps = (np.array(a, dtype=np.int32) for a in (pv, pd, ps))
     # pid[v, d, s]: net index of the point s steps from v toward d; a
     # vertex sits at s = 0 under every d
-    pid = np.full((V + 1, nl + 1, steps + 1), -1, dtype=np.int64)
+    pid = np.full((V + 1, nl + 1, steps + 1), -1, dtype=np.int32)
     pid[pv, pd, ps] = np.arange(len(pv))
     vertex = ps == 0
     pid[pv[vertex], :, 0] = np.nonzero(vertex)[0][:, None]
@@ -207,7 +211,7 @@ def _tree_snapshot(space, R, res_frac):
     elements = [SnapElement(w, disp[len(w)]) for w in words if disp[len(w)] < R - 1e-12]
     width = max((len(el.word) for el in elements), default=0)
     # letters right-aligned, padded on the left with the identity row
-    code = np.full((len(elements), width), nl, dtype=np.int64)
+    code = np.full((len(elements), width), nl, dtype=np.int32)
     for gi, el in enumerate(elements):
         code[gi, width - len(el.word) :] = [_ORDER[c] for c in el.word]
     u = np.broadcast_to(pv, (len(elements), len(pv)))
@@ -269,7 +273,7 @@ def snapshot(action, ball, epsilon, resolution=None):
             for e in sel
             if float(e.displacement) < R - 1e-12
         ]
-        table = np.full((len(elements), len(points)), -1, dtype=np.int64)
+        table = np.full((len(elements), len(points)), -1, dtype=np.int32)
         for gi, el in enumerate(elements):
             for pi, e in enumerate(sel):
                 w = compose_words(el.word, e.word)
@@ -345,14 +349,15 @@ def verify_witness(A, B, w):
 
     Memory: each snapshot's `metric` (on trees O(width n) trie node ids, on
     the plane the dense table of at most about 1.4k points) and
-    O(_BLOCK * n) temporaries: each block's common-prefix lengths and
-    float distances. Distortion and surjectivity run in the
-    tables' own order (sorted root paths on trees, the identity on the
-    plane): the witness is mapped once to fs = B.rank[f[A.order]], and
-    blocks of _BLOCK sorted rows of A are read against the rows of B at
-    fs(block), with a running column minimum for surjectivity. The
-    basepoint defect and the in-net equivariance pairs are read as lists
-    of pairs of net indices. Every entry is bitwise the entry of the dense
+    temporaries of at most `arrays._CELLS` cells each: a block holds as
+    many rows as fit in that many cells against the larger net, and its
+    common-prefix lengths and float distances are that size.
+    Distortion and surjectivity run in the tables' own order (sorted root
+    paths on trees, the identity on the plane): the witness is mapped once
+    to fs = B.rank[f[A.order]], and blocks of sorted rows of A are read
+    against the rows of B at fs(block), with a running column minimum for
+    surjectivity. The basepoint defect and the in-net equivariance pairs
+    are read as lists of pairs of net indices. Every entry is bitwise the entry of the dense
     `pairwise_distances` table and every defect is a max or min of entries
     over the same pairs, so the defects are bitwise those of the dense
     n x n computation.
@@ -373,8 +378,9 @@ def verify_witness(A, B, w):
     fs = DB.rank[f[DA.order]]
     distortion = 0.0
     cover = np.full(len(B.points), np.inf)
-    for start in range(0, len(fs), _BLOCK):
-        rows = slice(start, min(start + _BLOCK, len(fs)))
+    b = _block_rows(max(len(fs), len(cover)))
+    for start in range(0, len(fs), b):
+        rows = slice(start, min(start + b, len(fs)))
         dB = DB.sorted_rows(fs[rows])
         gap = dB[:, fs[start:]]
         gap -= DA.sorted_rows(rows, start)

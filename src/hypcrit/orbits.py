@@ -126,8 +126,9 @@ class OrbitBall:
     A tree ball is its level `sizes`: level k holds the 2r (2r - 1)^(k - 1)
     reduced words of length k of F_r, r = `rank`, each displaced by
     k * edge_length. Its `levels` (the words of each level, in canonical
-    order) and its OrbitEntry objects are built on first read. A plane
-    ball stores its entries, and its `sizes` and `levels` are None.
+    order, kept once read) and its OrbitEntry objects are built on first
+    read; `entries` and `points` enumerate the levels without keeping them.
+    A plane ball stores its entries, and its `sizes` and `levels` are None.
     """
 
     def __init__(self, radius, entries, count_by_shell, merged_words=(),
@@ -140,11 +141,14 @@ class OrbitBall:
         self.edge_length = edge_length
         self._entries = entries
 
+    def _tree_levels(self):
+        return islice(word_levels(self.rank), len(self.sizes))
+
     @cached_property
     def levels(self):
         if self.sizes is None:
             return None
-        return tuple(islice(word_levels(self.rank), len(self.sizes)))
+        return tuple(self._tree_levels())
 
     @property
     def entries(self):
@@ -152,7 +156,7 @@ class OrbitBall:
             L = self.edge_length
             self._entries = tuple(
                 OrbitEntry(w, TreePoint(w), k * L)
-                for k, words in enumerate(self.levels)
+                for k, words in enumerate(self._tree_levels())
                 for w in words
             )
         return self._entries
@@ -171,7 +175,7 @@ class OrbitBall:
     def points(self):
         """Orbit points in entry order (a tree ball builds no entries)."""
         if self._entries is None:
-            return [TreePoint(w) for w in self.words()]
+            return [TreePoint(w) for words in self._tree_levels() for w in words]
         return [e.point for e in self._entries]
 
 

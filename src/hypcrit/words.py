@@ -10,7 +10,6 @@ inverse, ranks in alphabet order.
 """
 
 from itertools import chain, islice
-from itertools import product as iproduct
 
 _LOWER = "abcdefghijklmnopqrstuvwxyz"
 
@@ -87,23 +86,32 @@ def reduced_words_of_length(rank, n):
     return next(islice(word_levels(rank), n, None))
 
 
+def reduced_word_at(rank, n, i):
+    """The i-th reduced word of length n in canonical order (negative i
+    counts from the end; IndexError outside the level), built from i alone.
+
+    Level n of `word_levels` is a mixed-radix count: its first digit, base
+    2 rank, picks the first letter, and each later digit, base 2 rank - 1,
+    picks among the letters that do not cancel the previous one, in
+    canonical order.
+    """
+    q = 2 * rank - 1
+    i = range((q + 1) * q ** (n - 1) if n else 1)[i]
+    if not n:
+        return ""
+    digits = []
+    for _ in range(n - 1):
+        i, d = divmod(i, q)
+        digits.append(d)
+    ranks = [i]
+    for d in reversed(digits):
+        # the inverse of letter rank r has rank r ^ 1; skip it
+        ranks.append(d + (d >= (ranks[-1] ^ 1)))
+    alph = letters(rank)
+    return "".join(alph[r] for r in ranks)
+
+
 def reduced_words_upto(rank, n):
     """All reduced words of length <= n, in canonical order: the first
     n + 1 levels of `word_levels`."""
     return list(chain.from_iterable(islice(word_levels(rank), n + 1)))
-
-
-def brute_force_reduced_words_upto(rank, n):
-    """Independent enumeration: filter all letter strings of length <= n.
-
-    Exponentially slower than reduced_words_upto; used as a test oracle
-    only. Returns a sorted list (canonical order).
-    """
-    alph = letters(rank)
-    found = {""}
-    for k in range(1, n + 1):
-        for tup in iproduct(alph, repeat=k):
-            w = "".join(tup)
-            if is_reduced(w):
-                found.add(w)
-    return sorted(found, key=word_key)

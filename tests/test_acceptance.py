@@ -51,7 +51,8 @@ from hypcrit.orbits import (
     tree_action,
 )
 from hypcrit.space import ModelSpace
-from hypcrit.words import brute_force_reduced_words_upto, reduced_words_of_length
+from hypcrit.words import reduced_words_of_length
+from word_oracle import brute_force_reduced_words_upto
 
 LOG3 = math.log(3.0)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypcrit.arrays import _row_lcp, _word_rows
+from hypcrit.arrays import _level_rows, _row_lcp, _word_rows
 from hypcrit.boundary import (
     Atom,
     AtomicMeasure,
@@ -38,7 +38,7 @@ from hypcrit.errors import DepthError, InsufficientDataError, MeasureError
 from hypcrit.isometries import PlaneIsometry, certify_ping_pong, schottky_pair
 from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
 from hypcrit.space import Ray, TreePoint, _lcp, _tree_separation, distance, geodesic_point, ray_point
-from hypcrit.words import reduced_words_upto
+from hypcrit.words import reduced_words_of_length, reduced_words_upto
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +229,35 @@ def test_tree_limit_set_sample_is_read_lazily(f2, f2_ball):
         sam[len(sam)]
     # rng.sample indexes the sequence, so the draws are those of a list
     assert qc_hull_sample(f2, sam, 40, seed=3) == qc_hull_sample(f2, list(sam), 40, seed=3)
+
+
+def test_tree_limit_set_sample_lists_no_level(f2):
+    # the verify shadow-ball sample: its approximants' words are unranked
+    # from their indices, and the ball's 118,097 words are never listed
+    ball = enumerate_orbit_ball(f2, 10)
+    sam = limit_set_sample(f2, ball, 10)
+    n = len(sam)
+    assert n == 4 * 3**9
+    picks = [sam[i] for i in (0, 1, n // 2, -1)]
+    assert "levels" not in ball.__dict__
+    level = ball.levels[10]
+    assert picks == [tree_boundary(level[i]) for i in (0, 1, n // 2, -1)]
+
+
+def test_tree_measure_rows_list_no_level(f2):
+    # the boundary atoms' letter rows are written level by level from
+    # letter ranks, the rows of the listed words, and the ball's words are
+    # never listed
+    for rank in (1, 2, 3):
+        for lo in range(6):
+            for hi in range(lo, 7):
+                words = [w for k in range(lo, hi) for w in reduced_words_of_length(rank, k)]
+                want = _word_rows(words, hi if lo < hi else 1)
+                got = _level_rows(rank, range(lo, hi))
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    ball = enumerate_orbit_ball(f2, 8)
+    atoms = patterson_sullivan_atoms(f2, ball, 1.3)._tree_atoms
+    assert len(atoms.rows) == 4 * 3**5 * (1 + 3 + 9) and "levels" not in ball.__dict__
 
 
 def fraction_hull(action, limit_samples, pair_count, seed, points_per_pair=8):

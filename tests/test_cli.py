@@ -184,6 +184,45 @@ def test_tree_converge_peak_rss(tmp_path):
     assert kib / 1024.0 < 75.0
 
 
+def peak_rss_mib(tmp_path, command, scenario):
+    """ru_maxrss in MiB of one CLI run from a fresh interpreter, which must
+    exit 0."""
+    argv = [sys.executable, "-m", "hypcrit.cli", command, "--scenario", str(scenario),
+            "--out", str(tmp_path / command)]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    code, kib = map(int, out.stdout.split())
+    assert code == 0
+    return kib / 1024.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_tree_runs_peak_rss_follows_what_they_read(tmp_path):
+    # verify f2_tree samples a few boundary words of a T = 10 ball without
+    # listing its 118,097 words (41 MB when it did); the three-member
+    # continuity run reads its nets by blocks of at most arrays._CELLS
+    # float cells (51 MB with blocks of 64 rows of n cells)
+    assert peak_rss_mib(tmp_path, "verify", "f2_tree") < 36.0
+    scn = cli.load_scenario("tree_rescale_family")
+    scn["converge"]["schedule"] = scn["converge"]["schedule"][:3]
+    path = tmp_path / "three.scn"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    assert peak_rss_mib(tmp_path, "converge", path) < 45.0
+
+
+def test_tree_verify_lists_no_ball_words(tmp_path, monkeypatch):
+    # every tree sample of verify f2_tree is unranked or enumerated, never
+    # read from a ball's cached levels
+    from hypcrit.orbits import OrbitBall
+
+    def fail(ball):
+        raise AssertionError("a tree ball's levels were listed")
+
+    monkeypatch.setattr(OrbitBall, "levels", property(fail))
+    assert run(["verify", "--scenario", "f2_tree", "--out", str(tmp_path)]) == 0
+
+
 def test_emit_witnesses_includes_rows(tmp_path):
     assert run([
         "verify", "--scenario", "f2_tree", "--out", str(tmp_path), "--emit-witnesses"

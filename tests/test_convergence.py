@@ -23,7 +23,7 @@ from hypcrit.convergence import (
 from hypcrit.errors import InsufficientDataError, KindMismatchError, MalformedWitnessError
 from hypcrit.isometries import apply_isometry, certify_ping_pong, schottky_pair
 from hypcrit.orbits import _exact_T, enumerate_orbit_ball, schottky_action, tree_action
-from hypcrit.space import TreePoint, _GridPoint, _path_distance, distance
+from hypcrit.space import TreePoint, _GridPoint, _path_distance, _tree_separation, distance
 from hypcrit.words import compose_words, letters, reduced_words_upto
 
 
@@ -458,13 +458,32 @@ def witness_search_peak(f2, rescale_limit):
 def test_search_witness_memory_grows_with_the_output(f2, rescale_limit):
     # dense float tables of these nets take 56 + 118 MB before any
     # temporary, n^2 int8 prefix tables 7 + 15 MB; the trie level ids take
-    # O(width n) and the float blocks O(_BLOCK n)
+    # O(width n) and the float blocks at most arrays._CELLS cells
     assert witness_search_peak(f2, rescale_limit) < 40e6
 
 
 def test_search_witness_keeps_no_quadratic_table(f2, rescale_limit):
     # B's n^2 int8 prefix table alone would take 14.7 MB
     assert witness_search_peak(f2, rescale_limit) < 12e6
+
+
+def test_search_witness_blocks_are_sized_by_cells(f2, rescale_limit, monkeypatch):
+    # blocks of 64 rows held 64 x 3841 float cells per temporary, 8.5 MB
+    # at the peak; a block of at most arrays._CELLS cells keeps it below 4 MB
+    from hypcrit import arrays
+
+    assert witness_search_peak(f2, rescale_limit) < 4e6
+    shapes = []
+    sorted_rows = _TreePaths.sorted_rows
+
+    def record(self, rows, start=0):
+        out = sorted_rows(self, rows, start)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(_TreePaths, "sorted_rows", record)
+    witness_search_peak(f2, rescale_limit)
+    assert len(shapes) > 100 and max(r * c for r, c in shapes) <= arrays._CELLS
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +571,7 @@ def shallow_rank_distances(L, wl, off, lcp, i, j):
 
 def trie_block_prefix_table(paths):
     """The (n, n) int8 common-prefix lengths among `paths`' points in
-    sorted order, the quadratic reference of `_TreePaths.lcp_rows`.
+    sorted order, the quadratic reference of `lcp_rows`.
 
     Filled by trie blocks. For each level k = 1 .. width, the sorted rows
     whose adjacent common-prefix lengths are >= k form contiguous runs (the
@@ -568,6 +587,18 @@ def trie_block_prefix_table(paths):
             table[a : b + 1, a : b + 1] += 1
     np.fill_diagonal(table, paths.width)
     return table
+
+
+def lcp_rows(paths, rows, start=0):
+    """(len(rows), n - start) int8 common-prefix lengths of `paths`' points
+    at sorted positions `rows` against the sorted positions from `start`
+    on, as `_TreePaths.sorted_rows` finds them: the per-level compare of
+    `lcp` on the columns within the rows' span, and outside it the min of
+    a per-row and a per-column running minimum (`_TreePaths._spans`)."""
+    rows, left, right, (up, back), (down, run) = paths._spans(rows, start)
+    mid = paths.lcp(rows[:, None], slice(left, right))
+    before, after = np.minimum(up[:, None], back), np.minimum(down[:, None], run)
+    return np.concatenate((before, mid, after), axis=1)
 
 
 @pytest.mark.parametrize(
@@ -610,13 +641,13 @@ def test_sorted_prefix_table_matches_the_shallow_rank_formula(valence, ell, eps,
         assert np.array_equal(metric.pairs(rows, rows), ref[k, rows])
         a = metric.rank[rows]
         assert np.array_equal(metric.sorted_rows(a), ref[:, metric.order])
-        assert np.array_equal(paths.lcp_rows(a), table[a])
+        assert np.array_equal(lcp_rows(paths, a), table[a])
         assert np.array_equal(paths.lcp(a[:, None], slice(None)), table[a])
         # contiguous sorted rows from their first position on, as
         # verify_witness reads A
         block = slice(start, min(start + 64, n))
-        assert np.array_equal(paths.lcp_rows(block, start), table[block, start:])
-        assert np.array_equal(paths.lcp_rows(block, start + 100), table[block, start + 100 :])
+        assert np.array_equal(lcp_rows(paths, block, start), table[block, start:])
+        assert np.array_equal(lcp_rows(paths, block, start + 100), table[block, start + 100 :])
     # unsorted rows with repeats, as fs = rank[f[order]] gives for a
     # non-injective f: a wide random set, and near runs as a word-wise map
     # between nets makes
@@ -624,8 +655,64 @@ def test_sorted_prefix_table_matches_the_shallow_rank_formula(valence, ell, eps,
     for rows in (rng.integers(0, n, 300), np.repeat(rng.integers(0, n, 40), 3), near):
         for start in range(0, len(rows), 64):
             r = rows[start : start + 64]
-            assert np.array_equal(paths.lcp_rows(r), table[r])
+            assert np.array_equal(lcp_rows(paths, r), table[r])
             lcp = table[r][:, paths.rank]
             ref = shallow_rank_distances(L, wl, off, lcp, metric.order[r][:, None], slice(None))
             assert np.array_equal(metric.sorted_rows(r), ref[:, metric.order])
             assert np.array_equal(metric.sorted_rows(r, 5), ref[:, metric.order[5:]])
+
+
+def random_tree_net(rng, ell, n, steps=24):
+    """n random tree points with float offsets on an edge/steps grid, their
+    words grown from the prefixes of earlier ones so that root paths share
+    long prefixes, with some points repeated."""
+    alph = letters(2)
+    words, dirs, offs = [""], [None], [0.0]
+    while len(words) < n:
+        if words and rng.random() < 0.1:
+            i = rng.randrange(len(words))  # a repeated point
+            words.append(words[i]), dirs.append(dirs[i]), offs.append(offs[i])
+            continue
+        w = rng.choice(words)[: rng.randrange(7)]
+        for _ in range(rng.randrange(4)):
+            w += rng.choice([c for c in alph if not w or c != w[-1].swapcase()])
+        s = rng.randrange(steps)
+        d = rng.choice([c for c in alph if not w or c != w[-1].swapcase()]) if s else None
+        words.append(w), dirs.append(d), offs.append(float(s * ell / steps))
+    return words, dirs, offs
+
+
+@pytest.mark.parametrize("ell", [Fraction(1), Fraction(9, 8), Fraction(257, 256), Fraction(1, 3)],
+                         ids=["L=1", "L=9/8", "L=257/256", "L=1/3"])
+def test_tree_path_distances_match_the_scalar_kernel(ell):
+    # sorted_rows, pairs and distances bit for bit against the scalar
+    # separation of `space._tree_separation` in the min form's float order,
+    # (depth_i + depth_j) - 2 sep, and, on the exact integer grid, against
+    # `space._path_distance`; the row sets lie far apart in sorted order, so
+    # most columns take the outer-minimum path of `sorted_rows`
+    rng = random.Random(7)
+    L = float(ell)
+    words, dirs, offs = random_tree_net(rng, ell, 300)
+    n = len(words)
+    paths = _TreePaths(ell, words, dirs, offs)
+    fpts = [_GridPoint(w, o, d) for w, d, o in zip(words, dirs, offs)]
+    gpts = [_GridPoint(w, round(o * 24 / L), d) for w, d, o in zip(words, dirs, offs)]
+    depth = [len(w) * L + o for w, o in zip(words, offs)]
+
+    def ref(i, j):
+        return (depth[i] + depth[j]) - 2 * _tree_separation(L, fpts[i], fpts[j])
+
+    table = np.array([[ref(i, j) for j in range(n)] for i in range(n)])
+    exact = np.array([[_path_distance(24, gpts[i], gpts[j]) for j in range(n)] for i in range(n)])
+    assert np.allclose(table, exact * L / 24, rtol=0, atol=1e-12)
+    order = paths.order
+    blocks = [np.array([0, n // 2, n - 1]), np.array([n - 1, 3, 3, n // 3]),
+              np.arange(0, n, 37), np.array([n // 2]), np.array(rng.sample(range(n), 40))]
+    for rows in blocks:
+        for start in (0, 1, n // 4, n // 2 + 1, n - 1):
+            got = paths.sorted_rows(rows, start)
+            assert got.tobytes() == table[order[rows]][:, order[start:]].tobytes()
+        assert paths.distances(order[rows]).tobytes() == table[order[rows]].tobytes()
+    i = np.array([rng.randrange(n) for _ in range(2000)])
+    j = np.array([rng.randrange(n) for _ in range(2000)])
+    assert paths.pairs(i, j).tobytes() == table[i, j].tobytes()

@@ -30,7 +30,8 @@ from hypcrit.orbits import (
     tree_action,
 )
 from hypcrit.space import ModelSpace, plane_distance
-from hypcrit.words import brute_force_reduced_words_upto, word_key
+from hypcrit.words import word_key
+from word_oracle import brute_force_reduced_words_upto
 
 
 @pytest.fixture(scope="module")

@@ -3,16 +3,17 @@ import random
 import pytest
 
 from hypcrit.words import (
-    brute_force_reduced_words_upto,
     compose_words,
     cyclic_reduce,
     invert_word,
     is_reduced,
     letters,
+    reduced_word_at,
     reduced_words_of_length,
     reduced_words_upto,
     word_key,
 )
+from word_oracle import brute_force_reduced_words_upto
 
 
 def reduce_word(w):
@@ -101,3 +102,19 @@ def test_cyclic_reduce_fixes_conjugation():
 def test_rank_edge_cases():
     assert letters(1) == ["a", "A"]
     assert reduced_words_of_length(1, 3) == ["aaa", "AAA"]
+
+
+def test_unranked_words_are_the_listed_levels():
+    # the i-th word of a level from i alone, against the listed level and
+    # the brute-force oracle's order, at every index, from both ends
+    for rank in (1, 2, 3):
+        oracle = brute_force_reduced_words_upto(rank, 6)
+        for k in range(7):
+            level = reduced_words_of_length(rank, k)
+            assert level == [w for w in oracle if len(w) == k]
+            n = len(level)
+            assert [reduced_word_at(rank, k, i) for i in range(n)] == level
+            assert [reduced_word_at(rank, k, i - n) for i in range(n)] == level
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    reduced_word_at(rank, k, i)
