@@ -6,7 +6,9 @@ A snapshot discretizes the data quantified over by an equivariant
 eps-approximation: a net of the 1/eps-ball, the elements displacing the
 basepoint by strictly less than 1/eps, and the exact action table between
 them. Verification recomputes every defect from scratch; search only ever
-returns witnesses that re-verify.
+returns witnesses that re-verify, and refutes a candidate at its first
+defect >= eps, evaluated in cost order (basepoint, distortion block by
+block, surjectivity, equivariance).
 
 A tree snapshot reads only its orbit ball's radius: net, elements and
 action table are index arithmetic on the vertex list it numbers itself
@@ -294,6 +296,10 @@ def snapshot(action, ball, epsilon, resolution=None):
     )
 
 
+#: the judged defects, in the order a witness is judged
+_JUDGED = ("basepoint", "distortion", "surjectivity", "phi_equivariance", "psi_equivariance")
+
+
 @dataclass(frozen=True)
 class WitnessDefects:
     basepoint: float
@@ -304,13 +310,8 @@ class WitnessDefects:
     discretization: float
 
     def worst(self):
-        return max(
-            self.basepoint,
-            self.distortion,
-            self.surjectivity,
-            self.phi_equivariance,
-            self.psi_equivariance,
-        )
+        """The largest judged defect; NaN marks one not evaluated."""
+        return max(v for v in (getattr(self, name) for name in _JUDGED) if not math.isnan(v))
 
 
 @dataclass(frozen=True)
@@ -324,6 +325,9 @@ class ApproximationWitness:
 
 @dataclass(frozen=True)
 class SearchFailure:
+    """A refuted candidate: `reason` names the defect that reached eps and
+    `defects` holds the values evaluated up to it, math.nan after it."""
+
     reason: str
     defects: WitnessDefects
 
@@ -345,7 +349,8 @@ def verify_witness(A, B, w):
     net with its covering radius added; the remaining conditions are
     evaluated on the nets exactly, with the combined covering radius of
     both nets reported separately as discretization slack. Valid iff every
-    defect is strictly below w.epsilon.
+    defect is strictly below w.epsilon. Every defect is evaluated, valid
+    witness or not; `search_witness` stops at the first that reaches eps.
 
     Memory: each snapshot's `metric` (on trees O(width n) trie node ids, on
     the plane the dense table of at most about 1.4k points) and
@@ -368,12 +373,40 @@ def verify_witness(A, B, w):
     |DB(fs_a, fs_b) - DA(a, b)| is too, and every pair (a, b) with b < a is
     read as (b, a) in b's block.
     """
+    defects = _judge_witness(A, B, w)[1]
+    return defects.worst() < float(w.epsilon), defects
+
+
+def _judge_witness(A, B, w, stop=None):
+    """(refuting defect name or None, WitnessDefects) of the witness.
+
+    The defects are evaluated in cost order, `_witness_defects`; with a
+    stop, the first whose value reaches it refutes the witness, and the
+    defects after it are left math.nan. Discretization slack is always
+    filled in: it is read, not evaluated.
+    """
     _check_table("f", w.f, len(A.points), len(B.points))
     _check_table("phi", w.phi, len(A.elements), max(len(B.elements), 1))
     _check_table("psi", w.psi, len(B.elements), max(len(A.elements), 1))
-    f = np.asarray(w.f, dtype=np.int64)
+    got = dict.fromkeys(_JUDGED, math.nan)
+    refuted = None
+    for name, value in _witness_defects(A, B, np.asarray(w.f, dtype=np.int64), w):
+        got[name] = value
+        if stop is not None and value >= stop:
+            refuted = name
+            break
+    return refuted, WitnessDefects(
+        **got, discretization=A.covering_radius + B.covering_radius
+    )
+
+
+def _witness_defects(A, B, f, w):
+    """Yield (name, value) of the judged defects, cheapest first: the
+    basepoint defect; the running distortion maximum after each block of
+    rows; surjectivity; phi and psi equivariance. The last value yielded
+    under each name is that defect (`verify_witness` explains the blocks)."""
     DA, DB = A.metric, B.metric
-    base = float(DB.pairs(f[[A.base_index]], [B.base_index])[0])
+    yield "basepoint", float(DB.pairs(f[[A.base_index]], [B.base_index])[0])
     # the witness in table order: A's position a goes to B's position fs[a]
     fs = DB.rank[f[DA.order]]
     distortion = 0.0
@@ -385,17 +418,11 @@ def verify_witness(A, B, w):
         gap = dB[:, fs[start:]]
         gap -= DA.sorted_rows(rows, start)
         distortion = max(distortion, float(np.abs(gap, out=gap).max()))
+        yield "distortion", distortion
         np.minimum(cover, dB.min(axis=0), out=cover)
-    surj = float(cover.max()) + B.covering_radius
-    phi_def = _equivariance_defect(A, B, f, w.phi, forward=True)
-    psi_def = _equivariance_defect(A, B, f, w.psi, forward=False)
-    defects = WitnessDefects(
-        base, distortion, surj, phi_def, psi_def,
-        A.covering_radius + B.covering_radius,
-    )
-    eps = float(w.epsilon)
-    valid = defects.worst() < eps
-    return valid, defects
+    yield "surjectivity", float(cover.max()) + B.covering_radius
+    yield "phi_equivariance", _equivariance_defect(A, B, f, w.phi, forward=True)
+    yield "psi_equivariance", _equivariance_defect(A, B, f, w.psi, forward=False)
 
 
 def _equivariance_defect(A, B, f, mapping, forward):
@@ -488,21 +515,27 @@ def _match_element(word, index):
 
 
 def search_witness(A, B, epsilon):
-    """Build a candidate witness, verify it, and return it only if valid.
+    """Build a candidate witness, judge it, and return it only if valid.
 
     The snapshots must be of the same model kind (KindMismatchError
     otherwise); they share word labels (tree vs rescaled tree, or members
     of a parametric family), so the tables are built word-wise: f maps each
     point to the same-word point with the offset carried over on the
     offset grid, and phi/psi match element words (falling back to the
-    longest available prefix for shell-straddling elements). Failures
-    return a SearchFailure carrying the best defect vector found.
+    longest available prefix for shell-straddling elements).
+
+    The candidate is judged as `verify_witness` judges it, but the defects
+    are tested in cost order and the first that reaches eps ends the
+    search: a distortion block, not the whole n_A x n_B table, refutes a
+    far-off net. The verdict is the same, since a witness is valid iff
+    every defect is below eps, and a valid witness carries every defect,
+    bitwise. A failure is a SearchFailure naming the refuting defect.
     """
     w = _wordwise_witness(A, B, epsilon)
-    valid, defects = verify_witness(A, B, w)
-    if valid:
+    refuted, defects = _judge_witness(A, B, w, w.epsilon)
+    if refuted is None:
         return ApproximationWitness(w.f, w.phi, w.psi, w.epsilon, defects)
-    return SearchFailure("verification failed", defects)
+    return SearchFailure(refuted, defects)
 
 
 def _wordwise_witness(A, B, epsilon):
@@ -683,7 +716,8 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
             if not _reaches(ball, 1.0 / eps):
                 continue
             # every rung is tried: a shell-straddling radius can fail while
-            # smaller rungs still succeed
+            # smaller rungs still succeed; a failing rung stops at its first
+            # defect >= eps, on a far-off net about one distortion block
             got = search_witness(make_snapshot(action, ball, eps), limit_snapshot(eps), eps)
             if isinstance(got, ApproximationWitness):
                 achieved = eps

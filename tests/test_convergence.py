@@ -388,8 +388,39 @@ def scalar_offnet_defect(snap, el_idx, xs, ys):
     return float(Fraction(worst) * snap.resolution), up
 
 
-def test_offnet_defect_matches_the_scalar_loop_on_the_tree_family(tmp_path, monkeypatch):
-    # every call of the full `converge tree_rescale_family`
+def family_cases(name, check, monkeypatch):
+    """Run the bundled family `name` through run_continuity_experiment,
+    configured as `converge` configures it, with check(A, B, eps) in place
+    of search_witness on every (member, rung); returns check's results. The
+    experiment sees no witness."""
+    scn = cli.load_scenario(name)
+    block = scn["converge"]
+    if block["family"] == "tree-rescale":
+        key, params = "edge_length", [Fraction(v) for v in block["schedule"] + [block["limit"]]]
+        config = ContinuityConfig(param_scale=float)
+    else:
+        key, params = "L", [float(v) for v in block["schedule"] + [block["limit"]]]
+        config = ContinuityConfig(
+            ball_T=float(block["ball_T"]), eps_ladder=tuple(block["eps_ladder"]),
+            rank_window=tuple(block["rank_window"]), param_scale=lambda L: L / 4.0,
+        )
+    seen = []
+    monkeypatch.setattr(
+        convergence, "search_witness", lambda A, B, eps: seen.append(check(A, B, eps))
+    )
+    run_continuity_experiment(
+        lambda p: cli.build_action({**scn["action"], key: p}), params[:-1], params[-1], config
+    )
+    return seen
+
+
+def wordwise_verdict(A, B, eps):
+    return verify_witness(A, B, convergence._wordwise_witness(A, B, eps))
+
+
+def test_offnet_defect_matches_the_scalar_loop_on_the_tree_family(monkeypatch):
+    # every off-net image of the full tree_rescale_family's word-wise
+    # witnesses, each verified in full
     offnet = convergence._tree_offnet_defect
     seen = {"calls": 0, "points": 0}
 
@@ -401,8 +432,35 @@ def test_offnet_defect_matches_the_scalar_loop_on_the_tree_family(tmp_path, monk
         return got
 
     monkeypatch.setattr(convergence, "_tree_offnet_defect", both)
-    assert cli.main(["converge", "--scenario", "tree_rescale_family", "--out", str(tmp_path)]) == 0
+    assert len(family_cases("tree_rescale_family", wordwise_verdict, monkeypatch)) == 80
     assert seen == {"calls": 220, "points": 36928}
+
+
+@pytest.mark.parametrize("name, cases", [("tree_rescale_family", 80), ("schottky_family", 49)])
+def test_search_decides_as_full_verification(name, cases, monkeypatch):
+    # search_witness stops at the first defect >= eps; its verdict is the
+    # full verification's, a valid witness carries the full defects
+    # bitwise, and a failure's defects are the full ones up to the
+    # refuting defect, which is >= eps and <= its full value, NaN after it
+    judged = convergence._JUDGED
+
+    def both(A, B, eps):
+        valid, full = wordwise_verdict(A, B, eps)
+        got = search_witness(A, B, eps)
+        assert isinstance(got, ApproximationWitness) == valid
+        want = [getattr(full, k).hex() for k in judged]
+        have = [getattr(got.defects, k).hex() for k in judged]
+        if valid:
+            assert have == want and got.defects == full
+            return True
+        at = judged.index(got.reason)
+        assert have[:at] == want[:at]
+        assert eps <= getattr(got.defects, got.reason) <= getattr(full, got.reason)
+        assert all(math.isnan(getattr(got.defects, k)) for k in judged[at + 1:])
+        return False
+
+    verdicts = family_cases(name, both, monkeypatch)
+    assert len(verdicts) == cases and any(verdicts) and not all(verdicts)
 
 
 @pytest.mark.parametrize("ell", [Fraction(1), Fraction(3, 2)])
@@ -437,14 +495,21 @@ def test_plane_wordwise_witness_matches_dense_reference():
     assert assert_matches_dense(*snaps, [w]) > 0
 
 
-def witness_search_peak(f2, rescale_limit):
-    """search_witness at L = 9/8 and eps 0.25 (2653 x 3841 points) and its
-    tracemalloc peak, snapshot tables included."""
+def witness_nets(f2, rescale_limit):
+    """The snapshots of L = 9/8 and of the limit at eps 0.25 (2653 x 3841
+    points), as the continuity experiment builds them."""
     ell = Fraction(9, 8)
     member = tree_action(edge_length=ell)
     A = snapshot(member, enumerate_orbit_ball(member, 4 * ell), 0.25, resolution=ell / 24)
     B = snapshot(f2, rescale_limit, 0.25, resolution=Fraction(1, 24))
     assert (len(A.points), len(B.points)) == (2653, 3841)
+    return A, B
+
+
+def witness_search_peak(f2, rescale_limit):
+    """search_witness at L = 9/8 and eps 0.25 (2653 x 3841 points) and its
+    tracemalloc peak, snapshot tables included."""
+    A, B = witness_nets(f2, rescale_limit)
     tracemalloc.start()
     try:
         got = search_witness(A, B, 0.25)
@@ -473,6 +538,13 @@ def test_search_witness_blocks_are_sized_by_cells(f2, rescale_limit, monkeypatch
     from hypcrit import arrays
 
     assert witness_search_peak(f2, rescale_limit) < 4e6
+    shapes = record_sorted_rows(monkeypatch)
+    wordwise_verdict(*witness_nets(f2, rescale_limit), 0.25)
+    assert len(shapes) > 100 and max(r * c for r, c in shapes) <= arrays._CELLS
+
+
+def record_sorted_rows(monkeypatch):
+    """The shapes of the blocks `_TreePaths.sorted_rows` returns from now on."""
     shapes = []
     sorted_rows = _TreePaths.sorted_rows
 
@@ -482,8 +554,27 @@ def test_search_witness_blocks_are_sized_by_cells(f2, rescale_limit, monkeypatch
         return out
 
     monkeypatch.setattr(_TreePaths, "sorted_rows", record)
-    witness_search_peak(f2, rescale_limit)
-    assert len(shapes) > 100 and max(r * c for r, c in shapes) <= arrays._CELLS
+    return shapes
+
+
+def test_search_stops_at_the_first_block_that_refutes(f2, rescale_limit, monkeypatch):
+    # full verification reads more than 100 blocks of this pair of nets;
+    # the first, of 17 rows, already holds a distortion above 0.25
+    A, B = witness_nets(f2, rescale_limit)
+    shapes = record_sorted_rows(monkeypatch)
+    got = search_witness(A, B, 0.25)
+    assert isinstance(got, SearchFailure) and got.reason == "distortion"
+    assert len(shapes) <= 2 and math.isnan(got.defects.surjectivity)
+
+
+def test_basepoint_defect_refutes_before_any_block(snap, monkeypatch):
+    w = identity_witness(snap, 0.5)
+    f = list(w.f)
+    f[snap.base_index] = snap.grid_index[1]["a"]  # one edge from the basepoint
+    shapes = record_sorted_rows(monkeypatch)
+    got = convergence._judge_witness(snap, snap, ApproximationWitness(f, w.phi, w.psi, 0.5), 0.5)
+    assert got[0] == "basepoint" and got[1].basepoint == 1.0 and shapes == []
+    assert all(math.isnan(v) for v in (got[1].distortion, got[1].surjectivity))
 
 
 # ---------------------------------------------------------------------------

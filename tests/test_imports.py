@@ -174,6 +174,31 @@ def test_rejected_entropy_run_loads_no_audit_module(tmp_path):
         assert all(m.startswith("hypcrit.") for m in got["resolved"].values())
 
 
+def bench_setup_code():
+    """`SETUP_CODE` of bench/run.py, the benchmark's set-up probe, read
+    without importing the harness."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SETUP_CODE":
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py defines no SETUP_CODE")
+
+
+#: every hypcrit module the set-up probe loads: `setup_s` times these alone
+SETUP_MODULES = ["hypcrit"] + [
+    "hypcrit." + m for m in ("cli", "errors", "isometries", "orbits", "space", "words")
+]
+
+
+def test_benchmark_setup_loads_only_the_action_builders():
+    code = bench_setup_code() + (
+        "\nimport json\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('hypcrit', 'numpy')))))\n"
+    )
+    scenarios = [str(SRC / "scenarios" / (s + ".scn")) for s in ("f2_tree", "tree_rescale_family")]
+    assert _run(code, *scenarios) == SETUP_MODULES
+
+
 _THREADS = """
 import json, os
 import hypcrit.cli
