@@ -404,7 +404,8 @@ def check_shadow_ball_lemma(action, samples, ts, seed=0, pair_count=200):
 
 
 def limit_set_sample(action, ball, min_displacement):
-    """Boundary approximants accumulated by the orbit, as a sequence.
+    """Boundary approximants accumulated by the orbit, as a sequence; a
+    caller that keeps the first few slices it.
 
     Tree: deep entry words read as truncated boundary words, in a
     `_LevelItems` that builds each approximant, and its word, from its
@@ -413,48 +414,29 @@ def limit_set_sample(action, ball, min_displacement):
     of the entries' isometries (hyperbolic words only), tagged with the
     producing word, deduplicated at 1e-9, in a list.
     """
-    if action.space.kind == TREE:
-        return _tree_limit_set(ball, min_displacement)
-    return list(limit_set_approximants(action, ball, min_displacement))
-
-
-def _tree_limit_set(ball, min_displacement):
     if float(ball.radius) < float(min_displacement):
         raise InsufficientDataError("ball shallower than min_displacement")
-    deep = [
-        (k, n) for k, n in enumerate(ball.sizes)
-        if k and float(k * ball.edge_length) >= float(min_displacement)
-    ]
-    sample = _LevelItems(ball.rank, deep, lambda k, w: tree_boundary(w))
+    if action.space.kind == TREE:
+        deep = [
+            (k, n) for k, n in enumerate(ball.sizes)
+            if k and float(k * ball.edge_length) >= float(min_displacement)
+        ]
+        sample = _LevelItems(ball.rank, deep, lambda k, w: tree_boundary(w))
+    else:
+        sample, seen = [], set()
+        for e in ball.entries:
+            if not e.word or float(e.displacement) < float(min_displacement):
+                continue
+            b = _plane_entry_boundary(e)
+            if b is None:
+                continue
+            key = "inf" if b.coord == math.inf else round(b.coord / 1e-9)
+            if key not in seen:
+                seen.add(key)
+                sample.append(b)
     if not sample:
         raise InsufficientDataError("no entries deep enough")
     return sample
-
-
-def limit_set_approximants(action, ball, min_displacement):
-    """The approximants of `limit_set_sample`, in its order, each built
-    when it is read: a caller that keeps the first N builds N."""
-    if action.space.kind == TREE:
-        yield from _tree_limit_set(ball, min_displacement)
-        return
-    if float(ball.radius) < float(min_displacement):
-        raise InsufficientDataError("ball shallower than min_displacement")
-    found = False
-    seen = set()
-    for e in ball.entries:
-        if not e.word or float(e.displacement) < float(min_displacement):
-            continue
-        b = _plane_entry_boundary(e)
-        if b is None:
-            continue
-        key = "inf" if b.coord == math.inf else round(b.coord / 1e-9)
-        if key in seen:
-            continue
-        seen.add(key)
-        found = True
-        yield b
-    if not found:
-        raise InsufficientDataError("no entries deep enough")
 
 
 def _plane_entry_boundary(entry):
@@ -662,7 +644,7 @@ def patterson_sullivan_atoms(action, ball, s):
     """
     if s <= 0:
         raise MeasureError("s must be positive")
-    shells = [(t, n) for t, n in ball.count_by_shell if n > 0]
+    shells = ball.count_by_shell
     if len(shells) >= 3 and shells[-1][1] > shells[-2][1] > 1:
         h_rough = (math.log(shells[-1][1]) - math.log(shells[-2][1])) / (
             shells[-1][0] - shells[-2][0]

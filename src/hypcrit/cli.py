@@ -178,10 +178,10 @@ def cmd_entropy(scenario, args, outdir):
         poincare_partial,
         recheck_equidistribution,
     )
-    from .orbits import _exact_T, _member_counts, enumerate_orbit_ball, measure_systole
+    from .orbits import enumerate_orbit_ball, measure_systole
 
-    ball = enumerate_orbit_ball(action, _exact_T(action, block["T"]))
-    counts = _member_counts(action, ball)
+    ball = enumerate_orbit_ball(action, block["T"])
+    counts = ball.count_samples
     window = tuple(float(v) for v in block["window"])
     est = estimate_critical_exponent(counts, window, block.get("method", "regression"))
 
@@ -265,14 +265,14 @@ def cmd_boundary(scenario, args, outdir):
         check_ahlfors_regularity,
         check_quasiconformality,
         cylinder_scale,
-        limit_set_approximants,
+        limit_set_sample,
         patterson_sullivan_atoms,
         tree_boundary,
         tree_cylinder_cells,
     )
-    from .orbits import _exact_T, enumerate_orbit_ball
+    from .orbits import enumerate_orbit_ball
 
-    ball = enumerate_orbit_ball(action, _exact_T(action, block["T"]))
+    ball = enumerate_orbit_ball(action, block["T"])
     measure = patterson_sullivan_atoms(action, ball, float(block["s"]))
     if block.get("dirac_control"):
         measure = _dirac_measure(measure)
@@ -292,7 +292,7 @@ def cmd_boundary(scenario, args, outdir):
         scales = sorted(set(scales), reverse=True)
         qc_cells = tree_cylinder_cells(action, int(block.get("qc_depth", 3)))
     else:
-        lim = limit_set_approximants(action, ball, float(block["min_displacement"]))
+        lim = limit_set_sample(action, ball, float(block["min_displacement"]))
         centers = list(islice(lim, int(block.get("max_centers", 40))))
         scales = [float(v) for v in block["scales"]]
         rho = float(block.get("qc_scale", scales[-1]))
@@ -357,8 +357,7 @@ def cmd_converge(scenario, args, outdir):
         valence = int(scenario["action"].get("valence", 4))
         make_member = lambda ell: build_action({**scenario["action"], "edge_length": ell})
         kw.setdefault("param_scale", float)
-        if block.get("closed_form_target", True):
-            kw.setdefault("h_target", lambda ell: math.log(valence - 1) / float(ell))
+        kw.setdefault("h_target", lambda ell: math.log(valence - 1) / float(ell))
     elif family == "schottky-length":
         schedule = [float(v) for v in block["schedule"]]
         limit = float(block["limit"])
@@ -401,12 +400,7 @@ def cmd_verify(scenario, args, outdir):
     action = build_action(scenario["action"])
     seed = _seed(scenario, args)
 
-    from .orbits import (
-        _exact_T,
-        check_generating,
-        check_word_metric_comparison,
-        enumerate_orbit_ball,
-    )
+    from .orbits import check_generating, check_word_metric_comparison, enumerate_orbit_ball
 
     delta = action.declared_delta
     if "delta_override" in block:
@@ -417,10 +411,9 @@ def cmd_verify(scenario, args, outdir):
     balls = {}
 
     def ball(T):
-        R = _exact_T(action, T)
-        if R not in balls:
-            balls[R] = enumerate_orbit_ball(action, R)
-        return balls[R]
+        if T not in balls:
+            balls[T] = enumerate_orbit_ball(action, T)
+        return balls[T]
 
     audits = {"name": scenario.get("name", ""), "delta": delta, "seed": seed}
     ok = True
@@ -450,11 +443,11 @@ def cmd_verify(scenario, args, outdir):
             audits["geodesic_lemmas"] = {"passed": rep.passed, "rows": rows}
             ok = ok and rep.passed
         elif check == "shadow_ball":
-            from .boundary import check_shadow_ball_lemma, limit_set_approximants
+            from .boundary import check_shadow_ball_lemma, limit_set_sample
 
             sb = block["shadow_ball"]
             b = ball(sb["T"])
-            lim = limit_set_approximants(action, b, float(sb["min_displacement"]))
+            lim = limit_set_sample(action, b, float(sb["min_displacement"]))
             samples = list(islice(lim, int(sb.get("max_samples", 200))))
             rep = check_shadow_ball_lemma(
                 action,

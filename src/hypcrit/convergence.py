@@ -58,7 +58,8 @@ class TripleSnapshot:
     A tree net is kept as grid data: each point's vertex word (`words`),
     direction letter (`directions`, None at a vertex) and offset in
     resolution steps (`steps`); its `points` are `TreePoint`s built when
-    read, and the hot paths never read them.
+    read, and the hot paths never read them. A plane snapshot has no
+    resolution (None): its net is its orbit sample.
 
     `metric` holds the net's distances, read by sorted rows and by pairs
     (a `_TreePaths` or a `_DenseTable`).
@@ -232,10 +233,11 @@ def _reaches(ball, R):
 def snapshot(action, ball, epsilon, resolution=None):
     """Discretize (space, basepoint, group) at scale eps from an orbit ball.
 
-    resolution defaults to edge/16 on trees with edge <= 1 and edge/24
+    A tree resolution defaults to edge/16 for edge <= 1 and edge/24
     otherwise; it must satisfy resolution <= eps/4 so the discretization
-    error stays subordinate to eps, and on trees it must be edge/m for an
-    integer m, so that the net is closed under the action. The ball must
+    error stays subordinate to eps, and be edge/m for an integer m, so that
+    the net is closed under the action. A plane snapshot takes no
+    resolution (ValueError): its net is its orbit sample. The ball must
     reach radius 1/eps.
 
     A tree snapshot reads only the ball's radius (`_tree_snapshot` numbers
@@ -263,10 +265,8 @@ def snapshot(action, ball, epsilon, resolution=None):
         cov = float(res) / 2.0
         base_index = 0
     else:
-        if resolution is None:
-            resolution = float(epsilon) / 4.0
-        if float(resolution) > float(epsilon) / 4.0 + 1e-12:
-            raise ValueError("resolution too coarse for eps=%s" % epsilon)
+        if resolution is not None:
+            raise ValueError("a plane snapshot takes no resolution: its net is its orbit sample")
         sel = [e for e in ball.entries if float(e.displacement) <= R + 1e-9]
         points = [e.point for e in sel]
         words = {e.word: i for i, e in enumerate(sel)}
@@ -278,16 +278,11 @@ def snapshot(action, ball, epsilon, resolution=None):
         table = np.full((len(elements), len(points)), -1, dtype=np.int32)
         for gi, el in enumerate(elements):
             for pi, e in enumerate(sel):
-                w = compose_words(el.word, e.word)
-                j = words.get(w, -1)
-                table[gi, pi] = j
+                table[gi, pi] = words.get(compose_words(el.word, e.word), -1)
         # the net is the sampled orbit itself; discretization slack
         # relative to that sample is zero and is reported as such
-        cov = 0.0
-        res = float(resolution)
-        base_index = words[""]
         return TripleSnapshot(
-            action, epsilon, res, cov, points, elements, table, base_index,
+            action, epsilon, None, 0.0, points, elements, table, words[""],
             point_words=tuple(e.word for e in sel),
         )
     return TripleSnapshot(
@@ -648,9 +643,9 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
     on, so |h_n - h_limit| <= h_tolerance + C * eps_n holds there by
     construction.
     """
-    from .entropy import equidistribution_constant, estimate_critical_exponent
+    from .entropy import equidistribution_constant, estimate_critical_exponent, rank_quantile_estimate
     from .errors import CertificationError
-    from .orbits import _exact_T, _member_counts, enumerate_orbit_ball
+    from .orbits import enumerate_orbit_ball
 
     def member_pipeline(param):
         try:
@@ -660,36 +655,17 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
                 "family member %r failed certification: %s" % (param, exc)
             ) from exc
         scale = float(config.param_scale(param)) if config.param_scale else 1.0
-        T = config.ball_T * scale
-        ball = enumerate_orbit_ball(action, _exact_T(action, T))
-        counts = _member_counts(action, ball)
+        ball = enumerate_orbit_ball(action, config.ball_T * scale)
+        counts = ball.count_samples
         if config.rank_window:
-            # two-point estimate between fixed cumulative-count quantiles:
-            # every member is measured on literally the same group
-            # elements, so the estimate varies smoothly in the parameter
-            # (distinct-displacement collapse does not, near degeneracies)
-            lo_n, hi_n = config.rank_window
-            d = sorted(float(e.displacement) for e in ball.entries)
-            if len(d) < hi_n:
-                raise InsufficientDataError(
-                    "ball too shallow for rank window %r" % (config.rank_window,)
-                )
-            h = math.log(hi_n / lo_n) / (d[hi_n - 1] - d[lo_n - 1])
-            mid = int(round(math.sqrt(lo_n * hi_n)))
-            h_mid = math.log(mid / lo_n) / (d[mid - 1] - d[lo_n - 1])
-            from .entropy import EntropyEstimate
-
-            win = (d[lo_n - 1], d[hi_n - 1])
-            est = EntropyEstimate(
-                h, win, "rank-quantile", abs(h - h_mid),
-                ((d[lo_n - 1], lo_n), (d[hi_n - 1], hi_n)),
-            )
+            est = rank_quantile_estimate(ball, config.rank_window)
         else:
             win = (config.window[0] * scale, config.window[1] * scale)
             est = estimate_critical_exponent(counts, win)
+        lo, hi = est.window
         href = config.h_target(param) if config.h_target else est.h_hat
         K = equidistribution_constant(
-            [(t, n) for t, n in counts if win[0] - 1e-9 <= t <= win[1] + 1e-9], href
+            [(t, n) for t, n in counts if lo - 1e-9 <= t <= hi + 1e-9], href
         ).K_measured
         return action, ball, est, K
 

@@ -23,6 +23,10 @@ EXACT_LIMIT = 24
 
 @dataclass(frozen=True)
 class EntropyEstimate:
+    """An exponent estimate. Its residual is, by method: regression, the
+    largest absolute log residual; last-ratio, the change from the previous
+    step's ratio; rank-quantile, |h - h_mid|."""
+
     h_hat: float
     window: tuple
     method: str
@@ -68,6 +72,24 @@ def estimate_critical_exponent(counts, window, method="regression"):
     # residual: disagreement with the previous step's ratio
     prev = (ys[-2] - ys[-3]) / (ts[-2] - ts[-3])
     return EntropyEstimate(max(float(h), 0.0), (lo, hi), method, abs(float(h - prev)), tuple(pts))
+
+
+def rank_quantile_estimate(ball, rank_window):
+    """h = log(hi/lo) / (d_hi - d_lo) over the window (d_lo, d_hi), d_n the
+    n-th smallest displacement of the ball and (lo, hi) = rank_window;
+    h_mid takes the count round(sqrt(lo hi)) for hi. Every family member
+    is measured on the same group elements, so the estimate is smooth in
+    the parameter (distinct displacements collapse near degeneracies)."""
+    lo_n, hi_n = rank_window
+    if ball.count < hi_n:
+        raise InsufficientDataError("ball too shallow for rank window %r" % (rank_window,))
+    d_lo, d_hi = ball.displacement_at(lo_n), ball.displacement_at(hi_n)
+    h = math.log(hi_n / lo_n) / (d_hi - d_lo)
+    mid = int(round(math.sqrt(lo_n * hi_n)))
+    h_mid = math.log(mid / lo_n) / (ball.displacement_at(mid) - d_lo)
+    return EntropyEstimate(
+        h, (d_lo, d_hi), "rank-quantile", abs(h - h_mid), ((d_lo, lo_n), (d_hi, hi_n))
+    )
 
 
 def poincare_partial(ball, s):
@@ -184,34 +206,30 @@ def covering_entropy_estimate(action, hull_samples, r, window):
     log is the covering-entropy estimate (an upper-bound-flavored
     greedy figure, not a certified value).
 
-    A tree ball is read off its level sizes when its vertices are isolated
-    at radius r (`_isolated_vertices`): level k lies at distance k * edge
-    from the basepoint, the float the distance kernel gives, and its
-    covering number within T is the number of its words there.
+    A tree ball whose vertices are isolated at radius r
+    (`_isolated_vertices`) is read off its counting function: every vertex
+    is its own centre, so the covering number within T is N(T + 1e-9),
+    level k at float(k * edge), within rounding of the kernel's distance.
     """
     space = action.space
     lo, hi = window
     grid_step = float(space.edge_length) if space.kind == TREE else 1.0
     ball = hull_samples if isinstance(hull_samples, OrbitBall) else None
     if ball is not None and ball.sizes is not None and _isolated_vertices(space, r):
-        edge = float(space.edge_length)
-        shells = [(k * edge, n) for k, n in enumerate(ball.sizes)]
-
-        def count_within(t):
-            return sum(n for d, n in shells if d <= t + 1e-9)
+        count_within = ball.count_within
     else:
         if ball is not None:
             hull_samples = ball.points()
         d0 = distances_to_point(space, hull_samples, action.basepoint)
 
         def count_within(t):
-            sel = [p for p, d in zip(hull_samples, d0) if d <= t + 1e-9]
+            sel = [p for p, d in zip(hull_samples, d0) if d <= t]
             return greedy_covering_count(space, sel, r) if sel else 0
 
     counts = []
     t = lo
     while t <= hi + 1e-9:
-        n = count_within(t)
+        n = count_within(t + 1e-9)
         if n:
             counts.append((t, n))
         t += grid_step

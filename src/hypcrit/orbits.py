@@ -3,7 +3,8 @@
 The enumeration core: given an action with a certified linear lower bound
 d(x, gx) >= c*|g| - c' on displacements, enumerate all distinct orbit
 points within radius T, deduplicated, with deterministic output order
-(canonical word order).
+(canonical word order). The ball owns its counting function N(t), the
+number of orbit points displaced by at most t (`OrbitBall`).
 """
 
 import bisect
@@ -121,20 +122,23 @@ class OrbitEntry:
 
 class OrbitBall:
     """All distinct orbit points within displacement `radius`, in canonical
-    word order.
+    word order, and their counting function N(t).
 
     A tree ball is its level `sizes`: level k holds the 2r (2r - 1)^(k - 1)
     reduced words of length k of F_r, r = `rank`, each displaced by
-    k * edge_length. Its `levels` (the words of each level, in canonical
-    order, kept once read) and its OrbitEntry objects are built on first
-    read; `entries` and `points` enumerate the levels without keeping them.
-    A plane ball stores its entries, and its `sizes` and `levels` are None.
+    k * edge_length, and its radius is the depth of its deepest level. Its
+    `levels` (the words of each level, in canonical order, kept once read)
+    and its OrbitEntry objects are built on first read; `entries` and
+    `points` enumerate the levels without keeping them. A plane ball
+    stores its entries, and its `sizes` and `levels` are None.
+
+    N(t), its shells, its estimator samples and its order statistics all
+    read one sorted displacement list (`_sorted`), built on first use.
     """
 
-    def __init__(self, radius, entries, count_by_shell, merged_words=(),
-                 sizes=None, rank=None, edge_length=None):
+    def __init__(self, radius, entries, merged_words=(), sizes=None, rank=None,
+                 edge_length=None):
         self.radius = radius
-        self.count_by_shell = count_by_shell
         self.merged_words = merged_words
         self.sizes = sizes
         self.rank = rank
@@ -178,6 +182,51 @@ class OrbitBall:
             return [TreePoint(w) for words in self._tree_levels() for w in words]
         return [e.point for e in self._entries]
 
+    @cached_property
+    def _sorted(self):
+        """(ds, ns): displacement floats in nondecreasing order, one per
+        level of a tree and one per entry of a plane ball (the entries'
+        own), and ns[i] the number of points displaced by at most ds[i]."""
+        if self.sizes is None:
+            ds = sorted(e.displacement for e in self._entries)
+            return ds, range(1, len(ds) + 1)
+        sizes = self.sizes
+        return ([float(k * self.edge_length) for k in range(len(sizes))],
+                [sum(sizes[:k + 1]) for k in range(len(sizes))])
+
+    def count_within(self, t):
+        """N(t): the number of points displaced by at most t."""
+        ds, ns = self._sorted
+        j = bisect.bisect_right(ds, t)
+        return ns[j - 1] if j else 0
+
+    def displacement_at(self, n):
+        """The n-th smallest displacement, 1 <= n <= count, as a float."""
+        ds, ns = self._sorted
+        return ds[bisect.bisect_left(ns, n)]
+
+    @cached_property
+    def count_by_shell(self):
+        """((t, N(t)), ...) on the shell grid up to the radius: one edge
+        apart on a tree, one unit on the plane (`_count_by_shell`)."""
+        step = 1.0 if self.sizes is None else float(self.edge_length)
+        return _count_by_shell(self.count_within, self.radius, step, self.count)
+
+    @property
+    def count_samples(self):
+        """(T, N(T)) samples for the exponent estimators, built on each
+        read: a tree ball's shells; on the plane one per displacement, a
+        displacement within 1e-9 of the last sample's raising its count."""
+        if self.sizes is not None:
+            return list(self.count_by_shell)
+        out = []
+        for d, n in zip(*self._sorted):
+            if out and d - out[-1][0] < 1e-9:
+                out[-1] = (out[-1][0], n)
+            else:
+                out.append((d, n))
+        return out
+
 
 def default_prune(action):
     if action.space.kind == TREE:
@@ -198,9 +247,10 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None):
 
     Breadth-first over reduced words with the linear prune bound capping
     word length at (T + c')/c. A tree ball counts its levels and builds no
-    word (`OrbitBall`); its shells are one edge apart, a plane ball's one
-    unit. On the plane a point closer than merge_radius to a kept entry
-    merges into the earliest such entry, found by a spatial hash in
+    word (`OrbitBall`); its radius snaps down to the edge grid, to the
+    exact depth of its deepest level. On the plane a point closer than
+    merge_radius to a kept entry merges into the earliest such entry,
+    found by a spatial hash in
     (log y, x/y) bands (`_MergeHash`). Output order is canonical word
     order: each level expands a canonically ordered frontier letter by
     letter. The ELEMENT_CAP check runs before a level is built (on a tree,
@@ -244,16 +294,10 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None):
     if tree:
         L = action.space.edge_length
         sizes = [1]
-        for k in range(1, max_len + 1):
-            if k * L > T:
-                break
+        for k in range(1, min(max_len, int(Fraction(T) / L)) + 1):
             check_cap(sum(sizes), k)
             sizes.append(level_size(k))
-        disps = [(float(k * L), n) for k, n in enumerate(sizes)]
-        shells = _count_by_shell(
-            lambda t: sum(n for d, n in disps if d <= t), T, float(L), sum(sizes)
-        )
-        return OrbitBall(T, None, shells, sizes=tuple(sizes),
+        return OrbitBall(L * (len(sizes) - 1), None, sizes=tuple(sizes),
                          rank=action.rank, edge_length=L)
 
     # the plane: one BFS level at a time on stacked (n, 4) matrix rows
@@ -283,9 +327,7 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None):
             entries.append(OrbitEntry(w, PlanePoint(z), d, PlaneIsometry(tuple(m.tolist()))))
 
     # the levels, and so the entries, are already in canonical word order
-    disps = sorted(e.displacement for e in entries)
-    shells = _count_by_shell(lambda t: bisect.bisect_right(disps, t), T, 1.0, len(entries))
-    return OrbitBall(T, tuple(entries), shells, tuple(merged_words))
+    return OrbitBall(T, tuple(entries), tuple(merged_words))
 
 
 class _MergeHash:
@@ -342,29 +384,6 @@ def _count_by_shell(count_le, T, shell_step, total):
     if not shells or abs(shells[-1][0] - Tf) > 1e-12:
         shells.append((Tf, total))
     return tuple(shells)
-
-
-def _exact_T(action, T):
-    """Keep tree ball radii on the exact rational grid when possible."""
-    if action.space.kind == TREE:
-        L = action.space.edge_length
-        return L * int(Fraction(T) / L)
-    return T
-
-
-def _member_counts(action, ball):
-    """Counting-function samples (T, N(T)) suitable for the estimators."""
-    shells = [(float(t), n) for t, n in ball.count_by_shell if n > 0]
-    if action.space.kind == TREE:
-        return shells
-    disps = sorted(float(e.displacement) for e in ball.entries)
-    out = []
-    for i, d in enumerate(disps):
-        if out and d - out[-1][0] < 1e-9:
-            out[-1] = (out[-1][0], i + 1)
-        else:
-            out.append((d, i + 1))
-    return out
 
 
 # ---------------------------------------------------------------------------

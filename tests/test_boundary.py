@@ -23,7 +23,6 @@ from hypcrit.boundary import (
     check_shadow_ball_lemma,
     cylinder_scale,
     generalized_ball_contains,
-    limit_set_approximants,
     limit_set_sample,
     patterson_sullivan_atoms,
     plane_boundary,
@@ -223,7 +222,6 @@ def test_qc_hull_sample_sizes(f2, f2_ball):
 def test_tree_limit_set_sample_is_read_lazily(f2, f2_ball):
     sam = limit_set_sample(f2, f2_ball, 5)
     assert not isinstance(sam, list)
-    assert list(sam) == list(limit_set_approximants(f2, f2_ball, 5))
     assert sam[-1] == tree_boundary("BBBBBBBB") and sam[:2] == list(sam)[:2]
     with pytest.raises(IndexError):
         sam[len(sam)]

@@ -1,3 +1,5 @@
+import bisect
+import dataclasses
 import itertools
 import math
 import random
@@ -5,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from hypcrit import cli
 from hypcrit.entropy import (
+    EntropyEstimate,
     check_entropy_lower_bound,
     check_packing_chain,
     check_packing_growth,
@@ -16,11 +20,12 @@ from hypcrit.entropy import (
     greedy_covering_count,
     packing_number,
     poincare_partial,
+    rank_quantile_estimate,
     recheck_equidistribution,
 )
 from hypcrit.errors import InsufficientDataError
 from hypcrit.geometry_checks import _rand_plane_point, _rand_tree_point
-from hypcrit.orbits import enumerate_orbit_ball, tree_action
+from hypcrit.orbits import _count_by_shell, enumerate_orbit_ball, tree_action
 from hypcrit.space import ModelSpace
 
 TREE = ModelSpace.tree()
@@ -298,3 +303,107 @@ def test_entropy_f2_tree_builds_no_tree_point(tmp_path, monkeypatch):
     assert built[0] == 0
     TreePoint("ab")
     assert built[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# the ball's counting function against the code it replaced: the shells
+# each model's enumeration built from its own lambda (on trees at the
+# radius `_exact_T` snapped the caller's T to), `_member_counts` and the
+# rank-quantile block inline in `run_continuity_experiment`
+
+
+def reference_shells(ball, T):
+    if ball.sizes is not None:
+        L = ball.edge_length
+        T = L * int(Fraction(T) / L)
+        disps = [(float(k * L), n) for k, n in enumerate(ball.sizes)]
+        return _count_by_shell(
+            lambda t: sum(n for d, n in disps if d <= t), T, float(L), sum(ball.sizes)
+        )
+    disps = sorted(e.displacement for e in ball.entries)
+    return _count_by_shell(lambda t: bisect.bisect_right(disps, t), T, 1.0, len(ball.entries))
+
+
+def reference_member_counts(ball, T):
+    shells = [(float(t), n) for t, n in reference_shells(ball, T) if n > 0]
+    if ball.sizes is not None:
+        return shells
+    disps = sorted(float(e.displacement) for e in ball.entries)
+    out = []
+    for i, d in enumerate(disps):
+        if out and d - out[-1][0] < 1e-9:
+            out[-1] = (out[-1][0], i + 1)
+        else:
+            out.append((d, i + 1))
+    return out
+
+
+def reference_rank_quantile(ball, rank_window):
+    lo_n, hi_n = rank_window
+    d = sorted(float(e.displacement) for e in ball.entries)
+    if len(d) < hi_n:
+        raise InsufficientDataError("ball too shallow for rank window %r" % (rank_window,))
+    h = math.log(hi_n / lo_n) / (d[hi_n - 1] - d[lo_n - 1])
+    mid = int(round(math.sqrt(lo_n * hi_n)))
+    h_mid = math.log(mid / lo_n) / (d[mid - 1] - d[lo_n - 1])
+    win = (d[lo_n - 1], d[hi_n - 1])
+    return EntropyEstimate(
+        h, win, "rank-quantile", abs(h - h_mid),
+        ((d[lo_n - 1], lo_n), (d[hi_n - 1], hi_n)),
+    )
+
+
+def hexed(v):
+    """v with every float, however nested in tuples and lists, as its hex."""
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, (tuple, list)):
+        return type(v)(hexed(x) for x in v)
+    return v
+
+
+def family_balls(name):
+    """(ball, T) of every member and the limit of a bundled family, at the
+    radius the continuity experiment asks for."""
+    scn = cli.load_scenario(name)
+    block, action = scn["converge"], scn["action"]
+    if block["family"] == "tree-rescale":
+        key, scale = "edge_length", lambda p: float(Fraction(p))
+    else:
+        key, scale = "L", lambda p: float(p) / 4.0
+    for p in block["schedule"] + [block["limit"]]:
+        T = float(block["ball_T"]) * scale(p)
+        yield enumerate_orbit_ball(cli.build_action({**action, key: p}), T), T
+
+
+@pytest.fixture(scope="module")
+def schottky_family_balls():
+    return list(family_balls("schottky_family"))
+
+
+def test_plane_family_counts_are_bitwise_the_replaced_code(schottky_family_balls):
+    # the members' radii 23 L/4 are off the unit grid, so their shells
+    # close with (T, N(T))
+    assert len([T for _, T in schottky_family_balls if T != int(T)]) == 7
+    window = tuple(cli.load_scenario("schottky_family")["converge"]["rank_window"])
+    for ball, T in schottky_family_balls:
+        assert hexed(ball.count_by_shell) == hexed(reference_shells(ball, T))
+        assert hexed(ball.count_samples) == hexed(reference_member_counts(ball, T))
+        got = dataclasses.astuple(rank_quantile_estimate(ball, window))
+        assert hexed(got) == hexed(dataclasses.astuple(reference_rank_quantile(ball, window)))
+
+
+def test_rank_quantile_refuses_a_shallow_ball(schottky_family_balls):
+    ball = schottky_family_balls[-1][0]
+    window = (1, ball.count + 1)
+    with pytest.raises(InsufficientDataError, match="too shallow") as got:
+        rank_quantile_estimate(ball, window)
+    with pytest.raises(InsufficientDataError) as ref:
+        reference_rank_quantile(ball, window)
+    assert str(got.value) == str(ref.value)
+
+
+def test_tree_family_counts_are_bitwise_the_replaced_code():
+    for ball, T in family_balls("tree_rescale_family"):
+        assert hexed(ball.count_by_shell) == hexed(reference_shells(ball, T))
+        assert hexed(ball.count_samples) == hexed(reference_member_counts(ball, T))

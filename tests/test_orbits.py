@@ -76,6 +76,25 @@ def test_tree_ball_counts_per_shell(f2_ball6):
         assert shells[n] == 2 * 3**n - 1
 
 
+def test_tree_radius_snaps_to_the_edge_grid(f2):
+    # 3.7 lies between levels 3 and 4: the ball is the ball at 3, its
+    # radius the depth of its deepest level, with no flat closing shell
+    ball, at3 = enumerate_orbit_ball(f2, 3.7), enumerate_orbit_ball(f2, 3)
+    assert ball.radius == 3 and ball.sizes == at3.sizes == (1, 4, 12, 36)
+    assert ball.count_by_shell == at3.count_by_shell == ((0.0, 1), (1.0, 5), (2.0, 17), (3.0, 53))
+
+
+def test_ball_order_statistics_are_the_sorted_displacements(f2, schottky_ball):
+    rescaled = tree_action(edge_length=Fraction(9, 8))
+    for ball in (enumerate_orbit_ball(f2, 4), enumerate_orbit_ball(rescaled, 4.5), schottky_ball):
+        disps = sorted(float(e.displacement) for e in ball.entries)
+        assert [ball.displacement_at(n) for n in range(1, ball.count + 1)] == disps
+        for t in (0.0, disps[1], disps[-1] / 2, disps[-1], disps[-1] + 1):
+            assert ball.count_within(t) == sum(d <= t for d in disps)
+        with pytest.raises(IndexError):
+            ball.displacement_at(ball.count + 1)
+
+
 def test_tree_displacements_are_word_lengths(f2_ball6):
     for e in f2_ball6.entries:
         assert e.displacement == len(e.word)
