@@ -417,9 +417,9 @@ def limit_set_sample(action, ball, min_displacement):
     if float(ball.radius) < float(min_displacement):
         raise InsufficientDataError("ball shallower than min_displacement")
     if action.space.kind == TREE:
+        disp = ball.level_displacements
         deep = [
-            (k, n) for k, n in enumerate(ball.sizes)
-            if k and float(k * ball.edge_length) >= float(min_displacement)
+            (k, n) for k, n in enumerate(ball.sizes) if k and disp[k] >= float(min_displacement)
         ]
         sample = _LevelItems(ball.rank, deep, lambda k, w: tree_boundary(w))
     else:
@@ -538,9 +538,8 @@ def _tree_measure(ball, s, thresh):
     from letter ranks (`_level_rows`), and weights are the `_TreeAtoms`
     arrays, so no level's words are listed.
     """
-    L = ball.edge_length
     sizes = ball.sizes
-    disp = [float(k * L) for k in range(len(sizes))]
+    disp = ball.level_displacements
     mass = [math.exp(-s * d) for d in disp]
     total = _ordered_sum(np.repeat(mass, sizes))
     weight = [x / total for x in mass]

@@ -101,9 +101,8 @@ def poincare_partial(ball, s):
     if s < 0:
         raise ValueError("s must be nonnegative")
     if ball.sizes is not None:
-        L = ball.edge_length
         terms = chain.from_iterable(
-            repeat(math.exp(-s * float(k * L)), n) for k, n in enumerate(ball.sizes)
+            repeat(math.exp(-s * d), n) for d, n in zip(ball.level_displacements, ball.sizes)
         )
     else:
         terms = (math.exp(-s * float(e.displacement)) for e in ball.entries)

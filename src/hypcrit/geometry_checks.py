@@ -14,6 +14,18 @@ distance is then the rounding error, not 0: max_defect is 5.9e-16 at
 L = 2/3, seed 1, 300 configurations. On the plane the
 declared delta = log 3 is used and a pass means zero violations beyond
 1e-9.
+
+A configuration whose defect is max(min over candidates of (max over a
+grid) - k delta, 0.0) reads it through `_min_max`, which stops a
+candidate at its first value >= the running min and the whole set once
+the min is <= k delta. Neither exit changes a report byte: the first
+cannot lower the min, and after the second v - k delta <= 0 in IEEE
+arithmetic for every v <= k delta, so the defect is 0.0 as for the true
+min. A passing row publishes only that clipped defect, and a failing
+row's worst value comes from a configuration whose min is above k delta,
+where only the first exit fires and the min is exact. Wherever the
+second exit fires, the min read is only an upper bound. Witness texts
+are formatted only for a new worst defect.
 """
 
 import cmath
@@ -82,8 +94,7 @@ class InequalityReport:
         raise KeyError(name)
 
 
-def _rand_word(rng, rank, length):
-    alpha = letters(rank)
+def _rand_word(rng, alpha, length):
     w = []
     for _ in range(length):
         c = rng.choice(alpha)
@@ -98,15 +109,14 @@ def _max_depth(space, radius):
     return max(int(radius / float(space.edge_length)), 1)
 
 
-def _rand_grid_point(rng, rank, m, max_depth):
-    """A random tree point with m grid units per edge: a vertex at most
-    max_depth edges deep, or a point k/8 of the way along one of its
-    edges."""
-    w = _rand_word(rng, rank, rng.randrange(0, max_depth + 1))
+def _rand_grid_point(rng, alpha, m, max_depth):
+    """A random tree point over the alphabet alpha with m grid units per
+    edge: a vertex at most max_depth edges deep, or a point k/8 of the way
+    along one of its edges."""
+    w = _rand_word(rng, alpha, rng.randrange(0, max_depth + 1))
     k = rng.randrange(0, 8)
     if k == 0:
         return _GridPoint(w, 0, None)
-    alpha = letters(rank)
     d = rng.choice(alpha)
     while w and d == w[-1].swapcase():
         d = rng.choice(alpha)
@@ -115,7 +125,7 @@ def _rand_grid_point(rng, rank, m, max_depth):
 
 def _rand_tree_point(rng, space, radius):
     D, m = tree_grid(space)
-    g = _rand_grid_point(rng, space.valence // 2, m, _max_depth(space, radius))
+    g = _rand_grid_point(rng, letters(space.valence // 2), m, _max_depth(space, radius))
     return _tree_point(g, Fraction(1, D))
 
 
@@ -136,10 +146,13 @@ def _rand_boundary(rng, space):
     proxy for every L.
     """
     if space.kind == TREE:
-        L = space.edge_length
-        letters_needed = -(-PROXY_DEPTH * L.denominator // L.numerator)
-        return _rand_word(rng, space.valence // 2, max(PROXY_DEPTH, letters_needed))
+        return _rand_word(rng, letters(space.valence // 2), _proxy_letters(space.edge_length))
     return rng.uniform(-10.0, 10.0)
+
+
+def _proxy_letters(L):
+    """Letters of a tree proxy word at edge length L (`_rand_boundary`)."""
+    return max(PROXY_DEPTH, -(-PROXY_DEPTH * L.denominator // L.numerator))
 
 
 def check_geodesic_lemmas(space, delta, plan=SamplingPlan()):
@@ -164,10 +177,35 @@ def check_geodesic_lemmas(space, delta, plan=SamplingPlan()):
             n += 1
             if defect > worst:
                 worst = defect
-                witness = desc() if callable(desc) else desc
+                witness = desc()
         bound = factor * delta
         rows.append(LemmaRow(name, n, worst, bound, worst <= DEFECT_TOL, witness))
     return InequalityReport(all(r.passed for r in rows), tuple(rows))
+
+
+def _min_max(candidates, floor):
+    """min over candidates of the max of each candidate's values, read
+    only as far as it can matter to max(min_max - floor, 0.0).
+
+    candidates is an iterable of lazy iterables of floats. A candidate
+    stops at its first value >= the running min, since it cannot lower
+    it; the set stops once the min is <= floor, since every min at or
+    below floor gives the same 0.0. math.inf, the very object, comes back
+    when there is no candidate.
+    """
+    best = math.inf
+    for values in candidates:
+        top = -math.inf
+        for v in values:
+            if v > top:
+                top = v
+                if top >= best:
+                    break
+        else:
+            best = top
+            if best <= floor:
+                break
+    return best
 
 
 def _tree_samplers(space, delta, plan):
@@ -180,12 +218,17 @@ def _tree_samplers(space, delta, plan):
     the `TreePoint` reference the tests keep.
     """
     D, m = tree_grid(space)  # units per length, per edge
-    rank = space.valence // 2
+    alpha = letters(space.valence // 2)
+    proxy = _proxy_letters(space.edge_length)
     t_grid = [k * D // 2 for k in range(17)]  # 0, 1/2, ..., 8
     depths = {r: _max_depth(space, r) for r in (plan.radius, plan.radius / 2)}
 
     def point(rng, radius):
-        return _rand_grid_point(rng, rank, m, depths[radius])
+        return _rand_grid_point(rng, alpha, m, depths[radius])
+
+    def boundary(rng):
+        # `_rand_boundary` with the alphabet and proxy length drawn once
+        return _rand_word(rng, alpha, proxy)
 
     dist, product = partial(_path_distance, m), partial(_grid_product, m)
 
@@ -231,7 +274,7 @@ def _tree_samplers(space, delta, plan):
     def parallel(rng):
         p = point(rng, plan.radius / 2)
         pp = point(rng, plan.radius / 2)
-        e = _rand_boundary(rng, space)
+        e = boundary(rng)
         t1 = product(p, pp, vertex(e))
         t2 = dist(p, pp) - t1
         a = _grid_ray_points(m, p, vertex(e), [t + t1 for t in t_grid])
@@ -242,7 +285,7 @@ def _tree_samplers(space, delta, plan):
     # 4. product vs rays at s = T - delta, T = (e1, e2)_x
     def product_rays(rng):
         x = point(rng, plan.radius)
-        e1, e2 = _rand_boundary(rng, space), _rand_boundary(rng, space)
+        e1, e2 = boundary(rng), boundary(rng)
         if e1 == e2:
             return None
         T = product(x, vertex(e1), vertex(e2))
@@ -268,7 +311,7 @@ def _tree_samplers(space, delta, plan):
     def qc_hull(rng):
         ends = []
         while len(ends) < 4:
-            e = _rand_boundary(rng, space)
+            e = boundary(rng)
             if e not in ends:
                 ends.append(e)
         u1, v1, u2, v2 = ends
@@ -279,24 +322,28 @@ def _tree_samplers(space, delta, plan):
             return None
         mid = _grid_geodesic_point(m, x, y, split(rng, d))
         cand = [(u1, v1), (u2, v2), (v1, v2), (v1, u2), (u1, v2), (u1, u2)]
-        gap = min(product(mid, vertex(a), vertex(b)) for a, b in cand) / D
+        gap = _min_max(((product(mid, vertex(a), vertex(b)) / D,) for a, b in cand), 36.0 * delta)
         return max(gap - 36.0 * delta, 0.0), lambda: "C=%r x=%r y=%r" % (ends, tp(x), tp(y))
 
     # 6. ray-to-line: the line from c toward the proxy z is the ray from c
     def ray_line(rng):
-        u = _rand_boundary(rng, space)
-        v = _rand_boundary(rng, space)
-        z = _rand_boundary(rng, space)
+        u, v, z = boundary(rng), boundary(rng), boundary(rng)
         if len({u, v, z}) < 3:
             return None
         x = line_point(u, v, shift(rng))
-        ray = _grid_ray_points(m, x, vertex(z), t_grid)
-        best = []
-        for c in (vertex(u), vertex(v)):
-            s0 = product(c, vertex(z), x)
-            line = _grid_ray_points(m, c, vertex(z), [s0 + t for t in t_grid])
-            best.append(max(dist(r, q) for r, q in zip(ray, line)))
-        gap = min(best) / D
+        Z = vertex(z)
+        ray = _grid_ray_points(m, x, Z, t_grid)
+
+        def line(c):
+            s0 = product(c, Z, x)
+            return _grid_ray_points(m, c, Z, [s0 + t for t in t_grid])
+
+        # k / D is monotone in k, so the min of maxima of the quotients is
+        # the quotient of the integer min of maxima
+        lines = (
+            (dist(r, q) / D for r, q in zip(ray, line(c))) for c in (vertex(u), vertex(v))
+        )
+        gap = _min_max(lines, 14.0 * delta)
         return max(gap - 14.0 * delta, 0.0), lambda: "u=%r v=%r z=%r x=%r" % (u, v, z, tp(x))
 
     return _lemmas(projection, thin, parallel, product_rays, qc_hull, ray_line)
@@ -314,14 +361,20 @@ def _lemmas(projection, thin, parallel, product_rays, qc_hull, ray_line):
 
 
 def _plane_samplers(space, delta, plan):
-    """(name, bound factor, sampler) of the six lemmas on the plane."""
+    """(name, bound factor, sampler) of the six lemmas on the plane.
+
+    A sampler returns the defect and its witness text as a function, as on
+    the tree. A min over candidate sides, lines or splits is `_min_max`
+    over lazy coordinates, so it computes no point past the value that
+    decides it.
+    """
 
     # 1. projection: d(x, [y,z]) <= (y,z)_x + 4 delta
     def projection(rng):
         x, y, z = (_rand_plane_point(rng, plan.radius) for _ in range(3))
         d = float(dist_to_segment(space, x, y, z))
         p = float(gromov_product(space, x, y, z))
-        return max(d - p - 4.0 * delta, 0.0), "x=%r y=%r z=%r" % (x, y, z)
+        return max(d - p - 4.0 * delta, 0.0), lambda: "x=%r y=%r z=%r" % (x, y, z)
 
     # 2. thin triangles: every point of [q,r] is 4 delta-close to the union
     # of the other two sides
@@ -332,11 +385,9 @@ def _plane_samplers(space, delta, plan):
             return None
         t = float(d) * rng.random()
         m = geodesic_point(space, q, r, t)
-        gap = min(
-            float(dist_to_segment(space, m, p, q)),
-            float(dist_to_segment(space, m, p, r)),
-        )
-        return max(gap - 4.0 * delta, 0.0), "p=%r q=%r r=%r t=%s" % (p, q, r, t)
+        sides = ((float(dist_to_segment(space, m, p, end)),) for end in (q, r))
+        gap = _min_max(sides, 4.0 * delta)
+        return max(gap - 4.0 * delta, 0.0), lambda: "p=%r q=%r r=%r t=%s" % (p, q, r, t)
 
     # 3. parallel rays: same ideal endpoint, origins p, p'; for some split
     # t1 + t2 = d(p,p') the rays stay 8 delta-close at matched parameters
@@ -349,22 +400,24 @@ def _plane_samplers(space, delta, plan):
         d0 = distance(space, p, pp)
         far = ray_point(space, Ray(p, e), 30.0)
         t1_opt = float(gromov_product(space, p, pp, far))
-        splits = [
+        # the t1_opt split first; at delta = 0 all seven are one split
+        splits = dict.fromkeys(
             min(max(t1_opt + s * delta, 0.0), float(d0))
-            for s in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
-        ]
+            for s in (0.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+        )
         splits = [(t1, d0 - t1) for t1 in splits if t1 >= 0 and d0 - t1 >= 0]
         if not splits:
             return None
-        # every matched pair of parameters, one line per ray, on coordinates
-        a = _plane_ray_coords(p.z, e, [t + t1 for t1, _ in splits for t in t_grid])
-        b = _plane_ray_coords(pp.z, e, [t + t2 for _, t2 in splits for t in t_grid])
-        n = len(t_grid)
-        best = min(
-            max(map(plane_distance, a[k : k + n], b[k : k + n]))
-            for k in range(0, len(a), n)
+        pairs = (
+            map(
+                plane_distance,
+                _plane_ray_coords(p.z, e, [t + t1 for t in t_grid]),
+                _plane_ray_coords(pp.z, e, [t + t2 for t in t_grid]),
+            )
+            for t1, t2 in splits
         )
-        return max(best - 8.0 * delta, 0.0), "p=%r p'=%r e=%r" % (p, pp, e)
+        best = _min_max(pairs, 8.0 * delta)
+        return max(best - 8.0 * delta, 0.0), lambda: "p=%r p'=%r e=%r" % (p, pp, e)
 
     # 4. product vs rays: (z,z')_x >= T implies the rays at T - delta are
     # 4 delta-close
@@ -383,7 +436,7 @@ def _plane_samplers(space, delta, plan):
         a = ray_point(space, Ray(x, e1), s)
         b = ray_point(space, Ray(x, e2), s)
         gap = float(distance(space, a, b))
-        return max(gap - 4.0 * delta, 0.0), "x=%r e1=%r e2=%r T=%s" % (x, e1, e2, T)
+        return max(gap - 4.0 * delta, 0.0), lambda: "x=%r e1=%r e2=%r T=%s" % (x, e1, e2, T)
 
     # 5. quasiconvex hull: a geodesic between two hull points stays within
     # 36 delta of the lines through the defining endpoints
@@ -402,8 +455,8 @@ def _plane_samplers(space, delta, plan):
         t = float(d) * rng.random()
         m = geodesic_point(space, x, y, t)
         cand = [(u1, v1), (u2, v2), (v1, v2), (v1, u2), (u1, v2), (u1, u2)]
-        gap = min(plane_dist_to_ideal_line(m, a, b) for a, b in cand)
-        return max(gap - 36.0 * delta, 0.0), "C=%r x=%r y=%r" % (ends, x, y)
+        gap = _min_max(((plane_dist_to_ideal_line(m, a, b),) for a, b in cand), 36.0 * delta)
+        return max(gap - 36.0 * delta, 0.0), lambda: "C=%r x=%r y=%r" % (ends, x, y)
 
     # 6. ray-to-line: the ray from a hull point x toward z in C is 14
     # delta-close, at matched parameters, to a line with endpoints in C
@@ -414,15 +467,15 @@ def _plane_samplers(space, delta, plan):
         if len({u, v, z}) < 3:
             return None
         x = plane_line_point(u, v, space.basepoint, rng.uniform(-4, 4))
-        ray = _plane_ray_coords(x.z, z, t_grid)
-        best = math.inf
-        for c in (u, v):
-            if plane_dist_to_ideal_line(x, c, z) > 6.0 * delta + 1e-9 and delta > 0:
-                continue
-            line = _plane_line_coords(c, z, x.z, t_grid)
-            best = min(best, max(map(plane_distance, ray, line)))
+        ray = list(_plane_ray_coords(x.z, z, t_grid))
+        lines = (
+            map(plane_distance, ray, _plane_line_coords(c, z, x.z, t_grid))
+            for c in (u, v)
+            if not (plane_dist_to_ideal_line(x, c, z) > 6.0 * delta + 1e-9 and delta > 0)
+        )
+        best = _min_max(lines, 14.0 * delta)
         if best is math.inf:
             return None
-        return max(best - 14.0 * delta, 0.0), "u=%r v=%r z=%r x=%r" % (u, v, z, x)
+        return max(best - 14.0 * delta, 0.0), lambda: "u=%r v=%r z=%r x=%r" % (u, v, z, x)
 
     return _lemmas(projection, thin, parallel, product_rays, qc_hull, ray_line)

@@ -9,14 +9,14 @@ cancels to <= 0 (`_normalize_matrix`).
 
 Schottky subgroups of the plane isometries come with paired disjoint disks
 (arcs of the boundary circle) and a ping-pong certificate that decides
-nesting exactly from the images of the arc endpoints. Only the stacked-row
-kernels (`_compose_rows`, `_images_of_i`, `_word_levels`) use numpy, and
-they import it where they run, so scalar isometry work loads none.
+nesting exactly from the images of the arc endpoints. numpy serves only
+the levels of plane orbit balls: the stacked-row kernels (`_compose_rows`,
+`_images_of_i`, `_word_levels`) import it where they run, so scalar
+isometry work, ping-pong certification included, loads none.
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .errors import ClassificationError, KindMismatchError, NumericalLimitError
 from .space import PLANE, TREE, PlanePoint, TreePoint, plane_distance
@@ -130,18 +130,16 @@ def compose(g, h):
         raise KindMismatchError("cannot compose isometries of different kinds")
     if g.kind == TREE:
         return TreeIsometry(compose_words(g.word, h.word))
-    a1, b1, c1, d1 = g.mat
-    a2, b2, c2, d2 = h.mat
-    return PlaneIsometry(
-        _normalize_matrix(
-            (
-                a1 * a2 + b1 * c2,
-                a1 * b2 + b1 * d2,
-                c1 * a2 + d1 * c2,
-                c1 * b2 + d1 * d2,
-            ),
-            unimodular=True,
-        )
+    return PlaneIsometry(_compose_mats(g.mat, h.mat))
+
+
+def _compose_mats(m1, m2):
+    """The normalized matrix of `compose` on (a, b, c, d) tuples."""
+    a1, b1, c1, d1 = m1
+    a2, b2, c2, d2 = m2
+    return _normalize_matrix(
+        (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2),
+        unimodular=True,
     )
 
 
@@ -162,9 +160,14 @@ def apply_isometry(space, iso, p):
         return TreePoint(far, space.edge_length - p.offset, w[-1])
     if not isinstance(p, PlanePoint):
         raise KindMismatchError("expected plane point")
-    a, b, c, d = iso.mat
-    z = (a * p.z + b) / (c * p.z + d)
-    return PlanePoint(complex(z.real, max(z.imag, 1e-300)))
+    return PlanePoint(_mobius_image(iso.mat, p.z))
+
+
+def _mobius_image(mat, z):
+    """Coordinate of the image of the plane coordinate z under mat."""
+    a, b, c, d = mat
+    w = (a * z + b) / (c * z + d)
+    return complex(w.real, max(w.imag, 1e-300))
 
 
 def _compose_rows(g, h):
@@ -438,12 +441,17 @@ def certify_ping_pong(desc):
             ends_in = max(abs(x1), abs(x2)) <= b.half_width + NEST_TOL
             if not (ends_in and min(x1, x2) < xa < max(x1, x2)):
                 return PingPongFailure("nesting violated by " + who, (i, (x1, x2, xa)))
-    # displacement survey at the basepoint i
+    # displacement survey at the basepoint i, level by level in canonical
+    # order: each word is its parent's matrix composed with its last letter
+    gen_map, alph = _generator_map(gens), letters(len(gens))
+    follow = {c: [(d, gen_map[d].mat) for d in alph if d != c.swapcase()] for c in alph}
+    follow[""] = [(d, gen_map[d].mat) for d in alph]
     disp = {"": 0.0}
-    for words, mats in islice(_word_levels(_generator_map(gens), letters(len(gens))), WORD_HORIZON):
-        disp.update((w, plane_distance(1j, z)) for w, z in zip(words, _images_of_i(mats)))
-    nonid = {w: v for w, v in disp.items() if w}
-    best_word = min(nonid, key=lambda w: (nonid[w], w))
+    level = [("", IDENTITY_PLANE.mat)]
+    for _ in range(WORD_HORIZON):
+        level = [(w + c, _compose_mats(m, g)) for w, m in level for c, g in follow[w[-1:]]]
+        disp.update((w, plane_distance(1j, _mobius_image(m, 1j))) for w, m in level)
+    systole, best_word = min((v, w) for w, v in disp.items() if w)
     gain = min(
         disp[w] - disp[w[:-1]]
         for w in disp
@@ -452,7 +460,7 @@ def certify_ping_pong(desc):
     if gain <= 0:
         return PingPongFailure("no positive per-letter displacement gain", best_word)
     return SchottkyCertificate(
-        systole_bound=nonid[best_word],
+        systole_bound=systole,
         attaining_word=best_word,
         per_letter_gain=gain,
         displacement_table=disp,

@@ -133,7 +133,9 @@ class OrbitBall:
     stores its entries, and its `sizes` and `levels` are None.
 
     N(t), its shells, its estimator samples and its order statistics all
-    read one sorted displacement list (`_sorted`), built on first use.
+    read one sorted displacement list (`_sorted`), built on first use; on a
+    tree its displacements are `level_displacements`, float(k *
+    edge_length) for each level k, which every tree reader takes from here.
     """
 
     def __init__(self, radius, entries, merged_words=(), sizes=None, rank=None,
@@ -183,6 +185,11 @@ class OrbitBall:
         return [e.point for e in self._entries]
 
     @cached_property
+    def level_displacements(self):
+        """[float(k * edge_length) for each level k] of a tree ball."""
+        return [float(k * self.edge_length) for k in range(len(self.sizes))]
+
+    @cached_property
     def _sorted(self):
         """(ds, ns): displacement floats in nondecreasing order, one per
         level of a tree and one per entry of a plane ball (the entries'
@@ -191,8 +198,7 @@ class OrbitBall:
             ds = sorted(e.displacement for e in self._entries)
             return ds, range(1, len(ds) + 1)
         sizes = self.sizes
-        return ([float(k * self.edge_length) for k in range(len(sizes))],
-                [sum(sizes[:k + 1]) for k in range(len(sizes))])
+        return self.level_displacements, [sum(sizes[:k + 1]) for k in range(len(sizes))]
 
     def count_within(self, t):
         """N(t): the number of points displaced by at most t."""

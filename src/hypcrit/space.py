@@ -24,7 +24,8 @@ from `_plane_line_coords`, as a complex coordinate: conjugate the line to
 the positive imaginary axis by a Mobius map and move along it by
 multiplying the imaginary part by e^t. `plane_line_points` and
 `ray_points` wrap its coordinates as `PlanePoint`s; the lemma sweeps
-measure the coordinates themselves with `plane_distance`.
+measure the coordinates themselves with `plane_distance`, as it yields
+them, and stop reading a line once it cannot change a defect.
 Distances to segments, rays and ideal lines are distances to an arc of that
 axis (`_dist_to_axis_arc`).
 
@@ -493,26 +494,33 @@ def plane_line_points(u, v, xref, ts):
 
 
 def _plane_line_coords(u, v, z, ts):
-    """Complex coordinates of `plane_line_points(u, v, PlanePoint(z), ts)`:
-    the one line kernel of the plane."""
+    """Complex coordinates of `plane_line_points(u, v, PlanePoint(z), ts)`,
+    yielded one t at a time: the one line kernel of the plane. The inverse
+    Mobius map is `_mobius_apply` written out, the same float operations in
+    the same order."""
     if u == math.inf:
         # vertical line down to v, in closed form: the Mobius round trip
         # loses the real part's precision as the point nears the boundary
         r = abs(z - v)
-        return [complex(v, max(r * math.exp(-t), 1e-300)) for t in ts]
+        for t in ts:
+            yield complex(v, max(r * math.exp(-t), 1e-300))
+        return
     M = _mobius_to_axis(u, v)
-    M_inv = _mobius_inverse(M)
+    a, b, c, d = _mobius_inverse(M)
     rho = abs(_mobius_apply(M, z))
-    out = []
     for t in ts:
-        w = _mobius_apply(M_inv, complex(0.0, rho * math.exp(t)))
-        out.append(complex(w.real, max(w.imag, 1e-300)))
-    return out
+        w = complex(0.0, rho * math.exp(t))
+        den = c * w + d
+        if den == 0:
+            yield complex(math.inf, 1e-300)
+        else:
+            w = (a * w + b) / den
+            yield complex(w.real, max(w.imag, 1e-300))
 
 
 def _plane_ray_coords(z, e, ts):
     """Complex coordinates of `ray_points` at the arclengths ts along the
-    plane ray from z toward the ideal point e."""
+    plane ray from z toward the ideal point e, yielded lazily."""
     u, e = _ray_line(z, e)
     return _plane_line_coords(u, e, z, ts)
 

@@ -195,8 +195,30 @@ def test_benchmark_setup_loads_only_the_action_builders():
         "\nimport json\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('hypcrit', 'numpy')))))\n"
     )
-    scenarios = [str(SRC / "scenarios" / (s + ".scn")) for s in ("f2_tree", "tree_rescale_family")]
-    assert _run(code, *scenarios) == SETUP_MODULES
+    # one probe per benchmark workload: tree, then plane-audit, whose
+    # ping-pong certificates are surveyed with scalar words
+    for stems in (
+        ("f2_tree", "tree_rescale_family"),
+        ("schottky_L4", "schottky_family", "plane_delta0_negative", *COUNTEREXAMPLES),
+    ):
+        scenarios = [str(SRC / "scenarios" / (s + ".scn")) for s in stems]
+        assert _run(code, *scenarios) == SETUP_MODULES
+
+
+_VERIFY_RUN = """
+import json, sys
+from hypcrit import cli
+code = cli.main(["verify", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(("hypcrit", "numpy")))]))
+"""
+
+
+def test_plane_lemma_audit_loads_no_numpy(tmp_path):
+    # the negative control builds, certifies and sweeps in scalar code
+    scenario = str(SRC / "scenarios" / "plane_delta0_negative.scn")
+    code, loaded = _run(_VERIFY_RUN, scenario, str(tmp_path / "out"))
+    assert code == 1
+    assert loaded == sorted(SETUP_MODULES + ["hypcrit.geometry_checks"])
 
 
 _THREADS = """

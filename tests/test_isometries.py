@@ -191,7 +191,7 @@ def scalar_product(gen_map, word):
     return g
 
 
-@pytest.mark.parametrize("L", [4.0, 4.5, 4.0078125])
+@pytest.mark.parametrize("L", [3.0, 4.0, 4.5, 4.0078125, 5.0, 6.0])
 def test_certificate_survey_matches_the_scalar_words(L):
     desc = schottky_pair(L)
     gen_map = dict(zip(letters(2), [g for h in desc.generators for g in (h, h.inverse())]))
