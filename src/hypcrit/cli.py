@@ -97,8 +97,22 @@ def screen_plane_systole(gens, threshold):
         )
 
 
+#: the keys each action kind reads; any other key is refused
+ACTION_KEYS = {"tree": {"kind", "valence", "edge_length"}, "schottky": {"kind", "L", "min_systole"},
+               "plane": {"kind", "generators", "min_systole"}}
+
+
+def refuse_unknown_keys(block, known, what):
+    unknown = sorted(set(block) - known)
+    if unknown:
+        raise ValueError("%s has unknown keys %s" % (what, ", ".join(map(repr, unknown))))
+
+
 def build_action(spec):
     kind = spec["kind"]
+    if kind not in ACTION_KEYS:
+        raise ValueError("unknown action kind %r" % kind)
+    refuse_unknown_keys(spec, ACTION_KEYS[kind], "%s action" % kind)
     if kind == "tree":
         from .orbits import tree_action
 
@@ -110,15 +124,13 @@ def build_action(spec):
     if kind == "schottky":
         desc = schottky_pair(float(spec.get("L", 4.0)))
         screen_plane_systole(desc.generators, threshold)
-    elif kind == "plane":
+    else:
         gens = [
             PlaneIsometry.from_matrix(*(float(v) for v in row))
             for row in spec["generators"]
         ]
         screen_plane_systole(gens, threshold)
         desc = SchottkyDescription.with_standard_disks(gens)
-    else:
-        raise ValueError("unknown action kind %r" % kind)
     cert = certify_ping_pong(desc)
     if isinstance(cert, PingPongFailure):
         raise CertificationError("ping-pong certification failed: %s" % (cert,))
@@ -248,15 +260,6 @@ def cmd_entropy(scenario, args, outdir):
     return passed
 
 
-def _dirac_measure(measure):
-    """Single-atom replacement of a boundary measure (negative control)."""
-    from .boundary import Atom, AtomicMeasure
-
-    deep = max(measure.boundary_atoms, key=lambda a: a.displacement)
-    atom = Atom(deep.word, deep.point, deep.displacement, 1.0, deep.boundary)
-    return AtomicMeasure((atom,), measure.s, measure.truncation_T)
-
-
 def cmd_boundary(scenario, args, outdir):
     block = _block(scenario, "boundary")
     action = build_action(scenario["action"])
@@ -274,8 +277,6 @@ def cmd_boundary(scenario, args, outdir):
 
     ball = enumerate_orbit_ball(action, block["T"])
     measure = patterson_sullivan_atoms(action, ball, float(block["s"]))
-    if block.get("dirac_control"):
-        measure = _dirac_measure(measure)
     h = float(block["h"])
 
     if action.space.kind == TREE:
@@ -335,46 +336,38 @@ def cmd_boundary(scenario, args, outdir):
     return passed
 
 
+def read_family(scenario):
+    """(make_member, schedule, limit, config) of a scenario's `converge` block:
+    member p is the action with its key `vary` set to p (a key `build_action`
+    reads), and its ball radius and window scale by p / limit."""
+    from .convergence import ContinuityConfig
+
+    block, action = _block(scenario, "converge"), scenario["action"]
+    refuse_unknown_keys(block, {"family", "vary", "schedule", "limit", "ball_T", "window",
+                                "eps_ladder", "rank_window", "h_tolerance", "K_bound", "cauchy"},
+                        "converge block")
+    refuse_unknown_keys(block.get("cauchy", {}), {"min_shrink_ratio"}, "cauchy block")
+    if "vary" not in block:
+        raise ValueError("converge block needs a `vary` key: the action key its members vary")
+    vary = block["vary"]
+    *schedule, limit = [Fraction(str(v)) for v in block["schedule"] + [block["limit"]]]
+    kw = {k: float(block[k]) for k in ("ball_T", "h_tolerance", "K_bound") if k in block}
+    for k, cast in (("window", float), ("eps_ladder", float), ("rank_window", int)):
+        if k in block:
+            kw[k] = tuple(cast(v) for v in block[k])
+    config = ContinuityConfig(param_scale=lambda p: float(p) / float(limit), **kw)
+    return (lambda p: build_action({**action, vary: p})), schedule, limit, config
+
+
 def cmd_converge(scenario, args, outdir):
-    from .convergence import ContinuityConfig, run_continuity_experiment
+    from .convergence import run_continuity_experiment
 
-    block = _block(scenario, "converge")
-    family = block["family"]
-    kw = {}
-    for name in ("ball_T", "h_tolerance", "K_bound"):
-        if name in block:
-            kw[name] = float(block[name])
-    if "window" in block:
-        kw["window"] = tuple(float(v) for v in block["window"])
-    if "eps_ladder" in block:
-        kw["eps_ladder"] = tuple(float(v) for v in block["eps_ladder"])
-    if "rank_window" in block:
-        kw["rank_window"] = tuple(int(v) for v in block["rank_window"])
-
-    if family == "tree-rescale":
-        schedule = [Fraction(str(v)) for v in block["schedule"]]
-        limit = Fraction(str(block["limit"]))
-        valence = int(scenario["action"].get("valence", 4))
-        make_member = lambda ell: build_action({**scenario["action"], "edge_length": ell})
-        kw.setdefault("param_scale", float)
-        kw.setdefault("h_target", lambda ell: math.log(valence - 1) / float(ell))
-    elif family == "schottky-length":
-        schedule = [float(v) for v in block["schedule"]]
-        limit = float(block["limit"])
-        make_member = lambda L: build_action({**scenario["action"], "L": L})
-        kw.setdefault("param_scale", lambda L: L / 4.0)
-    else:
-        raise ValueError("unknown family %r" % family)
-
-    report = run_continuity_experiment(make_member, schedule, limit, ContinuityConfig(**kw))
-    audits = {
-        "name": scenario.get("name", ""),
-        "family": family,
-        "h_limit": report.h_limit,
-        "C": report.C,
-        "notes": report.notes,
-        "continuity_passed": report.passed,
-    }
+    make_member, schedule, limit, config = read_family(scenario)
+    block = scenario["converge"]
+    audits = {"name": scenario.get("name", ""), "family": block["family"]}
+    report = run_continuity_experiment(make_member, schedule, limit, config)
+    audits.update(h_limit=report.h_limit, C=report.C, notes=report.notes,
+                  continuity_passed=report.passed)
     checks = [report.passed]
     if "cauchy" in block:
         min_ratio = float(block["cauchy"].get("min_shrink_ratio", 1.5))

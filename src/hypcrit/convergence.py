@@ -608,6 +608,8 @@ class ContinuityReport:
 
 @dataclass(frozen=True)
 class ContinuityConfig:
+    """Settings of `run_continuity_experiment`; members supply their own targets."""
+
     ball_T: float = 10.0
     window: tuple = (4.0, 10.0)
     eps_ladder: tuple = EPS_LADDER
@@ -619,9 +621,6 @@ class ContinuityConfig:
     #: estimated over literally the same group elements (smooth in the
     #: family parameter, which absolute windows are not)
     rank_window: tuple = None
-    #: optional callable param -> closed-form exponent, the residuals' target
-    #: and the K audit's exponent (else the limit's and the member's estimate)
-    h_target: object = None
 
 
 def run_continuity_experiment(make_member, schedule, limit_param, config=ContinuityConfig()):
@@ -631,10 +630,9 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
     fails certification aborts the experiment with the parameter named.
     Each row reports the smallest ladder eps at which search_witness finds
     a verified witness against the limit snapshot, the member's exponent
-    estimate, its residual against the closed-form target (when one is
-    supplied; otherwise against the limit estimate), and the measured
-    equidistribution constant (at the target exponent where one is
-    supplied, else at the member's estimate).
+    estimate, its residual against the member's `closed_form_exponent` (a
+    plane member has none: the limit estimate), and its equidistribution
+    constant measured at that target (else at the member's estimate).
 
     The verdict needs a finite eps on every row, K <= K_bound on every row
     and eps non-increasing along the schedule. C, the largest
@@ -652,7 +650,7 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
             action = make_member(param)
         except CertificationError as exc:
             raise CertificationError(
-                "family member %r failed certification: %s" % (param, exc)
+                "family member %s failed certification: %s" % (param, exc)
             ) from exc
         scale = float(config.param_scale(param)) if config.param_scale else 1.0
         ball = enumerate_orbit_ball(action, config.ball_T * scale)
@@ -663,7 +661,7 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
             win = (config.window[0] * scale, config.window[1] * scale)
             est = estimate_critical_exponent(counts, win)
         lo, hi = est.window
-        href = config.h_target(param) if config.h_target else est.h_hat
+        href = est.h_hat if action.closed_form_exponent is None else action.closed_form_exponent
         K = equidistribution_constant(
             [(t, n) for t, n in counts if lo - 1e-9 <= t <= hi + 1e-9], href
         ).K_measured
@@ -697,7 +695,8 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
             got = search_witness(make_snapshot(action, ball, eps), limit_snapshot(eps), eps)
             if isinstance(got, ApproximationWitness):
                 achieved = eps
-        target = config.h_target(param) if config.h_target else limit_est.h_hat
+        target = action.closed_form_exponent
+        target = limit_est.h_hat if target is None else target
         rows.append(
             ContinuityRow(float(param), achieved, est.h_hat, abs(est.h_hat - target), K)
         )

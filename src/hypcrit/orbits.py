@@ -66,6 +66,12 @@ class GroupAction:
     certificate: object = None
 
     @property
+    def closed_form_exponent(self):
+        """log(valence - 1) / edge length on a tree; None on the plane."""
+        s = self.space
+        return math.log(s.valence - 1) / float(s.edge_length) if s.kind == TREE else None
+
+    @property
     def basepoint(self):
         return self.space.basepoint
 

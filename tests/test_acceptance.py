@@ -146,10 +146,7 @@ def test_equidistribution_constant(f2_counts):
 @criterion("4. rescaling continuity experiment, < 2 min")
 def test_tree_rescaling_continuity():
     t0 = time.perf_counter()
-    cfg = ContinuityConfig(
-        param_scale=float,
-        h_target=lambda ell: LOG3 / float(ell),
-    )
+    cfg = ContinuityConfig(param_scale=float)
     schedule = [Fraction(1) + Fraction(1, 2**n) for n in range(1, 9)]
     rep = run_continuity_experiment(
         lambda ell: tree_action(edge_length=ell), schedule, Fraction(1), cfg

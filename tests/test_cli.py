@@ -110,6 +110,7 @@ def test_converge_runs_a_tiny_family(tmp_path):
         "action": {"kind": "tree", "valence": 4, "edge_length": "1"},
         "converge": {
             "family": "tree-rescale",
+            "vary": "edge_length",
             "schedule": ["1", "1"],
             "limit": "1",
             "ball_T": 6.0,
@@ -143,7 +144,8 @@ def test_tree_continuity_and_entropy_build_no_ball_words(tmp_path, monkeypatch):
         "name": "short-rescale-family",
         "seed": 0,
         "action": {"kind": "tree", "valence": 4, "edge_length": "1"},
-        "converge": {"family": "tree-rescale", "schedule": ["3/2", "9/8"], "limit": "1"},
+        "converge": {"family": "tree-rescale", "vary": "edge_length", "schedule": ["3/2", "9/8"],
+                     "limit": "1"},
     }
     path = tmp_path / "short.scn"
     path.write_text(json.dumps(scn), encoding="utf-8")
@@ -241,15 +243,49 @@ def test_unknown_scenario_file(tmp_path):
 
 
 def test_schema_is_checked(tmp_path):
-    path = tmp_path / "bad.scn"
-    path.write_text('{"schema": 99}', encoding="utf-8")
-    with pytest.raises(ValueError):
-        run(["entropy", "--scenario", str(path), "--out", str(tmp_path)])
+    # a wrong schema, an action key its kind does not read (a misspelt
+    # edge_length would build the default 1), a converge or cauchy key
+    # that `converge` does not read (a misspelt rank_window would fall back
+    # to the absolute window), and a converge block with no `vary`
+    tree = {"kind": "tree", "valence": 4, "edge_length": "1"}
+    family = {"family": "tree-rescale", "vary": "edge_length", "schedule": ["3/2"], "limit": "1"}
+    bad = [
+        ("entropy", {"schema": 99}, "schema"),
+        ("entropy", {"schema": 1, "action": {"kind": "tree", "L": 4, "edge_lenght": "2"},
+                     "entropy": {"T": 4, "window": [2, 4]}}, "'L', 'edge_lenght'"),
+        ("converge", {"schema": 1, "action": tree, "converge": {**family, "rank_windw": [1, 4]}},
+         "'rank_windw'"),
+        ("converge", {"schema": 1, "action": tree,
+                      "converge": {**family, "cauchy": {"min_shrink": 2.0}}}, "'min_shrink'"),
+        ("converge", {"schema": 1, "action": tree,
+                      "converge": {k: v for k, v in family.items() if k != "vary"}}, "`vary`"),
+    ]
+    for command, doc, named in bad:
+        path = tmp_path / "bad.scn"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match=named):
+            run([command, "--scenario", str(path), "--out", str(tmp_path)])
 
 
 def test_missing_block_is_an_error(tmp_path):
     with pytest.raises(ValueError):
         run(["converge", "--scenario", "f2_tree", "--out", str(tmp_path)])
+
+
+def test_converge_refuses_a_vary_key_its_kind_does_not_read(tmp_path):
+    # a tree reads no "L": varying it would run a constant family, which
+    # "converges"; building the limit, before any orbit ball, refuses it
+    scn = {
+        "schema": 1,
+        "name": "constant-family",
+        "seed": 0,
+        "action": {"kind": "tree", "valence": 4, "edge_length": "1"},
+        "converge": {"family": "tree-rescale", "vary": "L", "schedule": ["3/2"], "limit": "1"},
+    }
+    path = tmp_path / "constant.scn"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    with pytest.raises(ValueError, match="tree action has unknown keys 'L'"):
+        run(["converge", "--scenario", str(path), "--out", str(tmp_path)])
 
 
 def test_delta_override_requires_unsafe_flag(tmp_path):

@@ -398,24 +398,12 @@ def family_cases(name, check, monkeypatch):
     configured as `converge` configures it, with check(A, B, eps) in place
     of search_witness on every (member, rung); returns check's results. The
     experiment sees no witness."""
-    scn = cli.load_scenario(name)
-    block = scn["converge"]
-    if block["family"] == "tree-rescale":
-        key, params = "edge_length", [Fraction(v) for v in block["schedule"] + [block["limit"]]]
-        config = ContinuityConfig(param_scale=float)
-    else:
-        key, params = "L", [float(v) for v in block["schedule"] + [block["limit"]]]
-        config = ContinuityConfig(
-            ball_T=float(block["ball_T"]), eps_ladder=tuple(block["eps_ladder"]),
-            rank_window=tuple(block["rank_window"]), param_scale=lambda L: L / 4.0,
-        )
+    make_member, schedule, limit, config = cli.read_family(cli.load_scenario(name))
     seen = []
     monkeypatch.setattr(
         convergence, "search_witness", lambda A, B, eps: seen.append(check(A, B, eps))
     )
-    run_continuity_experiment(
-        lambda p: cli.build_action({**scn["action"], key: p}), params[:-1], params[-1], config
-    )
+    run_continuity_experiment(make_member, schedule, limit, config)
     return seen
 
 
@@ -601,7 +589,6 @@ def test_constant_family_passes_trivially():
         window=(2.0, 6.0),
         eps_ladder=(1.0, 0.5),
         param_scale=float,
-        h_target=lambda ell: math.log(3.0) / float(ell),
     )
     rep = run_continuity_experiment(
         lambda ell: tree_action(edge_length=ell),
@@ -614,6 +601,19 @@ def test_constant_family_passes_trivially():
         assert row.eps == 0.5
         assert row.h_hat == rep.h_limit
         assert row.K < 2.0
+
+
+def test_members_supply_their_own_target():
+    # a tree member's target is bitwise the closed form the benchmark checks
+    # its rows against; a plane member has none
+    tree = cli.load_scenario("tree_rescale_family")
+    make_member, schedule, limit, _ = cli.read_family(tree)
+    valence = int(tree["action"]["valence"])
+    for ell in schedule + [limit]:
+        want = math.log(valence - 1) / float(ell)
+        assert make_member(ell).closed_form_exponent.hex() == want.hex()
+    make_member, schedule, limit, _ = cli.read_family(cli.load_scenario("schottky_family"))
+    assert all(make_member(L).closed_form_exponent is None for L in schedule + [limit])
 
 
 def test_fitted_C_is_reported_not_judged():

@@ -365,15 +365,10 @@ def hexed(v):
 def family_balls(name):
     """(ball, T) of every member and the limit of a bundled family, at the
     radius the continuity experiment asks for."""
-    scn = cli.load_scenario(name)
-    block, action = scn["converge"], scn["action"]
-    if block["family"] == "tree-rescale":
-        key, scale = "edge_length", lambda p: float(Fraction(p))
-    else:
-        key, scale = "L", lambda p: float(p) / 4.0
-    for p in block["schedule"] + [block["limit"]]:
-        T = float(block["ball_T"]) * scale(p)
-        yield enumerate_orbit_ball(cli.build_action({**action, key: p}), T), T
+    make_member, schedule, limit, config = cli.read_family(cli.load_scenario(name))
+    for p in schedule + [limit]:
+        T = config.ball_T * config.param_scale(p)
+        yield enumerate_orbit_ball(make_member(p), T), T
 
 
 @pytest.fixture(scope="module")
