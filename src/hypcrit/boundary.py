@@ -35,8 +35,8 @@ are tested against.
 import bisect
 import math
 import random
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -73,7 +73,6 @@ from .space import (
 from .words import _ORDER, compose_words, invert_word, reduced_word_at
 
 
-@dataclass(frozen=True)
 class BoundaryApprox:
     """A truncated boundary point.
 
@@ -84,14 +83,27 @@ class BoundaryApprox:
     the approximant is trusted).
     """
 
-    kind: str
-    word: str
-    depth: float
-    coord: float = None
+    __slots__ = ("kind", "word", "depth", "coord")
 
-    def __post_init__(self):
-        if self.kind == TREE and self.depth < 1:
+    def __init__(self, kind, word, depth, coord=None):
+        if kind == TREE and depth < 1:
             raise ValueError("tree boundary approximant needs depth >= 1")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "coord", coord)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BoundaryApprox is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not BoundaryApprox:
+            return NotImplemented
+        return (self.kind, self.word, self.depth, self.coord) == (
+            other.kind, other.word, other.depth, other.coord)
+
+    def __hash__(self):
+        return hash((self.kind, self.word, self.depth, self.coord))
 
 
 def tree_boundary(word):
@@ -165,9 +177,7 @@ def _product_exceeds(action, cuts):
     return exceeds
 
 
-@dataclass(frozen=True)
-class VisualParams:
-    a: float
+VisualParams = namedtuple("VisualParams", "a")
 
 
 def visual_distance(params, action, z, zp):
@@ -276,13 +286,12 @@ def _base_ray_points(action, ts):
     ]
 
 
-@dataclass(frozen=True)
-class ShadowBallReport:
-    passed: bool
-    ball_in_shadow: tuple  # (tested, violations)
-    shadow_in_ball: tuple  # (tested, violations, undecided)
-    visual_comparison: tuple  # (tested, violations, undecided)
-    pack_cov_rows: tuple  # ((T, pack_star, cov, ok), ...)
+#: ball_in_shadow is (tested, violations); shadow_in_ball and
+#: visual_comparison are (tested, violations, undecided); pack_cov_rows is
+#: ((T, pack_star, cov, ok), ...)
+ShadowBallReport = namedtuple(
+    "ShadowBallReport", "passed ball_in_shadow shadow_in_ball visual_comparison pack_cov_rows"
+)
 
 
 def check_shadow_ball_lemma(action, samples, ts, seed=0, pair_count=200):
@@ -488,25 +497,21 @@ def qc_hull_sample(action, limit_samples, pair_count, seed=0):
 # Patterson-Sullivan proxy measures
 
 
-@dataclass(frozen=True)
-class Atom:
-    word: str
-    point: object
-    displacement: float
-    weight: float
-    boundary: object = None  # BoundaryApprox when projected
+#: an orbit point's share of a measure; `boundary` is its BoundaryApprox
+#: when projected
+Atom = namedtuple("Atom", "word point displacement weight boundary", defaults=(None,))
 
 
-@dataclass
 class AtomicMeasure:
     """A normalized atomic measure: its `atoms` in orbit-entry order, the
     boundary atoms among them, and their arrays, each built on first use.
     A tree Patterson-Sullivan measure holds `_LevelItems` of atoms and level arrays
     instead (`_tree_measure`)."""
 
-    atoms: tuple
-    s: float
-    truncation_T: float
+    def __init__(self, atoms, s, truncation_T):
+        self.atoms = atoms
+        self.s = s
+        self.truncation_T = truncation_T
 
     @cached_property
     def boundary_atoms(self):
@@ -768,16 +773,10 @@ def _tree_shadow_rules(action, atoms, y, r):
 # audits
 
 
-@dataclass(frozen=True)
-class AhlforsReport:
-    A_lower: float
-    A_upper: float
-    step1_bound: float
-    step1_passed: bool
-    shadow_Q: float
-    shadow_R0: float
-    samples: int
-    skipped: int
+class AhlforsReport(namedtuple(
+    "AhlforsReport", "A_lower A_upper step1_bound step1_passed shadow_Q shadow_R0 samples skipped"
+)):
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -827,12 +826,7 @@ def check_ahlfors_regularity(action, measure, h, centers, scales):
     )
 
 
-@dataclass(frozen=True)
-class QuasiconformalityReport:
-    Q: float
-    cells_used: int
-    cells_skipped: int
-    g_word: str
+QuasiconformalityReport = namedtuple("QuasiconformalityReport", "Q cells_used cells_skipped g_word")
 
 
 def _pull_back_boundary(action, g_word, z):
@@ -915,7 +909,7 @@ def _pushed_measure(action, measure, g_word):
     def push(b):
         return plane_boundary(iso.boundary_apply(b.coord), b.word, b.depth)
 
-    atoms = tuple(replace(a, boundary=push(a.boundary)) for a in measure.boundary_atoms)
+    atoms = tuple(a._replace(boundary=push(a.boundary)) for a in measure.boundary_atoms)
     return AtomicMeasure(atoms, measure.s, measure.truncation_T)
 
 

@@ -17,7 +17,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from importlib import resources
 from itertools import islice
 from pathlib import Path
 
@@ -51,7 +50,9 @@ DEFAULT_MIN_SYSTOLE = 0.5
 def load_scenario(path):
     p = Path(path)
     if not p.exists():
-        # bundled scenario by bare name
+        # bundled scenario by bare name; importlib.resources loads only here
+        from importlib import resources
+
         name = p.name if p.name.endswith(".scn") else p.name + ".scn"
         ref = resources.files("hypcrit") / "scenarios" / name
         if ref.is_file():
@@ -100,6 +101,26 @@ def screen_plane_systole(gens, threshold):
 #: the keys each action kind reads; any other key is refused
 ACTION_KEYS = {"tree": {"kind", "valence", "edge_length"}, "schottky": {"kind", "L", "min_systole"},
                "plane": {"kind", "generators", "min_systole"}}
+
+
+#: the keys each subcommand block, and each block nested in one, reads
+BLOCK_KEYS = {
+    "entropy": {"T", "window", "method", "K_h", "poincare_s", "h_target", "h_tolerance",
+                "K_bound", "covering"},
+    "covering": {"r", "window"},
+    "boundary": {"T", "s", "h", "cylinder_depths", "cells_per_depth", "qc_depth",
+                 "min_displacement", "max_centers", "scales", "qc_scale", "qc_word", "qc_bound"},
+    "verify": {"checks", "delta_override", "unsafe", "configs", "radius", "shadow_ball",
+               "generating", "word_metric", "packing_growth", "packing_chain"},
+    "shadow_ball": {"T", "min_displacement", "max_samples", "ts", "pair_count"},
+    "generating": {"T", "threshold"},
+    "word_metric": {"T", "R"},
+    "packing_growth": {"T", "min_displacement", "pair_count", "ts", "r"},
+    "packing_chain": {"T", "max_points", "r"},
+    "converge": {"family", "vary", "schedule", "limit", "ball_T", "window", "eps_ladder",
+                 "rank_window", "h_tolerance", "K_bound", "cauchy"},
+    "cauchy": {"min_shrink_ratio"},
+}
 
 
 def refuse_unknown_keys(block, known, what):
@@ -164,7 +185,16 @@ def counts_csv(counts):
 def _block(scenario, name):
     if name not in scenario:
         raise ValueError("scenario %r has no %r block" % (scenario.get("name"), name))
-    return scenario[name]
+    return _checked(scenario[name], name)
+
+
+def _checked(block, name):
+    """`block`, after refusing any key outside BLOCK_KEYS[name] in it and
+    in each block nested in it."""
+    refuse_unknown_keys(block, BLOCK_KEYS[name], "%s block" % name)
+    for key in sorted(block.keys() & BLOCK_KEYS.keys()):
+        _checked(block[key], key)
+    return block
 
 
 def _seed(scenario, args):
@@ -343,10 +373,6 @@ def read_family(scenario):
     from .convergence import ContinuityConfig
 
     block, action = _block(scenario, "converge"), scenario["action"]
-    refuse_unknown_keys(block, {"family", "vary", "schedule", "limit", "ball_T", "window",
-                                "eps_ladder", "rank_window", "h_tolerance", "K_bound", "cauchy"},
-                        "converge block")
-    refuse_unknown_keys(block.get("cauchy", {}), {"min_shrink_ratio"}, "cauchy block")
     if "vary" not in block:
         raise ValueError("converge block needs a `vary` key: the action key its members vary")
     vary = block["vary"]

@@ -22,8 +22,8 @@ steps, so every defect is bitwise the one of the dense n x n computation.
 """
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -40,10 +40,7 @@ from .words import _ORDER, compose_words, invert_word, letters, reduced_words_up
 EPS_LADDER = (4.0, 2.0, 1.0, 0.75, 0.5, 0.4375, 0.375, 0.3125, 0.28125, 0.25)
 
 
-@dataclass(frozen=True)
-class SnapElement:
-    word: str
-    displacement: float
+SnapElement = namedtuple("SnapElement", "word displacement")
 
 
 class TripleSnapshot:
@@ -295,36 +292,20 @@ def snapshot(action, ball, epsilon, resolution=None):
 _JUDGED = ("basepoint", "distortion", "surjectivity", "phi_equivariance", "psi_equivariance")
 
 
-@dataclass(frozen=True)
-class WitnessDefects:
-    basepoint: float
-    distortion: float
-    surjectivity: float
-    phi_equivariance: float
-    psi_equivariance: float
-    discretization: float
+class WitnessDefects(namedtuple("WitnessDefects", "basepoint distortion surjectivity "
+                                                  "phi_equivariance psi_equivariance discretization")):
+    __slots__ = ()
 
     def worst(self):
         """The largest judged defect; NaN marks one not evaluated."""
         return max(v for v in (getattr(self, name) for name in _JUDGED) if not math.isnan(v))
 
 
-@dataclass(frozen=True)
-class ApproximationWitness:
-    f: tuple
-    phi: tuple
-    psi: tuple
-    epsilon: float
-    defects: WitnessDefects = None
-
-
-@dataclass(frozen=True)
-class SearchFailure:
-    """A refuted candidate: `reason` names the defect that reached eps and
-    `defects` holds the values evaluated up to it, math.nan after it."""
-
-    reason: str
-    defects: WitnessDefects
+ApproximationWitness = namedtuple("ApproximationWitness", "f phi psi epsilon defects",
+                                  defaults=(None,))
+#: a refuted candidate: `reason` names the defect that reached eps and
+#: `defects` holds the values evaluated up to it, math.nan after it
+SearchFailure = namedtuple("SearchFailure", "reason defects")
 
 
 def _check_table(name, table, length, limit):
@@ -575,27 +556,17 @@ def _plane_wordwise_points(A, B):
 # continuity experiment
 
 
-@dataclass(frozen=True)
-class ContinuityRow:
-    param: float
-    eps: float
-    h_hat: float
-    residual: float
-    K: float
+ContinuityRow = namedtuple("ContinuityRow", "param eps h_hat residual K")
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(namedtuple("ContinuityReport", "rows h_limit C passed notes",
+                                  defaults=("",))):
     """The rows of `run_continuity_experiment`, the limit's exponent
     estimate and C, the drift slope fitted on the finite-eps rows.
     `passed` is finite eps, K <= K_bound and non-increasing eps on every
     row; C is reported but not judged."""
 
-    rows: tuple
-    h_limit: float
-    C: float
-    passed: bool
-    notes: str = ""
+    __slots__ = ()
 
     def to_csv(self):
         lines = ["param,eps,h_hat,residual,K"]
@@ -606,21 +577,18 @@ class ContinuityReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ContinuityConfig:
-    """Settings of `run_continuity_experiment`; members supply their own targets."""
+class ContinuityConfig(namedtuple(
+    "ContinuityConfig", "ball_T window eps_ladder h_tolerance K_bound param_scale rank_window",
+    defaults=(10.0, (4.0, 10.0), EPS_LADDER, 0.01, 4.0, None, None),
+)):
+    """Settings of `run_continuity_experiment`; members supply their own
+    targets. `param_scale` is a callable param -> factor on ball_T and
+    window. `rank_window`, optional, is (lo_count, hi_count): the window is
+    taken between the displacements at these cumulative counts, so every
+    family member is estimated over literally the same group elements
+    (smooth in the family parameter, which absolute windows are not)."""
 
-    ball_T: float = 10.0
-    window: tuple = (4.0, 10.0)
-    eps_ladder: tuple = EPS_LADDER
-    h_tolerance: float = 0.01
-    K_bound: float = 4.0
-    param_scale: object = None  # callable param -> factor on ball_T/window
-    #: optional (lo_count, hi_count): the window is taken between the
-    #: displacements at these cumulative counts, so every family member is
-    #: estimated over literally the same group elements (smooth in the
-    #: family parameter, which absolute windows are not)
-    rank_window: tuple = None
+    __slots__ = ()
 
 
 def run_continuity_experiment(make_member, schedule, limit_param, config=ContinuityConfig()):

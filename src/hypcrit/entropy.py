@@ -8,7 +8,7 @@ Packing numbers have an exact mode and a greedy lower-bound mode.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, repeat
 
 import numpy as np
@@ -21,17 +21,12 @@ from .space import TREE
 EXACT_LIMIT = 24
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(namedtuple("EntropyEstimate", "h_hat window method residual counts_used")):
     """An exponent estimate. Its residual is, by method: regression, the
     largest absolute log residual; last-ratio, the change from the previous
     step's ratio; rank-quantile, |h - h_mid|."""
 
-    h_hat: float
-    window: tuple
-    method: str
-    residual: float
-    counts_used: tuple
+    __slots__ = ()
 
     def as_dict(self):
         return {
@@ -288,12 +283,8 @@ def check_packing_chain(space, points, r):
     return p2 <= c2 <= p1, (p2, c2, p1)
 
 
-@dataclass(frozen=True)
-class PackingGrowthReport:
-    passed: bool
-    P: int
-    base_radius: float
-    rows: tuple  # ((T, measured, bound), ...)
+#: rows is ((T, measured, bound), ...)
+PackingGrowthReport = namedtuple("PackingGrowthReport", "passed P base_radius rows")
 
 
 def check_packing_growth(action, hull_samples, ts, r):
@@ -326,11 +317,7 @@ def check_packing_growth(action, hull_samples, ts, r):
 # explicit bounds
 
 
-@dataclass(frozen=True)
-class EquidistributionReport:
-    K_measured: float
-    h_used: float
-    worst_T: float
+EquidistributionReport = namedtuple("EquidistributionReport", "K_measured h_used worst_T")
 
 
 def equidistribution_constant(counts, h):

@@ -32,7 +32,7 @@ import cmath
 import math
 import random
 import zlib
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -65,27 +65,12 @@ DEFECT_TOL = 1e-9
 PROXY_DEPTH = 24
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    count: int = 1000
-    seed: int = 0
-    radius: float = 6.0
+SamplingPlan = namedtuple("SamplingPlan", "count seed radius", defaults=(1000, 0, 6.0))
+LemmaRow = namedtuple("LemmaRow", "name configs max_defect bound passed witness")
 
 
-@dataclass(frozen=True)
-class LemmaRow:
-    name: str
-    configs: int
-    max_defect: float
-    bound: float
-    passed: bool
-    witness: str
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    passed: bool
-    rows: tuple
+class InequalityReport(namedtuple("InequalityReport", "passed rows")):
+    __slots__ = ()
 
     def row(self, name):
         for r in self.rows:

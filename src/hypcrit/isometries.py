@@ -16,7 +16,7 @@ isometry work, ping-pong certification included, loads none.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import ClassificationError, KindMismatchError, NumericalLimitError
 from .space import PLANE, TREE, PlanePoint, TreePoint, plane_distance
@@ -37,13 +37,13 @@ WORD_HORIZON = 6
 GAIN_HORIZON = 4
 
 
-@dataclass(frozen=True)
 class TreeIsometry:
-    word: str
+    __slots__ = ("word",)
 
-    def __post_init__(self):
-        if not is_reduced(self.word):
+    def __init__(self, word):
+        if not is_reduced(word):
             raise ValueError("tree isometry word must be reduced")
+        self.word = word
 
     @property
     def kind(self):
@@ -85,9 +85,10 @@ def _normalize_matrix(m, unimodular=False):
     return (a, b, c, d)
 
 
-@dataclass(frozen=True, slots=True)
-class PlaneIsometry:
-    mat: tuple  # (a, b, c, d), det = 1, canonical sign
+class PlaneIsometry(namedtuple("PlaneIsometry", "mat")):
+    """``mat`` is (a, b, c, d), det = 1, canonical sign."""
+
+    __slots__ = ()
 
     @staticmethod
     def from_matrix(a, b, c, d):
@@ -302,10 +303,8 @@ def _angle_gap(t1, t2):
     return d
 
 
-@dataclass(frozen=True)
-class BoundaryArc:
-    center: float  # angle
-    half_width: float
+#: an arc of the boundary circle: its center angle and half width (rad)
+BoundaryArc = namedtuple("BoundaryArc", "center half_width")
 
 
 def fixed_points(iso):
@@ -370,28 +369,22 @@ def standard_disks(iso):
     return source, target
 
 
-@dataclass(frozen=True)
-class SchottkyDescription:
-    generators: tuple  # PlaneIsometry, one per free generator
-    disks: tuple  # ((source_arc, target_arc), ...) aligned with generators
+class SchottkyDescription(namedtuple("SchottkyDescription", "generators disks")):
+    """``generators``: a PlaneIsometry per free generator; ``disks``:
+    ((source_arc, target_arc), ...) aligned with them."""
+
+    __slots__ = ()
 
     @staticmethod
     def with_standard_disks(gens):
         return SchottkyDescription(tuple(gens), tuple(standard_disks(g) for g in gens))
 
 
-@dataclass(frozen=True)
-class SchottkyCertificate:
-    systole_bound: float
-    attaining_word: str
-    per_letter_gain: float
-    displacement_table: dict = field(repr=False, default=None)
-
-
-@dataclass(frozen=True)
-class PingPongFailure:
-    reason: str
-    witness: object = None
+SchottkyCertificate = namedtuple(
+    "SchottkyCertificate", "systole_bound attaining_word per_letter_gain displacement_table",
+    defaults=(None,),
+)
+PingPongFailure = namedtuple("PingPongFailure", "reason witness", defaults=(None,))
 
 
 def certify_ping_pong(desc):

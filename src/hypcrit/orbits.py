@@ -10,7 +10,7 @@ number of orbit points displaced by at most t (`OrbitBall`).
 import bisect
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -39,15 +39,12 @@ ELEMENT_CAP = 2_000_000
 PLANE_RADIUS_LIMIT = math.acosh(1e-2 / sys.float_info.epsilon)
 
 
-@dataclass(frozen=True)
-class PruneParams:
+class PruneParams(namedtuple("PruneParams", "c c_prime", defaults=(0.0,))):
     """Linear displacement lower bound d(x, gx) >= c*|g| - c_prime."""
 
-    c: float
-    c_prime: float = 0.0
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class GroupAction:
     """A finitely generated action on a model space.
 
@@ -56,14 +53,18 @@ class GroupAction:
     construction. ``declared_delta`` / ``declared_codiameter`` are the
     class constants the audits are run against; ``certificate`` carries
     ping-pong data for Schottky actions (None for tree actions, where
-    freeness is structural).
+    freeness is structural). Two actions are equal only if they are the
+    same object.
     """
 
-    space: object
-    gen_map: dict
-    declared_delta: float
-    declared_codiameter: float
-    certificate: object = None
+    __slots__ = ("space", "gen_map", "declared_delta", "declared_codiameter", "certificate")
+
+    def __init__(self, space, gen_map, declared_delta, declared_codiameter, certificate=None):
+        self.space = space
+        self.gen_map = gen_map
+        self.declared_delta = declared_delta
+        self.declared_codiameter = declared_codiameter
+        self.certificate = certificate
 
     @property
     def closed_form_exponent(self):
@@ -112,18 +113,15 @@ def schottky_action(desc, certificate, declared_delta=math.log(3.0), declared_co
                        declared_delta, declared_codiameter, certificate)
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitEntry:
+class OrbitEntry(namedtuple("OrbitEntry", "word point displacement isometry", defaults=(None,))):
     """The orbit point of a word g and its displacement d(x, g x). A
     plane entry from `enumerate_orbit_ball` also carries g's
     `PlaneIsometry`, the matrix row its BFS level composed, bitwise
     `action.isometry(word)`; a tree entry's isometry is None (its word is
-    its isometry)."""
+    its isometry). The displacement is a Fraction on trees, a float on
+    the plane."""
 
-    word: str
-    point: object
-    displacement: object  # Fraction on trees, float on the plane
-    isometry: object = None
+    __slots__ = ()
 
 
 class OrbitBall:
@@ -402,12 +400,10 @@ def _count_by_shell(count_le, T, shell_step, total):
 # derived measurements
 
 
-@dataclass(frozen=True)
-class SystoleReport:
-    min_displacement: object
-    attaining_word: str
-    elements_examined: int
-    note: str = "upper bound on the true systole: deeper elements could be shorter"
+SystoleReport = namedtuple(
+    "SystoleReport", "min_displacement attaining_word elements_examined note",
+    defaults=("upper bound on the true systole: deeper elements could be shorter",),
+)
 
 
 def measure_systole(action, ball):
@@ -442,11 +438,7 @@ def measure_codiameter(action, ball, hull_samples):
     return worst
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    passed: bool
-    witness: object = None
-    detail: dict = None
+CheckReport = namedtuple("CheckReport", "passed witness detail", defaults=(None, None))
 
 
 def _orbit_graph_steps(ball, R):

@@ -38,7 +38,6 @@ closed forms for rays from the basepoint i (`plane_ray_product`,
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DepthError, KindMismatchError
@@ -51,7 +50,6 @@ PLANE = "plane"
 PLANE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class TreePoint:
     """A point of the weighted tree.
 
@@ -61,43 +59,71 @@ class TreePoint:
     ``word + direction``. Vertices have offset 0 and direction None.
     """
 
-    word: str
-    offset: Fraction = Fraction(0)
-    direction: str = None
+    __slots__ = ("word", "offset", "direction")
 
-    def __post_init__(self):
-        if not is_reduced(self.word):
-            raise ValueError("tree vertex word must be reduced: %r" % self.word)
-        if self.offset == 0:
-            if self.direction is not None:
+    def __init__(self, word, offset=Fraction(0), direction=None):
+        if not is_reduced(word):
+            raise ValueError("tree vertex word must be reduced: %r" % word)
+        if offset == 0:
+            if direction is not None:
                 raise ValueError("vertex point must have direction None")
         else:
-            if self.direction is None:
+            if direction is None:
                 raise ValueError("edge-interior point needs a direction letter")
-            if self.word and self.direction == self.word[-1].swapcase():
+            if word and direction == word[-1].swapcase():
                 raise ValueError("direction would backtrack; not a reduced edge")
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "direction", direction)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TreePoint is immutable")
+
+    def __repr__(self):
+        return "TreePoint(word=%r, offset=%r, direction=%r)" % (
+            self.word, self.offset, self.direction)
+
+    def __eq__(self, other):
+        if other.__class__ is not TreePoint:
+            return NotImplemented
+        return (self.word, self.offset, self.direction) == (
+            other.word, other.offset, other.direction)
+
+    def __hash__(self):
+        return hash((self.word, self.offset, self.direction))
 
 
-@dataclass(frozen=True)
 class PlanePoint:
     """Upper half-plane point, stored as a complex number with im > 0."""
 
-    z: complex
+    __slots__ = ("z",)
 
-    def __post_init__(self):
-        if not (self.z.imag > 0):
+    def __init__(self, z):
+        if not (z.imag > 0):
             raise ValueError("plane point must have positive imaginary part")
+        object.__setattr__(self, "z", z)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PlanePoint is immutable")
+
+    def __repr__(self):
+        return "PlanePoint(z=%r)" % (self.z,)
+
+    def __eq__(self, other):
+        if other.__class__ is not PlanePoint:
+            return NotImplemented
+        return self.z == other.z
+
+    def __hash__(self):
+        return hash((self.z,))
 
 
 #: the basepoint of each model kind, one shared frozen point
 _BASEPOINTS = {TREE: TreePoint(""), PLANE: PlanePoint(1j)}
 
 
-@dataclass(frozen=True)
-class ModelSpace:
-    kind: str
-    valence: int = 0
-    edge_length: Fraction = Fraction(1)
+class ModelSpace(namedtuple("ModelSpace", "kind valence edge_length", defaults=(0, Fraction(1)))):
+    __slots__ = ()
 
     @staticmethod
     def tree(valence=4, edge_length=1):
@@ -336,8 +362,7 @@ def geodesic_point(space, p, q, t):
 # ---------------------------------------------------------------------------
 # rays toward the boundary
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(namedtuple("Ray", "origin target")):
     """Geodesic ray description: origin point + boundary target.
 
     Tree target: a deep reduced word (finite prefix of the intended
@@ -345,8 +370,7 @@ class Ray:
     vertex. Plane target: an ideal endpoint, a real number or math.inf.
     """
 
-    origin: object
-    target: object
+    __slots__ = ()
 
 
 def ray_point(space, ray, t):
@@ -414,11 +438,7 @@ def busemann(space, ray, y, horizon):
 # ---------------------------------------------------------------------------
 # hyperbolicity estimation
 
-@dataclass(frozen=True)
-class HyperbolicityEstimate:
-    delta_hat: float
-    sample_count: int
-    max_defect_witness: tuple
+HyperbolicityEstimate = namedtuple("HyperbolicityEstimate", "delta_hat sample_count max_defect_witness")
 
 
 def estimate_delta(space, samples):

@@ -246,9 +246,14 @@ def test_schema_is_checked(tmp_path):
     # a wrong schema, an action key its kind does not read (a misspelt
     # edge_length would build the default 1), a converge or cauchy key
     # that `converge` does not read (a misspelt rank_window would fall back
-    # to the absolute window), and a converge block with no `vary`
+    # to the absolute window), a converge block with no `vary`, and a key
+    # of an entropy, boundary or verify block, or of a block nested in one,
+    # that its command does not read (f2_tree with a misspelt qc_bound ran
+    # `boundary` to exit 0 and skipped the bound check)
     tree = {"kind": "tree", "valence": 4, "edge_length": "1"}
     family = {"family": "tree-rescale", "vary": "edge_length", "schedule": ["3/2"], "limit": "1"}
+    f2 = cli.load_scenario("f2_tree")
+    f2["boundary"]["qc_bnd"] = f2["boundary"].pop("qc_bound")
     bad = [
         ("entropy", {"schema": 99}, "schema"),
         ("entropy", {"schema": 1, "action": {"kind": "tree", "L": 4, "edge_lenght": "2"},
@@ -259,6 +264,17 @@ def test_schema_is_checked(tmp_path):
                       "converge": {**family, "cauchy": {"min_shrink": 2.0}}}, "'min_shrink'"),
         ("converge", {"schema": 1, "action": tree,
                       "converge": {k: v for k, v in family.items() if k != "vary"}}, "`vary`"),
+        ("entropy", {"schema": 1, "action": tree, "entropy": {"T": 4, "window": [2, 4],
+                                                              "K_bnd": 2}}, "'K_bnd'"),
+        ("entropy", {"schema": 1, "action": tree,
+                     "entropy": {"T": 4, "window": [2, 4], "covering": {"r": 1, "windw": [1]}}},
+         "covering block has unknown keys 'windw'"),
+        ("verify", {"schema": 1, "seed": 0, "action": tree,
+                    "verify": {"checks": ["lemmas"], "config": 10}}, "'config'"),
+        ("verify", {"schema": 1, "seed": 0, "action": tree,
+                    "verify": {"checks": ["generating"], "generating": {"T": 2, "treshold": 1}}},
+         "generating block has unknown keys 'treshold'"),
+        ("boundary", f2, "boundary block has unknown keys 'qc_bnd'"),
     ]
     for command, doc, named in bad:
         path = tmp_path / "bad.scn"

@@ -1,7 +1,8 @@
 """Every import in a hypcrit module is read somewhere in its scope, every
 definition is named somewhere else, a subcommand loads only the modules it
-runs, and no module calls BLAS, so the CLI's single OpenBLAS thread costs
-nothing."""
+runs, no module imports `dataclasses` (defining a dataclass compiles its
+methods at import, about 0.4 ms a class), and no module calls BLAS, so the
+CLI's single OpenBLAS thread costs nothing."""
 
 import ast
 import json
@@ -79,6 +80,31 @@ def test_no_unused_function_imports(path):
     assert unused_function_imports(path.read_text(encoding="utf-8")) == []
 
 
+def dataclasses_imports(source):
+    """Lines of the statements, at any depth, that import `dataclasses`."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    )
+
+
+def test_scan_finds_a_dataclasses_import():
+    source = (
+        "import os, dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "def f():\n"
+        "    from dataclasses import replace\n"
+        "from collections import namedtuple\n"
+    )
+    assert dataclasses_imports(source) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_dataclasses_import(path):
+    assert dataclasses_imports(path.read_text(encoding="utf-8")) == []
+
+
 def unreferenced(definitions, sources):
     """Sorted (line, name) of the functions, methods and classes defined
     in the source `definitions` (dunder names exempt) whose name no other
@@ -153,11 +179,12 @@ COUNTEREXAMPLES = (
 )
 
 
-def _run(code, *args, **env):
+def _run(code, *args, flags=(), **env):
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     out = subprocess.run(
-        [sys.executable, "-c", code, *args], env=dict(base, PYTHONPATH=str(SRC.parent), **env),
-        capture_output=True, text=True, check=True,
+        [sys.executable, *flags, "-c", code, *args],
+        env=dict(base, PYTHONPATH=str(SRC.parent), **env), capture_output=True, text=True,
+        check=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -203,6 +230,50 @@ def test_benchmark_setup_loads_only_the_action_builders():
     ):
         scenarios = [str(SRC / "scenarios" / (s + ".scn")) for s in stems]
         assert _run(code, *scenarios) == SETUP_MODULES
+
+
+_SETUP_STDLIB = """
+import json, sys
+print(json.dumps(sorted(m for m in ("dataclasses", "importlib.resources") if m in sys.modules)))
+"""
+
+
+def test_benchmark_setup_loads_no_dataclasses():
+    # without `site`, which may load importlib.resources itself; the probe
+    # reads the scenarios by path
+    scenarios = [str(p) for p in sorted((SRC / "scenarios").glob("*.scn"))]
+    assert _run(bench_setup_code() + _SETUP_STDLIB, *scenarios, flags=("-S",)) == []
+
+
+_ALL_COMMANDS = """
+import json, sys
+from hypcrit import cli
+codes = [cli.main([cmd, "--scenario", scn, "--out", sys.argv[1] + "/" + cmd]) for cmd, scn in (
+    ("entropy", "f2_tree"), ("boundary", "f2_tree"), ("verify", "f2_tree"),
+    ("converge", "schottky_family"),
+)]
+print(json.dumps([codes, "dataclasses" in sys.modules]))
+"""
+
+
+def test_subcommands_load_no_dataclasses(tmp_path):
+    assert _run(_ALL_COMMANDS, str(tmp_path)) == [[0, 0, 0, 0], False]
+
+
+_SITE_FREE_RUN = """
+import json, sys
+from hypcrit import cli
+code = cli.main(["entropy", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, sorted(m for m in ("dataclasses", "importlib.resources")
+                               if m in sys.modules)]))
+"""
+
+
+def test_scenario_read_by_path_loads_no_importlib_resources(tmp_path):
+    # `python -S`: no `site` module loads importlib.resources first; only a
+    # bundled scenario read by bare name needs it
+    scenario = str(SRC / "scenarios" / "counterexample_translation.scn")
+    assert _run(_SITE_FREE_RUN, scenario, str(tmp_path), flags=("-S",)) == [2, []]
 
 
 _VERIFY_RUN = """
