@@ -48,19 +48,23 @@ DEFAULT_MIN_SYSTOLE = 0.5
 
 
 def load_scenario(path):
+    """The scenario in the file at `path` or, where `path` is a bare name
+    (no directory part) that names no file, the bundled scenario of that
+    name, with or without its `.scn`."""
     p = Path(path)
-    if not p.exists():
+    if p.exists():
+        sc = json.loads(p.read_text(encoding="utf-8"))
+    elif str(path) != p.name:
+        raise FileNotFoundError("no scenario file %s" % path)
+    else:
         # bundled scenario by bare name; importlib.resources loads only here
         from importlib import resources
 
         name = p.name if p.name.endswith(".scn") else p.name + ".scn"
         ref = resources.files("hypcrit") / "scenarios" / name
-        if ref.is_file():
-            sc = json.loads(ref.read_text(encoding="utf-8"))
-        else:
-            raise FileNotFoundError(path)
-    else:
-        sc = json.loads(p.read_text(encoding="utf-8"))
+        if not ref.is_file():
+            raise FileNotFoundError("no scenario file %s" % path)
+        sc = json.loads(ref.read_text(encoding="utf-8"))
     if sc.get("schema") != SCHEMA:
         raise ValueError("unsupported scenario schema %r" % sc.get("schema"))
     return sc

@@ -318,15 +318,19 @@ def _check_table(name, table, length, limit):
             raise MalformedWitnessError("%s table entry %d is invalid: %r" % (name, i, v))
 
 
-def verify_witness(A, B, w):
-    """Recompute all five defect maxima of the witness and judge validity.
+def verify_witness(A, B, w, stop=None):
+    """Recompute the five defect maxima of the witness and judge validity:
+    (valid, WitnessDefects).
 
     Stored defects are never trusted. Surjectivity is checked against B's
     net with its covering radius added; the remaining conditions are
     evaluated on the nets exactly, with the combined covering radius of
-    both nets reported separately as discretization slack. Valid iff every
-    defect is strictly below w.epsilon. Every defect is evaluated, valid
-    witness or not; `search_witness` stops at the first that reaches eps.
+    both nets reported separately as discretization slack (read, not
+    evaluated). Valid iff every defect is strictly below w.epsilon. The
+    defects are evaluated in cost order, `_witness_defects`. Without a
+    stop every defect is evaluated, valid witness or not; with one, the
+    first whose value reaches it ends the judgement, and the defects after
+    it are left math.nan (`search_witness` stops at eps).
 
     Memory: each snapshot's `metric` (on trees O(width n) trie node ids, on
     the plane the dense table of at most about 1.4k points) and
@@ -349,31 +353,16 @@ def verify_witness(A, B, w):
     |DB(fs_a, fs_b) - DA(a, b)| is too, and every pair (a, b) with b < a is
     read as (b, a) in b's block.
     """
-    defects = _judge_witness(A, B, w)[1]
-    return defects.worst() < float(w.epsilon), defects
-
-
-def _judge_witness(A, B, w, stop=None):
-    """(refuting defect name or None, WitnessDefects) of the witness.
-
-    The defects are evaluated in cost order, `_witness_defects`; with a
-    stop, the first whose value reaches it refutes the witness, and the
-    defects after it are left math.nan. Discretization slack is always
-    filled in: it is read, not evaluated.
-    """
     _check_table("f", w.f, len(A.points), len(B.points))
     _check_table("phi", w.phi, len(A.elements), max(len(B.elements), 1))
     _check_table("psi", w.psi, len(B.elements), max(len(A.elements), 1))
     got = dict.fromkeys(_JUDGED, math.nan)
-    refuted = None
     for name, value in _witness_defects(A, B, np.asarray(w.f, dtype=np.int64), w):
         got[name] = value
         if stop is not None and value >= stop:
-            refuted = name
             break
-    return refuted, WitnessDefects(
-        **got, discretization=A.covering_radius + B.covering_radius
-    )
+    defects = WitnessDefects(**got, discretization=A.covering_radius + B.covering_radius)
+    return defects.worst() < float(w.epsilon), defects
 
 
 def _witness_defects(A, B, f, w):
@@ -500,18 +489,19 @@ def search_witness(A, B, epsilon):
     offset grid, and phi/psi match element words (falling back to the
     longest available prefix for shell-straddling elements).
 
-    The candidate is judged as `verify_witness` judges it, but the defects
-    are tested in cost order and the first that reaches eps ends the
-    search: a distortion block, not the whole n_A x n_B table, refutes a
-    far-off net. The verdict is the same, since a witness is valid iff
-    every defect is below eps, and a valid witness carries every defect,
-    bitwise. A failure is a SearchFailure naming the refuting defect.
+    The candidate is judged by `verify_witness` with stop = eps: the
+    first defect, in cost order, that reaches eps ends the search, so a
+    distortion block, not the whole n_A x n_B table, refutes a far-off
+    net. The verdict is the same as without a stop, since a witness is
+    valid iff every defect is below eps, and a valid witness carries every
+    defect, bitwise. A failure is a SearchFailure naming the first judged
+    defect that reaches eps.
     """
     w = _wordwise_witness(A, B, epsilon)
-    refuted, defects = _judge_witness(A, B, w, w.epsilon)
-    if refuted is None:
+    valid, defects = verify_witness(A, B, w, stop=w.epsilon)
+    if valid:
         return ApproximationWitness(w.f, w.phi, w.psi, w.epsilon, defects)
-    return SearchFailure(refuted, defects)
+    return SearchFailure(next(n for n in _JUDGED if getattr(defects, n) >= w.epsilon), defects)
 
 
 def _wordwise_witness(A, B, epsilon):

@@ -1,7 +1,7 @@
 """Group actions and pruned breadth-first orbit-ball enumeration.
 
 The enumeration core: given an action with a certified linear lower bound
-d(x, gx) >= c*|g| - c' on displacements, enumerate all distinct orbit
+d(x, gx) >= c*|g| on displacements, enumerate all distinct orbit
 points within radius T, deduplicated, with deterministic output order
 (canonical word order). The ball owns its counting function N(t), the
 number of orbit points displaced by at most t (`OrbitBall`).
@@ -37,12 +37,6 @@ ELEMENT_CAP = 2_000_000
 #: |bc|) <= eps cosh d(i, g i), as its imaginary part cancels ad against
 #: bc; this radius (about 32.1) keeps that bound at 1e-2
 PLANE_RADIUS_LIMIT = math.acosh(1e-2 / sys.float_info.epsilon)
-
-
-class PruneParams(namedtuple("PruneParams", "c c_prime", defaults=(0.0,))):
-    """Linear displacement lower bound d(x, gx) >= c*|g| - c_prime."""
-
-    __slots__ = ()
 
 
 class GroupAction:
@@ -238,30 +232,17 @@ class OrbitBall:
         return out
 
 
-def default_prune(action):
-    if action.space.kind == TREE:
-        return PruneParams(float(action.space.edge_length), 0.0)
-    if action.certificate is None:
-        raise CertificationError("plane action has no ping-pong certificate")
-    return PruneParams(action.certificate.per_letter_gain, 0.0)
-
-
-def default_merge_radius(action):
-    if action.space.kind == TREE:
-        return 0.0  # exact dedup by (vertex word, offset)
-    return min(1e-6, action.certificate.systole_bound / 10.0)
-
-
-def enumerate_orbit_ball(action, T, merge_radius=None, prune=None):
+def enumerate_orbit_ball(action, T):
     """All distinct orbit points within displacement T of the basepoint.
 
-    Breadth-first over reduced words with the linear prune bound capping
-    word length at (T + c')/c. A tree ball counts its levels and builds no
-    word (`OrbitBall`); its radius snaps down to the edge grid, to the
-    exact depth of its deepest level. On the plane a point closer than
-    merge_radius to a kept entry merges into the earliest such entry,
-    found by a spatial hash in
-    (log y, x/y) bands (`_MergeHash`). Output order is canonical word
+    Breadth-first over reduced words, every bound read from the action. A
+    tree ball counts its levels and builds no word (`OrbitBall`): level k
+    is displaced by exactly k * edge_length, so its depth is
+    int(T / edge_length) and its radius snaps down to the edge grid. A
+    plane ball needs the action's ping-pong certificate: its
+    `per_letter_gain` c caps word length at T / c, and a point closer than
+    min(1e-6, systole_bound / 10) to a kept entry merges into the earliest
+    such entry, found by `_MergeHash`. Output order is canonical word
     order: each level expands a canonically ordered frontier letter by
     letter. The ELEMENT_CAP check runs before a level is built (on a tree,
     counted), on the number of words the level would build.
@@ -276,21 +257,14 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None):
     """
     if T < 0:
         raise ValueError("ball radius must be nonnegative")
-    if prune is None:
-        prune = default_prune(action)
-    if prune.c <= 0:
-        raise CertificationError("prune bound must have c > 0 (termination)")
-    if merge_radius is None:
-        merge_radius = default_merge_radius(action)
-    cert = action.certificate
-    if cert is not None and merge_radius >= cert.systole_bound / 3.0:
-        raise CertificationError(
-            "merge_radius %.3g too large for certified systole %.3g"
-            % (merge_radius, cert.systole_bound)
-        )
     tree = action.space.kind == TREE
+    cert = action.certificate
+    if not tree and cert is None:
+        raise CertificationError("plane action has no ping-pong certificate")
+    gain = action.space.edge_length if tree else cert.per_letter_gain
+    if gain <= 0:
+        raise CertificationError("per-letter gain must be positive (termination)")
     alph = action.alphabet
-    max_len = int(math.floor((float(T) + prune.c_prime) / prune.c + 1e-12))
 
     def level_size(k):
         # level k builds every reduced word of length k (the plane frontier
@@ -302,25 +276,24 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None):
             raise CertificationError("element cap hit; action looks non-discrete")
 
     if tree:
-        L = action.space.edge_length
         sizes = [1]
-        for k in range(1, min(max_len, int(Fraction(T) / L)) + 1):
+        for k in range(1, int(Fraction(T) / gain) + 1):
             check_cap(sum(sizes), k)
             sizes.append(level_size(k))
-        return OrbitBall(L * (len(sizes) - 1), None, sizes=tuple(sizes),
-                         rank=action.rank, edge_length=L)
+        return OrbitBall(gain * (len(sizes) - 1), None, sizes=tuple(sizes),
+                         rank=action.rank, edge_length=gain)
 
     # the plane: one BFS level at a time on stacked (n, 4) matrix rows
     if float(T) > PLANE_RADIUS_LIMIT:
         raise NumericalLimitError("plane ball radius %.6g beyond float64's %.4g"
                                   % (float(T), PLANE_RADIUS_LIMIT))
+    max_len = int(math.floor(float(T) / gain + 1e-12))
     reach = float(T) + 1e-9  # closed ball at the declared tolerance
     base = action.basepoint
     entries = [OrbitEntry("", base, 0.0, IDENTITY_PLANE)]
     merged_words = []
-    near = _MergeHash(merge_radius) if merge_radius > 0 else None
-    if near:
-        near.find_or_add(base.z, 0)
+    near = _MergeHash(min(1e-6, cert.systole_bound / 10.0))
+    near.find_or_add(base.z, 0)
     levels = _word_levels(action.gen_map, alph)
     for k in range(1, max_len + 1):
         check_cap(len(entries), k)
@@ -329,11 +302,10 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None):
             d = plane_distance(base.z, z)
             if d > reach:
                 continue
-            if near:
-                hit = near.find_or_add(z, len(entries))
-                if hit is not None:
-                    merged_words.append((w, entries[hit].word))
-                    continue
+            hit = near.find_or_add(z, len(entries))
+            if hit is not None:
+                merged_words.append((w, entries[hit].word))
+                continue
             entries.append(OrbitEntry(w, PlanePoint(z), d, PlaneIsometry(tuple(m.tolist()))))
 
     # the levels, and so the entries, are already in canonical word order
@@ -341,43 +313,43 @@ def enumerate_orbit_ball(action, T, merge_radius=None, prune=None):
 
 
 class _MergeHash:
-    """Plane points with their indices, hashed so that every pair closer
-    than r is compared: cells in (log y, x/y) bands.
+    """Plane points with their indices, kept so that every point closer
+    than r to a query is compared: one x-sorted list per log-y band.
 
-    Band b holds the points with b h <= log y < (b + 1) h, h = 4 r, cut
-    into cells of width 4 (e^r - 1) e^{(b + 1) h} in x. A point closer than
-    r to z differs from it by less than r in log y and, as |x - x'| <=
-    |z - z'| = 2 sqrt(y y') sinh(d/2) with y' < y e^r, by less than
-    y (e^r - 1) in x: it lies in the one or two bands meeting log y +- r
-    and, in each, the one or two cells meeting x +- y (e^r - 1), both
-    ranges widened for rounding.
+    Band b holds the points with b h <= log y < (b + 1) h, h = 4 r, in
+    increasing x. A point z' closer than r to z = x + iy differs from it by
+    less than r in log y, as d(z, z') >= |log y - log y'|, so it lies in
+    one of the bands meeting log y +- r. As |x - x'| <= |z - z'| = 2
+    sqrt(y y') sinh(d/2) and y' < y e^r, it differs from z by less than
+    y (e^r - 1) in x, so `bisect` finds it among the band's points with x'
+    in [x - dx, x + dx], dx = y (e^r - 1). Both ranges are widened for
+    rounding. Only points in that window are read, whatever the ratio
+    |x| / y, so a query costs O(log n + points read) per band.
     """
 
     def __init__(self, r):
         self.r, self.h = r, 4.0 * r
         self.grow = math.expm1(r) * (1.0 + 1e-6)
-        self.K = 4.0 * math.expm1(r) * math.exp(self.h)
-        self.cells = {}
+        self.bands = {}
 
     def find_or_add(self, z, index):
         """The smallest index of a point closer than r to z; where there is
         none, z is added under `index` and None returned."""
-        x, y, h, cells = z.real, z.imag, self.h, self.cells
+        x, y, h = z.real, z.imag, self.h
         u = math.log(y)
         pad = self.r * (1.0 + 1e-6) + 1e-15 * abs(u)
         dx = y * self.grow + 1e-15 * abs(x)
-        b0, b1 = math.floor((u - pad) / h), math.floor((u + pad) / h)
         hit = None
-        for b in (b0,) if b0 == b1 else range(b0, b1 + 1):
-            w = self.K * math.exp(b * h)
-            j0, j1 = math.floor((x - dx) / w), math.floor((x + dx) / w)
-            for j in (j0,) if j0 == j1 else range(j0, j1 + 1):
-                for i, q in cells.get((b, j), ()):
-                    if (hit is None or i < hit) and plane_distance(q, z) < self.r:
-                        hit = i
+        for b in range(math.floor((u - pad) / h), math.floor((u + pad) / h) + 1):
+            xs, pts = self.bands.get(b, ((), ()))
+            for i, q in pts[bisect.bisect_left(xs, x - dx):bisect.bisect_right(xs, x + dx)]:
+                if (hit is None or i < hit) and plane_distance(q, z) < self.r:
+                    hit = i
         if hit is None:
-            b = math.floor(u / h)
-            cells.setdefault((b, math.floor(x / (self.K * math.exp(b * h)))), []).append((index, z))
+            xs, pts = self.bands.setdefault(math.floor(u / h), ([], []))
+            j = bisect.bisect_right(xs, x)
+            xs.insert(j, x)
+            pts.insert(j, (index, z))
         return hit
 
 

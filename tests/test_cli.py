@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -238,8 +239,11 @@ def test_emit_witnesses_includes_rows(tmp_path):
 
 
 def test_unknown_scenario_file(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        run(["entropy", "--scenario", "no_such_scenario", "--out", str(tmp_path)])
+    # a path with a directory part never falls back to the bundled
+    # scenario of its file name
+    for path in ("no_such_scenario", "/no/such/dir/f2_tree.scn"):
+        with pytest.raises(FileNotFoundError, match=re.escape(path)):
+            run(["entropy", "--scenario", path, "--out", str(tmp_path)])
 
 
 def test_schema_is_checked(tmp_path):

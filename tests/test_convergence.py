@@ -574,9 +574,9 @@ def test_basepoint_defect_refutes_before_any_block(snap, monkeypatch):
     f = list(w.f)
     f[snap.base_index] = snap.grid_index[1]["a"]  # one edge from the basepoint
     shapes = record_sorted_rows(monkeypatch)
-    got = convergence._judge_witness(snap, snap, ApproximationWitness(f, w.phi, w.psi, 0.5), 0.5)
-    assert got[0] == "basepoint" and got[1].basepoint == 1.0 and shapes == []
-    assert all(math.isnan(v) for v in (got[1].distortion, got[1].surjectivity))
+    valid, got = verify_witness(snap, snap, ApproximationWitness(f, w.phi, w.psi, 0.5), stop=0.5)
+    assert not valid and got.basepoint == 1.0 and shapes == []
+    assert all(math.isnan(v) for v in (got.distortion, got.surjectivity))
 
 
 # ---------------------------------------------------------------------------

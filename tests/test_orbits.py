@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypcrit.errors import CertificationError, InsufficientDataError, NumericalL
 from hypcrit.isometries import (
     IDENTITY_PLANE,
     PlaneIsometry,
+    SchottkyCertificate,
     apply_isometry,
     certify_ping_pong,
     compose,
@@ -18,7 +20,6 @@ from hypcrit.orbits import (
     PLANE_RADIUS_LIMIT,
     GroupAction,
     OrbitEntry,
-    PruneParams,
     _count_by_shell,
     _MergeHash,
     check_generating,
@@ -110,8 +111,9 @@ def test_element_cap_trips_before_a_level_is_built(monkeypatch, f2, schottky):
     # the plane frontier keeps children outside the ball, so the cap must
     # bound the words each level builds, not only the entries it keeps
     monkeypatch.setattr(orbits, "ELEMENT_CAP", 1000)
+    slow = schottky_action(schottky_pair(4.0), schottky.certificate._replace(per_letter_gain=0.5))
     with pytest.raises(CertificationError):
-        enumerate_orbit_ball(schottky, 4.0, prune=PruneParams(0.5))
+        enumerate_orbit_ball(slow, 4.0)
 
 
 def test_rescaled_tree_ball(f2_ball6):
@@ -181,16 +183,20 @@ def test_word_metric_comparison_schottky(schottky, schottky_ball):
 # the batched plane BFS against the scalar loop it replaced
 
 
-def scalar_plane_ball(action, T, merge_radius, prune):
+def scalar_plane_ball(action, T):
     """(entries, count_by_shell, merged_words) of the plane BFS, one word
-    at a time with `compose`, `apply_isometry` and `plane_distance`; a
-    point merges into the earliest kept entry closer than merge_radius,
-    among the kept entries whose log y is within merge_radius of its own
-    (d(z, z') >= |log y - log y'|), kept sorted by log y (no hash)."""
+    at a time with `compose`, `apply_isometry` and `plane_distance`, word
+    length capped at T / per_letter_gain of the action's certificate; a
+    point merges into the earliest kept entry closer than merge_radius =
+    min(1e-6, systole_bound / 10), among the kept entries whose log y is
+    within merge_radius of its own (d(z, z') >= |log y - log y'|), kept
+    sorted by log y (no hash)."""
+    cert = action.certificate
+    merge_radius = min(1e-6, cert.systole_bound / 10.0)
     alph = action.alphabet
     follow = {c: [d for d in alph if d != c.swapcase()] for c in alph}
     follow[""] = alph
-    max_len = int(math.floor((float(T) + prune.c_prime) / prune.c + 1e-12))
+    max_len = int(math.floor(float(T) / cert.per_letter_gain + 1e-12))
     base = action.basepoint
     entries = [OrbitEntry("", base, 0.0)]
     merged_words = []
@@ -205,18 +211,17 @@ def scalar_plane_ball(action, T, merge_radius, prune):
             d = plane_distance(base.z, p.z)
             if d > float(T) + 1e-9:
                 continue
-            if merge_radius > 0:
-                u = math.log(p.z.imag)
-                lo = bisect.bisect_left(by_height, (u - merge_radius - 1e-9,))
-                hi = bisect.bisect_right(by_height, (u + merge_radius + 1e-9, math.inf))
-                hits = [
-                    i for _, i in by_height[lo:hi]
-                    if plane_distance(entries[i].point.z, p.z) < merge_radius
-                ]
-                if hits:
-                    merged_words.append((w, entries[min(hits)].word))
-                    continue
-                bisect.insort(by_height, (u, len(entries)))
+            u = math.log(p.z.imag)
+            lo = bisect.bisect_left(by_height, (u - merge_radius - 1e-9,))
+            hi = bisect.bisect_right(by_height, (u + merge_radius + 1e-9, math.inf))
+            hits = [
+                i for _, i in by_height[lo:hi]
+                if plane_distance(entries[i].point.z, p.z) < merge_radius
+            ]
+            if hits:
+                merged_words.append((w, entries[min(hits)].word))
+                continue
+            bisect.insort(by_height, (u, len(entries)))
             entries.append(OrbitEntry(w, p, d))
     entries.sort(key=lambda e: word_key(e.word))
     disps = sorted(e.displacement for e in entries)
@@ -231,9 +236,9 @@ def bits(entries):
     ]
 
 
-def assert_matches_scalar(action, T, merge_radius, prune):
-    ball = enumerate_orbit_ball(action, T, merge_radius=merge_radius, prune=prune)
-    entries, shells, merged = scalar_plane_ball(action, T, merge_radius, prune)
+def assert_matches_scalar(action, T):
+    ball = enumerate_orbit_ball(action, T)
+    entries, shells, merged = scalar_plane_ball(action, T)
     assert bits(ball.entries) == bits(entries)
     assert ball.count_by_shell == shells
     assert ball.merged_words == merged
@@ -244,31 +249,33 @@ def assert_matches_scalar(action, T, merge_radius, prune):
 def test_batched_plane_ball_matches_the_scalar_loop(L):
     desc = schottky_pair(L)
     action = schottky_action(desc, certify_ping_pong(desc))
-    cert = action.certificate
-    merge_radius = min(1e-6, cert.systole_bound / 10.0)
     for T in (0.0, 3.9, 14.0, 23.0, 26.0):
-        ball = assert_matches_scalar(action, T, merge_radius, PruneParams(cert.per_letter_gain))
+        ball = assert_matches_scalar(action, T)
         assert ball.merged_words == ()
 
 
+def hand_certified(gen_map, gain):
+    """A plane action under a hand-built certificate: per-letter gain
+    `gain` and systole bound 1e-5, so its merge radius is 1e-6."""
+    cert = SchottkyCertificate(systole_bound=1e-5, attaining_word="a", per_letter_gain=gain)
+    return GroupAction(ModelSpace.plane(), gen_map, math.log(3.0), 3.0, cert)
+
+
 def test_repeated_generator_merges_like_the_scalar_loop():
-    # an uncertified action whose second generator repeats the first: "b"
-    # lands on "a" and "aB" on the identity, so the merge path runs
+    # an action whose second generator repeats the first, under a
+    # hand-built certificate: "b" lands on "a" and "aB" on the identity,
+    # so the merge path runs
     g = schottky_pair(4.0).generators[1]
-    action = GroupAction(
-        ModelSpace.plane(), {"a": g, "A": g.inverse(), "b": g, "B": g.inverse()},
-        math.log(3.0), 3.0,
-    )
-    ball = assert_matches_scalar(action, 9.0, 1e-6, PruneParams(2.0))
+    action = hand_certified({"a": g, "A": g.inverse(), "b": g, "B": g.inverse()}, 2.0)
+    ball = assert_matches_scalar(action, 9.0)
     assert ("b", "a") in ball.merged_words and ("aB", "") in ball.merged_words
     assert [e.word for e in ball.entries] == ["", "a", "A", "aa", "AA"]
 
 
-@pytest.mark.parametrize("merge_radius", [0.05, 0.2, 0.4])
-def test_dense_action_merges_like_the_scalar_loop(merge_radius):
+def test_dense_action_merges_like_the_scalar_loop():
     # translations by 1 and sqrt 2 and a dilation generate a non-discrete
-    # group: its orbit points crowd, and most words merge into an entry
-    # kept earlier in the same or a neighbouring hash cell
+    # group: its orbit points crowd, and words merge into an entry kept
+    # earlier in the same or a neighbouring band
     gens = (
         PlaneIsometry.from_matrix(1.0, 1.0, 0.0, 1.0),
         PlaneIsometry.from_matrix(1.0, math.sqrt(2.0), 0.0, 1.0),
@@ -277,9 +284,8 @@ def test_dense_action_merges_like_the_scalar_loop(merge_radius):
     gen_map = {}
     for c, g in zip("abc", gens):
         gen_map[c], gen_map[c.upper()] = g, g.inverse()
-    action = GroupAction(ModelSpace.plane(), gen_map, math.log(3.0), 3.0)
-    ball = assert_matches_scalar(action, 2.0, merge_radius, PruneParams(0.5))
-    assert len(ball.merged_words) > ball.count
+    ball = assert_matches_scalar(hand_certified(gen_map, 0.5), 2.0)
+    assert ball.merged_words
 
 
 def dilate_then_shift(x):
@@ -290,39 +296,41 @@ def dilate_then_shift(x):
 
 def test_close_pairs_merge_at_every_height():
     # "a" = D(10) puts i at 10i; "b" = P(4e-6) D(10) puts it 4e-7 away in
-    # the hyperbolic metric, where a Euclidean cell of side 1e-6/sqrt 2 is 4e-5
-    # units of hyperbolic length. "c" sits 1.2e-6 from "a" and is kept; "d"
-    # sits 6e-7 from both "a" and "c", in the cell left of theirs, and
-    # merges into the earlier entry "a", whichever cell is scanned first
+    # the hyperbolic metric. "c" sits 1.2e-6 from "a" and is kept; "d"
+    # sits 6e-7 from both "a" and "c", left of both, and merges into the
+    # earlier entry "a", whichever point is compared first
     gens = [dilate_then_shift(x) for x in (0.0, 4e-6, -1.2e-5, -6e-6)]
     gen_map = {}
     for c, g in zip("abcd", gens):
         gen_map[c], gen_map[c.upper()] = g, g.inverse()
-    action = GroupAction(ModelSpace.plane(), gen_map, math.log(3.0), 3.0)
-    ball = assert_matches_scalar(action, 2.5, 1e-6, PruneParams(2.0))
+    ball = assert_matches_scalar(hand_certified(gen_map, 2.0), 2.5)
     assert ball.merged_words == (("b", "a"), ("d", "a"))
     assert [e.word for e in ball.entries] == ["", "a", "A", "B", "c", "C", "D"]
 
 
 def test_merge_hash_finds_the_earliest_close_point():
     # random points from near the real axis to high up, with clusters
-    # closer than r, against a scan of all earlier points
-    rng = random.Random(8)
-    for r in (1e-6, 0.05):
+    # closer than r, against a scan of all earlier points; the last two
+    # cases are deep, |x| / y up to about 1e16, where the x window is the
+    # rounding pad 1e-15 |x| and is wider than y by orders of magnitude
+    cases = [(r, (-25.0, 5.0), 1500) for r in (1e-6, 0.05, 0.2, 0.4)]
+    cases += [(r, (-33.0, -25.0), 600) for r in (1e-6, 0.4)]
+    for r, log_y, n in cases:
+        rng = random.Random(8)
         near = _MergeHash(r)
         kept = []
-        for n in range(1500):
+        for k in range(n):
             if kept and rng.random() < 0.3:
                 q = rng.choice(kept)[1]
                 t = rng.uniform(0.0, 1.2 * r)
                 z = complex(q.real + q.imag * t * rng.uniform(-1, 1), q.imag * math.exp(rng.uniform(-t, t)))
             else:
-                z = complex(rng.uniform(-50.0, 50.0), math.exp(rng.uniform(-25.0, 5.0)))
+                z = complex(rng.uniform(-50.0, 50.0), math.exp(rng.uniform(*log_y)))
             want = next((i for i, q in kept if plane_distance(q, z) < r), None)
-            assert near.find_or_add(z, n) == want
+            assert near.find_or_add(z, k) == want
             if want is None:
-                kept.append((n, z))
-        assert 0 < len(kept) < 1500
+                kept.append((k, z))
+        assert 0 < len(kept) < n
 
 
 def test_plane_entries_carry_their_isometries(schottky):
@@ -333,6 +341,15 @@ def test_plane_entries_carry_their_isometries(schottky):
         want = schottky.isometry(e.word).mat
         assert [x.hex() for x in e.isometry.mat] == [x.hex() for x in want], e.word
     assert ball.count > 1000
+
+
+def test_deep_plane_ball_is_fast(schottky):
+    # at T = 32, |x| / y of the orbit points reaches about 4e13, and the
+    # merge index reads only the points in each query's x window
+    start = time.perf_counter()
+    ball = enumerate_orbit_ball(schottky, 32.0)
+    assert time.perf_counter() - start < 2.0
+    assert ball.count == 25_384 and ball.merged_words == ()
 
 
 def test_plane_ball_beyond_float64_is_refused(schottky):
