@@ -135,13 +135,13 @@ class _TreePaths:
     """Root paths of a list of tree points, the one tree-distance kernel.
 
     The points come as arrays: vertex words, direction letters (None at a
-    vertex) and float64 offsets. Row i of `rows` holds the letters of
-    words[i] (`lengths[i]` of them) followed by its direction letter,
-    padded to one more digit than the longest word. The rows are sorted
-    once (`order` lists the points in sorted order, `rank` is its
-    inverse); the common-prefix length of sorted rows a < b is then the
-    minimum of the `adjacent` common-prefix lengths between them (Kasai et
-    al., CPM 2001), so no n x n x depth comparison is ever built.
+    vertex) and float64 offsets. Each point's root path is a row of the
+    letters of its word followed by its direction letter, padded to one
+    more digit than the longest word. The rows are sorted once (`order`
+    lists the points in sorted order, `rank` is its inverse); the
+    common-prefix length of sorted rows a < b is then the minimum of the
+    `adjacent` common-prefix lengths between them (Kasai et al., CPM
+    2001), so no n x n x depth comparison is ever built.
 
     `nodes[k - 1]` numbers, in sorted order, the trie node of depth k
     above each point (k = 1 .. width): sorted points a < b share it iff
@@ -162,14 +162,14 @@ class _TreePaths:
     def __init__(self, edge_length, words, directions, offsets):
         n = len(words)
         self.L = float(edge_length)
-        self.lengths = np.array([len(w) for w in words], dtype=np.int64)
-        self.depth = self.lengths * self.L + np.asarray(offsets, dtype=float)
-        self.width = int(self.lengths.max()) + 1 if n else 1
+        lengths = np.array([len(w) for w in words], dtype=np.int64)
+        self.depth = lengths * self.L + np.asarray(offsets, dtype=float)
+        self.width = int(lengths.max()) + 1 if n else 1
         if self.width > np.iinfo(np.int8).max:
             raise ValueError("prefix lengths up to %d overflow int8" % self.width)
-        self.rows = _word_rows([w + (d or "") for w, d in zip(words, directions)], self.width)
-        self.order = np.lexsort(self.rows.T[::-1])
-        srt = self.rows[self.order]
+        rows = _word_rows([w + (d or "") for w, d in zip(words, directions)], self.width)
+        self.order = np.lexsort(rows.T[::-1])
+        srt = rows[self.order]
         self.adjacent = _row_lcp(srt[1:], srt[:-1]).astype(np.int8)
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[self.order] = np.arange(n)

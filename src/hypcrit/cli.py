@@ -109,7 +109,7 @@ ACTION_KEYS = {"tree": {"kind", "valence", "edge_length"}, "schottky": {"kind", 
 
 #: the keys each subcommand block, and each block nested in one, reads
 BLOCK_KEYS = {
-    "entropy": {"T", "window", "method", "K_h", "poincare_s", "h_target", "h_tolerance",
+    "entropy": {"T", "window", "K_h", "poincare_s", "h_target", "h_tolerance",
                 "K_bound", "covering"},
     "covering": {"r", "window"},
     "boundary": {"T", "s", "h", "cylinder_depths", "cells_per_depth", "qc_depth",
@@ -229,7 +229,7 @@ def cmd_entropy(scenario, args, outdir):
     ball = enumerate_orbit_ball(action, block["T"])
     counts = ball.count_samples
     window = tuple(float(v) for v in block["window"])
-    est = estimate_critical_exponent(counts, window, block.get("method", "regression"))
+    est = estimate_critical_exponent(counts, window)
 
     win_counts = [
         (t, n) for t, n in counts if window[0] - 1e-9 <= float(t) <= window[1] + 1e-9
@@ -377,8 +377,13 @@ def read_family(scenario):
     from .convergence import ContinuityConfig
 
     block, action = _block(scenario, "converge"), scenario["action"]
-    if "vary" not in block:
-        raise ValueError("converge block needs a `vary` key: the action key its members vary")
+    needs = {"vary": "the action key its members vary", "schedule": "the members it judges",
+             "limit": "the member they converge to"}
+    for key, what in needs.items():
+        if key not in block:
+            raise ValueError("converge block needs a `%s` key: %s" % (key, what))
+    if not block["schedule"]:
+        raise ValueError("converge block's `schedule` is empty: it names no member to judge")
     vary = block["vary"]
     *schedule, limit = [Fraction(str(v)) for v in block["schedule"] + [block["limit"]]]
     kw = {k: float(block[k]) for k in ("ball_T", "h_tolerance", "K_bound") if k in block}

@@ -16,9 +16,9 @@ action table are index arithmetic on the vertex list it numbers itself
 (`arrays._TreePaths`, O(width n) memory, no n x n table). A plane
 snapshot's net is its orbit ball's sample, with a dense distance table
 (`_DenseTable`). `verify_witness` reads either by blocks of rows in the
-table's own order and by lists of pairs, and places tree images that
-leave the net by word arithmetic at an exact integer number of grid
-steps, so every defect is bitwise the one of the dense n x n computation.
+table's own order and by lists of pairs, so every in-net defect is
+bitwise the one of the dense n x n computation; an image that leaves the
+net takes one scalar isometry and distance on either model.
 """
 
 import math
@@ -29,11 +29,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import _block_rows, _row_lcp, _TreePaths, _word_rows, pairwise_distances
+from .arrays import _block_rows, _TreePaths, pairwise_distances
 from .errors import InsufficientDataError, KindMismatchError, MalformedWitnessError
 from .isometries import apply_isometry
 from .space import TREE, _GridPoint, _tree_point, distance
-from .words import _ORDER, compose_words, invert_word, letters, reduced_words_upto
+from .words import _ORDER, compose_words, letters, reduced_words_upto
 
 #: eps rungs tried by the continuity experiment, largest first; the last
 #: rung is the floor imposed by the resolution <= eps/4 precondition
@@ -396,8 +396,7 @@ def _equivariance_defect(A, B, f, mapping, forward):
     Sigma(B), x with psi(g) x in the A-ball.
 
     Images g f(x) inside B's net are read through the pair formula; those
-    that leave it are computed exactly (`_tree_offnet_defect`, or one
-    scalar isometry and distance each on the plane)."""
+    that leave it are measured one by one (`_offnet_defect`)."""
     worst = 0.0
     n_out = len(B.elements) if not forward else len(A.elements)
     for gi in range(n_out):
@@ -415,55 +414,21 @@ def _equivariance_defect(A, B, f, mapping, forward):
             worst = max(worst, float(B.metric.pairs(lhs[inside], rhs[inside]).max()))
         if inside.all():
             continue
-        if B.space.kind == TREE:
-            worst = max(worst, _tree_offnet_defect(B, bi, f[xs[~inside]], lhs[~inside]))
-            continue
-        iso = B.action.isometry(B.elements[bi].word)
-        for x, l in zip(f[xs[~inside]], lhs[~inside]):
-            img = apply_isometry(B.space, iso, B.points[x])
-            worst = max(worst, float(distance(B.space, B.points[l], img)))
+        worst = max(worst, _offnet_defect(B, bi, f[xs[~inside]], lhs[~inside]))
     return worst
 
 
-def _tree_offnet_defect(snap, el_idx, xs, ys):
+def _offnet_defect(snap, el_idx, xs, ys):
     """max_k d(g xs[k], ys[k]) for the element g = snap.elements[el_idx],
-    net points xs whose images leave the net, and net points ys.
-
-    Word arithmetic on the grid, as in `_tree_snapshot`, on the net's int8
-    root paths (`_TreePaths.rows`: vertex word w, then the direction d of
-    a point s > 0 steps along an edge). g w cancels c = lcp(g^-1, w)
-    letters: the image lies s steps from u = g[:|g| - c] + w[c:] toward d,
-    on the root path g[:|g| - c] + path[c:], unless g^-1 cancels d too;
-    then it lies m - s steps from the parent of u toward the last letter
-    of u, on the root path u. With depths in integer steps, a distance is
-    d1 + d2 - 2 min(lcp m, d1, d2), the min form of `arrays._separated`;
-    the largest is converted once, as float(Fraction(k) * resolution).
-    """
-    g = snap.elements[el_idx].word
-    res = snap.resolution
-    m = int(snap.space.edge_length / res)
-    paths = snap.metric
-    rows, wl, s = paths.rows[xs], paths.lengths[xs], snap.steps[xs]
-    width = rows.shape[1]
-    # g^-1 padded with -2, which matches no digit of a path or its padding
-    ginv = _word_rows([invert_word(g)], width)
-    ginv[0, len(g):] = -2
-    cut = _row_lcp(rows, ginv)
-    up = cut > wl
-    c = np.minimum(cut, wl)
-    keep = len(g) - c  # letters of g left in the image
-    img_depth = (keep + wl - c) * m + np.where(up, -s, s)
-    # the image's root path g[:keep] + path[c:], read to `width` digits;
-    # digits past its end (d where g^-1 cancels it, or clipped ones) never
-    # matter: a common prefix that reaches them is already >= the image
-    # depth in the min form
-    j = np.arange(width)
-    tail = np.take_along_axis(rows, np.clip(j - keep[:, None] + c[:, None], 0, width - 1), axis=1)
-    img = np.where(j < keep[:, None], _word_rows([g], width)[0], tail)
-    q_depth = paths.lengths[ys] * m + snap.steps[ys]
-    sep = np.minimum(np.minimum(_row_lcp(img, paths.rows[ys]) * m, img_depth), q_depth)
-    worst = int((img_depth + q_depth - 2 * sep).max())
-    return (worst * res.numerator) / res.denominator
+    net points xs whose images leave the net, and net points ys: one
+    `apply_isometry` and one `distance` per point. A tree distance is an
+    exact Fraction, rounded once to a float."""
+    pts = snap.points
+    iso = snap.action.isometry(snap.elements[el_idx].word)
+    return max(
+        float(distance(snap.space, pts[y], apply_isometry(snap.space, iso, pts[x])))
+        for x, y in zip(xs.tolist(), ys.tolist())
+    )
 
 
 def _word_index(snap):

@@ -23,8 +23,7 @@ EXACT_LIMIT = 24
 
 class EntropyEstimate(namedtuple("EntropyEstimate", "h_hat window method residual counts_used")):
     """An exponent estimate. Its residual is, by method: regression, the
-    largest absolute log residual; last-ratio, the change from the previous
-    step's ratio; rank-quantile, |h - h_mid|."""
+    largest absolute log residual; rank-quantile, |h - h_mid|."""
 
     __slots__ = ()
 
@@ -38,16 +37,12 @@ class EntropyEstimate(namedtuple("EntropyEstimate", "h_hat window method residua
         }
 
 
-def estimate_critical_exponent(counts, window, method="regression"):
-    """Growth rate of N(T) over the window.
+def estimate_critical_exponent(counts, window):
+    """Growth rate of N(T) over the window: the least-squares slope of
+    log N vs T, with the largest absolute log residual reported.
 
     counts: list of (T, N(T)) with N positive and nondecreasing.
-    regression: least-squares slope of log N vs T over the window (with max
-    absolute residual reported); last-ratio: difference quotient over the
-    last grid step of the window.
     """
-    if method not in ("regression", "last-ratio"):
-        raise ValueError("unknown method %r" % method)
     lo, hi = window
     pts = [(float(t), n) for t, n in counts if lo - 1e-12 <= float(t) <= hi + 1e-12]
     if any(n <= 0 for _, n in pts):
@@ -59,14 +54,9 @@ def estimate_critical_exponent(counts, window, method="regression"):
             raise ValueError("counts must be sorted with nondecreasing N")
     ts = np.array([t for t, _ in pts])
     ys = np.log([n for _, n in pts])
-    if method == "regression":
-        slope, icept = np.polyfit(ts, ys, 1)
-        resid = float(np.max(np.abs(ys - (slope * ts + icept))))
-        return EntropyEstimate(max(float(slope), 0.0), (lo, hi), method, resid, tuple(pts))
-    h = (ys[-1] - ys[-2]) / (ts[-1] - ts[-2])
-    # residual: disagreement with the previous step's ratio
-    prev = (ys[-2] - ys[-3]) / (ts[-2] - ts[-3])
-    return EntropyEstimate(max(float(h), 0.0), (lo, hi), method, abs(float(h - prev)), tuple(pts))
+    slope, icept = np.polyfit(ts, ys, 1)
+    resid = float(np.max(np.abs(ys - (slope * ts + icept))))
+    return EntropyEstimate(max(float(slope), 0.0), (lo, hi), "regression", resid, tuple(pts))
 
 
 def rank_quantile_estimate(ball, rank_window):

@@ -250,9 +250,11 @@ def test_schema_is_checked(tmp_path):
     # a wrong schema, an action key its kind does not read (a misspelt
     # edge_length would build the default 1), a converge or cauchy key
     # that `converge` does not read (a misspelt rank_window would fall back
-    # to the absolute window), a converge block with no `vary`, and a key
-    # of an entropy, boundary or verify block, or of a block nested in one,
-    # that its command does not read (f2_tree with a misspelt qc_bound ran
+    # to the absolute window), a converge block with no `vary`, `schedule`
+    # or `limit` or with an empty schedule (which passed with nothing to
+    # judge and a continuity.csv of its header alone), and a key of an
+    # entropy, boundary or verify block, or of a block nested in one, that
+    # its command does not read (f2_tree with a misspelt qc_bound ran
     # `boundary` to exit 0 and skipped the bound check)
     tree = {"kind": "tree", "valence": 4, "edge_length": "1"}
     family = {"family": "tree-rescale", "vary": "edge_length", "schedule": ["3/2"], "limit": "1"}
@@ -268,6 +270,13 @@ def test_schema_is_checked(tmp_path):
                       "converge": {**family, "cauchy": {"min_shrink": 2.0}}}, "'min_shrink'"),
         ("converge", {"schema": 1, "action": tree,
                       "converge": {k: v for k, v in family.items() if k != "vary"}}, "`vary`"),
+        ("converge", {"schema": 1, "action": tree,
+                      "converge": {k: v for k, v in family.items() if k != "schedule"}},
+         "`schedule` key"),
+        ("converge", {"schema": 1, "action": tree,
+                      "converge": {k: v for k, v in family.items() if k != "limit"}}, "`limit`"),
+        ("converge", {"schema": 1, "action": tree, "converge": {**family, "schedule": []}},
+         "`schedule` is empty"),
         ("entropy", {"schema": 1, "action": tree, "entropy": {"T": 4, "window": [2, 4],
                                                               "K_bnd": 2}}, "'K_bnd'"),
         ("entropy", {"schema": 1, "action": tree,

@@ -367,16 +367,14 @@ def test_wordwise_witnesses_match_dense_reference(
     A = snapshot(member, enumerate_orbit_ball(member, 4 * ell), eps, resolution=ell / 24)
     B = snapshot(f2, rescale_limit, eps, resolution=Fraction(1, 24))
     calls = []
-    offnet = convergence._tree_offnet_defect
-    monkeypatch.setattr(
-        convergence, "_tree_offnet_defect", lambda *a: calls.append(1) or offnet(*a)
-    )
+    offnet = convergence._offnet_defect
+    monkeypatch.setattr(convergence, "_offnet_defect", lambda *a: calls.append(1) or offnet(*a))
     off_net = assert_matches_dense(A, B, [convergence._wordwise_witness(A, B, eps)])
     assert (off_net > 0) == bool(calls) == leaves_net
 
 
 def scalar_offnet_defect(snap, el_idx, xs, ys):
-    """Reference for `_tree_offnet_defect`: one `compose_words` and one
+    """Reference for `_offnet_defect` on trees: one `compose_words` and one
     scalar `_path_distance` per point, on grid points."""
     g = snap.elements[el_idx].word
     m = int(snap.space.edge_length / snap.resolution)
@@ -414,7 +412,7 @@ def wordwise_verdict(A, B, eps):
 def test_offnet_defect_matches_the_scalar_loop_on_the_tree_family(monkeypatch):
     # every off-net image of the full tree_rescale_family's word-wise
     # witnesses, each verified in full
-    offnet = convergence._tree_offnet_defect
+    offnet = convergence._offnet_defect
     seen = {"calls": 0, "points": 0}
 
     def both(snap, el_idx, xs, ys):
@@ -424,7 +422,7 @@ def test_offnet_defect_matches_the_scalar_loop_on_the_tree_family(monkeypatch):
         seen["points"] += len(xs)
         return got
 
-    monkeypatch.setattr(convergence, "_tree_offnet_defect", both)
+    monkeypatch.setattr(convergence, "_offnet_defect", both)
     assert len(family_cases("tree_rescale_family", wordwise_verdict, monkeypatch)) == 80
     assert seen == {"calls": 220, "points": 36928}
 
@@ -470,7 +468,7 @@ def test_offnet_defect_matches_the_scalar_loop_point_by_point(ell):
         for x in rng.sample(range(len(snap.points)), 300):
             xs, ys = np.array([x]), np.array([rng.randrange(len(snap.points))])
             want, up = scalar_offnet_defect(snap, gi, xs, ys)
-            assert convergence._tree_offnet_defect(snap, gi, xs, ys).hex() == want.hex()
+            assert convergence._offnet_defect(snap, gi, xs, ys).hex() == want.hex()
             ups += up
     assert ups
 

@@ -47,16 +47,8 @@ def test_regression_recovers_exact_exponential_growth():
     assert est.method == "regression"
 
 
-def test_last_ratio_method():
-    counts = [(t, 2 * 4**t) for t in range(0, 8)]
-    est = estimate_critical_exponent(counts, (0, 7), method="last-ratio")
-    assert est.h_hat == pytest.approx(math.log(4.0), abs=1e-12)
-
-
 def test_estimator_input_validation():
     good = synthetic_counts(1.0)
-    with pytest.raises(ValueError):
-        estimate_critical_exponent(good, (0, 11), method="wishful")
     with pytest.raises(ValueError):
         estimate_critical_exponent(good[:3], (0, 2))
     with pytest.raises(ValueError):

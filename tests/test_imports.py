@@ -1,8 +1,9 @@
 """Every import in a hypcrit module is read somewhere in its scope, every
-definition is named somewhere else, a subcommand loads only the modules it
-runs, no module imports `dataclasses` (defining a dataclass compiles its
-methods at import, about 0.4 ms a class), and no module calls BLAS, so the
-CLI's single OpenBLAS thread costs nothing."""
+definition is named somewhere else, the definitions only tests read are
+listed, a subcommand loads only the modules it runs, no module imports
+`dataclasses` (defining a dataclass compiles its methods at import, about
+0.4 ms a class), and no module calls BLAS, so the CLI's single OpenBLAS
+thread costs nothing."""
 
 import ast
 import json
@@ -145,6 +146,54 @@ def test_every_definition_is_referenced():
     sources = [p.read_text(encoding="utf-8") for p in paths]
     found = {p.name: unreferenced(p.read_text(encoding="utf-8"), sources) for p in MODULES}
     assert {name: defs for name, defs in found.items() if defs} == {}
+
+
+def program_only_unreferenced(root):
+    """Sorted (module file, name) of the definitions of root/src/hypcrit
+    that no Python file under root/src names but their own definition:
+    the program never reads them, whatever tests or bench/ do."""
+    paths = sorted((root / "src" / "hypcrit").glob("*.py"))
+    sources = [p.read_text(encoding="utf-8") for p in (root / "src").rglob("*.py")]
+    return sorted(
+        (p.name, name) for p in paths
+        for _, name in unreferenced(p.read_text(encoding="utf-8"), sources)
+    )
+
+
+def test_scan_finds_a_definition_only_tests_name(tmp_path):
+    # helper stays named in tests/t.py once n.py stops calling it
+    (tmp_path / "src" / "hypcrit").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "hypcrit" / "m.py").write_text(
+        "def used():\n    return 1\ndef helper():\n    return used()\n", encoding="utf-8"
+    )
+    (tmp_path / "src" / "hypcrit" / "n.py").write_text(
+        "from .m import helper\nhelper()\n", encoding="utf-8"
+    )
+    (tmp_path / "tests" / "t.py").write_text("from hypcrit.m import helper\n", encoding="utf-8")
+    assert program_only_unreferenced(tmp_path) == []
+    (tmp_path / "src" / "hypcrit" / "n.py").write_text("", encoding="utf-8")
+    assert program_only_unreferenced(tmp_path) == [("m.py", "helper")]
+
+
+#: the definitions in src/ that only tests read, each with the reason it
+#: stays there; ROADMAP's "Dead code" note lists them too
+TEST_ONLY = {
+    ("geometry_checks.py", "_rand_tree_point"):
+        "the tree counterpart of _rand_plane_point, kept beside the grid sampler it wraps; "
+        "tests draw random tree points with it",
+    ("orbits.py", "measure_codiameter"):
+        "the codiameter lower estimate that ROADMAP item 7 reports for each member",
+    ("space.py", "estimate_delta"):
+        "the four-point delta lower estimate that ROADMAP item 7 reports for each member",
+}
+
+
+def test_definitions_only_tests_read_are_listed():
+    # `test_every_definition_is_referenced` counts a name in tests/ or
+    # bench/ as a reader; over src/ alone the scan finds what the program
+    # itself never reads
+    assert program_only_unreferenced(ROOT) == sorted(TEST_ONLY)
 
 
 #: every name the package re-exported when its __init__ imported all modules
