@@ -3,7 +3,10 @@
 Scenarios are JSON documents (schema 1) naming an action and one block
 per subcommand; the same scenario file can drive several subcommands.
 Reports are plain CSV/JSON with sorted keys and LF endings, so the same
-scenario and seed produce byte-identical output. The exit code is 0 iff
+scenario and seed produce byte-identical output. A check's report section
+is its record's fields (`_record`), so a field added to a record reaches
+the report with no edit here; a `witness` field is written only for a
+failed check or under --emit-witnesses. The exit code is 0 iff
 every check enabled by the scenario passed. A subcommand imports `orbits`
 and the audit modules (`entropy`, `boundary`, `geometry_checks`,
 `convergence`) where it calls them, so a run loads only the modules it
@@ -17,6 +20,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from pathlib import Path
 
@@ -67,6 +71,8 @@ def load_scenario(path):
         sc = json.loads(ref.read_text(encoding="utf-8"))
     if sc.get("schema") != SCHEMA:
         raise ValueError("unsupported scenario schema %r" % sc.get("schema"))
+    if "action" not in sc:
+        raise ValueError("scenario needs an `action` key")
     return sc
 
 
@@ -125,6 +131,19 @@ BLOCK_KEYS = {
                  "rank_window", "h_tolerance", "K_bound", "cauchy"},
     "cauchy": {"min_shrink_ratio"},
 }
+#: the keys each block must have; a boundary block also needs the keys of
+#: its action's kind, and a verify block the block of each check it lists
+#: but `lemmas`
+REQUIRED_KEYS = {
+    "action": ("kind",), "entropy": ("T", "window"), "covering": ("r", "window"),
+    "boundary": ("T", "s", "h"), "tree boundary": ("cylinder_depths",),
+    "plane boundary": ("min_displacement", "scales"), "verify": ("checks",),
+    "shadow_ball": ("T", "min_displacement", "ts"), "generating": ("T",), "word_metric": ("T", "R"),
+    "packing_growth": ("T", "min_displacement", "ts", "r"), "packing_chain": ("T", "r"),
+    "converge": ("family", "vary", "schedule", "limit"),
+}
+#: the checks `verify` runs; each but `lemmas` reads the block of its name
+CHECKS = ("lemmas", "shadow_ball", "generating", "word_metric", "packing_growth", "packing_chain")
 
 
 def refuse_unknown_keys(block, known, what):
@@ -133,7 +152,14 @@ def refuse_unknown_keys(block, known, what):
         raise ValueError("%s has unknown keys %s" % (what, ", ".join(map(repr, unknown))))
 
 
+def require_keys(block, keys, what):
+    for key in keys:
+        if key not in block:
+            raise ValueError("%s needs a `%s` key" % (what, key))
+
+
 def build_action(spec):
+    require_keys(spec, REQUIRED_KEYS["action"], "action block")
     kind = spec["kind"]
     if kind not in ACTION_KEYS:
         raise ValueError("unknown action kind %r" % kind)
@@ -193,12 +219,29 @@ def _block(scenario, name):
 
 
 def _checked(block, name):
-    """`block`, after refusing any key outside BLOCK_KEYS[name] in it and
-    in each block nested in it."""
+    """`block`, after refusing any key outside BLOCK_KEYS[name] and any
+    missing key of REQUIRED_KEYS[name], in it and in each block nested in
+    it."""
     refuse_unknown_keys(block, BLOCK_KEYS[name], "%s block" % name)
+    require_keys(block, REQUIRED_KEYS.get(name, ()), "%s block" % name)
     for key in sorted(block.keys() & BLOCK_KEYS.keys()):
         _checked(block[key], key)
     return block
+
+
+def _record(rec, args):
+    """The report section of the record `rec`: its fields but those that
+    are None, each nested record its own section and each tuple a list. A
+    `witness` stays only on a failed check or under --emit-witnesses."""
+    def value(v):
+        if hasattr(v, "_asdict"):
+            return _record(v, args)
+        return [value(x) for x in v] if isinstance(v, tuple) else v
+
+    return {
+        k: value(v) for k, v in rec._asdict().items()
+        if v is not None and (k != "witness" or args.emit_witnesses or not rec.passed)
+    }
 
 
 def _seed(scenario, args):
@@ -246,12 +289,7 @@ def cmd_entropy(scenario, args, outdir):
         "name": scenario.get("name", ""),
         "ball": {"T": float(ball.radius), "count": ball.count},
         "estimate": est.as_dict(),
-        "equidistribution": {
-            "K_measured": eq.K_measured,
-            "h_used": h_used,
-            "worst_T": eq.worst_T,
-            "recheck": recheck,
-        },
+        "equidistribution": {**eq._asdict(), "recheck": recheck},
         "lower_bound": {"bound": lb, "passed": lb_ok},
         "systole": {
             "min_displacement": float(sys_rep.min_displacement),
@@ -297,6 +335,8 @@ def cmd_entropy(scenario, args, outdir):
 def cmd_boundary(scenario, args, outdir):
     block = _block(scenario, "boundary")
     action = build_action(scenario["action"])
+    where = "%s boundary" % action.space.kind
+    require_keys(block, REQUIRED_KEYS[where], where + " block")
 
     from .boundary import (
         check_ahlfors_regularity,
@@ -304,7 +344,6 @@ def cmd_boundary(scenario, args, outdir):
         cylinder_scale,
         limit_set_sample,
         patterson_sullivan_atoms,
-        tree_boundary,
         tree_cylinder_cells,
     )
     from .orbits import enumerate_orbit_ball
@@ -314,16 +353,13 @@ def cmd_boundary(scenario, args, outdir):
     h = float(block["h"])
 
     if action.space.kind == TREE:
-        centers, scales, cells = [], [], []
+        centers, scales = [], []
         per = int(block.get("cells_per_depth", 12))
         for depth in block["cylinder_depths"]:
             all_cells = tree_cylinder_cells(action, int(depth))
             step = max(1, len(all_cells) // per)
-            cells = all_cells[::step][:per]
-            centers.extend(z for z, _ in cells)
-            scales_here = [cylinder_scale(action, int(depth))]
-            scales.extend(scales_here)
-        centers = centers or [tree_boundary("a")]
+            centers.extend(z for z, _ in all_cells[::step][:per])
+            scales.append(cylinder_scale(action, int(depth)))
         scales = sorted(set(scales), reverse=True)
         qc_cells = tree_cylinder_cells(action, int(block.get("qc_depth", 3)))
     else:
@@ -341,22 +377,10 @@ def cmd_boundary(scenario, args, outdir):
         "measure": {"s": measure.s, "atoms": len(measure.atoms),
                     "boundary_atoms": len(measure.boundary_atoms)},
         "ahlfors": {
-            "A_lower": ahl.A_lower,
-            "A_upper": ahl.A_upper,
+            **_record(ahl, args),
             "A_vis": max(ahl.A_upper, 1.0 / ahl.A_lower) if ahl.A_lower > 0 else math.inf,
-            "step1_bound": ahl.step1_bound,
-            "step1_passed": ahl.step1_passed,
-            "shadow_Q": ahl.shadow_Q,
-            "shadow_R0": ahl.shadow_R0,
-            "samples": ahl.samples,
-            "skipped": ahl.skipped,
         },
-        "quasiconformality": {
-            "Q": qc.Q,
-            "cells_used": qc.cells_used,
-            "cells_skipped": qc.cells_skipped,
-            "g_word": qc.g_word,
-        },
+        "quasiconformality": _record(qc, args),
     }
     checks = [ahl.passed]
     if "qc_bound" in block:
@@ -377,11 +401,6 @@ def read_family(scenario):
     from .convergence import ContinuityConfig
 
     block, action = _block(scenario, "converge"), scenario["action"]
-    needs = {"vary": "the action key its members vary", "schedule": "the members it judges",
-             "limit": "the member they converge to"}
-    for key, what in needs.items():
-        if key not in block:
-            raise ValueError("converge block needs a `%s` key: %s" % (key, what))
     if not block["schedule"]:
         raise ValueError("converge block's `schedule` is empty: it names no member to judge")
     vary = block["vary"]
@@ -425,6 +444,11 @@ def cmd_converge(scenario, args, outdir):
 
 def cmd_verify(scenario, args, outdir):
     block = _block(scenario, "verify")
+    for check in block["checks"]:
+        if check not in CHECKS:
+            raise ValueError("unknown check %r" % check)
+        if check != "lemmas":
+            require_keys(block, (check,), "verify block")
     action = build_action(scenario["action"])
     seed = _seed(scenario, args)
 
@@ -436,17 +460,12 @@ def cmd_verify(scenario, args, outdir):
             raise ValueError('delta_override requires "unsafe": true')
         delta = float(block["delta_override"])
 
-    balls = {}
-
-    def ball(T):
-        if T not in balls:
-            balls[T] = enumerate_orbit_ball(action, T)
-        return balls[T]
-
+    ball = cache(lambda T: enumerate_orbit_ball(action, T))
     audits = {"name": scenario.get("name", ""), "delta": delta, "seed": seed}
     ok = True
 
     for check in block["checks"]:
+        sub = block.get(check)
         if check == "lemmas":
             from .geometry_checks import SamplingPlan, check_geodesic_lemmas
 
@@ -456,96 +475,37 @@ def cmd_verify(scenario, args, outdir):
                 radius=float(block.get("radius", 6.0)),
             )
             rep = check_geodesic_lemmas(action.space, delta, plan)
-            rows = []
-            for r in rep.rows:
-                row = {
-                    "name": r.name,
-                    "configs": r.configs,
-                    "max_defect": r.max_defect,
-                    "bound": r.bound,
-                    "passed": r.passed,
-                }
-                if args.emit_witnesses or not r.passed:
-                    row["witness"] = r.witness
-                rows.append(row)
-            audits["geodesic_lemmas"] = {"passed": rep.passed, "rows": rows}
-            ok = ok and rep.passed
         elif check == "shadow_ball":
             from .boundary import check_shadow_ball_lemma, limit_set_sample
 
-            sb = block["shadow_ball"]
-            b = ball(sb["T"])
-            lim = limit_set_sample(action, b, float(sb["min_displacement"]))
-            samples = list(islice(lim, int(sb.get("max_samples", 200))))
-            rep = check_shadow_ball_lemma(
-                action,
-                samples,
-                [float(t) for t in sb["ts"]],
-                seed=seed,
-                pair_count=int(sb.get("pair_count", 300)),
-            )
-            audits["shadow_ball"] = {
-                "passed": rep.passed,
-                "ball_in_shadow": list(rep.ball_in_shadow),
-                "shadow_in_ball": list(rep.shadow_in_ball),
-                "visual_comparison": list(rep.visual_comparison),
-                "pack_cov_rows": [list(r) for r in rep.pack_cov_rows],
-            }
-            ok = ok and rep.passed
+            lim = limit_set_sample(action, ball(sub["T"]), float(sub["min_displacement"]))
+            samples = list(islice(lim, int(sub.get("max_samples", 200))))
+            rep = check_shadow_ball_lemma(action, samples, [float(t) for t in sub["ts"]], seed=seed,
+                                          pair_count=int(sub.get("pair_count", 300)))
         elif check == "generating":
-            g = block["generating"]
-            rep = check_generating(action, ball(g["T"]), g.get("threshold"))
-            audits["generating"] = _check_report_dict(rep, args)
-            ok = ok and rep.passed
+            rep = check_generating(action, ball(sub["T"]), sub.get("threshold"))
         elif check == "word_metric":
-            wm = block["word_metric"]
-            rep = check_word_metric_comparison(action, ball(wm["T"]), float(wm["R"]))
-            audits["word_metric"] = _check_report_dict(rep, args)
-            ok = ok and rep.passed
+            rep = check_word_metric_comparison(action, ball(sub["T"]), float(sub["R"]))
         elif check == "packing_growth":
             from .boundary import limit_set_sample, qc_hull_sample
             from .entropy import check_packing_growth
 
-            pg = block["packing_growth"]
-            b = ball(pg["T"])
-            samples = limit_set_sample(action, b, float(pg["min_displacement"]))
-            hull = qc_hull_sample(action, samples, int(pg.get("pair_count", 40)), seed=seed)
+            samples = limit_set_sample(action, ball(sub["T"]), float(sub["min_displacement"]))
+            hull = qc_hull_sample(action, samples, int(sub.get("pair_count", 40)), seed=seed)
             rep = check_packing_growth(
-                action, hull, [float(t) for t in pg["ts"]], float(pg["r"])
+                action, hull, [float(t) for t in sub["ts"]], float(sub["r"])
             )
-            audits["packing_growth"] = {
-                "passed": rep.passed,
-                "P": rep.P,
-                "base_radius": rep.base_radius,
-                "rows": [list(r) for r in rep.rows],
-            }
-            ok = ok and rep.passed
-        elif check == "packing_chain":
+        else:
             from .entropy import check_packing_chain
 
-            pc = block["packing_chain"]
-            pts = ball(pc["T"]).points()[: int(pc.get("max_points", 20))]
-            chain_ok, nums = check_packing_chain(action.space, pts, float(pc["r"]))
-            audits["packing_chain"] = {
-                "passed": chain_ok,
-                "pack2_cov2_pack1": list(nums),
-            }
-            ok = ok and chain_ok
-        else:
-            raise ValueError("unknown check %r" % check)
+            pts = ball(sub["T"]).points()[: int(sub.get("max_points", 20))]
+            rep = check_packing_chain(action.space, pts, float(sub["r"]))
+        audits["geodesic_lemmas" if check == "lemmas" else check] = _record(rep, args)
+        ok = ok and rep.passed
 
     audits["passed"] = ok
     write_report(outdir, "audits.json", dump_json(audits))
     return ok
-
-
-def _check_report_dict(rep, args):
-    out = {"passed": rep.passed}
-    if rep.detail:
-        out["detail"] = {k: v for k, v in sorted(rep.detail.items())}
-    if rep.witness is not None and (args.emit_witnesses or not rep.passed):
-        out["witness"] = list(rep.witness) if isinstance(rep.witness, tuple) else rep.witness
-    return out
 
 
 def __getattr__(name):

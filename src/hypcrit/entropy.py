@@ -265,12 +265,15 @@ def greedy_covering_count(space, points, r):
     return count
 
 
+PackingChainReport = namedtuple("PackingChainReport", "passed pack2_cov2_pack1")
+
+
 def check_packing_chain(space, points, r):
     """Exact-mode chain Pack(Y,2r) <= Cov(Y,2r) <= Pack(Y,r)."""
     p2 = packing_number(space, points, 2 * r, "exact")
     c2 = covering_number(space, points, 2 * r)
     p1 = packing_number(space, points, r, "exact")
-    return p2 <= c2 <= p1, (p2, c2, p1)
+    return PackingChainReport(p2 <= c2 <= p1, (p2, c2, p1))
 
 
 #: rows is ((T, measured, bound), ...)

@@ -131,15 +131,17 @@ def test_converge_runs_a_tiny_family(tmp_path):
 
 
 def test_tree_continuity_and_entropy_build_no_ball_words(tmp_path, monkeypatch):
-    # a tree ball is its level sizes: the entropy report and the tree
-    # snapshots read them and the radius, never the ball's words
+    # a tree ball is its level sizes: the entropy and boundary reports and
+    # the tree snapshots read them and the radius, never the ball's words,
+    # which its levels, entries and points all list through _tree_levels
     from hypcrit.orbits import OrbitBall, enumerate_orbit_ball, tree_action
 
     def fail(ball):
         raise AssertionError("a tree ball's words were built")
 
-    monkeypatch.setattr(OrbitBall, "levels", property(fail))
+    monkeypatch.setattr(OrbitBall, "_tree_levels", fail)
     assert run(["entropy", "--scenario", "f2_tree", "--out", str(tmp_path / "entropy")]) == 0
+    assert run(["boundary", "--scenario", "f2_tree", "--out", str(tmp_path / "boundary")]) == 0
     scn = {
         "schema": 1,
         "name": "short-rescale-family",
@@ -151,9 +153,10 @@ def test_tree_continuity_and_entropy_build_no_ball_words(tmp_path, monkeypatch):
     path = tmp_path / "short.scn"
     path.write_text(json.dumps(scn), encoding="utf-8")
     assert run(["converge", "--scenario", str(path), "--out", str(tmp_path / "converge")]) == 0
-    # the patch does catch a read of the words
-    with pytest.raises(AssertionError, match="words were built"):
-        enumerate_orbit_ball(tree_action(), 2).words()
+    # the patch does catch a read of the words, the entries or the points
+    for read_words in (OrbitBall.words, lambda b: b.entries, OrbitBall.points):
+        with pytest.raises(AssertionError, match="words were built"):
+            read_words(enumerate_orbit_ball(tree_action(), 2))
 
 
 #: runs the command in its argv from a fresh interpreter and prints its exit
@@ -246,7 +249,7 @@ def test_unknown_scenario_file(tmp_path):
             run(["entropy", "--scenario", path, "--out", str(tmp_path)])
 
 
-def test_schema_is_checked(tmp_path):
+def test_schema_is_checked(tmp_path, monkeypatch):
     # a wrong schema, an action key its kind does not read (a misspelt
     # edge_length would build the default 1), a converge or cauchy key
     # that `converge` does not read (a misspelt rank_window would fall back
@@ -255,11 +258,29 @@ def test_schema_is_checked(tmp_path):
     # judge and a continuity.csv of its header alone), and a key of an
     # entropy, boundary or verify block, or of a block nested in one, that
     # its command does not read (f2_tree with a misspelt qc_bound ran
-    # `boundary` to exit 0 and skipped the bound check)
+    # `boundary` to exit 0 and skipped the bound check); then a missing
+    # required key, which each died on a bare KeyError: no action or no
+    # kind, an entropy block with no T or a covering block with no r, a
+    # verify block with no checks or with no block for a check it lists, a
+    # tree boundary block with no cylinder_depths and a plane one with no
+    # min_displacement or scales; and an unknown check, refused before
+    # any check runs (the lemma sweep ran first, then no report was written)
+    from hypcrit import geometry_checks
+
+    def sweep(*args):
+        raise AssertionError("the lemma sweep ran")
+
+    monkeypatch.setattr(geometry_checks, "check_geodesic_lemmas", sweep)
     tree = {"kind": "tree", "valence": 4, "edge_length": "1"}
     family = {"family": "tree-rescale", "vary": "edge_length", "schedule": ["3/2"], "limit": "1"}
     f2 = cli.load_scenario("f2_tree")
     f2["boundary"]["qc_bnd"] = f2["boundary"].pop("qc_bound")
+    f2_depths = cli.load_scenario("f2_tree")
+    del f2_depths["boundary"]["cylinder_depths"]
+    plane = cli.load_scenario("schottky_L4")
+    no_min_displacement, no_scales = json.loads(json.dumps(plane)), json.loads(json.dumps(plane))
+    del no_min_displacement["boundary"]["min_displacement"]
+    del no_scales["boundary"]["scales"]
     bad = [
         ("entropy", {"schema": 99}, "schema"),
         ("entropy", {"schema": 1, "action": {"kind": "tree", "L": 4, "edge_lenght": "2"},
@@ -288,6 +309,25 @@ def test_schema_is_checked(tmp_path):
                     "verify": {"checks": ["generating"], "generating": {"T": 2, "treshold": 1}}},
          "generating block has unknown keys 'treshold'"),
         ("boundary", f2, "boundary block has unknown keys 'qc_bnd'"),
+        ("entropy", {"schema": 1, "entropy": {"T": 4, "window": [2, 4]}},
+         "scenario needs an `action` key"),
+        ("entropy", {"schema": 1, "action": {"valence": 4}, "entropy": {"T": 4, "window": [2, 4]}},
+         "action block needs a `kind` key"),
+        ("entropy", {"schema": 1, "action": tree, "entropy": {"window": [2, 4]}},
+         "entropy block needs a `T` key"),
+        ("entropy", {"schema": 1, "action": tree,
+                     "entropy": {"T": 4, "window": [2, 4], "covering": {"window": [1, 3]}}},
+         "covering block needs a `r` key"),
+        ("verify", {"schema": 1, "seed": 0, "action": tree, "verify": {"configs": 10}},
+         "verify block needs a `checks` key"),
+        ("verify", {"schema": 1, "seed": 0, "action": tree,
+                    "verify": {"checks": ["lemmas", "shadow_ball"]}},
+         "verify block needs a `shadow_ball` key"),
+        ("verify", {"schema": 1, "seed": 0, "action": tree, "verify": {"checks": ["lemmas", "typo"]}},
+         "unknown check 'typo'"),
+        ("boundary", f2_depths, "tree boundary block needs a `cylinder_depths` key"),
+        ("boundary", no_min_displacement, "plane boundary block needs a `min_displacement` key"),
+        ("boundary", no_scales, "plane boundary block needs a `scales` key"),
     ]
     for command, doc, named in bad:
         path = tmp_path / "bad.scn"

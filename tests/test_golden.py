@@ -3,8 +3,8 @@
 The CLI promises byte-identical reports for the same scenario, seed and
 version, so a refactor must leave every digest in ``golden/reports.json``
 unchanged, on the tree and on the plane, at seed 0 (and `verify
-schottky_L4` and `verify f2_tree` also at seeds 1 and 2). A change that
-alters report bytes on purpose
+schottky_L4` and `verify f2_tree` also at seeds 1 and 2, and with
+`--emit-witnesses`). A change that alters report bytes on purpose
 re-records the file and names the changed fields:
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -50,12 +50,24 @@ SEEDED_RUNS = (
     ("verify", "f2_tree", 1),
     ("verify", "f2_tree", 2),
 )
-RUNS = tuple((c, s, SEED) for c, s in TREE_RUNS + PLANE_RUNS) + SEEDED_RUNS
+#: (subcommand, bundled scenario) runs pinned at SEED with --emit-witnesses:
+#: a passing check's witness reaches its report only under the flag
+WITNESS_RUNS = (
+    ("verify", "f2_tree"),
+    ("verify", "schottky_L4"),
+)
+RUNS = (
+    tuple((c, s, SEED, False) for c, s in TREE_RUNS + PLANE_RUNS)
+    + tuple(r + (False,) for r in SEEDED_RUNS)
+    + tuple((c, s, SEED, True) for c, s in WITNESS_RUNS)
+)
 
 
-def report_digests(command, scenario, outdir, seed=SEED):
-    """Exit code and {report file: sha256} of one CLI run at `seed`."""
-    code = cli.main([command, "--scenario", scenario, "--out", str(outdir), "--seed", str(seed)])
+def report_digests(command, scenario, outdir, seed=SEED, witnesses=False):
+    """Exit code and {report file: sha256} of one CLI run at `seed`, with
+    `--emit-witnesses` where `witnesses`."""
+    argv = [command, "--scenario", scenario, "--out", str(outdir), "--seed", str(seed)]
+    code = cli.main(argv + ["--emit-witnesses"] * witnesses)
     root = Path(outdir)
     digests = {
         p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -65,14 +77,17 @@ def report_digests(command, scenario, outdir, seed=SEED):
     return code, digests
 
 
-def _key(command, scenario, seed=SEED):
+def _key(command, scenario, seed=SEED, witnesses=False):
     key = "%s-%s" % (command, scenario)
-    return key if seed == SEED else "%s-seed%d" % (key, seed)
+    if seed != SEED:
+        key = "%s-seed%d" % (key, seed)
+    return key + "-witnesses" * witnesses
 
 
-def _check_golden(command, scenario, outdir, seed=SEED):
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[_key(command, scenario, seed)]
-    code, digests = report_digests(command, scenario, outdir, seed)
+def _check_golden(command, scenario, outdir, seed=SEED, witnesses=False):
+    key = _key(command, scenario, seed, witnesses)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[key]
+    code, digests = report_digests(command, scenario, outdir, seed, witnesses)
     assert code == golden["exit_code"]
     assert digests == golden["reports"]
 
@@ -92,6 +107,13 @@ def test_plane_reports_match_golden_digests(command, scenario, tmp_path):
 )
 def test_reports_match_golden_digests_at_other_seeds(command, scenario, seed, tmp_path):
     _check_golden(command, scenario, tmp_path, seed)
+
+
+@pytest.mark.parametrize(
+    "command,scenario", WITNESS_RUNS, ids=[_key(c, s, witnesses=True) for c, s in WITNESS_RUNS]
+)
+def test_reports_with_witnesses_match_golden_digests(command, scenario, tmp_path):
+    _check_golden(command, scenario, tmp_path, witnesses=True)
 
 
 def _flatten(golden):
@@ -136,9 +158,9 @@ def test_describe_changes_names_every_moved_entry():
 def record():
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for command, scenario, seed in RUNS:
-            key = _key(command, scenario, seed)
-            code, digests = report_digests(command, scenario, Path(tmp) / key, seed)
+        for command, scenario, seed, witnesses in RUNS:
+            key = _key(command, scenario, seed, witnesses)
+            code, digests = report_digests(command, scenario, Path(tmp) / key, seed, witnesses)
             out[key] = {"exit_code": code, "reports": digests}
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     for line in describe_changes(old, out) or ["no digest changed"]:
