@@ -2,6 +2,11 @@
 Patterson-Sullivan proxy measures, with Ahlfors-regularity and
 quasiconformality audits.
 
+Every model-dependent decision sits in one rules object per model,
+`_TreeRules` or `_PlaneRules`, with the same method names; `_rules`, the
+one kind test of the module, picks it. The public functions keep what
+both models share: argument checks, audit loops and counters.
+
 Honesty conventions: tree boundary data is exact (words and rational
 depths) and comparisons below the recorded truncation depth are refused,
 never guessed; plane boundary products carry explicit error brackets and
@@ -16,20 +21,20 @@ for a product or a shadow test, and `ray_point`/`plane_dist_to_ray` are
 the reference they are tested against.
 
 Tree boundary data is word combinatorics: a tree Patterson-Sullivan
-measure is level arrays (`_tree_measure`), with one weight per level,
+measure is level arrays (`_TreeRules.measure`), with one weight per level,
 summed in the order of the orbit entries, so its bits are those of one
 `Atom` per entry; tree products and shadow tests count whole units of
 `tree_grid` in integers. The `Atom` and `Fraction` forms are the
 reference of the tests.
 
-Measures cache their boundary atoms as arrays, in atom order:
-`AtomicMeasure._tree_atoms` (letter rows, also lexsorted, word lengths,
-which are their depths, weights) and `AtomicMeasure._plane_atoms`
-(endpoint coordinates, depths, weights). `ball_mass` and `shadow_mass`
-apply the scalar membership rules of `generalized_ball_contains` and
-`shadow_contains` to every atom at once, summing masked weights left to
-right in atom order, and the scalar functions remain the reference they
-are tested against.
+Measures cache their boundary atoms as arrays, in atom order, in
+`AtomicMeasure.arrays`: `_TreeAtoms` (letter rows, also lexsorted, word
+lengths, which are their depths, weights) or `_PlaneAtoms` (endpoint
+coordinates, depths, weights). `ball_mass` and `shadow_mass` apply the
+scalar membership rules of `generalized_ball_contains` and
+`shadow_contains` to every atom at once (the rules' `ball_rules` and
+`shadow_rules`), summing masked weights left to right in atom order, and
+the scalar functions remain the reference they are tested against.
 """
 
 import bisect
@@ -45,7 +50,6 @@ import numpy as np
 
 from .arrays import (
     _level_rows,
-    _word_rows,
     plane_ray_distance,
     plane_ray_distances,
     plane_ray_product,
@@ -54,7 +58,6 @@ from .arrays import (
 from .errors import DepthError, InsufficientDataError, MeasureError
 from .isometries import fixed_points
 from .space import (
-    PLANE,
     TREE,
     Ray,
     TreePoint,
@@ -70,79 +73,42 @@ from .space import (
     ray_points,
     tree_grid,
 )
-from .words import _ORDER, compose_words, invert_word, reduced_word_at
+from .words import _ORDER, compose_words, invert_word, is_reduced, reduced_word_at
 
 
-class BoundaryApprox:
-    """A truncated boundary point.
+class TreeBoundary:
+    """A truncated tree boundary point: ``word`` is the known prefix of the
+    boundary word, and its length the ``depth``."""
 
-    Tree: ``word`` is the known prefix of the boundary word, ``depth`` its
-    length. Plane: ``coord`` is the ideal endpoint (a real number or
-    math.inf) and ``word`` records the group element that produced it;
-    ``depth`` is the displacement of that element (the scale down to which
-    the approximant is trusted).
-    """
+    __slots__ = ("word", "depth")
 
-    __slots__ = ("kind", "word", "depth", "coord")
-
-    def __init__(self, kind, word, depth, coord=None):
-        if kind == TREE and depth < 1:
+    def __init__(self, word):
+        if len(word) < 1:
             raise ValueError("tree boundary approximant needs depth >= 1")
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "word", word)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "coord", coord)
+        object.__setattr__(self, "depth", len(word))
 
     def __setattr__(self, name, value):
-        raise AttributeError("BoundaryApprox is immutable")
+        raise AttributeError("TreeBoundary is immutable")
 
     def __eq__(self, other):
-        if other.__class__ is not BoundaryApprox:
+        if other.__class__ is not TreeBoundary:
             return NotImplemented
-        return (self.kind, self.word, self.depth, self.coord) == (
-            other.kind, other.word, other.depth, other.coord)
+        return self.word == other.word
 
     def __hash__(self):
-        return hash((self.kind, self.word, self.depth, self.coord))
+        return hash(self.word)
 
 
-def tree_boundary(word):
-    return BoundaryApprox(TREE, word, len(word))
+#: a truncated plane boundary point: ``coord`` is the ideal endpoint (a
+#: real number or math.inf), ``word`` the group element that produced it
+#: and ``depth`` that element's displacement, the scale down to which the
+#: approximant is trusted
+PlaneBoundary = namedtuple("PlaneBoundary", "coord word depth", defaults=("", 8.0))
 
 
-def plane_boundary(coord, word="", depth=8.0):
-    return BoundaryApprox(PLANE, word, depth, coord)
-
-
-def boundary_ray(action, z):
-    """Ray from the basepoint toward the boundary approximant."""
-    if action.space.kind == TREE:
-        return Ray(action.basepoint, z.word)
-    return Ray(action.basepoint, z.coord)
-
-
-def boundary_gromov_product(action, z, zp):
-    """(z, z')_x extended to the boundary, with an error bound.
-
-    Tree: exact common-prefix length times the edge length, error 0;
-    refused when the prefix runs into a truncation (the true product could
-    then exceed what the approximants can certify). Plane: Gromov product
-    of the points at depth t on the rays toward the two endpoints, in
-    closed form (`plane_ray_product`); the error bound is the hyperbolicity
-    constant capped by the measured gap to depth t - 2 (brackets therefore
-    shrink as approximants deepen).
-    """
-    space = action.space
-    if space.kind == TREE:
-        return _tree_product(z, zp, 1) * space.edge_length, space.edge_length * 0
-    if z.coord == zp.coord:
-        raise DepthError("identical plane endpoints: product is unbounded")
-    t = max(min(z.depth, zp.depth), 4.0)
-    value = plane_ray_product(z.coord, zp.coord, t)
-    gap = abs(value - plane_ray_product(z.coord, zp.coord, max(t - 2.0, 1.0)))
-    err = min(action.declared_delta if action.declared_delta > 0 else math.inf,
-              gap + 1e-6)
-    return value, err
+def _rules(action):
+    return (_TreeRules if action.space.kind == TREE else _PlaneRules)(action)
 
 
 def _tree_product(z, zp, m):
@@ -154,27 +120,6 @@ def _tree_product(z, zp, m):
             "common prefix reaches truncation depth %d; deepen the approximants" % k
         )
     return k * m
-
-
-def _product_exceeds(action, cuts):
-    """The function (z, z') -> [p - err > c for c in cuts] for (p, err) =
-    boundary_gromov_product(action, z, z'). On the tree, in whole units
-    of `tree_grid`: k m units exceed c iff they exceed floor(c D), exactly
-    from c's integer ratio."""
-    if action.space.kind != TREE:
-        def exceeds(z, zp):
-            p, err = boundary_gromov_product(action, z, zp)
-            return [p - err > c for c in cuts]
-
-        return exceeds
-    D, m = tree_grid(action.space)
-    floors = [num * D // den for num, den in (float(c).as_integer_ratio() for c in cuts)]
-
-    def exceeds(z, zp):
-        units = _tree_product(z, zp, m)
-        return [units > f for f in floors]
-
-    return exceeds
 
 
 VisualParams = namedtuple("VisualParams", "a")
@@ -194,16 +139,7 @@ def visual_distance(params, action, z, zp):
         raise ValueError("visual parameter a must be positive")
     if delta > 0 and a >= math.log(2.0) / (2.0 * delta):
         raise ValueError("a outside the admissible range (0, log2/(2 delta))")
-    if action.space.kind == TREE:
-        # k m / D is the float of the exact product k edge_length
-        D, m = tree_grid(action.space)
-        v = math.exp(-a * (_tree_product(z, zp, m) / D))
-        return v, v
-    V = math.exp(a * delta)
-    if 3.0 - 2.0 * V <= 0:
-        raise ValueError("standard-metric constant 3 - 2 e^{a delta} not positive")
-    p, err = boundary_gromov_product(action, z, zp)
-    return math.exp(-a * (p + err)) / V, V * math.exp(-a * p)
+    return _rules(action).visual(a, z, zp)
 
 
 def generalized_ball_contains(action, z, rho, zp):
@@ -214,21 +150,7 @@ def generalized_ball_contains(action, z, rho, zp):
     """
     if not (0 < rho <= 1):
         raise ValueError("radius must be in (0, 1]")
-    thr = math.log(1.0 / rho)
-    if action.space.kind == TREE:
-        k = _lcp(z.word, zp.word)
-        L = float(action.space.edge_length)
-        if k * L > thr:
-            return True  # certified even at truncation: product >= k*L
-        if k < min(z.depth, zp.depth):
-            return False  # product exactly k*L <= threshold
-        raise DepthError("membership undecidable at truncation depth %d" % k)
-    p, err = boundary_gromov_product(action, z, zp)
-    if p - err > thr:
-        return True
-    if p + err <= thr:
-        return False
-    return None
+    return _rules(action).ball_contains(z, math.log(1.0 / rho), zp)
 
 
 def shadow_contains(action, y, r, z):
@@ -242,14 +164,7 @@ def shadow_contains(action, y, r, z):
     """
     if r <= 0:
         raise ValueError("shadow radius must be positive")
-    if action.space.kind == TREE:
-        D, m, g = _on_grid(action.space, y)
-        sep = _tree_separation(m, g, _GridPoint(z.word, 0, None))
-        dy = len(g.word) * m + g.offset
-        if sep >= len(z.word) * m and dy > sep:
-            raise DepthError("shadow test needs a deeper boundary word")
-        return (dy - sep) / D < r
-    return plane_ray_distance(y.z, z.coord) < r
+    return _rules(action).shadow_contains(y, r, z)
 
 
 def _on_grid(space, y):
@@ -261,29 +176,6 @@ def _on_grid(space, y):
     refine = den // math.gcd(den, D)
     D, m = D * refine, m * refine
     return D, m, _GridPoint(y.word, y.offset.numerator * (D // den), y.direction)
-
-
-def _base_ray_points(action, ts):
-    """The function taking a boundary approximant z to the points at the
-    arclengths ts on the ray from the basepoint toward z, each the point
-    of `ray_point`, or None past a tree ray's proxy vertex. Tree rays run
-    from the root on an integer grid holding every t: the grid of
-    `tree_grid`, refined where a t is off it."""
-    space = action.space
-    if space.kind != TREE:
-        return lambda z: ray_points(space, boundary_ray(action, z), ts)
-    if any(t < 0 for t in ts):
-        raise ValueError("ray parameter must be nonnegative")
-    D, edge = tree_grid(space)
-    refine = math.lcm(*((Fraction(t) * D).denominator for t in ts))
-    D, edge = D * refine, edge * refine
-    grid_ts = [int(Fraction(t) * D) for t in ts]
-    root, unit = _GridPoint("", 0, None), Fraction(1, D)
-    return lambda z: [
-        _tree_point(_grid_ray_points(edge, root, _GridPoint(z.word, 0, None), [t])[0], unit)
-        if t <= len(z.word) * edge else None
-        for t in grid_ts
-    ]
 
 
 #: ball_in_shadow is (tested, violations); shadow_in_ball and
@@ -307,9 +199,19 @@ def check_shadow_ball_lemma(action, samples, ts, seed=0, pair_count=200):
     Pack*(scale e^{-T + delta}) <= Cov(scale e^{-T}), exactly via
     cylinder counts on the tree and via a conservative packing lower bound
     against a greedy covering upper bound on the plane.
+
+    An audit that could test nothing is refused (ValueError): no scale T,
+    pair_count below 1, or fewer than 2 samples to draw a pair from.
     """
+    if not ts:
+        raise ValueError("shadow-ball audit needs at least one scale T")
+    if pair_count < 1:
+        raise ValueError("shadow-ball audit needs pair_count >= 1, got %r" % pair_count)
+    if len(samples) < 2:
+        raise ValueError("shadow-ball audit needs at least 2 boundary samples, got %d"
+                         % len(samples))
     rng = random.Random(seed)
-    space = action.space
+    rules = _rules(action)
     delta = action.declared_delta
     r_shadow = 7.0 * delta if delta > 0 else 1e-9
     r_out = max(1.0, r_shadow)
@@ -318,8 +220,8 @@ def check_shadow_ball_lemma(action, samples, ts, seed=0, pair_count=200):
     vis = [0, 0, 0]
     params = VisualParams(0.2 / delta if delta > 0 else 1.0)
     V = math.exp(params.a * delta)
-    ray_points_to = _base_ray_points(action, ts)
-    exceeds = _product_exceeds(action, [T + 1e-9 for T in ts])
+    ray_points_to = rules.ray_points_to(ts)
+    exceeds = rules.exceeds([T + 1e-9 for T in ts])
     for _ in range(pair_count):
         z, zp = rng.sample(samples, 2)
         try:
@@ -359,51 +261,7 @@ def check_shadow_ball_lemma(action, samples, ts, seed=0, pair_count=200):
                     vis[2] += 1
             if m is True and lo_d > V * rho**params.a + 1e-12:
                 vis[1] += 1
-    rows = []
-    if space.kind == TREE:
-        k = action.rank
-        L = float(space.edge_length)
-        for T in ts:
-            m_cov = int(math.floor(T / L + 1e-9)) + 1
-            cov = 2 * k * (2 * k - 1) ** (m_cov - 1)
-            m_pack = int(math.floor((T - delta) / L + 1e-9)) + 1
-            pack = 2 * k * (2 * k - 1) ** (m_pack - 1)
-            rows.append((T, pack, cov, pack <= cov))
-    else:
-        pts = samples[: min(len(samples), 20)]
-        for T in ts:
-            chosen = []
-            for i, z in enumerate(pts):
-                ok = True
-                for j in chosen:
-                    try:
-                        p, err = boundary_gromov_product(action, z, pts[j])
-                    except DepthError:
-                        ok = False
-                        break
-                    if p + err > T - 2.0 * delta:
-                        ok = False
-                        break
-                if ok:
-                    chosen.append(i)
-            pack = len(chosen)
-            rho = math.exp(-T)
-            covered = [False] * len(pts)
-            cov = 0
-            for i, z in enumerate(pts):
-                if covered[i]:
-                    continue
-                cov += 1
-                covered[i] = True
-                for j in range(len(pts)):
-                    if covered[j]:
-                        continue
-                    try:
-                        if generalized_ball_contains(action, z, rho, pts[j]) is True:
-                            covered[j] = True
-                    except DepthError:
-                        pass
-            rows.append((T, pack, cov, pack <= cov))
+    rows = rules.pack_cov(samples, ts)
     passed = bis[1] == 0 and sib[1] == 0 and vis[1] == 0 and all(r[3] for r in rows)
     return ShadowBallReport(passed, tuple(bis), tuple(sib), tuple(vis), tuple(rows))
 
@@ -425,24 +283,7 @@ def limit_set_sample(action, ball, min_displacement):
     """
     if float(ball.radius) < float(min_displacement):
         raise InsufficientDataError("ball shallower than min_displacement")
-    if action.space.kind == TREE:
-        disp = ball.level_displacements
-        deep = [
-            (k, n) for k, n in enumerate(ball.sizes) if k and disp[k] >= float(min_displacement)
-        ]
-        sample = _LevelItems(ball.rank, deep, lambda k, w: tree_boundary(w))
-    else:
-        sample, seen = [], set()
-        for e in ball.entries:
-            if not e.word or float(e.displacement) < float(min_displacement):
-                continue
-            b = _plane_entry_boundary(e)
-            if b is None:
-                continue
-            key = "inf" if b.coord == math.inf else round(b.coord / 1e-9)
-            if key not in seen:
-                seen.add(key)
-                sample.append(b)
+    sample = _rules(action).limit_set_sample(ball, float(min_displacement))
     if not sample:
         raise InsufficientDataError("no entries deep enough")
     return sample
@@ -456,7 +297,7 @@ def _plane_entry_boundary(entry):
     if abs(iso.trace) <= 2.0 + 1e-12:
         return None
     _, att = fixed_points(iso)
-    return plane_boundary(att, entry.word, float(entry.displacement))
+    return PlaneBoundary(att, entry.word, float(entry.displacement))
 
 
 def qc_hull_sample(action, limit_samples, pair_count, seed=0):
@@ -471,25 +312,10 @@ def qc_hull_sample(action, limit_samples, pair_count, seed=0):
     if len(limit_samples) < 2:
         raise ValueError("need at least 2 limit points")
     rng = random.Random(seed)
-    space = action.space
+    rules = _rules(action)
     out = []
     for _ in range(pair_count):
-        z1, z2 = rng.sample(limit_samples, 2)
-        if space.kind == TREE:
-            p1, p2 = _GridPoint(z1.word, 0, None), _GridPoint(z2.word, 0, None)
-            n = _path_distance(1, p1, p2)
-            if n == 0:
-                continue
-            steps = min(8, n + 1)
-            unit = space.edge_length / steps
-            pts = _geodesic_points(steps, p1, p2, [n * i for i in range(steps + 1)])
-            out += [_tree_point(g, unit) for g in pts]
-        else:
-            if z1.coord == z2.coord:
-                continue
-            for i in range(8):
-                t = -10.0 + 20.0 * (i + 0.5) / 8
-                out.append(plane_line_point(z1.coord, z2.coord, action.basepoint, t))
+        out += rules.hull_points(*rng.sample(limit_samples, 2))
     return out
 
 
@@ -497,16 +323,16 @@ def qc_hull_sample(action, limit_samples, pair_count, seed=0):
 # Patterson-Sullivan proxy measures
 
 
-#: an orbit point's share of a measure; `boundary` is its BoundaryApprox
-#: when projected
+#: an orbit point's share of a measure; `boundary` is its boundary
+#: approximant when projected
 Atom = namedtuple("Atom", "word point displacement weight boundary", defaults=(None,))
 
 
 class AtomicMeasure:
     """A normalized atomic measure: its `atoms` in orbit-entry order, the
-    boundary atoms among them, and their arrays, each built on first use.
-    A tree Patterson-Sullivan measure holds `_LevelItems` of atoms and level arrays
-    instead (`_tree_measure`)."""
+    boundary atoms among them, and their `arrays`, each built on first
+    use. A tree Patterson-Sullivan measure holds `_LevelItems` of atoms and
+    sets its `_TreeAtoms` arrays itself (`_TreeRules.measure`)."""
 
     def __init__(self, atoms, s, truncation_T):
         self.atoms = atoms
@@ -518,47 +344,9 @@ class AtomicMeasure:
         return [a for a in self.atoms if a.boundary is not None]
 
     @cached_property
-    def _tree_atoms(self):
-        """Boundary atoms of a tree measure as arrays, in atom order."""
-        atoms = self.boundary_atoms
-        words = [a.boundary.word for a in atoms]
-        width = max(map(len, words), default=0) + 1
-        return _TreeAtoms(_word_rows(words, width), np.array([a.weight for a in atoms], dtype=float))
-
-    @cached_property
-    def _plane_atoms(self):
+    def arrays(self):
         """Boundary atoms of a plane measure as arrays, in atom order."""
         return _PlaneAtoms(self.boundary_atoms)
-
-
-def _tree_measure(ball, s, thresh):
-    """The Patterson-Sullivan measure of a tree ball as level arrays.
-
-    Every word of level k is displaced by k edge_length, so each level has
-    one weight e^{-s float(k L)} / total. The total is the `np.cumsum` of
-    the numbers e^{-s float(k L)} repeated by the level sizes: the
-    left-to-right order, and so the bits, of Python's `sum` over the orbit
-    entries (plain addition on Python 3.11). The levels from `deep` on are
-    projected to the boundary; their letter rows, written level by level
-    from letter ranks (`_level_rows`), and weights are the `_TreeAtoms`
-    arrays, so no level's words are listed.
-    """
-    sizes = ball.sizes
-    disp = ball.level_displacements
-    mass = [math.exp(-s * d) for d in disp]
-    total = _ordered_sum(np.repeat(mass, sizes))
-    weight = [x / total for x in mass]
-    deep = next((k for k in range(1, len(disp)) if disp[k] >= thresh - 1e-12), len(disp))
-    levels = list(enumerate(sizes))
-
-    def atom(k, w):
-        return Atom(w, TreePoint(w), disp[k], weight[k], tree_boundary(w) if k >= deep else None)
-
-    measure = AtomicMeasure(_LevelItems(ball.rank, levels, atom), s, float(ball.radius))
-    measure.boundary_atoms = _LevelItems(ball.rank, levels[deep:], atom)
-    rows = _level_rows(ball.rank, range(deep, len(sizes)))
-    measure._tree_atoms = _TreeAtoms(rows, np.repeat(weight[deep:], sizes[deep:]))
-    return measure
 
 
 class _LevelItems(Sequence):
@@ -587,7 +375,7 @@ class _LevelItems(Sequence):
 class _TreeAtoms:
     """Letter rows (`_word_rows`, padded with -1), word lengths and weights
     of tree boundary atoms; a tree approximant's depth is its word length
-    (`tree_boundary`).
+    (`TreeBoundary`).
 
     total is the left-to-right float sum of the weights, the order in
     which the scalar loops add them. `columns` holds the rows lexsorted
@@ -644,7 +432,7 @@ def patterson_sullivan_atoms(action, ball, s):
     the truncated sum is not a stable proxy for the limit measure). Atoms
     at displacement >= (2/3) of the ball radius also carry a boundary
     projection for reporting boundary masses. A tree measure is built from
-    the ball's levels (`_tree_measure`), with no object per atom.
+    the ball's levels (`_TreeRules.measure`), with no object per atom.
     """
     if s <= 0:
         raise MeasureError("s must be positive")
@@ -661,18 +449,7 @@ def patterson_sullivan_atoms(action, ball, s):
             "sum is unstable (the limit construction sends s down to the "
             "critical exponent along a sequence, always from above)" % (s, h_rough)
         )
-    thresh = 2.0 * float(ball.radius) / 3.0
-    if action.space.kind == TREE:
-        return _tree_measure(ball, s, thresh)
-    total = sum(math.exp(-s * float(e.displacement)) for e in ball.entries)
-    atoms = []
-    for e in ball.entries:
-        w = math.exp(-s * float(e.displacement)) / total
-        b = None
-        if e.word and float(e.displacement) >= thresh - 1e-12:
-            b = _plane_entry_boundary(e)
-        atoms.append(Atom(e.word, e.point, float(e.displacement), w, b))
-    return AtomicMeasure(tuple(atoms), s, float(ball.radius))
+    return _rules(action).measure(ball, s, 2.0 * float(ball.radius) / 3.0)
 
 
 def ball_mass(action, measure, z, rho):
@@ -692,37 +469,12 @@ def ball_mass(action, measure, z, rho):
     """
     if not (0 < rho <= 1):
         raise ValueError("radius must be in (0, 1]")
-    thr = math.log(1.0 / rho)
-    if action.space.kind == TREE:
-        atoms = measure._tree_atoms
-        L = float(action.space.edge_length)
-        k = atoms.lcp(z.word)
-        inside = k * L > thr
-        known = inside | (k < np.minimum(z.depth, atoms.lengths))
-        resolved = atoms.lengths * L >= thr - 1e-12
-    else:
-        atoms = measure._plane_atoms
-        value, err, known = _plane_products(action, atoms, z)
-        inside = value - err > thr
-        known &= inside | (value + err <= thr)
-        resolved = atoms.depth >= thr - 1e-12
-    mass, den = _decided_mass(atoms, resolved & known, inside)
+    atoms = measure.arrays
+    decided, inside = _rules(action).ball_rules(atoms, z, math.log(1.0 / rho))
+    mass, den = _decided_mass(atoms, decided, inside)
     if mass is None:
         return None, 0.0
     return mass, den / atoms.total if atoms.total else 0.0
-
-
-def _plane_products(action, atoms, z):
-    """boundary_gromov_product(action, z, a) against every plane atom a at
-    once: the value and error arrays, evaluated at the depths t and
-    max(t - 2, 1) as in the scalar function, and a mask that is False where
-    the atom's endpoint equals z's (the scalar DepthError)."""
-    t = np.maximum(np.minimum(z.depth, atoms.depth), 4.0)
-    value = plane_ray_products(z.coord, atoms.coord, t)
-    gap = np.abs(value - plane_ray_products(z.coord, atoms.coord, np.maximum(t - 2.0, 1.0)))
-    delta = action.declared_delta
-    err = np.minimum(delta if delta > 0 else math.inf, gap + 1e-6)
-    return value, err, atoms.coord != z.coord
 
 
 def _decided_mass(atoms, decided, inside):
@@ -739,34 +491,8 @@ def shadow_mass(action, measure, y, r):
     """Boundary mass of the shadow of B(y, r) seen from the basepoint."""
     if r <= 0:
         raise ValueError("shadow radius must be positive")
-    if action.space.kind == TREE:
-        atoms = measure._tree_atoms
-        decided, inside = _tree_shadow_rules(action, atoms, y, r)
-    else:
-        atoms = measure._plane_atoms
-        inside = plane_ray_distances(y.z, atoms.coord) < r
-        decided = np.ones(len(inside), dtype=bool)
-    return _decided_mass(atoms, decided, inside)[0]
-
-
-def _tree_shadow_rules(action, atoms, y, r):
-    """shadow_contains on tree atom arrays: the (decided, inside) masks.
-
-    In the grid units of `_on_grid`, the separation of y from the proxy
-    vertex of an atom word is k m for the common-prefix length k, plus
-    y's offset where y's edge leads into the word (y.word a proper prefix
-    and y's direction the next letter); depths and separations are exact
-    integers, and (dy - sep) / D is the float of shadow_contains.
-    """
-    D, m, g = _on_grid(action.space, y)
-    ly = len(g.word)
-    k = atoms.lcp(g.word)
-    sep = k * m
-    if g.direction is not None and ly < atoms.width:
-        into = (k == ly) & (atoms.lengths > ly) & (atoms.rows[:, ly] == _ORDER[g.direction])
-        sep[into] += g.offset
-    dy = ly * m + g.offset
-    return ~((sep >= atoms.lengths * m) & (dy > sep)), (dy - sep) / D < r
+    atoms = measure.arrays
+    return _decided_mass(atoms, *_rules(action).shadow_rules(atoms, y, r))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -829,17 +555,6 @@ def check_ahlfors_regularity(action, measure, h, centers, scales):
 QuasiconformalityReport = namedtuple("QuasiconformalityReport", "Q cells_used cells_skipped g_word")
 
 
-def _pull_back_boundary(action, g_word, z):
-    """g^{-1} z as a boundary approximant."""
-    if action.space.kind == TREE:
-        w = compose_words(invert_word(g_word), z.word)
-        if len(w) < 1:
-            raise DepthError("pullback cancels the whole approximant")
-        return tree_boundary(w)
-    iso = action.isometry(g_word).inverse()
-    return plane_boundary(iso.boundary_apply(z.coord), z.word, z.depth)
-
-
 def check_quasiconformality(action, measure, h, g_word, cells):
     """Measured quasiconformality constant of the boundary measure.
 
@@ -850,40 +565,33 @@ def check_quasiconformality(action, measure, h, g_word, cells):
     audit, never an assumed theoretical value). Zero-mass or undecidable
     cells are skipped and counted. On the plane mu(g^{-1} C) is the
     ball_mass of C under the measure pushed by g, built once per audit.
+
+    g_word must be a nonempty reduced word over the action's alphabet
+    (ValueError otherwise, before any cell is measured): the empty word
+    would compare the measure with itself.
     """
-    space = action.space
+    alphabet = action.alphabet
+    if not (isinstance(g_word, str) and g_word and set(g_word) <= set(alphabet)
+            and is_reduced(g_word)):
+        raise ValueError("g_word %r is not a nonempty reduced word over %s"
+                         % (g_word, "".join(alphabet)))
+    rules = _rules(action)
     gx = action.orbit_point(g_word)
-    if space.kind == PLANE:
-        pushed = _pushed_measure(action, measure, g_word)
+    pulled_mass = rules.pulled_mass(measure, g_word)
     Q = 1.0
     used = skipped = 0
     for z, rho in cells:
         m, _ = ball_mass(action, measure, z, rho)
-        if space.kind == TREE:
-            try:
-                zpull = _pull_back_boundary(action, g_word, z)
-            except DepthError:
-                skipped += 1
-                continue
-            mpull, _ = ball_mass(action, measure, zpull, rho_pullback(action, z, zpull, rho))
-        else:
-            mpull, _ = ball_mass(action, pushed, z, rho)
+        try:
+            mpull = pulled_mass(z, rho)
+        except DepthError:
+            skipped += 1
+            continue
         if not m or not mpull:
             skipped += 1
             continue
-        # Busemann value toward the cell center
-        if space.kind == TREE:
-            deep_word = z.word + z.word[-1] * 8
-            horizon = (len(deep_word) - 1) * space.edge_length
-        else:
-            deep_word = None
-            horizon = 30.0
-        ray = (
-            Ray(action.basepoint, deep_word)
-            if space.kind == TREE
-            else Ray(action.basepoint, z.coord)
-        )
-        bus, _ = busemann(space, ray, gx, horizon)
+        ray, horizon = rules.cell_ray(z)
+        bus, _ = busemann(action.space, ray, gx, horizon)
         factor = math.exp(-h * float(bus))
         ratio = mpull / m
         Q = max(Q, ratio / factor, factor / ratio)
@@ -893,13 +601,6 @@ def check_quasiconformality(action, measure, h, g_word, cells):
     return QuasiconformalityReport(Q, used, skipped, g_word)
 
 
-def rho_pullback(action, z, zpull, rho):
-    """Radius making the pulled-back tree cell exactly the image cylinder."""
-    L = float(action.space.edge_length)
-    shift = (len(zpull.word) - len(z.word)) * L
-    return min(rho * math.exp(-shift), 1.0)
-
-
 def _pushed_measure(action, measure, g_word):
     """The plane measure whose boundary atoms are pushed by g: its
     ball_mass of B(z, rho) is mu(g^{-1} B(z, rho)), under the same depth
@@ -907,7 +608,7 @@ def _pushed_measure(action, measure, g_word):
     iso = action.isometry(g_word)
 
     def push(b):
-        return plane_boundary(iso.boundary_apply(b.coord), b.word, b.depth)
+        return PlaneBoundary(iso.boundary_apply(b.coord), b.word, b.depth)
 
     atoms = tuple(a._replace(boundary=push(a.boundary)) for a in measure.boundary_atoms)
     return AtomicMeasure(atoms, measure.s, measure.truncation_T)
@@ -919,10 +620,329 @@ def tree_cylinder_cells(action, depth):
 
     rho = cylinder_scale(action, depth)
     return [
-        (tree_boundary(w), rho) for w in reduced_words_of_length(action.rank, depth)
+        (TreeBoundary(w), rho) for w in reduced_words_of_length(action.rank, depth)
     ]
 
 
 def cylinder_scale(action, depth):
     """Radius whose generalized ball is exactly the depth-n cylinder."""
     return math.exp(-(depth * float(action.space.edge_length) - 1e-9))
+
+
+# ---------------------------------------------------------------------------
+# the rules of each model
+
+
+class _TreeRules:
+    """The tree's boundary rules: exact word combinatorics on `tree_grid`."""
+
+    def __init__(self, action):
+        self.action, self.space = action, action.space
+
+    def product(self, z, zp):
+        """(z, z')_x and its error 0: common-prefix length times edge length;
+        DepthError where the prefix runs into a truncation, since the true
+        product could then exceed what the approximants certify."""
+        L = self.space.edge_length
+        return _tree_product(z, zp, 1) * L, L * 0
+
+    def exceeds(self, cuts):
+        """The function (z, z') -> [p - err > c for c in cuts] for (p, err)
+        = product(z, z'), in whole units of `tree_grid`: k m units exceed c
+        iff they exceed floor(c D), exactly from c's integer ratio."""
+        D, m = tree_grid(self.space)
+        floors = [num * D // den for num, den in (float(c).as_integer_ratio() for c in cuts)]
+
+        def exceeds(z, zp):
+            units = _tree_product(z, zp, m)
+            return [units > f for f in floors]
+
+        return exceeds
+
+    def visual(self, a, z, zp):
+        # k m / D is the float of the exact product k edge_length
+        D, m = tree_grid(self.space)
+        v = math.exp(-a * (_tree_product(z, zp, m) / D))
+        return v, v
+
+    def ball_contains(self, z, thr, zp):
+        k = _lcp(z.word, zp.word)
+        if k * float(self.space.edge_length) > thr:
+            return True  # certified even at truncation: product >= k*L
+        if k < min(z.depth, zp.depth):
+            return False  # product exactly k*L <= threshold
+        raise DepthError("membership undecidable at truncation depth %d" % k)
+
+    def shadow_contains(self, y, r, z):
+        D, m, g = _on_grid(self.space, y)
+        sep = _tree_separation(m, g, _GridPoint(z.word, 0, None))
+        dy = len(g.word) * m + g.offset
+        if sep >= len(z.word) * m and dy > sep:
+            raise DepthError("shadow test needs a deeper boundary word")
+        return (dy - sep) / D < r
+
+    def ray_points_to(self, ts):
+        """The function taking z to the points at the arclengths ts on the
+        ray from the basepoint toward z, each the point of `ray_point`, or
+        None past the proxy vertex. The rays run from the root on an
+        integer grid holding every t: the grid of `tree_grid`, refined
+        where a t is off it."""
+        if any(t < 0 for t in ts):
+            raise ValueError("ray parameter must be nonnegative")
+        D, edge = tree_grid(self.space)
+        refine = math.lcm(*((Fraction(t) * D).denominator for t in ts))
+        D, edge = D * refine, edge * refine
+        grid_ts = [int(Fraction(t) * D) for t in ts]
+        root, unit = _GridPoint("", 0, None), Fraction(1, D)
+        return lambda z: [
+            _tree_point(_grid_ray_points(edge, root, _GridPoint(z.word, 0, None), [t])[0], unit)
+            if t <= len(z.word) * edge else None
+            for t in grid_ts
+        ]
+
+    def pack_cov(self, samples, ts):
+        k, delta = self.action.rank, self.action.declared_delta
+        L = float(self.space.edge_length)
+        rows = []
+        for T in ts:
+            m_cov = int(math.floor(T / L + 1e-9)) + 1
+            cov = 2 * k * (2 * k - 1) ** (m_cov - 1)
+            m_pack = int(math.floor((T - delta) / L + 1e-9)) + 1
+            pack = 2 * k * (2 * k - 1) ** (m_pack - 1)
+            rows.append((T, pack, cov, pack <= cov))
+        return rows
+
+    def limit_set_sample(self, ball, min_displacement):
+        disp = ball.level_displacements
+        deep = [(k, n) for k, n in enumerate(ball.sizes) if k and disp[k] >= min_displacement]
+        return _LevelItems(ball.rank, deep, lambda k, w: TreeBoundary(w))
+
+    def hull_points(self, z1, z2):
+        p1, p2 = _GridPoint(z1.word, 0, None), _GridPoint(z2.word, 0, None)
+        n = _path_distance(1, p1, p2)
+        if n == 0:
+            return []
+        steps = min(8, n + 1)
+        unit = self.space.edge_length / steps
+        pts = _geodesic_points(steps, p1, p2, [n * i for i in range(steps + 1)])
+        return [_tree_point(g, unit) for g in pts]
+
+    def measure(self, ball, s, thresh):
+        """The Patterson-Sullivan measure of a tree ball as level arrays.
+
+        Every word of level k is displaced by k edge_length, so each level
+        has one weight e^{-s float(k L)} / total. The total is the
+        `np.cumsum` of the numbers e^{-s float(k L)} repeated by the level
+        sizes: the left-to-right order, and so the bits, of Python's `sum`
+        over the orbit entries (plain addition on Python 3.11). The levels
+        from `deep` on are projected to the boundary; their letter rows,
+        written level by level from letter ranks (`_level_rows`), and
+        weights are the `_TreeAtoms` arrays, so no level's words are
+        listed.
+        """
+        sizes = ball.sizes
+        disp = ball.level_displacements
+        mass = [math.exp(-s * d) for d in disp]
+        total = _ordered_sum(np.repeat(mass, sizes))
+        weight = [x / total for x in mass]
+        deep = next((k for k in range(1, len(disp)) if disp[k] >= thresh - 1e-12), len(disp))
+        levels = list(enumerate(sizes))
+
+        def atom(k, w):
+            return Atom(w, TreePoint(w), disp[k], weight[k], TreeBoundary(w) if k >= deep else None)
+
+        measure = AtomicMeasure(_LevelItems(ball.rank, levels, atom), s, float(ball.radius))
+        measure.boundary_atoms = _LevelItems(ball.rank, levels[deep:], atom)
+        rows = _level_rows(ball.rank, range(deep, len(sizes)))
+        measure.arrays = _TreeAtoms(rows, np.repeat(weight[deep:], sizes[deep:]))
+        return measure
+
+    def ball_rules(self, atoms, z, thr):
+        """ball_contains on atom arrays at thr = log(1/rho): the (decided,
+        inside) masks, decided only where the atom resolves the scale."""
+        L = float(self.space.edge_length)
+        k = atoms.lcp(z.word)
+        inside = k * L > thr
+        known = inside | (k < np.minimum(z.depth, atoms.lengths))
+        return (atoms.lengths * L >= thr - 1e-12) & known, inside
+
+    def shadow_rules(self, atoms, y, r):
+        """shadow_contains on atom arrays: the (decided, inside) masks.
+
+        In the grid units of `_on_grid`, the separation of y from the proxy
+        vertex of an atom word is k m for the common-prefix length k, plus
+        y's offset where y's edge leads into the word (y.word a proper
+        prefix and y's direction the next letter); depths and separations
+        are exact integers, and (dy - sep) / D is the float of
+        shadow_contains.
+        """
+        D, m, g = _on_grid(self.space, y)
+        ly = len(g.word)
+        k = atoms.lcp(g.word)
+        sep = k * m
+        if g.direction is not None and ly < atoms.width:
+            into = (k == ly) & (atoms.lengths > ly) & (atoms.rows[:, ly] == _ORDER[g.direction])
+            sep[into] += g.offset
+        dy = ly * m + g.offset
+        return ~((sep >= atoms.lengths * m) & (dy > sep)), (dy - sep) / D < r
+
+    def pulled_mass(self, measure, g_word):
+        """The function (z, rho) -> mu(g^{-1} B(z, rho)), at the radius that
+        makes the pulled-back cell exactly the image cylinder."""
+        inverse = invert_word(g_word)
+        L = float(self.space.edge_length)
+
+        def pulled_mass(z, rho):
+            w = compose_words(inverse, z.word)
+            if not w:
+                raise DepthError("pullback cancels the whole approximant")
+            rho = min(rho * math.exp(-(len(w) - len(z.word)) * L), 1.0)
+            return ball_mass(self.action, measure, TreeBoundary(w), rho)[0]
+
+        return pulled_mass
+
+    def cell_ray(self, z):
+        deep_word = z.word + z.word[-1] * 8
+        return Ray(self.action.basepoint, deep_word), (len(deep_word) - 1) * self.space.edge_length
+
+
+class _PlaneRules:
+    """The plane's boundary rules: closed forms for rays from i, bracketed."""
+
+    def __init__(self, action):
+        self.action, self.space = action, action.space
+
+    def product(self, z, zp):
+        """(z, z')_x and its error bound: the product of the points at depth
+        t on the rays toward the two endpoints (`plane_ray_product`), and
+        the hyperbolicity constant capped by the measured gap to depth
+        t - 2, so that brackets shrink as approximants deepen."""
+        if z.coord == zp.coord:
+            raise DepthError("identical plane endpoints: product is unbounded")
+        t = max(min(z.depth, zp.depth), 4.0)
+        value = plane_ray_product(z.coord, zp.coord, t)
+        gap = abs(value - plane_ray_product(z.coord, zp.coord, max(t - 2.0, 1.0)))
+        delta = self.action.declared_delta
+        return value, min(delta if delta > 0 else math.inf, gap + 1e-6)
+
+    def exceeds(self, cuts):
+        def exceeds(z, zp):
+            p, err = self.product(z, zp)
+            return [p - err > c for c in cuts]
+
+        return exceeds
+
+    def visual(self, a, z, zp):
+        V = math.exp(a * self.action.declared_delta)
+        if 3.0 - 2.0 * V <= 0:
+            raise ValueError("standard-metric constant 3 - 2 e^{a delta} not positive")
+        p, err = self.product(z, zp)
+        return math.exp(-a * (p + err)) / V, V * math.exp(-a * p)
+
+    def ball_contains(self, z, thr, zp):
+        p, err = self.product(z, zp)
+        if p - err > thr:
+            return True
+        if p + err <= thr:
+            return False
+        return None
+
+    def shadow_contains(self, y, r, z):
+        return plane_ray_distance(y.z, z.coord) < r
+
+    def ray_points_to(self, ts):
+        return lambda z: ray_points(self.space, Ray(self.action.basepoint, z.coord), ts)
+
+    def pack_cov(self, samples, ts):
+        delta = self.action.declared_delta
+        pts = samples[: min(len(samples), 20)]
+        rows = []
+        for T in ts:
+            chosen = []
+            for i, z in enumerate(pts):
+                ok = True
+                for j in chosen:
+                    try:
+                        p, err = self.product(z, pts[j])
+                    except DepthError:
+                        ok = False
+                        break
+                    if p + err > T - 2.0 * delta:
+                        ok = False
+                        break
+                if ok:
+                    chosen.append(i)
+            pack = len(chosen)
+            rho = math.exp(-T)
+            covered = [False] * len(pts)
+            cov = 0
+            for i, z in enumerate(pts):
+                if covered[i]:
+                    continue
+                cov += 1
+                covered[i] = True
+                for j in range(len(pts)):
+                    if covered[j]:
+                        continue
+                    try:
+                        if generalized_ball_contains(self.action, z, rho, pts[j]) is True:
+                            covered[j] = True
+                    except DepthError:
+                        pass
+            rows.append((T, pack, cov, pack <= cov))
+        return rows
+
+    def limit_set_sample(self, ball, min_displacement):
+        sample, seen = [], set()
+        for e in ball.entries:
+            if not e.word or float(e.displacement) < min_displacement:
+                continue
+            b = _plane_entry_boundary(e)
+            if b is None:
+                continue
+            key = "inf" if b.coord == math.inf else round(b.coord / 1e-9)
+            if key not in seen:
+                seen.add(key)
+                sample.append(b)
+        return sample
+
+    def hull_points(self, z1, z2):
+        if z1.coord == z2.coord:
+            return []
+        x = self.action.basepoint
+        return [plane_line_point(z1.coord, z2.coord, x, -10.0 + 20.0 * (i + 0.5) / 8) for i in range(8)]
+
+    def measure(self, ball, s, thresh):
+        total = sum(math.exp(-s * float(e.displacement)) for e in ball.entries)
+        atoms = []
+        for e in ball.entries:
+            w = math.exp(-s * float(e.displacement)) / total
+            b = None
+            if e.word and float(e.displacement) >= thresh - 1e-12:
+                b = _plane_entry_boundary(e)
+            atoms.append(Atom(e.word, e.point, float(e.displacement), w, b))
+        return AtomicMeasure(tuple(atoms), s, float(ball.radius))
+
+    def ball_rules(self, atoms, z, thr):
+        """ball_contains on atom arrays, with `product` at every atom at once:
+        undecided where the bracket straddles thr, the endpoints coincide
+        (the scalar DepthError) or the atom does not resolve the scale."""
+        t = np.maximum(np.minimum(z.depth, atoms.depth), 4.0)
+        value = plane_ray_products(z.coord, atoms.coord, t)
+        gap = np.abs(value - plane_ray_products(z.coord, atoms.coord, np.maximum(t - 2.0, 1.0)))
+        delta = self.action.declared_delta
+        err = np.minimum(delta if delta > 0 else math.inf, gap + 1e-6)
+        inside = value - err > thr
+        known = (atoms.coord != z.coord) & (inside | (value + err <= thr))
+        return (atoms.depth >= thr - 1e-12) & known, inside
+
+    def shadow_rules(self, atoms, y, r):
+        inside = plane_ray_distances(y.z, atoms.coord) < r
+        return np.ones(len(inside), dtype=bool), inside
+
+    def pulled_mass(self, measure, g_word):
+        pushed = _pushed_measure(self.action, measure, g_word)
+        return lambda z, rho: ball_mass(self.action, pushed, z, rho)[0]
+
+    def cell_ray(self, z):
+        return Ray(self.action.basepoint, z.coord), 30.0

@@ -10,15 +10,19 @@ returns witnesses that re-verify, and refutes a candidate at its first
 defect >= eps, evaluated in cost order (basepoint, distortion block by
 block, surjectivity, equivariance).
 
-A tree snapshot reads only its orbit ball's radius: net, elements and
-action table are index arithmetic on the vertex list it numbers itself
-(`_tree_snapshot`), and its distances come from the net's root paths
-(`arrays._TreePaths`, O(width n) memory, no n x n table). A plane
-snapshot's net is its orbit ball's sample, with a dense distance table
-(`_DenseTable`). `verify_witness` reads either by blocks of rows in the
-table's own order and by lists of pairs, so every in-net defect is
-bitwise the one of the dense n x n computation; an image that leaves the
-net takes one scalar isometry and distance on either model.
+`snapshot` picks the model once: a `_TreeSnapshot` or a `_PlaneSnapshot`,
+each with its net's distances (`metric`) and its half of the word-wise
+witness (`wordwise_points`); the one other kind test pins the continuity
+experiment's tree resolution. A tree snapshot reads only its orbit ball's
+radius: net, elements and action table are index arithmetic on the
+vertex list it numbers itself (`_tree_snapshot`), and its distances come
+from the net's root paths (`arrays._TreePaths`, O(width n) memory, no
+n x n table). A plane snapshot's net is its orbit ball's sample, with a
+dense distance table (`_DenseTable`). `verify_witness` reads either by
+blocks of rows in the table's own order and by lists of pairs, so every
+in-net defect is bitwise the one of the dense n x n computation; an image
+that leaves the net takes one scalar isometry and distance on either
+model.
 """
 
 import math
@@ -50,47 +54,41 @@ class TripleSnapshot:
     offset-grid points; plane: the orbit sample itself). elements: group
     elements with displacement strictly below 1/eps. action_table[g][p] is
     the index of the image net point, or -1 when the image leaves the ball
-    (or, on the plane, the sampled net).
-
-    A tree net is kept as grid data: each point's vertex word (`words`),
-    direction letter (`directions`, None at a vertex) and offset in
-    resolution steps (`steps`); its `points` are `TreePoint`s built when
-    read, and the hot paths never read them. A plane snapshot has no
-    resolution (None): its net is its orbit sample.
-
-    `metric` holds the net's distances, read by sorted rows and by pairs
-    (a `_TreePaths` or a `_DenseTable`).
+    (or, on the plane, the sampled net). `metric` holds the net's
+    distances, read by sorted rows and by pairs.
     """
 
-    def __init__(self, action, epsilon, resolution, covering_radius, points, elements, table,
-                 base_index, point_words=None, words=None, directions=None, steps=None):
+    def __init__(self, action, epsilon, covering_radius, points, elements, table, base_index):
         self.action = action
         self.space = action.space
         self.epsilon = float(epsilon)
-        self.resolution = resolution
         self.covering_radius = float(covering_radius)
-        if points is None:
-            points = _TreeNetPoints(words, directions, steps, resolution)
         self.points = points
         self.elements = elements
         self.action_table = table
         self.base_index = base_index
-        self.point_words = point_words
-        self.words = words
-        self.directions = directions
-        self.steps = steps
 
     @property
     def radius(self):
         return 1.0 / self.epsilon
 
+
+class _TreeSnapshot(TripleSnapshot):
+    """A tree snapshot, its net kept as grid data: each point's vertex word
+    (`words`), direction letter (`directions`, None at a vertex) and offset
+    in `resolution` steps (`steps`); its `points` are `TreePoint`s built
+    when read, and the hot paths never read them."""
+
+    def __init__(self, action, epsilon, resolution, elements, table, words, directions, steps):
+        points = _TreeNetPoints(words, directions, steps, resolution)
+        super().__init__(action, epsilon, float(resolution) / 2.0, points, elements, table, 0)
+        self.resolution = resolution
+        self.words, self.directions, self.steps = words, directions, steps
+
     @cached_property
     def metric(self):
-        """The net's distances, built on first use: a tree net's
-        `_TreePaths`, with offsets float(s * resolution), the floats of the
-        exact offsets, or a plane net's `_DenseTable`."""
-        if self.space.kind != TREE:
-            return _DenseTable(pairwise_distances(self.space, self.points))
+        """The net's `_TreePaths`, built on first use, with offsets
+        float(s * resolution), the floats of the exact offsets."""
         off = np.array([float(s * self.resolution) for s in range(int(self.steps.max()) + 1)])
         return _TreePaths(self.space.edge_length, self.words, self.directions, off[self.steps])
 
@@ -102,6 +100,40 @@ class TripleSnapshot:
         index = {key: i for i, key in enumerate(zip(self.words, steps, self.directions))}
         vertex = {w: i for i, (w, s) in enumerate(zip(self.words, steps)) if not s}
         return index, vertex
+
+    def wordwise_points(self, B):
+        """f of the word-wise witness into B (`search_witness`)."""
+        # s of A's grid steps are s * m_B / m_A of B's (m steps per edge); a
+        # non-integer count has no counterpart, and the point falls to a vertex
+        ratio = (B.space.edge_length / B.resolution) / (self.space.edge_length / self.resolution)
+        index, vertex = B.grid_index
+        f = []
+        for w, s, d in zip(self.words, self.steps.tolist(), self.directions):
+            sb, rem = divmod(s * ratio.numerator, ratio.denominator)
+            j = None if rem else index.get((w, sb, d))
+            # no counterpart: the vertex of w, or of its longest prefix in B's
+            # ball for a deep A-point
+            f.append(_match_element(w, vertex) if j is None else j)
+        return f
+
+
+class _PlaneSnapshot(TripleSnapshot):
+    """A plane snapshot: its net is its orbit sample, each point labelled by
+    the orbit word of its entry (`point_words`), with no discretization
+    slack relative to that sample."""
+
+    def __init__(self, action, epsilon, points, point_words, elements, table, base_index):
+        super().__init__(action, epsilon, 0.0, points, elements, table, base_index)
+        self.point_words = point_words
+
+    @cached_property
+    def metric(self):
+        return _DenseTable(pairwise_distances(self.space, self.points))
+
+    def wordwise_points(self, B):
+        """f of the word-wise witness into B (`search_witness`)."""
+        words_b = {w: i for i, w in enumerate(B.point_words)}
+        return [_match_element(w, words_b) for w in self.point_words]
 
 
 class _DenseTable:
@@ -259,33 +291,22 @@ def snapshot(action, ball, epsilon, resolution=None):
         if res_frac.numerator != 1:
             raise ValueError("resolution %s does not divide the edge length %s" % (res, L))
         words, directions, steps, elements, table = _tree_snapshot(space, R, res_frac)
-        cov = float(res) / 2.0
-        base_index = 0
-    else:
-        if resolution is not None:
-            raise ValueError("a plane snapshot takes no resolution: its net is its orbit sample")
-        sel = [e for e in ball.entries if float(e.displacement) <= R + 1e-9]
-        points = [e.point for e in sel]
-        words = {e.word: i for i, e in enumerate(sel)}
-        elements = [
-            SnapElement(e.word, float(e.displacement))
-            for e in sel
-            if float(e.displacement) < R - 1e-12
-        ]
-        table = np.full((len(elements), len(points)), -1, dtype=np.int32)
-        for gi, el in enumerate(elements):
-            for pi, e in enumerate(sel):
-                table[gi, pi] = words.get(compose_words(el.word, e.word), -1)
-        # the net is the sampled orbit itself; discretization slack
-        # relative to that sample is zero and is reported as such
-        return TripleSnapshot(
-            action, epsilon, None, 0.0, points, elements, table, words[""],
-            point_words=tuple(e.word for e in sel),
-        )
-    return TripleSnapshot(
-        action, epsilon, res, cov, None, elements, table, base_index,
-        words=words, directions=directions, steps=steps,
-    )
+        return _TreeSnapshot(action, epsilon, res, elements, table, words, directions, steps)
+    if resolution is not None:
+        raise ValueError("a plane snapshot takes no resolution: its net is its orbit sample")
+    sel = [e for e in ball.entries if float(e.displacement) <= R + 1e-9]
+    words = {e.word: i for i, e in enumerate(sel)}
+    elements = [
+        SnapElement(e.word, float(e.displacement))
+        for e in sel
+        if float(e.displacement) < R - 1e-12
+    ]
+    table = np.full((len(elements), len(sel)), -1, dtype=np.int32)
+    for gi, el in enumerate(elements):
+        for pi, e in enumerate(sel):
+            table[gi, pi] = words.get(compose_words(el.word, e.word), -1)
+    return _PlaneSnapshot(action, epsilon, [e.point for e in sel], tuple(e.word for e in sel),
+                          elements, table, words[""])
 
 
 #: the judged defects, in the order a witness is judged
@@ -471,40 +492,16 @@ def search_witness(A, B, epsilon):
 
 def _wordwise_witness(A, B, epsilon):
     """The unverified word-wise candidate of `search_witness`."""
-    if A.space.kind != B.space.kind:
+    if type(A) is not type(B):
         raise KindMismatchError(
             "no word-wise witness between %s and %s snapshots" % (A.space.kind, B.space.kind)
         )
-    if A.space.kind == TREE:
-        f = _tree_wordwise_points(A, B)
-    else:
-        f = _plane_wordwise_points(A, B)
+    f = A.wordwise_points(B)
     bw = _word_index(B)
     aw = _word_index(A)
     phi = tuple(_match_element(el.word, bw) for el in A.elements)
     psi = tuple(_match_element(el.word, aw) for el in B.elements)
     return ApproximationWitness(tuple(int(i) for i in f), phi, psi, float(epsilon))
-
-
-def _tree_wordwise_points(A, B):
-    # s of A's grid steps are s * m_B / m_A of B's (m steps per edge); a
-    # non-integer count has no counterpart, and the point falls to a vertex
-    ratio = (B.space.edge_length / B.resolution) / (A.space.edge_length / A.resolution)
-    index, vertex = B.grid_index
-    f = []
-    for w, s, d in zip(A.words, A.steps.tolist(), A.directions):
-        sb, rem = divmod(s * ratio.numerator, ratio.denominator)
-        j = None if rem else index.get((w, sb, d))
-        # no counterpart: the vertex of w, or of its longest prefix in B's
-        # ball for a deep A-point
-        f.append(_match_element(w, vertex) if j is None else j)
-    return f
-
-
-def _plane_wordwise_points(A, B):
-    # plane snapshot points carry the orbit word of the producing entry
-    words_b = {w: i for i, w in enumerate(B.point_words)}
-    return [_match_element(w, words_b) for w in A.point_words]
 
 
 # ---------------------------------------------------------------------------

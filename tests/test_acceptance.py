@@ -17,13 +17,13 @@ import pytest
 
 from hypcrit import cli
 from hypcrit.boundary import (
+    TreeBoundary,
     ball_mass,
     check_shadow_ball_lemma,
     cylinder_scale,
     limit_set_sample,
     patterson_sullivan_atoms,
     qc_hull_sample,
-    tree_boundary,
 )
 from hypcrit.convergence import (
     ApproximationWitness,
@@ -184,7 +184,7 @@ def test_ahlfors_regularity(f2, f2_ball10):
             assert 0.73 <= ratio <= 0.77
         # the aggregation used above must agree with ball_mass itself
         for w in cyls[:: max(1, len(cyls) // 4)][:5]:
-            got, _ = ball_mass(f2, measure, tree_boundary(w), rho)
+            got, _ = ball_mass(f2, measure, TreeBoundary(w), rho)
             assert got == pytest.approx(mass[w] / den, rel=1e-12)
     step1 = math.exp(LOG3 * (55.0 * f2.declared_delta + 3.0 * f2.declared_codiameter))
     assert step1 == pytest.approx(3.0**1.5, rel=1e-12)

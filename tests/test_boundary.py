@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -7,17 +8,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypcrit import boundary
 from hypcrit.arrays import _level_rows, _row_lcp, _word_rows
 from hypcrit.boundary import (
     Atom,
     AtomicMeasure,
+    PlaneBoundary,
+    TreeBoundary,
     VisualParams,
-    _base_ray_points,
-    _product_exceeds,
     _pushed_measure,
-    _tree_shadow_rules,
+    _rules,
     ball_mass,
-    boundary_gromov_product,
     check_ahlfors_regularity,
     check_quasiconformality,
     check_shadow_ball_lemma,
@@ -25,11 +26,9 @@ from hypcrit.boundary import (
     generalized_ball_contains,
     limit_set_sample,
     patterson_sullivan_atoms,
-    plane_boundary,
     qc_hull_sample,
     shadow_contains,
     shadow_mass,
-    tree_boundary,
     tree_cylinder_cells,
     visual_distance,
 )
@@ -82,22 +81,22 @@ def l4_measure(schottky, l4_ball):
 
 
 def test_tree_boundary_product_is_lcp(f2):
-    z = tree_boundary("abab")
-    zp = tree_boundary("abba")
-    p, err = boundary_gromov_product(f2, z, zp)
+    z = TreeBoundary("abab")
+    zp = TreeBoundary("abba")
+    p, err = _rules(f2).product(z, zp)
     assert p == 2
     assert err == 0
 
 
 def test_tree_boundary_product_refuses_truncation(f2):
     with pytest.raises(DepthError):
-        boundary_gromov_product(f2, tree_boundary("ab"), tree_boundary("abab"))
+        _rules(f2).product(TreeBoundary("ab"), TreeBoundary("abab"))
 
 
 def test_plane_boundary_product_bracket(schottky):
-    z = plane_boundary(1.0, depth=12.0)
-    zp = plane_boundary(-1.0, depth=12.0)
-    p, err = boundary_gromov_product(schottky, z, zp)
+    z = PlaneBoundary(1.0, depth=12.0)
+    zp = PlaneBoundary(-1.0, depth=12.0)
+    p, err = _rules(schottky).product(z, zp)
     assert p >= -1e-9
     assert 0 <= err <= schottky.declared_delta + 1e-12
 
@@ -127,7 +126,7 @@ def test_plane_boundary_product_has_no_cancellation(l4_measure, schottky):
             if z.coord == zp.coord:
                 continue
             t = max(min(z.depth, zp.depth), 4.0)
-            got, _ = boundary_gromov_product(schottky, z, zp)
+            got, _ = _rules(schottky).product(z, zp)
             assert abs(got - _decimal_ray_product(z.coord, zp.coord, t)) <= 1e-12
             checked += 1
     assert checked > 900
@@ -135,22 +134,22 @@ def test_plane_boundary_product_has_no_cancellation(l4_measure, schottky):
 
 def test_visual_distance_tree_is_an_ultrametric(f2):
     params = VisualParams(a=1.0)
-    zs = [tree_boundary(w) for w in ("aaaa", "abaa", "abba", "baba")]
+    zs = [TreeBoundary(w) for w in ("aaaa", "abaa", "abba", "baba")]
     for z in zs:
         for zp in zs:
             if z.word == zp.word:
                 continue
             lo, hi = visual_distance(params, f2, z, zp)
             assert lo == hi
-    d = lambda u, v: visual_distance(params, f2, tree_boundary(u), tree_boundary(v))[0]
+    d = lambda u, v: visual_distance(params, f2, TreeBoundary(u), TreeBoundary(v))[0]
     for u, v, w in (("aaaa", "abaa", "abba"), ("aaaa", "baba", "abba")):
         assert d(u, w) <= max(d(u, v), d(v, w)) + 1e-12
 
 
 def test_visual_distance_plane_bracket_ordering(schottky):
     params = VisualParams(a=0.3)
-    z = plane_boundary(2.0, depth=12.0)
-    zp = plane_boundary(-3.0, depth=12.0)
+    z = PlaneBoundary(2.0, depth=12.0)
+    zp = PlaneBoundary(-3.0, depth=12.0)
     lo, hi = visual_distance(params, schottky, z, zp)
     assert 0 < lo <= hi
 
@@ -158,7 +157,7 @@ def test_visual_distance_plane_bracket_ordering(schottky):
 def test_visual_parameter_range_is_enforced(schottky):
     with pytest.raises(ValueError):
         visual_distance(VisualParams(a=0.7), schottky,
-                        plane_boundary(1.0), plane_boundary(-1.0))
+                        PlaneBoundary(1.0), PlaneBoundary(-1.0))
 
 
 def test_visual_params_take_no_center(f2):
@@ -169,29 +168,29 @@ def test_visual_params_take_no_center(f2):
 
 def test_generalized_ball_is_the_cylinder(f2):
     rho = cylinder_scale(f2, 2)
-    z = tree_boundary("ab")
-    assert generalized_ball_contains(f2, z, rho, tree_boundary("abaa"))
-    assert generalized_ball_contains(f2, z, rho, tree_boundary("aBaa")) is False
+    z = TreeBoundary("ab")
+    assert generalized_ball_contains(f2, z, rho, TreeBoundary("abaa"))
+    assert generalized_ball_contains(f2, z, rho, TreeBoundary("aBaa")) is False
     # a shallower approximant that might or might not continue into the
     # cylinder is refused, not guessed
     with pytest.raises(DepthError):
-        generalized_ball_contains(f2, tree_boundary("abab"), cylinder_scale(f2, 4), z)
+        generalized_ball_contains(f2, TreeBoundary("abab"), cylinder_scale(f2, 4), z)
 
 
 def test_shadow_contains_tree(f2):
     y = TreePoint("ab")
-    assert shadow_contains(f2, y, 0.5, tree_boundary("ababab"))
-    assert not shadow_contains(f2, y, 0.5, tree_boundary("bbbbbb"))
+    assert shadow_contains(f2, y, 0.5, TreeBoundary("ababab"))
+    assert not shadow_contains(f2, y, 0.5, TreeBoundary("bbbbbb"))
     with pytest.raises(ValueError):
-        shadow_contains(f2, y, 0.0, tree_boundary("ababab"))
+        shadow_contains(f2, y, 0.0, TreeBoundary("ababab"))
 
 
 def test_shadow_contains_plane_vertical_axis(schottky):
     # basepoint i, endpoint inf: the ray is the vertical half-line above i
     from hypcrit.space import PlanePoint
 
-    assert shadow_contains(schottky, PlanePoint(3j), 0.5, plane_boundary(math.inf))
-    assert not shadow_contains(schottky, PlanePoint(3.0 + 3j), 0.5, plane_boundary(math.inf))
+    assert shadow_contains(schottky, PlanePoint(3j), 0.5, PlaneBoundary(math.inf))
+    assert not shadow_contains(schottky, PlanePoint(3.0 + 3j), 0.5, PlaneBoundary(math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +221,7 @@ def test_qc_hull_sample_sizes(f2, f2_ball):
 def test_tree_limit_set_sample_is_read_lazily(f2, f2_ball):
     sam = limit_set_sample(f2, f2_ball, 5)
     assert not isinstance(sam, list)
-    assert sam[-1] == tree_boundary("BBBBBBBB") and sam[:2] == list(sam)[:2]
+    assert sam[-1] == TreeBoundary("BBBBBBBB") and sam[:2] == list(sam)[:2]
     with pytest.raises(IndexError):
         sam[len(sam)]
     # rng.sample indexes the sequence, so the draws are those of a list
@@ -239,7 +238,7 @@ def test_tree_limit_set_sample_lists_no_level(f2):
     picks = [sam[i] for i in (0, 1, n // 2, -1)]
     assert "levels" not in ball.__dict__
     level = ball.levels[10]
-    assert picks == [tree_boundary(level[i]) for i in (0, 1, n // 2, -1)]
+    assert picks == [TreeBoundary(level[i]) for i in (0, 1, n // 2, -1)]
 
 
 def test_tree_measure_rows_list_no_level(f2):
@@ -254,7 +253,7 @@ def test_tree_measure_rows_list_no_level(f2):
                 got = _level_rows(rank, range(lo, hi))
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     ball = enumerate_orbit_ball(f2, 8)
-    atoms = patterson_sullivan_atoms(f2, ball, 1.3)._tree_atoms
+    atoms = patterson_sullivan_atoms(f2, ball, 1.3).arrays
     assert len(atoms.rows) == 4 * 3**5 * (1 + 3 + 9) and "levels" not in ball.__dict__
 
 
@@ -311,7 +310,7 @@ def test_cylinder_mass_closed_form(f2, f2_measure):
     # oracle: with atoms at word lengths 6..8 and weights prop. to
     # 3^{-1.3 k}, every depth-n cylinder carries (3/4) 3^{-n} of the mass
     for n in (1, 2, 3):
-        mass, frac = ball_mass(f2, f2_measure, tree_boundary("ab"[: 1] * n), cylinder_scale(f2, n))
+        mass, frac = ball_mass(f2, f2_measure, TreeBoundary("ab"[: 1] * n), cylinder_scale(f2, n))
         assert mass == pytest.approx(0.75 * 3.0**-n, rel=1e-6)
         assert frac > 0
     for n in (1, 2, 3):
@@ -322,7 +321,7 @@ def test_cylinder_mass_closed_form(f2, f2_measure):
 
 
 def test_ball_mass_refuses_unresolvable_scale(f2, f2_measure):
-    mass, frac = ball_mass(f2, f2_measure, tree_boundary("a" * 12), math.exp(-12.0))
+    mass, frac = ball_mass(f2, f2_measure, TreeBoundary("a" * 12), math.exp(-12.0))
     assert mass is None
     assert frac == 0.0
 
@@ -389,7 +388,7 @@ def test_tree_masses_match_scalar_rules(ell):
     # centers up to twice the atom depth, so truncation is hit both ways
     words = reduced_words_upto(2, 3) + [a.word + "ab"[rng.randrange(2)] * 4 for a in measure.boundary_atoms[::97]]
     for w in words[1::3]:
-        z = tree_boundary(w)
+        z = TreeBoundary(w)
         for rho in [cylinder_scale(act, n) for n in range(1, 9)] + [0.9, 0.3, 0.011]:
             got = ball_mass(act, measure, z, rho)
             assert got == scalar_ball_mass(act, measure, z, rho)
@@ -419,7 +418,7 @@ def test_tree_shadow_rules_match_shadow_contains(ell):
             out = next(c for c in "aAbB" if c != w[j] and (j == 0 or c != w[j - 1].swapcase()))
             for y in (TreePoint(w[:j]), TreePoint(w[:j], 5 * res, w[j]), TreePoint(w[:j], 19 * res, out)):
                 for r in (0.25, 2.5):
-                    decided, inside = _tree_shadow_rules(act, measure._tree_atoms, y, r)
+                    decided, inside = _rules(act).shadow_rules(measure.arrays, y, r)
                     for i, atom in enumerate(measure.boundary_atoms):
                         try:
                             m = shadow_contains(act, y, r, atom.boundary)
@@ -438,15 +437,15 @@ def test_base_ray_points_match_ray_point(f2, schottky, schottky_ball):
     # exactly where ray_point raises DepthError; plane rays as ray_points
     cases = [
         (f2, limit_set_sample(f2, enumerate_orbit_ball(f2, 6), 4)[::9]),
-        (tree_action(edge_length=Fraction(9, 8)), [tree_boundary("abAB"), tree_boundary("aBBaba")]),
+        (tree_action(edge_length=Fraction(9, 8)), [TreeBoundary("abAB"), TreeBoundary("aBBaba")]),
         (schottky, limit_set_sample(schottky, schottky_ball, 4.0)[::7]),
     ]
     ts = [0.0, 0.3, 2.0, 4.5, 5.0, 6.75]
     beyond = 0
     for act, samples in cases:
-        points_to = _base_ray_points(act, ts)
+        points_to = _rules(act).ray_points_to(ts)
         for z in samples:
-            target = z.word if act.space.kind == "tree" else z.coord
+            target = z.word if isinstance(z, TreeBoundary) else z.coord
             for t, got in zip(ts, points_to(z)):
                 try:
                     want = ray_point(act.space, Ray(act.basepoint, target), t)
@@ -456,7 +455,7 @@ def test_base_ray_points_match_ray_point(f2, schottky, schottky_ball):
                 assert got == want
     assert beyond
     with pytest.raises(ValueError):
-        _base_ray_points(f2, [1.0, -0.5])
+        _rules(f2).ray_points_to([1.0, -0.5])
 
 
 def test_plane_masses_match_scalar_rules(schottky, l4_ball, l4_measure):
@@ -504,6 +503,7 @@ def test_ahlfors_audit_rejects_dirac_control(f2, f2_measure):
     deep = max(f2_measure.boundary_atoms, key=lambda a: a.displacement)
     dirac = AtomicMeasure((Atom(deep.word, deep.point, deep.displacement, 1.0, deep.boundary),),
                           f2_measure.s, f2_measure.truncation_T)
+    dirac.arrays = RowCompareAtoms(dirac.boundary_atoms)
     centers = [deep.boundary]
     scales = [cylinder_scale(f2, n) for n in (3, 4, 5)]
     rep = check_ahlfors_regularity(f2, dirac, math.log(3.0), centers, scales)
@@ -547,6 +547,40 @@ def test_plane_quasiconformality_pushes_each_atom_once(schottky, l4_ball, l4_mea
     rep = check_quasiconformality(schottky, l4_measure, 0.2767, "a", cells)
     assert rep.cells_used > 0
     assert len(pushes) == len(l4_measure.boundary_atoms)
+
+
+@pytest.mark.parametrize("model, word", [
+    ("f2", ""), ("f2", "aA"), ("f2", "c"), ("schottky", ""), ("schottky", "aA"), ("schottky", "c"),
+])
+def test_quasiconformality_refuses_a_word_that_is_not_reduced_over_the_alphabet(
+        request, monkeypatch, model, word):
+    # the empty word, or one that reduces to it, compares the measure with
+    # itself (Q = 1); a letter outside the alphabet has no isometry. The
+    # refusal names the word and comes before any cell is measured
+    act = request.getfixturevalue(model)
+    if model == "f2":
+        measure, cells = request.getfixturevalue("f2_measure"), tree_cylinder_cells(act, 3)
+    else:
+        measure, cells = request.getfixturevalue("l4_measure"), [(PlaneBoundary(1.0, depth=12.0), 0.05)]
+    monkeypatch.setattr(boundary, "ball_mass", lambda *args: pytest.fail("a cell was measured"))
+    with pytest.raises(ValueError, match=re.escape(repr(word))):
+        check_quasiconformality(act, measure, 0.3, word, cells)
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda sam: {"ts": []}, "at least one scale T"),
+    (lambda sam: {"pair_count": 0}, "pair_count >= 1, got 0"),
+    (lambda sam: {"samples": sam[:1]}, "at least 2 boundary samples, got 1"),
+], ids=["no-scale", "no-pair", "one-sample"])
+def test_shadow_ball_lemma_refuses_an_audit_that_tests_nothing(f2, f2_ball, schottky, schottky_ball,
+                                                               change, match):
+    # with no scale or no pair every tally would stay 0, a pass that tested
+    # nothing; one sample makes no pair
+    for act, ball, depth in ((f2, f2_ball, 8), (schottky, schottky_ball, 4.0)):
+        sam = limit_set_sample(act, ball, depth)
+        args = dict({"samples": sam[:40], "ts": [2.0, 4.0], "pair_count": 100}, **change(sam))
+        with pytest.raises(ValueError, match=match):
+            check_shadow_ball_lemma(act, **args)
 
 
 def test_shadow_ball_lemma_both_models(f2, schottky, schottky_ball):
@@ -594,9 +628,9 @@ def object_tree_measure(action, ball, s):
         w = math.exp(-s * float(e.displacement)) / total
         deep = e.word and float(e.displacement) >= thresh - 1e-12
         atoms.append(Atom(e.word, e.point, float(e.displacement), w,
-                          tree_boundary(e.word) if deep else None))
+                          TreeBoundary(e.word) if deep else None))
     measure = AtomicMeasure(tuple(atoms), s, float(ball.radius))
-    measure._tree_atoms = RowCompareAtoms(measure.boundary_atoms)
+    measure.arrays = RowCompareAtoms(measure.boundary_atoms)
     return measure
 
 
@@ -617,7 +651,7 @@ def test_tree_measure_levels_match_the_object_path(valence, ell, s):
     assert len(got.atoms) == len(want.atoms) and len(got.boundary_atoms) == len(want.boundary_atoms)
     assert atom_bits(got.atoms[::7]) == atom_bits(want.atoms[::7])
     assert atom_bits(got.boundary_atoms[-40:]) == atom_bits(want.boundary_atoms[-40:])
-    a, b = got._tree_atoms, want._tree_atoms
+    a, b = got.arrays, want.arrays
     assert a.width == b.width and a.total.hex() == b.total.hex()
     for name in ("rows", "lengths", "weight"):
         x, y = getattr(a, name), getattr(b, name)
@@ -631,7 +665,7 @@ def test_tree_measure_levels_match_the_object_path(valence, ell, s):
     h = math.log(valence - 1) / float(ell)
     for w in words:
         assert (a.lcp(w) == b.lcp(w)).all()
-        z = tree_boundary(w) if w else tree_boundary("a")
+        z = TreeBoundary(w) if w else TreeBoundary("a")
         for rho in [cylinder_scale(act, n) for n in (1, 3, depth)] + [0.7, 0.013]:
             m1, m2 = ball_mass(act, got, z, rho), ball_mass(act, want, z, rho)
             assert repr(m1) == repr(m2)
@@ -665,7 +699,7 @@ def fraction_shadow_contains(action, y, r, z):
 
 
 def fraction_product(action, z, zp):
-    """boundary_gromov_product on the tree as k * edge_length, a Fraction."""
+    """The tree rules' product, k * edge_length, as a Fraction."""
     k = _lcp(z.word, zp.word)
     if k >= min(z.depth, zp.depth):
         raise DepthError("truncation")
@@ -692,13 +726,13 @@ def test_tree_shadow_tests_match_the_fraction_forms(ell):
     # thresholds on and next to the products k L, as floats, and radii on
     # and next to depth differences
     ts = sorted({float(k * ell) + dt for k in range(6) for dt in (-1e-9, 0.0, 2e-9, 0.3)})
-    exceeds = _product_exceeds(act, [t + 1e-9 for t in ts])
+    exceeds = _rules(act).exceeds([t + 1e-9 for t in ts])
     seen = Counter()
     for _ in range(400):
-        z = tree_boundary(rand_word(rng.randrange(3, 7)))
-        zp = tree_boundary(rand_word(rng.randrange(3, 7), z.word[: rng.randrange(5)]))
+        z = TreeBoundary(rand_word(rng.randrange(3, 7)))
+        zp = TreeBoundary(rand_word(rng.randrange(3, 7), z.word[: rng.randrange(5)]))
         want = outcome(fraction_product, act, z, zp)
-        assert outcome(boundary_gromov_product, act, z, zp) == want
+        assert outcome(_rules(act).product, z, zp) == want
         got = outcome(exceeds, z, zp)
         if want == "DepthError":
             assert got == want

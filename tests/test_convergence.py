@@ -231,7 +231,7 @@ def test_wordwise_points_match_offsets_across_grids(f2, f2_ball):
     # lands on B's step 2 and step 1, with no counterpart, on its vertex
     A = snapshot(f2, f2_ball, 0.5, resolution=Fraction(1, 24))
     B = snapshot(f2, f2_ball, 0.5, resolution=Fraction(1, 16))
-    f = convergence._tree_wordwise_points(A, B)
+    f = A.wordwise_points(B)
     for p, s, j in zip(A.points, A.steps.tolist(), f):
         if p.word != "a":
             continue

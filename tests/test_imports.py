@@ -1,9 +1,10 @@
 """Every import in a hypcrit module is read somewhere in its scope, every
 definition is named somewhere else, the definitions only tests read are
-listed, a subcommand loads only the modules it runs, no module imports
-`dataclasses` (defining a dataclass compiles its methods at import, about
-0.4 ms a class), and no module calls BLAS, so the CLI's single OpenBLAS
-thread costs nothing."""
+listed, the model-kind tests are counted and each model's objects define
+the same methods, a subcommand loads only the modules it runs, no module
+imports `dataclasses` (defining a dataclass compiles its methods at
+import, about 0.4 ms a class), and no module calls BLAS, so the CLI's
+single OpenBLAS thread costs nothing."""
 
 import ast
 import json
@@ -194,6 +195,58 @@ def test_definitions_only_tests_read_are_listed():
     # bench/ as a reader; over src/ alone the scan finds what the program
     # itself never reads
     assert program_only_unreferenced(ROOT) == sorted(TEST_ONLY)
+
+
+def kind_tests(source):
+    """The number of comparisons with an operand `<expr>.kind`, each a
+    decision on the model kind."""
+    return sum(
+        any(isinstance(x, ast.Attribute) and x.attr == "kind" for x in (node.left, *node.comparators))
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare)
+    )
+
+
+def test_scan_finds_kind_tests():
+    source = (
+        "if space.kind == TREE:\n"
+        "    same = a.space.kind != b.space.kind\n"
+        "assert p.kind in KINDS\n"
+        "name = TREE if kind == 'tree' else PLANE\n"
+        "rules = RULES[space.kind]\n"
+    )
+    assert kind_tests(source) == 3
+
+
+#: the model-kind tests left in each module. `boundary` picks its model's
+#: rules object once, `convergence` its snapshot class once and the tree
+#: resolution of the continuity experiment once; ROADMAP item 13 says why
+#: the rest stay
+KIND_TESTS = {
+    "arrays.py": 1, "boundary.py": 1, "cli.py": 1, "convergence.py": 2, "entropy.py": 2,
+    "geometry_checks.py": 2, "isometries.py": 6, "orbits.py": 4, "space.py": 8,
+}
+
+
+def test_kind_tests_are_pinned():
+    found = {p.name: kind_tests(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name: n for name, n in found.items() if n} == KIND_TESTS
+
+
+#: the methods of each model's boundary rules
+RULES = (
+    "product exceeds visual ball_contains shadow_contains ray_points_to pack_cov "
+    "limit_set_sample hull_points measure ball_rules shadow_rules pulled_mass cell_ray"
+).split()
+
+
+def test_each_model_object_defines_the_same_methods():
+    from hypcrit.boundary import _PlaneRules, _TreeRules
+    from hypcrit.convergence import _PlaneSnapshot, _TreeSnapshot
+
+    for cls in (_TreeRules, _PlaneRules):
+        assert sorted(n for n in vars(cls) if not n.startswith("_")) == sorted(RULES), cls
+    for cls in (_TreeSnapshot, _PlaneSnapshot):
+        assert {"metric", "wordwise_points"} <= set(vars(cls)), cls
 
 
 #: every name the package re-exported when its __init__ imported all modules

@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from hypcrit.boundary import BoundaryApprox
+from hypcrit.boundary import TreeBoundary
 from hypcrit.convergence import ContinuityConfig
 from hypcrit.isometries import PlaneIsometry, TreeIsometry
 from hypcrit.orbits import OrbitEntry, tree_action
-from hypcrit.space import TREE, PlanePoint, TreePoint
+from hypcrit.space import PlanePoint, TreePoint
 
 
 def test_records_keep_repr_equality_immutability_and_validation():
@@ -39,7 +39,7 @@ def test_records_keep_repr_equality_immutability_and_validation():
     assert action == action and action != tree_action()
 
     for record, name in ((edge, "word"), (plane, "z"), (iso, "mat"), (entry, "word"),
-                         (BoundaryApprox(TREE, "a", 1), "depth"), (ContinuityConfig(), "ball_T")):
+                         (TreeBoundary("a"), "depth"), (ContinuityConfig(), "ball_T")):
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
 
@@ -50,7 +50,7 @@ def test_records_keep_repr_equality_immutability_and_validation():
         lambda: TreePoint("a", Fraction(1, 2), "A"),  # backtracking edge
         lambda: PlanePoint(0.5 + 0j),
         lambda: TreeIsometry("bB"),
-        lambda: BoundaryApprox(TREE, "", 0),
+        lambda: TreeBoundary(""),
     ]
     for build in bad:
         with pytest.raises(ValueError):
