@@ -73,7 +73,7 @@ from .space import (
     ray_points,
     tree_grid,
 )
-from .words import _ORDER, compose_words, invert_word, is_reduced, reduced_word_at
+from .words import _ORDER, compose_words, invert_word, is_word_over, reduced_word_at
 
 
 class TreeBoundary:
@@ -571,8 +571,7 @@ def check_quasiconformality(action, measure, h, g_word, cells):
     would compare the measure with itself.
     """
     alphabet = action.alphabet
-    if not (isinstance(g_word, str) and g_word and set(g_word) <= set(alphabet)
-            and is_reduced(g_word)):
+    if not is_word_over(g_word, alphabet):
         raise ValueError("g_word %r is not a nonempty reduced word over %s"
                          % (g_word, "".join(alphabet)))
     rules = _rules(action)

@@ -30,7 +30,7 @@ from pathlib import Path
 # and 0.16 s with one thread. A value set by the user wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import CertificationError, ClassificationError, NumericalLimitError
+from .errors import CertificationError, ClassificationError, NumericalLimitError, ScenarioError
 from .isometries import (
     PingPongFailure,
     PlaneIsometry,
@@ -42,6 +42,7 @@ from .isometries import (
     translation_length,
 )
 from .space import TREE, ModelSpace, PLANE_TOL, distance
+from .words import is_word_over
 
 SCHEMA = 1
 DEFAULT_MIN_SYSTOLE = 0.5
@@ -70,9 +71,9 @@ def load_scenario(path):
             raise FileNotFoundError("no scenario file %s" % path)
         sc = json.loads(ref.read_text(encoding="utf-8"))
     if sc.get("schema") != SCHEMA:
-        raise ValueError("unsupported scenario schema %r" % sc.get("schema"))
+        raise ScenarioError("unsupported scenario schema %r" % sc.get("schema"))
     if "action" not in sc:
-        raise ValueError("scenario needs an `action` key")
+        raise ScenarioError("scenario needs an `action` key")
     return sc
 
 
@@ -149,20 +150,20 @@ CHECKS = ("lemmas", "shadow_ball", "generating", "word_metric", "packing_growth"
 def refuse_unknown_keys(block, known, what):
     unknown = sorted(set(block) - known)
     if unknown:
-        raise ValueError("%s has unknown keys %s" % (what, ", ".join(map(repr, unknown))))
+        raise ScenarioError("%s has unknown keys %s" % (what, ", ".join(map(repr, unknown))))
 
 
 def require_keys(block, keys, what):
     for key in keys:
         if key not in block:
-            raise ValueError("%s needs a `%s` key" % (what, key))
+            raise ScenarioError("%s needs a `%s` key" % (what, key))
 
 
 def build_action(spec):
     require_keys(spec, REQUIRED_KEYS["action"], "action block")
     kind = spec["kind"]
     if kind not in ACTION_KEYS:
-        raise ValueError("unknown action kind %r" % kind)
+        raise ScenarioError("unknown action kind %r" % kind)
     refuse_unknown_keys(spec, ACTION_KEYS[kind], "%s action" % kind)
     if kind == "tree":
         from .orbits import tree_action
@@ -214,7 +215,7 @@ def counts_csv(counts):
 
 def _block(scenario, name):
     if name not in scenario:
-        raise ValueError("scenario %r has no %r block" % (scenario.get("name"), name))
+        raise ScenarioError("scenario %r has no %r block" % (scenario.get("name"), name))
     return _checked(scenario[name], name)
 
 
@@ -247,7 +248,7 @@ def _record(rec, args):
 def _seed(scenario, args):
     seed = args.seed if args.seed is not None else scenario.get("seed")
     if seed is None:
-        raise ValueError("seeds are mandatory: set --seed or a scenario seed")
+        raise ScenarioError("seeds are mandatory: set --seed or a scenario seed")
     return int(seed)
 
 
@@ -337,6 +338,10 @@ def cmd_boundary(scenario, args, outdir):
     action = build_action(scenario["action"])
     where = "%s boundary" % action.space.kind
     require_keys(block, REQUIRED_KEYS[where], where + " block")
+    qc_word = block.get("qc_word", "a")
+    if not is_word_over(qc_word, action.alphabet):
+        raise ScenarioError("boundary block's `qc_word` %r is not a nonempty reduced word over %s"
+                            % (qc_word, "".join(action.alphabet)))
 
     from .boundary import (
         check_ahlfors_regularity,
@@ -370,7 +375,7 @@ def cmd_boundary(scenario, args, outdir):
         qc_cells = [(z, rho) for z in centers]
 
     ahl = check_ahlfors_regularity(action, measure, h, centers, scales)
-    qc = check_quasiconformality(action, measure, h, block.get("qc_word", "a"), qc_cells)
+    qc = check_quasiconformality(action, measure, h, qc_word, qc_cells)
 
     report = {
         "name": scenario.get("name", ""),
@@ -402,7 +407,7 @@ def read_family(scenario):
 
     block, action = _block(scenario, "converge"), scenario["action"]
     if not block["schedule"]:
-        raise ValueError("converge block's `schedule` is empty: it names no member to judge")
+        raise ScenarioError("converge block's `schedule` is empty: it names no member to judge")
     vary = block["vary"]
     *schedule, limit = [Fraction(str(v)) for v in block["schedule"] + [block["limit"]]]
     kw = {k: float(block[k]) for k in ("ball_T", "h_tolerance", "K_bound") if k in block}
@@ -446,18 +451,27 @@ def cmd_verify(scenario, args, outdir):
     block = _block(scenario, "verify")
     for check in block["checks"]:
         if check not in CHECKS:
-            raise ValueError("unknown check %r" % check)
+            raise ScenarioError("unknown check %r" % check)
         if check != "lemmas":
             require_keys(block, (check,), "verify block")
-    action = build_action(scenario["action"])
+    if "shadow_ball" in block["checks"]:
+        # the audit would test nothing (`boundary.check_shadow_ball_lemma`)
+        sub = block["shadow_ball"]
+        if not sub["ts"]:
+            raise ScenarioError("shadow_ball block's `ts` is empty: it names no scale T")
+        for key, least in (("pair_count", 1), ("max_samples", 2)):
+            if int(sub.get(key, least)) < least:
+                raise ScenarioError("shadow_ball block's `%s` is %r, below %d"
+                                    % (key, sub[key], least))
+    if "delta_override" in block and not block.get("unsafe"):
+        raise ScenarioError('delta_override requires "unsafe": true')
     seed = _seed(scenario, args)
+    action = build_action(scenario["action"])
 
     from .orbits import check_generating, check_word_metric_comparison, enumerate_orbit_ball
 
     delta = action.declared_delta
     if "delta_override" in block:
-        if not block.get("unsafe"):
-            raise ValueError('delta_override requires "unsafe": true')
         delta = float(block["delta_override"])
 
     ball = cache(lambda T: enumerate_orbit_ball(action, T))
@@ -553,7 +567,7 @@ def main(argv=None):
     try:
         scenario = load_scenario(args.scenario)
         passed = COMMANDS[args.command](scenario, args, args.out)
-    except (CertificationError, ClassificationError, NumericalLimitError) as exc:
+    except (CertificationError, ClassificationError, NumericalLimitError, ScenarioError) as exc:
         diagnosis = "%s: %s" % (type(exc).__name__, exc)
         print("rejected: " + diagnosis, file=sys.stderr)
         write_report(args.out, "audits.json", dump_json({"error": diagnosis, "passed": False}))

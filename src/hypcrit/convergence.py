@@ -4,21 +4,23 @@ experiment for the critical exponent.
 
 A snapshot discretizes the data quantified over by an equivariant
 eps-approximation: a net of the 1/eps-ball, the elements displacing the
-basepoint by strictly less than 1/eps, and the exact action table between
-them. Verification recomputes every defect from scratch; search only ever
-returns witnesses that re-verify, and refutes a candidate at its first
-defect >= eps, evaluated in cost order (basepoint, distortion block by
-block, surjectivity, equivariance).
+basepoint by strictly less than 1/eps, and the action between them, one
+element's row of net indices at a time (`row`), computed when read: no
+|elements| x |points| table is built. Verification recomputes every
+defect from scratch; search only ever returns witnesses that re-verify,
+and refutes a candidate at its first defect >= eps, evaluated in cost
+order (basepoint, distortion block by block, surjectivity, equivariance).
 
 `snapshot` picks the model once: a `_TreeSnapshot` or a `_PlaneSnapshot`,
-each with its net's distances (`metric`) and its half of the word-wise
-witness (`wordwise_points`); the one other kind test pins the continuity
-experiment's tree resolution. A tree snapshot reads only its orbit ball's
-radius: net, elements and action table are index arithmetic on the
+each with its net's distances (`metric`), its rows and its half of the
+word-wise witness (`wordwise_points`); the one other kind test pins the
+continuity experiment's tree resolution. A tree snapshot reads only its
+orbit ball's radius: net, elements and rows are index arithmetic on the
 vertex list it numbers itself (`_tree_snapshot`), and its distances come
 from the net's root paths (`arrays._TreePaths`, O(width n) memory, no
-n x n table). A plane snapshot's net is its orbit ball's sample, with a
-dense distance table (`_DenseTable`). `verify_witness` reads either by
+n x n table). A plane snapshot's net is its orbit ball's sample, its rows
+are composed words looked up in the sample, and its distances a dense
+table (`_DenseTable`). `verify_witness` reads either by
 blocks of rows in the table's own order and by lists of pairs, so every
 in-net defect is bitwise the one of the dense n x n computation; an image
 that leaves the net takes one scalar isometry and distance on either
@@ -48,42 +50,48 @@ SnapElement = namedtuple("SnapElement", "word displacement")
 
 
 class TripleSnapshot:
-    """Finite net + element set + action table of a triple at scale eps.
+    """Finite net + element set of a triple at scale eps, and the action
+    between them.
 
     points: net of the closed 1/eps-ball around the basepoint (tree: all
     offset-grid points; plane: the orbit sample itself). elements: group
-    elements with displacement strictly below 1/eps. action_table[g][p] is
-    the index of the image net point, or -1 when the image leaves the ball
-    (or, on the plane, the sampled net). `metric` holds the net's
+    elements with displacement strictly below 1/eps. `row(g)` is computed
+    when read: entry p is the index of the net point g points[p], or -1
+    when that image leaves the ball (or, on the plane, the sampled net);
+    no |elements| x |points| table is kept. `metric` holds the net's
     distances, read by sorted rows and by pairs.
     """
 
-    def __init__(self, action, epsilon, covering_radius, points, elements, table, base_index):
+    def __init__(self, action, epsilon, covering_radius, points, elements, base_index):
         self.action = action
         self.space = action.space
         self.epsilon = float(epsilon)
         self.covering_radius = float(covering_radius)
         self.points = points
         self.elements = elements
-        self.action_table = table
         self.base_index = base_index
 
-    @property
-    def radius(self):
-        return 1.0 / self.epsilon
+
+#: a tree snapshot's vertex numbering (`_tree_snapshot`): the net
+#: vertices' ids by word; left multiplication, parent and last letter by
+#: vertex id; net index by (net vertex id, direction, grid step); and each
+#: net point's vertex id, direction and step
+_VertexGrid = namedtuple("_VertexGrid", "vid lmul parent last pid pv pd ps")
 
 
 class _TreeSnapshot(TripleSnapshot):
     """A tree snapshot, its net kept as grid data: each point's vertex word
     (`words`), direction letter (`directions`, None at a vertex) and offset
     in `resolution` steps (`steps`); its `points` are `TreePoint`s built
-    when read, and the hot paths never read them."""
+    when read, and the hot paths never read them. Rows and word-wise
+    matches are index arithmetic on the vertex numbering (`grid`)."""
 
-    def __init__(self, action, epsilon, resolution, elements, table, words, directions, steps):
-        points = _TreeNetPoints(words, directions, steps, resolution)
-        super().__init__(action, epsilon, float(resolution) / 2.0, points, elements, table, 0)
+    def __init__(self, action, epsilon, resolution, elements, words, directions, grid):
+        points = _TreeNetPoints(words, directions, grid.ps, resolution)
+        super().__init__(action, epsilon, float(resolution) / 2.0, points, elements, 0)
         self.resolution = resolution
-        self.words, self.directions, self.steps = words, directions, steps
+        self.words, self.directions, self.steps = words, directions, grid.ps
+        self.grid = grid
 
     @cached_property
     def metric(self):
@@ -92,48 +100,72 @@ class _TreeSnapshot(TripleSnapshot):
         off = np.array([float(s * self.resolution) for s in range(int(self.steps.max()) + 1)])
         return _TreePaths(self.space.edge_length, self.words, self.directions, off[self.steps])
 
-    @cached_property
-    def grid_index(self):
-        """A tree net's point indices keyed by (word, step, direction), and
-        its vertex indices keyed by word."""
-        steps = self.steps.tolist()
-        index = {key: i for i, key in enumerate(zip(self.words, steps, self.directions))}
-        vertex = {w: i for i, (w, s) in enumerate(zip(self.words, steps)) if not s}
-        return index, vertex
+    def row(self, gi):
+        """Net indices of the images of every net point under element gi.
+
+        Its letters, right to left, move every point's vertex id by one
+        left-multiplication row each. A point on an edge whose image
+        vertex u ends in the inverse of the edge's direction lands on the
+        edge above u, at the complementary step."""
+        g = self.grid
+        u = g.pv
+        for c in reversed(self.elements[gi].word):
+            u = g.lmul[_ORDER[c]][u]
+        last = g.last[u]
+        up = (last == (g.pd ^ 1)) & (g.ps > 0)
+        outside, steps = len(g.pid) - 1, g.pid.shape[2] - 1
+        return np.where(up, g.pid[g.parent[u], last, steps - g.ps],
+                        g.pid[np.minimum(u, outside), g.pd, g.ps])
 
     def wordwise_points(self, B):
         """f of the word-wise witness into B (`search_witness`)."""
         # s of A's grid steps are s * m_B / m_A of B's (m steps per edge); a
         # non-integer count has no counterpart, and the point falls to a vertex
         ratio = (B.space.edge_length / B.resolution) / (self.space.edge_length / self.resolution)
-        index, vertex = B.grid_index
+        vid, pid = B.grid.vid, B.grid.pid
+        identity = pid.shape[1] - 1  # the column a vertex reads
         f = []
         for w, s, d in zip(self.words, self.steps.tolist(), self.directions):
             sb, rem = divmod(s * ratio.numerator, ratio.denominator)
-            j = None if rem else index.get((w, sb, d))
+            v = vid.get(w)
+            c = identity if d is None else _ORDER[d]
+            # nor has a word past B's net vertices or a letter past its alphabet
+            j = -1 if rem or v is None or c > identity else int(pid[v, c, sb])
             # no counterpart: the vertex of w, or of its longest prefix in B's
             # ball for a deep A-point
-            f.append(_match_element(w, vertex) if j is None else j)
+            f.append(B.net_vertex(w) if j < 0 else j)
         return f
+
+    def net_vertex(self, w):
+        """Net index of the vertex of w, or of its longest prefix among
+        the net's vertices."""
+        return int(self.grid.pid[_match_element(w, self.grid.vid), -1, 0])
 
 
 class _PlaneSnapshot(TripleSnapshot):
     """A plane snapshot: its net is its orbit sample, each point labelled by
-    the orbit word of its entry (`point_words`), with no discretization
-    slack relative to that sample."""
+    the orbit word of its entry (`point_words`, indexed by `index`), with no
+    discretization slack relative to that sample."""
 
-    def __init__(self, action, epsilon, points, point_words, elements, table, base_index):
-        super().__init__(action, epsilon, 0.0, points, elements, table, base_index)
+    def __init__(self, action, epsilon, points, point_words, elements):
+        self.index = {w: i for i, w in enumerate(point_words)}
+        super().__init__(action, epsilon, 0.0, points, elements, self.index[""])
         self.point_words = point_words
 
     @cached_property
     def metric(self):
         return _DenseTable(pairwise_distances(self.space, self.points))
 
+    def row(self, gi):
+        """Net indices of the images of every net point under element gi:
+        the index of the composed word, -1 where the sample lacks it."""
+        g, index = self.elements[gi].word, self.index
+        images = (index.get(compose_words(g, w), -1) for w in self.point_words)
+        return np.fromiter(images, dtype=np.int32, count=len(self.point_words))
+
     def wordwise_points(self, B):
         """f of the word-wise witness into B (`search_witness`)."""
-        words_b = {w: i for i, w in enumerate(B.point_words)}
-        return [_match_element(w, words_b) for w in self.point_words]
+        return [_match_element(w, B.index) for w in self.point_words]
 
 
 class _DenseTable:
@@ -169,7 +201,8 @@ class _TreeNetPoints(Sequence):
 
 
 def _tree_snapshot(space, R, res_frac):
-    """Net, element list and action table of a tree snapshot.
+    """Net, element list and vertex numbering of a tree snapshot:
+    (net words, net directions, elements, `_VertexGrid`).
 
     The net holds every offset-grid point (spacing edge_length * res_frac,
     vertices included) of the closed ball of radius Rg * res, where Rg is
@@ -180,12 +213,10 @@ def _tree_snapshot(space, R, res_frac):
     elements are the words among them displaced by strictly less than R,
     all of length <= depth.
 
-    The table is index arithmetic, exact because every point is (vertex
-    id, direction, grid step). Left-multiplication tables act on the
-    vertex ids; each element's letters are applied right to left to every
-    net point's vertex at once. A point on an edge whose image vertex u
-    ends in the inverse of the edge's direction lands on the edge above u,
-    at the complementary step.
+    The numbering makes the action index arithmetic, exact because every
+    point is (vertex id, direction, grid step): left-multiplication tables
+    act on the vertex ids (`_TreeSnapshot.row`), and `pid` finds the net
+    index of a (net vertex id, direction, step).
     """
     L = space.edge_length
     steps = res_frac.denominator
@@ -197,14 +228,15 @@ def _tree_snapshot(space, R, res_frac):
     words = reduced_words_upto(space.rank, depth + 1)
     vid = {w: i for i, w in enumerate(words)}
     V = len(words)  # also the id of "deeper than depth + 1"
+    Vn = sum(len(w) <= depth for w in words)  # net vertices; `pid` row Vn: none
     # every vertex id and net index is below the size of `pid`
-    cells = (V + 1) * (nl + 1) * (steps + 1)
+    cells = (Vn + 1) * (nl + 1) * (steps + 1)
     if cells > np.iinfo(np.int32).max:
         raise ValueError("snapshot ids up to %d overflow int32" % cells)
     # lmul[c, v]: id of letter c times vertex v; row nl is the identity
     lmul = np.full((nl + 1, V + 1), V, dtype=np.int32)
     lmul[nl] = np.arange(V + 1)
-    parent = np.full(V + 1, V, dtype=np.int32)
+    parent = np.full(V + 1, Vn, dtype=np.int32)
     last = np.full(V + 1, nl, dtype=np.int32)  # nl: no last letter
     for v, w in enumerate(words):
         for ci, c in enumerate(alpha):
@@ -214,9 +246,7 @@ def _tree_snapshot(space, R, res_frac):
             last[v] = _ORDER[w[-1]]
 
     pv, pd, ps, net_words, net_dirs = [], [], [], [], []
-    for v, w in enumerate(words):
-        if len(w) > depth:
-            break
+    for v, w in enumerate(words[:Vn]):
         pv.append(v)
         pd.append(0)
         ps.append(0)
@@ -232,26 +262,18 @@ def _tree_snapshot(space, R, res_frac):
             net_words.extend([w] * room)
             net_dirs.extend([d] * room)
     pv, pd, ps = (np.array(a, dtype=np.int32) for a in (pv, pd, ps))
-    # pid[v, d, s]: net index of the point s steps from v toward d; a
-    # vertex sits at s = 0 under every d
-    pid = np.full((V + 1, nl + 1, steps + 1), -1, dtype=np.int32)
-    pid[pv, pd, ps] = np.arange(len(pv))
+    # pid[v, d, s]: net index of the point s steps from the net vertex v
+    # toward d; a vertex sits at s = 0 under every d, the identity column
+    # nl included
+    pid = np.full((Vn + 1, nl + 1, steps + 1), -1, dtype=np.int32)
+    pid.reshape(-1)[(pv * (nl + 1) + pd) * (steps + 1) + ps] = np.arange(len(pv), dtype=np.int32)
     vertex = ps == 0
     pid[pv[vertex], :, 0] = np.nonzero(vertex)[0][:, None]
 
     disp = [float(k * L) for k in range(depth + 2)]
     elements = [SnapElement(w, disp[len(w)]) for w in words if disp[len(w)] < R - 1e-12]
-    width = max((len(el.word) for el in elements), default=0)
-    # letters right-aligned, padded on the left with the identity row
-    code = np.full((len(elements), width), nl, dtype=np.int32)
-    for gi, el in enumerate(elements):
-        code[gi, width - len(el.word) :] = [_ORDER[c] for c in el.word]
-    u = np.broadcast_to(pv, (len(elements), len(pv)))
-    for j in range(width - 1, -1, -1):
-        u = lmul[code[:, j, None], u]
-    up = (last[u] == (pd ^ 1)) & (ps > 0)
-    table = np.where(up, pid[parent[u], last[u], steps - ps], pid[u, pd, ps])
-    return net_words, net_dirs, ps, elements, table
+    grid = _VertexGrid(dict(zip(words[:Vn], range(Vn))), lmul, parent, last, pid, pv, pd, ps)
+    return net_words, net_dirs, elements, grid
 
 
 def _reaches(ball, R):
@@ -290,23 +312,18 @@ def snapshot(action, ball, epsilon, resolution=None):
             raise ValueError("resolution %s too coarse for eps=%s" % (res, epsilon))
         if res_frac.numerator != 1:
             raise ValueError("resolution %s does not divide the edge length %s" % (res, L))
-        words, directions, steps, elements, table = _tree_snapshot(space, R, res_frac)
-        return _TreeSnapshot(action, epsilon, res, elements, table, words, directions, steps)
+        words, directions, elements, grid = _tree_snapshot(space, R, res_frac)
+        return _TreeSnapshot(action, epsilon, res, elements, words, directions, grid)
     if resolution is not None:
         raise ValueError("a plane snapshot takes no resolution: its net is its orbit sample")
     sel = [e for e in ball.entries if float(e.displacement) <= R + 1e-9]
-    words = {e.word: i for i, e in enumerate(sel)}
     elements = [
         SnapElement(e.word, float(e.displacement))
         for e in sel
         if float(e.displacement) < R - 1e-12
     ]
-    table = np.full((len(elements), len(sel)), -1, dtype=np.int32)
-    for gi, el in enumerate(elements):
-        for pi, e in enumerate(sel):
-            table[gi, pi] = words.get(compose_words(el.word, e.word), -1)
     return _PlaneSnapshot(action, epsilon, [e.point for e in sel], tuple(e.word for e in sel),
-                          elements, table, words[""])
+                          elements)
 
 
 #: the judged defects, in the order a witness is judged
@@ -354,10 +371,11 @@ def verify_witness(A, B, w, stop=None):
     it are left math.nan (`search_witness` stops at eps).
 
     Memory: each snapshot's `metric` (on trees O(width n) trie node ids, on
-    the plane the dense table of at most about 1.4k points) and
-    temporaries of at most `arrays._CELLS` cells each: a block holds as
-    many rows as fit in that many cells against the larger net, and its
-    common-prefix lengths and float distances are that size.
+    the plane the dense table of at most about 1.4k points), one action
+    row of each snapshot at a time (equivariance), and temporaries of at
+    most `arrays._CELLS` cells each: a block holds as many rows as fit in
+    that many cells against the larger net, and its common-prefix lengths
+    and float distances are that size.
     Distortion and surjectivity run in the tables' own order (sorted root
     paths on trees, the identity on the plane): the witness is mapped once
     to fs = B.rank[f[A.order]], and blocks of sorted rows of A are read
@@ -423,13 +441,12 @@ def _equivariance_defect(A, B, f, mapping, forward):
     for gi in range(n_out):
         ai = gi if forward else mapping[gi]
         bi = mapping[gi] if forward else gi
-        row_a = A.action_table[ai]
-        valid = row_a >= 0
-        if not valid.any():
+        row_a = A.row(ai)
+        xs = np.nonzero(row_a >= 0)[0]
+        if not len(xs):
             continue
-        xs = np.nonzero(valid)[0]
         lhs = f[row_a[xs]]
-        rhs = B.action_table[bi][f[xs]]
+        rhs = B.row(bi)[f[xs]]
         inside = rhs >= 0
         if inside.any():
             worst = max(worst, float(B.metric.pairs(lhs[inside], rhs[inside]).max()))

@@ -39,5 +39,10 @@ class MalformedWitnessError(ValueError):
     """An approximation witness is missing required table entries."""
 
 
+class ScenarioError(ValueError):
+    """A scenario is refused before it runs: a key, block or value its
+    command cannot read."""
+
+
 class NumericalLimitError(ValueError):
     """A float64 result would carry no meaning; raised instead of using it."""

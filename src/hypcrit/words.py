@@ -33,6 +33,11 @@ def is_reduced(w):
     return all(w[i] != w[i + 1].swapcase() for i in range(len(w) - 1))
 
 
+def is_word_over(w, alphabet):
+    """Whether w is a nonempty reduced word over the letters `alphabet`."""
+    return isinstance(w, str) and bool(w) and set(w) <= set(alphabet) and is_reduced(w)
+
+
 def compose_words(u, v):
     """Reduced product u*v of two already-reduced words.
 

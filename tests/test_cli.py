@@ -19,6 +19,15 @@ def read(outdir, name):
     return (outdir / name).read_text(encoding="utf-8")
 
 
+def refused(args, outdir, named):
+    """Run args, a scenario the CLI must refuse: exit 2 and an audits.json
+    in outdir whose error is a ScenarioError matching the regex `named`."""
+    assert run([*args, "--out", str(outdir)]) == 2
+    audit = json.loads(read(outdir, "audits.json"))
+    assert audit["passed"] is False
+    assert audit["error"].startswith("ScenarioError: ") and re.search(named, audit["error"]), audit
+
+
 # ---------------------------------------------------------------------------
 # negative controls
 
@@ -329,16 +338,59 @@ def test_schema_is_checked(tmp_path, monkeypatch):
         ("boundary", no_min_displacement, "plane boundary block needs a `min_displacement` key"),
         ("boundary", no_scales, "plane boundary block needs a `scales` key"),
     ]
-    for command, doc, named in bad:
+    for i, (command, doc, named) in enumerate(bad):
         path = tmp_path / "bad.scn"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(ValueError, match=named):
-            run([command, "--scenario", str(path), "--out", str(tmp_path)])
+        refused([command, "--scenario", str(path)], tmp_path / str(i), named)
 
 
 def test_missing_block_is_an_error(tmp_path):
-    with pytest.raises(ValueError):
-        run(["converge", "--scenario", "f2_tree", "--out", str(tmp_path)])
+    refused(["converge", "--scenario", "f2_tree"], tmp_path, "has no 'converge' block")
+
+
+def test_refused_values_exit_2_before_any_check_runs(tmp_path, monkeypatch):
+    # a qc_word that is not a reduced word over the alphabet and shadow_ball
+    # values with which the audit tests nothing, each refused before the
+    # orbit ball or the lemma sweep; they used to end in a traceback with
+    # exit 1 and no audits.json
+    from hypcrit import geometry_checks, orbits
+
+    def ran(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(orbits, "enumerate_orbit_ball", ran)
+    monkeypatch.setattr(geometry_checks, "check_geodesic_lemmas", ran)
+    bad = []
+    for word in ("aA", "c", ""):
+        f2 = cli.load_scenario("f2_tree")
+        f2["boundary"]["qc_word"] = word
+        bad.append(("boundary", f2, "`qc_word` %r is not a nonempty reduced word over aAbB" % word))
+    for key, value, named in (("ts", [], "`ts` is empty"), ("pair_count", 0, "`pair_count` is 0"),
+                              ("max_samples", 1, "`max_samples` is 1, below 2")):
+        f2 = cli.load_scenario("f2_tree")
+        f2["verify"]["shadow_ball"][key] = value
+        bad.append(("verify", f2, named))
+    no_window = cli.load_scenario("f2_tree")
+    del no_window["entropy"]["window"]
+    bad.append(("entropy", no_window, "entropy block needs a `window` key"))
+    for i, (command, doc, named) in enumerate(bad):
+        path = tmp_path / "bad.scn"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        refused([command, "--scenario", str(path)], tmp_path / str(i), re.escape(named))
+
+
+def test_internal_value_errors_propagate(tmp_path, monkeypatch):
+    # only the named refusals exit 2; any other ValueError is a fault of
+    # the program and keeps its traceback
+    from hypcrit.errors import KindMismatchError
+
+    def mixed(*args):
+        raise KindMismatchError("mixed models")
+
+    monkeypatch.setitem(cli.COMMANDS, "entropy", mixed)
+    with pytest.raises(KindMismatchError):
+        run(["entropy", "--scenario", "f2_tree", "--out", str(tmp_path)])
+    assert not (tmp_path / "audits.json").exists()
 
 
 def test_converge_refuses_a_vary_key_its_kind_does_not_read(tmp_path):
@@ -353,8 +405,7 @@ def test_converge_refuses_a_vary_key_its_kind_does_not_read(tmp_path):
     }
     path = tmp_path / "constant.scn"
     path.write_text(json.dumps(scn), encoding="utf-8")
-    with pytest.raises(ValueError, match="tree action has unknown keys 'L'"):
-        run(["converge", "--scenario", str(path), "--out", str(tmp_path)])
+    refused(["converge", "--scenario", str(path)], tmp_path, "tree action has unknown keys 'L'")
 
 
 def test_delta_override_requires_unsafe_flag(tmp_path):
@@ -367,5 +418,4 @@ def test_delta_override_requires_unsafe_flag(tmp_path):
     }
     path = tmp_path / "no_unsafe.scn"
     path.write_text(json.dumps(scn), encoding="utf-8")
-    with pytest.raises(ValueError):
-        run(["verify", "--scenario", str(path), "--out", str(tmp_path)])
+    refused(["verify", "--scenario", str(path)], tmp_path, 'delta_override requires "unsafe": true')

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -64,26 +65,61 @@ def test_snapshot_elements_are_strictly_inside(snap):
     # radius 2: identity and the four letters; length-2 words sit exactly
     # on the boundary shell and are excluded
     assert sorted(el.word for el in snap.elements) == ["", "A", "B", "a", "b"]
-    assert all(el.displacement < snap.radius for el in snap.elements)
+    assert all(el.displacement < 1.0 / snap.epsilon for el in snap.elements)
 
 
 def test_snapshot_net_covers_the_ball(snap):
     assert snap.covering_radius == pytest.approx(1.0 / 32.0)
     assert snap.points[snap.base_index].word == ""
     da = pairwise_distances(snap.space, snap.points)[snap.base_index]
-    assert float(np.max(da)) <= snap.radius + 1e-12
+    assert float(np.max(da)) <= 1.0 / snap.epsilon + 1e-12
+
+
+def action_table(snap):
+    """The rows of every element of `snap`, stacked."""
+    return np.stack([snap.row(gi) for gi in range(len(snap.elements))])
 
 
 def test_snapshot_action_table_is_exact(snap, f2):
-    from hypcrit.isometries import apply_isometry
-
+    table = action_table(snap)
     for gi, el in enumerate(snap.elements[:3]):
         iso = f2.isometry(el.word)
         for pi in range(0, len(snap.points), 37):
-            j = snap.action_table[gi, pi]
+            j = table[gi, pi]
             if j < 0:
                 continue
             assert apply_isometry(f2.space, iso, snap.points[pi]) == snap.points[j]
+
+
+def test_plane_rows_are_the_composed_word_table():
+    desc = schottky_pair(4.0)
+    act = schottky_action(desc, certify_ping_pong(desc))
+    snap = snapshot(act, enumerate_orbit_ball(act, 23.0), 0.08)
+    words = snap.point_words
+    index = {w: i for i, w in enumerate(words)}
+    table = action_table(snap)
+    assert table.dtype == np.int32
+    assert table.tolist() == [
+        [index.get(compose_words(el.word, w), -1) for w in words] for el in snap.elements
+    ]
+    assert (table >= 0).any() and (table < 0).any()
+    # a found image is the point the element moves there
+    for gi, pi in zip(*np.nonzero(table >= 0)):
+        img = apply_isometry(act.space, act.isometry(snap.elements[gi].word), snap.points[pi])
+        assert float(distance(act.space, img, snap.points[table[gi, pi]])) < 1e-6
+
+
+def test_snapshot_allocates_no_element_by_point_table(f2, rescale_limit):
+    # the int32 table of 53 elements x 3841 points alone took 814,292
+    # bytes, and building it 4.09 MB; the snapshot now peaks at about 324 kB
+    tracemalloc.start()
+    try:
+        snap = snapshot(f2, rescale_limit, 0.25, resolution=Fraction(1, 24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(snap.elements), len(snap.points)) == (53, 3841)
+    assert peak < 500_000
 
 
 def grid_net(space, radius, res):
@@ -116,7 +152,9 @@ def test_snapshot_table_matches_apply_isometry(ell):
         e.word for e in ball.entries if float(e.displacement) < float(R) - 1e-12
     ]
     index = {p: i for i, p in enumerate(snap.points)}
-    expected = np.full(snap.action_table.shape, -1)
+    table = action_table(snap)
+    assert table.shape == (len(snap.elements), len(snap.points))
+    expected = np.full(table.shape, -1)
     for gi, el in enumerate(snap.elements):
         iso = act.isometry(el.word)
         for pi, p in enumerate(snap.points):
@@ -124,7 +162,7 @@ def test_snapshot_table_matches_apply_isometry(ell):
             if tree_depth(act.space, q) <= radius:
                 expected[gi, pi] = index[q]
     assert (expected >= 0).any() and (expected < 0).any()
-    assert np.array_equal(snap.action_table, expected)
+    assert np.array_equal(table, expected)
 
 
 @pytest.mark.parametrize(
@@ -242,6 +280,24 @@ def test_wordwise_points_match_offsets_across_grids(f2, f2_ball):
             assert (q.word, q.offset, q.direction) == (p.word, p.offset, p.direction)
 
 
+def test_wordwise_points_fall_back_outside_the_alphabet():
+    # a family may vary `valence`: against F_2, the F_3 points on a word or
+    # an edge with the letter c or C have no counterpart and fall to the
+    # vertex of the longest prefix that is a word of F_2
+    act3, act2 = tree_action(valence=6), tree_action(valence=4)
+    A = snapshot(act3, enumerate_orbit_ball(act3, 2), 1.0)
+    B = snapshot(act2, enumerate_orbit_ball(act2, 2), 1.0)
+    index = {q: j for j, q in enumerate(B.points)}
+    fallbacks = 0
+    for p, j in zip(A.points, A.wordwise_points(B)):
+        w = p.word
+        while set(w) - set("aAbB"):
+            w = w[:-1]
+        assert B.points[j] == (p if p in index else TreePoint(w))
+        fallbacks += p not in index
+    assert any(p.direction == "C" for p in A.points) and fallbacks
+
+
 def test_search_witness_reports_failures(f2, f2_ball):
     lim = snapshot(f2, f2_ball, 1.0)
     far = tree_action(edge_length=Fraction(3))
@@ -288,9 +344,10 @@ def dense_equivariance(A, B, f, DB, mapping, forward, off_net):
     worst = 0.0
     for gi in range(len(A.elements) if forward else len(B.elements)):
         ai, bi = (gi, mapping[gi]) if forward else (mapping[gi], gi)
-        xs = np.nonzero(A.action_table[ai] >= 0)[0]
-        lhs = f[A.action_table[ai][xs]]
-        rhs = B.action_table[bi][f[xs]]
+        row_a = A.row(ai)
+        xs = np.nonzero(row_a >= 0)[0]
+        lhs = f[row_a[xs]]
+        rhs = B.row(bi)[f[xs]]
         inside = rhs >= 0
         if inside.any():
             worst = max(worst, float(DB[lhs[inside], rhs[inside]].max()))
@@ -391,12 +448,14 @@ def scalar_offnet_defect(snap, el_idx, xs, ys):
     return float(Fraction(worst) * snap.resolution), up
 
 
-def family_cases(name, check, monkeypatch):
-    """Run the bundled family `name` through run_continuity_experiment,
-    configured as `converge` configures it, with check(A, B, eps) in place
-    of search_witness on every (member, rung); returns check's results. The
-    experiment sees no witness."""
-    make_member, schedule, limit, config = cli.read_family(cli.load_scenario(name))
+def family_cases(name, check, monkeypatch, members=None):
+    """Run the bundled family `name`, or its first `members` members,
+    through run_continuity_experiment, configured as `converge` configures
+    it, with check(A, B, eps) in place of search_witness on every (member,
+    rung); returns check's results. The experiment sees no witness."""
+    scenario = cli.load_scenario(name)
+    scenario["converge"]["schedule"] = scenario["converge"]["schedule"][:members]
+    make_member, schedule, limit, config = cli.read_family(scenario)
     seen = []
     monkeypatch.setattr(
         convergence, "search_witness", lambda A, B, eps: seen.append(check(A, B, eps))
@@ -452,6 +511,32 @@ def test_search_decides_as_full_verification(name, cases, monkeypatch):
 
     verdicts = family_cases(name, both, monkeypatch)
     assert len(verdicts) == cases and any(verdicts) and not all(verdicts)
+
+
+#: (members, cases, sha256) of the float.hex of every defect of the full
+#: verification of each word-wise witness, member by member and rung by
+#: rung, on the benchmark's families (its first 3 tree members, every
+#: Schottky member); recorded when the snapshots still kept whole
+#: element x point tables
+DEFECT_DIGESTS = {
+    "tree_rescale_family":
+        (3, 30, "2a99d567c93168447fbe0ed878d1fb22e81ca0177993594051696e13e8ac686e"),
+    "schottky_family":
+        (None, 49, "714197bef6fa8d80f426431718941ee6fd4dd4f228bc11ae0076952f03521d77"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFECT_DIGESTS))
+def test_wordwise_defects_keep_their_bits(name, monkeypatch):
+    members, cases, digest = DEFECT_DIGESTS[name]
+    h = hashlib.sha256()
+
+    def record(A, B, eps):
+        defects = wordwise_verdict(A, B, eps)[1]
+        h.update(" ".join(v.hex() for v in defects).encode() + b"\n")
+
+    assert len(family_cases(name, record, monkeypatch, members)) == cases
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("ell", [Fraction(1), Fraction(3, 2)])
@@ -570,7 +655,7 @@ def test_search_stops_at_the_first_block_that_refutes(f2, rescale_limit, monkeyp
 def test_basepoint_defect_refutes_before_any_block(snap, monkeypatch):
     w = identity_witness(snap, 0.5)
     f = list(w.f)
-    f[snap.base_index] = snap.grid_index[1]["a"]  # one edge from the basepoint
+    f[snap.base_index] = snap.net_vertex("a")  # one edge from the basepoint
     shapes = record_sorted_rows(monkeypatch)
     valid, got = verify_witness(snap, snap, ApproximationWitness(f, w.phi, w.psi, 0.5), stop=0.5)
     assert not valid and got.basepoint == 1.0 and shapes == []

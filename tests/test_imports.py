@@ -246,7 +246,7 @@ def test_each_model_object_defines_the_same_methods():
     for cls in (_TreeRules, _PlaneRules):
         assert sorted(n for n in vars(cls) if not n.startswith("_")) == sorted(RULES), cls
     for cls in (_TreeSnapshot, _PlaneSnapshot):
-        assert {"metric", "wordwise_points"} <= set(vars(cls)), cls
+        assert {"metric", "row", "wordwise_points"} <= set(vars(cls)), cls
 
 
 #: every name the package re-exported when its __init__ imported all modules
