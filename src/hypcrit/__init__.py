@@ -26,7 +26,7 @@ _EXPORTS = {
         "certify_ping_pong", "compose", "schottky_pair", "translation_length",
     ),
     "orbits": (
-        "GroupAction", "OrbitBall", "enumerate_orbit_ball", "measure_systole",
+        "GroupAction", "PlaneBall", "TreeBall", "enumerate_orbit_ball", "measure_systole",
         "schottky_action", "tree_action",
     ),
     "entropy": (

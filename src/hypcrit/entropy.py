@@ -15,7 +15,7 @@ import numpy as np
 
 from .arrays import _distance_rows, distances_to_point, pairwise_distances
 from .errors import InsufficientDataError
-from .orbits import OrbitBall
+from .orbits import PlaneBall, TreeBall
 from .space import TREE
 
 EXACT_LIMIT = 24
@@ -80,17 +80,12 @@ def rank_quantile_estimate(ball, rank_window):
 def poincare_partial(ball, s):
     """Partial Poincare sum over the ball: sum over entries of e^{-s d(x,gx)}.
 
-    A tree ball adds one term per word of each level, in entry order,
-    from its level sizes.
+    One term per point, in entry order, read off the ball's (displacement,
+    count) runs: a tree ball lists no word.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    if ball.sizes is not None:
-        terms = chain.from_iterable(
-            repeat(math.exp(-s * d), n) for d, n in zip(ball.level_displacements, ball.sizes)
-        )
-    else:
-        terms = (math.exp(-s * float(e.displacement)) for e in ball.entries)
+    terms = chain.from_iterable(repeat(math.exp(-s * d), n) for d, n in ball.runs())
     return float(sum(terms))
 
 
@@ -183,7 +178,7 @@ def covering_entropy_estimate(action, hull_samples, r, window):
 
     hull_samples: model points with known distance to the basepoint (the
     declared sampling density is the caller's responsibility and should be
-    reported alongside), or an `OrbitBall`, whose orbit points are the
+    reported alongside), or an orbit ball, whose orbit points are the
     samples. For each grid T in the window (one edge apart on trees, one
     unit on the plane) the greedy covering number of the samples within
     distance T of the basepoint is computed; the regression slope of its
@@ -198,8 +193,8 @@ def covering_entropy_estimate(action, hull_samples, r, window):
     space = action.space
     lo, hi = window
     grid_step = float(space.edge_length) if space.kind == TREE else 1.0
-    ball = hull_samples if isinstance(hull_samples, OrbitBall) else None
-    if ball is not None and ball.sizes is not None and _isolated_vertices(space, r):
+    ball = hull_samples if isinstance(hull_samples, (TreeBall, PlaneBall)) else None
+    if ball is not None and _isolated_vertices(space, r):
         count_within = ball.count_within
     else:
         if ball is not None:

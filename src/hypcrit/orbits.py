@@ -3,8 +3,9 @@
 The enumeration core: given an action with a certified linear lower bound
 d(x, gx) >= c*|g| on displacements, enumerate all distinct orbit
 points within radius T, deduplicated, with deterministic output order
-(canonical word order). The ball owns its counting function N(t), the
-number of orbit points displaced by at most t (`OrbitBall`).
+(canonical word order). One ball per model, `TreeBall` (level sizes) or
+`PlaneBall` (entries), with one reading interface and no base class, owns
+its counting function N(t), the number of points displaced by at most t.
 """
 
 import bisect
@@ -13,7 +14,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
 
 from .errors import CertificationError, InsufficientDataError, NumericalLimitError
 from .isometries import (
@@ -118,111 +119,124 @@ class OrbitEntry(namedtuple("OrbitEntry", "word point displacement isometry", de
     __slots__ = ()
 
 
-class OrbitBall:
-    """All distinct orbit points within displacement `radius`, in canonical
-    word order, and their counting function N(t).
+def _sorted_runs(ball):
+    """(ds, ns): the displacements of the ball's runs in nondecreasing order
+    and ns[i] the number of points displaced by at most ds[i]."""
+    runs = sorted(ball.runs())
+    return [d for d, _ in runs], list(accumulate(n for _, n in runs))
 
-    A tree ball is its level `sizes`: level k holds the 2r (2r - 1)^(k - 1)
-    reduced words of length k of F_r, r = `rank`, each displaced by
-    k * edge_length, and its radius is the depth of its deepest level. Its
-    `levels` (the words of each level, in canonical order, kept once read)
-    and its OrbitEntry objects are built on first read; `entries` and
-    `points` enumerate the levels without keeping them. A plane ball
-    stores its entries, and its `sizes` and `levels` are None.
 
-    N(t), its shells, its estimator samples and its order statistics all
-    read one sorted displacement list (`_sorted`), built on first use; on a
-    tree its displacements are `level_displacements`, float(k *
-    edge_length) for each level k, which every tree reader takes from here.
-    """
+def _count_within(ball, t):
+    """N(t): the number of points displaced by at most t."""
+    ds, ns = ball._sorted
+    j = bisect.bisect_right(ds, t)
+    return ns[j - 1] if j else 0
 
-    def __init__(self, radius, entries, merged_words=(), sizes=None, rank=None,
-                 edge_length=None):
-        self.radius = radius
-        self.merged_words = merged_words
-        self.sizes = sizes
-        self.rank = rank
-        self.edge_length = edge_length
-        self._entries = entries
+
+def _displacement_at(ball, n):
+    """The n-th smallest displacement, 1 <= n <= count, as a float."""
+    ds, ns = ball._sorted
+    return ds[bisect.bisect_left(ns, n)]
+
+
+class TreeBall:
+    """The orbit ball of F_r, r = `rank`, on its Cayley tree: its level
+    `sizes`, level k holding the 2r (2r - 1)^(k - 1) reduced words of length
+    k, each displaced by k * edge_length (`level_displacements`, as floats).
+    It stores no word: `entries`, `points` and `words` list the levels."""
+
+    def __init__(self, rank, edge_length, sizes):
+        self.rank, self.edge_length, self.sizes, self.count = rank, edge_length, sizes, sum(sizes)
+        self.radius = edge_length * (len(sizes) - 1)
+        self.level_displacements = [float(k * edge_length) for k in range(len(sizes))]
+
+    _sorted = cached_property(_sorted_runs)
+    count_within = _count_within
+    displacement_at = _displacement_at
 
     def _tree_levels(self):
         return islice(word_levels(self.rank), len(self.sizes))
 
-    @cached_property
-    def levels(self):
-        if self.sizes is None:
-            return None
-        return tuple(self._tree_levels())
-
     @property
     def entries(self):
-        if self._entries is None:
-            L = self.edge_length
-            self._entries = tuple(
-                OrbitEntry(w, TreePoint(w), k * L)
-                for k, words in enumerate(self._tree_levels())
-                for w in words
-            )
-        return self._entries
-
-    @property
-    def count(self):
-        if self.sizes is not None:
-            return sum(self.sizes)
-        return len(self._entries)
-
-    def words(self):
-        if self.sizes is not None:
-            return [w for words in self.levels for w in words]
-        return [e.word for e in self._entries]
+        L = self.edge_length
+        return tuple(OrbitEntry(w, TreePoint(w), k * L)
+                     for k, words in enumerate(self._tree_levels()) for w in words)
 
     def points(self):
-        """Orbit points in entry order (a tree ball builds no entries)."""
-        if self._entries is None:
-            return [TreePoint(w) for words in self._tree_levels() for w in words]
-        return [e.point for e in self._entries]
+        return [TreePoint(w) for w in self.words()]
 
-    @cached_property
-    def level_displacements(self):
-        """[float(k * edge_length) for each level k] of a tree ball."""
-        return [float(k * self.edge_length) for k in range(len(self.sizes))]
+    def words(self):
+        return [w for words in self._tree_levels() for w in words]
 
-    @cached_property
-    def _sorted(self):
-        """(ds, ns): displacement floats in nondecreasing order, one per
-        level of a tree and one per entry of a plane ball (the entries'
-        own), and ns[i] the number of points displaced by at most ds[i]."""
-        if self.sizes is None:
-            ds = sorted(e.displacement for e in self._entries)
-            return ds, range(1, len(ds) + 1)
-        sizes = self.sizes
-        return self.level_displacements, [sum(sizes[:k + 1]) for k in range(len(sizes))]
+    def runs(self):
+        """(displacement, count) runs in entry order: one per level."""
+        return zip(self.level_displacements, self.sizes)
 
-    def count_within(self, t):
-        """N(t): the number of points displaced by at most t."""
-        ds, ns = self._sorted
-        j = bisect.bisect_right(ds, t)
-        return ns[j - 1] if j else 0
-
-    def displacement_at(self, n):
-        """The n-th smallest displacement, 1 <= n <= count, as a float."""
-        ds, ns = self._sorted
-        return ds[bisect.bisect_left(ns, n)]
+    def shortest(self):
+        """(displacement, word) of the least displaced nonidentity element:
+        one edge, and the first letter, first of the words of length 1."""
+        if len(self.sizes) < 2:
+            raise InsufficientDataError("ball has no nonidentity entries")
+        return self.edge_length, letters(self.rank)[0]
 
     @cached_property
     def count_by_shell(self):
-        """((t, N(t)), ...) on the shell grid up to the radius: one edge
-        apart on a tree, one unit on the plane (`_count_by_shell`)."""
-        step = 1.0 if self.sizes is None else float(self.edge_length)
-        return _count_by_shell(self.count_within, self.radius, step, self.count)
+        """((t, N(t)), ...) one edge apart up to the radius (`_count_by_shell`)."""
+        return _count_by_shell(self.count_within, self.radius, float(self.edge_length), self.count)
+
+    @property
+    def count_samples(self):
+        """(T, N(T)) samples for the exponent estimators: the shells."""
+        return list(self.count_by_shell)
+
+
+class PlaneBall:
+    """The distinct orbit points of a Schottky action within displacement
+    `radius`, as `entries` in canonical word order, and the (word, kept
+    word) `merged_words` whose points merged into an earlier entry's."""
+
+    def __init__(self, radius, entries, merged_words):
+        self.radius, self._entries, self.merged_words = radius, entries, merged_words
+        self.count = len(entries)
+
+    _sorted = cached_property(_sorted_runs)
+    count_within = _count_within
+    displacement_at = _displacement_at
+
+    @property
+    def entries(self):
+        return self._entries
+
+    def points(self):
+        return [e.point for e in self._entries]
+
+    def words(self):
+        return [e.word for e in self._entries]
+
+    def runs(self):
+        """(displacement, count) runs in entry order: (d, 1) per entry."""
+        return ((e.displacement, 1) for e in self._entries)
+
+    def shortest(self):
+        """(displacement, word) of the least displaced nonidentity entry,
+        the first in canonical order among equals."""
+        nonid = [e for e in self._entries if e.word]
+        if not nonid:
+            raise InsufficientDataError("ball has no nonidentity entries")
+        best = min(nonid, key=lambda e: (float(e.displacement), word_key(e.word)))
+        return best.displacement, best.word
+
+    @cached_property
+    def count_by_shell(self):
+        """((t, N(t)), ...) one unit apart up to the radius (`_count_by_shell`)."""
+        return _count_by_shell(self.count_within, self.radius, 1.0, self.count)
 
     @property
     def count_samples(self):
         """(T, N(T)) samples for the exponent estimators, built on each
-        read: a tree ball's shells; on the plane one per displacement, a
-        displacement within 1e-9 of the last sample's raising its count."""
-        if self.sizes is not None:
-            return list(self.count_by_shell)
+        read: one per displacement, a displacement within 1e-9 of the last
+        sample's raising its count."""
         out = []
         for d, n in zip(*self._sorted):
             if out and d - out[-1][0] < 1e-9:
@@ -235,17 +249,17 @@ class OrbitBall:
 def enumerate_orbit_ball(action, T):
     """All distinct orbit points within displacement T of the basepoint.
 
-    Breadth-first over reduced words, every bound read from the action. A
-    tree ball counts its levels and builds no word (`OrbitBall`): level k
-    is displaced by exactly k * edge_length, so its depth is
-    int(T / edge_length) and its radius snaps down to the edge grid. A
-    plane ball needs the action's ping-pong certificate: its
-    `per_letter_gain` c caps word length at T / c, and a point closer than
-    min(1e-6, systole_bound / 10) to a kept entry merges into the earliest
-    such entry, found by `_MergeHash`. Output order is canonical word
-    order: each level expands a canonically ordered frontier letter by
-    letter. The ELEMENT_CAP check runs before a level is built (on a tree,
-    counted), on the number of words the level would build.
+    Breadth-first over reduced words, every bound read from the action;
+    this is the one choice between the two balls. A `TreeBall` counts its
+    levels and builds no word: its depth is int(T / edge_length), so its
+    radius snaps down to the edge grid. A `PlaneBall` needs the action's
+    ping-pong certificate: its `per_letter_gain` c caps word length at
+    T / c, and a point closer than min(1e-6, systole_bound / 10) to a kept
+    entry merges into the earliest such entry, found by `_MergeHash`.
+    Output order is canonical word order: each level expands a canonically
+    ordered frontier letter by letter. The ELEMENT_CAP check runs before a
+    level is built, on the number of words it would build; a tree ball
+    past it is refused with its size, its action being free and discrete.
 
     A plane level is composed on stacked matrix rows (`_word_levels`) and
     its images of i come from `_images_of_i`, bitwise equal to the scalar
@@ -271,17 +285,16 @@ def enumerate_orbit_ball(action, T):
         # keeps all children, inside the ball or not)
         return len(alph) * (len(alph) - 1) ** (k - 1)
 
-    def check_cap(built, k):
-        if built + level_size(k) > ELEMENT_CAP:
-            raise CertificationError("element cap hit; action looks non-discrete")
-
     if tree:
-        sizes = [1]
-        for k in range(1, int(Fraction(T) / gain) + 1):
-            check_cap(sum(sizes), k)
+        depth, sizes, n = int(Fraction(T) / gain), [1], 1
+        for k in range(1, depth + 1):
             sizes.append(level_size(k))
-        return OrbitBall(gain * (len(sizes) - 1), None, sizes=tuple(sizes),
-                         rank=action.rank, edge_length=gain)
+            n += sizes[-1]
+            if n > ELEMENT_CAP:
+                raise CertificationError(
+                    "a tree ball of depth %d holds %s%d points, past the element cap %d"
+                    % (depth, "more than " if k < depth else "", n, ELEMENT_CAP))
+        return TreeBall(action.rank, gain, tuple(sizes))
 
     # the plane: one BFS level at a time on stacked (n, 4) matrix rows
     if float(T) > PLANE_RADIUS_LIMIT:
@@ -296,7 +309,8 @@ def enumerate_orbit_ball(action, T):
     near.find_or_add(base.z, 0)
     levels = _word_levels(action.gen_map, alph)
     for k in range(1, max_len + 1):
-        check_cap(len(entries), k)
+        if len(entries) + level_size(k) > ELEMENT_CAP:
+            raise CertificationError("element cap hit; action looks non-discrete")
         words, mats = next(levels)
         for w, z, m in zip(words, _images_of_i(mats), mats):
             d = plane_distance(base.z, z)
@@ -309,7 +323,7 @@ def enumerate_orbit_ball(action, T):
             entries.append(OrbitEntry(w, PlanePoint(z), d, PlaneIsometry(tuple(m.tolist()))))
 
     # the levels, and so the entries, are already in canonical word order
-    return OrbitBall(T, tuple(entries), tuple(merged_words))
+    return PlaneBall(T, tuple(entries), tuple(merged_words))
 
 
 class _MergeHash:
@@ -379,17 +393,7 @@ SystoleReport = namedtuple(
 
 
 def measure_systole(action, ball):
-    if ball.sizes is not None:
-        # every tree word of length 1 is displaced by exactly one edge; the
-        # first of them in canonical order is the first letter
-        if len(ball.sizes) < 2:
-            raise InsufficientDataError("ball has no nonidentity entries")
-        return SystoleReport(ball.edge_length, letters(ball.rank)[0], ball.count)
-    nonid = [e for e in ball.entries if e.word]
-    if not nonid:
-        raise InsufficientDataError("ball has no nonidentity entries")
-    best = min(nonid, key=lambda e: (float(e.displacement), word_key(e.word)))
-    return SystoleReport(best.displacement, best.word, len(ball.entries))
+    return SystoleReport(*ball.shortest(), ball.count)
 
 
 def measure_codiameter(action, ball, hull_samples):
@@ -418,15 +422,16 @@ def _orbit_graph_steps(ball, R):
     graph that joins g to g s (`compose_words`) for every entry s displaced
     by at most R, through entries of the ball; -1 where no path reaches
     the entry. The identity is entry 0 of every ball."""
-    index = {e.word: i for i, e in enumerate(ball.entries)}
-    steps = [e.word for e in ball.entries if e.word and float(e.displacement) <= float(R) + 1e-12]
+    entries = ball.entries  # a tree ball lists its entries on each read
+    index = {e.word: i for i, e in enumerate(entries)}
+    steps = [e.word for e in entries if e.word and float(e.displacement) <= float(R) + 1e-12]
     dist = [0] + [-1] * (len(index) - 1)
     frontier = [0]
     while frontier:
         nxt = []
         for i in frontier:
             for s in steps:
-                j = index.get(compose_words(ball.entries[i].word, s))
+                j = index.get(compose_words(entries[i].word, s))
                 if j is not None and dist[j] < 0:
                     dist[j] = dist[i] + 1
                     nxt.append(j)

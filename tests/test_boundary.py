@@ -236,8 +236,7 @@ def test_tree_limit_set_sample_lists_no_level(f2):
     n = len(sam)
     assert n == 4 * 3**9
     picks = [sam[i] for i in (0, 1, n // 2, -1)]
-    assert "levels" not in ball.__dict__
-    level = ball.levels[10]
+    level = reduced_words_of_length(2, 10)
     assert picks == [TreeBoundary(level[i]) for i in (0, 1, n // 2, -1)]
 
 

@@ -142,13 +142,13 @@ def test_converge_runs_a_tiny_family(tmp_path):
 def test_tree_continuity_and_entropy_build_no_ball_words(tmp_path, monkeypatch):
     # a tree ball is its level sizes: the entropy and boundary reports and
     # the tree snapshots read them and the radius, never the ball's words,
-    # which its levels, entries and points all list through _tree_levels
-    from hypcrit.orbits import OrbitBall, enumerate_orbit_ball, tree_action
+    # which its words, entries and points all list through _tree_levels
+    from hypcrit.orbits import TreeBall, enumerate_orbit_ball, tree_action
 
     def fail(ball):
         raise AssertionError("a tree ball's words were built")
 
-    monkeypatch.setattr(OrbitBall, "_tree_levels", fail)
+    monkeypatch.setattr(TreeBall, "_tree_levels", fail)
     assert run(["entropy", "--scenario", "f2_tree", "--out", str(tmp_path / "entropy")]) == 0
     assert run(["boundary", "--scenario", "f2_tree", "--out", str(tmp_path / "boundary")]) == 0
     scn = {
@@ -163,7 +163,7 @@ def test_tree_continuity_and_entropy_build_no_ball_words(tmp_path, monkeypatch):
     path.write_text(json.dumps(scn), encoding="utf-8")
     assert run(["converge", "--scenario", str(path), "--out", str(tmp_path / "converge")]) == 0
     # the patch does catch a read of the words, the entries or the points
-    for read_words in (OrbitBall.words, lambda b: b.entries, OrbitBall.points):
+    for read_words in (TreeBall.words, lambda b: b.entries, TreeBall.points):
         with pytest.raises(AssertionError, match="words were built"):
             read_words(enumerate_orbit_ball(tree_action(), 2))
 
@@ -226,16 +226,17 @@ def test_tree_runs_peak_rss_follows_what_they_read(tmp_path):
     assert peak_rss_mib(tmp_path, "converge", path) < 45.0
 
 
-def test_tree_verify_lists_no_ball_words(tmp_path, monkeypatch):
-    # every tree sample of verify f2_tree is unranked or enumerated, never
-    # read from a ball's cached levels
-    from hypcrit.orbits import OrbitBall
-
-    def fail(ball):
-        raise AssertionError("a tree ball's levels were listed")
-
-    monkeypatch.setattr(OrbitBall, "levels", property(fail))
-    assert run(["verify", "--scenario", "f2_tree", "--out", str(tmp_path)]) == 0
+def test_tree_ball_past_the_element_cap_exits_2_with_its_size(tmp_path):
+    # T = 13 on F_2 is 2 * 3^13 - 1 points, just past the cap; the action
+    # is free and discrete, so the refusal names no non-discreteness
+    scn = cli.load_scenario("f2_tree")
+    scn["entropy"]["T"] = 13
+    path = tmp_path / "deep.scn"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    assert run(["entropy", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    audit = json.loads(read(tmp_path / "out", "audits.json"))
+    assert audit["error"] == ("CertificationError: a tree ball of depth 13 holds 3188645 points, "
+                              "past the element cap 2000000")
 
 
 def test_emit_witnesses_includes_rows(tmp_path):

@@ -25,7 +25,7 @@ from hypcrit.errors import InsufficientDataError, KindMismatchError, MalformedWi
 from hypcrit.isometries import apply_isometry, certify_ping_pong, schottky_pair
 from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
 from hypcrit.space import TreePoint, _GridPoint, _path_distance, _tree_separation, distance
-from hypcrit.words import compose_words, letters, reduced_words_upto
+from hypcrit.words import compose_words, letters, reduced_words_upto, word_levels
 
 
 def tree_depth(space, p):
@@ -182,7 +182,7 @@ def test_tree_snapshot_elements_are_the_ball_levels(ell):
         snap = snapshot(act, ball, eps, resolution=ell / 24)
         from_levels = [
             (w, float(k * ell))
-            for k, level in enumerate(ball.levels)
+            for k, level in zip(range(len(ball.sizes)), word_levels(act.rank))
             for w in level
             if float(k * ell) < R - 1e-12
         ]

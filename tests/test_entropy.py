@@ -24,7 +24,7 @@ from hypcrit.entropy import (
 )
 from hypcrit.errors import InsufficientDataError
 from hypcrit.geometry_checks import _rand_plane_point, _rand_tree_point
-from hypcrit.orbits import _count_by_shell, enumerate_orbit_ball, tree_action
+from hypcrit.orbits import TreeBall, _count_by_shell, enumerate_orbit_ball, tree_action
 from hypcrit.space import ModelSpace
 
 TREE = ModelSpace.tree()
@@ -68,10 +68,11 @@ def test_poincare_partial_on_tree_ball():
 
 
 @pytest.mark.parametrize("ell", [Fraction(1), Fraction(9, 8)], ids=["L=1", "L=9/8"])
-def test_poincare_partial_reads_tree_levels(ell):
+def test_poincare_partial_reads_tree_levels(ell, monkeypatch):
     ball = enumerate_orbit_ball(tree_action(edge_length=ell), 7 * ell)
-    got = [poincare_partial(ball, s) for s in (0.4, 1.5)]
-    assert ball._entries is None  # no OrbitEntry was built
+    with monkeypatch.context() as m:
+        m.setattr(TreeBall, "_tree_levels", None)  # no word is listed
+        got = [poincare_partial(ball, s) for s in (0.4, 1.5)]
     for s, value in zip((0.4, 1.5), got):
         assert value == sum(math.exp(-s * float(e.displacement)) for e in ball.entries)
 
@@ -304,7 +305,7 @@ def test_entropy_f2_tree_builds_no_tree_point(tmp_path, monkeypatch):
 
 
 def reference_shells(ball, T):
-    if ball.sizes is not None:
+    if isinstance(ball, TreeBall):
         L = ball.edge_length
         T = L * int(Fraction(T) / L)
         disps = [(float(k * L), n) for k, n in enumerate(ball.sizes)]
@@ -317,7 +318,7 @@ def reference_shells(ball, T):
 
 def reference_member_counts(ball, T):
     shells = [(float(t), n) for t, n in reference_shells(ball, T) if n > 0]
-    if ball.sizes is not None:
+    if isinstance(ball, TreeBall):
         return shells
     disps = sorted(float(e.displacement) for e in ball.entries)
     out = []

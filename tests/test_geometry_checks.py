@@ -387,3 +387,38 @@ def test_parallel_rays_stop_at_the_first_deciding_split(monkeypatch):
     configs = sum(rows["parallel-rays"](rng) is not None for _ in range(200))
     assert configs > 150
     assert len(calls) <= 18 * configs
+
+
+def choice_word(rng, alpha, length, w=""):
+    """The letter draws `_rand_word` replaced: one `rng.choice` per draw."""
+    out = list(w)
+    for _ in range(length):
+        c = rng.choice(alpha)
+        while out and c == out[-1].swapcase():
+            c = rng.choice(alpha)
+        out.append(c)
+    return "".join(out)
+
+
+def test_letter_draws_are_those_of_random_choice():
+    # the lemma sweeps' words, and the generator state after them, match
+    # `Random.choice` letter for letter; a Python whose `choice` draws
+    # differently fails here, not only in the golden digests
+    import random
+
+    from hypcrit.geometry_checks import _GridPoint, _rand_grid_point, _rand_word
+    from hypcrit.words import letters
+
+    for rank in (1, 2, 3, 4):
+        alpha = letters(rank)
+        for seed in range(300):
+            a, b = random.Random(seed), random.Random(seed)
+            for length in range(41):
+                assert _rand_word(a, alpha, length) == choice_word(b, alpha, length)
+            assert a.getstate() == b.getstate()
+            # a grid point: its vertex word, then one direction off it
+            w = choice_word(b, alpha, b.randrange(0, 7))
+            k = b.randrange(0, 8)
+            want = _GridPoint(w, k * 24 // 8, choice_word(b, alpha, 1, w[-1:])[-1] if k else None)
+            assert _rand_grid_point(a, alpha, 24, 6) == want
+            assert a.getstate() == b.getstate()

@@ -1,7 +1,8 @@
 """Every import in a hypcrit module is read somewhere in its scope, every
 definition is named somewhere else, the definitions only tests read are
-listed, the model-kind tests are counted and each model's objects define
-the same methods, a subcommand loads only the modules it runs, no module
+listed, the model-kind tests are counted, each model's objects define
+the same methods and no module asks an orbit ball which model it holds
+by comparing its `sizes` or `_entries` with None, a subcommand loads only the modules it runs, no module
 imports `dataclasses` (defining a dataclass compiles its methods at
 import, about 0.4 ms a class), and no module calls BLAS, so the CLI's
 single OpenBLAS thread costs nothing."""
@@ -249,12 +250,56 @@ def test_each_model_object_defines_the_same_methods():
         assert {"metric", "row", "wordwise_points"} <= set(vars(cls)), cls
 
 
-#: every name the package re-exported when its __init__ imported all modules
+#: the reads each model's orbit ball defines; every ball also sets its
+#: `radius` and `count`
+BALL = (
+    "entries points words count_within displacement_at count_by_shell count_samples runs "
+    "shortest"
+).split()
+
+
+def test_each_orbit_ball_defines_the_same_reads():
+    from hypcrit.orbits import PlaneBall, TreeBall, enumerate_orbit_ball, tree_action
+
+    for cls in (TreeBall, PlaneBall):
+        assert sorted(n for n in vars(cls) if not n.startswith("_")) == sorted(BALL), cls
+    plane = PlaneBall(0.0, (), ())
+    assert {"radius", "count"} <= set(vars(enumerate_orbit_ball(tree_action(), 1))) & set(vars(plane))
+
+
+def none_tests(source, attrs=("sizes", "_entries")):
+    """(line, attribute) of each comparison of `<expr>.<attr>` with None,
+    for attr in attrs: a ball read that asks which model it holds."""
+    return sorted(
+        (node.lineno, x.attr) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare)
+        and any(isinstance(y, ast.Constant) and y.value is None for y in (node.left, *node.comparators))
+        for x in (node.left, *node.comparators) if isinstance(x, ast.Attribute) and x.attr in attrs
+    )
+
+
+def test_scan_finds_none_tests():
+    source = (
+        "if ball.sizes is not None:\n"
+        "    x = self._entries is None or b.sizes == None\n"
+        "y = ball.sizes is other\n"
+        "z = ball.count is None\n"
+    )
+    assert none_tests(source) == [(1, "sizes"), (2, "_entries"), (2, "sizes")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_ball_asks_its_model(path):
+    assert none_tests(path.read_text(encoding="utf-8")) == []
+
+
+#: every name the package re-exports: those it re-exported when its
+#: __init__ imported all modules, with `TreeBall` and `PlaneBall` for the
+#: orbit ball they replace
 REEXPORTED = (
     "ModelSpace TreePoint PlanePoint Ray distance geodesic_point gromov_product "
     "PlaneIsometry SchottkyDescription TreeIsometry apply_isometry certify_ping_pong "
     "compose schottky_pair translation_length "
-    "GroupAction OrbitBall enumerate_orbit_ball measure_systole schottky_action "
+    "GroupAction PlaneBall TreeBall enumerate_orbit_ball measure_systole schottky_action "
     "tree_action "
     "EntropyEstimate covering_entropy_estimate equidistribution_constant "
     "estimate_critical_exponent poincare_partial "

@@ -31,7 +31,7 @@ from hypcrit.orbits import (
     tree_action,
 )
 from hypcrit.space import ModelSpace, plane_distance
-from hypcrit.words import word_key
+from hypcrit.words import word_key, word_levels
 from word_oracle import brute_force_reduced_words_upto
 
 
@@ -60,12 +60,12 @@ def test_tree_ball_matches_word_oracle(f2, f2_ball6):
     oracle = set(brute_force_reduced_words_upto(2, 6))
     assert set(f2_ball6.words()) == oracle
     assert f2_ball6.count == 2 * 3**6 - 1
-    # the level sizes, and the levels built from them on first read, level
-    # by level in canonical order, at ranks 2 and 3
+    # the level sizes and the levels of `word_levels`, level by level in
+    # canonical order, at ranks 2 and 3
     for ball, rank, depth in ((f2_ball6, 2, 6), (enumerate_orbit_ball(tree_action(6), 4), 3, 4)):
         oracle = brute_force_reduced_words_upto(rank, depth)
-        assert ball.rank == rank and len(ball.sizes) == len(ball.levels) == depth + 1
-        for k, level in enumerate(ball.levels):
+        assert ball.rank == rank and len(ball.sizes) == depth + 1
+        for k, level in zip(range(depth + 1), word_levels(rank)):
             assert level == [w for w in oracle if len(w) == k]
             assert ball.sizes[k] == len(level)
         assert ball.words() == oracle and ball.count == len(oracle)
@@ -106,13 +106,18 @@ def test_element_cap_trips_before_a_level_is_built(monkeypatch, f2, schottky):
 
     monkeypatch.setattr(orbits, "ELEMENT_CAP", 161)
     assert enumerate_orbit_ball(f2, 4).count == 161
-    with pytest.raises(CertificationError):
-        enumerate_orbit_ball(f2, 5)  # level 5 would build 324 more words
+    # level 5 would build 324 more words; a tree action is discrete, so
+    # the message names the ball's size, not a diagnosis
+    with pytest.raises(CertificationError, match=r"^a tree ball of depth 5 holds 485 points, "
+                                                 r"past the element cap 161$"):
+        enumerate_orbit_ball(f2, 5)
+    with pytest.raises(CertificationError, match="depth 7 holds more than 485 points"):
+        enumerate_orbit_ball(f2, 7)
     # the plane frontier keeps children outside the ball, so the cap must
     # bound the words each level builds, not only the entries it keeps
     monkeypatch.setattr(orbits, "ELEMENT_CAP", 1000)
     slow = schottky_action(schottky_pair(4.0), schottky.certificate._replace(per_letter_gain=0.5))
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError, match="^element cap hit; action looks non-discrete$"):
         enumerate_orbit_ball(slow, 4.0)
 
 
@@ -355,3 +360,54 @@ def test_deep_plane_ball_is_fast(schottky):
 def test_plane_ball_beyond_float64_is_refused(schottky):
     with pytest.raises(NumericalLimitError):
         enumerate_orbit_ball(schottky, PLANE_RADIUS_LIMIT + 0.5)
+
+
+#: sha256 of `ball_read_record()`, recorded on the bundled runs' ball
+#: reads before the orbit ball was split into `TreeBall` and `PlaneBall`
+BALL_READS_SHA256 = "e27114872e13c78a8498028c3521fe8c712ef315970cf358b0d225b5aa3def17"
+
+
+def ball_read_record():
+    """One line per ball: the float.hex of its Poincare sums at s = 0.4
+    and 1.3, its count samples and shells, its displacements at ranks 1,
+    count // 2 and count, and its systole report, or the type of the
+    error where a step is refused. Tree balls at edge 1, 3/2 and 2/3 and
+    T = 0, 1, 6 and 10 (edge 2/3 at T = 10 passes the element cap),
+    Schottky pairs at L = 4 and 4.5 and T = 12 and 23."""
+    from hypcrit.entropy import poincare_partial
+
+    def hexed(v):
+        if isinstance(v, (float, Fraction, int)) and not isinstance(v, bool):
+            return float(v).hex()
+        if isinstance(v, (tuple, list)):
+            return [hexed(x) for x in v]
+        return v
+
+    cases = [(tree_action(edge_length=Fraction(ell)), T)
+             for ell in ("1", "3/2", "2/3") for T in (0, 1, 6, 10)]
+    for L in (4.0, 4.5):
+        desc = schottky_pair(L)
+        cases += [(schottky_action(desc, certify_ping_pong(desc)), T) for T in (12.0, 23.0)]
+    lines = []
+    for action, T in cases:
+        out = []
+        try:
+            ball = enumerate_orbit_ball(action, T)
+            out += [poincare_partial(ball, s) for s in (0.4, 1.3)]
+            out += [ball.count_samples, ball.count_by_shell]
+            n = ball.count
+            out += [ball.displacement_at(k) for k in (1, max(n // 2, 1), n)]
+            out.append(list(measure_systole(action, ball)))
+        except (CertificationError, InsufficientDataError) as exc:
+            out.append(type(exc).__name__)
+        lines.append(repr(hexed(out)))
+    return "\n".join(lines)
+
+
+def test_ball_reads_keep_their_bits():
+    import hashlib
+
+    start = time.perf_counter()
+    record = ball_read_record()
+    assert hashlib.sha256(record.encode()).hexdigest() == BALL_READS_SHA256
+    assert time.perf_counter() - start < 5.0
