@@ -26,8 +26,8 @@ _EXPORTS = {
         "certify_ping_pong", "compose", "schottky_pair", "translation_length",
     ),
     "orbits": (
-        "GroupAction", "PlaneBall", "TreeBall", "enumerate_orbit_ball", "measure_systole",
-        "schottky_action", "tree_action",
+        "PlaneAction", "PlaneBall", "TreeAction", "TreeBall", "enumerate_orbit_ball",
+        "measure_systole", "schottky_action", "tree_action",
     ),
     "entropy": (
         "EntropyEstimate", "covering_entropy_estimate", "equidistribution_constant",

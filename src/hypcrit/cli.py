@@ -30,7 +30,15 @@ from pathlib import Path
 # and 0.16 s with one thread. A value set by the user wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import CertificationError, ClassificationError, NumericalLimitError, ScenarioError
+from .errors import (
+    CertificationError,
+    ClassificationError,
+    InsufficientDataError,
+    MeasureError,
+    NumericalLimitError,
+    ParameterError,
+    ScenarioError,
+)
 from .isometries import (
     PingPongFailure,
     PlaneIsometry,
@@ -567,7 +575,8 @@ def main(argv=None):
     try:
         scenario = load_scenario(args.scenario)
         passed = COMMANDS[args.command](scenario, args, args.out)
-    except (CertificationError, ClassificationError, NumericalLimitError, ScenarioError) as exc:
+    except (CertificationError, ClassificationError, InsufficientDataError, MeasureError,
+            NumericalLimitError, ParameterError, ScenarioError) as exc:
         diagnosis = "%s: %s" % (type(exc).__name__, exc)
         print("rejected: " + diagnosis, file=sys.stderr)
         write_report(args.out, "audits.json", dump_json({"error": diagnosis, "passed": False}))

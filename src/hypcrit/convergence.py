@@ -563,8 +563,9 @@ class ContinuityConfig(namedtuple(
 def run_continuity_experiment(make_member, schedule, limit_param, config=ContinuityConfig()):
     """Continuity of the critical exponent along a parametric family.
 
-    make_member(param) must return a certified GroupAction; a member that
-    fails certification aborts the experiment with the parameter named.
+    make_member(param) must return a `TreeAction` or a `PlaneAction`,
+    which holds its certificate; a member that fails certification aborts
+    the experiment with the parameter named.
     Each row reports the smallest ladder eps at which search_witness finds
     a verified witness against the limit snapshot, the member's exponent
     estimate, its residual against the member's `closed_form_exponent` (a

@@ -48,7 +48,7 @@ def estimate_critical_exponent(counts, window):
     if any(n <= 0 for _, n in pts):
         raise ValueError("counts must be positive")
     if len(pts) < 4:
-        raise ValueError("need at least 4 grid points in the window")
+        raise InsufficientDataError("need at least 4 grid points in the window")
     for (t1, n1), (t2, n2) in zip(pts, pts[1:]):
         if t2 <= t1 or n2 < n1:
             raise ValueError("counts must be sorted with nondecreasing N")

@@ -46,3 +46,10 @@ class ScenarioError(ValueError):
 
 class NumericalLimitError(ValueError):
     """A float64 result would carry no meaning; raised instead of using it."""
+
+
+class ParameterError(ValueError):
+    """A parameter outside the domain of the computation asked for: a
+    negative ball radius, a tree valence below 3 or odd, a nonpositive
+    edge length, a generating threshold above 2D + 72*delta or a
+    word-metric scale R at or below it."""

@@ -1,12 +1,12 @@
 """Group actions and pruned breadth-first orbit-ball enumeration.
 
-The enumeration core: given an action with a certified linear lower bound
-d(x, gx) >= c*|g| on displacements, enumerate all distinct orbit
-points within radius T, deduplicated, with deterministic output order
-(canonical word order). One ball per model, `TreeBall` (level sizes) or
-`PlaneBall` (entries), with one reading interface and no base class, owns
-its counting function N(t), the number of points displaced by at most t.
-"""
+One action per model, `TreeAction` (F_r on its Cayley tree) or
+`PlaneAction` (a certified Schottky group), with one interface and no
+base class, builds its own orbit ball: all distinct orbit points within
+radius T, deduplicated, in canonical word order. One ball per model,
+`TreeBall` (level sizes) or `PlaneBall` (entries), with one reading
+interface and no base class, owns its counting function N(t), the number
+of points displaced by at most t."""
 
 import bisect
 import math
@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
 
-from .errors import CertificationError, InsufficientDataError, NumericalLimitError
+from .errors import CertificationError, InsufficientDataError, NumericalLimitError, ParameterError
 from .isometries import (
     IDENTITY_PLANE,
     PlaneIsometry,
@@ -27,7 +27,7 @@ from .isometries import (
     apply_isometry,
     compose,
 )
-from .space import TREE, PlanePoint, TreePoint, plane_distance
+from .space import ModelSpace, PlanePoint, TreePoint, plane_distance
 from .words import compose_words, letters, word_key, word_levels
 
 #: hard cap on enumerated elements; hitting it aborts with a diagnosis
@@ -40,72 +40,178 @@ ELEMENT_CAP = 2_000_000
 PLANE_RADIUS_LIMIT = math.acosh(1e-2 / sys.float_info.epsilon)
 
 
-class GroupAction:
-    """A finitely generated action on a model space.
+def _orbit_graph_steps(entries, R):
+    """Steps from the identity to each of a ball's `entries`, in entry
+    order, in the orbit graph that joins g to g s (`compose_words`) for
+    every entry s displaced by at most R, through the entries; -1 where no
+    path reaches the entry. The identity is entry 0 of every ball."""
+    index = {e.word: i for i, e in enumerate(entries)}
+    steps = [e.word for e in entries if e.word and float(e.displacement) <= float(R) + 1e-12]
+    dist = [0] + [-1] * (len(index) - 1)
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for s in steps:
+                j = index.get(compose_words(entries[i].word, s))
+                if j is not None and dist[j] < 0:
+                    dist[j] = dist[i] + 1
+                    nxt.append(j)
+        frontier = nxt
+    return dist
 
-    ``gen_map`` maps each alphabet letter (generator or inverse) to its
-    isometry, so the generator list is closed under inverses by
-    construction. ``declared_delta`` / ``declared_codiameter`` are the
-    class constants the audits are run against; ``certificate`` carries
-    ping-pong data for Schottky actions (None for tree actions, where
-    freeness is structural). Two actions are equal only if they are the
-    same object.
-    """
 
-    __slots__ = ("space", "gen_map", "declared_delta", "declared_codiameter", "certificate")
+#: the reads both actions share
+_basepoint = property(lambda action: action.space.basepoint)
+_alphabet = property(lambda action: letters(action.rank))
 
-    def __init__(self, space, gen_map, declared_delta, declared_codiameter, certificate=None):
-        self.space = space
-        self.gen_map = gen_map
-        self.declared_delta = declared_delta
-        self.declared_codiameter = declared_codiameter
-        self.certificate = certificate
+
+def _orbit_point(action, word):
+    return apply_isometry(action.space, action.isometry(word), action.space.basepoint)
+
+
+class TreeAction:
+    """F_r, r = valence / 2, acting freely and discretely on its Cayley tree
+    `space`, so it needs no certificate. ``declared_delta`` and
+    ``declared_codiameter`` are the class constants the audits are run
+    against. Two actions are equal only if they are the same object."""
+
+    __slots__ = ("space", "rank", "declared_delta", "declared_codiameter")
+
+    def __init__(self, space, declared_delta, declared_codiameter):
+        # reading the rank refuses an odd valence
+        self.space, self.rank, self.declared_delta, self.declared_codiameter = (
+            space, space.rank, declared_delta, declared_codiameter)
+
+    basepoint, alphabet, orbit_point = _basepoint, _alphabet, _orbit_point
 
     @property
     def closed_form_exponent(self):
-        """log(valence - 1) / edge length on a tree; None on the plane."""
-        s = self.space
-        return math.log(s.valence - 1) / float(s.edge_length) if s.kind == TREE else None
+        return math.log(self.space.valence - 1) / float(self.space.edge_length)
 
-    @property
-    def basepoint(self):
-        return self.space.basepoint
+    def orbit_ball(self, T):
+        """The `TreeBall` within displacement T >= 0: it counts its levels
+        and builds no word. Its depth is int(T / edge_length), so its radius
+        snaps down to the edge grid; a ball past ELEMENT_CAP is refused with
+        its size, the action being free and discrete."""
+        gain = self.space.edge_length
+        depth, sizes, n = int(Fraction(T) / gain), [1], 1
+        for k in range(1, depth + 1):
+            sizes.append(2 * self.rank * (2 * self.rank - 1) ** (k - 1))
+            n += sizes[-1]
+            if n > ELEMENT_CAP:
+                raise CertificationError(
+                    "a tree ball of depth %d holds %s%d points, past the element cap %d"
+                    % (depth, "more than " if k < depth else "", n, ELEMENT_CAP))
+        return TreeBall(self.rank, gain, tuple(sizes))
+
+    #: a word is its isometry, and d_Sigma(g, id) its steps in the orbit graph
+    isometry, word_metric = staticmethod(TreeIsometry), staticmethod(_orbit_graph_steps)
+
+
+class PlaneAction:
+    """A Schottky group acting on the upper half-plane. ``gen_map`` maps
+    each alphabet letter (generator or inverse) to its `PlaneIsometry`, so
+    the generator list is closed under inverses by construction. The
+    ping-pong ``certificate`` is required: it bounds the orbit ball."""
+
+    __slots__ = ("gen_map", "declared_delta", "declared_codiameter", "certificate")
+    space = ModelSpace.plane()
+    #: none yet on the plane (ROADMAP item 1)
+    closed_form_exponent = None
+
+    def __init__(self, gen_map, declared_delta, declared_codiameter, certificate):
+        if certificate is None:
+            raise CertificationError("plane action has no ping-pong certificate")
+        self.gen_map, self.declared_delta, self.declared_codiameter, self.certificate = (
+            gen_map, declared_delta, declared_codiameter, certificate)
+
+    basepoint, alphabet, orbit_point = _basepoint, _alphabet, _orbit_point
 
     @property
     def rank(self):
         return len(self.gen_map) // 2
 
-    @property
-    def alphabet(self):
-        return letters(self.rank)
-
     def isometry(self, word):
-        if self.space.kind == TREE:
-            return TreeIsometry(word)
         g = IDENTITY_PLANE
         for c in word:
             g = compose(g, self.gen_map[c])
         return g
 
-    def orbit_point(self, word):
-        return apply_isometry(self.space, self.isometry(word), self.basepoint)
+    def orbit_ball(self, T):
+        """The `PlaneBall` within displacement T >= 0. The certificate's
+        `per_letter_gain` c caps word length at T / c, and a point closer
+        than min(1e-6, systole_bound / 10) to a kept entry merges into the
+        earliest such entry, found by `_MergeHash`.
+
+        A level is composed on stacked matrix rows (`_word_levels`) and its
+        images of i come from `_images_of_i`, bitwise equal to the scalar
+        `compose` and `apply_isometry`; a kept entry keeps its row as its
+        `isometry`. Displacements and merge distances stay `plane_distance`
+        calls: numpy's `arcsinh` and complex `abs` differ from libm in the
+        last bit."""
+        cert = self.certificate
+        if cert.per_letter_gain <= 0:
+            raise CertificationError("per-letter gain must be positive (termination)")
+        if float(T) > PLANE_RADIUS_LIMIT:
+            raise NumericalLimitError("plane ball radius %.6g beyond float64's %.4g"
+                                      % (float(T), PLANE_RADIUS_LIMIT))
+        alph = self.alphabet
+        max_len = int(math.floor(float(T) / cert.per_letter_gain + 1e-12))
+        reach = float(T) + 1e-9  # closed ball at the declared tolerance
+        base = self.basepoint
+        entries = [OrbitEntry("", base, 0.0, IDENTITY_PLANE)]
+        merged_words = []
+        near = _MergeHash(min(1e-6, cert.systole_bound / 10.0))
+        near.find_or_add(base.z, 0)
+        levels = _word_levels(self.gen_map, alph)
+        for k in range(1, max_len + 1):
+            # level k builds every reduced word of length k, in the ball or not
+            if len(entries) + len(alph) * (len(alph) - 1) ** (k - 1) > ELEMENT_CAP:
+                raise CertificationError("element cap hit; action looks non-discrete")
+            words, mats = next(levels)
+            for w, z, m in zip(words, _images_of_i(mats), mats):
+                d = plane_distance(base.z, z)
+                if d > reach:
+                    continue
+                hit = near.find_or_add(z, len(entries))
+                if hit is not None:
+                    merged_words.append((w, entries[hit].word))
+                    continue
+                entries.append(OrbitEntry(w, PlanePoint(z), d, PlaneIsometry(tuple(m.tolist()))))
+
+        # the levels, and so the entries, are already in canonical word order
+        return PlaneBall(T, tuple(entries), tuple(merged_words))
+
+    def word_metric(self, entries, R):
+        """Steps in the graph that joins every two orbit points at distance
+        <= R, whatever their quotient: it need not lie in the ball, as R
+        may exceed the ball radius."""
+        import numpy as np
+
+        from .arrays import pairwise_distances
+
+        n = len(entries)
+        close = pairwise_distances(self.space, [e.point for e in entries]) <= float(R) + 1e-9
+        dist = np.full(n, -1, dtype=int)
+        dist[0] = 0
+        frontier = dist == 0
+        level = 0
+        while frontier.any():
+            level += 1
+            reach = close[frontier].any(axis=0) & (dist < 0)
+            dist[reach] = level
+            frontier = reach
+        return list(dist)
 
 
 def tree_action(valence=4, edge_length=1, declared_delta=0.0, declared_codiameter=0.5):
-    from .space import ModelSpace
-
-    if valence % 2 != 0:
-        raise ValueError("tree group actions need even valence")
-    space = ModelSpace.tree(valence, edge_length)
-    gen_map = {c: TreeIsometry(c) for c in letters(valence // 2)}
-    return GroupAction(space, gen_map, declared_delta, declared_codiameter)
+    return TreeAction(ModelSpace.tree(valence, edge_length), declared_delta, declared_codiameter)
 
 
 def schottky_action(desc, certificate, declared_delta=math.log(3.0), declared_codiameter=3.0):
-    from .space import ModelSpace
-
-    return GroupAction(ModelSpace.plane(), _generator_map(desc.generators),
-                       declared_delta, declared_codiameter, certificate)
+    return PlaneAction(_generator_map(desc.generators), declared_delta, declared_codiameter,
+                       certificate)
 
 
 class OrbitEntry(namedtuple("OrbitEntry", "word point displacement isometry", defaults=(None,))):
@@ -247,83 +353,14 @@ class PlaneBall:
 
 
 def enumerate_orbit_ball(action, T):
-    """All distinct orbit points within displacement T of the basepoint.
-
-    Breadth-first over reduced words, every bound read from the action;
-    this is the one choice between the two balls. A `TreeBall` counts its
-    levels and builds no word: its depth is int(T / edge_length), so its
-    radius snaps down to the edge grid. A `PlaneBall` needs the action's
-    ping-pong certificate: its `per_letter_gain` c caps word length at
-    T / c, and a point closer than min(1e-6, systole_bound / 10) to a kept
-    entry merges into the earliest such entry, found by `_MergeHash`.
-    Output order is canonical word order: each level expands a canonically
-    ordered frontier letter by letter. The ELEMENT_CAP check runs before a
-    level is built, on the number of words it would build; a tree ball
-    past it is refused with its size, its action being free and discrete.
-
-    A plane level is composed on stacked matrix rows (`_word_levels`) and
-    its images of i come from `_images_of_i`, bitwise equal to the scalar
-    `compose` and `apply_isometry`; a kept entry keeps its row as its
-    `isometry`. Displacements and merge distances stay
-    `plane_distance` calls: numpy's `arcsinh` and complex `abs` differ
-    from libm in the last bit. A plane radius beyond PLANE_RADIUS_LIMIT
-    raises NumericalLimitError.
-    """
+    """All distinct orbit points within displacement T of the basepoint,
+    the action's own ball: breadth-first over reduced words, each level
+    expanding a canonically ordered frontier letter by letter, every bound
+    read from the action. The ELEMENT_CAP check runs before a level is
+    built, on the number of words it would build."""
     if T < 0:
-        raise ValueError("ball radius must be nonnegative")
-    tree = action.space.kind == TREE
-    cert = action.certificate
-    if not tree and cert is None:
-        raise CertificationError("plane action has no ping-pong certificate")
-    gain = action.space.edge_length if tree else cert.per_letter_gain
-    if gain <= 0:
-        raise CertificationError("per-letter gain must be positive (termination)")
-    alph = action.alphabet
-
-    def level_size(k):
-        # level k builds every reduced word of length k (the plane frontier
-        # keeps all children, inside the ball or not)
-        return len(alph) * (len(alph) - 1) ** (k - 1)
-
-    if tree:
-        depth, sizes, n = int(Fraction(T) / gain), [1], 1
-        for k in range(1, depth + 1):
-            sizes.append(level_size(k))
-            n += sizes[-1]
-            if n > ELEMENT_CAP:
-                raise CertificationError(
-                    "a tree ball of depth %d holds %s%d points, past the element cap %d"
-                    % (depth, "more than " if k < depth else "", n, ELEMENT_CAP))
-        return TreeBall(action.rank, gain, tuple(sizes))
-
-    # the plane: one BFS level at a time on stacked (n, 4) matrix rows
-    if float(T) > PLANE_RADIUS_LIMIT:
-        raise NumericalLimitError("plane ball radius %.6g beyond float64's %.4g"
-                                  % (float(T), PLANE_RADIUS_LIMIT))
-    max_len = int(math.floor(float(T) / gain + 1e-12))
-    reach = float(T) + 1e-9  # closed ball at the declared tolerance
-    base = action.basepoint
-    entries = [OrbitEntry("", base, 0.0, IDENTITY_PLANE)]
-    merged_words = []
-    near = _MergeHash(min(1e-6, cert.systole_bound / 10.0))
-    near.find_or_add(base.z, 0)
-    levels = _word_levels(action.gen_map, alph)
-    for k in range(1, max_len + 1):
-        if len(entries) + level_size(k) > ELEMENT_CAP:
-            raise CertificationError("element cap hit; action looks non-discrete")
-        words, mats = next(levels)
-        for w, z, m in zip(words, _images_of_i(mats), mats):
-            d = plane_distance(base.z, z)
-            if d > reach:
-                continue
-            hit = near.find_or_add(z, len(entries))
-            if hit is not None:
-                merged_words.append((w, entries[hit].word))
-                continue
-            entries.append(OrbitEntry(w, PlanePoint(z), d, PlaneIsometry(tuple(m.tolist()))))
-
-    # the levels, and so the entries, are already in canonical word order
-    return PlaneBall(T, tuple(entries), tuple(merged_words))
+        raise ParameterError("ball radius must be nonnegative")
+    return action.orbit_ball(T)
 
 
 class _MergeHash:
@@ -417,28 +454,6 @@ def measure_codiameter(action, ball, hull_samples):
 CheckReport = namedtuple("CheckReport", "passed witness detail", defaults=(None, None))
 
 
-def _orbit_graph_steps(ball, R):
-    """Steps from the identity to each entry, in entry order, in the orbit
-    graph that joins g to g s (`compose_words`) for every entry s displaced
-    by at most R, through entries of the ball; -1 where no path reaches
-    the entry. The identity is entry 0 of every ball."""
-    entries = ball.entries  # a tree ball lists its entries on each read
-    index = {e.word: i for i, e in enumerate(entries)}
-    steps = [e.word for e in entries if e.word and float(e.displacement) <= float(R) + 1e-12]
-    dist = [0] + [-1] * (len(index) - 1)
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for s in steps:
-                j = index.get(compose_words(entries[i].word, s))
-                if j is not None and dist[j] < 0:
-                    dist[j] = dist[i] + 1
-                    nxt.append(j)
-        frontier = nxt
-    return dist
-
-
 def check_generating(action, ball, threshold=None):
     """Every ball entry is a product of small-displacement elements.
 
@@ -453,56 +468,35 @@ def check_generating(action, ball, threshold=None):
     if threshold is None:
         threshold = theo
     if threshold > theo + 1e-9:
-        raise ValueError("threshold above the theoretical generating bound")
+        raise ParameterError("threshold above the theoretical generating bound")
     if float(ball.radius) < 2.0 * threshold - 1e-9:
         raise InsufficientDataError(
             "ball radius %s < 2x threshold %s" % (ball.radius, threshold)
         )
-    dist = _orbit_graph_steps(ball, threshold)
-    unreached = [e.word for e, k in zip(ball.entries, dist) if k < 0]
+    entries = ball.entries  # a tree ball lists its entries on each read
+    dist = _orbit_graph_steps(entries, threshold)
+    unreached = [e.word for e, k in zip(entries, dist) if k < 0]
     if not unreached:
         return CheckReport(True, detail={"threshold": threshold})
     return CheckReport(False, witness=min(unreached, key=word_key), detail={"threshold": threshold})
 
 
 def word_metric_distances(action, ball, R):
-    """d_Sigma(g, id) for every entry, -1 where unreachable. Trees search
-    the orbit graph of `_orbit_graph_steps`. The plane searches the denser
-    graph that joins every two orbit points at distance <= R, whatever
-    their quotient: it need not lie in the ball, as R may exceed the ball
-    radius."""
-    if action.space.kind == TREE:
-        return _orbit_graph_steps(ball, R)
-    # plane: vectorized distance threshold graph
-    import numpy as np
-
-    from .arrays import pairwise_distances
-
-    n = ball.count
-    close = pairwise_distances(action.space, ball.points()) <= float(R) + 1e-9
-    dist = np.full(n, -1, dtype=int)
-    dist[0] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[0] = True
-    level = 0
-    while frontier.any():
-        level += 1
-        reach = close[frontier].any(axis=0) & (dist < 0)
-        dist[reach] = level
-        frontier = reach
-    return list(dist)
+    """d_Sigma(g, id) for every entry, -1 where unreachable: the action's
+    `word_metric` on the ball's entries."""
+    return action.word_metric(ball.entries, R)
 
 
 def check_word_metric_comparison(action, ball, R):
     """(R - 2D - 72*delta) * d_Sigma(g) <= d(gx, x) <= R * d_Sigma(g)."""
     thresh = 2.0 * action.declared_codiameter + 72.0 * action.declared_delta
     if R <= thresh:
-        raise ValueError("R must exceed 2D + 72*delta = %.6g" % thresh)
+        raise ParameterError("R must exceed 2D + 72*delta = %.6g" % thresh)
     lower_c = R - thresh
-    dsig = word_metric_distances(action, ball, R)
+    entries = ball.entries  # a tree ball lists its entries on each read
+    dsig = action.word_metric(entries, R)
     worst_lower = worst_upper = 0.0
-    witness = None
-    for e, k in zip(ball.entries, dsig):
+    for e, k in zip(entries, dsig):
         if k < 0:
             return CheckReport(False, witness=("unreachable", e.word))
         d = float(e.displacement)

@@ -40,7 +40,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DepthError, KindMismatchError
+from .errors import DepthError, KindMismatchError, ParameterError
 from .words import is_reduced
 
 TREE = "tree"
@@ -128,7 +128,9 @@ class ModelSpace(namedtuple("ModelSpace", "kind valence edge_length", defaults=(
     @staticmethod
     def tree(valence=4, edge_length=1):
         if valence < 3:
-            raise ValueError("tree valence must be >= 3")
+            raise ParameterError("tree valence must be >= 3")
+        if Fraction(edge_length) <= 0:
+            raise ParameterError("tree edge length must be positive, got %s" % edge_length)
         return ModelSpace(TREE, valence, Fraction(edge_length))
 
     @staticmethod
@@ -145,7 +147,7 @@ class ModelSpace(namedtuple("ModelSpace", "kind valence edge_length", defaults=(
         if self.kind != TREE:
             raise KindMismatchError("rank only defined for trees")
         if self.valence % 2 != 0:
-            raise ValueError("group structure needs even valence")
+            raise ParameterError("group structure needs even valence, got %d" % self.valence)
         return self.valence // 2
 
 

@@ -168,6 +168,23 @@ def test_tree_continuity_and_entropy_build_no_ball_words(tmp_path, monkeypatch):
             read_words(enumerate_orbit_ball(tree_action(), 2))
 
 
+def test_tree_verify_lists_each_ball_once_per_check(tmp_path, monkeypatch):
+    # generating and word_metric each list the T = 6 ball's entries once,
+    # and packing_chain the T = 2 ball's points once; the first two read
+    # their ball twice, once for the orbit graph and once for the report
+    from hypcrit.orbits import TreeBall
+
+    listed, levels = [], TreeBall._tree_levels
+
+    def counted(ball):
+        listed.append(ball.radius)
+        return levels(ball)
+
+    monkeypatch.setattr(TreeBall, "_tree_levels", counted)
+    assert run(["verify", "--scenario", "f2_tree", "--out", str(tmp_path)]) == 0
+    assert sorted(listed) == [2, 6, 6]
+
+
 #: runs the command in its argv from a fresh interpreter and prints its exit
 #: code and ru_maxrss: Linux counts the memory a child had before exec in
 #: its peak, so a child forked from the test process would report that
@@ -378,6 +395,45 @@ def test_refused_values_exit_2_before_any_check_runs(tmp_path, monkeypatch):
         path = tmp_path / "bad.scn"
         path.write_text(json.dumps(doc), encoding="utf-8")
         refused([command, "--scenario", str(path)], tmp_path / str(i), re.escape(named))
+
+
+@pytest.mark.parametrize("command, keys, value, error", [
+    ("entropy", ("entropy", "T"), -1, "ParameterError: ball radius must be nonnegative"),
+    ("entropy", ("entropy", "window"), [9, 10],
+     "InsufficientDataError: need at least 4 grid points in the window"),
+    ("boundary", ("boundary", "T"), 1,
+     "InsufficientDataError: no usable cells for the quasiconformality audit"),
+    ("boundary", ("boundary", "s"), 0.5,
+     "MeasureError: s = 0.5 is not above the rough growth rate 1.099"),
+    ("verify", ("verify", "generating", "T"), 0,
+     "InsufficientDataError: ball radius 0 < 2x threshold 1.0"),
+    ("verify", ("verify", "generating", "threshold"), 5.0,
+     "ParameterError: threshold above the theoretical generating bound"),
+    ("verify", ("verify", "word_metric", "R"), 0.5,
+     "ParameterError: R must exceed 2D + 72*delta = 1"),
+    ("entropy", ("action", "valence"), 5,
+     "ParameterError: group structure needs even valence, got 5"),
+    ("entropy", ("action", "edge_length"), "0",
+     "ParameterError: tree edge length must be positive, got 0"),
+], ids=["negative-T", "narrow-window", "shallow-boundary", "s-below-growth", "shallow-generating",
+        "large-threshold", "small-R", "odd-valence", "zero-edge"])
+def test_library_refusals_of_a_value_exit_2(tmp_path, command, keys, value, error):
+    # f2_tree with one value changed, refused by the library, not by the
+    # scenario screen; all but the zero edge ended in a traceback with
+    # exit 1 and no audits.json
+    scn = cli.load_scenario("f2_tree")
+    *blocks, key = keys
+    block = scn
+    for name in blocks:
+        block = block[name]
+    block[key] = value
+    if command == "verify":
+        scn["verify"]["checks"] = [blocks[1]]
+    path = tmp_path / "bad.scn"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    assert run([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    audit = json.loads(read(tmp_path / "out", "audits.json"))
+    assert audit["passed"] is False and audit["error"].startswith(error), audit
 
 
 def test_internal_value_errors_propagate(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 """Every import in a hypcrit module is read somewhere in its scope, every
 definition is named somewhere else, the definitions only tests read are
 listed, the model-kind tests are counted, each model's objects define
-the same methods and no module asks an orbit ball which model it holds
+the same methods or names and no module asks an orbit ball which model it holds
 by comparing its `sizes` or `_entries` with None, a subcommand loads only the modules it runs, no module
 imports `dataclasses` (defining a dataclass compiles its methods at
 import, about 0.4 ms a class), and no module calls BLAS, so the CLI's
@@ -186,6 +186,9 @@ TEST_ONLY = {
         "tests draw random tree points with it",
     ("orbits.py", "measure_codiameter"):
         "the codiameter lower estimate that ROADMAP item 7 reports for each member",
+    ("orbits.py", "word_metric_distances"):
+        "the public word-metric read of a ball, which tests and the benchmark tracer call; "
+        "check_word_metric_comparison reads the action's word_metric on entries it lists once",
     ("space.py", "estimate_delta"):
         "the four-point delta lower estimate that ROADMAP item 7 reports for each member",
 }
@@ -220,11 +223,11 @@ def test_scan_finds_kind_tests():
 
 #: the model-kind tests left in each module. `boundary` picks its model's
 #: rules object once, `convergence` its snapshot class once and the tree
-#: resolution of the continuity experiment once; ROADMAP item 13 says why
-#: the rest stay
+#: resolution of the continuity experiment once, and `orbits` none, each
+#: action building its own ball; ROADMAP item 13 says why the rest stay
 KIND_TESTS = {
     "arrays.py": 1, "boundary.py": 1, "cli.py": 1, "convergence.py": 2, "entropy.py": 2,
-    "geometry_checks.py": 2, "isometries.py": 6, "orbits.py": 4, "space.py": 8,
+    "geometry_checks.py": 2, "isometries.py": 6, "space.py": 8,
 }
 
 
@@ -267,6 +270,24 @@ def test_each_orbit_ball_defines_the_same_reads():
     assert {"radius", "count"} <= set(vars(enumerate_orbit_ball(tree_action(), 1))) & set(vars(plane))
 
 
+#: the public names each model's action defines, beside a plane action's
+#: `gen_map` and `certificate`
+ACTION = (
+    "space declared_delta declared_codiameter basepoint rank alphabet closed_form_exponent "
+    "isometry orbit_point orbit_ball word_metric"
+).split()
+
+
+def test_each_action_defines_the_same_names():
+    from hypcrit.orbits import PlaneAction, TreeAction
+
+    def public(cls):
+        return sorted(n for n in vars(cls) if not n.startswith("_"))
+
+    assert public(TreeAction) == sorted(ACTION)
+    assert public(PlaneAction) == sorted(ACTION + ["certificate", "gen_map"])
+
+
 def none_tests(source, attrs=("sizes", "_entries")):
     """(line, attribute) of each comparison of `<expr>.<attr>` with None,
     for attr in attrs: a ball read that asks which model it holds."""
@@ -294,13 +315,14 @@ def test_no_ball_asks_its_model(path):
 
 #: every name the package re-exports: those it re-exported when its
 #: __init__ imported all modules, with `TreeBall` and `PlaneBall` for the
-#: orbit ball they replace
+#: orbit ball and `TreeAction` and `PlaneAction` for the action they
+#: replace
 REEXPORTED = (
     "ModelSpace TreePoint PlanePoint Ray distance geodesic_point gromov_product "
     "PlaneIsometry SchottkyDescription TreeIsometry apply_isometry certify_ping_pong "
     "compose schottky_pair translation_length "
-    "GroupAction PlaneBall TreeBall enumerate_orbit_ball measure_systole schottky_action "
-    "tree_action "
+    "PlaneAction PlaneBall TreeAction TreeBall enumerate_orbit_ball measure_systole "
+    "schottky_action tree_action "
     "EntropyEstimate covering_entropy_estimate equidistribution_constant "
     "estimate_critical_exponent poincare_partial "
     "check_ahlfors_regularity check_quasiconformality check_shadow_ball_lemma "

@@ -11,6 +11,7 @@ from hypcrit.isometries import (
     IDENTITY_PLANE,
     PlaneIsometry,
     SchottkyCertificate,
+    TreeIsometry,
     apply_isometry,
     certify_ping_pong,
     compose,
@@ -18,8 +19,8 @@ from hypcrit.isometries import (
 )
 from hypcrit.orbits import (
     PLANE_RADIUS_LIMIT,
-    GroupAction,
     OrbitEntry,
+    PlaneAction,
     _count_by_shell,
     _MergeHash,
     check_generating,
@@ -30,7 +31,7 @@ from hypcrit.orbits import (
     schottky_action,
     tree_action,
 )
-from hypcrit.space import ModelSpace, plane_distance
+from hypcrit.space import TreePoint, plane_distance
 from hypcrit.words import word_key, word_levels
 from word_oracle import brute_force_reduced_words_upto
 
@@ -69,6 +70,24 @@ def test_tree_ball_matches_word_oracle(f2, f2_ball6):
             assert level == [w for w in oracle if len(w) == k]
             assert ball.sizes[k] == len(level)
         assert ball.words() == oracle and ball.count == len(oracle)
+
+
+def test_actions_refuse_their_inputs_when_built(f2, schottky):
+    # the refusals a ball used to make on its first build: a plane action
+    # without a ping-pong certificate, a tree of nonpositive edge length
+    with pytest.raises(CertificationError, match="no ping-pong certificate"):
+        PlaneAction(schottky.gen_map, math.log(3.0), 3.0, None)
+    for ell in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="edge length must be positive"):
+            tree_action(edge_length=ell)
+    # a tree action's words are its isometries: it holds no generator map
+    assert not hasattr(f2, "gen_map") and not hasattr(f2, "certificate")
+
+
+def test_tree_orbit_points_are_the_isometry_images(f2):
+    for w in brute_force_reduced_words_upto(2, 3):
+        want = apply_isometry(f2.space, TreeIsometry(w), f2.basepoint)
+        assert f2.orbit_point(w) == want == TreePoint(w)
 
 
 def test_tree_ball_counts_per_shell(f2_ball6):
@@ -263,7 +282,7 @@ def hand_certified(gen_map, gain):
     """A plane action under a hand-built certificate: per-letter gain
     `gain` and systole bound 1e-5, so its merge radius is 1e-6."""
     cert = SchottkyCertificate(systole_bound=1e-5, attaining_word="a", per_letter_gain=gain)
-    return GroupAction(ModelSpace.plane(), gen_map, math.log(3.0), 3.0, cert)
+    return PlaneAction(gen_map, math.log(3.0), 3.0, cert)
 
 
 def test_repeated_generator_merges_like_the_scalar_loop():
