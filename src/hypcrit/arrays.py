@@ -8,13 +8,14 @@ in min form, sep = min(lcp L, depth_i, depth_j) (`_separated`), bitwise
 the float form of `space._tree_separation`. Common-prefix lengths come
 from trie node ids per level in sorted root-path order (`_TreePaths.lcp`),
 O(width n) memory and no n x n table, so a `_TreePaths` also serves a
-fixed net's repeated reads, by blocks of sorted rows (`sorted_rows`, which
-`distances` reads too) and by lists of pairs (`pairs`). Outside a block's
-span of sorted rows a prefix length is the min of a per-row and a
-per-column running minimum (`_TreePaths._spans`), so there the separation
-is one broadcast minimum of two vectors (`_separated_outer`). Tables are
-read by blocks of at most `_CELLS` float cells (`_block_rows`), so a
-block's temporaries stay the same size however large the net.
+fixed net's repeated reads, by blocks of sorted rows against sorted
+columns (`sorted_rows`, which `distances` reads too) and by lists of
+pairs (`pairs`). Outside a block's span of sorted rows a prefix length is
+the min of a per-row and a per-column running minimum
+(`_TreePaths._spans`), so there the separation is one broadcast minimum
+of two vectors (`_separated_outer`). Tables are read by blocks of at most
+`_CELLS` float cells (`_block_rows`), so a block's temporaries stay the
+same size however large the net.
 
 Rays from the basepoint i need no ray points: Gromov products of ray
 points at a common depth (`plane_ray_product`) and distances to such rays
@@ -39,10 +40,13 @@ for _c, _r in _ORDER.items():
     _DIGIT[ord(_c)] = _r
 
 #: float cells per block when distances are read by blocks of rows, 128 kB
-#: per float temporary. In `converge` runs of the 3-member tree-rescale
-#: family (2653- to 3841-point nets), taken in turn with each setting,
-#: 2^14 peaked 1.2 MB lower than 2^16 and ran about 10% faster; 2^12 and
-#: 2^13 saved at most 0.4 MB more and ran slower
+#: per float temporary: a block holds as many rows as fit against the
+#: columns it reads (`_block_rows`), so a witness verification, which reads
+#: a block against the positions from its first row on, reads its
+#: smallest block first, all a refuted candidate reads, and larger ones as
+#: it goes. In `converge` runs of the 3-member tree-rescale family (2653-
+#: to 3841-point nets), 2^14 peaked 1.2 MB lower than 2^16 and ran about
+#: 10% faster; 2^12 and 2^13 saved at most 0.4 MB more and ran slower
 _CELLS = 1 << 14
 
 
@@ -164,14 +168,27 @@ class _TreePaths:
     """
 
     def __init__(self, edge_length, words, directions, offsets):
-        n = len(words)
-        self.L = float(edge_length)
         lengths = np.array([len(w) for w in words], dtype=np.int64)
+        width = int(lengths.max()) + 1 if len(words) else 1
+        rows = _word_rows([w + (d or "") for w, d in zip(words, directions)], width)
+        self._index(edge_length, rows, lengths, offsets)
+
+    @classmethod
+    def from_rows(cls, edge_length, rows, lengths, offsets):
+        """The paths of points given as their root paths' letter rows (as
+        `_word_rows` writes them, one digit wider than the longest word),
+        word lengths and offsets: a net built on a vertex numbering writes
+        them with no word per point."""
+        paths = cls.__new__(cls)
+        paths._index(edge_length, rows, lengths, offsets)
+        return paths
+
+    def _index(self, edge_length, rows, lengths, offsets):
+        n, self.width = rows.shape
+        self.L = float(edge_length)
         self.depth = lengths * self.L + np.asarray(offsets, dtype=float)
-        self.width = int(lengths.max()) + 1 if n else 1
         if self.width > np.iinfo(np.int8).max:
             raise ValueError("prefix lengths up to %d overflow int8" % self.width)
-        rows = _word_rows([w + (d or "") for w, d in zip(words, directions)], self.width)
         self.order = np.lexsort(rows.T[::-1])
         srt = rows[self.order]
         self.adjacent = _row_lcp(srt[1:], srt[:-1]).astype(np.int8)
@@ -204,42 +221,62 @@ class _TreePaths:
         min(adjacent[lo:r])), whatever the width. So only the columns
         between lo and hi take the per-level compare of `lcp`, and a block
         of rows that lie close in sorted order, as a contiguous block does,
-        costs O(b n).
+        costs O(b n). Each running minimum starts from the width, which no
+        prefix length exceeds.
         """
-        n, w, adj = len(self.rank), np.int8(self.width), self.adjacent
-        rows = np.arange(n)[rows]
+        n, adj = len(self.rank), self.adjacent
+        rows = np.arange(*rows.indices(n)) if isinstance(rows, slice) else np.asarray(rows)
         lo, hi = int(rows.min()), int(rows.max())
         left, right = max(lo, start), max(hi, start)
-        span = adj[lo:hi]
-        up = np.minimum.accumulate(np.append(w, span))[rows - lo]
-        down = np.minimum.accumulate(np.append(span, w)[::-1])[::-1][rows - lo]
+        # up[r - lo] = min(adj[lo:r]), down[r - lo] = min(adj[r:hi]) and
+        # run[c - hi] = min(adj[hi:c])
+        up, down, run = (np.full(k, self.width, dtype=np.int8) for k in (hi - lo + 1, hi - lo + 1, n - hi))
+        np.minimum.accumulate(adj[lo:hi], out=up[1:])
+        np.minimum.accumulate(adj[lo:hi][::-1], out=down[-2::-1])
+        np.minimum.accumulate(adj[hi:], out=run[1:])
         back = np.minimum.accumulate(adj[start:lo][::-1])[::-1]
-        run = np.minimum.accumulate(np.append(w, adj[hi:]))[right - hi :]
-        return rows, left, right, (up, back), (down, run)
+        return rows, left, right, (up[rows - lo], back), (down[rows - lo], run[right - hi :])
 
     def distances(self, rows):
         """(len(rows), n) distances from the points at indices `rows`."""
         return self.sorted_rows(self.rank[rows])[:, self.rank]
 
-    def sorted_rows(self, rows, start=0):
-        """(len(rows), n - start) distances from the sorted positions `rows`
-        (an index array or a slice) to the sorted positions from `start`
-        on.
+    def sorted_rows(self, rows, cols=0):
+        """(len(rows), len(cols)) distances from the sorted positions `rows`
+        (an index array or a slice) to the sorted positions `cols` (an index
+        array, or a number for the positions from it on).
 
-        The columns outside the rows' span read their common-prefix
-        lengths as running minima (`_spans`), so their distances take one
-        broadcast minimum of a per-row and a per-column vector
-        (`_separated_outer`) and no int8 table.
+        The columns outside the rows' span read their common-prefix lengths
+        as running minima (`_spans`), so their distances take one broadcast
+        minimum of a per-row and a per-column vector (`_separated_outer`)
+        and no int8 table. An index array of columns is read in increasing
+        order and put back in its own.
         """
-        L, depth, n = self.L, self.sorted_depth, len(self.rank)
-        rows, left, right, before, after = self._spans(rows, start)
+        n, L, depth = len(self.rank), self.L, self.sorted_depth
+        picked = isinstance(cols, np.ndarray)
+        if picked and len(cols) > 1 and (cols[1:] < cols[:-1]).any():
+            order = np.argsort(cols, kind="stable")
+            got = self.sorted_rows(rows, cols[order])
+            out = np.empty_like(got)
+            out[:, order] = got
+            return out
+        start = (int(cols[0]) if len(cols) else n) if picked else cols
+        rows, left, right, (up, back), (down, run) = self._spans(rows, start)
+        if picked:
+            i, j = np.searchsorted(cols, (left, right))
+            before, mid, after = cols[:i], cols[i:j], cols[j:]
+            back, run = back[before - start], run[after - right]
+        else:
+            i, j, cols = left - start, right - start, range(start, n)
+            before, mid, after = slice(start, left), slice(left, right), slice(right, n)
         di = depth[rows]
-        out = np.empty((len(rows), n - start))
-        mid = self.lcp(rows[:, None], slice(left, right))
-        out[:, left - start : right - start] = _separated(L, mid, di[:, None], depth[left:right])
-        for (row, col), cols in ((before, slice(start, left)), (after, slice(right, n))):
-            part = out[:, cols.start - start : cols.stop - start]
-            _separated_outer(L, row, col, di, depth[cols], part)
+        out = np.empty((len(rows), len(cols)))
+        if i < j:
+            out[:, i:j] = _separated(L, self.lcp(rows[:, None], mid), di[:, None], depth[mid])
+        if i:
+            _separated_outer(L, up, back, di, depth[before], out[:, :i])
+        if j < len(cols):
+            _separated_outer(L, down, run, di, depth[after], out[:, j:])
         return out
 
     def pairs(self, i, j):

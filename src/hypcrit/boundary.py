@@ -55,7 +55,7 @@ from .arrays import (
     plane_ray_product,
     plane_ray_products,
 )
-from .errors import DepthError, InsufficientDataError, MeasureError
+from .errors import DepthError, InsufficientDataError, MeasureError, ParameterError
 from .isometries import fixed_points
 from .space import (
     TREE,
@@ -379,7 +379,9 @@ class _TreeAtoms:
 
     total is the left-to-right float sum of the weights, the order in
     which the scalar loops add them. `columns` holds the rows lexsorted
-    (atom `order`), column by column, for `lcp`.
+    (atom `order`), column by column, for `lcp`, which computes the
+    lengths of each distinct word once and keeps them, one int8 per atom
+    (`_lcps`): the audits read the same centers at several scales.
     """
 
     def __init__(self, rows, weight):
@@ -389,15 +391,20 @@ class _TreeAtoms:
         self.total = _ordered_sum(weight)
         self.order = np.lexsort(self.rows.T[::-1])
         self.columns = np.ascontiguousarray(self.rows[self.order].T)
+        self._lcps = {}
 
     def lcp(self, word):
         """Common-prefix length of `word` with every atom word, in atom
-        order. The atoms sharing the first j letters of `word` are a range
-        [lo, hi) of the sorted rows, sorted by column j, so a binary search
-        per letter narrows it; the lengths are scattered back once."""
-        srt = np.zeros(len(self.order), dtype=np.int64)
+        order, as a read-only int8 array. The atoms sharing the first j
+        letters of `word` are a range [lo, hi) of the sorted rows, sorted by
+        column j, so a binary search per letter narrows it; the lengths are
+        scattered back once."""
+        word = word[: self.width]
+        if word in self._lcps:
+            return self._lcps[word]
+        srt = np.zeros(len(self.order), dtype=np.int8)
         lo, hi = 0, len(srt)
-        for j, c in enumerate(word[: self.width]):
+        for j, c in enumerate(word):
             col = self.columns[j, lo:hi]
             digit = _ORDER[c]
             lo, hi = lo + col.searchsorted(digit, "left"), lo + col.searchsorted(digit, "right")
@@ -406,6 +413,8 @@ class _TreeAtoms:
             srt[lo:hi] = j + 1
         out = np.empty_like(srt)
         out[self.order] = srt
+        out.flags.writeable = False
+        self._lcps[word] = out
         return out
 
 
@@ -614,9 +623,13 @@ def _pushed_measure(action, measure, g_word):
 
 
 def tree_cylinder_cells(action, depth):
-    """All depth-n cylinders as (center approximant, radius) cells."""
+    """All depth-n cylinders, n >= 1, as (center approximant, radius)
+    cells. A depth below 1 is refused (ParameterError): the one depth-0
+    cylinder is the whole boundary, and it has no approximant."""
     from .words import reduced_words_of_length
 
+    if depth < 1:
+        raise ParameterError("cylinder depth must be >= 1, got %d" % depth)
     rho = cylinder_scale(action, depth)
     return [
         (TreeBoundary(w), rho) for w in reduced_words_of_length(action.rank, depth)
@@ -737,8 +750,10 @@ class _TreeRules:
         from `deep` on are projected to the boundary; their letter rows,
         written level by level from letter ranks (`_level_rows`), and
         weights are the `_TreeAtoms` arrays, so no level's words are
-        listed.
+        listed. They hold a weight per point, so a ball past ELEMENT_CAP is
+        refused (`TreeBall._listable`).
         """
+        ball._listable()
         sizes = ball.sizes
         disp = ball.level_displacements
         mass = [math.exp(-s * d) for d in disp]
@@ -778,7 +793,7 @@ class _TreeRules:
         D, m, g = _on_grid(self.space, y)
         ly = len(g.word)
         k = atoms.lcp(g.word)
-        sep = k * m
+        sep = np.multiply(k, m, dtype=np.int64)
         if g.direction is not None and ly < atoms.width:
             into = (k == ly) & (atoms.lengths > ly) & (atoms.rows[:, ly] == _ORDER[g.direction])
             sep[into] += g.offset

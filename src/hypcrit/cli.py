@@ -10,8 +10,9 @@ failed check or under --emit-witnesses. The exit code is 0 iff
 every check enabled by the scenario passed. A subcommand imports `orbits`
 and the audit modules (`entropy`, `boundary`, `geometry_checks`,
 `convergence`) where it calls them, so a run loads only the modules it
-uses. `entropy`, `boundary` and `verify` build their action first, so an
-input the scalar screen rejects loads no numpy.
+uses. `entropy`, `boundary` and `verify` build their action first, and
+`converge` its limit member, so an input the scalar screen rejects loads
+no numpy.
 """
 
 import argparse
@@ -410,9 +411,10 @@ def cmd_boundary(scenario, args, outdir):
 def read_family(scenario):
     """(make_member, schedule, limit, config) of a scenario's `converge` block:
     member p is the action with its key `vary` set to p (a key `build_action`
-    reads), and its ball radius and window scale by p / limit."""
-    from .convergence import ContinuityConfig
-
+    reads), and its ball radius and window scale by p / limit. The limit
+    member is built first, before `convergence` loads numpy, so a family
+    whose action is refused loads none; make_member returns it for the
+    limit."""
     block, action = _block(scenario, "converge"), scenario["action"]
     if not block["schedule"]:
         raise ScenarioError("converge block's `schedule` is empty: it names no member to judge")
@@ -422,14 +424,23 @@ def read_family(scenario):
     for k, cast in (("window", float), ("eps_ladder", float), ("rank_window", int)):
         if k in block:
             kw[k] = tuple(cast(v) for v in block[k])
+    try:
+        limit_action = build_action({**action, vary: limit})
+    except CertificationError as exc:
+        raise exc.of_member(limit) from exc
+
+    from .convergence import ContinuityConfig
+
     config = ContinuityConfig(param_scale=lambda p: float(p) / float(limit), **kw)
-    return (lambda p: build_action({**action, vary: p})), schedule, limit, config
+    return ((lambda p: limit_action if p == limit else build_action({**action, vary: p})),
+            schedule, limit, config)
 
 
 def cmd_converge(scenario, args, outdir):
+    make_member, schedule, limit, config = read_family(scenario)
+
     from .convergence import run_continuity_experiment
 
-    make_member, schedule, limit, config = read_family(scenario)
     block = scenario["converge"]
     audits = {"name": scenario.get("name", ""), "family": block["family"]}
     report = run_continuity_experiment(make_member, schedule, limit, config)

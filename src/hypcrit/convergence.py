@@ -5,8 +5,8 @@ experiment for the critical exponent.
 A snapshot discretizes the data quantified over by an equivariant
 eps-approximation: a net of the 1/eps-ball, the elements displacing the
 basepoint by strictly less than 1/eps, and the action between them, one
-element's row of net indices at a time (`row`), computed when read: no
-|elements| x |points| table is built. Verification recomputes every
+element's row of net indices at a time (`row`), computed when read and
+once per verification: no |elements| x |points| table is built. Verification recomputes every
 defect from scratch; search only ever returns witnesses that re-verify,
 and refutes a candidate at its first defect >= eps, evaluated in cost
 order (basepoint, distortion block by block, surjectivity, equivariance).
@@ -28,16 +28,18 @@ model.
 """
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
-from .arrays import _block_rows, _TreePaths, pairwise_distances
+from .arrays import _block_rows, _TreePaths, _word_rows, pairwise_distances
 from .errors import InsufficientDataError, KindMismatchError, MalformedWitnessError
 from .isometries import apply_isometry
+from .orbits import _refuse_past_cap
 from .space import TREE, _GridPoint, _tree_point, distance
 from .words import _ORDER, compose_words, letters, reduced_words_upto
 
@@ -80,25 +82,43 @@ _VertexGrid = namedtuple("_VertexGrid", "vid lmul parent last pid pv pd ps")
 
 
 class _TreeSnapshot(TripleSnapshot):
-    """A tree snapshot, its net kept as grid data: each point's vertex word
-    (`words`), direction letter (`directions`, None at a vertex) and offset
-    in `resolution` steps (`steps`); its `points` are `TreePoint`s built
-    when read, and the hot paths never read them. Rows and word-wise
-    matches are index arithmetic on the vertex numbering (`grid`)."""
+    """A tree snapshot, its net kept as grid data on the vertex numbering
+    (`grid`): each point's vertex id, direction rank and offset in
+    `resolution` steps (`steps`). Rows, word-wise matches and the net's
+    distances are index arithmetic on it. Its points' vertex words
+    (`words`), direction letters (`directions`, None at a vertex) and
+    `points`, `TreePoint`s, are built when read, and the hot paths never
+    read them."""
 
-    def __init__(self, action, epsilon, resolution, elements, words, directions, grid):
-        points = _TreeNetPoints(words, directions, grid.ps, resolution)
+    def __init__(self, action, epsilon, resolution, elements, grid):
+        points = _TreeNetPoints(grid, letters(action.space.rank), resolution)
         super().__init__(action, epsilon, float(resolution) / 2.0, points, elements, 0)
         self.resolution = resolution
-        self.words, self.directions, self.steps = words, directions, grid.ps
+        self.steps = grid.ps
         self.grid = grid
+
+    @cached_property
+    def words(self):
+        return [self.points.vertex[v] for v in self.grid.pv.tolist()]
+
+    @cached_property
+    def directions(self):
+        alpha = self.points.alpha
+        return [alpha[d] if s else None for d, s in zip(self.grid.pd.tolist(), self.steps.tolist())]
 
     @cached_property
     def metric(self):
         """The net's `_TreePaths`, built on first use, with offsets
-        float(s * resolution), the floats of the exact offsets."""
-        off = np.array([float(s * self.resolution) for s in range(int(self.steps.max()) + 1)])
-        return _TreePaths(self.space.edge_length, self.words, self.directions, off[self.steps])
+        float(s * resolution), the floats of the exact offsets. A point's
+        root path is its vertex's letter row with its direction's rank
+        written after the word, so no word is built per point."""
+        g, vertex = self.grid, self.points.vertex
+        off = np.array([float(s * self.resolution) for s in range(int(g.ps.max()) + 1)])
+        length = np.array([len(w) for w in vertex], dtype=np.int64)[g.pv]
+        rows = _word_rows(vertex, int(length.max()) + 1)[g.pv]
+        edge = np.flatnonzero(g.ps)
+        rows[edge, length[edge]] = g.pd[edge]
+        return _TreePaths.from_rows(self.space.edge_length, rows, length, off[g.ps])
 
     def row(self, gi):
         """Net indices of the images of every net point under element gi.
@@ -112,29 +132,32 @@ class _TreeSnapshot(TripleSnapshot):
         for c in reversed(self.elements[gi].word):
             u = g.lmul[_ORDER[c]][u]
         last = g.last[u]
-        up = (last == (g.pd ^ 1)) & (g.ps > 0)
+        up = np.flatnonzero((last == (g.pd ^ 1)) & (g.ps > 0))
         outside, steps = len(g.pid) - 1, g.pid.shape[2] - 1
-        return np.where(up, g.pid[g.parent[u], last, steps - g.ps],
-                        g.pid[np.minimum(u, outside), g.pd, g.ps])
+        row = g.pid[np.minimum(u, outside), g.pd, g.ps]
+        row[up] = g.pid[g.parent[u[up]], last[up], steps - g.ps[up]]
+        return row
 
     def wordwise_points(self, B):
-        """f of the word-wise witness into B (`search_witness`)."""
+        """f of the word-wise witness into B (`search_witness`), read by
+        vertex id: each of A's net vertex words is looked up in B once."""
         # s of A's grid steps are s * m_B / m_A of B's (m steps per edge); a
         # non-integer count has no counterpart, and the point falls to a vertex
         ratio = (B.space.edge_length / B.resolution) / (self.space.edge_length / self.resolution)
-        vid, pid = B.grid.vid, B.grid.pid
-        identity = pid.shape[1] - 1  # the column a vertex reads
-        f = []
-        for w, s, d in zip(self.words, self.steps.tolist(), self.directions):
-            sb, rem = divmod(s * ratio.numerator, ratio.denominator)
-            v = vid.get(w)
-            c = identity if d is None else _ORDER[d]
-            # nor has a word past B's net vertices or a letter past its alphabet
-            j = -1 if rem or v is None or c > identity else int(pid[v, c, sb])
-            # no counterpart: the vertex of w, or of its longest prefix in B's
-            # ball for a deep A-point
-            f.append(B.net_vertex(w) if j < 0 else j)
-        return f
+        g, pid = self.grid, B.grid.pid
+        words = list(g.vid)  # A's net vertex words, by vertex id
+        v = np.array([B.grid.vid.get(w, -1) for w in words])[g.pv]
+        sb, rem = np.divmod(g.ps.astype(np.int64) * ratio.numerator, ratio.denominator)
+        # a vertex reads column 0 at step 0, as every column there; an edge
+        # its letter's rank, and none past B's alphabet (the identity column
+        # holds no edge point)
+        match = (rem == 0) & (v >= 0) & (g.pd < pid.shape[1])
+        j = np.full(len(v), -1, dtype=np.int64)
+        j[match] = pid[v[match], g.pd[match], sb[match]]
+        # no counterpart: the vertex of w, or of its longest prefix in B's
+        # ball for a deep A-point
+        fallback = np.array([B.net_vertex(w) for w in words])[g.pv]
+        return np.where(j < 0, fallback, j).tolist()
 
     def net_vertex(self, w):
         """Net index of the vertex of w, or of its longest prefix among
@@ -176,92 +199,113 @@ class _DenseTable:
         self.table = table
         self.order = self.rank = np.arange(len(table))
 
-    def sorted_rows(self, rows, start=0):
-        return self.table[rows, start:]
+    def sorted_rows(self, rows, cols=0):
+        cols = cols if isinstance(cols, (slice, np.ndarray)) else slice(cols, None)
+        return self.table[rows][:, cols]
 
     def pairs(self, i, j):
         return self.table[i, j]
 
 
 class _TreeNetPoints(Sequence):
-    """A tree snapshot's net as `TreePoint`s, each built when it is read."""
+    """A tree snapshot's net as `TreePoint`s, each built when it is read
+    from the vertex numbering: the net vertex words by id (`vertex`) and
+    the alphabet by rank."""
 
-    def __init__(self, words, directions, steps, resolution):
-        self.words, self.directions, self.steps = words, directions, steps
-        self.resolution = resolution
+    def __init__(self, grid, alpha, resolution):
+        self.grid, self.alpha, self.resolution = grid, alpha, resolution
+        self.vertex = list(grid.vid)
 
     def __len__(self):
-        return len(self.words)
+        return len(self.grid.pv)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
-        g = _GridPoint(self.words[i], int(self.steps[i]), self.directions[i])
-        return _tree_point(g, self.resolution)
+        g, s = self.grid, int(self.grid.ps[i])
+        point = _GridPoint(self.vertex[g.pv[i]], s, self.alpha[g.pd[i]] if s else None)
+        return _tree_point(point, self.resolution)
 
 
 def _tree_snapshot(space, R, res_frac):
-    """Net, element list and vertex numbering of a tree snapshot:
-    (net words, net directions, elements, `_VertexGrid`).
+    """Element list and vertex numbering of a tree snapshot: (elements,
+    `_VertexGrid`).
 
     The net holds every offset-grid point (spacing edge_length * res_frac,
     vertices included) of the closed ball of radius Rg * res, where Rg is
     the largest grid multiple not exceeding R; its order is canonical
     vertex order, each vertex followed by its edges in letter order, each
     edge by step. Vertices up to one level past the net, depth + 1 with
-    depth = floor(R / edge_length), are numbered in canonical order. The
-    elements are the words among them displaced by strictly less than R,
-    all of length <= depth.
+    depth = floor(R / edge_length), are numbered in canonical order, and
+    refused past ELEMENT_CAP. The elements are the words among them
+    displaced by strictly less than R, all of length <= depth.
 
     The numbering makes the action index arithmetic, exact because every
     point is (vertex id, direction, grid step): left-multiplication tables
     act on the vertex ids (`_TreeSnapshot.row`), and `pid` finds the net
-    index of a (net vertex id, direction, step).
+    index of a (net vertex id, direction, step). The tables are read off
+    the ids themselves: word t of level k >= 1 has first letter t //
+    q^(k - 1), q = 2 rank - 1, and writes the rest as digits, each among
+    the q letters that do not cancel the letter before it, in rank order
+    (`words.reduced_word_at`). So c w is the word t' = c q^k + d q^(k - 1)
+    + (t mod q^(k - 1)) of level k + 1, d the digit of w's first letter
+    after c, unless c cancels that letter; and the parent of word t is word
+    t // q of level k - 1, its last letter the digit t mod q after the
+    parent's last.
     """
     L = space.edge_length
     steps = res_frac.denominator
     res = L * res_frac
     Rg = int(Fraction(R) / res)
     depth = Rg // steps
-    alpha = letters(space.rank)
-    nl = len(alpha)
-    words = reduced_words_upto(space.rank, depth + 1)
-    vid = {w: i for i, w in enumerate(words)}
-    V = len(words)  # also the id of "deeper than depth + 1"
-    Vn = sum(len(w) <= depth for w in words)  # net vertices; `pid` row Vn: none
-    # every vertex id and net index is below the size of `pid`
+    nl = 2 * space.rank
+    q = nl - 1
+    sizes = [1] + [nl * q ** (k - 1) for k in range(1, depth + 2)]
+    start = list(accumulate([0] + sizes))  # start[k]: the first id of level k
+    V, Vn = start[depth + 2], start[depth + 1]  # V: the id of "deeper than depth + 1"
+    # the words of a tree ball of depth + 1, one item each
+    _refuse_past_cap(depth + 1, V)
+    # every vertex id and net index is below the size of `pid`; `pid` row
+    # Vn: no net vertex
     cells = (Vn + 1) * (nl + 1) * (steps + 1)
     if cells > np.iinfo(np.int32).max:
         raise ValueError("snapshot ids up to %d overflow int32" % cells)
     # lmul[c, v]: id of letter c times vertex v; row nl is the identity
     lmul = np.full((nl + 1, V + 1), V, dtype=np.int32)
     lmul[nl] = np.arange(V + 1)
+    lmul[:nl, 0] = start[1] + np.arange(nl)
     parent = np.full(V + 1, Vn, dtype=np.int32)
     last = np.full(V + 1, nl, dtype=np.int32)  # nl: no last letter
-    for v, w in enumerate(words):
-        for ci, c in enumerate(alpha):
-            lmul[ci, v] = vid.get(compose_words(c, w), V)
-        if w:
-            parent[v] = vid[w[:-1]]
-            last[v] = _ORDER[w[-1]]
+    for k in range(1, depth + 2):
+        t = np.arange(sizes[k])
+        ids = start[k] + t
+        lead, rest = np.divmod(t, q ** (k - 1))
+        if k == 1:
+            parent[ids], last[ids] = 0, t
+            shorter = np.zeros_like(t)
+        else:
+            up, digit = np.divmod(t, q)
+            parent[ids] = start[k - 1] + up
+            last[ids] = digit + (digit >= (last[parent[ids]] ^ 1))
+            # w less its first letter: its second letter leads
+            digit, tail = np.divmod(rest, q ** (k - 2))
+            shorter = start[k - 1] + (digit + (digit >= (lead ^ 1))) * q ** (k - 2) + tail
+        for c in range(nl):
+            longer = (start[k + 1] + c * q ** k + (lead - (lead > (c ^ 1))) * q ** (k - 1) + rest
+                      if k <= depth else V)
+            lmul[c, ids] = np.where(lead == c ^ 1, shorter, longer)
 
-    pv, pd, ps, net_words, net_dirs = [], [], [], [], []
-    for v, w in enumerate(words[:Vn]):
-        pv.append(v)
-        pd.append(0)
-        ps.append(0)
-        net_words.append(w)
-        net_dirs.append(None)
-        room = min(steps - 1, Rg - len(w) * steps)
-        for di, d in enumerate(alpha):
-            if w and d == w[-1].swapcase():
-                continue
-            pv.extend([v] * room)
-            pd.extend([di] * room)
-            ps.extend(range(1, room + 1))
-            net_words.extend([w] * room)
-            net_dirs.extend([d] * room)
-    pv, pd, ps = (np.array(a, dtype=np.int32) for a in (pv, pd, ps))
+    # each net vertex has a slot, then one per letter but the inverse of
+    # its last, holding that edge's points up to the ball's radius
+    room = np.minimum(steps - 1, Rg - np.repeat(np.arange(depth + 1), sizes[: depth + 1]) * steps)
+    counts = np.ones((Vn, nl + 1), dtype=np.int64)
+    counts[:, 1:] = room[:, None]
+    counts[:, 1:][np.arange(nl) == (last[:Vn, None] ^ 1)] = 0
+    counts = counts.ravel()
+    slot = np.repeat(np.arange(len(counts)), counts)
+    pv, pd = np.divmod(slot, nl + 1)
+    ps = np.arange(len(slot)) - (np.cumsum(counts) - counts)[slot] + (pd > 0)
+    pv, pd, ps = (a.astype(np.int32) for a in (pv, np.maximum(pd - 1, 0), ps))
     # pid[v, d, s]: net index of the point s steps from the net vertex v
     # toward d; a vertex sits at s = 0 under every d, the identity column
     # nl included
@@ -270,10 +314,10 @@ def _tree_snapshot(space, R, res_frac):
     vertex = ps == 0
     pid[pv[vertex], :, 0] = np.nonzero(vertex)[0][:, None]
 
-    disp = [float(k * L) for k in range(depth + 2)]
+    words = reduced_words_upto(space.rank, depth)
+    disp = [float(k * L) for k in range(depth + 1)]
     elements = [SnapElement(w, disp[len(w)]) for w in words if disp[len(w)] < R - 1e-12]
-    grid = _VertexGrid(dict(zip(words[:Vn], range(Vn))), lmul, parent, last, pid, pv, pd, ps)
-    return net_words, net_dirs, elements, grid
+    return elements, _VertexGrid(dict(zip(words, range(Vn))), lmul, parent, last, pid, pv, pd, ps)
 
 
 def _reaches(ball, R):
@@ -312,8 +356,7 @@ def snapshot(action, ball, epsilon, resolution=None):
             raise ValueError("resolution %s too coarse for eps=%s" % (res, epsilon))
         if res_frac.numerator != 1:
             raise ValueError("resolution %s does not divide the edge length %s" % (res, L))
-        words, directions, elements, grid = _tree_snapshot(space, R, res_frac)
-        return _TreeSnapshot(action, epsilon, res, elements, words, directions, grid)
+        return _TreeSnapshot(action, epsilon, res, *_tree_snapshot(space, R, res_frac))
     if resolution is not None:
         raise ValueError("a plane snapshot takes no resolution: its net is its orbit sample")
     sel = [e for e in ball.entries if float(e.displacement) <= R + 1e-9]
@@ -371,17 +414,23 @@ def verify_witness(A, B, w, stop=None):
     it are left math.nan (`search_witness` stops at eps).
 
     Memory: each snapshot's `metric` (on trees O(width n) trie node ids, on
-    the plane the dense table of at most about 1.4k points), one action
-    row of each snapshot at a time (equivariance), and temporaries of at
-    most `arrays._CELLS` cells each: a block holds as many rows as fit in
-    that many cells against the larger net, and its common-prefix lengths
-    and float distances are that size.
+    the plane the dense table of at most about 1.4k points), the action
+    rows equivariance keeps between reads of each, every row computed once
+    per call (`_equivariance_defects`), and temporaries of at most
+    `arrays._CELLS` cells each, with their common-prefix lengths.
     Distortion and surjectivity run in the tables' own order (sorted root
     paths on trees, the identity on the plane): the witness is mapped once
-    to fs = B.rank[f[A.order]], and blocks of sorted rows of A are read
-    against the rows of B at fs(block), with a running column minimum for
-    surjectivity. The basepoint defect and the in-net equivariance pairs
-    are read as lists of pairs of net indices. Every entry is bitwise the entry of the dense
+    to fs = B.rank[f[A.order]]. A block of sorted rows of A from a first
+    row `start` is read against the positions from `start` on in both
+    nets, A's rows against A's and B's rows at fs(block) against B's at
+    fs(start:). It takes as many rows as fit in `arrays._CELLS` cells
+    against the positions left (`arrays._block_rows`): the first block,
+    the one a refuted candidate reads, is as small as the net is large,
+    and the blocks grow as the positions left shrink. Surjectivity reads
+    only B's positions that no point maps to, as an image is at distance
+    0.0 from itself: blocks of them against the images. The basepoint
+    defect and the in-net equivariance pairs are read as lists of pairs of
+    net indices. Every entry is bitwise the entry of the dense
     `pairwise_distances` table and every defect is a max or min of entries
     over the same pairs, so the defects are bitwise those of the dense
     n x n computation.
@@ -390,7 +439,8 @@ def verify_witness(A, B, w, stop=None):
     tables are bitwise symmetric (`arrays._separated` is symmetric in the
     two points; the plane formula takes |z_i - z_j| and y_i y_j), so
     |DB(fs_a, fs_b) - DA(a, b)| is too, and every pair (a, b) with b < a is
-    read as (b, a) in b's block.
+    read as (b, a) in b's block; surjectivity reads the distance from an
+    image to a position no point maps to from the position's row.
     """
     _check_table("f", w.f, len(A.points), len(B.points))
     _check_table("phi", w.phi, len(A.elements), max(len(B.elements), 1))
@@ -413,47 +463,77 @@ def _witness_defects(A, B, f, w):
     yield "basepoint", float(DB.pairs(f[[A.base_index]], [B.base_index])[0])
     # the witness in table order: A's position a goes to B's position fs[a]
     fs = DB.rank[f[DA.order]]
-    distortion = 0.0
-    cover = np.full(len(B.points), np.inf)
-    b = _block_rows(max(len(fs), len(cover)))
-    for start in range(0, len(fs), b):
-        rows = slice(start, min(start + b, len(fs)))
-        dB = DB.sorted_rows(fs[rows])
-        gap = dB[:, fs[start:]]
+    distortion, start = 0.0, 0
+    while start < len(fs):
+        rows = slice(start, start + _block_rows(len(fs) - start))
+        gap = DB.sorted_rows(fs[rows], fs[start:])
         gap -= DA.sorted_rows(rows, start)
         distortion = max(distortion, float(np.abs(gap, out=gap).max()))
         yield "distortion", distortion
-        np.minimum(cover, dB.min(axis=0), out=cover)
-    yield "surjectivity", float(cover.max()) + B.covering_radius
-    yield "phi_equivariance", _equivariance_defect(A, B, f, w.phi, forward=True)
-    yield "psi_equivariance", _equivariance_defect(A, B, f, w.psi, forward=False)
+        start = rows.stop
+    # an image is at distance 0.0 from itself, so only the positions no
+    # point maps to can raise surjectivity above 0.0, each by its least
+    # distance to an image (the tables are symmetric)
+    mapped = np.zeros(len(B.points), dtype=bool)
+    mapped[fs] = True
+    images, unmapped = np.flatnonzero(mapped), np.flatnonzero(~mapped)
+    cover, b = 0.0, _block_rows(len(images))
+    for k in range(0, len(unmapped), b):
+        cover = max(cover, float(DB.sorted_rows(unmapped[k : k + b], images).min(axis=1).max()))
+    yield "surjectivity", cover + B.covering_radius
+    phi, psi = _equivariance_defects(A, B, f, w)
+    yield "phi_equivariance", phi
+    yield "psi_equivariance", psi
 
 
-def _equivariance_defect(A, B, f, mapping, forward):
-    """Forward: max d_B(f(g x), phi(g) f(x)) over g in Sigma(A), x with
-    g x in the A-ball. Backward: max d_B(f(psi(g) x), g f(x)) over g in
-    Sigma(B), x with psi(g) x in the A-ball.
+def _equivariance_defects(A, B, f, w):
+    """(phi, psi) equivariance defects. Phi: max d_B(f(g x), phi(g) f(x))
+    over g in Sigma(A), x with g x in the A-ball. Psi: max d_B(f(psi(g) x),
+    g f(x)) over g in Sigma(B), x with psi(g) x in the A-ball.
 
-    Images g f(x) inside B's net are read through the pair formula; those
-    that leave it are measured one by one (`_offnet_defect`)."""
-    worst = 0.0
-    n_out = len(B.elements) if not forward else len(A.elements)
-    for gi in range(n_out):
-        ai = gi if forward else mapping[gi]
-        bi = mapping[gi] if forward else gi
-        row_a = A.row(ai)
-        xs = np.nonzero(row_a >= 0)[0]
-        if not len(xs):
-            continue
-        lhs = f[row_a[xs]]
-        rhs = B.row(bi)[f[xs]]
-        inside = rhs >= 0
-        if inside.any():
-            worst = max(worst, float(B.metric.pairs(lhs[inside], rhs[inside]).max()))
-        if inside.all():
-            continue
-        worst = max(worst, _offnet_defect(B, bi, f[xs[~inside]], lhs[~inside]))
-    return worst
+    One loop over A's elements reads each row once: element i's row serves
+    the phi term of i and the psi term of every g with psi(g) = i, and a
+    row of B is kept from its first read to its last, so a word-wise
+    witness, which pairs each element with its own word, holds one row of
+    each snapshot at a time. Both maxima are over the same terms as two
+    passes would read."""
+    back = [[] for _ in A.elements]
+    for j, i in enumerate(w.psi):
+        back[i].append(j)
+    reads = Counter(w.phi) + Counter(range(len(B.elements)))
+    kept = {}
+
+    def b_row(k):
+        if k not in kept:
+            kept[k] = B.row(k)
+        reads[k] -= 1
+        return kept.pop(k) if not reads[k] else kept[k]
+
+    phi = psi = 0.0
+    for i in range(len(A.elements)):
+        row_a = A.row(i)
+        phi = max(phi, _equivariance_term(B, f, row_a, w.phi[i], b_row(w.phi[i])))
+        for j in back[i]:
+            psi = max(psi, _equivariance_term(B, f, row_a, j, b_row(j)))
+    return phi, psi
+
+
+def _equivariance_term(B, f, row_a, bi, row_b):
+    """max d_B(f(row_a[x]), row_b[f(x)]) over the net points x that row_a
+    keeps in the A-ball, row_b being the row of B's element bi (0.0 where
+    none is kept). Images inside B's net are read through the pair
+    formula; those that leave it are measured one by one
+    (`_offnet_defect`)."""
+    xs = np.nonzero(row_a >= 0)[0]
+    if not len(xs):
+        return 0.0
+    lhs = f[row_a[xs]]
+    rhs = row_b[f[xs]]
+    inside = rhs >= 0
+    worst = float(B.metric.pairs(lhs[inside], rhs[inside]).max()) if inside.any() else 0.0
+    if inside.all():
+        return worst
+    return max(worst, _offnet_defect(B, bi, f[xs[~inside]], lhs[~inside]))
 
 
 def _offnet_defect(snap, el_idx, xs, ys):
@@ -518,7 +598,7 @@ def _wordwise_witness(A, B, epsilon):
     aw = _word_index(A)
     phi = tuple(_match_element(el.word, bw) for el in A.elements)
     psi = tuple(_match_element(el.word, aw) for el in B.elements)
-    return ApproximationWitness(tuple(int(i) for i in f), phi, psi, float(epsilon))
+    return ApproximationWitness(tuple(f), phi, psi, float(epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +667,7 @@ def run_continuity_experiment(make_member, schedule, limit_param, config=Continu
         try:
             action = make_member(param)
         except CertificationError as exc:
-            raise CertificationError(
-                "family member %s failed certification: %s" % (param, exc)
-            ) from exc
+            raise exc.of_member(param) from exc
         scale = float(config.param_scale(param)) if config.param_scale else 1.0
         ball = enumerate_orbit_ball(action, config.ball_T * scale)
         counts = ball.count_samples

@@ -81,10 +81,12 @@ def poincare_partial(ball, s):
     """Partial Poincare sum over the ball: sum over entries of e^{-s d(x,gx)}.
 
     One term per point, in entry order, read off the ball's (displacement,
-    count) runs: a tree ball lists no word.
+    count) runs: a tree ball lists no word, but one past ELEMENT_CAP is
+    refused, as the sum takes a step per point.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
+    ball._listable()
     terms = chain.from_iterable(repeat(math.exp(-s * d), n) for d, n in ball.runs())
     return float(sum(terms))
 

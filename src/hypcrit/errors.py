@@ -26,6 +26,10 @@ class ClassificationError(ValueError):
 class CertificationError(ValueError):
     """An action failed certification (ping-pong, systole threshold, ...)."""
 
+    def of_member(self, param):
+        """This failure, as the failure of the family member `param`."""
+        return CertificationError("family member %s failed certification: %s" % (param, self))
+
 
 class InsufficientDataError(ValueError):
     """A query needs more enumerated data than the given ball contains."""

@@ -58,7 +58,7 @@ from .space import (
     ray_point,
     tree_grid,
 )
-from .words import letters
+from .words import _ORDER, letters
 
 DEFECT_TOL = 1e-9
 #: depth of a tree proxy vertex, in length units and at least in letters
@@ -79,19 +79,29 @@ class InequalityReport(namedtuple("InequalityReport", "passed rows")):
         raise KeyError(name)
 
 
-def _rand_word(rng, alpha, length, w=""):
-    """w followed by `length` random letters of alpha, each redrawn while
-    it cancels the one before it. A draw is alpha[getrandbits(k)], k =
-    len(alpha).bit_length(), redrawn past the alphabet: the draws of
-    `rng.choice` on CPython 3.11, in one call where `choice` makes three."""
-    n, k, bits = len(alpha), len(alpha).bit_length(), rng.getrandbits
-    out, inv = list(w), w[-1:].swapcase()
+def _letter_draws(alpha):
+    """(k, table) of the canonical alphabet alpha for `_rand_word`: k =
+    len(alpha).bit_length(), and table[r] the letter of rank r for each
+    k-bit r, None past the alphabet."""
+    k = len(alpha).bit_length()
+    return k, tuple(alpha) + (None,) * ((1 << k) - len(alpha))
+
+
+def _rand_word(rng, draws, length, w=""):
+    """w followed by `length` random letters of the alphabet of `draws`
+    (`_letter_draws`), each redrawn while it cancels the one before it. A
+    draw is table[getrandbits(k)], redrawn past the alphabet: the draws of
+    `rng.choice` on CPython 3.11, in one call where `choice` makes three.
+    The inverse of the letter of rank r has rank r ^ 1."""
+    k, table = draws
+    bits = rng.getrandbits
+    out, inv = list(w), _ORDER[w[-1]] ^ 1 if w else -1
     for _ in range(length):
         r = bits(k)
-        while r >= n or alpha[r] == inv:
+        while r == inv or table[r] is None:
             r = bits(k)
-        out.append(alpha[r])
-        inv = alpha[r].swapcase()
+        out.append(table[r])
+        inv = r ^ 1
     return "".join(out)
 
 
@@ -100,20 +110,21 @@ def _max_depth(space, radius):
     return max(int(radius / float(space.edge_length)), 1)
 
 
-def _rand_grid_point(rng, alpha, m, max_depth):
-    """A random tree point over the alphabet alpha with m grid units per
-    edge: a vertex at most max_depth edges deep, or a point k/8 of the way
-    along one of its edges."""
-    w = _rand_word(rng, alpha, rng.randrange(0, max_depth + 1))
+def _rand_grid_point(rng, draws, m, max_depth):
+    """A random tree point over the alphabet of `draws` with m grid units
+    per edge: a vertex at most max_depth edges deep, or a point k/8 of the
+    way along one of its edges."""
+    w = _rand_word(rng, draws, rng.randrange(0, max_depth + 1))
     k = rng.randrange(0, 8)
     if k == 0:
         return _GridPoint(w, 0, None)
-    return _GridPoint(w, k * m // 8, _rand_word(rng, alpha, 1, w[-1:])[-1])
+    return _GridPoint(w, k * m // 8, _rand_word(rng, draws, 1, w[-1:])[-1])
 
 
 def _rand_tree_point(rng, space, radius):
     D, m = tree_grid(space)
-    g = _rand_grid_point(rng, letters(space.valence // 2), m, _max_depth(space, radius))
+    g = _rand_grid_point(rng, _letter_draws(letters(space.valence // 2)), m,
+                         _max_depth(space, radius))
     return _tree_point(g, Fraction(1, D))
 
 
@@ -134,7 +145,8 @@ def _rand_boundary(rng, space):
     proxy for every L.
     """
     if space.kind == TREE:
-        return _rand_word(rng, letters(space.valence // 2), _proxy_letters(space.edge_length))
+        draws = _letter_draws(letters(space.valence // 2))
+        return _rand_word(rng, draws, _proxy_letters(space.edge_length))
     return rng.uniform(-10.0, 10.0)
 
 
@@ -206,17 +218,17 @@ def _tree_samplers(space, delta, plan):
     the `TreePoint` reference the tests keep.
     """
     D, m = tree_grid(space)  # units per length, per edge
-    alpha = letters(space.valence // 2)
+    draws = _letter_draws(letters(space.valence // 2))
     proxy = _proxy_letters(space.edge_length)
     t_grid = [k * D // 2 for k in range(17)]  # 0, 1/2, ..., 8
     depths = {r: _max_depth(space, r) for r in (plan.radius, plan.radius / 2)}
 
     def point(rng, radius):
-        return _rand_grid_point(rng, alpha, m, depths[radius])
+        return _rand_grid_point(rng, draws, m, depths[radius])
 
     def boundary(rng):
         # `_rand_boundary` with the alphabet and proxy length drawn once
-        return _rand_word(rng, alpha, proxy)
+        return _rand_word(rng, draws, proxy)
 
     dist, product = partial(_path_distance, m), partial(_grid_product, m)
 

@@ -6,7 +6,9 @@ base class, builds its own orbit ball: all distinct orbit points within
 radius T, deduplicated, in canonical word order. One ball per model,
 `TreeBall` (level sizes) or `PlaneBall` (entries), with one reading
 interface and no base class, owns its counting function N(t), the number
-of points displaced by at most t."""
+of points displaced by at most t. The generating and word-metric checks
+search the orbit graph on ball indices (`_orbit_graph_steps`), so a tree
+ball lists no word for them."""
 
 import bisect
 import math
@@ -14,7 +16,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat
 
 from .errors import CertificationError, InsufficientDataError, NumericalLimitError, ParameterError
 from .isometries import (
@@ -28,10 +30,11 @@ from .isometries import (
     compose,
 )
 from .space import ModelSpace, PlanePoint, TreePoint, plane_distance
-from .words import compose_words, letters, word_key, word_levels
+from .words import _ORDER, compose_words, letters, word_key, word_levels
 
-#: hard cap on enumerated elements; hitting it aborts with a diagnosis
-#: (a non-discrete action would otherwise loop)
+#: hard cap on the words a plane ball builds, where hitting it aborts with
+#: a diagnosis (a non-discrete action would otherwise loop), and on the
+#: points a read of a tree ball takes a step for (`TreeBall._listable`)
 ELEMENT_CAP = 2_000_000
 
 #: the deepest plane ball float64 resolves: g(i) is off by a few eps (|ad| +
@@ -40,25 +43,44 @@ ELEMENT_CAP = 2_000_000
 PLANE_RADIUS_LIMIT = math.acosh(1e-2 / sys.float_info.epsilon)
 
 
-def _orbit_graph_steps(entries, R):
-    """Steps from the identity to each of a ball's `entries`, in entry
-    order, in the orbit graph that joins g to g s (`compose_words`) for
-    every entry s displaced by at most R, through the entries; -1 where no
-    path reaches the entry. The identity is entry 0 of every ball."""
-    index = {e.word: i for i, e in enumerate(entries)}
-    steps = [e.word for e in entries if e.word and float(e.displacement) <= float(R) + 1e-12]
-    dist = [0] + [-1] * (len(index) - 1)
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for s in steps:
-                j = index.get(compose_words(entries[i].word, s))
-                if j is not None and dist[j] < 0:
-                    dist[j] = dist[i] + 1
-                    nxt.append(j)
-        frontier = nxt
-    return dist
+def _orbit_graph_steps(ball, R):
+    """Steps from the identity to each of a ball's entries, in entry
+    order, in the orbit graph that joins g to g s for every entry s
+    displaced by at most R, through the entries; -1 where no path reaches
+    the entry. The identity is entry 0 of every ball.
+
+    The search runs on ball indices. The ball's words closed under
+    prefixes are numbered, and `_letter_tables` maps each number and
+    letter to the number of the reduced product, or to the number past
+    them where the product leaves the set (which then maps to itself): g s
+    is g times the letters of s, one table read each. As s is reduced, it
+    cancels against g only in its first letters, and from the first letter
+    that does not cancel the product only grows; a set closed under
+    prefixes holds no extension of a word it lacks, so a product that
+    leaves it never comes back, and -1 is exact."""
+    import numpy as np
+
+    rmul, nodes = ball._letter_tables()
+    entry = np.full(rmul.shape[1], -1)
+    entry[nodes] = np.arange(len(nodes))
+    moves = []
+    for s in ball._steps(R):
+        image = nodes
+        for c in s:
+            image = rmul[_ORDER[c], image]
+        moves.append(entry[image])
+    dist = np.full(len(nodes), -1)
+    dist[0] = 0
+    frontier, level = np.zeros(1, dtype=np.int64), 0
+    while len(frontier) and moves:
+        level += 1
+        # an image off the entries, -1, lands in the last slot
+        reach = np.zeros(len(nodes) + 1, dtype=bool)
+        for move in moves:
+            reach[move[frontier]] = True
+        frontier = np.flatnonzero(reach[:-1] & (dist < 0))
+        dist[frontier] = level
+    return dist.tolist()
 
 
 #: the reads both actions share
@@ -92,17 +114,18 @@ class TreeAction:
     def orbit_ball(self, T):
         """The `TreeBall` within displacement T >= 0: it counts its levels
         and builds no word. Its depth is int(T / edge_length), so its radius
-        snaps down to the edge grid; a ball past ELEMENT_CAP is refused with
-        its size, the action being free and discrete."""
+        snaps down to the edge grid. The action being free and discrete, a
+        ball of any size is counted; the reads that take a step per point
+        refuse one past ELEMENT_CAP (`TreeBall._listable`), and a count
+        past float64 is refused here, before its levels are built."""
         gain = self.space.edge_length
         depth, sizes, n = int(Fraction(T) / gain), [1], 1
         for k in range(1, depth + 1):
             sizes.append(2 * self.rank * (2 * self.rank - 1) ** (k - 1))
             n += sizes[-1]
-            if n > ELEMENT_CAP:
-                raise CertificationError(
-                    "a tree ball of depth %d holds %s%d points, past the element cap %d"
-                    % (depth, "more than " if k < depth else "", n, ELEMENT_CAP))
+            if n > sys.float_info.max:
+                raise NumericalLimitError("a tree ball of depth %d holds more than %.4g points, "
+                                          "past float64" % (depth, sys.float_info.max))
         return TreeBall(self.rank, gain, tuple(sizes))
 
     #: a word is its isometry, and d_Sigma(g, id) its steps in the orbit graph
@@ -183,16 +206,16 @@ class PlaneAction:
         # the levels, and so the entries, are already in canonical word order
         return PlaneBall(T, tuple(entries), tuple(merged_words))
 
-    def word_metric(self, entries, R):
-        """Steps in the graph that joins every two orbit points at distance
-        <= R, whatever their quotient: it need not lie in the ball, as R
-        may exceed the ball radius."""
+    def word_metric(self, ball, R):
+        """Steps, for each entry of the ball, in the graph that joins every
+        two orbit points at distance <= R, whatever their quotient: it need
+        not lie in the ball, as R may exceed the ball radius."""
         import numpy as np
 
         from .arrays import pairwise_distances
 
-        n = len(entries)
-        close = pairwise_distances(self.space, [e.point for e in entries]) <= float(R) + 1e-9
+        n = ball.count
+        close = pairwise_distances(self.space, ball.points()) <= float(R) + 1e-9
         dist = np.full(n, -1, dtype=int)
         dist[0] = 0
         frontier = dist == 0
@@ -225,6 +248,14 @@ class OrbitEntry(namedtuple("OrbitEntry", "word point displacement isometry", de
     __slots__ = ()
 
 
+def _refuse_past_cap(depth, count):
+    """Refuse, with its size, a read that takes a step for each of the
+    `count` points of a tree ball of the given depth past ELEMENT_CAP."""
+    if count > ELEMENT_CAP:
+        raise CertificationError("a tree ball of depth %d holds %d points, past the element cap %d"
+                                 % (depth, count, ELEMENT_CAP))
+
+
 def _sorted_runs(ball):
     """(ds, ns): the displacements of the ball's runs in nondecreasing order
     and ns[i] the number of points displaced by at most ds[i]."""
@@ -249,7 +280,9 @@ class TreeBall:
     """The orbit ball of F_r, r = `rank`, on its Cayley tree: its level
     `sizes`, level k holding the 2r (2r - 1)^(k - 1) reduced words of length
     k, each displaced by k * edge_length (`level_displacements`, as floats).
-    It stores no word: `entries`, `points` and `words` list the levels."""
+    It stores no word: `entries`, `points` and `words` list the levels, and
+    every read that takes a step per point refuses a ball past ELEMENT_CAP
+    (`_listable`)."""
 
     def __init__(self, rank, edge_length, sizes):
         self.rank, self.edge_length, self.sizes, self.count = rank, edge_length, sizes, sum(sizes)
@@ -260,8 +293,45 @@ class TreeBall:
     count_within = _count_within
     displacement_at = _displacement_at
 
+    def _listable(self):
+        _refuse_past_cap(len(self.sizes) - 1, self.count)
+
     def _tree_levels(self):
+        self._listable()
         return islice(word_levels(self.rank), len(self.sizes))
+
+    def _steps(self, R):
+        """The nonempty words displaced by at most R, listed: the levels
+        within R + 1e-12."""
+        k = bisect.bisect_right(self.level_displacements, float(R) + 1e-12)
+        return [w for words in islice(word_levels(self.rank), 1, k) for w in words]
+
+    def _letter_tables(self):
+        """(rmul, nodes) of `_orbit_graph_steps`, from the level sizes
+        alone: the ball is closed under prefixes, so its nodes are its
+        entries. rmul[c, i] is the index of word i times the letter of rank
+        c, count off the ball. In canonical order the words of level k
+        follow their parents', each parent's children in letter order less
+        the inverse of its last letter: word t of level k >= 1 is child t
+        // fan of level k - 1 by its digit t % fan, with fan = 2 rank
+        children of the identity and 2 rank - 1 of any other word."""
+        import numpy as np
+
+        self._listable()
+        q, n = 2 * self.rank, self.count
+        rmul = np.full((q, n + 1), n, dtype=np.int64)
+        # the rank of the inverse of each word's last letter; q: none
+        skip = np.full(n, q, dtype=np.int64)
+        start = np.cumsum((0,) + self.sizes)
+        for k in range(1, len(self.sizes)):
+            ids = np.arange(start[k], start[k + 1])
+            parent, digit = np.divmod(ids - start[k], q if k == 1 else q - 1)
+            parent += start[k - 1]
+            letter = digit + (digit >= skip[parent])
+            rmul[letter, parent] = ids
+            rmul[letter ^ 1, ids] = parent
+            skip[ids] = letter ^ 1
+        return rmul, np.arange(n)
 
     @property
     def entries(self):
@@ -323,6 +393,28 @@ class PlaneBall:
     def runs(self):
         """(displacement, count) runs in entry order: (d, 1) per entry."""
         return ((e.displacement, 1) for e in self._entries)
+
+    def _listable(self):
+        """A plane ball was held to ELEMENT_CAP as it was built."""
+
+    def _steps(self, R):
+        return [e.word for e in self._entries if e.word and float(e.displacement) <= float(R) + 1e-12]
+
+    def _letter_tables(self):
+        """(rmul, nodes) of `_orbit_graph_steps` on the entries' words
+        closed under prefixes: a plane ball need not hold a prefix of its
+        words, nor a merged word. rmul[c, i] is the number of prefix i
+        times the letter of rank c (`compose_words`), the number of
+        prefixes where that is none; nodes holds each entry's number."""
+        import numpy as np
+
+        words = self.words()
+        trie = list(dict.fromkeys(w[:k] for w in words for k in range(len(w) + 1)))
+        at = {w: i for i, w in enumerate(trie)}
+        top = max((_ORDER[c] for w in words for c in w), default=0)
+        rmul = np.array([[at.get(compose_words(w, c), len(trie)) for w in trie] + [len(trie)]
+                         for c in letters(top // 2 + 1)], dtype=np.int64)
+        return rmul, np.array([at[w] for w in words], dtype=np.int64)
 
     def shortest(self):
         """(displacement, word) of the least displaced nonidentity entry,
@@ -462,7 +554,8 @@ def check_generating(action, ball, threshold=None):
     statement (the small set already generates), hence still certifies the
     bound. Pass means every entry is reachable from the identity in the
     orbit graph of `_orbit_graph_steps` with R = threshold; on failure the
-    witness is the least unreachable word in canonical order.
+    witness is the least unreachable word in canonical order, the entries'
+    order, and only then are the ball's words listed.
     """
     theo = 2.0 * action.declared_codiameter + 72.0 * action.declared_delta
     if threshold is None:
@@ -473,36 +566,36 @@ def check_generating(action, ball, threshold=None):
         raise InsufficientDataError(
             "ball radius %s < 2x threshold %s" % (ball.radius, threshold)
         )
-    entries = ball.entries  # a tree ball lists its entries on each read
-    dist = _orbit_graph_steps(entries, threshold)
-    unreached = [e.word for e, k in zip(entries, dist) if k < 0]
-    if not unreached:
+    dist = _orbit_graph_steps(ball, threshold)
+    if -1 not in dist:
         return CheckReport(True, detail={"threshold": threshold})
-    return CheckReport(False, witness=min(unreached, key=word_key), detail={"threshold": threshold})
+    return CheckReport(False, witness=ball.words()[dist.index(-1)], detail={"threshold": threshold})
 
 
 def word_metric_distances(action, ball, R):
     """d_Sigma(g, id) for every entry, -1 where unreachable: the action's
-    `word_metric` on the ball's entries."""
-    return action.word_metric(ball.entries, R)
+    `word_metric` on the ball."""
+    return action.word_metric(ball, R)
 
 
 def check_word_metric_comparison(action, ball, R):
-    """(R - 2D - 72*delta) * d_Sigma(g) <= d(gx, x) <= R * d_Sigma(g)."""
+    """(R - 2D - 72*delta) * d_Sigma(g) <= d(gx, x) <= R * d_Sigma(g).
+
+    Displacements come from the ball's runs, in entry order; its words are
+    listed only for a failure's witness."""
     thresh = 2.0 * action.declared_codiameter + 72.0 * action.declared_delta
     if R <= thresh:
         raise ParameterError("R must exceed 2D + 72*delta = %.6g" % thresh)
     lower_c = R - thresh
-    entries = ball.entries  # a tree ball lists its entries on each read
-    dsig = action.word_metric(entries, R)
+    dsig = action.word_metric(ball, R)
+    disp = chain.from_iterable(repeat(float(d), n) for d, n in ball.runs())
     worst_lower = worst_upper = 0.0
-    for e, k in zip(entries, dsig):
+    for i, (k, d) in enumerate(zip(dsig, disp)):
         if k < 0:
-            return CheckReport(False, witness=("unreachable", e.word))
-        d = float(e.displacement)
+            return CheckReport(False, witness=("unreachable", ball.words()[i]))
         if lower_c * k > d + 1e-9 or d > R * k + 1e-9:
             return CheckReport(
-                False, witness=(e.word, k, d), detail={"R": R, "threshold": thresh}
+                False, witness=(ball.words()[i], k, d), detail={"R": R, "threshold": thresh}
             )
         if k:
             worst_lower = max(worst_lower, lower_c * k / d) if d else worst_lower

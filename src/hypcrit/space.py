@@ -159,9 +159,14 @@ def _check_point(space, p):
 
 
 def _lcp(u, v):
-    n = min(len(u), len(v))
+    """Common-prefix length of the strings u and v."""
+    if v.startswith(u):
+        return len(u)
+    if u.startswith(v):
+        return len(v)
+    # neither is a prefix of the other: they differ before either ends
     i = 0
-    while i < n and u[i] == v[i]:
+    while u[i] == v[i]:
         i += 1
     return i
 
@@ -193,28 +198,24 @@ def tree_grid(space):
 
 def _tree_separation(m, p, q):
     """Length of the common initial segment of the two root-paths, for edge
-    length m."""
-    k = _lcp(p.word, q.word)
-    lp, lq = len(p.word), len(q.word)
+    length m. A vertex's direction None matches no letter, and two
+    vertices share their offset 0."""
+    pw, qw = p.word, q.word
+    k = _lcp(pw, qw)
+    lp, lq = len(pw), len(qw)
     if k < lp and k < lq:
         return k * m
     if lp == lq:
         # same vertex
-        if p.direction is not None and p.direction == q.direction:
-            return lp * m + min(p.offset, q.offset)
-        return lp * m
+        return lp * m + min(p.offset, q.offset) if p.direction == q.direction else lp * m
     if lp < lq:
-        if p.direction is not None and p.direction == q.word[lp]:
-            return lp * m + p.offset
-        return lp * m
-    if q.direction is not None and q.direction == p.word[lq]:
-        return lq * m + q.offset
-    return lq * m
+        return lp * m + p.offset if p.direction == qw[lp] else lp * m
+    return lq * m + q.offset if q.direction == pw[lq] else lq * m
 
 
 def _path_distance(m, p, q):
     """d(p, q) for edge length m: both depths less twice the separation."""
-    return len(p.word) * m + p.offset + len(q.word) * m + q.offset - 2 * _tree_separation(m, p, q)
+    return (len(p.word) + len(q.word)) * m + p.offset + q.offset - 2 * _tree_separation(m, p, q)
 
 
 def _grid_product(m, x, y, z):
@@ -224,11 +225,13 @@ def _grid_product(m, x, y, z):
 
 
 def _point_at_depth(m, word, direction, depth):
-    """Point on the root-path of (word [+ direction partial edge]) at `depth`."""
+    """Point on the root-path of (word [+ direction partial edge]) at
+    `depth`, made by tuple.__new__, as namedtuple's `_make` does, without
+    the Python frame of the record's own constructor."""
     k, r = divmod(depth, m)
     if r == 0:
-        return _GridPoint(word[:k], r, None)
-    return _GridPoint(word[:k], r, word[k] if k < len(word) else direction)
+        return tuple.__new__(_GridPoint, (word[:k], r, None))
+    return tuple.__new__(_GridPoint, (word[:k], r, word[k] if k < len(word) else direction))
 
 
 def _geodesic_points(m, p, q, ts):

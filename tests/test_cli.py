@@ -169,9 +169,10 @@ def test_tree_continuity_and_entropy_build_no_ball_words(tmp_path, monkeypatch):
 
 
 def test_tree_verify_lists_each_ball_once_per_check(tmp_path, monkeypatch):
-    # generating and word_metric each list the T = 6 ball's entries once,
-    # and packing_chain the T = 2 ball's points once; the first two read
-    # their ball twice, once for the orbit graph and once for the report
+    # packing_chain lists the T = 2 ball's points once; generating and
+    # word_metric list no entry of their T = 6 ball, as the orbit graph is
+    # searched on ball indices and the report reads the ball's runs (each
+    # listed the ball's entries once before, and twice before that)
     from hypcrit.orbits import TreeBall
 
     listed, levels = [], TreeBall._tree_levels
@@ -182,7 +183,7 @@ def test_tree_verify_lists_each_ball_once_per_check(tmp_path, monkeypatch):
 
     monkeypatch.setattr(TreeBall, "_tree_levels", counted)
     assert run(["verify", "--scenario", "f2_tree", "--out", str(tmp_path)]) == 0
-    assert sorted(listed) == [2, 6, 6]
+    assert listed == [2]
 
 
 #: runs the command in its argv from a fresh interpreter and prints its exit
@@ -415,12 +416,16 @@ def test_refused_values_exit_2_before_any_check_runs(tmp_path, monkeypatch):
      "ParameterError: group structure needs even valence, got 5"),
     ("entropy", ("action", "edge_length"), "0",
      "ParameterError: tree edge length must be positive, got 0"),
+    ("boundary", ("boundary", "cylinder_depths"), [0],
+     "ParameterError: cylinder depth must be >= 1, got 0"),
+    ("boundary", ("boundary", "qc_depth"), 0, "ParameterError: cylinder depth must be >= 1, got 0"),
 ], ids=["negative-T", "narrow-window", "shallow-boundary", "s-below-growth", "shallow-generating",
-        "large-threshold", "small-R", "odd-valence", "zero-edge"])
+        "large-threshold", "small-R", "odd-valence", "zero-edge", "depth-0-cylinders",
+        "depth-0-qc"])
 def test_library_refusals_of_a_value_exit_2(tmp_path, command, keys, value, error):
     # f2_tree with one value changed, refused by the library, not by the
     # scenario screen; all but the zero edge ended in a traceback with
-    # exit 1 and no audits.json
+    # exit 1 and no audits.json (a depth-0 cylinder has no approximant)
     scn = cli.load_scenario("f2_tree")
     *blocks, key = keys
     block = scn

@@ -904,3 +904,67 @@ def test_tree_path_distances_match_the_scalar_kernel(ell):
     i = np.array([rng.randrange(n) for _ in range(2000)])
     j = np.array([rng.randrange(n) for _ in range(2000)])
     assert paths.pairs(i, j).tobytes() == table[i, j].tobytes()
+
+
+def count_rows(monkeypatch, cls):
+    """A Counter of (snapshot, element) row computations of `cls` from now
+    on."""
+    from collections import Counter
+
+    computed = Counter()
+    row = cls.row
+
+    def counted(self, gi):
+        computed[id(self), gi] += 1
+        return row(self, gi)
+
+    monkeypatch.setattr(cls, "row", counted)
+    return computed
+
+
+def test_each_row_is_computed_once_per_pass(monkeypatch, f2, rescale_limit):
+    # phi reads A's rows and B's rows at phi's images, psi A's at psi's
+    # images and B's: word-wise, both images of most words are the word
+    # itself, so each row was computed twice or more in a pass
+    ell = Fraction(9, 8)
+    member = tree_action(edge_length=ell)
+    tree = (snapshot(member, enumerate_orbit_ball(member, 2 * ell), 0.5, resolution=ell / 24),
+            snapshot(f2, rescale_limit, 0.5, resolution=Fraction(1, 24)))
+    plane = []
+    for L in (4.5, 4.0):
+        desc = schottky_pair(L)
+        act = schottky_action(desc, certify_ping_pong(desc))
+        plane.append(snapshot(act, enumerate_orbit_ball(act, 23.0 * L / 4.0), 0.08))
+    for (A, B), cls in ((tree, convergence._TreeSnapshot), (plane, convergence._PlaneSnapshot)):
+        computed = count_rows(monkeypatch, cls)
+        w = convergence._wordwise_witness(A, B, A.epsilon)
+        for _ in range(2):
+            computed.clear()
+            verify_witness(A, B, w)
+            assert len(computed) == len(A.elements) + len(B.elements)
+            assert max(computed.values()) == 1
+
+
+def test_full_tree_family_reads_few_blocks_and_rows(monkeypatch):
+    # the eight-member tree_rescale_family, which the benchmark cuts to
+    # three: with 2^14-cell blocks against the larger net and rows computed
+    # on every read it took 6552 distortion blocks and 3580 row
+    # computations, and ran 85% slower than with an action table and
+    # 2^16-cell blocks; a block now spans the columns left of A's upper
+    # triangle and the rows are kept for the pass
+    from collections import Counter
+
+    blocks, witness_defects = Counter(), convergence._witness_defects
+
+    def counted(A, B, f, w):
+        for name, value in witness_defects(A, B, f, w):
+            blocks[name] += 1
+            yield name, value
+
+    monkeypatch.setattr(convergence, "_witness_defects", counted)
+    computed = count_rows(monkeypatch, convergence._TreeSnapshot)
+    rep = run_continuity_experiment(*cli.read_family(cli.load_scenario("tree_rescale_family")))
+    assert [r.eps for r in rep.rows] == [1.0, 0.75, 0.5, 0.375, 0.25, 0.25, 0.25, 0.25]
+    assert blocks["basepoint"] == 80 and blocks["psi_equivariance"] == 59
+    assert blocks["distortion"] <= 3232
+    assert sum(computed.values()) <= 1790

@@ -406,19 +406,43 @@ def test_letter_draws_are_those_of_random_choice():
     # differently fails here, not only in the golden digests
     import random
 
-    from hypcrit.geometry_checks import _GridPoint, _rand_grid_point, _rand_word
+    from hypcrit.geometry_checks import _GridPoint, _letter_draws, _rand_grid_point, _rand_word
     from hypcrit.words import letters
 
     for rank in (1, 2, 3, 4):
         alpha = letters(rank)
+        draws = _letter_draws(alpha)
         for seed in range(300):
             a, b = random.Random(seed), random.Random(seed)
             for length in range(41):
-                assert _rand_word(a, alpha, length) == choice_word(b, alpha, length)
+                assert _rand_word(a, draws, length) == choice_word(b, alpha, length)
             assert a.getstate() == b.getstate()
             # a grid point: its vertex word, then one direction off it
             w = choice_word(b, alpha, b.randrange(0, 7))
             k = b.randrange(0, 8)
             want = _GridPoint(w, k * 24 // 8, choice_word(b, alpha, 1, w[-1:])[-1] if k else None)
-            assert _rand_grid_point(a, alpha, 24, 6) == want
+            assert _rand_grid_point(a, draws, 24, 6) == want
             assert a.getstate() == b.getstate()
+
+
+def test_table_draws_are_the_letter_loop_draws():
+    # `_rand_word` reads a letter table and finds an inverse by rank; the
+    # loop it replaced compared letters and their swapcase: the same words,
+    # after any prefix, and the same generator state after each word
+    import random
+
+    from word_oracle import rand_word
+
+    from hypcrit.geometry_checks import _letter_draws, _rand_word
+    from hypcrit.words import letters
+
+    for rank in (1, 2, 3, 5):
+        alpha = letters(rank)
+        draws = _letter_draws(alpha)
+        for seed in range(400):
+            a, b = random.Random(seed), random.Random(seed)
+            for length in range(26):
+                prefix = rand_word(b, alpha, length % 4)
+                assert _rand_word(a, draws, length % 4) == prefix
+                assert _rand_word(a, draws, length, prefix) == rand_word(b, alpha, length, prefix)
+                assert a.getstate() == b.getstate()

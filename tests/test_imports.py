@@ -188,7 +188,7 @@ TEST_ONLY = {
         "the codiameter lower estimate that ROADMAP item 7 reports for each member",
     ("orbits.py", "word_metric_distances"):
         "the public word-metric read of a ball, which tests and the benchmark tracer call; "
-        "check_word_metric_comparison reads the action's word_metric on entries it lists once",
+        "check_word_metric_comparison reads the action's word_metric on the ball itself",
     ("space.py", "estimate_delta"):
         "the four-point delta lower estimate that ROADMAP item 7 reports for each member",
 }
@@ -368,6 +368,41 @@ def test_rejected_entropy_run_loads_no_audit_module(tmp_path):
         # the package still re-exports every name, each from its defining module
         assert sorted(got["resolved"]) == sorted(REEXPORTED)
         assert all(m.startswith("hypcrit.") for m in got["resolved"].values())
+
+
+_REJECTED_CONVERGE = """
+import json, sys
+from hypcrit import cli
+code = cli.main(["converge", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+loaded = sorted(m for m in sys.modules if m.startswith(("hypcrit", "numpy")))
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+def test_refused_converge_loads_no_numpy(tmp_path):
+    # the limit member is built before `convergence` loads numpy, so a
+    # family whose action is refused exits 2 on scalar code: a key its kind
+    # does not read, an odd valence, a Schottky pair below the systole
+    tree = {"kind": "tree", "valence": 4, "edge_length": "1"}
+    family = {"family": "f", "vary": "edge_length", "schedule": ["3/2"], "limit": "1"}
+    cases = [
+        (tree, {**family, "vary": "L"}, "ScenarioError: tree action has unknown keys 'L'"),
+        ({**tree, "valence": 5}, family,
+         "ParameterError: group structure needs even valence, got 5"),
+        ({"kind": "schottky", "L": 4.0, "min_systole": 0.5},
+         {**family, "vary": "L", "schedule": [0.125], "limit": 0.0625},
+         "CertificationError: family member 1/16 failed certification: systole below"),
+    ]
+    for i, (action, converge, error) in enumerate(cases):
+        path = tmp_path / ("family%d.scn" % i)
+        path.write_text(json.dumps({"schema": 1, "action": action, "converge": converge}),
+                        encoding="utf-8")
+        got = _run(_REJECTED_CONVERGE, str(path), str(tmp_path / str(i)))
+        assert got["code"] == 2
+        assert not [m for m in got["loaded"] if m == "numpy" or m.startswith("numpy.")]
+        assert "hypcrit.convergence" not in got["loaded"]
+        audit = json.loads((tmp_path / str(i) / "audits.json").read_text(encoding="utf-8"))
+        assert audit["error"].startswith(error), audit
 
 
 def bench_setup_code():

@@ -21,6 +21,7 @@ from hypcrit.orbits import (
     PLANE_RADIUS_LIMIT,
     OrbitEntry,
     PlaneAction,
+    TreeBall,
     _count_by_shell,
     _MergeHash,
     check_generating,
@@ -122,22 +123,50 @@ def test_tree_displacements_are_word_lengths(f2_ball6):
 
 def test_element_cap_trips_before_a_level_is_built(monkeypatch, f2, schottky):
     from hypcrit import orbits
+    from hypcrit.boundary import patterson_sullivan_atoms
+    from hypcrit.convergence import snapshot
+    from hypcrit.entropy import poincare_partial
 
     monkeypatch.setattr(orbits, "ELEMENT_CAP", 161)
     assert enumerate_orbit_ball(f2, 4).count == 161
-    # level 5 would build 324 more words; a tree action is discrete, so
-    # the message names the ball's size, not a diagnosis
-    with pytest.raises(CertificationError, match=r"^a tree ball of depth 5 holds 485 points, "
-                                                 r"past the element cap 161$"):
-        enumerate_orbit_ball(f2, 5)
-    with pytest.raises(CertificationError, match="depth 7 holds more than 485 points"):
-        enumerate_orbit_ball(f2, 7)
+    # a tree ball stores no word, so one past the cap is counted; each read
+    # that takes a step per point refuses it before listing any level, and
+    # a tree action is discrete, so the message names the ball's size, not
+    # a diagnosis
+    ball = enumerate_orbit_ball(f2, 5)
+    assert ball.count == 485 and ball.count_samples[-1] == (5.0, 485)
+    for read in (lambda b: b.entries, TreeBall.points, TreeBall.words,
+                 lambda b: poincare_partial(b, 1.3),
+                 lambda b: patterson_sullivan_atoms(f2, b, 1.3),
+                 lambda b: check_generating(f2, b, 1.0)):
+        with pytest.raises(CertificationError, match=r"^a tree ball of depth 5 holds 485 points, "
+                                                     r"past the element cap 161$"):
+            read(ball)
+    # a snapshot of radius 4 numbers the words of length <= 5
+    snapshot(f2, ball, 1 / 3.5)
+    with pytest.raises(CertificationError, match="^a tree ball of depth 5 holds 485 points"):
+        snapshot(f2, ball, 0.25)
+    with pytest.raises(CertificationError, match="depth 7 holds 4373 points"):
+        enumerate_orbit_ball(f2, 7).words()
     # the plane frontier keeps children outside the ball, so the cap must
     # bound the words each level builds, not only the entries it keeps
     monkeypatch.setattr(orbits, "ELEMENT_CAP", 1000)
     slow = schottky_action(schottky_pair(4.0), schottky.certificate._replace(per_letter_gain=0.5))
     with pytest.raises(CertificationError, match="^element cap hit; action looks non-discrete$"):
         enumerate_orbit_ball(slow, 4.0)
+
+
+def test_tree_ball_past_the_cap_is_counted_not_listed(f2):
+    # T = 16 holds 2 * 3^16 - 1 points, 43 times the cap: its counts are
+    # read, and listing its entries is refused with its size; a count past
+    # float64 is refused before its levels are built
+    ball = f2.orbit_ball(16)
+    assert ball.count == 2 * 3**16 - 1 and ball.count_within(10.5) == 2 * 3**10 - 1
+    with pytest.raises(CertificationError, match=r"^a tree ball of depth 16 holds 86093441 points, "
+                                                 r"past the element cap 2000000$"):
+        ball.entries
+    with pytest.raises(NumericalLimitError, match="past float64"):
+        f2.orbit_ball(10**9)
 
 
 def test_rescaled_tree_ball(f2_ball6):
@@ -201,6 +230,34 @@ def test_word_metric_comparison_schottky(schottky, schottky_ball):
     thresh = 2.0 * schottky.declared_codiameter + 72.0 * schottky.declared_delta
     rep = check_word_metric_comparison(schottky, schottky_ball, thresh + 1.0)
     assert rep.passed
+
+
+def test_orbit_graph_steps_match_the_word_search(f2, schottky):
+    # the search on ball indices against the string search it replaced,
+    # which composes every product as a word and looks it up: on tree balls
+    # at three edges and on Schottky balls, at radii R from below one
+    # letter to past the ball, and on plane balls with entries taken out,
+    # whose words then miss prefixes (a merged word is missing so)
+    from hypcrit.orbits import PlaneBall, _orbit_graph_steps
+    from word_oracle import orbit_graph_steps
+
+    balls = [enumerate_orbit_ball(tree_action(valence=v, edge_length=ell), T)
+             for v, ell, T in ((4, 1, 6), (4, Fraction(3, 2), 7), (6, Fraction(2, 3), 2))]
+    balls += [enumerate_orbit_ball(schottky, T) for T in (8.0, 14.0)]
+    full = balls[-1].entries
+    rng = random.Random(3)
+    for keep in (0.9, 0.6):
+        kept = (full[0],) + tuple(e for e in full[1:] if rng.random() < keep)
+        balls.append(PlaneBall(14.0, kept, ()))
+    reached = unreached = 0
+    for ball in balls:
+        # past R = 2 the large tree ball's every word is a step
+        for R in (0.5, 1.0, 2.0) + ((4.5, 8.5, 30.0) if ball.count < 200 else ()):
+            got = _orbit_graph_steps(ball, R)
+            assert got == orbit_graph_steps(ball.entries, R), (ball.radius, R)
+            reached += max(got) > 1
+            unreached += -1 in got
+    assert reached and unreached
 
 
 # ---------------------------------------------------------------------------
