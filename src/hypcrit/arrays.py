@@ -55,30 +55,6 @@ def _block_rows(columns):
     return max(1, _CELLS // max(columns, 1))
 
 
-def _level_rows(rank, lengths):
-    """`_word_rows` of the reduced words of F_rank whose lengths lie in
-    the range `lengths`, one digit wider than the longest, level by level
-    in canonical order, built from letter ranks with no word listed: level
-    k + 1 repeats each row of level k 2 rank - 1 times and writes after it,
-    in rank order, the letters that do not cancel its last one (the inverse
-    of rank r has rank r ^ 1)."""
-    if not lengths:
-        return np.zeros((0, 1), dtype=np.int8)
-    q = 2 * rank
-    follow = np.array([[r for r in range(q) if r != p ^ 1] for p in range(q)], dtype=np.int8)
-    sizes = [q * (q - 1) ** (k - 1) if k else 1 for k in lengths]
-    out = np.full((sum(sizes), lengths.stop), -1, dtype=np.int8)
-    level, at = np.zeros((1, 0), dtype=np.int8), 0
-    for k in range(lengths.stop):
-        if k in lengths:
-            out[at : at + len(level), :k] = level
-            at += len(level)
-        if k + 1 < lengths.stop:
-            nxt = follow[level[:, -1]] if k else np.arange(q, dtype=np.int8)[None]
-            level = np.column_stack((np.repeat(level, nxt.shape[1], axis=0), nxt.ravel()))
-    return out
-
-
 def _word_rows(words, width):
     """Letter ranks of each word as an int8 row of `width` digits.
 

@@ -18,23 +18,18 @@ product of two ray points at depth t and the distance from a point to a
 ray have closed forms (`arrays.plane_ray_product`,
 `arrays.plane_ray_distance` and their array forms); no ray point is built
 for a product or a shadow test, and `ray_point`/`plane_dist_to_ray` are
-the reference they are tested against.
+the reference they are tested against. Only the plane rules import
+`arrays` and numpy, where they run.
 
 Tree boundary data is word combinatorics: a tree Patterson-Sullivan
-measure is level arrays (`_TreeRules.measure`), with one weight per level,
-summed in the order of the orbit entries, so its bits are those of one
-`Atom` per entry; tree products and shadow tests count whole units of
-`tree_grid` in integers. The `Atom` and `Fraction` forms are the
-reference of the tests.
-
-Measures cache their boundary atoms as arrays, in atom order, in
-`AtomicMeasure.arrays`: `_TreeAtoms` (letter rows, also lexsorted, word
-lengths, which are their depths, weights) or `_PlaneAtoms` (endpoint
-coordinates, depths, weights). `ball_mass` and `shadow_mass` apply the
-scalar membership rules of `generalized_ball_contains` and
-`shadow_contains` to every atom at once (the rules' `ball_rules` and
-`shadow_rules`), summing masked weights left to right in atom order, and
-the scalar functions remain the reference they are tested against.
+measure is its levels, one weight each (`_TreeRules.measure`); a mass
+counts each level's atom words by their common prefix with the centre
+(`_prefix_counts`) and adds as many copies of its weight, with the bits
+of a left-to-right loop over the atoms (`_add_copies`); products and
+shadow tests count units of `tree_grid` in integers. Plane masses apply
+the scalar rules to the atom arrays (`_PlaneAtoms`) at once, summing
+left to right. The `Atom`, `Fraction` and scalar forms are the tests'
+reference.
 """
 
 import bisect
@@ -46,15 +41,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
-import numpy as np
-
-from .arrays import (
-    _level_rows,
-    plane_ray_distance,
-    plane_ray_distances,
-    plane_ray_product,
-    plane_ray_products,
-)
 from .errors import DepthError, InsufficientDataError, MeasureError, ParameterError
 from .isometries import fixed_points
 from .space import (
@@ -148,9 +134,14 @@ def generalized_ball_contains(action, z, rho, zp):
     Returns True, False, or None when the product's error bracket straddles
     the threshold.
     """
+    return _rules(action).ball_contains(z, _threshold(rho), zp)
+
+
+def _threshold(rho):
+    """log(1/rho), the product threshold of the ball of radius rho in (0, 1]."""
     if not (0 < rho <= 1):
         raise ValueError("radius must be in (0, 1]")
-    return _rules(action).ball_contains(z, math.log(1.0 / rho), zp)
+    return math.log(1.0 / rho)
 
 
 def shadow_contains(action, y, r, z):
@@ -202,6 +193,9 @@ def check_shadow_ball_lemma(action, samples, ts, seed=0, pair_count=200):
 
     An audit that could test nothing is refused (ValueError): no scale T,
     pair_count below 1, or fewer than 2 samples to draw a pair from.
+
+    Queries go to one rules object, with ray points in its own form and
+    a = 0.2 / delta in the visual range (2 a delta = 0.4 < log 2).
     """
     if not ts:
         raise ValueError("shadow-ball audit needs at least one scale T")
@@ -222,23 +216,25 @@ def check_shadow_ball_lemma(action, samples, ts, seed=0, pair_count=200):
     V = math.exp(params.a * delta)
     ray_points_to = rules.ray_points_to(ts)
     exceeds = rules.exceeds([T + 1e-9 for T in ts])
+    out_thrs = [_threshold(min(math.exp(-T + r_out), 1.0)) for T in ts]
+    rhos = [math.exp(-T) for T in ts]
+    thrs = [_threshold(rho) for rho in rhos]
     for _ in range(pair_count):
         z, zp = rng.sample(samples, 2)
         try:
             beyond = exceeds(z, zp)
         except DepthError:
             continue
-        for T, xi, deep in zip(ts, ray_points_to(z), beyond):
+        for xi, deep, out_thr, rho, thr in zip(ray_points_to(z), beyond, out_thrs, rhos, thrs):
             if xi is None:
                 continue
             if deep:
                 bis[0] += 1
-                if not shadow_contains(action, xi, r_shadow, zp):
+                if not rules.ray_shadow(xi, r_shadow, zp):
                     bis[1] += 1
-            if shadow_contains(action, xi, r_out, zp):
-                rho = min(math.exp(-T + r_out), 1.0)
+            if rules.ray_shadow(xi, r_out, zp):
                 try:
-                    m = generalized_ball_contains(action, z, rho, zp)
+                    m = rules.ball_contains(z, out_thr, zp)
                 except DepthError:
                     m = None
                 sib[0] += 1
@@ -247,10 +243,9 @@ def check_shadow_ball_lemma(action, samples, ts, seed=0, pair_count=200):
                 elif not m:
                     sib[1] += 1
             # visual bracket against the generalized ball at radius e^{-T}
-            rho = math.exp(-T)
-            lo_d, hi_d = visual_distance(params, action, z, zp)
+            lo_d, hi_d = rules.visual(params.a, z, zp)
             try:
-                m = generalized_ball_contains(action, z, rho, zp)
+                m = rules.ball_contains(z, thr, zp)
             except DepthError:
                 m = None
             vis[0] += 1
@@ -332,7 +327,7 @@ class AtomicMeasure:
     """A normalized atomic measure: its `atoms` in orbit-entry order, the
     boundary atoms among them, and their `arrays`, each built on first
     use. A tree Patterson-Sullivan measure holds `_LevelItems` of atoms and
-    sets its `_TreeAtoms` arrays itself (`_TreeRules.measure`)."""
+    its `boundary_levels` and `boundary_total` (`_TreeRules.measure`)."""
 
     def __init__(self, atoms, s, truncation_T):
         self.atoms = atoms
@@ -372,57 +367,13 @@ class _LevelItems(Sequence):
         return self.make(k, reduced_word_at(self.rank, k, i - (self.ends[li - 1] if li else 0)))
 
 
-class _TreeAtoms:
-    """Letter rows (`_word_rows`, padded with -1), word lengths and weights
-    of tree boundary atoms; a tree approximant's depth is its word length
-    (`TreeBoundary`).
-
-    total is the left-to-right float sum of the weights, the order in
-    which the scalar loops add them. `columns` holds the rows lexsorted
-    (atom `order`), column by column, for `lcp`, which computes the
-    lengths of each distinct word once and keeps them, one int8 per atom
-    (`_lcps`): the audits read the same centers at several scales.
-    """
-
-    def __init__(self, rows, weight):
-        self.rows, self.width = rows, rows.shape[1]
-        self.lengths = np.count_nonzero(rows >= 0, axis=1)
-        self.weight = weight
-        self.total = _ordered_sum(weight)
-        self.order = np.lexsort(self.rows.T[::-1])
-        self.columns = np.ascontiguousarray(self.rows[self.order].T)
-        self._lcps = {}
-
-    def lcp(self, word):
-        """Common-prefix length of `word` with every atom word, in atom
-        order, as a read-only int8 array. The atoms sharing the first j
-        letters of `word` are a range [lo, hi) of the sorted rows, sorted by
-        column j, so a binary search per letter narrows it; the lengths are
-        scattered back once."""
-        word = word[: self.width]
-        if word in self._lcps:
-            return self._lcps[word]
-        srt = np.zeros(len(self.order), dtype=np.int8)
-        lo, hi = 0, len(srt)
-        for j, c in enumerate(word):
-            col = self.columns[j, lo:hi]
-            digit = _ORDER[c]
-            lo, hi = lo + col.searchsorted(digit, "left"), lo + col.searchsorted(digit, "right")
-            if lo == hi:
-                break
-            srt[lo:hi] = j + 1
-        out = np.empty_like(srt)
-        out[self.order] = srt
-        out.flags.writeable = False
-        self._lcps[word] = out
-        return out
-
-
 class _PlaneAtoms:
     """Endpoint coordinates (math.inf allowed), depths and weights of plane
-    boundary atoms; total as in _TreeAtoms."""
+    boundary atoms, and total, the weights added left to right."""
 
     def __init__(self, atoms):
+        import numpy as np
+
         self.coord = np.array([a.boundary.coord for a in atoms], dtype=float)
         self.depth = np.array([a.boundary.depth for a in atoms], dtype=float)
         self.weight = np.array([a.weight for a in atoms], dtype=float)
@@ -431,7 +382,60 @@ class _PlaneAtoms:
 
 def _ordered_sum(values):
     """values[0] + values[1] + ... added left to right (0.0 when empty)."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+    return float(values.cumsum()[-1]) if len(values) else 0.0
+
+
+def _add_copies(acc, w, count):
+    """acc + w + ... + w, `count` copies of w added left to right in float64
+    as `acc += w` adds them, in O(log(sum / w)) steps (acc, w >= 0, sums
+    below 2^1023).
+
+    Proof. With u = ulp(acc) and acc = M u, the floats in [acc, 2^53 u] are
+    the multiples of u (2^53 u ends a normal acc's binade; a subnormal acc
+    or 0 has u = 2^-1074). While an exact sum M' u + w, M' >= M, stays
+    below 2^53 u, round to nearest gives (M' + q + b) u, where w / u = q + f
+    exactly (q an integer, 0 <= f < 1) and b = [f > 1/2], or at a tie
+    f = 1/2 the b making M' + q + b even. So the step, exact by Sterbenz,
+    is S = q + b at every addition off ties, and q + (q mod 2) at ties from
+    an even M', as every result is then even. The j-th addition of such a
+    run stays below 2^53 u iff (j - 1) S <= 2^53 - M - q - 1 (integers),
+    so n of them give (M + n S) u exactly; S = 0 leaves acc fixed. Else
+    (w >= 2^53 u - acc, as while acc < w, or a tie at an odd M) one plain
+    addition crosses a binade or makes M even: three steps per binade.
+    """
+    while count:
+        u = math.ulp(acc)
+        if w < u * 2**53 - acc:  # exactly (2^53 - M) u
+            W, M = w / u, int(acc / u)
+            q = int(W)
+            f = W - q
+            if f != 0.5 or not M & 1:
+                S = q + (1 if f > 0.5 else q & 1 if f == 0.5 else 0)
+                if not S:
+                    return acc
+                n = min(count, (2**53 - M - q - 1) // S + 1)
+                acc, count = (M + n * S) * u, count - n
+                continue
+        acc, count = acc + w, count - 1
+    return acc
+
+
+def _prefix_counts(rank, word, ell):
+    """[c_0 .. c_n], n = min(len(word), ell): c_j counts the reduced words of
+    length ell over F_rank sharing exactly j first letters with `word`,
+    P_j - P_(j+1) (c_n = P_n) for P_j those beginning with word[:j]: with
+    q = 2 rank, P_0 = q (q-1)^(ell-1) (1 at ell = 0), P_j = (q-1)^(ell-j)
+    while word[:j] is a reduced word over the alphabet, then 0. So for a
+    reduced word, c_0 = (q-1)^ell if n > 0, c_j = (q-2)(q-1)^(ell-j-1) for
+    0 < j < n and c_n = (q-1)^(ell-n)."""
+    q, n = 2 * rank, min(len(word), ell)
+    P = [q * (q - 1) ** (ell - 1) if ell else 1] + [0] * n
+    for j in range(1, n + 1):
+        c = word[j - 1]
+        if _ORDER.get(c, q) >= q or j > 1 and c == word[j - 2].swapcase():
+            break
+        P[j] = (q - 1) ** (ell - j)
+    return [P[j] - P[j + 1] for j in range(n)] + [P[n]]
 
 
 def patterson_sullivan_atoms(action, ball, s):
@@ -476,32 +480,18 @@ def ball_mass(action, measure, z, rho):
     truncated there, the plane bracket straddles it or the plane endpoints
     coincide.
     """
-    if not (0 < rho <= 1):
-        raise ValueError("radius must be in (0, 1]")
-    atoms = measure.arrays
-    decided, inside = _rules(action).ball_rules(atoms, z, math.log(1.0 / rho))
-    mass, den = _decided_mass(atoms, decided, inside)
-    if mass is None:
-        return None, 0.0
-    return mass, den / atoms.total if atoms.total else 0.0
-
-
-def _decided_mass(atoms, decided, inside):
-    """(mass of the decided atoms inside, decided mass), both summed left
-    to right as the scalar loops add them; the mass is None when no atom is
-    decided."""
-    den = _ordered_sum(atoms.weight[decided])
+    inside, den, total = _rules(action).ball_sums(measure, z, _threshold(rho))
     if den == 0.0:
-        return None, den
-    return _ordered_sum(atoms.weight[decided & inside]) / den, den
+        return None, 0.0
+    return inside / den, den / total if total else 0.0
 
 
 def shadow_mass(action, measure, y, r):
     """Boundary mass of the shadow of B(y, r) seen from the basepoint."""
     if r <= 0:
         raise ValueError("shadow radius must be positive")
-    atoms = measure.arrays
-    return _decided_mass(atoms, *_rules(action).shadow_rules(atoms, y, r))[0]
+    inside, den = _rules(action).shadow_sums(measure, y, r)
+    return inside / den if den else None
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +676,12 @@ class _TreeRules:
         raise DepthError("membership undecidable at truncation depth %d" % k)
 
     def shadow_contains(self, y, r, z):
-        D, m, g = _on_grid(self.space, y)
+        return self.ray_shadow(_on_grid(self.space, y), r, z)
+
+    def ray_shadow(self, p, r, z):
+        """shadow_contains at p = (D, m, g), the form of `ray_points_to`
+        and `_on_grid`: g on a grid of D units per length, m per edge."""
+        D, m, g = p
         sep = _tree_separation(m, g, _GridPoint(z.word, 0, None))
         dy = len(g.word) * m + g.offset
         if sep >= len(z.word) * m and dy > sep:
@@ -695,19 +690,18 @@ class _TreeRules:
 
     def ray_points_to(self, ts):
         """The function taking z to the points at the arclengths ts on the
-        ray from the basepoint toward z, each the point of `ray_point`, or
-        None past the proxy vertex. The rays run from the root on an
-        integer grid holding every t: the grid of `tree_grid`, refined
-        where a t is off it."""
+        ray from the basepoint toward z, each `ray_point` as (D, m, g), or
+        None past the proxy vertex. The rays run from the root on an integer
+        grid holding every t: that of `tree_grid`, refined where a t is off it."""
         if any(t < 0 for t in ts):
             raise ValueError("ray parameter must be nonnegative")
         D, edge = tree_grid(self.space)
         refine = math.lcm(*((Fraction(t) * D).denominator for t in ts))
         D, edge = D * refine, edge * refine
         grid_ts = [int(Fraction(t) * D) for t in ts]
-        root, unit = _GridPoint("", 0, None), Fraction(1, D)
+        root = _GridPoint("", 0, None)
         return lambda z: [
-            _tree_point(_grid_ray_points(edge, root, _GridPoint(z.word, 0, None), [t])[0], unit)
+            (D, edge, _grid_ray_points(edge, root, _GridPoint(z.word, 0, None), [t])[0])
             if t <= len(z.word) * edge else None
             for t in grid_ts
         ]
@@ -740,24 +734,22 @@ class _TreeRules:
         return [_tree_point(g, unit) for g in pts]
 
     def measure(self, ball, s, thresh):
-        """The Patterson-Sullivan measure of a tree ball as level arrays.
+        """The Patterson-Sullivan measure of a tree ball from its levels.
 
         Every word of level k is displaced by k edge_length, so each level
-        has one weight e^{-s float(k L)} / total. The total is the
-        `np.cumsum` of the numbers e^{-s float(k L)} repeated by the level
-        sizes: the left-to-right order, and so the bits, of Python's `sum`
-        over the orbit entries (plain addition on Python 3.11). The levels
-        from `deep` on are projected to the boundary; their letter rows,
-        written level by level from letter ranks (`_level_rows`), and
-        weights are the `_TreeAtoms` arrays, so no level's words are
-        listed. They hold a weight per point, so a ball past ELEMENT_CAP is
-        refused (`TreeBall._listable`).
+        has one weight e^{-s float(k L)} / total, the total adding those
+        numbers over the orbit entries left to right. The levels from `deep`
+        on, projected to the boundary, are kept as (level, weight) pairs
+        with their weights' sum; no level's words are listed. The atoms are
+        one item per point: a ball past ELEMENT_CAP is refused.
         """
         ball._listable()
         sizes = ball.sizes
         disp = ball.level_displacements
         mass = [math.exp(-s * d) for d in disp]
-        total = _ordered_sum(np.repeat(mass, sizes))
+        total = 0.0
+        for x, n in zip(mass, sizes):
+            total = _add_copies(total, x, n)
         weight = [x / total for x in mass]
         deep = next((k for k in range(1, len(disp)) if disp[k] >= thresh - 1e-12), len(disp))
         levels = list(enumerate(sizes))
@@ -767,38 +759,44 @@ class _TreeRules:
 
         measure = AtomicMeasure(_LevelItems(ball.rank, levels, atom), s, float(ball.radius))
         measure.boundary_atoms = _LevelItems(ball.rank, levels[deep:], atom)
-        rows = _level_rows(ball.rank, range(deep, len(sizes)))
-        measure.arrays = _TreeAtoms(rows, np.repeat(weight[deep:], sizes[deep:]))
+        measure.boundary_levels = [(k, weight[k]) for k, _ in levels[deep:]]
+        measure.boundary_total = 0.0
+        for k, n in levels[deep:]:
+            measure.boundary_total = _add_copies(measure.boundary_total, weight[k], n)
         return measure
 
-    def ball_rules(self, atoms, z, thr):
-        """ball_contains on atom arrays at thr = log(1/rho): the (decided,
-        inside) masks, decided only where the atom resolves the scale."""
+    def ball_sums(self, measure, z, thr):
+        """ball_contains summed left to right over the boundary atoms: (mass
+        inside, decided mass, total). An atom of level ell sharing j letters
+        with z is inside iff j L > thr, decided iff ell L >= thr - 1e-12 (it
+        resolves the scale) and it is inside or j < min(|z|, ell)."""
         L = float(self.space.edge_length)
-        k = atoms.lcp(z.word)
-        inside = k * L > thr
-        known = inside | (k < np.minimum(z.depth, atoms.lengths))
-        return (atoms.lengths * L >= thr - 1e-12) & known, inside
+        inside = den = 0.0
+        for ell, w in measure.boundary_levels:
+            if ell * L >= thr - 1e-12:
+                counts = list(enumerate(_prefix_counts(self.action.rank, z.word, ell)))
+                inside = _add_copies(inside, w, sum(c for j, c in counts if j * L > thr))
+                top = min(z.depth, ell)
+                den = _add_copies(den, w, sum(c for j, c in counts if j * L > thr or j < top))
+        return inside, den, measure.boundary_total
 
-    def shadow_rules(self, atoms, y, r):
-        """shadow_contains on atom arrays: the (decided, inside) masks.
-
-        In the grid units of `_on_grid`, the separation of y from the proxy
-        vertex of an atom word is k m for the common-prefix length k, plus
-        y's offset where y's edge leads into the word (y.word a proper
-        prefix and y's direction the next letter); depths and separations
-        are exact integers, and (dy - sep) / D is the float of
-        shadow_contains.
-        """
+    def shadow_sums(self, measure, y, r):
+        """shadow_contains summed left to right over the boundary atoms: (mass
+        inside, decided mass). In `_on_grid` units an atom word sharing j
+        letters with y's word is j m from y's root path, or y's depth where
+        it shares one more with y's word and direction, running along y's edge."""
         D, m, g = _on_grid(self.space, y)
-        ly = len(g.word)
-        k = atoms.lcp(g.word)
-        sep = np.multiply(k, m, dtype=np.int64)
-        if g.direction is not None and ly < atoms.width:
-            into = (k == ly) & (atoms.lengths > ly) & (atoms.rows[:, ly] == _ORDER[g.direction])
-            sep[into] += g.offset
-        dy = ly * m + g.offset
-        return ~((sep >= atoms.lengths * m) & (dy > sep)), (dy - sep) / D < r
+        dy = len(g.word) * m + g.offset
+        seps = [j * m for j in range(len(g.word) + 1)] + [dy]
+        inside = den = 0.0
+        for ell, w in measure.boundary_levels:
+            c_in = c_den = 0
+            for sep, c in zip(seps, _prefix_counts(self.action.rank, g.word + (g.direction or ""), ell)):
+                if sep < ell * m or dy <= sep:  # as in ray_shadow
+                    c_den += c
+                    c_in += c if (dy - sep) / D < r else 0
+            inside, den = _add_copies(inside, w, c_in), _add_copies(den, w, c_den)
+        return inside, den
 
     def pulled_mass(self, measure, g_word):
         """The function (z, rho) -> mu(g^{-1} B(z, rho)), at the radius that
@@ -824,7 +822,9 @@ class _PlaneRules:
     """The plane's boundary rules: closed forms for rays from i, bracketed."""
 
     def __init__(self, action):
-        self.action, self.space = action, action.space
+        from . import arrays  # the closed forms, and numpy: plane rules only
+
+        self.action, self.space, self.arrays = action, action.space, arrays
 
     def product(self, z, zp):
         """(z, z')_x and its error bound: the product of the points at depth
@@ -834,8 +834,8 @@ class _PlaneRules:
         if z.coord == zp.coord:
             raise DepthError("identical plane endpoints: product is unbounded")
         t = max(min(z.depth, zp.depth), 4.0)
-        value = plane_ray_product(z.coord, zp.coord, t)
-        gap = abs(value - plane_ray_product(z.coord, zp.coord, max(t - 2.0, 1.0)))
+        value = self.arrays.plane_ray_product(z.coord, zp.coord, t)
+        gap = abs(value - self.arrays.plane_ray_product(z.coord, zp.coord, max(t - 2.0, 1.0)))
         delta = self.action.declared_delta
         return value, min(delta if delta > 0 else math.inf, gap + 1e-6)
 
@@ -862,7 +862,9 @@ class _PlaneRules:
         return None
 
     def shadow_contains(self, y, r, z):
-        return plane_ray_distance(y.z, z.coord) < r
+        return self.arrays.plane_ray_distance(y.z, z.coord) < r
+
+    ray_shadow = shadow_contains
 
     def ray_points_to(self, ts):
         return lambda z: ray_points(self.space, Ray(self.action.basepoint, z.coord), ts)
@@ -937,22 +939,28 @@ class _PlaneRules:
             atoms.append(Atom(e.word, e.point, float(e.displacement), w, b))
         return AtomicMeasure(tuple(atoms), s, float(ball.radius))
 
-    def ball_rules(self, atoms, z, thr):
-        """ball_contains on atom arrays, with `product` at every atom at once:
-        undecided where the bracket straddles thr, the endpoints coincide
-        (the scalar DepthError) or the atom does not resolve the scale."""
+    def ball_sums(self, measure, z, thr):
+        """ball_contains with `product` at every atom at once: undecided where
+        the bracket straddles thr, the endpoints coincide (the scalar
+        DepthError) or the atom does not resolve the scale."""
+        import numpy as np
+
+        atoms, products = measure.arrays, self.arrays.plane_ray_products
         t = np.maximum(np.minimum(z.depth, atoms.depth), 4.0)
-        value = plane_ray_products(z.coord, atoms.coord, t)
-        gap = np.abs(value - plane_ray_products(z.coord, atoms.coord, np.maximum(t - 2.0, 1.0)))
+        value = products(z.coord, atoms.coord, t)
+        gap = np.abs(value - products(z.coord, atoms.coord, np.maximum(t - 2.0, 1.0)))
         delta = self.action.declared_delta
         err = np.minimum(delta if delta > 0 else math.inf, gap + 1e-6)
         inside = value - err > thr
         known = (atoms.coord != z.coord) & (inside | (value + err <= thr))
-        return (atoms.depth >= thr - 1e-12) & known, inside
+        decided = (atoms.depth >= thr - 1e-12) & known
+        return _ordered_sum(atoms.weight[decided & inside]), _ordered_sum(atoms.weight[decided]), atoms.total
 
-    def shadow_rules(self, atoms, y, r):
-        inside = plane_ray_distances(y.z, atoms.coord) < r
-        return np.ones(len(inside), dtype=bool), inside
+    def shadow_sums(self, measure, y, r):
+        """shadow_contains on the atom arrays, every atom decided."""
+        atoms = measure.arrays
+        inside = self.arrays.plane_ray_distances(y.z, atoms.coord) < r
+        return _ordered_sum(atoms.weight[inside]), atoms.total
 
     def pulled_mass(self, measure, g_word):
         pushed = _pushed_measure(self.action, measure, g_word)

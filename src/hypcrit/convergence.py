@@ -390,10 +390,14 @@ SearchFailure = namedtuple("SearchFailure", "reason defects")
 
 
 def _check_table(name, table, length, limit):
+    """Refuse a table unless it holds `length` indices in [0, limit), naming the first bad one."""
     if len(table) != length:
         raise MalformedWitnessError(
             "%s table has %d entries, expected %d" % (name, len(table), length)
         )
+    a = np.asarray(table)
+    if np.issubdtype(a.dtype, np.integer) and (not len(a) or 0 <= a.min() and a.max() < limit):
+        return
     for i, v in enumerate(table):
         if v is None or not (0 <= int(v) < limit):
             raise MalformedWitnessError("%s table entry %d is invalid: %r" % (name, i, v))

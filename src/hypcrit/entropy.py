@@ -13,7 +13,6 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .arrays import _distance_rows, distances_to_point, pairwise_distances
 from .errors import InsufficientDataError
 from .orbits import PlaneBall, TreeBall
 from .space import TREE
@@ -96,6 +95,8 @@ def poincare_partial(ball, s):
 
 
 def _close_matrix(space, points, r):
+    from .arrays import pairwise_distances
+
     D = pairwise_distances(space, points)
     return D <= r + 1e-12
 
@@ -166,10 +167,10 @@ def packing_number(space, points, r, mode="exact"):
         search(0, 0, 0)
         return best[0]
     if mode == "greedy":
-        D = pairwise_distances(space, points)
+        close = _close_matrix(space, points, 2 * r)
         chosen = []
         for i in range(n):
-            if all(D[i, j] > 2 * r + 1e-12 for j in chosen):
+            if not any(close[i, j] for j in chosen):
                 chosen.append(i)
         return len(chosen)
     raise ValueError("unknown mode %r" % mode)
@@ -199,6 +200,8 @@ def covering_entropy_estimate(action, hull_samples, r, window):
     if ball is not None and _isolated_vertices(space, r):
         count_within = ball.count_within
     else:
+        from .arrays import distances_to_point
+
         if ball is not None:
             hull_samples = ball.points()
         d0 = distances_to_point(space, hull_samples, action.basepoint)
@@ -252,6 +255,8 @@ def greedy_covering_count(space, points, r):
         and len({p.word for p in points}) == n
     ):
         return n
+    from .arrays import _distance_rows
+
     rows = _distance_rows(space, points)
     mind = rows(np.array([0]))[0]
     count = 1
@@ -285,6 +290,8 @@ def check_packing_growth(action, hull_samples, ts, r):
     packing numbers of hull pieces, also lower bounds, so a pass is the
     honest direction of the inequality.
     """
+    from .arrays import distances_to_point
+
     base = action.basepoint
     base_radius = 72.0 * action.declared_delta + 3.0 * r
     d0 = distances_to_point(action.space, hull_samples, base)

@@ -5,17 +5,17 @@ from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from hypcrit import boundary
-from hypcrit.arrays import _level_rows, _row_lcp, _word_rows
 from hypcrit.boundary import (
     Atom,
     AtomicMeasure,
     PlaneBoundary,
     TreeBoundary,
     VisualParams,
+    _add_copies,
+    _prefix_counts,
     _pushed_measure,
     _rules,
     ball_mass,
@@ -35,7 +35,16 @@ from hypcrit.boundary import (
 from hypcrit.errors import DepthError, InsufficientDataError, MeasureError
 from hypcrit.isometries import PlaneIsometry, certify_ping_pong, schottky_pair
 from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
-from hypcrit.space import Ray, TreePoint, _lcp, _tree_separation, distance, geodesic_point, ray_point
+from hypcrit.space import (
+    Ray,
+    TreePoint,
+    _lcp,
+    _tree_point,
+    _tree_separation,
+    distance,
+    geodesic_point,
+    ray_point,
+)
 from hypcrit.words import reduced_words_of_length, reduced_words_upto
 
 
@@ -241,19 +250,30 @@ def test_tree_limit_set_sample_lists_no_level(f2):
 
 
 def test_tree_measure_rows_list_no_level(f2):
-    # the boundary atoms' letter rows are written level by level from
-    # letter ranks, the rows of the listed words, and the ball's words are
-    # never listed
-    for rank in (1, 2, 3):
-        for lo in range(6):
-            for hi in range(lo, 7):
-                words = [w for k in range(lo, hi) for w in reduced_words_of_length(rank, k)]
-                want = _word_rows(words, hi if lo < hi else 1)
-                got = _level_rows(rank, range(lo, hi))
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the measure's boundary is its levels with their weights, and its
+    # masses count words: the ball's words are never listed
     ball = enumerate_orbit_ball(f2, 8)
-    atoms = patterson_sullivan_atoms(f2, ball, 1.3).arrays
-    assert len(atoms.rows) == 4 * 3**5 * (1 + 3 + 9) and "levels" not in ball.__dict__
+    measure = patterson_sullivan_atoms(f2, ball, 1.3)
+    assert [k for k, _ in measure.boundary_levels] == [6, 7, 8]
+    assert len(measure.boundary_atoms) == 4 * 3**5 * (1 + 3 + 9)
+    ball_mass(f2, measure, TreeBoundary("abAB"), cylinder_scale(f2, 2))
+    shadow_mass(f2, measure, TreePoint("ab", Fraction(1, 2), "a"), 2.0)
+    assert "levels" not in ball.__dict__ and "arrays" not in vars(measure)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_prefix_counts_count_the_listed_words(rank):
+    # every word, reduced or not, with letters in and out of the alphabet,
+    # against the common prefixes of the listed words of each level
+    alphabet = "aAbBcCdD"[: 2 * rank + 2]
+    words = ["", "a", "aA", "Aa", "d", "ad"] + [
+        "".join(random.Random(i).choice(alphabet) for _ in range(i % 6)) for i in range(60)
+    ]
+    for ell in range(6):
+        level = reduced_words_of_length(rank, ell)
+        for w in words:
+            want = Counter(_lcp(w, x) for x in level)
+            assert _prefix_counts(rank, w, ell) == [want[j] for j in range(min(len(w), ell) + 1)], (w, ell)
 
 
 def fraction_hull(action, limit_samples, pair_count, seed, points_per_pair=8):
@@ -402,10 +422,10 @@ def test_tree_masses_match_scalar_rules(ell):
 
 @pytest.mark.parametrize("ell", [Fraction(1), Fraction(9, 8)], ids=["L=1", "L=9/8"])
 def test_tree_shadow_rules_match_shadow_contains(ell):
-    # the (decided, inside) masks against one shadow_contains call per
-    # atom, for vertices y and edge points y heading into an atom word
-    # (the separation gains y's offset) or out of it, above and below the
-    # atom depths, so that undecided atoms occur
+    # the shadow sums against one shadow_contains call per atom, for
+    # vertices y and edge points y heading into an atom word (the
+    # separation gains y's offset) or out of it, above and below the atom
+    # depths, so that undecided atoms occur
     act = tree_action(edge_length=ell)
     measure = patterson_sullivan_atoms(act, enumerate_orbit_ball(act, 5 * ell), 1.3)
     res = ell / 24
@@ -417,16 +437,19 @@ def test_tree_shadow_rules_match_shadow_contains(ell):
             out = next(c for c in "aAbB" if c != w[j] and (j == 0 or c != w[j - 1].swapcase()))
             for y in (TreePoint(w[:j]), TreePoint(w[:j], 5 * res, w[j]), TreePoint(w[:j], 19 * res, out)):
                 for r in (0.25, 2.5):
-                    decided, inside = _rules(act).shadow_rules(measure.arrays, y, r)
-                    for i, atom in enumerate(measure.boundary_atoms):
+                    want = [0.0, 0.0]
+                    for atom in measure.boundary_atoms:
                         try:
                             m = shadow_contains(act, y, r, atom.boundary)
                         except DepthError:
-                            assert not decided[i]
                             seen["undecided"] += 1
                             continue
-                        assert decided[i] and inside[i] == m
+                        want[1] += atom.weight
+                        if m:
+                            want[0] += atom.weight
                         seen[(y.direction == w[j] if y.direction else None, m)] += 1
+                    got = _rules(act).shadow_sums(measure, y, r)
+                    assert [x.hex() for x in got] == [x.hex() for x in want]
     assert seen["undecided"]
     assert all(seen[(into, m)] for into in (None, True, False) for m in (True, False))
 
@@ -444,8 +467,12 @@ def test_base_ray_points_match_ray_point(f2, schottky, schottky_ball):
     for act, samples in cases:
         points_to = _rules(act).ray_points_to(ts)
         for z in samples:
-            target = z.word if isinstance(z, TreeBoundary) else z.coord
+            tree = isinstance(z, TreeBoundary)
+            target = z.word if tree else z.coord
             for t, got in zip(ts, points_to(z)):
+                if tree and got is not None:
+                    D, _, g = got
+                    got = _tree_point(g, Fraction(1, D))
                 try:
                     want = ray_point(act.space, Ray(act.basepoint, target), t)
                 except DepthError:
@@ -496,13 +523,14 @@ def test_ahlfors_audit_tree(f2, f2_measure):
     assert rep.step1_bound == pytest.approx(3.0**1.5, rel=1e-12)
 
 
-def test_ahlfors_audit_rejects_dirac_control(f2, f2_measure):
-    from hypcrit.boundary import Atom, AtomicMeasure
-
+def test_ahlfors_audit_rejects_dirac_control(f2, f2_measure, monkeypatch):
+    # a Dirac mass is no tree Patterson-Sullivan measure, so its masses
+    # come from the scalar references
     deep = max(f2_measure.boundary_atoms, key=lambda a: a.displacement)
     dirac = AtomicMeasure((Atom(deep.word, deep.point, deep.displacement, 1.0, deep.boundary),),
                           f2_measure.s, f2_measure.truncation_T)
-    dirac.arrays = RowCompareAtoms(dirac.boundary_atoms)
+    monkeypatch.setattr(boundary, "ball_mass", scalar_ball_mass)
+    monkeypatch.setattr(boundary, "shadow_mass", scalar_shadow_mass)
     centers = [deep.boundary]
     scales = [cylinder_scale(f2, n) for n in (3, 4, 5)]
     rep = check_ahlfors_regularity(f2, dirac, math.log(3.0), centers, scales)
@@ -594,30 +622,13 @@ def test_shadow_ball_lemma_both_models(f2, schottky, schottky_ball):
 
 
 # ---------------------------------------------------------------------------
-# the tree measure as level arrays, against the object path it replaced
-
-
-class RowCompareAtoms:
-    """Reference for the tree atom arrays: built from `Atom` objects, with
-    common prefixes found by comparing the query with every atom row."""
-
-    def __init__(self, atoms):
-        words = [a.boundary.word for a in atoms]
-        self.lengths = np.array([len(w) for w in words], dtype=np.int64)
-        self.width = int(self.lengths.max()) + 1 if words else 1
-        self.rows = _word_rows(words, self.width)
-        self.weight = np.array([a.weight for a in atoms], dtype=float)
-        self.total = float(np.cumsum(self.weight)[-1]) if words else 0.0
-
-    def lcp(self, word):
-        row = _word_rows([word], self.width)
-        row[0, len(word):] = -2  # padding of `word` matches nothing
-        return _row_lcp(self.rows, row)
+# the tree measure from its levels, against the object path it replaced
 
 
 def object_tree_measure(action, ball, s):
     """Reference: the tree Patterson-Sullivan measure as one `Atom` per
-    orbit entry, its total a left-to-right sum over the entries."""
+    orbit entry, its total a left-to-right sum over the entries; its masses
+    are `scalar_ball_mass` and `scalar_shadow_mass`."""
     total = 0.0
     for e in ball.entries:
         total += math.exp(-s * float(e.displacement))
@@ -628,9 +639,7 @@ def object_tree_measure(action, ball, s):
         deep = e.word and float(e.displacement) >= thresh - 1e-12
         atoms.append(Atom(e.word, e.point, float(e.displacement), w,
                           TreeBoundary(e.word) if deep else None))
-    measure = AtomicMeasure(tuple(atoms), s, float(ball.radius))
-    measure.arrays = RowCompareAtoms(measure.boundary_atoms)
-    return measure
+    return AtomicMeasure(tuple(atoms), s, float(ball.radius))
 
 
 def atom_bits(atoms):
@@ -642,40 +651,90 @@ def atom_bits(atoms):
     [(4, Fraction(1), 1.3), (4, Fraction(9, 8), 1.2), (4, Fraction(3, 2), 0.9), (6, Fraction(1), 1.8)],
     ids=["L=1", "L=9/8", "L=3/2", "rank3"],
 )
-def test_tree_measure_levels_match_the_object_path(valence, ell, s):
+def test_tree_measure_levels_match_the_object_path(valence, ell, s, monkeypatch):
     act = tree_action(valence=valence, edge_length=ell)
-    depth = 7 if valence == 4 else 5
+    depth = 6 if valence == 4 else 4
     ball = enumerate_orbit_ball(act, depth * ell)
     got, want = patterson_sullivan_atoms(act, ball, s), object_tree_measure(act, ball, s)
+    step = len(want.boundary_atoms) // 12
     assert len(got.atoms) == len(want.atoms) and len(got.boundary_atoms) == len(want.boundary_atoms)
     assert atom_bits(got.atoms[::7]) == atom_bits(want.atoms[::7])
     assert atom_bits(got.boundary_atoms[-40:]) == atom_bits(want.boundary_atoms[-40:])
-    a, b = got.arrays, want.arrays
-    assert a.width == b.width and a.total.hex() == b.total.hex()
-    for name in ("rows", "lengths", "weight"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-    # sorted-range prefix lengths and masses, for words shorter and longer
-    # than the atoms, across cylinder and off-cylinder scales
+    total = 0.0
+    for a in want.boundary_atoms:
+        total += a.weight
+    assert got.boundary_total.hex() == total.hex()
+    # masses and decided fractions for words shorter and longer than the
+    # atoms, reduced or not, across cylinder and off-cylinder scales
     rng = random.Random(5)
+    alphabet = "".join(act.alphabet)
     words = reduced_words_upto(act.rank, 2) + [
-        w.word + "".join(rng.choice("aAbB") for _ in range(3)) for w in want.boundary_atoms[::301]
+        w.word + "".join(rng.choice(alphabet) for _ in range(3)) for w in want.boundary_atoms[::step]
     ]
-    h = math.log(valence - 1) / float(ell)
     for w in words:
-        assert (a.lcp(w) == b.lcp(w)).all()
         z = TreeBoundary(w) if w else TreeBoundary("a")
         for rho in [cylinder_scale(act, n) for n in (1, 3, depth)] + [0.7, 0.013]:
-            m1, m2 = ball_mass(act, got, z, rho), ball_mass(act, want, z, rho)
+            m1, m2 = ball_mass(act, got, z, rho), scalar_ball_mass(act, want, z, rho)
             assert repr(m1) == repr(m2)
+    # shadow masses at the root, at vertices and at edge points leading
+    # into the atom words or out of them
+    points = [TreePoint("")]
+    for a in want.boundary_atoms[:: 2 * step]:
+        w = a.word[: rng.randrange(1, len(a.word) + 1)]
+        out = next(c for c in alphabet if c != a.word[len(w) - 1].swapcase() and a.word[len(w):][:1] != c)
+        points += [TreePoint(w), TreePoint(w[:-1], ell / 3, w[-1]), TreePoint(w, ell / 8, out)]
+    for y in points:
+        for r in (0.5, 2.0, 6.0):
+            assert repr(shadow_mass(act, got, y, r)) == repr(scalar_shadow_mass(act, want, y, r))
     centers = [z for z, _ in tree_cylinder_cells(act, 3)[::5]]
     scales = [cylinder_scale(act, n) for n in (1, 2, 3, 4)]
-    reports = [
-        (check_ahlfors_regularity(act, measure, h, centers, scales),
-         check_quasiconformality(act, measure, h, "a", tree_cylinder_cells(act, 3)))
-        for measure in (got, want)
-    ]
-    assert repr(reports[0]) == repr(reports[1])
+    h = math.log(valence - 1) / float(ell)
+    cells = tree_cylinder_cells(act, 2)
+
+    def reports(measure):
+        return (check_ahlfors_regularity(act, measure, h, centers, scales),
+                check_quasiconformality(act, measure, h, "a", cells))
+
+    fast = reports(got)
+    monkeypatch.setattr(boundary, "ball_mass", scalar_ball_mass)
+    monkeypatch.setattr(boundary, "shadow_mass", scalar_shadow_mass)
+    assert repr(fast) == repr(reports(want))
+
+
+def test_add_copies_matches_the_loop():
+    # the exact adder against `acc += w` repeated: random sums across
+    # binades, ties (w an odd multiple of half an ulp), powers of two,
+    # absorbed and nearly absorbed w, a zero start and subnormals
+    rng = random.Random(7)
+
+    def loop(acc, w, n):
+        for _ in range(n):
+            acc += w
+        return acc
+
+    seen = Counter()
+    for i in range(6000):
+        kind = i % 6
+        if kind == 0:
+            acc, w = rng.random() * 2.0 ** rng.randrange(-30, 5), rng.random() * 2.0 ** rng.randrange(-40, 5)
+        elif kind == 1:
+            acc = rng.random() * 2.0 ** rng.randrange(-5, 5)
+            w = (rng.randrange(7) + 0.5) * math.ulp(acc) * 2.0 ** rng.randrange(-1, 4)
+        elif kind == 2:
+            acc, w = rng.choice([0.0, 2.0 ** rng.randrange(-10, 3)]), 2.0 ** rng.randrange(-60, 3)
+        elif kind == 3:
+            acc = rng.random() + 0.5
+            w = math.ulp(acc) * rng.choice([0.25, 0.5, 0.5000001, 0.75, 1.0, 1.5, 2.5])
+        elif kind == 4:
+            acc, w = 0.0, rng.random() * 1e-3
+        else:
+            acc, w = 5e-324 * rng.randrange(100), 5e-324 * rng.randrange(1, 50) * rng.choice([1, 2**30])
+        n = rng.randrange(600)
+        want = loop(acc, w, n)
+        assert _add_copies(acc, w, n).hex() == want.hex(), (acc.hex(), w.hex(), n)
+        seen["absorbed"] += n > 0 and want == acc
+        seen["crossed"] += math.frexp(want)[1] > math.frexp(acc)[1] + 1
+    assert seen["absorbed"] and seen["crossed"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -239,6 +240,31 @@ def test_malformed_witnesses_are_rejected_loudly(snap):
     bad_phi = (len(snap.elements) + 5,) + w.phi[1:]
     with pytest.raises(MalformedWitnessError):
         verify_witness(snap, snap, ApproximationWitness(w.f, bad_phi, w.psi, 1.0))
+
+
+def test_malformed_tables_are_named_by_their_first_bad_entry(snap):
+    # the range check over the table's array lets the entry loop name the
+    # first bad entry, in the message the loop alone wrote
+    w = identity_witness(snap, 1.0)
+    f, n = list(w.f), len(snap.points)
+    cases = [
+        ("f", f[:-1], "f table has %d entries, expected %d" % (n - 1, n)),
+        ("f", f[:3] + [None] + f[4:], "f table entry 3 is invalid: None"),
+        ("f", f[:5] + [-1] + f[6:-1] + [n], "f table entry 5 is invalid: -1"),
+        ("f", f[:-1] + [n], "f table entry %d is invalid: %d" % (n - 1, n)),
+        ("f", f[:2] + [2**70] + f[3:], "f table entry 2 is invalid: %d" % 2**70),
+        ("f", f[:1] + [-0.5, 1.5, n + 0.5] + f[4:], "f table entry 3 is invalid: %r" % (n + 0.5)),
+        ("phi", (None,) + w.phi[1:], "phi table entry 0 is invalid: None"),
+        ("psi", w.psi + (0,), "psi table has %d entries, expected %d" % (len(w.psi) + 1, len(w.psi))),
+    ]
+    for name, table, message in cases:
+        bad = w._replace(**{name: tuple(table)})
+        with pytest.raises(MalformedWitnessError, match="^%s$" % re.escape(message)):
+            verify_witness(snap, snap, bad)
+    # an integer array and integral floats in range are read as int(v) reads them
+    want = verify_witness(snap, snap, w)
+    assert verify_witness(snap, snap, w._replace(f=np.asarray(f))) == want
+    assert verify_witness(snap, snap, w._replace(f=tuple(float(v) for v in f))) == want
 
 
 def test_generator_swap_has_large_equivariance_defect(snap, f2, f2_ball):

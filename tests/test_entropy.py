@@ -212,17 +212,18 @@ def test_entropy_lower_bound():
 
 
 def counted_rows(monkeypatch):
-    """Count the distance-row kernels `greedy_covering_count` builds."""
-    from hypcrit import entropy
+    """Count the distance-row kernels `greedy_covering_count` builds; it
+    imports `arrays._distance_rows` where it runs."""
+    from hypcrit import arrays
 
     built = [0]
-    rows = entropy._distance_rows
+    rows = arrays._distance_rows
 
     def counting(space, points):
         built[0] += 1
         return rows(space, points)
 
-    monkeypatch.setattr(entropy, "_distance_rows", counting)
+    monkeypatch.setattr(arrays, "_distance_rows", counting)
     return built
 
 

@@ -238,8 +238,8 @@ def test_kind_tests_are_pinned():
 
 #: the methods of each model's boundary rules
 RULES = (
-    "product exceeds visual ball_contains shadow_contains ray_points_to pack_cov "
-    "limit_set_sample hull_points measure ball_rules shadow_rules pulled_mass cell_ray"
+    "product exceeds visual ball_contains shadow_contains ray_shadow ray_points_to pack_cov "
+    "limit_set_sample hull_points measure ball_sums shadow_sums pulled_mass cell_ray"
 ).split()
 
 
@@ -494,6 +494,26 @@ def test_plane_lemma_audit_loads_no_numpy(tmp_path):
     code, loaded = _run(_VERIFY_RUN, scenario, str(tmp_path / "out"))
     assert code == 1
     assert loaded == sorted(SETUP_MODULES + ["hypcrit.geometry_checks"])
+
+
+_BOUNDARY_RUN = _VERIFY_RUN.replace('"verify"', '"boundary"')
+
+
+def test_tree_boundary_audit_loads_no_numpy(tmp_path):
+    # the tree measure's masses count words level by level; only the plane
+    # rules import `arrays` and numpy
+    code, loaded = _run(_BOUNDARY_RUN, "f2_tree", str(tmp_path / "out"))
+    assert code == 0
+    assert loaded == sorted(SETUP_MODULES + ["hypcrit.boundary"])
+
+
+def test_bundled_entropy_runs_load_no_arrays(tmp_path):
+    # neither bundled entropy run computes a covering or packing number,
+    # the only readers of `arrays` in `entropy`
+    for name in ("f2_tree", "schottky_L4"):
+        code, loaded = _run(_VERIFY_RUN.replace('"verify"', '"entropy"'), name, str(tmp_path / name))
+        assert code == 0
+        assert "hypcrit.entropy" in loaded and "hypcrit.arrays" not in loaded
 
 
 _THREADS = """
