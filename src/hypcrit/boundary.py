@@ -140,7 +140,7 @@ def generalized_ball_contains(action, z, rho, zp):
 def _threshold(rho):
     """log(1/rho), the product threshold of the ball of radius rho in (0, 1]."""
     if not (0 < rho <= 1):
-        raise ValueError("radius must be in (0, 1]")
+        raise ParameterError("radius must be in (0, 1], got %r" % rho)
     return math.log(1.0 / rho)
 
 
@@ -192,7 +192,8 @@ def check_shadow_ball_lemma(action, samples, ts, seed=0, pair_count=200):
     against a greedy covering upper bound on the plane.
 
     An audit that could test nothing is refused (ValueError): no scale T,
-    pair_count below 1, or fewer than 2 samples to draw a pair from.
+    pair_count below 1, or fewer than 2 samples to draw a pair from; a T
+    whose ball radius e^{-T} leaves (0, 1] is refused as a ParameterError.
 
     Queries go to one rules object, with ray points in its own form and
     a = 0.2 / delta in the visual range (2 a delta = 0.4 < log 2).

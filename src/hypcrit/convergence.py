@@ -396,10 +396,11 @@ def _check_table(name, table, length, limit):
             "%s table has %d entries, expected %d" % (name, len(table), length)
         )
     a = np.asarray(table)
-    if np.issubdtype(a.dtype, np.integer) and (not len(a) or 0 <= a.min() and a.max() < limit):
+    if a.ndim == 1 and np.issubdtype(a.dtype, np.integer) and (
+            not len(a) or 0 <= a.min() and a.max() < limit):
         return
     for i, v in enumerate(table):
-        if v is None or not (0 <= int(v) < limit):
+        if v is None or np.ndim(v) or not (0 <= int(v) < limit):
             raise MalformedWitnessError("%s table entry %d is invalid: %r" % (name, i, v))
 
 

@@ -32,7 +32,7 @@ from hypcrit.boundary import (
     tree_cylinder_cells,
     visual_distance,
 )
-from hypcrit.errors import DepthError, InsufficientDataError, MeasureError
+from hypcrit.errors import DepthError, InsufficientDataError, MeasureError, ParameterError
 from hypcrit.isometries import PlaneIsometry, certify_ping_pong, schottky_pair
 from hypcrit.orbits import enumerate_orbit_ball, schottky_action, tree_action
 from hypcrit.space import (
@@ -610,6 +610,15 @@ def test_shadow_ball_lemma_refuses_an_audit_that_tests_nothing(f2, f2_ball, scho
             check_shadow_ball_lemma(act, **args)
 
 
+def test_shadow_ball_lemma_refuses_a_scale_whose_ball_radius_underflows(f2, f2_ball, schottky,
+                                                                        schottky_ball):
+    # e^{-800} is 0.0: its ball has no threshold, on either model
+    for act, ball, depth in ((f2, f2_ball, 8), (schottky, schottky_ball, 4.0)):
+        sam = limit_set_sample(act, ball, depth)
+        with pytest.raises(ParameterError, match=re.escape("radius must be in (0, 1], got 0.0")):
+            check_shadow_ball_lemma(act, sam[:40], [2.0, 800.0], pair_count=100)
+
+
 def test_shadow_ball_lemma_both_models(f2, schottky, schottky_ball):
     tball = enumerate_orbit_ball(f2, 8)
     tsam = limit_set_sample(f2, tball, 8)[::40]
@@ -653,7 +662,7 @@ def atom_bits(atoms):
 )
 def test_tree_measure_levels_match_the_object_path(valence, ell, s, monkeypatch):
     act = tree_action(valence=valence, edge_length=ell)
-    depth = 6 if valence == 4 else 4
+    depth = 7 if valence == 4 else 5
     ball = enumerate_orbit_ball(act, depth * ell)
     got, want = patterson_sullivan_atoms(act, ball, s), object_tree_measure(act, ball, s)
     step = len(want.boundary_atoms) // 12
@@ -689,7 +698,7 @@ def test_tree_measure_levels_match_the_object_path(valence, ell, s, monkeypatch)
     centers = [z for z, _ in tree_cylinder_cells(act, 3)[::5]]
     scales = [cylinder_scale(act, n) for n in (1, 2, 3, 4)]
     h = math.log(valence - 1) / float(ell)
-    cells = tree_cylinder_cells(act, 2)
+    cells = tree_cylinder_cells(act, 3)
 
     def reports(measure):
         return (check_ahlfors_regularity(act, measure, h, centers, scales),

@@ -419,13 +419,17 @@ def test_refused_values_exit_2_before_any_check_runs(tmp_path, monkeypatch):
     ("boundary", ("boundary", "cylinder_depths"), [0],
      "ParameterError: cylinder depth must be >= 1, got 0"),
     ("boundary", ("boundary", "qc_depth"), 0, "ParameterError: cylinder depth must be >= 1, got 0"),
+    ("verify", ("verify", "shadow_ball", "ts"), [2.0, 800.0],
+     "ParameterError: radius must be in (0, 1], got 0.0"),
 ], ids=["negative-T", "narrow-window", "shallow-boundary", "s-below-growth", "shallow-generating",
         "large-threshold", "small-R", "odd-valence", "zero-edge", "depth-0-cylinders",
-        "depth-0-qc"])
+        "depth-0-qc", "underflowing-shadow-ball-T"])
 def test_library_refusals_of_a_value_exit_2(tmp_path, command, keys, value, error):
     # f2_tree with one value changed, refused by the library, not by the
-    # scenario screen; all but the zero edge ended in a traceback with
-    # exit 1 and no audits.json (a depth-0 cylinder has no approximant)
+    # scenario screen; all but the zero edge and the shadow-ball T ended in
+    # a traceback with exit 1 and no audits.json (a depth-0 cylinder has no
+    # approximant); a T past 745, whose ball radius e^{-T} is 0.0, is
+    # refused where the audit computes its ball thresholds
     scn = cli.load_scenario("f2_tree")
     *blocks, key = keys
     block = scn

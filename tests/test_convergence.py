@@ -254,6 +254,7 @@ def test_malformed_tables_are_named_by_their_first_bad_entry(snap):
         ("f", f[:-1] + [n], "f table entry %d is invalid: %d" % (n - 1, n)),
         ("f", f[:2] + [2**70] + f[3:], "f table entry 2 is invalid: %d" % 2**70),
         ("f", f[:1] + [-0.5, 1.5, n + 0.5] + f[4:], "f table entry 3 is invalid: %r" % (n + 0.5)),
+        ("f", [(v, v) for v in f], "f table entry 0 is invalid: (%d, %d)" % (f[0], f[0])),
         ("phi", (None,) + w.phi[1:], "phi table entry 0 is invalid: None"),
         ("psi", w.psi + (0,), "psi table has %d entries, expected %d" % (len(w.psi) + 1, len(w.psi))),
     ]
