@@ -25,8 +25,8 @@ Tree boundary data is word combinatorics: a tree Patterson-Sullivan
 measure is its levels, one weight each (`_TreeRules.measure`); a mass
 counts each level's atom words by their common prefix with the centre
 (`_prefix_counts`) and adds as many copies of its weight, with the bits
-of a left-to-right loop over the atoms (`_add_copies`); products and
-shadow tests count units of `tree_grid` in integers. Plane masses apply
+of a left-to-right loop over the atoms (`orbits._add_copies`); products
+and shadow tests count units of `tree_grid` in integers. Plane masses apply
 the scalar rules to the atom arrays (`_PlaneAtoms`) at once, summing
 left to right. The `Atom`, `Fraction` and scalar forms are the tests'
 reference.
@@ -41,8 +41,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
-from .errors import DepthError, InsufficientDataError, MeasureError, ParameterError
+from .errors import DepthError, InsufficientDataError, MeasureError, NumericalLimitError, ParameterError
 from .isometries import fixed_points
+from .orbits import _add_copies, _run_sum
 from .space import (
     TREE,
     Ray,
@@ -386,41 +387,6 @@ def _ordered_sum(values):
     return float(values.cumsum()[-1]) if len(values) else 0.0
 
 
-def _add_copies(acc, w, count):
-    """acc + w + ... + w, `count` copies of w added left to right in float64
-    as `acc += w` adds them, in O(log(sum / w)) steps (acc, w >= 0, sums
-    below 2^1023).
-
-    Proof. With u = ulp(acc) and acc = M u, the floats in [acc, 2^53 u] are
-    the multiples of u (2^53 u ends a normal acc's binade; a subnormal acc
-    or 0 has u = 2^-1074). While an exact sum M' u + w, M' >= M, stays
-    below 2^53 u, round to nearest gives (M' + q + b) u, where w / u = q + f
-    exactly (q an integer, 0 <= f < 1) and b = [f > 1/2], or at a tie
-    f = 1/2 the b making M' + q + b even. So the step, exact by Sterbenz,
-    is S = q + b at every addition off ties, and q + (q mod 2) at ties from
-    an even M', as every result is then even. The j-th addition of such a
-    run stays below 2^53 u iff (j - 1) S <= 2^53 - M - q - 1 (integers),
-    so n of them give (M + n S) u exactly; S = 0 leaves acc fixed. Else
-    (w >= 2^53 u - acc, as while acc < w, or a tie at an odd M) one plain
-    addition crosses a binade or makes M even: three steps per binade.
-    """
-    while count:
-        u = math.ulp(acc)
-        if w < u * 2**53 - acc:  # exactly (2^53 - M) u
-            W, M = w / u, int(acc / u)
-            q = int(W)
-            f = W - q
-            if f != 0.5 or not M & 1:
-                S = q + (1 if f > 0.5 else q & 1 if f == 0.5 else 0)
-                if not S:
-                    return acc
-                n = min(count, (2**53 - M - q - 1) // S + 1)
-                acc, count = (M + n * S) * u, count - n
-                continue
-        acc, count = acc + w, count - 1
-    return acc
-
-
 def _prefix_counts(rank, word, ell):
     """[c_0 .. c_n], n = min(len(word), ell): c_j counts the reduced words of
     length ell over F_rank sharing exactly j first letters with `word`,
@@ -530,7 +496,11 @@ def check_ahlfors_regularity(action, measure, h, centers, scales):
             if mass is None:
                 skipped += 1
                 continue
-            ratio = mass / rho**h
+            try:
+                ratio = mass / rho**h
+            except (OverflowError, ZeroDivisionError):
+                raise NumericalLimitError("rho^h at rho = %.6g, h = %.6g leaves float64's range"
+                                          % (rho, h)) from None
             used += 1
             A_upper = max(A_upper, ratio)
             if mass > 0:
@@ -739,19 +709,15 @@ class _TreeRules:
 
         Every word of level k is displaced by k edge_length, so each level
         has one weight e^{-s float(k L)} / total, the total adding those
-        numbers over the orbit entries left to right. The levels from `deep`
-        on, projected to the boundary, are kept as (level, weight) pairs
-        with their weights' sum; no level's words are listed. The atoms are
-        one item per point: a ball past ELEMENT_CAP is refused.
+        numbers over the orbit entries left to right (`_run_sum`). The
+        levels from `deep` on, projected to the boundary, are kept as
+        (level, weight) pairs with their weights' sum; no level's words are
+        listed, whatever the ball's size.
         """
-        ball._listable()
         sizes = ball.sizes
         disp = ball.level_displacements
-        mass = [math.exp(-s * d) for d in disp]
-        total = 0.0
-        for x, n in zip(mass, sizes):
-            total = _add_copies(total, x, n)
-        weight = [x / total for x in mass]
+        total = _run_sum(ball, lambda d: math.exp(-s * d))
+        weight = [math.exp(-s * d) / total for d in disp]
         deep = next((k for k in range(1, len(disp)) if disp[k] >= thresh - 1e-12), len(disp))
         levels = list(enumerate(sizes))
 
@@ -930,7 +896,7 @@ class _PlaneRules:
         return [plane_line_point(z1.coord, z2.coord, x, -10.0 + 20.0 * (i + 0.5) / 8) for i in range(8)]
 
     def measure(self, ball, s, thresh):
-        total = sum(math.exp(-s * float(e.displacement)) for e in ball.entries)
+        total = _run_sum(ball, lambda d: math.exp(-s * d))
         atoms = []
         for e in ball.entries:
             w = math.exp(-s * float(e.displacement)) / total

@@ -9,12 +9,11 @@ Packing numbers have an exact mode and a greedy lower-bound mode.
 
 import math
 from collections import namedtuple
-from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import InsufficientDataError
-from .orbits import PlaneBall, TreeBall
+from .errors import InsufficientDataError, NumericalLimitError
+from .orbits import PlaneBall, TreeBall, _run_sum
 from .space import TREE
 
 EXACT_LIMIT = 24
@@ -77,17 +76,14 @@ def rank_quantile_estimate(ball, rank_window):
 
 
 def poincare_partial(ball, s):
-    """Partial Poincare sum over the ball: sum over entries of e^{-s d(x,gx)}.
-
-    One term per point, in entry order, read off the ball's (displacement,
-    count) runs: a tree ball lists no word, but one past ELEMENT_CAP is
-    refused, as the sum takes a step per point.
+    """Partial Poincare sum over the ball: sum over entries of e^{-s d(x,gx)},
+    added left to right in entry order, one (displacement, count) run of
+    the ball at a time (`_run_sum`), so a tree ball of any size is summed
+    by its levels.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    ball._listable()
-    terms = chain.from_iterable(repeat(math.exp(-s * d), n) for d, n in ball.runs())
-    return float(sum(terms))
+    return _run_sum(ball, lambda d: math.exp(-s * d))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +299,13 @@ def check_packing_growth(action, hull_samples, ts, r):
     for T in ts:
         sel = [p for p, d in zip(hull_samples, d0) if d <= T + 1e-9]
         measured = packing_number(action.space, sel, r, "greedy") if sel else 0
-        bound = P * (1.0 + P) ** (T / r - 1.0)
+        try:
+            bound = P * (1.0 + P) ** (T / r - 1.0)
+            if bound == math.inf:
+                raise OverflowError
+        except OverflowError:
+            raise NumericalLimitError("packing bound P (1 + P)^(T/r - 1) at P = %d, T = %.6g, "
+                                      "r = %.6g is past float64" % (P, T, r)) from None
         rows.append((T, measured, bound))
         if measured > bound + 1e-9:
             ok = False
@@ -318,7 +320,8 @@ EquidistributionReport = namedtuple("EquidistributionReport", "K_measured h_used
 
 
 def equidistribution_constant(counts, h):
-    """Smallest K with (1/K) e^{hT} <= N(T) <= K e^{hT} on the grid."""
+    """Smallest K with (1/K) e^{hT} <= N(T) <= K e^{hT} on the grid; an
+    e^{hT} past float64 is refused."""
     if h <= 0:
         raise ValueError("h must be positive")
     K = 1.0
@@ -326,7 +329,12 @@ def equidistribution_constant(counts, h):
     for t, n in counts:
         if n <= 0:
             raise ValueError("counts must be positive")
-        ratio = max(n / math.exp(h * float(t)), math.exp(h * float(t)) / n)
+        try:
+            e = math.exp(h * float(t))
+        except OverflowError:
+            raise NumericalLimitError("e^(hT) at h = %.6g, T = %.6g is past float64"
+                                      % (h, float(t))) from None
+        ratio = max(n / e, e / n)
         if ratio > K:
             K = ratio
             worst = float(t)

@@ -6,9 +6,9 @@ base class, builds its own orbit ball: all distinct orbit points within
 radius T, deduplicated, in canonical word order. One ball per model,
 `TreeBall` (level sizes) or `PlaneBall` (entries), with one reading
 interface and no base class, owns its counting function N(t), the number
-of points displaced by at most t. The generating and word-metric checks
-search the orbit graph on ball indices (`_orbit_graph_steps`), so a tree
-ball lists no word for them."""
+of points displaced by at most t, its word metric (`_graph_steps`, a
+closed form on the tree) and its sums over points (`_run_sum`, one step a
+run of equal displacements)."""
 
 import bisect
 import math
@@ -34,53 +34,13 @@ from .words import _ORDER, compose_words, letters, word_key, word_levels
 
 #: hard cap on the words a plane ball builds, where hitting it aborts with
 #: a diagnosis (a non-discrete action would otherwise loop), and on the
-#: points a read of a tree ball takes a step for (`TreeBall._listable`)
+#: points a read of a tree ball lists (`TreeBall._listable`)
 ELEMENT_CAP = 2_000_000
 
 #: the deepest plane ball float64 resolves: g(i) is off by a few eps (|ad| +
 #: |bc|) <= eps cosh d(i, g i), as its imaginary part cancels ad against
 #: bc; this radius (about 32.1) keeps that bound at 1e-2
 PLANE_RADIUS_LIMIT = math.acosh(1e-2 / sys.float_info.epsilon)
-
-
-def _orbit_graph_steps(ball, R):
-    """Steps from the identity to each of a ball's entries, in entry
-    order, in the orbit graph that joins g to g s for every entry s
-    displaced by at most R, through the entries; -1 where no path reaches
-    the entry. The identity is entry 0 of every ball.
-
-    The search runs on ball indices. The ball's words closed under
-    prefixes are numbered, and `_letter_tables` maps each number and
-    letter to the number of the reduced product, or to the number past
-    them where the product leaves the set (which then maps to itself): g s
-    is g times the letters of s, one table read each. As s is reduced, it
-    cancels against g only in its first letters, and from the first letter
-    that does not cancel the product only grows; a set closed under
-    prefixes holds no extension of a word it lacks, so a product that
-    leaves it never comes back, and -1 is exact."""
-    import numpy as np
-
-    rmul, nodes = ball._letter_tables()
-    entry = np.full(rmul.shape[1], -1)
-    entry[nodes] = np.arange(len(nodes))
-    moves = []
-    for s in ball._steps(R):
-        image = nodes
-        for c in s:
-            image = rmul[_ORDER[c], image]
-        moves.append(entry[image])
-    dist = np.full(len(nodes), -1)
-    dist[0] = 0
-    frontier, level = np.zeros(1, dtype=np.int64), 0
-    while len(frontier) and moves:
-        level += 1
-        # an image off the entries, -1, lands in the last slot
-        reach = np.zeros(len(nodes) + 1, dtype=bool)
-        for move in moves:
-            reach[move[frontier]] = True
-        frontier = np.flatnonzero(reach[:-1] & (dist < 0))
-        dist[frontier] = level
-    return dist.tolist()
 
 
 #: the reads both actions share
@@ -115,9 +75,9 @@ class TreeAction:
         """The `TreeBall` within displacement T >= 0: it counts its levels
         and builds no word. Its depth is int(T / edge_length), so its radius
         snaps down to the edge grid. The action being free and discrete, a
-        ball of any size is counted; the reads that take a step per point
-        refuse one past ELEMENT_CAP (`TreeBall._listable`), and a count
-        past float64 is refused here, before its levels are built."""
+        ball of any size is counted; the reads that list its points refuse
+        one past ELEMENT_CAP (`TreeBall._listable`), and a count past
+        float64 is refused here, before its levels are built."""
         gain = self.space.edge_length
         depth, sizes, n = int(Fraction(T) / gain), [1], 1
         for k in range(1, depth + 1):
@@ -128,8 +88,8 @@ class TreeAction:
                                           "past float64" % (depth, sys.float_info.max))
         return TreeBall(self.rank, gain, tuple(sizes))
 
-    #: a word is its isometry, and d_Sigma(g, id) its steps in the orbit graph
-    isometry, word_metric = staticmethod(TreeIsometry), staticmethod(_orbit_graph_steps)
+    #: a word is its isometry
+    isometry = staticmethod(TreeIsometry)
 
 
 class PlaneAction:
@@ -206,27 +166,6 @@ class PlaneAction:
         # the levels, and so the entries, are already in canonical word order
         return PlaneBall(T, tuple(entries), tuple(merged_words))
 
-    def word_metric(self, ball, R):
-        """Steps, for each entry of the ball, in the graph that joins every
-        two orbit points at distance <= R, whatever their quotient: it need
-        not lie in the ball, as R may exceed the ball radius."""
-        import numpy as np
-
-        from .arrays import pairwise_distances
-
-        n = ball.count
-        close = pairwise_distances(self.space, ball.points()) <= float(R) + 1e-9
-        dist = np.full(n, -1, dtype=int)
-        dist[0] = 0
-        frontier = dist == 0
-        level = 0
-        while frontier.any():
-            level += 1
-            reach = close[frontier].any(axis=0) & (dist < 0)
-            dist[reach] = level
-            frontier = reach
-        return list(dist)
-
 
 def tree_action(valence=4, edge_length=1, declared_delta=0.0, declared_codiameter=0.5):
     return TreeAction(ModelSpace.tree(valence, edge_length), declared_delta, declared_codiameter)
@@ -276,12 +215,58 @@ def _displacement_at(ball, n):
     return ds[bisect.bisect_left(ns, n)]
 
 
+def _add_copies(acc, w, count):
+    """acc + w + ... + w, `count` copies of w added left to right in float64
+    as `acc += w` adds them, in O(log(sum / w)) steps (acc, w >= 0, sums
+    below 2^1023).
+
+    Proof. With u = ulp(acc) and acc = M u, the floats in [acc, 2^53 u] are
+    the multiples of u (2^53 u ends a normal acc's binade; a subnormal acc
+    or 0 has u = 2^-1074). While an exact sum M' u + w, M' >= M, stays
+    below 2^53 u, round to nearest gives (M' + q + b) u, where w / u = q + f
+    exactly (q an integer, 0 <= f < 1) and b = [f > 1/2], or at a tie
+    f = 1/2 the b making M' + q + b even. So the step, exact by Sterbenz,
+    is S = q + b at every addition off ties, and q + (q mod 2) at ties from
+    an even M', as every result is then even. The j-th addition of such a
+    run stays below 2^53 u iff (j - 1) S <= 2^53 - M - q - 1 (integers),
+    so n of them give (M + n S) u exactly; S = 0 leaves acc fixed. Else
+    (w >= 2^53 u - acc, as while acc < w, or a tie at an odd M) one plain
+    addition crosses a binade or makes M even: three steps per binade.
+    """
+    while count:
+        u = math.ulp(acc)
+        if w < u * 2**53 - acc:  # exactly (2^53 - M) u
+            W, M = w / u, int(acc / u)
+            q = int(W)
+            f = W - q
+            if f != 0.5 or not M & 1:
+                S = q + (1 if f > 0.5 else q & 1 if f == 0.5 else 0)
+                if not S:
+                    return acc
+                n = min(count, (2**53 - M - q - 1) // S + 1)
+                acc, count = (M + n * S) * u, count - n
+                continue
+        acc, count = acc + w, count - 1
+    return acc
+
+
+def _run_sum(ball, f):
+    """f(d) over the ball's points, d each one's displacement, added left
+    to right in entry order as `acc += f(d)` adds them: one `_add_copies`
+    per (d, n) run of `ball.runs()`, so a tree ball past ELEMENT_CAP is
+    summed level by level."""
+    total = 0.0
+    for d, n in ball.runs():
+        total = _add_copies(total, f(d), n)
+    return total
+
+
 class TreeBall:
     """The orbit ball of F_r, r = `rank`, on its Cayley tree: its level
     `sizes`, level k holding the 2r (2r - 1)^(k - 1) reduced words of length
     k, each displaced by k * edge_length (`level_displacements`, as floats).
     It stores no word: `entries`, `points` and `words` list the levels, and
-    every read that takes a step per point refuses a ball past ELEMENT_CAP
+    every read that lists its points refuses a ball past ELEMENT_CAP
     (`_listable`)."""
 
     def __init__(self, rank, edge_length, sizes):
@@ -300,38 +285,25 @@ class TreeBall:
         self._listable()
         return islice(word_levels(self.rank), len(self.sizes))
 
-    def _steps(self, R):
-        """The nonempty words displaced by at most R, listed: the levels
-        within R + 1e-12."""
-        k = bisect.bisect_right(self.level_displacements, float(R) + 1e-12)
-        return [w for words in islice(word_levels(self.rank), 1, k) for w in words]
+    def _graph_steps(self, R):
+        """d_Sigma(g, id) for each entry g, in entry order (`check_generating`),
+        in closed form: ceil(k / m) for a word of length k, where m is the
+        longest word length within R + 1e-12 in the ball, and -1 for every
+        word but the identity where m is 0.
 
-    def _letter_tables(self):
-        """(rmul, nodes) of `_orbit_graph_steps`, from the level sizes
-        alone: the ball is closed under prefixes, so its nodes are its
-        entries. rmul[c, i] is the index of word i times the letter of rank
-        c, count off the ball. In canonical order the words of level k
-        follow their parents', each parent's children in letter order less
-        the inverse of its last letter: word t of level k >= 1 is child t
-        // fan of level k - 1 by its digit t % fan, with fan = 2 rank
-        children of the identity and 2 rank - 1 of any other word."""
-        import numpy as np
-
+        Proof. The steps are the words s of length 1..m, and g s has length
+        at most |g| + m, so a word of length k takes at least ceil(k / m)
+        steps. Its prefixes of length m, 2m, ... and k are a path of that
+        many: each is the one before times a reduced word of length <= m,
+        and each is an entry, as the ball holds every word of length at
+        most its depth >= m. One value per point: a ball past ELEMENT_CAP
+        is refused."""
         self._listable()
-        q, n = 2 * self.rank, self.count
-        rmul = np.full((q, n + 1), n, dtype=np.int64)
-        # the rank of the inverse of each word's last letter; q: none
-        skip = np.full(n, q, dtype=np.int64)
-        start = np.cumsum((0,) + self.sizes)
-        for k in range(1, len(self.sizes)):
-            ids = np.arange(start[k], start[k + 1])
-            parent, digit = np.divmod(ids - start[k], q if k == 1 else q - 1)
-            parent += start[k - 1]
-            letter = digit + (digit >= skip[parent])
-            rmul[letter, parent] = ids
-            rmul[letter ^ 1, ids] = parent
-            skip[ids] = letter ^ 1
-        return rmul, np.arange(n)
+        m = bisect.bisect_right(self.level_displacements, float(R) + 1e-12) - 1
+        steps = [0]
+        for k, n in enumerate(self.sizes[1:], 1):
+            steps += [-(-k // m) if m > 0 else -1] * n
+        return steps
 
     @property
     def entries(self):
@@ -394,18 +366,24 @@ class PlaneBall:
         """(displacement, count) runs in entry order: (d, 1) per entry."""
         return ((e.displacement, 1) for e in self._entries)
 
-    def _listable(self):
-        """A plane ball was held to ELEMENT_CAP as it was built."""
+    def _graph_steps(self, R):
+        """d_Sigma(g, id) for each entry g, in entry order: its steps from
+        the identity, entry 0, in the orbit graph that joins g to g s for
+        every entry s displaced by at most R + 1e-12, through the entries;
+        -1 where no path reaches it (`check_generating`).
 
-    def _steps(self, R):
-        return [e.word for e in self._entries if e.word and float(e.displacement) <= float(R) + 1e-12]
-
-    def _letter_tables(self):
-        """(rmul, nodes) of `_orbit_graph_steps` on the entries' words
-        closed under prefixes: a plane ball need not hold a prefix of its
-        words, nor a merged word. rmul[c, i] is the number of prefix i
-        times the letter of rank c (`compose_words`), the number of
-        prefixes where that is none; nodes holds each entry's number."""
+        The search runs on numbers. The entries' words closed under
+        prefixes are numbered (a plane ball need not hold a prefix of its
+        words, nor a merged word), and rmul[c, i] is the number of prefix i
+        times the letter of rank c (`compose_words`), or the number past
+        them, which maps to itself, where that product is none: g s is g
+        times the letters of s, one table read each. As s is reduced, it
+        cancels against g only in its first letters, and from the first
+        letter that does not cancel the product only grows; a set closed
+        under prefixes holds no extension of a word it lacks, so a product
+        that leaves it never comes back, and -1 is exact. Each level
+        multiplies only its frontier by the steps, a block of frontier
+        rows at a time, and the search stops once every entry is reached."""
         import numpy as np
 
         words = self.words()
@@ -414,7 +392,31 @@ class PlaneBall:
         top = max((_ORDER[c] for w in words for c in w), default=0)
         rmul = np.array([[at.get(compose_words(w, c), len(trie)) for w in trie] + [len(trie)]
                          for c in letters(top // 2 + 1)], dtype=np.int64)
-        return rmul, np.array([at[w] for w in words], dtype=np.int64)
+        node = np.array([at[w] for w in words], dtype=np.int64)
+        entry = np.full(len(trie) + 1, -1)
+        entry[node] = np.arange(self.count)
+        # longest step first, so the steps with a j-th letter lead column j
+        steps = sorted((e.word for e in self._entries
+                        if e.word and float(e.displacement) <= float(R) + 1e-12), key=len, reverse=True)
+        cols = [np.array([_ORDER[w[j]] for w in steps if len(w) > j])
+                for j in range(max(map(len, steps), default=0))]
+        block = max(1, 2**16 // max(len(steps), 1))
+        dist = np.full(self.count, -1)
+        dist[0] = 0
+        frontier, level, left = np.zeros(1, dtype=np.int64), 0, self.count - 1
+        while len(frontier) and left:
+            level += 1
+            # an image off the entries, -1, lands in the last slot
+            reach = np.zeros(self.count + 1, dtype=bool)
+            for i in range(0, len(frontier), block):
+                image = np.repeat(node[frontier[i:i + block], None], len(steps), axis=1)
+                for col in cols:
+                    image[:, :len(col)] = rmul[col, image[:, :len(col)]]
+                reach[entry[image]] = True
+            frontier = np.flatnonzero(reach[:-1] & (dist < 0))
+            dist[frontier] = level
+            left -= len(frontier)
+        return dist.tolist()
 
     def shortest(self):
         """(displacement, word) of the least displaced nonidentity entry,
@@ -553,7 +555,7 @@ def check_generating(action, ball, threshold=None):
     bound; passing a smaller explicit threshold verifies a stronger
     statement (the small set already generates), hence still certifies the
     bound. Pass means every entry is reachable from the identity in the
-    orbit graph of `_orbit_graph_steps` with R = threshold; on failure the
+    ball's orbit graph (`_graph_steps`) with R = threshold; on failure the
     witness is the least unreachable word in canonical order, the entries'
     order, and only then are the ball's words listed.
     """
@@ -566,16 +568,16 @@ def check_generating(action, ball, threshold=None):
         raise InsufficientDataError(
             "ball radius %s < 2x threshold %s" % (ball.radius, threshold)
         )
-    dist = _orbit_graph_steps(ball, threshold)
+    dist = ball._graph_steps(threshold)
     if -1 not in dist:
         return CheckReport(True, detail={"threshold": threshold})
     return CheckReport(False, witness=ball.words()[dist.index(-1)], detail={"threshold": threshold})
 
 
 def word_metric_distances(action, ball, R):
-    """d_Sigma(g, id) for every entry, -1 where unreachable: the action's
-    `word_metric` on the ball."""
-    return action.word_metric(ball, R)
+    """d_Sigma(g, id) for every entry, -1 where unreachable: the ball's
+    orbit-graph steps at scale R."""
+    return ball._graph_steps(R)
 
 
 def check_word_metric_comparison(action, ball, R):
@@ -587,7 +589,7 @@ def check_word_metric_comparison(action, ball, R):
     if R <= thresh:
         raise ParameterError("R must exceed 2D + 72*delta = %.6g" % thresh)
     lower_c = R - thresh
-    dsig = action.word_metric(ball, R)
+    dsig = ball._graph_steps(R)
     disp = chain.from_iterable(repeat(float(d), n) for d, n in ball.runs())
     worst_lower = worst_upper = 0.0
     for i, (k, d) in enumerate(zip(dsig, disp)):

@@ -170,8 +170,8 @@ def test_tree_continuity_and_entropy_build_no_ball_words(tmp_path, monkeypatch):
 
 def test_tree_verify_lists_each_ball_once_per_check(tmp_path, monkeypatch):
     # packing_chain lists the T = 2 ball's points once; generating and
-    # word_metric list no entry of their T = 6 ball, as the orbit graph is
-    # searched on ball indices and the report reads the ball's runs (each
+    # word_metric list no entry of their T = 6 ball, as a tree's orbit-graph
+    # steps are a closed form and the report reads the ball's runs (each
     # listed the ball's entries once before, and twice before that)
     from hypcrit.orbits import TreeBall
 
@@ -245,16 +245,23 @@ def test_tree_runs_peak_rss_follows_what_they_read(tmp_path):
 
 
 def test_tree_ball_past_the_element_cap_exits_2_with_its_size(tmp_path):
-    # T = 13 on F_2 is 2 * 3^13 - 1 points, just past the cap; the action
-    # is free and discrete, so the refusal names no non-discreteness
+    # T = 13 on F_2 is 2 * 3^13 - 1 points, just past the cap: a read that
+    # lists its points (the packing chain's) is refused, and as the action
+    # is free and discrete the refusal names no non-discreteness; `entropy`
+    # reads the ball's counts and sums its levels, so it answers
     scn = cli.load_scenario("f2_tree")
     scn["entropy"]["T"] = 13
+    scn["verify"]["checks"] = ["packing_chain"]
+    scn["verify"]["packing_chain"]["T"] = 13
     path = tmp_path / "deep.scn"
     path.write_text(json.dumps(scn), encoding="utf-8")
-    assert run(["entropy", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert run(["verify", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
     audit = json.loads(read(tmp_path / "out", "audits.json"))
     assert audit["error"] == ("CertificationError: a tree ball of depth 13 holds 3188645 points, "
                               "past the element cap 2000000")
+    assert run(["entropy", "--scenario", str(path), "--out", str(tmp_path / "entropy")]) == 0
+    report = json.loads(read(tmp_path / "entropy", "estimate.json"))
+    assert report["ball"]["count"] == 3_188_645 and report["passed"]
 
 
 def test_emit_witnesses_includes_rows(tmp_path):
@@ -421,15 +428,25 @@ def test_refused_values_exit_2_before_any_check_runs(tmp_path, monkeypatch):
     ("boundary", ("boundary", "qc_depth"), 0, "ParameterError: cylinder depth must be >= 1, got 0"),
     ("verify", ("verify", "shadow_ball", "ts"), [2.0, 800.0],
      "ParameterError: radius must be in (0, 1], got 0.0"),
+    ("verify", ("verify", "packing_growth", "ts"), [2, 4, 6, 800],
+     "NumericalLimitError: packing bound P (1 + P)^(T/r - 1) at P = 10, T = 800, r = 1 "
+     "is past float64"),
+    ("entropy", ("entropy", "K_h"), 100,
+     "NumericalLimitError: e^(hT) at h = 100, T = 8 is past float64"),
+    ("boundary", ("boundary", "h"), 200,
+     "NumericalLimitError: rho^h at rho = 0.0183156, h = 200 leaves float64's range"),
 ], ids=["negative-T", "narrow-window", "shallow-boundary", "s-below-growth", "shallow-generating",
         "large-threshold", "small-R", "odd-valence", "zero-edge", "depth-0-cylinders",
-        "depth-0-qc", "underflowing-shadow-ball-T"])
+        "depth-0-qc", "underflowing-shadow-ball-T", "overflowing-packing-bound",
+        "overflowing-equidistribution-h", "underflowing-ahlfors-scale"])
 def test_library_refusals_of_a_value_exit_2(tmp_path, command, keys, value, error):
     # f2_tree with one value changed, refused by the library, not by the
     # scenario screen; all but the zero edge and the shadow-ball T ended in
     # a traceback with exit 1 and no audits.json (a depth-0 cylinder has no
     # approximant); a T past 745, whose ball radius e^{-T} is 0.0, is
-    # refused where the audit computes its ball thresholds
+    # refused where the audit computes its ball thresholds, and a float64
+    # overflow or underflow of a bound, of e^{hT} or of rho^h where it is
+    # computed
     scn = cli.load_scenario("f2_tree")
     *blocks, key = keys
     block = scn

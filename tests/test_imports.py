@@ -188,7 +188,7 @@ TEST_ONLY = {
         "the codiameter lower estimate that ROADMAP item 7 reports for each member",
     ("orbits.py", "word_metric_distances"):
         "the public word-metric read of a ball, which tests and the benchmark tracer call; "
-        "check_word_metric_comparison reads the action's word_metric on the ball itself",
+        "check_word_metric_comparison reads the ball's orbit-graph steps itself",
     ("space.py", "estimate_delta"):
         "the four-point delta lower estimate that ROADMAP item 7 reports for each member",
 }
@@ -274,7 +274,7 @@ def test_each_orbit_ball_defines_the_same_reads():
 #: `gen_map` and `certificate`
 ACTION = (
     "space declared_delta declared_codiameter basepoint rank alphabet closed_form_exponent "
-    "isometry orbit_point orbit_ball word_metric"
+    "isometry orbit_point orbit_ball"
 ).split()
 
 

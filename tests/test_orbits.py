@@ -127,21 +127,28 @@ def test_element_cap_trips_before_a_level_is_built(monkeypatch, f2, schottky):
     from hypcrit.convergence import snapshot
     from hypcrit.entropy import poincare_partial
 
+    uncapped = enumerate_orbit_ball(f2, 5)
+    want_sum, want_mu = poincare_partial(uncapped, 1.3), patterson_sullivan_atoms(f2, uncapped, 1.3)
     monkeypatch.setattr(orbits, "ELEMENT_CAP", 161)
     assert enumerate_orbit_ball(f2, 4).count == 161
     # a tree ball stores no word, so one past the cap is counted; each read
-    # that takes a step per point refuses it before listing any level, and
-    # a tree action is discrete, so the message names the ball's size, not
-    # a diagnosis
+    # that lists its points refuses it before listing any level, and a tree
+    # action is discrete, so the message names the ball's size, not a
+    # diagnosis
     ball = enumerate_orbit_ball(f2, 5)
     assert ball.count == 485 and ball.count_samples[-1] == (5.0, 485)
     for read in (lambda b: b.entries, TreeBall.points, TreeBall.words,
-                 lambda b: poincare_partial(b, 1.3),
-                 lambda b: patterson_sullivan_atoms(f2, b, 1.3),
                  lambda b: check_generating(f2, b, 1.0)):
         with pytest.raises(CertificationError, match=r"^a tree ball of depth 5 holds 485 points, "
                                                      r"past the element cap 161$"):
             read(ball)
+    # the Poincare sum and the Patterson-Sullivan measure add one run per
+    # level, so they answer on the capped ball, with the uncapped values
+    assert poincare_partial(ball, 1.3) == want_sum
+    mu = patterson_sullivan_atoms(f2, ball, 1.3)
+    assert len(mu.atoms) == 485 and len(mu.boundary_atoms) == len(want_mu.boundary_atoms)
+    assert (mu.boundary_levels, mu.boundary_total) == (want_mu.boundary_levels,
+                                                       want_mu.boundary_total)
     # a snapshot of radius 4 numbers the words of length <= 5
     snapshot(f2, ball, 1 / 3.5)
     with pytest.raises(CertificationError, match="^a tree ball of depth 5 holds 485 points"):
@@ -238,7 +245,7 @@ def test_orbit_graph_steps_match_the_word_search(f2, schottky):
     # at three edges and on Schottky balls, at radii R from below one
     # letter to past the ball, and on plane balls with entries taken out,
     # whose words then miss prefixes (a merged word is missing so)
-    from hypcrit.orbits import PlaneBall, _orbit_graph_steps
+    from hypcrit.orbits import PlaneBall
     from word_oracle import orbit_graph_steps
 
     balls = [enumerate_orbit_ball(tree_action(valence=v, edge_length=ell), T)
@@ -253,11 +260,31 @@ def test_orbit_graph_steps_match_the_word_search(f2, schottky):
     for ball in balls:
         # past R = 2 the large tree ball's every word is a step
         for R in (0.5, 1.0, 2.0) + ((4.5, 8.5, 30.0) if ball.count < 200 else ()):
-            got = _orbit_graph_steps(ball, R)
+            got = ball._graph_steps(R)
             assert got == orbit_graph_steps(ball.entries, R), (ball.radius, R)
             reached += max(got) > 1
             unreached += -1 in got
     assert reached and unreached
+
+
+def test_orbit_graph_search_past_a_large_plane_ball_keeps_no_table_per_step(schottky):
+    # R past the radius of a 25,384-point ball makes every entry a step, so
+    # each is one step from the identity, the word search's answer. A table
+    # of one n-long move array per step would hold 25,384^2 int64 (5.2 GB),
+    # as would a dense distance table; the frontier search peaks at 6.0 MB
+    # under tracemalloc, and the gate leaves it a 2x margin
+    import tracemalloc
+
+    ball = enumerate_orbit_ball(schottky, 32.0)
+    assert ball.count == 25_384
+    tracemalloc.start()
+    try:
+        got = ball._graph_steps(39.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [0] + [1] * (ball.count - 1)
+    assert peak < 12e6, peak
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +466,18 @@ def test_plane_ball_beyond_float64_is_refused(schottky):
 
 
 #: sha256 of `ball_read_record()`, recorded on the bundled runs' ball
-#: reads before the orbit ball was split into `TreeBall` and `PlaneBall`
-BALL_READS_SHA256 = "e27114872e13c78a8498028c3521fe8c712ef315970cf358b0d225b5aa3def17"
+#: reads before the orbit ball was split into `TreeBall` and `PlaneBall`,
+#: and re-recorded when the Poincare sum came to add one run per level:
+#: only the edge-2/3, T = 10 line moved, from the cap's refusal to its
+#: values, each sum bitwise a plain loop over its 28,697,813 terms
+BALL_READS_SHA256 = "e92daa800e93a36946403cf53d7a9080a2baba2ae4ee25569802c620c2d597e6"
 
 
 def ball_read_record():
     """One line per ball: the float.hex of its Poincare sums at s = 0.4
     and 1.3, its count samples and shells, its displacements at ranks 1,
     count // 2 and count, and its systole report, or the type of the
-    error where a step is refused. Tree balls at edge 1, 3/2 and 2/3 and
+    error where a read is refused. Tree balls at edge 1, 3/2 and 2/3 and
     T = 0, 1, 6 and 10 (edge 2/3 at T = 10 passes the element cap),
     Schottky pairs at L = 4 and 4.5 and T = 12 and 23."""
     from hypcrit.entropy import poincare_partial
