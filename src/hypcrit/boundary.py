@@ -52,6 +52,7 @@ from .space import (
     _geodesic_points,
     _grid_ray_points,
     _lcp,
+    _on_grid,
     _path_distance,
     _tree_point,
     _tree_separation,
@@ -157,17 +158,6 @@ def shadow_contains(action, y, r, z):
     if r <= 0:
         raise ValueError("shadow radius must be positive")
     return _rules(action).shadow_contains(y, r, z)
-
-
-def _on_grid(space, y):
-    """(D, m, g): the tree point y as the `_GridPoint` g on the grid of
-    `tree_grid` (D units per length, m per edge), refined where y's offset
-    is off it. k units are the float k / D, float(Fraction(k, D))."""
-    D, m = tree_grid(space)
-    den = y.offset.denominator
-    refine = den // math.gcd(den, D)
-    D, m = D * refine, m * refine
-    return D, m, _GridPoint(y.word, y.offset.numerator * (D // den), y.direction)
 
 
 #: ball_in_shadow is (tested, violations); shadow_in_ball and
@@ -647,7 +637,8 @@ class _TreeRules:
         raise DepthError("membership undecidable at truncation depth %d" % k)
 
     def shadow_contains(self, y, r, z):
-        return self.ray_shadow(_on_grid(self.space, y), r, z)
+        D, m, (g,) = _on_grid(self.space, [y])
+        return self.ray_shadow((D, m, g), r, z)
 
     def ray_shadow(self, p, r, z):
         """shadow_contains at p = (D, m, g), the form of `ray_points_to`
@@ -752,7 +743,7 @@ class _TreeRules:
         inside, decided mass). In `_on_grid` units an atom word sharing j
         letters with y's word is j m from y's root path, or y's depth where
         it shares one more with y's word and direction, running along y's edge."""
-        D, m, g = _on_grid(self.space, y)
+        D, m, (g,) = _on_grid(self.space, [y])
         dy = len(g.word) * m + g.offset
         seps = [j * m for j in range(len(g.word) + 1)] + [dy]
         inside = den = 0.0

@@ -3,18 +3,23 @@
 Estimates are never bare numbers: every estimate carries its window,
 method and residual. Covering numbers are exact by branch and bound for
 small instances (<= 24 points); `greedy_covering_count`, the deterministic
-farthest-point upper bound, serves larger sets and seeds that search.
-Packing numbers have an exact mode and a greedy lower-bound mode.
+farthest-point upper bound, serves larger sets. Packing numbers have an
+exact mode and a greedy lower-bound mode.
+
+The packing and covering audits read distances one pair at a time from
+the scalar pair kernel (`space._pair_distances`): greedy packing compares
+each point only with the points already chosen, and the exact modes fill
+a table of at most 24 points. numpy loads only where it runs: in the
+regression fit (`estimate_critical_exponent`) and in the greedy covering
+count of large hull sets (`greedy_covering_count`).
 """
 
 import math
 from collections import namedtuple
 
-import numpy as np
-
 from .errors import InsufficientDataError, NumericalLimitError
 from .orbits import PlaneBall, TreeBall, _run_sum
-from .space import TREE
+from .space import TREE, _pair_distances
 
 EXACT_LIMIT = 24
 
@@ -50,6 +55,8 @@ def estimate_critical_exponent(counts, window):
     for (t1, n1), (t2, n2) in zip(pts, pts[1:]):
         if t2 <= t1 or n2 < n1:
             raise ValueError("counts must be sorted with nondecreasing N")
+    import numpy as np
+
     ts = np.array([t for t, _ in pts])
     ys = np.log([n for _, n in pts])
     slope, icept = np.polyfit(ts, ys, 1)
@@ -90,28 +97,38 @@ def poincare_partial(ball, s):
 # packing and covering numbers
 
 
-def _close_matrix(space, points, r):
-    from .arrays import pairwise_distances
+def _distance_table(space, points):
+    """The n x n distances of at most EXACT_LIMIT points, as lists, from
+    the scalar pair kernel (`space._pair_distances`)."""
+    dist, n = _pair_distances(space, points), len(points)
+    return [[dist(i, j) for j in range(n)] for i in range(n)]
 
-    D = pairwise_distances(space, points)
-    return D <= r + 1e-12
+
+def _close_masks(table, r):
+    """Bit mask of the points within r + 1e-12 of each point, itself included."""
+    return [sum(1 << j for j, d in enumerate(row) if d <= r + 1e-12) for row in table]
 
 
 def covering_number(space, points, r):
     """Smallest number of points of the set whose r-balls cover the set.
 
-    Optimal by branch and bound (<= 24 points), starting from the greedy
-    upper bound of `greedy_covering_count`.
+    Optimal by branch and bound (<= 24 points) on a small distance table,
+    starting from the farthest-point greedy upper bound on that table,
+    the count `greedy_covering_count` takes on larger sets.
     """
     n = len(points)
     if n == 0:
         return 0
     if n > EXACT_LIMIT:
         raise ValueError("exact covering limited to %d points" % EXACT_LIMIT)
-    close = _close_matrix(space, points, r)
-    masks = [sum(1 << j for j in range(n) if close[i, j]) for i in range(n)]
+    table = _distance_table(space, points)
+    masks = _close_masks(table, r)
     full = (1 << n) - 1
-    best = [greedy_covering_count(space, points, r)]
+    mind, count = table[0], 1
+    while max(mind) > r + 1e-12:
+        far = table[mind.index(max(mind))]
+        mind, count = [min(a, b) for a, b in zip(mind, far)], count + 1
+    best = [count]
 
     def search(covered, used):
         if used >= best[0]:
@@ -122,7 +139,7 @@ def covering_number(space, points, r):
         low = (~covered) & full
         i = (low & -low).bit_length() - 1  # lowest uncovered point
         for j in range(n):
-            if close[i, j]:
+            if masks[i] >> j & 1:
                 search(covered | masks[j], used + 1)
 
     search(0, 0)
@@ -133,8 +150,10 @@ def packing_number(space, points, r, mode="exact"):
     """Largest number of pairwise 2r-separated points of the set.
 
     exact: optimal (max independent set in the 2r-close graph, <= 24
-    points); greedy: lexicographic-first maximal separated set, a lower
-    bound for the optimum.
+    points, on a small distance table); greedy: lexicographic-first maximal
+    separated set, a lower bound for the optimum, each point compared with
+    the points already chosen until the first close one, through the
+    scalar pair kernel, so at most n |chosen| pairs and no n x n table.
     """
     n = len(points)
     if n == 0:
@@ -142,12 +161,8 @@ def packing_number(space, points, r, mode="exact"):
     if mode == "exact":
         if n > EXACT_LIMIT:
             raise ValueError("exact mode limited to %d points" % EXACT_LIMIT)
-        close = _close_matrix(space, points, 2 * r)
-        conflict = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if i != j and close[i, j]:
-                    conflict[i] |= 1 << j
+        masks = _close_masks(_distance_table(space, points), 2 * r)
+        conflict = [m & ~(1 << i) for i, m in enumerate(masks)]
         best = [0]
 
         def search(i, chosen_count, banned):
@@ -163,10 +178,14 @@ def packing_number(space, points, r, mode="exact"):
         search(0, 0, 0)
         return best[0]
     if mode == "greedy":
-        close = _close_matrix(space, points, 2 * r)
+        dist = _pair_distances(space, points)
+        close = 2 * r + 1e-12
         chosen = []
         for i in range(n):
-            if not any(close[i, j] for j in chosen):
+            for j in chosen:
+                if dist(i, j) <= close:
+                    break
+            else:
                 chosen.append(i)
         return len(chosen)
     raise ValueError("unknown mode %r" % mode)
@@ -237,8 +256,9 @@ def greedy_covering_count(space, points, r):
     """Farthest-point greedy covering number, an upper bound for the optimum.
 
     Centers are chosen deterministically from the first point on, with one
-    distance row per center and no dense n x n matrix, so it scales to
-    ~1e5 points. Distinct tree vertices isolated at radius r
+    vectorized distance row per center (`arrays._distance_rows`) and no
+    dense n x n matrix, so it scales to the ~1e5-point hull sets of
+    `covering_entropy_estimate`. Distinct tree vertices isolated at radius r
     (`_isolated_vertices`) are each their own center: the count is n,
     returned without a distance row.
     """
@@ -251,6 +271,8 @@ def greedy_covering_count(space, points, r):
         and len({p.word for p in points}) == n
     ):
         return n
+    import numpy as np
+
     from .arrays import _distance_rows
 
     rows = _distance_rows(space, points)
@@ -286,11 +308,11 @@ def check_packing_growth(action, hull_samples, ts, r):
     packing numbers of hull pieces, also lower bounds, so a pass is the
     honest direction of the inequality.
     """
-    from .arrays import distances_to_point
-
     base = action.basepoint
     base_radius = 72.0 * action.declared_delta + 3.0 * r
-    d0 = distances_to_point(action.space, hull_samples, base)
+    n = len(hull_samples)
+    dist = _pair_distances(action.space, list(hull_samples) + [base])
+    d0 = [dist(i, n) for i in range(n)]
     core = [p for p, d in zip(hull_samples, d0) if d <= base_radius + 1e-9]
     P = packing_number(action.space, core, r, "greedy") if core else 1
     P = max(P, 1)

@@ -33,7 +33,7 @@ from .space import ModelSpace, PlanePoint, TreePoint, plane_distance
 from .words import _ORDER, compose_words, letters, word_key, word_levels
 
 #: hard cap on the words a plane ball builds, where hitting it aborts with
-#: a diagnosis (a non-discrete action would otherwise loop), and on the
+#: the level it stops at (a non-discrete action would otherwise loop), and on the
 #: points a read of a tree ball lists (`TreeBall._listable`)
 ELEMENT_CAP = 2_000_000
 
@@ -150,8 +150,11 @@ class PlaneAction:
         levels = _word_levels(self.gen_map, alph)
         for k in range(1, max_len + 1):
             # level k builds every reduced word of length k, in the ball or not
-            if len(entries) + len(alph) * (len(alph) - 1) ** (k - 1) > ELEMENT_CAP:
-                raise CertificationError("element cap hit; action looks non-discrete")
+            built = len(alph) * (len(alph) - 1) ** (k - 1)
+            if len(entries) + built > ELEMENT_CAP:
+                raise CertificationError(
+                    "plane ball level %d would build %d words beside %d entries, past the "
+                    "element cap %d" % (k, built, len(entries), ELEMENT_CAP))
             words, mats = next(levels)
             for w, z, m in zip(words, _images_of_i(mats), mats):
                 d = plane_distance(base.z, z)
@@ -254,10 +257,11 @@ def _run_sum(ball, f):
     """f(d) over the ball's points, d each one's displacement, added left
     to right in entry order as `acc += f(d)` adds them: one `_add_copies`
     per (d, n) run of `ball.runs()`, so a tree ball past ELEMENT_CAP is
-    summed level by level."""
+    summed level by level, and a plain addition per run of one point, as
+    every plane entry is."""
     total = 0.0
     for d, n in ball.runs():
-        total = _add_copies(total, f(d), n)
+        total = total + f(d) if n == 1 else _add_copies(total, f(d), n)
     return total
 
 
@@ -383,7 +387,8 @@ class PlaneBall:
         under prefixes holds no extension of a word it lacks, so a product
         that leaves it never comes back, and -1 is exact. Each level
         multiplies only its frontier by the steps, a block of frontier
-        rows at a time, and the search stops once every entry is reached."""
+        rows at a time, and the search stops after the block that reaches
+        the last entry."""
         import numpy as np
 
         words = self.words()
@@ -403,19 +408,22 @@ class PlaneBall:
         block = max(1, 2**16 // max(len(steps), 1))
         dist = np.full(self.count, -1)
         dist[0] = 0
-        frontier, level, left = np.zeros(1, dtype=np.int64), 0, self.count - 1
-        while len(frontier) and left:
+        frontier, level, todo = np.zeros(1, dtype=np.int64), 0, np.arange(1, self.count)
+        while len(frontier) and len(todo):
             level += 1
             # an image off the entries, -1, lands in the last slot
             reach = np.zeros(self.count + 1, dtype=bool)
+            left = todo
             for i in range(0, len(frontier), block):
                 image = np.repeat(node[frontier[i:i + block], None], len(steps), axis=1)
                 for col in cols:
                     image[:, :len(col)] = rmul[col, image[:, :len(col)]]
                 reach[entry[image]] = True
-            frontier = np.flatnonzero(reach[:-1] & (dist < 0))
+                left = left[~reach[left]]
+                if not len(left):
+                    break  # the rest of the level can reach no new entry
+            frontier, todo = todo[reach[todo]], left
             dist[frontier] = level
-            left -= len(frontier)
         return dist.tolist()
 
     def shortest(self):

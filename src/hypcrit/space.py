@@ -14,7 +14,8 @@ integer offset and the edge length `m` counted in the same unit. The hot
 paths run it on `_GridPoint`s of an integer grid: the lemma sweeps on the
 grid of `tree_grid` (1/D with D = 128 * denominator(edge_length), fine
 enough for every sampled offset, parameter and split), snapshots on their
-resolution steps. A grid length k converts to float once, as k / D, which
+resolution steps, the packing audits on that grid refined by their points'
+offsets (`_on_grid`). A grid length k converts to float once, as k / D, which
 is float(Fraction(k, D)). `TreePoint` with `Fraction` offsets is the public
 type and the reference: `distance`, `geodesic_point` and `ray_points` run
 the same kernel in `Fraction` arithmetic with m = edge_length.
@@ -29,7 +30,8 @@ them, and stop reading a line once it cannot change a defect.
 Distances to segments, rays and ideal lines are distances to an arc of that
 axis (`_dist_to_axis_arc`).
 
-This module is scalar and loads no numpy. The vectorized distance kernels
+This module is scalar and loads no numpy. Its pair kernel
+(`_pair_distances`) reads one distance at a time. The vectorized distance kernels
 (`pairwise_distances`, `distances_to_point`, `_TreePaths`) and the
 closed forms for rays from the basepoint i (`plane_ray_product`,
 `plane_ray_distance`) live in `arrays`; `ray_point`, `gromov_product` and
@@ -271,6 +273,20 @@ def _tree_point(g, unit):
     return TreePoint(g.word, g.offset * unit, g.direction)
 
 
+def _on_grid(space, points):
+    """(D, m, grid): the tree points as `_GridPoint`s on one integer grid,
+    that of `tree_grid` (D units per length, m per edge) refined by the lcm
+    of the offset denominators off it. k units are the float k / D,
+    float(Fraction(k, D))."""
+    D, m = tree_grid(space)
+    refine = math.lcm(*(den // math.gcd(den, D) for den in {p.offset.denominator for p in points}))
+    D, m = D * refine, m * refine
+    return D, m, [
+        _GridPoint(p.word, p.offset.numerator * (D // p.offset.denominator), p.direction)
+        for p in points
+    ]
+
+
 def plane_distance(z1, z2):
     """d(z1, z2) = 2 asinh(|z1-z2| / (2 sqrt(y1 y2))); stable near 0."""
     return 2.0 * math.asinh(abs(z1 - z2) / (2.0 * math.sqrt(z1.imag * z2.imag)))
@@ -283,6 +299,19 @@ def distance(space, p, q):
     if space.kind == TREE:
         return _path_distance(space.edge_length, p, q)
     return plane_distance(p.z, q.z)
+
+
+def _pair_distances(space, points):
+    """The scalar twin of `arrays._distance_rows`: the function taking two
+    indices i, j to the float distance between points[i] and points[j],
+    with no table. Tree points go once onto one grid (`_on_grid`), so a
+    pair is one integer `_path_distance`, read as k / D; plane pairs are
+    `plane_distance` calls."""
+    if space.kind == TREE:
+        D, m, grid = _on_grid(space, points)
+        return lambda i, j: _path_distance(m, grid[i], grid[j]) / D
+    z = [p.z for p in points]
+    return lambda i, j: plane_distance(z[i], z[j])
 
 
 def gromov_product(space, base, y, z):

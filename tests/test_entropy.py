@@ -26,6 +26,7 @@ from hypcrit.errors import InsufficientDataError
 from hypcrit.geometry_checks import _rand_plane_point, _rand_tree_point
 from hypcrit.orbits import TreeBall, _count_by_shell, enumerate_orbit_ball, tree_action
 from hypcrit.space import ModelSpace
+import packing_oracle
 
 TREE = ModelSpace.tree()
 PLANE = ModelSpace.plane()
@@ -173,6 +174,100 @@ def test_packing_chain(space):
         ok, (p2, c2, p1) = check_packing_chain(space, pts, rng.uniform(0.3, 1.2))
         assert ok
         assert p2 <= c2 <= p1
+
+
+# ---------------------------------------------------------------------------
+# the scalar audits against the table-based oracle
+
+
+def tree_hull(ell, seed, pairs=10):
+    """The points at arclengths d i/k, i = 0 .. k, on geodesics between
+    random vertices d apart, for k = 3, 5 and 7 splits: offsets off the
+    1/128 grid."""
+    from hypcrit.space import TreePoint, distance, geodesic_point
+    from hypcrit.words import letters
+    from word_oracle import rand_word
+
+    space = ModelSpace.tree(4, ell)
+    rng = random.Random(seed)
+    out = []
+    for k in (3, 5, 7):
+        for _ in range(pairs):
+            p, q = (TreePoint(rand_word(rng, letters(2), rng.randrange(0, 6))) for _ in range(2))
+            d = distance(space, p, q)
+            out += [geodesic_point(space, p, q, d * Fraction(i, k)) for i in range(k + 1)]
+    return space, out
+
+
+@pytest.fixture(scope="module")
+def plane_hull():
+    from hypcrit.boundary import limit_set_sample, qc_hull_sample
+    from hypcrit.isometries import certify_ping_pong, schottky_pair
+    from hypcrit.orbits import schottky_action
+
+    desc = schottky_pair(4.0)
+    act = schottky_action(desc, certify_ping_pong(desc))
+    samples = limit_set_sample(act, enumerate_orbit_ball(act, 14.0), 4.0)
+    return act, qc_hull_sample(act, samples, 40)
+
+
+def assert_audits_match_the_oracle(space, hull, rs, seed):
+    rng = random.Random(seed)
+    for r in rs:
+        assert packing_number(space, hull, r, "greedy") == packing_oracle.packing_number(
+            space, hull, r, "greedy")
+        for n in (1, 2, 9, 16, 24):
+            pts = rng.sample(hull, n)
+            assert packing_number(space, pts, r) == packing_oracle.packing_number(space, pts, r)
+            assert covering_number(space, pts, r) == packing_oracle.covering_number(space, pts, r)
+            assert tuple(check_packing_chain(space, pts, r)) == packing_oracle.packing_chain(
+                space, pts, r)
+
+
+@pytest.mark.parametrize("ell", [Fraction(1), Fraction(3, 2), Fraction(2, 3)],
+                         ids=["L=1", "L=3/2", "L=2/3"])
+def test_scalar_audits_match_the_table_oracle_on_tree_hulls(ell):
+    space, hull = tree_hull(ell, seed=int(6 * ell))
+    assert {p.offset.denominator for p in hull} - {1, 2, 4, 8} and len(hull) >= 150
+    rs = [float(ell) * f for f in (0.25, 1 / 3, 0.5, 1.0, 4 / 3)]
+    assert_audits_match_the_oracle(space, hull, rs, seed=7)
+    act = tree_action(edge_length=ell)
+    for ts, r in (([2.0, 4.0, 6.0], 1.0), ([1.5, 3.0, 4.5], float(ell) / 2)):
+        rep = check_packing_growth(act, hull, ts, r)
+        assert tuple(rep) == packing_oracle.packing_growth(act, hull, ts, r)
+
+
+def test_scalar_audits_match_the_table_oracle_on_plane_hulls(plane_hull):
+    act, hull = plane_hull
+    assert_audits_match_the_oracle(act.space, hull, (0.25, 0.5, 1.0, 2.0), seed=11)
+    for r in (0.5, 1.0):
+        rep = check_packing_growth(act, hull, [2.0, 4.0, 6.0], r)
+        assert tuple(rep) == packing_oracle.packing_growth(act, hull, [2.0, 4.0, 6.0], r)
+
+
+@pytest.mark.parametrize("model", ["tree", "plane"])
+def test_greedy_packing_reads_at_most_n_pairs_per_chosen_point(monkeypatch, model, plane_hull):
+    from hypcrit import entropy
+
+    space, hull = tree_hull(Fraction(3, 2), seed=5) if model == "tree" else (
+        plane_hull[0].space, plane_hull[1])
+    pairs = [0]
+    kernel = entropy._pair_distances
+
+    def counting(space, points):
+        dist = kernel(space, points)
+
+        def counted(i, j):
+            pairs[0] += 1
+            return dist(i, j)
+
+        return counted
+
+    monkeypatch.setattr(entropy, "_pair_distances", counting)
+    for r in (0.25, 0.75, 2.0):
+        pairs[0] = 0
+        chosen = packing_number(space, hull, r, "greedy")
+        assert 1 < chosen and pairs[0] <= len(hull) * chosen < len(hull) * (len(hull) - 1) // 2
 
 
 def test_covering_entropy_on_the_tree():

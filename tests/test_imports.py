@@ -224,10 +224,11 @@ def test_scan_finds_kind_tests():
 #: the model-kind tests left in each module. `boundary` picks its model's
 #: rules object once, `convergence` its snapshot class once and the tree
 #: resolution of the continuity experiment once, and `orbits` none, each
-#: action building its own ball; ROADMAP item 13 says why the rest stay
+#: action building its own ball; `space` picks the scalar pair kernel once,
+#: as `arrays` its distance rows; ROADMAP item 13 says why the rest stay
 KIND_TESTS = {
     "arrays.py": 1, "boundary.py": 1, "cli.py": 1, "convergence.py": 2, "entropy.py": 2,
-    "geometry_checks.py": 2, "isometries.py": 6, "space.py": 8,
+    "geometry_checks.py": 2, "isometries.py": 6, "space.py": 9,
 }
 
 
@@ -507,9 +508,24 @@ def test_tree_boundary_audit_loads_no_numpy(tmp_path):
     assert loaded == sorted(SETUP_MODULES + ["hypcrit.boundary"])
 
 
+def test_tree_verify_loads_no_numpy(tmp_path):
+    # f2_tree's verify block runs every check; its packing audits read one
+    # distance at a time from the scalar pair kernel, no `arrays` table
+    from hypcrit.cli import CHECKS
+
+    scenario = json.loads((SRC / "scenarios" / "f2_tree.scn").read_text(encoding="utf-8"))
+    assert sorted(scenario["verify"]["checks"]) == sorted(CHECKS)
+    code, loaded = _run(_VERIFY_RUN, "f2_tree", str(tmp_path / "out"))
+    assert code == 0
+    assert loaded == sorted(
+        SETUP_MODULES + ["hypcrit.boundary", "hypcrit.entropy", "hypcrit.geometry_checks"]
+    )
+
+
 def test_bundled_entropy_runs_load_no_arrays(tmp_path):
-    # neither bundled entropy run computes a covering or packing number,
-    # the only readers of `arrays` in `entropy`
+    # neither bundled entropy run takes the covering entropy of a hull set,
+    # the only reader of `arrays` in `entropy`: packing and covering
+    # numbers read the scalar pair kernel
     for name in ("f2_tree", "schottky_L4"):
         code, loaded = _run(_VERIFY_RUN.replace('"verify"', '"entropy"'), name, str(tmp_path / name))
         assert code == 0

@@ -22,8 +22,10 @@ from hypcrit.orbits import (
     OrbitEntry,
     PlaneAction,
     TreeBall,
+    _add_copies,
     _count_by_shell,
     _MergeHash,
+    _run_sum,
     check_generating,
     check_word_metric_comparison,
     enumerate_orbit_ball,
@@ -56,6 +58,13 @@ def schottky():
 @pytest.fixture(scope="module")
 def schottky_ball(schottky):
     return enumerate_orbit_ball(schottky, 14.0)
+
+
+@pytest.fixture(scope="module")
+def schottky_ball32(schottky):
+    ball = enumerate_orbit_ball(schottky, 32.0)
+    assert ball.count == 25_384
+    return ball
 
 
 def test_tree_ball_matches_word_oracle(f2, f2_ball6):
@@ -159,7 +168,8 @@ def test_element_cap_trips_before_a_level_is_built(monkeypatch, f2, schottky):
     # bound the words each level builds, not only the entries it keeps
     monkeypatch.setattr(orbits, "ELEMENT_CAP", 1000)
     slow = schottky_action(schottky_pair(4.0), schottky.certificate._replace(per_letter_gain=0.5))
-    with pytest.raises(CertificationError, match="^element cap hit; action looks non-discrete$"):
+    with pytest.raises(CertificationError, match=r"^plane ball level 7 would build 2916 words "
+                                                 r"beside 5 entries, past the element cap 1000$"):
         enumerate_orbit_ball(slow, 4.0)
 
 
@@ -267,7 +277,57 @@ def test_orbit_graph_steps_match_the_word_search(f2, schottky):
     assert reached and unreached
 
 
-def test_orbit_graph_search_past_a_large_plane_ball_keeps_no_table_per_step(schottky):
+def split_graph_steps(entries, R):
+    """The orbit-graph steps of the entries where none needs more than two:
+    0 at the identity, 1 at a step, 2 at a word that splits into two steps
+    (a path with no cancellation; a non-step needs at least two). None
+    where some entry splits so into no two steps."""
+    steps = {e.word for e in entries if e.word and float(e.displacement) <= float(R) + 1e-12}
+    out = [0]
+    for e in entries[1:]:
+        w = e.word
+        if w in steps:
+            out.append(1)
+        elif any(w[:k] in steps and w[k:] in steps for k in range(1, len(w))):
+            out.append(2)
+        else:
+            return None
+    return out
+
+
+def test_orbit_graph_search_stops_at_the_last_entry_with_the_same_steps(schottky):
+    # on the 23,693-point L = 3 ball the search at R = 20 stops inside its
+    # second level, once the last entry is reached; at every R the steps
+    # are the string search's (`orbit_graph_steps`), or, where that would
+    # compose 10^8 words, the two-step splits', on that ball and on
+    # schottky_L4's entropy (T = 23) and verify (T = 14) balls
+    from word_oracle import orbit_graph_steps
+
+    desc = schottky_pair(3.0)
+    large = enumerate_orbit_ball(schottky_action(desc, certify_ping_pong(desc)), 23.0)
+    assert large.count == 23_693
+    for ball in (large, enumerate_orbit_ball(schottky, 23.0), enumerate_orbit_ball(schottky, 14.0)):
+        for R in (6.0, 12.0, 16.0, 20.0, 30.0):
+            want = split_graph_steps(ball.entries, R) or orbit_graph_steps(ball.entries, R)
+            assert ball._graph_steps(R) == want, (ball.radius, R)
+
+
+def test_run_sum_adds_a_one_point_run_as_the_repeated_addition(schottky, schottky_ball32):
+    # every plane run holds one point: a plain addition has the bits of
+    # `_add_copies`, on schottky_L4's T = 23 ball and on the T = 32 one
+    for ball in (enumerate_orbit_ball(schottky, 23.0), schottky_ball32):
+        assert {n for _, n in ball.runs()} == {1}
+        for s in (0.0, 0.35, 1.3):
+            def f(d):
+                return math.exp(-s * d)
+
+            want = 0.0
+            for d, n in ball.runs():
+                want = _add_copies(want, f(d), n)
+            assert _run_sum(ball, f).hex() == want.hex(), (ball.radius, s)
+
+
+def test_orbit_graph_search_past_a_large_plane_ball_keeps_no_table_per_step(schottky_ball32):
     # R past the radius of a 25,384-point ball makes every entry a step, so
     # each is one step from the identity, the word search's answer. A table
     # of one n-long move array per step would hold 25,384^2 int64 (5.2 GB),
@@ -275,8 +335,7 @@ def test_orbit_graph_search_past_a_large_plane_ball_keeps_no_table_per_step(scho
     # under tracemalloc, and the gate leaves it a 2x margin
     import tracemalloc
 
-    ball = enumerate_orbit_ball(schottky, 32.0)
-    assert ball.count == 25_384
+    ball = schottky_ball32
     tracemalloc.start()
     try:
         got = ball._graph_steps(39.0)
