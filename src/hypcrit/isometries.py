@@ -9,10 +9,10 @@ cancels to <= 0 (`_normalize_matrix`).
 
 Schottky subgroups of the plane isometries come with paired disjoint disks
 (arcs of the boundary circle) and a ping-pong certificate that decides
-nesting exactly from the images of the arc endpoints. numpy serves only
-the levels of plane orbit balls: the stacked-row kernels (`_compose_rows`,
-`_images_of_i`, `_word_levels`) import it where they run, so scalar
-isometry work, ping-pong certification included, loads none.
+nesting exactly from the images of the arc endpoints, and proves from one
+arc test per letter that no reduced word is displaced less than its
+prefixes, which is what lets a plane orbit ball grow from its own points.
+Everything here is scalar code: the module loads no numpy.
 """
 
 import math
@@ -32,9 +32,6 @@ MAT_TOL = 1e-12
 #: how far (rad) `certify_ping_pong` lets an arc endpoint's image fall
 #: outside the arc that receives it
 NEST_TOL = 1e-12
-#: word lengths surveyed for the systole bound and the per-letter gain
-WORD_HORIZON = 6
-GAIN_HORIZON = 4
 
 
 class TreeIsometry:
@@ -171,58 +168,6 @@ def _mobius_image(mat, z):
     return complex(w.real, max(w.imag, 1e-300))
 
 
-def _compose_rows(g, h):
-    """`compose` row by row over stacked (n, 4) matrix arrays g and h.
-
-    Every entry takes the same correctly rounded float operations in the
-    same order as the scalar `compose` and `_normalize_matrix`, so the rows
-    are bitwise their matrices; a cancelled det <= 0 is the exact det 1
-    there too.
-    """
-    import numpy as np
-
-    a1, b1, c1, d1 = g.T
-    a2, b2, c2, d2 = h.T
-    m = np.stack(
-        (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2), axis=1
-    )
-    a, b, c, d = m.T
-    det = a * d - b * c
-    if not np.isfinite(det).all():
-        raise NumericalLimitError("matrix entries overflow float64")
-    det[det <= 0] = 1.0
-    m /= np.sqrt(det)[:, None]
-    # canonical sign: first entry with |entry| > tol positive (a row of
-    # determinant 1 has one)
-    lead = m[np.arange(len(m)), (np.abs(m) > MAT_TOL).argmax(axis=1)]
-    m[lead < 0] *= -1.0
-    return m
-
-
-def _images_of_i(m):
-    """`apply_isometry` of each (n, 4) matrix row at the basepoint i, as a
-    list of complex coordinates, bitwise.
-
-    CPython's complex arithmetic is written out: a * 1j + b is
-    (a * 0 - 0 + b, a + 0), and the quotient is Smith's division, which
-    scales by the denominator's real part when |Re| >= |Im| and by its
-    imaginary part otherwise.
-    """
-    import numpy as np
-
-    a, b, c, d = m.T
-    nr, ni = (a * 0.0 - 0.0) + b, a + 0.0
-    dr, di = (c * 0.0 - 0.0) + d, c + 0.0
-    by_re = np.abs(dr) >= np.abs(di)
-    # both quotients are taken and one is kept, so the other may overflow
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = np.where(by_re, di / dr, dr / di)
-        den = np.where(by_re, dr + di * r, dr * r + di)
-        re = np.where(by_re, nr + ni * r, nr * r + ni) / den
-        im = np.where(by_re, ni - nr * r, ni * r - nr) / den
-    return list(map(complex, re.tolist(), np.maximum(im, 1e-300).tolist()))
-
-
 def _generator_map(generators):
     """{letter: isometry} over the alphabet of len(generators) free
     generators: a -> g1, A -> g1^-1, b -> g2, B -> g2^-1, ..."""
@@ -230,31 +175,6 @@ def _generator_map(generators):
     for c, g in zip(letters(len(generators))[::2], generators):
         gen_map[c], gen_map[c.upper()] = g, g.inverse()
     return gen_map
-
-
-def _word_levels(gen_map, alph):
-    """Iterator over the levels k = 1, 2, ... of the reduced words over
-    alph: each level is (words, mats), the words of length k in canonical
-    order (each word of level k - 1 extended by the letters that may
-    follow it, in alphabet order) and their stacked (n, 4) matrix rows. A
-    row is its parent's row composed with the generator of its last letter
-    (`_compose_rows`), bitwise the left-to-right scalar `compose` product.
-    Level k is built when it is requested.
-    """
-    import numpy as np
-
-    gens = np.array([gen_map[c].mat for c in alph])
-    # indices of the letters that may follow each letter
-    nexts = np.array([[j for j, d in enumerate(alph) if d != c.swapcase()] for c in alph])
-    words, mats = [""], np.array([IDENTITY_PLANE.mat])
-    # row i of a level is mats[parent[i]] times the generator of alph[letter[i]]
-    parent, letter = np.zeros(len(alph), dtype=int), np.arange(len(alph))
-    while True:
-        words = [words[i] + alph[j] for i, j in zip(parent.tolist(), letter.tolist())]
-        mats = _compose_rows(mats[parent], gens[letter])
-        yield words, mats
-        parent = np.repeat(np.arange(len(words)), len(alph) - 1)
-        letter = nexts[letter].ravel()
 
 
 def translation_length(space, iso):
@@ -380,32 +300,68 @@ class SchottkyDescription(namedtuple("SchottkyDescription", "generators disks"))
         return SchottkyDescription(tuple(gens), tuple(standard_disks(g) for g in gens))
 
 
-SchottkyCertificate = namedtuple(
-    "SchottkyCertificate", "systole_bound attaining_word per_letter_gain displacement_table",
-    defaults=(None,),
-)
+#: ``step_bound`` s > 0: every letter raises a reduced word's displacement
+#: at i by at least s (`certify_ping_pong`)
+SchottkyCertificate = namedtuple("SchottkyCertificate", "systole_bound attaining_word step_bound")
 PingPongFailure = namedtuple("PingPongFailure", "reason witness", defaults=(None,))
 
 
 def certify_ping_pong(desc):
-    """Ping-pong certification of a Schottky description.
+    """Ping-pong certification of a Schottky description at the basepoint i.
 
-    Checks that the 2m disks are pairwise disjoint and that each generator
-    maps the exterior of its source disk into its target disk (and its
-    inverse the exterior of the target into the source). A Mobius map
-    sends the exterior of an arc onto the arc between the images of its
-    endpoints that holds the image of its center's antipode, so nesting is
-    decided exactly from those three images. Margin policy: an endpoint
-    image may lie up to NEST_TOL = 1e-12 rad outside the receiving arc, to
-    absorb rounding; the standard disks are tight (their endpoint images
-    fall on the target endpoints to about 3e-15 rad).
+    A disk is the half-plane over its arc of the boundary circle; D_c is
+    the target of the letter c, a generator's target arc or an inverse's
+    source arc. Three checks:
 
-    On success returns a certificate carrying a systole lower bound at the
-    basepoint i (minimum displacement over all reduced words of length <=
-    WORD_HORIZON, with positive measured per-letter displacement gain over
-    words of length <= GAIN_HORIZON). On failure returns a PingPongFailure;
-    a nesting failure's witness is (generator index, (the two endpoint
-    images, the antipode's image)) in angles from the receiving arc's center.
+    1. The 2m disks are pairwise disjoint, and none holds i (each half
+       width is below pi/2).
+    2. Each generator maps the exterior of its source disk into its target
+       disk, and its inverse the exterior of the target into the source. A
+       Mobius map sends the exterior of an arc onto the arc between the
+       images of its endpoints that holds the image of its center's
+       antipode, so nesting is decided exactly from those three images.
+       Margin policy: an endpoint image may lie up to NEST_TOL = 1e-12 rad
+       outside the receiving arc, to absorb rounding; the standard disks
+       are tight (their endpoint images fall on the target endpoints to
+       about 3e-15 rad).
+    3. The arc test: the Dirichlet half-plane {z : d(z, c i) <= d(z, i)} of
+       each letter c meets no disk but D_c. In the disk model about i, let
+       c i = tanh(l / 2) e^{i phi}, l = d(i, c i). The Busemann function of
+       the ideal point at angle theta reads lim d(z, c i) - d(z, i) =
+       log(cosh l - sinh l cos(theta - phi)) as z tends to it, which is <= 0
+       exactly on the half-plane's arc |theta - phi| <= arccos tanh(l / 2).
+       So the test asks every other disk to keep an angle psi_c >
+       arccos tanh(l / 2) from phi, psi_c taken NEST_TOL short to cover the
+       rounding of phi and l.
+
+    Claim: d(i, w c i) >= d(i, w i) + s for every reduced word w c, with s =
+    min over the letters of log(cosh l - sinh l cos psi_c) > 0, the
+    certificate's `step_bound`. Proof, with the nesting exact up to the
+    rounding NEST_TOL allows for. Apply w^-1: the claim is f(z) = d(z, c i)
+    - d(z, i) >= s at z = w^-1 i. For w empty, f(i) = l >= s.
+    Else, by induction on length, v i lies in D_{v_1} for every nonempty
+    reduced word v with first letter v_1: i is in no disk, v_1 maps every
+    point off D_{v_1^-1} into D_{v_1}, and the rest of v, reduced with a
+    first letter other than v_1^-1, puts i in a disk other than
+    D_{v_1^-1}, the disks being disjoint. So z lies in D_x, x the inverse
+    of w's last letter, and x != c as w c is reduced. The geodesic ray from
+    i through z stays in D_x past z (it crosses D_x's boundary once) and
+    ends at an ideal point xi of D_x's arc, at least psi_c from phi. Along
+    the ray f does not increase (d(z', c i) <= d(z, c i) + d(z, z')), so
+    f(z) >= log(cosh l - sinh l cos(xi - phi)) >= s, as the Busemann
+    function grows with the angle up to pi.
+
+    So the displacement rises by at least s with each letter: the least
+    displaced nonidentity elements are letters, and every prefix of a word
+    within T is within T, which lets `PlaneAction.orbit_ball` extend only
+    the words it keeps (it covers float64 rounding against s).
+
+    On success returns the certificate: ``systole_bound`` the least
+    letter displacement, ``attaining_word`` its letter (the first in
+    string order among equals), ``step_bound`` s. On failure returns a
+    PingPongFailure; a nesting failure's witness is (generator index, (the
+    two endpoint images, the antipode's image)) in angles from the
+    receiving arc's center, an arc-test failure's (letter, disk).
     """
     gens = desc.generators
     if len(gens) < 2:
@@ -417,6 +373,8 @@ def certify_ping_pong(desc):
         arcs.append(("src", i, src))
         arcs.append(("tgt", i, tgt))
     for a in range(len(arcs)):
+        if arcs[a][2].half_width >= math.pi / 2.0:
+            return PingPongFailure("disk holds the basepoint i", arcs[a][:2])
         for b in range(a + 1, len(arcs)):
             gap = abs(_angle_gap(arcs[a][2].center, arcs[b][2].center))
             if gap <= arcs[a][2].half_width + arcs[b][2].half_width:
@@ -434,30 +392,26 @@ def certify_ping_pong(desc):
             ends_in = max(abs(x1), abs(x2)) <= b.half_width + NEST_TOL
             if not (ends_in and min(x1, x2) < xa < max(x1, x2)):
                 return PingPongFailure("nesting violated by " + who, (i, (x1, x2, xa)))
-    # displacement survey at the basepoint i, level by level in canonical
-    # order: each word is its parent's matrix composed with its last letter
     gen_map, alph = _generator_map(gens), letters(len(gens))
-    follow = {c: [(d, gen_map[d].mat) for d in alph if d != c.swapcase()] for c in alph}
-    follow[""] = [(d, gen_map[d].mat) for d in alph]
-    disp = {"": 0.0}
-    level = [("", IDENTITY_PLANE.mat)]
-    for _ in range(WORD_HORIZON):
-        level = [(w + c, _compose_mats(m, g)) for w, m in level for c, g in follow[w[-1:]]]
-        disp.update((w, plane_distance(1j, _mobius_image(m, 1j))) for w, m in level)
-    systole, best_word = min((v, w) for w, v in disp.items() if w)
-    gain = min(
-        disp[w] - disp[w[:-1]]
-        for w in disp
-        if 1 <= len(w) <= GAIN_HORIZON
-    )
-    if gain <= 0:
-        return PingPongFailure("no positive per-letter displacement gain", best_word)
-    return SchottkyCertificate(
-        systole_bound=systole,
-        attaining_word=best_word,
-        per_letter_gain=gain,
-        displacement_table=disp,
-    )
+    letter_steps = []
+    # a generator's letter sits at an even place of the alphabet, its target
+    # the generator's; its inverse's target is the source
+    for k, c in enumerate(alph):
+        # composed from the identity, as an orbit ball composes its letters,
+        # so that systole_bound is bitwise the ball's least displacement
+        z = _mobius_image(_compose_mats(IDENTITY_PLANE.mat, gen_map[c].mat), 1j)
+        ell = plane_distance(1j, z)
+        w = (z - 1j) / (z + 1j)
+        phi = math.atan2(w.imag, w.real)
+        psi, disk = min(
+            (abs(_angle_gap(phi, arc.center)) - arc.half_width - NEST_TOL, (side, i))
+            for side, i, arc in arcs if (side, i) != (("tgt", "src")[k % 2], k // 2)
+        )
+        if psi <= math.acos(math.tanh(ell / 2.0)):
+            return PingPongFailure("Dirichlet half-plane of letter %s meets a disk" % c, (c, disk))
+        letter_steps.append((ell, c, math.log(math.cosh(ell) - math.sinh(ell) * math.cos(psi))))
+    systole, best, _ = min(letter_steps)
+    return SchottkyCertificate(systole, best, min(s for _, _, s in letter_steps))
 
 
 def schottky_pair(L=4.0):

@@ -23,24 +23,30 @@ from .isometries import (
     IDENTITY_PLANE,
     PlaneIsometry,
     TreeIsometry,
+    _compose_mats,
     _generator_map,
-    _images_of_i,
-    _word_levels,
+    _mobius_image,
     apply_isometry,
     compose,
 )
 from .space import ModelSpace, PlanePoint, TreePoint, plane_distance
 from .words import _ORDER, compose_words, letters, word_key, word_levels
 
-#: hard cap on the words a plane ball builds, where hitting it aborts with
-#: the level it stops at (a non-discrete action would otherwise loop), and on the
-#: points a read of a tree ball lists (`TreeBall._listable`)
+#: hard cap on the points a plane ball keeps, where hitting it aborts with
+#: the ball's radius (an action that is not discrete would otherwise loop),
+#: and on the points a read of a tree ball lists (`TreeBall._listable`)
 ELEMENT_CAP = 2_000_000
 
 #: the deepest plane ball float64 resolves: g(i) is off by a few eps (|ad| +
 #: |bc|) <= eps cosh d(i, g i), as its imaginary part cancels ad against
 #: bc; this radius (about 32.1) keeps that bound at 1e-2
 PLANE_RADIUS_LIMIT = math.acosh(1e-2 / sys.float_info.epsilon)
+
+#: a float64 displacement d(i, g i) within PLANE_RADIUS_LIMIT is off by at
+#: most DRIFT cosh d: the few eps cosh d of g(i) above, at most 8 eps cosh d
+#: on every sampled word of length <= 10 at L = 3.7 and 4 against exact
+#: rational products, and the last bits of `plane_distance`
+DRIFT = 8.0 * sys.float_info.epsilon
 
 
 #: the reads both actions share
@@ -122,51 +128,70 @@ class PlaneAction:
         return g
 
     def orbit_ball(self, T):
-        """The `PlaneBall` within displacement T >= 0. The certificate's
-        `per_letter_gain` c caps word length at T / c, and a point closer
-        than min(1e-6, systole_bound / 10) to a kept entry merges into the
-        earliest such entry, found by `_MergeHash`.
+        """The `PlaneBall` within displacement T >= 0, grown from its own
+        points: level k composes each word kept at level k - 1, in entry
+        order, with each letter that may follow it, in alphabet order, so
+        the entries are in canonical word order. A word is kept when its
+        displacement is at most T + 1e-9, and a point closer than
+        min(1e-6, systole_bound / 10) to a kept entry merges into the
+        earliest such entry, found by `_MergeHash`, and is not extended.
+        Each entry keeps its matrix, bitwise `action.isometry(word)`.
 
-        A level is composed on stacked matrix rows (`_word_levels`) and its
-        images of i come from `_images_of_i`, bitwise equal to the scalar
-        `compose` and `apply_isometry`; a kept entry keeps its row as its
-        `isometry`. Displacements and merge distances stay `plane_distance`
-        calls: numpy's `arcsinh` and complex `abs` differ from libm in the
-        last bit."""
+        The ball holds every word within T, and composes no word it can
+        tell is beyond it. The certificate proves that a letter raises a
+        reduced word's displacement by at least its `step_bound` s
+        (`certify_ping_pong`). Read in float64, each displacement near T
+        is off by at most E = DRIFT cosh T. So a prefix of a word read at d
+        reads at most d + E - s + E < d once 2 E < s: every prefix of a
+        kept word is kept. And a child of a word read at d reads at least
+        d + s - 2 E, past T + 1e-9 once d > T + 1e-9 - s + 2 E: such a
+        word is kept but not extended. A radius past PLANE_RADIUS_LIMIT,
+        or where 2 E >= s (from T = 31.0 on at L = 1.8, where the ball
+        would hold about 1e12 points), is refused. So is a ball past ELEMENT_CAP points, with
+        its radius: a certified group keeps distinct points at least
+        systole_bound apart, so only that cap bounds the search on an
+        action the certificate does not describe."""
         cert = self.certificate
-        if cert.per_letter_gain <= 0:
-            raise CertificationError("per-letter gain must be positive (termination)")
         if float(T) > PLANE_RADIUS_LIMIT:
             raise NumericalLimitError("plane ball radius %.6g beyond float64's %.4g"
                                       % (float(T), PLANE_RADIUS_LIMIT))
-        alph = self.alphabet
-        max_len = int(math.floor(float(T) / cert.per_letter_gain + 1e-12))
+        drift = DRIFT * math.cosh(float(T))
+        if not 2.0 * drift < cert.step_bound:
+            raise NumericalLimitError(
+                "plane ball radius %.6g: float64 displacements off by up to %.3g are not "
+                "below half the certified step %.6g" % (float(T), drift, cert.step_bound))
+        follow = {c: [(d, self.gen_map[d].mat) for d in self.alphabet if d != c.swapcase()]
+                  for c in [*self.alphabet, ""]}
         reach = float(T) + 1e-9  # closed ball at the declared tolerance
+        # a kept word past this has no child within reach
+        parent_reach = reach - cert.step_bound + 2.0 * drift
         base = self.basepoint
         entries = [OrbitEntry("", base, 0.0, IDENTITY_PLANE)]
         merged_words = []
         near = _MergeHash(min(1e-6, cert.systole_bound / 10.0))
         near.find_or_add(base.z, 0)
-        levels = _word_levels(self.gen_map, alph)
-        for k in range(1, max_len + 1):
-            # level k builds every reduced word of length k, in the ball or not
-            built = len(alph) * (len(alph) - 1) ** (k - 1)
-            if len(entries) + built > ELEMENT_CAP:
-                raise CertificationError(
-                    "plane ball level %d would build %d words beside %d entries, past the "
-                    "element cap %d" % (k, built, len(entries), ELEMENT_CAP))
-            words, mats = next(levels)
-            for w, z, m in zip(words, _images_of_i(mats), mats):
-                d = plane_distance(base.z, z)
-                if d > reach:
-                    continue
-                hit = near.find_or_add(z, len(entries))
-                if hit is not None:
-                    merged_words.append((w, entries[hit].word))
-                    continue
-                entries.append(OrbitEntry(w, PlanePoint(z), d, PlaneIsometry(tuple(m.tolist()))))
-
-        # the levels, and so the entries, are already in canonical word order
+        z0, frontier = base.z, [("", IDENTITY_PLANE.mat)]
+        while frontier:
+            level = []
+            for w, parent in frontier:
+                for c, g in follow[w[-1:]]:
+                    m = _compose_mats(parent, g)
+                    z = _mobius_image(m, z0)
+                    d = plane_distance(z0, z)
+                    if d > reach:
+                        continue
+                    hit = near.find_or_add(z, len(entries))
+                    if hit is not None:
+                        merged_words.append((w + c, entries[hit].word))
+                        continue
+                    if len(entries) == ELEMENT_CAP:
+                        raise CertificationError(
+                            "a plane ball of radius %.6g holds more than %d points, the element "
+                            "cap" % (float(T), ELEMENT_CAP))
+                    entries.append(OrbitEntry(w + c, PlanePoint(z), d, PlaneIsometry(m)))
+                    if d <= parent_reach:
+                        level.append((w + c, m))
+            frontier = level
         return PlaneBall(T, tuple(entries), tuple(merged_words))
 
 
@@ -182,8 +207,8 @@ def schottky_action(desc, certificate, declared_delta=math.log(3.0), declared_co
 class OrbitEntry(namedtuple("OrbitEntry", "word point displacement isometry", defaults=(None,))):
     """The orbit point of a word g and its displacement d(x, g x). A
     plane entry from `enumerate_orbit_ball` also carries g's
-    `PlaneIsometry`, the matrix row its BFS level composed, bitwise
-    `action.isometry(word)`; a tree entry's isometry is None (its word is
+    `PlaneIsometry`, its parent's matrix composed with its last letter,
+    bitwise `action.isometry(word)`; a tree entry's isometry is None (its word is
     its isometry). The displacement is a Fraction on trees, a float on
     the plane."""
 
@@ -456,10 +481,13 @@ class PlaneBall:
 
 def enumerate_orbit_ball(action, T):
     """All distinct orbit points within displacement T of the basepoint,
-    the action's own ball: breadth-first over reduced words, each level
-    expanding a canonically ordered frontier letter by letter, every bound
-    read from the action. The ELEMENT_CAP check runs before a level is
-    built, on the number of words it would build."""
+    the action's own ball (`TreeAction.orbit_ball`, `PlaneAction.orbit_ball`):
+    a tree ball counts its levels; a plane ball extends only the words it
+    keeps, which its ping-pong certificate proves reaches every word within
+    T, and keeps at most ELEMENT_CAP points. A negative or non-finite T is
+    refused: a NaN reach would keep words until the cap."""
+    if T != T or T == math.inf:
+        raise ParameterError("ball radius must be finite, got %s" % T)
     if T < 0:
         raise ParameterError("ball radius must be nonnegative")
     return action.orbit_ball(T)

@@ -407,6 +407,8 @@ def test_refused_values_exit_2_before_any_check_runs(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command, keys, value, error", [
     ("entropy", ("entropy", "T"), -1, "ParameterError: ball radius must be nonnegative"),
+    ("entropy", ("entropy", "T"), math.nan, "ParameterError: ball radius must be finite, got nan"),
+    ("entropy", ("entropy", "T"), math.inf, "ParameterError: ball radius must be finite, got inf"),
     ("entropy", ("entropy", "window"), [9, 10],
      "InsufficientDataError: need at least 4 grid points in the window"),
     ("boundary", ("boundary", "T"), 1,
@@ -435,8 +437,8 @@ def test_refused_values_exit_2_before_any_check_runs(tmp_path, monkeypatch):
      "NumericalLimitError: e^(hT) at h = 100, T = 8 is past float64"),
     ("boundary", ("boundary", "h"), 200,
      "NumericalLimitError: rho^h at rho = 0.0183156, h = 200 leaves float64's range"),
-], ids=["negative-T", "narrow-window", "shallow-boundary", "s-below-growth", "shallow-generating",
-        "large-threshold", "small-R", "odd-valence", "zero-edge", "depth-0-cylinders",
+], ids=["negative-T", "nan-T", "infinite-T", "narrow-window", "shallow-boundary",
+        "s-below-growth", "shallow-generating", "large-threshold", "small-R", "odd-valence", "zero-edge", "depth-0-cylinders",
         "depth-0-qc", "underflowing-shadow-ball-T", "overflowing-packing-bound",
         "overflowing-equidistribution-h", "underflowing-ahlfors-scale"])
 def test_library_refusals_of_a_value_exit_2(tmp_path, command, keys, value, error):
@@ -460,6 +462,21 @@ def test_library_refusals_of_a_value_exit_2(tmp_path, command, keys, value, erro
     assert run([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
     audit = json.loads(read(tmp_path / "out", "audits.json"))
     assert audit["passed"] is False and audit["error"].startswith(error), audit
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan-T", "infinite-T"])
+def test_plane_refusals_of_a_non_finite_radius_exit_2(tmp_path, value):
+    # schottky_L4 with its entropy ball radius NaN or infinite: a NaN
+    # reach would keep words until the element cap, and both ended in a
+    # traceback with exit 1 and no audits.json
+    scn = cli.load_scenario("schottky_L4")
+    scn["entropy"]["T"] = value
+    path = tmp_path / "bad.scn"
+    path.write_text(json.dumps(scn), encoding="utf-8")
+    assert run(["entropy", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    audit = json.loads(read(tmp_path / "out", "audits.json"))
+    assert audit["passed"] is False
+    assert audit["error"] == "ParameterError: ball radius must be finite, got %s" % value
 
 
 def test_internal_value_errors_propagate(tmp_path, monkeypatch):

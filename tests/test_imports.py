@@ -428,13 +428,62 @@ def test_benchmark_setup_loads_only_the_action_builders():
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('hypcrit', 'numpy')))))\n"
     )
     # one probe per benchmark workload: tree, then plane-audit, whose
-    # ping-pong certificates are surveyed with scalar words
+    # ping-pong certificates are scalar arc tests
     for stems in (
         ("f2_tree", "tree_rescale_family"),
         ("schottky_L4", "schottky_family", "plane_delta0_negative", *COUNTEREXAMPLES),
     ):
         scenarios = [str(SRC / "scenarios" / (s + ".scn")) for s in stems]
         assert _run(code, *scenarios) == SETUP_MODULES
+
+
+def numpy_importers(source):
+    """Names of the functions whose bodies import numpy, "<module>" for an
+    import at the top level."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+            body = node.body if isinstance(node, ast.Module) else list(ast.walk(node))
+            names = [a.name for n in body if isinstance(n, ast.Import) for a in n.names]
+            names += [n.module for n in body if isinstance(n, ast.ImportFrom) and n.module]
+            if any(m == "numpy" or m.startswith("numpy.") for m in names):
+                out.append(getattr(node, "name", "<module>"))
+    return sorted(out)
+
+
+def test_scan_finds_numpy_importers():
+    source = (
+        "import numpy as np\n"
+        "def f():\n"
+        "    from numpy.random import default_rng\n"
+        "def g():\n"
+        "    import math\n"
+    )
+    assert numpy_importers(source) == ["<module>", "f"]
+
+
+def test_plane_balls_are_built_without_numpy():
+    # `isometries` imports none; in `orbits` only the plane orbit-graph
+    # word metric does, where it runs
+    assert numpy_importers((SRC / "isometries.py").read_text(encoding="utf-8")) == []
+    assert numpy_importers((SRC / "orbits.py").read_text(encoding="utf-8")) == ["_graph_steps"]
+
+
+_PLANE_BALL = """
+import json, sys
+from hypcrit import cli
+from hypcrit.orbits import enumerate_orbit_ball
+action = cli.build_action(cli.load_scenario(sys.argv[1])["action"])
+ball = enumerate_orbit_ball(action, 23)
+print(json.dumps([ball.count, sorted(m for m in sys.modules if m.startswith("numpy"))]))
+"""
+
+
+def test_schottky_ball_loads_no_numpy():
+    # schottky_L4's action and its entropy ball, T = 23, in a fresh
+    # interpreter
+    scenario = str(SRC / "scenarios" / "schottky_L4.scn")
+    assert _run(_PLANE_BALL, scenario) == [1413, []]
 
 
 _SETUP_STDLIB = """

@@ -1,8 +1,8 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from hypcrit.errors import ClassificationError
@@ -13,12 +13,10 @@ from hypcrit.isometries import (
     PlaneIsometry,
     SchottkyCertificate,
     SchottkyDescription,
-    WORD_HORIZON,
     TreeIsometry,
     _angle_gap,
-    _compose_rows,
-    _images_of_i,
-    _word_levels,
+    _compose_mats,
+    _generator_map,
     angle_to_boundary,
     apply_isometry,
     boundary_angle,
@@ -27,9 +25,9 @@ from hypcrit.isometries import (
     schottky_pair,
     translation_length,
 )
-from hypcrit.orbits import PLANE_RADIUS_LIMIT
+from hypcrit.orbits import DRIFT, PLANE_RADIUS_LIMIT, enumerate_orbit_ball, schottky_action
 from hypcrit.space import ModelSpace, PlanePoint, TreePoint, distance, plane_distance
-from hypcrit.words import letters, reduced_words_of_length, reduced_words_upto
+from hypcrit.words import reduced_words_upto
 
 TREE = ModelSpace.tree()
 PLANE = ModelSpace.plane()
@@ -57,90 +55,34 @@ def test_compose_matches_sequential_application():
         assert plane_distance(lhs.z, rhs.z) < 1e-9
 
 
-def test_row_kernels_match_compose_and_apply_bitwise():
-    rng = random.Random(7)
-    rot = PlaneIsometry.from_matrix(1.0, -1.0, 1.0, 1.0)  # |c| = |d|
-    shift = hyperbolic_shift(4.0)
-    mats = [IDENTITY_PLANE, shift, shift.inverse(), rot, rot.inverse()]
-    mats += [PlaneIsometry.from_matrix(1.0, 0.0, t, 1.0) for t in (-2.0, 0.5)]
-    for _ in range(40):
-        upper = PlaneIsometry.from_matrix(1.0, rng.uniform(-3, 3), 0.0, 1.0)
-        lower = PlaneIsometry.from_matrix(1.0, 0.0, rng.uniform(-3, 3), 1.0)
-        mats.append(compose(hyperbolic_shift(rng.uniform(-6, 6)), compose(upper, lower)))
-    # entries of both signed zeros, as inverses of diagonal matrices have
-    zeros = {math.copysign(1.0, x) for g in mats for x in g.mat if x == 0}
-    assert zeros == {1.0, -1.0}
-    g = np.array([a.mat for a in mats for _ in mats])
-    h = np.array([b.mat for _ in mats for b in mats])
-    rows = _compose_rows(g, h)
-    want = [compose(a, b) for a in mats for b in mats]
-    assert [tuple(x.hex() for x in r) for r in rows.tolist()] == [
-        tuple(x.hex() for x in w.mat) for w in want
-    ]
-    got = _images_of_i(np.array([w.mat for w in mats + want]))
-    for w, z in zip(mats + want, got):
-        ref = apply_isometry(PLANE, w, PLANE.basepoint).z
-        assert (z.real.hex(), z.imag.hex()) == (ref.real.hex(), ref.imag.hex())
-
-
-def test_row_kernels_at_the_sign_and_zero_edges():
-    # the product's leading entry is -1e-10: within MAT_TOL of nothing, so
-    # the row is negated like the scalar product
-    g = PlaneIsometry.from_matrix(1.0, 1.0, 0.0, 1.0)
-    h = PlaneIsometry.from_matrix(1.0, 0.0, -1.0 - 1e-10, 1.0)
-    lead = g.mat[0] * h.mat[0] + g.mat[1] * h.mat[2]
-    assert -1e-9 < lead < -1e-12
-    row = _compose_rows(np.array([g.mat]), np.array([h.mat]))[0]
-    assert [x.hex() for x in row] == [x.hex() for x in compose(g, h).mat]
-    # b = -0.0 and c / d underflowing to -0.0: g(i) = (0.5 i - 0) / (-5e-324 i
-    # + 2) has real part +0.0, which only CPython's a * 0 - 0 + b gives
-    w = PlaneIsometry.from_matrix(0.5, -0.0, -5e-324, 2.0)
-    ref = apply_isometry(PLANE, w, PLANE.basepoint).z
-    assert math.copysign(1.0, ref.real) == 1.0
-    (z,) = _images_of_i(np.array([w.mat]))
-    assert (z.real.hex(), z.imag.hex()) == (ref.real.hex(), ref.imag.hex())
-
-
-def test_word_levels_are_the_scalar_prefix_products():
-    desc = schottky_pair(4.0)
-    alph = letters(2)
-    gen_map = dict(zip(alph, [g for h in desc.generators for g in (h, h.inverse())]))
-    levels = _word_levels(gen_map, alph)
-    for k in range(1, 6):
-        words, mats = next(levels)
-        assert words == reduced_words_of_length(2, k)
-        for w, row in zip(words, mats.tolist()):
-            assert [x.hex() for x in row] == [x.hex() for x in scalar_product(gen_map, w).mat]
-
-
 def test_products_past_a_cancelled_determinant_compose():
     # at L = 4, ad and bc agree to the last bit for 279 of the 78,732
     # reduced words of length 10 (as "baaaaaaaab"), so the computed det of
     # the product cancels to <= 0; the product is normalized by the exact
-    # det 1, which leaves it as computed up to the canonical sign, bitwise
-    # the scalar chain
-    desc = schottky_pair(4.0)
-    alph = letters(2)
-    gen_map = dict(zip(alph, [g for h in desc.generators for g in (h, h.inverse())]))
-    levels = _word_levels(gen_map, alph)
+    # det 1, which leaves it as computed up to the canonical sign
+    gen_map = _generator_map(schottky_pair(4.0).generators)
+    level = [("", IDENTITY_PLANE.mat)]
     for _ in range(9):
-        parents, parent_rows = next(levels)
-    words, rows = next(levels)
-    gens = np.array([gen_map[w[-1]].mat for w in words])
-    a1, b1, c1, d1 = parent_rows[np.arange(len(words)) // 3].T
-    a2, b2, c2, d2 = gens.T
-    raw = np.stack((a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2), axis=1)
-    a, b, c, d = raw.T
-    cancelled = np.flatnonzero(a * d - b * c <= 0)
+        level = [(w + c, _compose_mats(m, gen_map[c].mat)) for w, m in level
+                 for c in "aAbB" if c != w[-1:].swapcase()]
+    words, cancelled = [], []
+    for w, (a1, b1, c1, d1) in level:
+        for c in "aAbB":
+            if c == w[-1].swapcase():
+                continue
+            a2, b2, c2, d2 = gen_map[c].mat
+            raw = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+            words.append(w + c)
+            if raw[0] * raw[3] - raw[1] * raw[2] <= 0:
+                cancelled.append((w + c, raw))
     assert len(words) == 78732 and len(cancelled) == 279
-    assert "baaaaaaaab" in {words[i] for i in cancelled}
-    same, flipped = rows[cancelled] == raw[cancelled], rows[cancelled] == -raw[cancelled]
-    assert (same.all(axis=1) | flipped.all(axis=1)).all()
-    for i in cancelled:
-        assert [x.hex() for x in scalar_product(gen_map, words[i]).mat] == [x.hex() for x in rows[i]]
+    assert "baaaaaaaab" in {w for w, _ in cancelled}
+    for w, raw in cancelled:
+        got = scalar_product(gen_map, w).mat
+        assert got in (raw, tuple(-x for x in raw))
         # a matrix given as input still needs a positive determinant
         with pytest.raises(ValueError):
-            PlaneIsometry.from_matrix(*raw[i])
+            PlaneIsometry.from_matrix(*raw)
 
 
 def exact_image_of_i(gen_map, word):
@@ -155,33 +97,44 @@ def exact_image_of_i(gen_map, word):
     return complex((a * c + b * d) / den, (a * d - b * c) / den)
 
 
+def exact_displacement(gen_map, word):
+    """d(i, g i) for the exact product g of the float generator entries,
+    from cosh d = (a^2 + b^2 + c^2 + d^2) / (2 det), rounded once."""
+    m = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+    for ch in word:
+        a1, b1, c1, d1 = m
+        a2, b2, c2, d2 = map(Fraction, gen_map[ch].mat)
+        m = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+    a, b, c, d = m
+    return math.acosh((a * a + b * b + c * c + d * d) / (2 * (a * d - b * c)))
+
+
 @pytest.mark.parametrize("L", [4.0, 3.7])
 def test_images_of_i_at_depth_match_the_exact_products(L):
     # the float image of i is off by a few eps cosh d(i, g i) (the division
     # behind its imaginary part cancels ad against bc), 8 eps cosh d at most
-    # here, for every sampled word of length up to 10 within
-    # PLANE_RADIUS_LIMIT; the words whose det cancels lie beyond it
+    # here, and so is its displacement (DRIFT cosh d), for 150 sampled
+    # entries of each word length of the ball at PLANE_RADIUS_LIMIT
     desc = schottky_pair(L)
-    alph = letters(2)
-    gen_map = dict(zip(alph, [g for h in desc.generators for g in (h, h.inverse())]))
-    eps = np.finfo(float).eps
+    gen_map = _generator_map(desc.generators)
+    ball = enumerate_orbit_ball(schottky_action(desc, certify_ping_pong(desc)), PLANE_RADIUS_LIMIT)
+    eps = sys.float_info.epsilon
     rng = random.Random(4)
-    levels = _word_levels(gen_map, alph)
-    worst, beyond = 0.0, 0
-    for k in range(1, 11):
-        words, rows = next(levels)
-        a, b, c, d = rows.T
-        pick = rng.sample(range(len(words)), min(150, len(words)))
-        pick += np.flatnonzero(a * d - b * c <= 0).tolist()[:20]
-        for i, z in zip(pick, _images_of_i(rows[pick])):
-            exact = exact_image_of_i(gen_map, words[i])
-            disp = plane_distance(1j, exact)
-            if disp > PLANE_RADIUS_LIMIT:
-                beyond += 1
-                continue
-            assert a[i] * d[i] - b[i] * c[i] > 0
-            worst = max(worst, plane_distance(z, exact) / (eps * math.cosh(disp)))
-    assert worst <= 8.0 and beyond
+    by_length = {}
+    for e in ball.entries:
+        by_length.setdefault(len(e.word), []).append(e)
+    worst = worst_disp = 0.0
+    for k, level in sorted(by_length.items()):
+        for e in rng.sample(level, min(150, len(level))):
+            a, b, c, d = e.isometry.mat
+            assert a * d - b * c > 0
+            exact = exact_image_of_i(gen_map, e.word)
+            disp = exact_displacement(gen_map, e.word)
+            worst = max(worst, plane_distance(e.point.z, exact) / (eps * math.cosh(disp)))
+            worst_disp = max(worst_disp, abs(e.displacement - disp) / math.cosh(disp))
+    assert worst <= 8.0 and worst_disp <= DRIFT
+    # the deepest words reach length 10 at L = 3.7
+    assert max(by_length) >= (8 if L == 4.0 else 10)
 
 
 def scalar_product(gen_map, word):
@@ -191,16 +144,40 @@ def scalar_product(gen_map, word):
     return g
 
 
+def scalar_displacements(desc, length):
+    """{word: d(i, w i)} over the reduced words of length <= `length`, one
+    scalar `compose` product and `apply_isometry` each."""
+    gen_map = _generator_map(desc.generators)
+    return {
+        w: plane_distance(1j, apply_isometry(PLANE, scalar_product(gen_map, w), PLANE.basepoint).z)
+        for w in reduced_words_upto(2, length)
+    }
+
+
 @pytest.mark.parametrize("L", [3.0, 4.0, 4.5, 4.0078125, 5.0, 6.0])
 def test_certificate_survey_matches_the_scalar_words(L):
+    # the survey of the words of length <= 6 the certificate no longer
+    # runs: its least displacement, first in string order among equals, is
+    # the certificate's systole bound and word, bitwise, at a letter
     desc = schottky_pair(L)
-    gen_map = dict(zip(letters(2), [g for h in desc.generators for g in (h, h.inverse())]))
-    want = {
-        w: plane_distance(1j, apply_isometry(PLANE, scalar_product(gen_map, w), PLANE.basepoint).z).hex()
-        for w in reduced_words_upto(2, WORD_HORIZON)
-    }
-    got = certify_ping_pong(desc).displacement_table
-    assert {w: d.hex() for w, d in got.items()} == want
+    disp = scalar_displacements(desc, 6)
+    cert = certify_ping_pong(desc)
+    systole, word = min((d, w) for w, d in disp.items() if w)
+    assert (cert.systole_bound.hex(), cert.attaining_word) == (systole.hex(), word)
+    assert len(word) == 1
+
+
+@pytest.mark.parametrize("L", [1.8, 2.0, 3.0, 4.0, 4.5])
+def test_every_letter_raises_the_displacement_by_the_certified_step(L):
+    # the arc test's claim d(i, w c i) >= d(i, w i) + step_bound, on every
+    # reduced word of length <= 8; the least step is 0.41 at L = 1.8,
+    # against a certified 0.053
+    desc = schottky_pair(L)
+    disp = scalar_displacements(desc, 8)
+    cert = certify_ping_pong(desc)
+    assert cert.step_bound > 0
+    least = min(disp[w] - disp[w[:-1]] for w in disp if w)
+    assert least >= cert.step_bound
 
 
 def test_isometries_preserve_distance():
@@ -249,7 +226,7 @@ def test_schottky_pair_certifies_at_l4():
     cert = certify_ping_pong(desc)
     assert isinstance(cert, SchottkyCertificate)
     assert cert.systole_bound == pytest.approx(4.0, abs=1e-9)
-    assert cert.per_letter_gain > 0.0
+    assert cert.step_bound > 0.0
 
 
 def test_ping_pong_fails_when_disks_collide():
@@ -281,6 +258,24 @@ def test_ping_pong_rejects_a_slightly_short_target_arc():
     got = certify_ping_pong(_with_disks(desc, 0, src, short))
     assert isinstance(got, PingPongFailure)
     assert got.reason == "nesting violated by generator"
+
+
+def test_ping_pong_refuses_a_disk_that_holds_the_basepoint():
+    desc = schottky_pair(4.0)
+    src, tgt = desc.disks[0]
+    got = certify_ping_pong(_with_disks(desc, 0, BoundaryArc(src.center, 1.6), tgt))
+    assert got == PingPongFailure("disk holds the basepoint i", ("src", 0))
+
+
+def test_arc_test_refuses_an_off_centre_conjugate():
+    # schottky_pair(2) conjugated by z -> z + 0.3 passes the disjointness and
+    # nesting checks, but the Dirichlet half-plane of b reaches 0.044 rad
+    # into the target disk of a, so i is no basepoint the certificate
+    # vouches for
+    shift = PlaneIsometry.from_matrix(1.0, 0.3, 0.0, 1.0)
+    gens = [compose(compose(shift, g), shift.inverse()) for g in schottky_pair(2.0).generators]
+    got = certify_ping_pong(SchottkyDescription.with_standard_disks(gens))
+    assert got == PingPongFailure("Dirichlet half-plane of letter b meets a disk", ("b", ("tgt", 0)))
 
 
 def _sampled_nesting_failure(desc):
@@ -321,7 +316,8 @@ def test_exact_nesting_rejects_whatever_sampling_rejects():
         exact = certify_ping_pong(desc)
         if isinstance(exact, PingPongFailure) and exact.reason == "disks not disjoint":
             continue
-        exact_rejects = isinstance(exact, PingPongFailure)
+        # the nesting checks run before the arc test
+        exact_rejects = isinstance(exact, PingPongFailure) and exact.reason.startswith("nesting")
         if _sampled_nesting_failure(desc):
             sampled_rejects += 1
             assert exact_rejects

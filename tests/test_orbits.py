@@ -164,13 +164,14 @@ def test_element_cap_trips_before_a_level_is_built(monkeypatch, f2, schottky):
         snapshot(f2, ball, 0.25)
     with pytest.raises(CertificationError, match="depth 7 holds 4373 points"):
         enumerate_orbit_ball(f2, 7).words()
-    # the plane frontier keeps children outside the ball, so the cap must
-    # bound the words each level builds, not only the entries it keeps
-    monkeypatch.setattr(orbits, "ELEMENT_CAP", 1000)
-    slow = schottky_action(schottky_pair(4.0), schottky.certificate._replace(per_letter_gain=0.5))
-    with pytest.raises(CertificationError, match=r"^plane ball level 7 would build 2916 words "
-                                                 r"beside 5 entries, past the element cap 1000$"):
-        enumerate_orbit_ball(slow, 4.0)
+    # a plane ball extends only the words it keeps, so the cap bounds its
+    # kept points: schottky_L4's T = 23 ball holds 1,413
+    monkeypatch.setattr(orbits, "ELEMENT_CAP", 1413)
+    assert enumerate_orbit_ball(schottky, 23.0).count == 1413
+    monkeypatch.setattr(orbits, "ELEMENT_CAP", 1412)
+    with pytest.raises(CertificationError, match=r"^a plane ball of radius 23 holds more than "
+                                                 r"1412 points, the element cap$"):
+        enumerate_orbit_ball(schottky, 23.0)
 
 
 def test_tree_ball_past_the_cap_is_counted_not_listed(f2):
@@ -347,53 +348,75 @@ def test_orbit_graph_search_past_a_large_plane_ball_keeps_no_table_per_step(scho
 
 
 # ---------------------------------------------------------------------------
-# the batched plane BFS against the scalar loop it replaced
+# the plane frontier search against scalar loops
 
 
-def scalar_plane_ball(action, T):
-    """(entries, count_by_shell, merged_words) of the plane BFS, one word
-    at a time with `compose`, `apply_isometry` and `plane_distance`, word
-    length capped at T / per_letter_gain of the action's certificate; a
-    point merges into the earliest kept entry closer than merge_radius =
-    min(1e-6, systole_bound / 10), among the kept entries whose log y is
-    within merge_radius of its own (d(z, z') >= |log y - log y'|), kept
-    sorted by log y (no hash)."""
-    cert = action.certificate
-    merge_radius = min(1e-6, cert.systole_bound / 10.0)
+def scalar_plane_ball(action, T, max_len=None):
+    """(entries, count_by_shell, merged_words, hits) of the plane BFS, one
+    word at a time with `compose`, `apply_isometry` and `plane_distance`. A
+    point within T + 1e-9 merges into the earliest kept entry closer than
+    merge_radius = min(1e-6, systole_bound / 10), among the kept entries
+    whose log y is within merge_radius of its own (d(z, z') >= |log y -
+    log y'|), kept sorted by log y (no hash); `hits` lists, for each merged
+    word, every kept entry it was closer than that to. Without `max_len`,
+    level k extends only the words kept at level k - 1. With it, every
+    reduced word of length <= max_len is composed, depth first, and those
+    within T are then taken in canonical order, as the full levels of the
+    builder the frontier search replaced took them."""
+    merge_radius = min(1e-6, action.certificate.systole_bound / 10.0)
     alph = action.alphabet
     follow = {c: [d for d in alph if d != c.swapcase()] for c in alph}
     follow[""] = alph
-    max_len = int(math.floor(float(T) / cert.per_letter_gain + 1e-12))
     base = action.basepoint
     entries = [OrbitEntry("", base, 0.0)]
-    merged_words = []
+    merged_words, hits_of = [], []
     by_height = [(math.log(base.z.imag), 0)]
-    frontier = [("", IDENTITY_PLANE)]
-    for _ in range(max_len):
-        frontier = [
-            (w + c, compose(g, action.gen_map[c])) for w, g in frontier for c in follow[w[-1:]]
-        ]
-        for w, g in frontier:
+
+    def children(w, g):
+        return [(w + c, compose(g, action.gen_map[c])) for c in follow[w[-1:]]]
+
+    def within_T(words):
+        """(word, isometry, point, displacement) of the words within T."""
+        out = []
+        for w, g in words:
             p = apply_isometry(action.space, g, base)
             d = plane_distance(base.z, p.z)
-            if d > float(T) + 1e-9:
-                continue
-            u = math.log(p.z.imag)
-            lo = bisect.bisect_left(by_height, (u - merge_radius - 1e-9,))
-            hi = bisect.bisect_right(by_height, (u + merge_radius + 1e-9, math.inf))
-            hits = [
-                i for _, i in by_height[lo:hi]
-                if plane_distance(entries[i].point.z, p.z) < merge_radius
-            ]
-            if hits:
-                merged_words.append((w, entries[min(hits)].word))
-                continue
-            bisect.insort(by_height, (u, len(entries)))
-            entries.append(OrbitEntry(w, p, d))
-    entries.sort(key=lambda e: word_key(e.word))
+            if d <= float(T) + 1e-9:
+                out.append((w, g, p, d))
+        return out
+
+    def kept(w, p, d):
+        u = math.log(p.z.imag)
+        lo = bisect.bisect_left(by_height, (u - merge_radius - 1e-9,))
+        hi = bisect.bisect_right(by_height, (u + merge_radius + 1e-9, math.inf))
+        hits = sorted(
+            i for _, i in by_height[lo:hi] if plane_distance(entries[i].point.z, p.z) < merge_radius
+        )
+        if hits:
+            merged_words.append((w, entries[hits[0]].word))
+            hits_of.append(hits)
+            return False
+        bisect.insort(by_height, (u, len(entries)))
+        entries.append(OrbitEntry(w, p, d))
+        return True
+
+    if max_len is None:
+        frontier = [("", IDENTITY_PLANE)]
+        while frontier:
+            level = [child for w, g in frontier for child in children(w, g)]
+            frontier = [(w, g) for w, g, p, d in within_T(level) if kept(w, p, d)]
+    else:
+        found, stack = [], children("", IDENTITY_PLANE)
+        while stack:
+            w, g = stack.pop()
+            if len(w) < max_len:
+                stack += children(w, g)
+            found += within_T([(w, g)])
+        for w, g, p, d in sorted(found, key=lambda x: word_key(x[0])):
+            kept(w, p, d)
     disps = sorted(e.displacement for e in entries)
     shells = _count_by_shell(lambda t: bisect.bisect_right(disps, t), T, 1.0, len(entries))
-    return tuple(entries), shells, tuple(merged_words)
+    return tuple(entries), shells, tuple(merged_words), hits_of
 
 
 def bits(entries):
@@ -403,12 +426,21 @@ def bits(entries):
     ]
 
 
-def assert_matches_scalar(action, T):
+def assert_matches_scalar(action, T, max_len=None):
     ball = enumerate_orbit_ball(action, T)
-    entries, shells, merged = scalar_plane_ball(action, T)
+    entries, shells, merged, hits = scalar_plane_ball(action, T, max_len)
     assert bits(ball.entries) == bits(entries)
     assert ball.count_by_shell == shells
     assert ball.merged_words == merged
+    return ball, hits
+
+
+def assert_matches_the_full_levels(action, T):
+    """The frontier ball against every reduced word one letter longer than
+    its longest word, composed with no pruning; returns the ball."""
+    longest = max(len(w) for w in enumerate_orbit_ball(action, T).words())
+    ball, _ = assert_matches_scalar(action, T, longest + 1)
+    assert ball.merged_words == ()
     return ball
 
 
@@ -417,62 +449,94 @@ def test_batched_plane_ball_matches_the_scalar_loop(L):
     desc = schottky_pair(L)
     action = schottky_action(desc, certify_ping_pong(desc))
     for T in (0.0, 3.9, 14.0, 23.0, 26.0):
-        ball = assert_matches_scalar(action, T)
-        assert ball.merged_words == ()
+        assert_matches_the_full_levels(action, T)
 
 
-def hand_certified(gen_map, gain):
-    """A plane action under a hand-built certificate: per-letter gain
-    `gain` and systole bound 1e-5, so its merge radius is 1e-6."""
-    cert = SchottkyCertificate(systole_bound=1e-5, attaining_word="a", per_letter_gain=gain)
+def test_frontier_ball_at_l2_matches_the_full_levels():
+    # the level builder's cap, T / per_letter_gain, was 12 letters here;
+    # the ball's longest word has 11, and no word of length 12 is within T
+    desc = schottky_pair(2.0)
+    ball = assert_matches_the_full_levels(schottky_action(desc, certify_ping_pong(desc)), 12.0)
+    assert ball.count == 6513 and max(map(len, ball.words())) == 11
+
+
+@pytest.mark.parametrize("L, T, count", [(2.0, 16.0, 131_233), (1.8, 12.0, 37_993)])
+def test_balls_past_the_level_builder_answer(L, T, count):
+    # the level builder refused these certified groups: the reduced words up
+    # to T / per_letter_gain passed ELEMENT_CAP; every prefix of an entry's
+    # word is an entry, as the certificate's step proves
+    desc = schottky_pair(L)
+    ball = enumerate_orbit_ball(schottky_action(desc, certify_ping_pong(desc)), T)
+    assert ball.count == count and ball.merged_words == ()
+    words = set(ball.words())
+    assert all(w[:-1] in words for w in words if w)
+
+
+def hand_certified(gen_map):
+    """A plane action under a hand-built certificate: systole bound 1e-5,
+    so its merge radius is 1e-6, and step bound 1e-3, so that only a word
+    read within 1e-3 of the radius is left unextended by it."""
+    cert = SchottkyCertificate(systole_bound=1e-5, attaining_word="a", step_bound=1e-3)
     return PlaneAction(gen_map, math.log(3.0), 3.0, cert)
 
 
 def test_repeated_generator_merges_like_the_scalar_loop():
     # an action whose second generator repeats the first, under a
     # hand-built certificate: "b" lands on "a" and "aB" on the identity,
-    # so the merge path runs
+    # so the merge path runs, and a merged word is not extended
     g = schottky_pair(4.0).generators[1]
-    action = hand_certified({"a": g, "A": g.inverse(), "b": g, "B": g.inverse()}, 2.0)
-    ball = assert_matches_scalar(action, 9.0)
+    action = hand_certified({"a": g, "A": g.inverse(), "b": g, "B": g.inverse()})
+    ball, _ = assert_matches_scalar(action, 9.0)
     assert ("b", "a") in ball.merged_words and ("aB", "") in ball.merged_words
+    assert not any(w.startswith("b") and len(w) > 1 for w, _ in ball.merged_words)
     assert [e.word for e in ball.entries] == ["", "a", "A", "aa", "AA"]
 
 
+def rotations_about(x0, *angles):
+    """A hand-certified action whose generators rotate by the given angles
+    about x0 + i."""
+    shift = PlaneIsometry.from_matrix(1.0, x0, 0.0, 1.0)
+    gen_map = {}
+    for c, t in zip("abcd", angles):
+        turn = PlaneIsometry.from_matrix(math.cos(t / 2), math.sin(t / 2), -math.sin(t / 2),
+                                         math.cos(t / 2))
+        g = compose(compose(shift, turn), shift.inverse())
+        gen_map[c], gen_map[c.upper()] = g, g.inverse()
+    return hand_certified(gen_map)
+
+
 def test_dense_action_merges_like_the_scalar_loop():
-    # translations by 1 and sqrt 2 and a dilation generate a non-discrete
-    # group: its orbit points crowd, and words merge into an entry kept
-    # earlier in the same or a neighbouring band
-    gens = (
-        PlaneIsometry.from_matrix(1.0, 1.0, 0.0, 1.0),
-        PlaneIsometry.from_matrix(1.0, math.sqrt(2.0), 0.0, 1.0),
-        PlaneIsometry.from_matrix(math.sqrt(1.5), 0.0, 0.0, 1.0 / math.sqrt(1.5)),
-    )
-    gen_map = {}
-    for c, g in zip("abc", gens):
-        gen_map[c], gen_map[c.upper()] = g, g.inverse()
-    ball = assert_matches_scalar(hand_certified(gen_map, 0.5), 2.0)
-    assert ball.merged_words
+    # rotations by 2 pi / 30 and 14 pi / 30 about 4e-6 + i generate a
+    # group of order 30: its orbit points crowd on a circle of radius 4e-6
+    # through i, which crosses the band edge log y = 0 of the merge index,
+    # and words merge into an entry kept earlier in the same or the
+    # neighbouring band; with only kept words extended, the ball is finite
+    action = rotations_about(4e-6, 2 * math.pi / 30, 14 * math.pi / 30)
+    ball, _ = assert_matches_scalar(action, 1.0)
+    assert ball.count == 13 and len(ball.merged_words) == 28
+
+    def band(word):
+        return math.floor(math.log(action.orbit_point(word).z.imag) / 4e-6)
+
+    assert {band(w) for w in ball.words()} == {-1, 0}
+    assert any(band(w) != band(kept) for w, kept in ball.merged_words)
 
 
-def dilate_then_shift(x):
-    """z -> 10 z + x as a determinant-1 matrix."""
-    r = math.sqrt(10.0)
-    return PlaneIsometry.from_matrix(r, x / r, 0.0, 1.0 / r)
+def test_close_pairs_merge_into_the_earliest_entry():
+    # on the order-30 group above, ten merged points lie closer than the
+    # merge radius to two kept entries, and merge into the earlier one;
+    # for five of them the index reads the later one first, in band and x
+    # order
+    action = rotations_about(4e-6, 2 * math.pi / 30, 14 * math.pi / 30)
+    ball, hits = assert_matches_scalar(action, 1.0)
+    pairs = [h for h in hits if len(h) > 1]
+    assert len(pairs) == 10
 
+    def read_order(i):
+        z = ball.entries[i].point.z
+        return math.floor(math.log(z.imag) / 4e-6), z.real
 
-def test_close_pairs_merge_at_every_height():
-    # "a" = D(10) puts i at 10i; "b" = P(4e-6) D(10) puts it 4e-7 away in
-    # the hyperbolic metric. "c" sits 1.2e-6 from "a" and is kept; "d"
-    # sits 6e-7 from both "a" and "c", left of both, and merges into the
-    # earlier entry "a", whichever point is compared first
-    gens = [dilate_then_shift(x) for x in (0.0, 4e-6, -1.2e-5, -6e-6)]
-    gen_map = {}
-    for c, g in zip("abcd", gens):
-        gen_map[c], gen_map[c.upper()] = g, g.inverse()
-    ball = assert_matches_scalar(hand_certified(gen_map, 2.0), 2.5)
-    assert ball.merged_words == (("b", "a"), ("d", "a"))
-    assert [e.word for e in ball.entries] == ["", "a", "A", "B", "c", "C", "D"]
+    assert sum(min(h) != min(h, key=read_order) for h in pairs) == 5
 
 
 def test_merge_hash_finds_the_earliest_close_point():
@@ -522,6 +586,14 @@ def test_deep_plane_ball_is_fast(schottky):
 def test_plane_ball_beyond_float64_is_refused(schottky):
     with pytest.raises(NumericalLimitError):
         enumerate_orbit_ball(schottky, PLANE_RADIUS_LIMIT + 0.5)
+    # at L = 1.8 the certified step, 0.053, is twice the float64 error of a
+    # displacement from T = 31.03 on, before PLANE_RADIUS_LIMIT
+    desc = schottky_pair(1.8)
+    fine = schottky_action(desc, certify_ping_pong(desc))
+    with pytest.raises(NumericalLimitError, match=r"^plane ball radius 31\.1: float64 "
+                                                  r"displacements off by up to 0\.0285 are not "
+                                                  r"below half the certified step 0\.0530096$"):
+        enumerate_orbit_ball(fine, 31.1)
 
 
 #: sha256 of `ball_read_record()`, recorded on the bundled runs' ball
