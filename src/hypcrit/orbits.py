@@ -2,16 +2,17 @@
 
 One action per model, `TreeAction` (F_r on its Cayley tree) or
 `PlaneAction` (a certified Schottky group), with one interface and no
-base class, builds its own orbit ball: all distinct orbit points within
-radius T, deduplicated, in canonical word order. One ball per model,
-`TreeBall` (level sizes) or `PlaneBall` (entries), with one reading
-interface and no base class, owns its counting function N(t), the number
-of points displaced by at most t, its word metric (`_graph_steps`, a
-closed form on the tree) and its sums over points (`_run_sum`, one step a
-run of equal displacements)."""
+base class, builds its own orbit ball: the orbit points within radius T,
+one per reduced word, as both actions are free, in canonical word order.
+One ball per model, `TreeBall` (level sizes) or `PlaneBall` (entries),
+with one reading interface and no base class, owns its counting function
+N(t), the number of points displaced by at most t, its word metric
+(`_graph_steps`, a closed form on each model) and its sums over points
+(`_run_sum`, one step a run of equal displacements)."""
 
 import bisect
 import math
+import numbers
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .isometries import (
     compose,
 )
 from .space import ModelSpace, PlanePoint, TreePoint, plane_distance
-from .words import _ORDER, compose_words, letters, word_key, word_levels
+from .words import letters, word_key, word_levels
 
 #: hard cap on the points a plane ball keeps, where hitting it aborts with
 #: the ball's radius (an action that is not discrete would otherwise loop),
@@ -132,10 +133,10 @@ class PlaneAction:
         points: level k composes each word kept at level k - 1, in entry
         order, with each letter that may follow it, in alphabet order, so
         the entries are in canonical word order. A word is kept when its
-        displacement is at most T + 1e-9, and a point closer than
-        min(1e-6, systole_bound / 10) to a kept entry merges into the
-        earliest such entry, found by `_MergeHash`, and is not extended.
-        Each entry keeps its matrix, bitwise `action.isometry(word)`.
+        displacement is at most T + 1e-9. Each entry keeps its matrix,
+        bitwise `action.isometry(word)`. A certified group is free, so
+        distinct reduced words are distinct points, and no entry repeats
+        another's point.
 
         The ball holds every word within T, and composes no word it can
         tell is beyond it. The certificate proves that a letter raises a
@@ -167,9 +168,6 @@ class PlaneAction:
         parent_reach = reach - cert.step_bound + 2.0 * drift
         base = self.basepoint
         entries = [OrbitEntry("", base, 0.0, IDENTITY_PLANE)]
-        merged_words = []
-        near = _MergeHash(min(1e-6, cert.systole_bound / 10.0))
-        near.find_or_add(base.z, 0)
         z0, frontier = base.z, [("", IDENTITY_PLANE.mat)]
         while frontier:
             level = []
@@ -180,10 +178,6 @@ class PlaneAction:
                     d = plane_distance(z0, z)
                     if d > reach:
                         continue
-                    hit = near.find_or_add(z, len(entries))
-                    if hit is not None:
-                        merged_words.append((w + c, entries[hit].word))
-                        continue
                     if len(entries) == ELEMENT_CAP:
                         raise CertificationError(
                             "a plane ball of radius %.6g holds more than %d points, the element "
@@ -192,7 +186,7 @@ class PlaneAction:
                     if d <= parent_reach:
                         level.append((w + c, m))
             frontier = level
-        return PlaneBall(T, tuple(entries), tuple(merged_words))
+        return PlaneBall(T, tuple(entries))
 
 
 def tree_action(valence=4, edge_length=1, declared_delta=0.0, declared_codiameter=0.5):
@@ -369,12 +363,13 @@ class TreeBall:
 
 
 class PlaneBall:
-    """The distinct orbit points of a Schottky action within displacement
-    `radius`, as `entries` in canonical word order, and the (word, kept
-    word) `merged_words` whose points merged into an earlier entry's."""
+    """The orbit ball of a certified Schottky action within displacement
+    `radius`: every reduced word whose float64 displacement is at most
+    radius + 1e-9, as `entries` in canonical word order, one point each
+    (`PlaneAction.orbit_ball`)."""
 
-    def __init__(self, radius, entries, merged_words):
-        self.radius, self._entries, self.merged_words = radius, entries, merged_words
+    def __init__(self, radius, entries):
+        self.radius, self._entries = radius, entries
         self.count = len(entries)
 
     _sorted = cached_property(_sorted_runs)
@@ -398,58 +393,49 @@ class PlaneBall:
     def _graph_steps(self, R):
         """d_Sigma(g, id) for each entry g, in entry order: its steps from
         the identity, entry 0, in the orbit graph that joins g to g s for
-        every entry s displaced by at most R + 1e-12, through the entries;
-        -1 where no path reaches it (`check_generating`).
+        every entry s in S, the nonidentity entries displaced by at most
+        R + 1e-12, through the entries; -1 where no path reaches it
+        (`check_generating`). In closed form, the fewest pieces of S that
+        g's word splits into: where v is g's longest suffix in S and g = u
+        v, steps(g) = steps(u) + 1, and -1 where g has no suffix in S or u
+        is -1. In entry order, so u comes before g.
 
-        The search runs on numbers. The entries' words closed under
-        prefixes are numbered (a plane ball need not hold a prefix of its
-        words, nor a merged word), and rmul[c, i] is the number of prefix i
-        times the letter of rank c (`compose_words`), or the number past
-        them, which maps to itself, where that product is none: g s is g
-        times the letters of s, one table read each. As s is reduced, it
-        cancels against g only in its first letters, and from the first
-        letter that does not cancel the product only grows; a set closed
-        under prefixes holds no extension of a word it lacks, so a product
-        that leaves it never comes back, and -1 is exact. Each level
-        multiplies only its frontier by the steps, a block of frontier
-        rows at a time, and the search stops after the block that reaches
-        the last entry."""
-        import numpy as np
-
-        words = self.words()
-        trie = list(dict.fromkeys(w[:k] for w in words for k in range(len(w) + 1)))
-        at = {w: i for i, w in enumerate(trie)}
-        top = max((_ORDER[c] for w in words for c in w), default=0)
-        rmul = np.array([[at.get(compose_words(w, c), len(trie)) for w in trie] + [len(trie)]
-                         for c in letters(top // 2 + 1)], dtype=np.int64)
-        node = np.array([at[w] for w in words], dtype=np.int64)
-        entry = np.full(len(trie) + 1, -1)
-        entry[node] = np.arange(self.count)
-        # longest step first, so the steps with a j-th letter lead column j
-        steps = sorted((e.word for e in self._entries
-                        if e.word and float(e.displacement) <= float(R) + 1e-12), key=len, reverse=True)
-        cols = [np.array([_ORDER[w[j]] for w in steps if len(w) > j])
-                for j in range(max(map(len, steps), default=0))]
-        block = max(1, 2**16 // max(len(steps), 1))
-        dist = np.full(self.count, -1)
-        dist[0] = 0
-        frontier, level, todo = np.zeros(1, dtype=np.int64), 0, np.arange(1, self.count)
-        while len(frontier) and len(todo):
-            level += 1
-            # an image off the entries, -1, lands in the last slot
-            reach = np.zeros(self.count + 1, dtype=bool)
-            left = todo
-            for i in range(0, len(frontier), block):
-                image = np.repeat(node[frontier[i:i + block], None], len(steps), axis=1)
-                for col in cols:
-                    image[:, :len(col)] = rmul[col, image[:, :len(col)]]
-                reach[entry[image]] = True
-                left = left[~reach[left]]
-                if not len(left):
-                    break  # the rest of the level can reach no new entry
-            frontier, todo = todo[reach[todo]], left
-            dist[frontier] = level
-        return dist.tolist()
+        Proof. As `PlaneAction.orbit_ball` shows from the certificate, the
+        ball holds every reduced word read within its radius, and a proper
+        prefix of a word reads below it, as d(x, w x) falls by at least
+        `step_bound` and each read is off by at most E, 2 E < `step_bound`.
+        A proper suffix v of s reads below s by the same margin: v^-1 is a
+        proper prefix of s^-1, and d(x, v x) = d(x, v^-1 x). So S is closed
+        under prefixes and proper suffixes, hence under subwords, and the
+        ball under prefixes.
+        - A split g = p_1 ... p_k into pieces of S is a path of k steps: p_1
+          ... p_j is a prefix of g, so an entry, and the step p_j cancels
+          nothing.
+        - A path s_1 ... s_k to g gives a split into at most k pieces. In
+          the free reduction of s_1 ... s_k a letter of the reduced s_j
+          cancels only with a letter outside s_j, and then so do the letters
+          of s_j between them; so s_j keeps a subword, in S or empty, and g
+          is these subwords in order.
+        - The greedy split is a fewest one, by induction on length. A split
+          of g, its piece across the cut cut short, splits any prefix of g,
+          so the fewest pieces f never rise on a prefix. A fewest split g =
+          u' v' ends in v' in S, so v exists, |v'| <= |v|, u is a prefix of
+          u', and f(u) + 1 <= f(u') + 1 = f(g).
+        - g = p c, p its parent, has a longest suffix in S at most one letter
+          longer than p's: cutting its last letter leaves a suffix of p in
+          S. So the search for it runs down from there."""
+        reach = float(R) + 1e-12
+        steps = {e.word for e in self._entries if e.word and float(e.displacement) <= reach}
+        dist, longest = {"": 0}, {"": 0}
+        for e in self._entries[1:]:
+            w = e.word
+            k = longest[w[:-1]] + 1
+            while k and w[-k:] not in steps:
+                k -= 1
+            longest[w] = k
+            rest = dist[w[:-k]] if k else -1
+            dist[w] = rest + 1 if rest >= 0 else -1
+        return list(dist.values())
 
     def shortest(self):
         """(displacement, word) of the least displaced nonidentity entry,
@@ -484,54 +470,23 @@ def enumerate_orbit_ball(action, T):
     the action's own ball (`TreeAction.orbit_ball`, `PlaneAction.orbit_ball`):
     a tree ball counts its levels; a plane ball extends only the words it
     keeps, which its ping-pong certificate proves reaches every word within
-    T, and keeps at most ELEMENT_CAP points. A negative or non-finite T is
-    refused: a NaN reach would keep words until the cap."""
-    if T != T or T == math.inf:
-        raise ParameterError("ball radius must be finite, got %s" % T)
+    T, and keeps at most ELEMENT_CAP points. A T that is not a finite
+    real number, or is negative, is refused: a NaN reach would keep words
+    until the cap."""
+    _finite_real("ball radius", T)
     if T < 0:
         raise ParameterError("ball radius must be nonnegative")
     return action.orbit_ball(T)
 
 
-class _MergeHash:
-    """Plane points with their indices, kept so that every point closer
-    than r to a query is compared: one x-sorted list per log-y band.
-
-    Band b holds the points with b h <= log y < (b + 1) h, h = 4 r, in
-    increasing x. A point z' closer than r to z = x + iy differs from it by
-    less than r in log y, as d(z, z') >= |log y - log y'|, so it lies in
-    one of the bands meeting log y +- r. As |x - x'| <= |z - z'| = 2
-    sqrt(y y') sinh(d/2) and y' < y e^r, it differs from z by less than
-    y (e^r - 1) in x, so `bisect` finds it among the band's points with x'
-    in [x - dx, x + dx], dx = y (e^r - 1). Both ranges are widened for
-    rounding. Only points in that window are read, whatever the ratio
-    |x| / y, so a query costs O(log n + points read) per band.
-    """
-
-    def __init__(self, r):
-        self.r, self.h = r, 4.0 * r
-        self.grow = math.expm1(r) * (1.0 + 1e-6)
-        self.bands = {}
-
-    def find_or_add(self, z, index):
-        """The smallest index of a point closer than r to z; where there is
-        none, z is added under `index` and None returned."""
-        x, y, h = z.real, z.imag, self.h
-        u = math.log(y)
-        pad = self.r * (1.0 + 1e-6) + 1e-15 * abs(u)
-        dx = y * self.grow + 1e-15 * abs(x)
-        hit = None
-        for b in range(math.floor((u - pad) / h), math.floor((u + pad) / h) + 1):
-            xs, pts = self.bands.get(b, ((), ()))
-            for i, q in pts[bisect.bisect_left(xs, x - dx):bisect.bisect_right(xs, x + dx)]:
-                if (hit is None or i < hit) and plane_distance(q, z) < self.r:
-                    hit = i
-        if hit is None:
-            xs, pts = self.bands.setdefault(math.floor(u / h), ([], []))
-            j = bisect.bisect_right(xs, x)
-            xs.insert(j, x)
-            pts.insert(j, (index, z))
-        return hit
+def _finite_real(name, x):
+    """Refuse x unless it is a finite real number, a bool not being one: a
+    string or None fails the first comparison with a TypeError, and a NaN
+    passes or fails every bound vacuously."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ParameterError("%s must be a real number, got %r" % (name, x))
+    if x != x or x in (math.inf, -math.inf):
+        raise ParameterError("%s must be finite, got %s" % (name, x))
 
 
 def _count_by_shell(count_le, T, shell_step, total):
@@ -593,11 +548,13 @@ def check_generating(action, ball, threshold=None):
     bound. Pass means every entry is reachable from the identity in the
     ball's orbit graph (`_graph_steps`) with R = threshold; on failure the
     witness is the least unreachable word in canonical order, the entries'
-    order, and only then are the ball's words listed.
+    order, and only then are the ball's words listed. A threshold that is
+    not a finite real number is refused.
     """
     theo = 2.0 * action.declared_codiameter + 72.0 * action.declared_delta
     if threshold is None:
         threshold = theo
+    _finite_real("threshold", threshold)
     if threshold > theo + 1e-9:
         raise ParameterError("threshold above the theoretical generating bound")
     if float(ball.radius) < 2.0 * threshold - 1e-9:
@@ -620,7 +577,9 @@ def check_word_metric_comparison(action, ball, R):
     """(R - 2D - 72*delta) * d_Sigma(g) <= d(gx, x) <= R * d_Sigma(g).
 
     Displacements come from the ball's runs, in entry order; its words are
-    listed only for a failure's witness."""
+    listed only for a failure's witness. An R that is not a finite real
+    number is refused."""
+    _finite_real("R", R)
     thresh = 2.0 * action.declared_codiameter + 72.0 * action.declared_delta
     if R <= thresh:
         raise ParameterError("R must exceed 2D + 72*delta = %.6g" % thresh)

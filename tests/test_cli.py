@@ -409,6 +409,8 @@ def test_refused_values_exit_2_before_any_check_runs(tmp_path, monkeypatch):
     ("entropy", ("entropy", "T"), -1, "ParameterError: ball radius must be nonnegative"),
     ("entropy", ("entropy", "T"), math.nan, "ParameterError: ball radius must be finite, got nan"),
     ("entropy", ("entropy", "T"), math.inf, "ParameterError: ball radius must be finite, got inf"),
+    ("entropy", ("entropy", "T"), "23", "ParameterError: ball radius must be a real number, got '23'"),
+    ("entropy", ("entropy", "T"), None, "ParameterError: ball radius must be a real number, got None"),
     ("entropy", ("entropy", "window"), [9, 10],
      "InsufficientDataError: need at least 4 grid points in the window"),
     ("boundary", ("boundary", "T"), 1,
@@ -419,8 +421,13 @@ def test_refused_values_exit_2_before_any_check_runs(tmp_path, monkeypatch):
      "InsufficientDataError: ball radius 0 < 2x threshold 1.0"),
     ("verify", ("verify", "generating", "threshold"), 5.0,
      "ParameterError: threshold above the theoretical generating bound"),
+    ("verify", ("verify", "generating", "threshold"), math.nan,
+     "ParameterError: threshold must be finite, got nan"),
+    ("verify", ("verify", "generating", "threshold"), "4.5",
+     "ParameterError: threshold must be a real number, got '4.5'"),
     ("verify", ("verify", "word_metric", "R"), 0.5,
      "ParameterError: R must exceed 2D + 72*delta = 1"),
+    ("verify", ("verify", "word_metric", "R"), math.nan, "ParameterError: R must be finite, got nan"),
     ("entropy", ("action", "valence"), 5,
      "ParameterError: group structure needs even valence, got 5"),
     ("entropy", ("action", "edge_length"), "0",
@@ -437,18 +444,20 @@ def test_refused_values_exit_2_before_any_check_runs(tmp_path, monkeypatch):
      "NumericalLimitError: e^(hT) at h = 100, T = 8 is past float64"),
     ("boundary", ("boundary", "h"), 200,
      "NumericalLimitError: rho^h at rho = 0.0183156, h = 200 leaves float64's range"),
-], ids=["negative-T", "nan-T", "infinite-T", "narrow-window", "shallow-boundary",
-        "s-below-growth", "shallow-generating", "large-threshold", "small-R", "odd-valence", "zero-edge", "depth-0-cylinders",
-        "depth-0-qc", "underflowing-shadow-ball-T", "overflowing-packing-bound",
+], ids=["negative-T", "nan-T", "infinite-T", "string-T", "null-T", "narrow-window",
+        "shallow-boundary", "s-below-growth", "shallow-generating", "large-threshold",
+        "nan-threshold", "string-threshold", "small-R", "nan-R", "odd-valence", "zero-edge",
+        "depth-0-cylinders", "depth-0-qc", "underflowing-shadow-ball-T", "overflowing-packing-bound",
         "overflowing-equidistribution-h", "underflowing-ahlfors-scale"])
 def test_library_refusals_of_a_value_exit_2(tmp_path, command, keys, value, error):
     # f2_tree with one value changed, refused by the library, not by the
     # scenario screen; all but the zero edge and the shadow-ball T ended in
     # a traceback with exit 1 and no audits.json (a depth-0 cylinder has no
-    # approximant); a T past 745, whose ball radius e^{-T} is 0.0, is
-    # refused where the audit computes its ball thresholds, and a float64
-    # overflow or underflow of a bound, of e^{hT} or of rho^h where it is
-    # computed
+    # approximant), but a NaN R passed vacuously with exit 0 and a NaN
+    # threshold failed with exit 1; a T past 745, whose ball radius e^{-T}
+    # is 0.0, is refused where the audit computes its ball thresholds, and
+    # a float64 overflow or underflow of a bound, of e^{hT} or of rho^h
+    # where it is computed
     scn = cli.load_scenario("f2_tree")
     *blocks, key = keys
     block = scn

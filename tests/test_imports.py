@@ -267,7 +267,7 @@ def test_each_orbit_ball_defines_the_same_reads():
 
     for cls in (TreeBall, PlaneBall):
         assert sorted(n for n in vars(cls) if not n.startswith("_")) == sorted(BALL), cls
-    plane = PlaneBall(0.0, (), ())
+    plane = PlaneBall(0.0, ())
     assert {"radius", "count"} <= set(vars(enumerate_orbit_ball(tree_action(), 1))) & set(vars(plane))
 
 
@@ -463,27 +463,30 @@ def test_scan_finds_numpy_importers():
 
 
 def test_plane_balls_are_built_without_numpy():
-    # `isometries` imports none; in `orbits` only the plane orbit-graph
-    # word metric does, where it runs
-    assert numpy_importers((SRC / "isometries.py").read_text(encoding="utf-8")) == []
-    assert numpy_importers((SRC / "orbits.py").read_text(encoding="utf-8")) == ["_graph_steps"]
+    # neither `isometries` nor `orbits`, whose word metrics are closed forms,
+    # imports numpy
+    for name in ("isometries.py", "orbits.py"):
+        assert numpy_importers((SRC / name).read_text(encoding="utf-8")) == [], name
 
 
 _PLANE_BALL = """
 import json, sys
 from hypcrit import cli
-from hypcrit.orbits import enumerate_orbit_ball
-action = cli.build_action(cli.load_scenario(sys.argv[1])["action"])
-ball = enumerate_orbit_ball(action, 23)
-print(json.dumps([ball.count, sorted(m for m in sys.modules if m.startswith("numpy"))]))
+from hypcrit.orbits import check_generating, enumerate_orbit_ball
+scn = cli.load_scenario(sys.argv[1])
+action = cli.build_action(scn["action"])
+ball = enumerate_orbit_ball(action, scn["entropy"]["T"])
+gen = scn["verify"]["generating"]
+rep = check_generating(action, enumerate_orbit_ball(action, gen["T"]), gen["threshold"])
+print(json.dumps([ball.count, rep.passed, sorted(m for m in sys.modules if m.startswith("numpy"))]))
 """
 
 
 def test_schottky_ball_loads_no_numpy():
-    # schottky_L4's action and its entropy ball, T = 23, in a fresh
-    # interpreter
+    # schottky_L4's action, its entropy ball (T = 23) and its generating
+    # check (T = 12, threshold 4.5), in a fresh interpreter
     scenario = str(SRC / "scenarios" / "schottky_L4.scn")
-    assert _run(_PLANE_BALL, scenario) == [1413, []]
+    assert _run(_PLANE_BALL, scenario) == [1413, True, []]
 
 
 _SETUP_STDLIB = """

@@ -1,6 +1,5 @@
 import bisect
 import math
-import random
 import time
 from fractions import Fraction
 
@@ -9,8 +8,6 @@ import pytest
 from hypcrit.errors import CertificationError, InsufficientDataError, NumericalLimitError
 from hypcrit.isometries import (
     IDENTITY_PLANE,
-    PlaneIsometry,
-    SchottkyCertificate,
     TreeIsometry,
     apply_isometry,
     certify_ping_pong,
@@ -24,7 +21,6 @@ from hypcrit.orbits import (
     TreeBall,
     _add_copies,
     _count_by_shell,
-    _MergeHash,
     _run_sum,
     check_generating,
     check_word_metric_comparison,
@@ -251,24 +247,21 @@ def test_word_metric_comparison_schottky(schottky, schottky_ball):
 
 
 def test_orbit_graph_steps_match_the_word_search(f2, schottky):
-    # the search on ball indices against the string search it replaced,
-    # which composes every product as a word and looks it up: on tree balls
-    # at three edges and on Schottky balls, at radii R from below one
-    # letter to past the ball, and on plane balls with entries taken out,
-    # whose words then miss prefixes (a merged word is missing so)
-    from hypcrit.orbits import PlaneBall
+    # each model's closed form against the string search, which composes
+    # every product as a word and looks it up: on tree balls at three
+    # edges and on Schottky balls, at radii R from below one letter to past
+    # the ball, and on the 2,429-point L = 1.8, T = 9 ball, where a word
+    # takes up to 16 steps at R = 2
     from word_oracle import orbit_graph_steps
 
     balls = [enumerate_orbit_ball(tree_action(valence=v, edge_length=ell), T)
              for v, ell, T in ((4, 1, 6), (4, Fraction(3, 2), 7), (6, Fraction(2, 3), 2))]
     balls += [enumerate_orbit_ball(schottky, T) for T in (8.0, 14.0)]
-    full = balls[-1].entries
-    rng = random.Random(3)
-    for keep in (0.9, 0.6):
-        kept = (full[0],) + tuple(e for e in full[1:] if rng.random() < keep)
-        balls.append(PlaneBall(14.0, kept, ()))
+    desc = schottky_pair(1.8)
+    deep = enumerate_orbit_ball(schottky_action(desc, certify_ping_pong(desc)), 9.0)
+    assert deep.count == 2429
     reached = unreached = 0
-    for ball in balls:
+    for ball in balls + [deep]:
         # past R = 2 the large tree ball's every word is a step
         for R in (0.5, 1.0, 2.0) + ((4.5, 8.5, 30.0) if ball.count < 200 else ()):
             got = ball._graph_steps(R)
@@ -276,6 +269,7 @@ def test_orbit_graph_steps_match_the_word_search(f2, schottky):
             reached += max(got) > 1
             unreached += -1 in got
     assert reached and unreached
+    assert max(deep._graph_steps(2.0)) == 16
 
 
 def split_graph_steps(entries, R):
@@ -332,7 +326,7 @@ def test_orbit_graph_search_past_a_large_plane_ball_keeps_no_table_per_step(scho
     # R past the radius of a 25,384-point ball makes every entry a step, so
     # each is one step from the identity, the word search's answer. A table
     # of one n-long move array per step would hold 25,384^2 int64 (5.2 GB),
-    # as would a dense distance table; the frontier search peaks at 6.0 MB
+    # as would a dense distance table; the closed form peaks at 4.6 MB
     # under tracemalloc, and the gate leaves it a 2x margin
     import tracemalloc
 
@@ -352,25 +346,17 @@ def test_orbit_graph_search_past_a_large_plane_ball_keeps_no_table_per_step(scho
 
 
 def scalar_plane_ball(action, T, max_len=None):
-    """(entries, count_by_shell, merged_words, hits) of the plane BFS, one
-    word at a time with `compose`, `apply_isometry` and `plane_distance`. A
-    point within T + 1e-9 merges into the earliest kept entry closer than
-    merge_radius = min(1e-6, systole_bound / 10), among the kept entries
-    whose log y is within merge_radius of its own (d(z, z') >= |log y -
-    log y'|), kept sorted by log y (no hash); `hits` lists, for each merged
-    word, every kept entry it was closer than that to. Without `max_len`,
-    level k extends only the words kept at level k - 1. With it, every
-    reduced word of length <= max_len is composed, depth first, and those
-    within T are then taken in canonical order, as the full levels of the
-    builder the frontier search replaced took them."""
-    merge_radius = min(1e-6, action.certificate.systole_bound / 10.0)
+    """(entries, count_by_shell) of the plane BFS, one word at a time with
+    `compose`, `apply_isometry` and `plane_distance`, keeping each word
+    within T + 1e-9. Without `max_len`, level k extends only the words kept
+    at level k - 1. With it, every reduced word of length <= max_len is
+    composed, depth first, and those within T are then taken in canonical
+    order, as the full levels of the builder the frontier search replaced
+    took them."""
     alph = action.alphabet
     follow = {c: [d for d in alph if d != c.swapcase()] for c in alph}
     follow[""] = alph
     base = action.basepoint
-    entries = [OrbitEntry("", base, 0.0)]
-    merged_words, hits_of = [], []
-    by_height = [(math.log(base.z.imag), 0)]
 
     def children(w, g):
         return [(w + c, compose(g, action.gen_map[c])) for c in follow[w[-1:]]]
@@ -385,26 +371,12 @@ def scalar_plane_ball(action, T, max_len=None):
                 out.append((w, g, p, d))
         return out
 
-    def kept(w, p, d):
-        u = math.log(p.z.imag)
-        lo = bisect.bisect_left(by_height, (u - merge_radius - 1e-9,))
-        hi = bisect.bisect_right(by_height, (u + merge_radius + 1e-9, math.inf))
-        hits = sorted(
-            i for _, i in by_height[lo:hi] if plane_distance(entries[i].point.z, p.z) < merge_radius
-        )
-        if hits:
-            merged_words.append((w, entries[hits[0]].word))
-            hits_of.append(hits)
-            return False
-        bisect.insort(by_height, (u, len(entries)))
-        entries.append(OrbitEntry(w, p, d))
-        return True
-
     if max_len is None:
-        frontier = [("", IDENTITY_PLANE)]
+        kept, frontier = [], [("", IDENTITY_PLANE)]
         while frontier:
-            level = [child for w, g in frontier for child in children(w, g)]
-            frontier = [(w, g) for w, g, p, d in within_T(level) if kept(w, p, d)]
+            level = within_T([child for w, g in frontier for child in children(w, g)])
+            kept += level
+            frontier = [(w, g) for w, g, _, _ in level]
     else:
         found, stack = [], children("", IDENTITY_PLANE)
         while stack:
@@ -412,11 +384,11 @@ def scalar_plane_ball(action, T, max_len=None):
             if len(w) < max_len:
                 stack += children(w, g)
             found += within_T([(w, g)])
-        for w, g, p, d in sorted(found, key=lambda x: word_key(x[0])):
-            kept(w, p, d)
+        kept = sorted(found, key=lambda x: word_key(x[0]))
+    entries = [OrbitEntry("", base, 0.0)] + [OrbitEntry(w, p, d) for w, _, p, d in kept]
     disps = sorted(e.displacement for e in entries)
     shells = _count_by_shell(lambda t: bisect.bisect_right(disps, t), T, 1.0, len(entries))
-    return tuple(entries), shells, tuple(merged_words), hits_of
+    return tuple(entries), shells
 
 
 def bits(entries):
@@ -428,20 +400,17 @@ def bits(entries):
 
 def assert_matches_scalar(action, T, max_len=None):
     ball = enumerate_orbit_ball(action, T)
-    entries, shells, merged, hits = scalar_plane_ball(action, T, max_len)
+    entries, shells = scalar_plane_ball(action, T, max_len)
     assert bits(ball.entries) == bits(entries)
     assert ball.count_by_shell == shells
-    assert ball.merged_words == merged
-    return ball, hits
+    return ball
 
 
 def assert_matches_the_full_levels(action, T):
     """The frontier ball against every reduced word one letter longer than
     its longest word, composed with no pruning; returns the ball."""
     longest = max(len(w) for w in enumerate_orbit_ball(action, T).words())
-    ball, _ = assert_matches_scalar(action, T, longest + 1)
-    assert ball.merged_words == ()
-    return ball
+    return assert_matches_scalar(action, T, longest + 1)
 
 
 @pytest.mark.parametrize("L", [4.5, 4.0, 4.0078125, 3.7])
@@ -467,101 +436,9 @@ def test_balls_past_the_level_builder_answer(L, T, count):
     # word is an entry, as the certificate's step proves
     desc = schottky_pair(L)
     ball = enumerate_orbit_ball(schottky_action(desc, certify_ping_pong(desc)), T)
-    assert ball.count == count and ball.merged_words == ()
+    assert ball.count == count
     words = set(ball.words())
     assert all(w[:-1] in words for w in words if w)
-
-
-def hand_certified(gen_map):
-    """A plane action under a hand-built certificate: systole bound 1e-5,
-    so its merge radius is 1e-6, and step bound 1e-3, so that only a word
-    read within 1e-3 of the radius is left unextended by it."""
-    cert = SchottkyCertificate(systole_bound=1e-5, attaining_word="a", step_bound=1e-3)
-    return PlaneAction(gen_map, math.log(3.0), 3.0, cert)
-
-
-def test_repeated_generator_merges_like_the_scalar_loop():
-    # an action whose second generator repeats the first, under a
-    # hand-built certificate: "b" lands on "a" and "aB" on the identity,
-    # so the merge path runs, and a merged word is not extended
-    g = schottky_pair(4.0).generators[1]
-    action = hand_certified({"a": g, "A": g.inverse(), "b": g, "B": g.inverse()})
-    ball, _ = assert_matches_scalar(action, 9.0)
-    assert ("b", "a") in ball.merged_words and ("aB", "") in ball.merged_words
-    assert not any(w.startswith("b") and len(w) > 1 for w, _ in ball.merged_words)
-    assert [e.word for e in ball.entries] == ["", "a", "A", "aa", "AA"]
-
-
-def rotations_about(x0, *angles):
-    """A hand-certified action whose generators rotate by the given angles
-    about x0 + i."""
-    shift = PlaneIsometry.from_matrix(1.0, x0, 0.0, 1.0)
-    gen_map = {}
-    for c, t in zip("abcd", angles):
-        turn = PlaneIsometry.from_matrix(math.cos(t / 2), math.sin(t / 2), -math.sin(t / 2),
-                                         math.cos(t / 2))
-        g = compose(compose(shift, turn), shift.inverse())
-        gen_map[c], gen_map[c.upper()] = g, g.inverse()
-    return hand_certified(gen_map)
-
-
-def test_dense_action_merges_like_the_scalar_loop():
-    # rotations by 2 pi / 30 and 14 pi / 30 about 4e-6 + i generate a
-    # group of order 30: its orbit points crowd on a circle of radius 4e-6
-    # through i, which crosses the band edge log y = 0 of the merge index,
-    # and words merge into an entry kept earlier in the same or the
-    # neighbouring band; with only kept words extended, the ball is finite
-    action = rotations_about(4e-6, 2 * math.pi / 30, 14 * math.pi / 30)
-    ball, _ = assert_matches_scalar(action, 1.0)
-    assert ball.count == 13 and len(ball.merged_words) == 28
-
-    def band(word):
-        return math.floor(math.log(action.orbit_point(word).z.imag) / 4e-6)
-
-    assert {band(w) for w in ball.words()} == {-1, 0}
-    assert any(band(w) != band(kept) for w, kept in ball.merged_words)
-
-
-def test_close_pairs_merge_into_the_earliest_entry():
-    # on the order-30 group above, ten merged points lie closer than the
-    # merge radius to two kept entries, and merge into the earlier one;
-    # for five of them the index reads the later one first, in band and x
-    # order
-    action = rotations_about(4e-6, 2 * math.pi / 30, 14 * math.pi / 30)
-    ball, hits = assert_matches_scalar(action, 1.0)
-    pairs = [h for h in hits if len(h) > 1]
-    assert len(pairs) == 10
-
-    def read_order(i):
-        z = ball.entries[i].point.z
-        return math.floor(math.log(z.imag) / 4e-6), z.real
-
-    assert sum(min(h) != min(h, key=read_order) for h in pairs) == 5
-
-
-def test_merge_hash_finds_the_earliest_close_point():
-    # random points from near the real axis to high up, with clusters
-    # closer than r, against a scan of all earlier points; the last two
-    # cases are deep, |x| / y up to about 1e16, where the x window is the
-    # rounding pad 1e-15 |x| and is wider than y by orders of magnitude
-    cases = [(r, (-25.0, 5.0), 1500) for r in (1e-6, 0.05, 0.2, 0.4)]
-    cases += [(r, (-33.0, -25.0), 600) for r in (1e-6, 0.4)]
-    for r, log_y, n in cases:
-        rng = random.Random(8)
-        near = _MergeHash(r)
-        kept = []
-        for k in range(n):
-            if kept and rng.random() < 0.3:
-                q = rng.choice(kept)[1]
-                t = rng.uniform(0.0, 1.2 * r)
-                z = complex(q.real + q.imag * t * rng.uniform(-1, 1), q.imag * math.exp(rng.uniform(-t, t)))
-            else:
-                z = complex(rng.uniform(-50.0, 50.0), math.exp(rng.uniform(*log_y)))
-            want = next((i for i, q in kept if plane_distance(q, z) < r), None)
-            assert near.find_or_add(z, k) == want
-            if want is None:
-                kept.append((k, z))
-        assert 0 < len(kept) < n
 
 
 def test_plane_entries_carry_their_isometries(schottky):
@@ -575,12 +452,11 @@ def test_plane_entries_carry_their_isometries(schottky):
 
 
 def test_deep_plane_ball_is_fast(schottky):
-    # at T = 32, |x| / y of the orbit points reaches about 4e13, and the
-    # merge index reads only the points in each query's x window
+    # at T = 32, |x| / y of the orbit points reaches about 4e13
     start = time.perf_counter()
     ball = enumerate_orbit_ball(schottky, 32.0)
     assert time.perf_counter() - start < 2.0
-    assert ball.count == 25_384 and ball.merged_words == ()
+    assert ball.count == 25_384
 
 
 def test_plane_ball_beyond_float64_is_refused(schottky):
